@@ -14,29 +14,28 @@
 //! The engine-wide order is **router → ingest gate → directory stripes
 //! (ascending stripe index) → shards (ascending) → replica sets**. Every
 //! multi-stripe acquisition in this module ([`StripedDirectory::write_all`],
-//! [`StripedDirectory::read_all`], [`StripedDirectory::reserve`],
-//! [`StripedDirectory::commit`]) locks stripes in ascending index order;
-//! single-stripe paths trivially comply. No code in this crate takes a
-//! router or gate lock while holding a stripe.
+//! [`StripedDirectory::read_all`], [`StripedDirectory::reserve`]) locks
+//! stripes in ascending index order. No code in this crate takes a router
+//! or gate lock while holding a stripe.
 //!
-//! ## Pending entries
+//! ## Reserved entries
 //!
-//! The routed fast path publishes *without* the classic paths' "hold the
+//! The routed fast path publishes *without* the classic path's "hold the
 //! directory lock across the topic append" rule — holding 16 stripe locks
-//! across an append would re-serialize everything. Instead it reserves
-//! ids with the [`PENDING`] bit set, appends to the shard topic, then
-//! commits (clears the bit). Invariants:
+//! across an append would re-serialize everything. It reserves its rows'
+//! entries stripe by stripe, releases the stripes, then appends to the
+//! shard topic, so for a moment the directory names rows whose inserts
+//! are not in their topic yet. That is safe because **every publisher
+//! holds the router lock — read for routed, write for classic**:
 //!
-//! * Pending entries exist only while a routed call is between its
-//!   reserve and commit, and every routed call holds the router **read**
-//!   lock plus the ingest gate (shared) for its whole body. Classic
-//!   publishers hold the router **write** lock and checkpoint/fail-shard
-//!   hold the gate exclusively, so none of them can ever observe a
-//!   pending entry.
-//! * [`crate::ClusterEngine::publish_delete`] takes neither lock and
-//!   *can* observe one: it treats pending as "insert in flight" and
-//!   retries after yielding (the committer holds no lock the deleter
-//!   owns, so it always makes progress).
+//! * a routed call holds the router read lock (plus the ingest gate,
+//!   shared) from before its reserve until after its append, and every
+//!   path that deletes, re-places, or snapshots entries is a classic
+//!   publish or a rebalance (router write lock) or checkpoint/fail-shard
+//!   (gate exclusive) — none of them can run inside that window;
+//! * so a reserved entry is only ever seen by another routed publisher's
+//!   duplicate check, which rejects the row exactly as it would once the
+//!   insert has landed.
 
 use crate::router::mix;
 use janus_common::{DetHashMap, RowId};
@@ -46,41 +45,6 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// mask; 16 comfortably exceeds any plausible loader-thread count while
 /// keeping the all-stripes paths (rebalance, checkpoint) cheap.
 pub(crate) const STRIPES: usize = 16;
-
-/// High bit of a directory entry: the row's insert has been reserved by
-/// a routed publisher but its topic append has not committed yet. The
-/// low bits still carry the claimed shard.
-const PENDING: usize = 1usize << (usize::BITS - 1);
-
-/// What a directory probe saw for a row id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Placement {
-    /// No entry: the row is unknown.
-    Absent,
-    /// Committed entry: the row lives on this shard.
-    Live(usize),
-    /// Reserved by an in-flight routed publish; retry shortly.
-    Pending,
-}
-
-/// Outcome of a [`StripedDirectory::remove_if_live`] attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RemoveOutcome {
-    /// The row was live on this shard and is now removed.
-    Removed(usize),
-    /// No such row.
-    Missing,
-    /// A routed insert of this id is mid-flight; retry.
-    Pending,
-}
-
-fn placement_of(entry: Option<&usize>) -> Placement {
-    match entry {
-        None => Placement::Absent,
-        Some(&v) if v & PENDING != 0 => Placement::Pending,
-        Some(&v) => Placement::Live(v),
-    }
-}
 
 /// Anything placement updates can be recorded into — the live
 /// [`StripedDirectory`] via [`AllStripesWrite`], or a plain map when
@@ -131,45 +95,15 @@ impl StripedDirectory {
         dir
     }
 
-    /// The stripe lock owning `id` — single-stripe callers (per-row
-    /// publish paths) lock exactly this one.
-    pub(crate) fn stripe_for(&self, id: RowId) -> &RwLock<DetHashMap<RowId, usize>> {
-        &self.stripes[stripe_of(id)]
-    }
-
-    /// Probes `id` under its stripe's read lock.
+    /// The shard `id` is placed on, under its stripe's read lock.
     #[cfg(test)]
-    pub(crate) fn probe(&self, id: RowId) -> Placement {
-        placement_of(self.stripe_for(id).read().get(&id))
-    }
-
-    /// The `publish_delete` primitive: locks `id`'s stripe and, if the
-    /// row is live, removes it and runs `under_lock(shard)` (the topic
-    /// append) before releasing — so a later insert of the same id can
-    /// never append ahead of this delete on the same topic. A pending
-    /// entry (routed insert mid-flight) is left untouched and reported;
-    /// the caller retries after yielding — the committer holds no lock
-    /// the deleter owns, so the retry always terminates.
-    pub(crate) fn remove_if_live(
-        &self,
-        id: RowId,
-        under_lock: impl FnOnce(usize),
-    ) -> RemoveOutcome {
-        let mut guard = self.stripe_for(id).write();
-        match placement_of(guard.get(&id)) {
-            Placement::Absent => RemoveOutcome::Missing,
-            Placement::Pending => RemoveOutcome::Pending,
-            Placement::Live(shard) => {
-                guard.remove(&id);
-                under_lock(shard);
-                RemoveOutcome::Removed(shard)
-            }
-        }
+    pub(crate) fn probe(&self, id: RowId) -> Option<usize> {
+        self.stripes[stripe_of(id)].read().get(&id).copied()
     }
 
     /// Write-locks every stripe in ascending index order. Callers must
     /// hold the router write lock or the ingest gate exclusively first
-    /// (see the module docs) so no pending entries can be in flight.
+    /// (see the module docs) so no routed publish can be mid-flight.
     pub(crate) fn write_all(&self) -> AllStripesWrite<'_> {
         AllStripesWrite {
             guards: self.stripes.iter().map(|s| s.write()).collect(),
@@ -181,18 +115,17 @@ impl StripedDirectory {
         self.stripes.iter().map(|s| s.read()).collect()
     }
 
-    /// Committed entries across all stripes (pending entries are counted
-    /// too: their rows' topic appends are imminent).
+    /// Entries across all stripes.
     pub(crate) fn len(&self) -> usize {
         self.stripes.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Routed-publish phase 1: reserves `rows`' ids for `shard`, bucketed
-    /// by stripe and locked in ascending stripe order, one acquisition
-    /// per touched stripe. `accepted[i]` is set for each row that was
-    /// absent (now pending); rows already present — live or pending — are
-    /// left untouched (duplicate inserts, rejected exactly like the
-    /// classic paths reject them). Returns the number accepted.
+    /// The routed publish's directory pass: places `rows`' ids on
+    /// `shard`, bucketed by stripe and locked in ascending stripe order,
+    /// one acquisition per touched stripe. `accepted[i]` is set for each
+    /// row that was absent; rows already present are left untouched
+    /// (duplicate inserts, rejected exactly like the classic path rejects
+    /// them). Returns the number accepted.
     pub(crate) fn reserve(
         &self,
         shard: usize,
@@ -215,33 +148,12 @@ impl StripedDirectory {
                 if guard.contains_key(&id) {
                     continue;
                 }
-                guard.insert(id, shard | PENDING);
+                guard.insert(id, shard);
                 accepted[i] = true;
                 ok += 1;
             }
         }
         ok
-    }
-
-    /// Routed-publish phase 2: clears the pending bit on `ids` (all
-    /// reserved for `shard` by a preceding [`StripedDirectory::reserve`]),
-    /// again one acquisition per touched stripe in ascending order.
-    pub(crate) fn commit(&self, shard: usize, ids: &[RowId]) {
-        let mut buckets: Vec<Vec<RowId>> = vec![Vec::new(); STRIPES];
-        for &id in ids {
-            buckets[stripe_of(id)].push(id);
-        }
-        for (stripe, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = self.stripes[stripe].write();
-            for &id in bucket {
-                let slot = guard.get_mut(&id).expect("committing an unreserved id");
-                debug_assert_eq!(*slot, shard | PENDING, "commit does not match reserve");
-                *slot = shard;
-            }
-        }
     }
 }
 
@@ -253,16 +165,9 @@ pub(crate) struct AllStripesWrite<'a> {
 }
 
 impl AllStripesWrite<'_> {
-    /// Whether `id` is placed anywhere. Callers hold every stripe
-    /// exclusively, so no pending entry can exist (debug-asserted).
+    /// Whether `id` is placed anywhere.
     pub(crate) fn contains_key(&self, id: RowId) -> bool {
-        match self.guards[stripe_of(id)].get(&id) {
-            Some(&v) => {
-                debug_assert_eq!(v & PENDING, 0, "pending entry under an all-stripes write");
-                true
-            }
-            None => false,
-        }
+        self.guards[stripe_of(id)].contains_key(&id)
     }
 
     /// Records `id` on `shard`.
@@ -286,28 +191,28 @@ impl PlacementSink for AllStripesWrite<'_> {
 mod tests {
     use super::*;
     use janus_common::Row;
-    use std::sync::Arc;
 
     fn rows(ids: std::ops::Range<u64>) -> Vec<Row> {
         ids.map(|id| Row::new(id, vec![id as f64])).collect()
     }
 
     #[test]
-    fn reserve_then_commit_round_trips() {
+    fn reserve_places_absent_ids_and_rejects_present_ones() {
         let dir = StripedDirectory::new();
         let batch = rows(0..100);
         let mut accepted = vec![false; batch.len()];
         assert_eq!(dir.reserve(3, &batch, &mut accepted), 100);
         assert!(accepted.iter().all(|&a| a));
-        // Mid-flight: every id reads as pending, not live.
-        assert_eq!(dir.probe(7), Placement::Pending);
-        // A second reserve of the same ids is fully rejected.
-        let mut again = vec![false; batch.len()];
-        assert_eq!(dir.reserve(5, &batch, &mut again), 0);
-        let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-        dir.commit(3, &ids);
-        assert_eq!(dir.probe(7), Placement::Live(3));
-        assert_eq!(dir.len(), 100);
+        assert_eq!(dir.probe(7), Some(3));
+        // A second reserve overlapping the same ids accepts only the new
+        // ones and leaves the placed ones where they are.
+        let overlap = rows(50..150);
+        let mut again = vec![false; overlap.len()];
+        assert_eq!(dir.reserve(5, &overlap, &mut again), 50);
+        assert_eq!(again.iter().position(|&a| a), Some(50));
+        assert_eq!(dir.probe(99), Some(3));
+        assert_eq!(dir.probe(100), Some(5));
+        assert_eq!(dir.len(), 150);
     }
 
     #[test]
@@ -319,7 +224,7 @@ mod tests {
         let dir = StripedDirectory::from_map(map);
         assert_eq!(dir.len(), 500);
         for id in 0..500u64 {
-            assert_eq!(dir.probe(id), Placement::Live((id % 7) as usize));
+            assert_eq!(dir.probe(id), Some((id % 7) as usize));
         }
     }
 
@@ -332,52 +237,6 @@ mod tests {
         for stripe in &dir.stripes {
             let n = stripe.read().len();
             assert!((500..1500).contains(&n), "skewed stripe population: {n}");
-        }
-    }
-
-    /// The ordering satellite: concurrent inserters (via reserve/commit,
-    /// the routed discipline) race deleters (single-stripe remove, the
-    /// `publish_delete` discipline) across every stripe; the surviving
-    /// population must be exactly the inserted-minus-deleted set, with
-    /// no pending entry left behind and no lost or resurrected row.
-    #[test]
-    fn racing_inserts_and_deletes_stay_consistent() {
-        let dir = Arc::new(StripedDirectory::new());
-        let threads = 4;
-        let per_thread = 2_000u64;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let dir = Arc::clone(&dir);
-                scope.spawn(move || {
-                    let batch = rows(t * per_thread..(t + 1) * per_thread);
-                    // Insert in small routed batches...
-                    for chunk in batch.chunks(64) {
-                        let mut accepted = vec![false; chunk.len()];
-                        let got = dir.reserve(t as usize, chunk, &mut accepted);
-                        assert_eq!(got, chunk.len(), "ids are disjoint per thread");
-                        let ids: Vec<u64> = chunk.iter().map(|r| r.id).collect();
-                        dir.commit(t as usize, &ids);
-                        // ...and immediately delete every other row, with
-                        // the deleter's pending-retry discipline.
-                        for id in ids.iter().step_by(2) {
-                            loop {
-                                match dir.remove_if_live(*id, |s| assert_eq!(s, t as usize)) {
-                                    RemoveOutcome::Pending => std::thread::yield_now(),
-                                    RemoveOutcome::Removed(_) => break,
-                                    RemoveOutcome::Missing => panic!("row {id} lost"),
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let expected = (threads * per_thread / 2) as usize;
-        assert_eq!(dir.len(), expected);
-        for t in 0..threads {
-            for id in (t * per_thread..(t + 1) * per_thread).skip(1).step_by(2) {
-                assert_eq!(dir.probe(id), Placement::Live(t as usize));
-            }
         }
     }
 }

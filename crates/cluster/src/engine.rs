@@ -2,13 +2,13 @@
 //!
 //! * **Ingest** is published to one Kafka-like topic per shard
 //!   ([`janus_storage::ShardedLog`]); a [`ShardRouter`] picks the topic.
-//!   The batch-first path is [`ClusterEngine::publish_batch`]: a whole
+//!   The publish path is [`ClusterEngine::publish_batch`]: a whole
 //!   batch of operations is routed under **one** router-write +
 //!   directory-write acquisition, grouped per shard, and each group lands
-//!   in its topic with a single batch append — the per-record
+//!   in its topic with a single batch append —
 //!   [`ClusterEngine::publish_insert`]/[`ClusterEngine::publish_delete`]
-//!   pair remains for row-at-a-time producers. Nothing reaches a synopsis
-//!   until the topics are drained in offset order — by
+//!   are one-element batches for row-at-a-time producers. Nothing
+//!   reaches a synopsis until the topics are drained in offset order — by
 //!   [`ClusterEngine::pump`] (all shards, on the persistent worker pool)
 //!   or [`ClusterEngine::pump_shard`] (one shard, the granularity the
 //!   [`crate::live::LiveCluster`] background workers use) — so per-shard
@@ -20,8 +20,8 @@
 //!   (all shards under discrete policies), run in parallel on the
 //!   long-lived per-shard workers of the internal `scatter` pool (no thread is
 //!   spawned per query), and the per-shard [`Estimate`]s are gathered in
-//!   shard order and merged with the variance-correct merges of
-//!   [`janus_common::merge`]: COUNT/SUM add values and per-source
+//!   shard order and merged by [`janus_common::merge::gather`] — the one
+//!   gather every coordinator shares: COUNT/SUM add values and per-source
 //!   variances; AVG is re-derived from merged SUM/COUNT moment estimates
 //!   (each shard answers through the
 //!   [`JanusEngine::answer_sum_count`] moment hook); MIN/MAX take the
@@ -50,9 +50,10 @@
 //! stripe index) → shards (ascending) → replica sets; no path acquires
 //! them in any other order — the pool workers touch only shard and
 //! replica locks — so the engine is deadlock-free by construction.
-//! Classic publishes hold the row's directory stripe across the topic
-//! append (batched paths hold all stripes) so a concurrent delete can
-//! never outrun its row's insert into the same shard topic.
+//! Classic publishes hold every directory stripe across their topic
+//! appends, and take the router write lock first — which a routed publish
+//! holds shared for its whole call — so a delete can never outrun its
+//! row's insert into the same shard topic.
 //!
 //! ## The pre-routed fast path
 //!
@@ -69,25 +70,22 @@
 //! live bounds; any miss re-routes the whole call through the classic
 //! [`ClusterEngine::publish_batch`] path. Either way the per-shard topic
 //! contents — and therefore every drained state — are bit-identical to
-//! publishing the same rows one at a time in group order. Mid-flight
-//! reservations are marked in the directory (a *pending* placement);
-//! only [`ClusterEngine::publish_delete`] can observe one, and it
-//! retries until the insert's topic append commits. Checkpoint and
+//! publishing the same rows one at a time in group order. Checkpoint and
 //! fail-shard exclude routed publishers with the ingest gate instead of
 //! the router write lock, keeping queries live while the cut is taken.
 
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
 use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
-use crate::directory::{RemoveOutcome, StripedDirectory};
+use crate::directory::StripedDirectory;
 use crate::rebalance::{self, RebalanceReport};
 use crate::router::{RoutingSnapshot, ShardPolicy, ShardRouter};
-use crate::scatter::{Job, Priority, ScatterPool, SubAnswer};
+use crate::scatter::{Job, Priority, ScatterPool};
+use janus_common::merge::{self, SubAnswer};
 use janus_common::{
-    kernels, merge, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
+    kernels, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
     ScanPartial,
 };
-use janus_core::concurrent::Update;
 use janus_core::{JanusEngine, SynopsisConfig};
 use janus_storage::ShardedLog;
 use parking_lot::RwLock;
@@ -96,14 +94,9 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One record of a shard's ingest topic.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ShardOp {
-    /// Insert this tuple into the shard's engine.
-    Insert(Row),
-    /// Delete this tuple from the shard's engine.
-    Delete(RowId),
-}
+/// One record of a shard's ingest topic: the engine's own update type,
+/// so a drained batch feeds [`JanusEngine::apply_update_batch`] as is.
+pub use janus_core::concurrent::Update as ShardOp;
 
 /// Configuration of a [`ClusterEngine`].
 #[derive(Clone, Debug)]
@@ -277,8 +270,8 @@ pub struct PublishReport {
     /// Operations routed and appended to shard topics.
     pub published: usize,
     /// Operations rejected before publication (duplicate insert, delete
-    /// of an unknown row) — counted and skipped, exactly like the per-row
-    /// path's per-operation errors.
+    /// of an unknown row) — counted and skipped; the per-row wrappers
+    /// report them as errors.
     pub rejected: usize,
 }
 
@@ -429,11 +422,13 @@ impl ShardSet {
 
     /// Serves one sub-query in the shape the gather needs — the worker
     /// entry point.
-    pub(crate) fn serve(&self, shard: usize, query: &Query, moments: bool) -> SubAnswer {
-        if moments {
-            SubAnswer::Moments(self.serve_shard_query(shard, &|e| e.answer_sum_count(query)))
+    pub(crate) fn serve(&self, shard: usize, query: &Query) -> Result<SubAnswer> {
+        if query.agg == AggregateFunction::Avg {
+            self.serve_shard_query(shard, &|e| e.answer_sum_count(query))
+                .map(|(sum, count)| SubAnswer::Moments { sum, count })
         } else {
-            SubAnswer::Estimate(self.serve_shard_query(shard, &|e| e.query(query)))
+            self.serve_shard_query(shard, &|e| e.query(query))
+                .map(|answer| answer.map_or(SubAnswer::Empty, SubAnswer::Estimate))
         }
     }
 
@@ -754,61 +749,24 @@ impl ClusterEngine {
     // Ingest: publish → topic, pump → engine
     // ------------------------------------------------------------------
 
-    /// Routes an insert to its shard topic. The row is visible to queries
+    /// Routes an insert to its shard topic — a one-element
+    /// [`ClusterEngine::publish_batch`]. The row is visible to queries
     /// after the next pump that drains it.
     pub fn publish_insert(&self, row: Row) -> Result<()> {
-        let mut router = self.router.write();
-        // Holding the router write lock excludes every routed publisher
-        // (they hold router read for their whole call), so the row's
-        // stripe can hold no pending entry here.
-        let mut stripe = self.directory.stripe_for(row.id).write();
-        if stripe.contains_key(&row.id) {
-            return Err(JanusError::InvalidConfig(format!(
-                "duplicate row id {}",
-                row.id
-            )));
+        let id = row.id;
+        match self.publish_batch([ShardOp::Insert(row)]).rejected {
+            0 => Ok(()),
+            _ => Err(JanusError::InvalidConfig(format!("duplicate row id {id}"))),
         }
-        let shard = router.route(&row);
-        drop(router);
-        stripe.insert(row.id, shard);
-        // Publish under the row's stripe lock: once the directory names
-        // this row, its insert is already in the shard topic ahead of any
-        // delete a concurrent publisher could append (deletes of this id
-        // need this same stripe). The backlog gauge bumps under the same
-        // lock so topic length and gauge can never be observed out of
-        // step by anyone holding all stripes — which is what lets
-        // fail_shard rebuild the gauge absolutely.
-        self.set.log.publish(shard, ShardOp::Insert(row));
-        self.set.backlog[shard].fetch_add(1, Ordering::Relaxed);
-        drop(stripe);
-        self.set.counters.inserts.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Routes a delete to the shard actually holding the row (directory
     /// lookup, so placement survives round-robin/hash routing and past
-    /// migrations).
-    ///
-    /// Takes only the row's directory stripe — never the router — so it
-    /// can observe a *pending* placement: a routed insert of the same id
-    /// whose topic append has not committed yet. Deleting then would
-    /// reorder the delete ahead of its insert in the shard topic, so the
-    /// call yields and retries until the insert commits (the committer
-    /// holds no lock this path owns, so the retry always terminates).
+    /// migrations) — a one-element [`ClusterEngine::publish_batch`].
     pub fn publish_delete(&self, id: RowId) -> Result<()> {
-        loop {
-            let outcome = self.directory.remove_if_live(id, |shard| {
-                self.set.log.publish(shard, ShardOp::Delete(id));
-                self.set.backlog[shard].fetch_add(1, Ordering::Relaxed);
-            });
-            match outcome {
-                RemoveOutcome::Removed(_) => {
-                    self.set.counters.deletes.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                RemoveOutcome::Missing => return Err(JanusError::RowNotFound(id)),
-                RemoveOutcome::Pending => std::thread::yield_now(),
-            }
+        match self.publish_batch([ShardOp::Delete(id)]).rejected {
+            0 => Ok(()),
+            _ => Err(JanusError::RowNotFound(id)),
         }
     }
 
@@ -818,11 +776,10 @@ impl ClusterEngine {
     /// shard, and each group lands in its topic with a single batch
     /// append — so per-shard topic contents (and therefore every drained
     /// state) are identical to publishing the same operations one at a
-    /// time. The backlog gauge advances once per shard group instead of
-    /// once per record.
+    /// time, however the caller slices them into batches. The backlog
+    /// gauge advances once per shard group instead of once per record.
     ///
-    /// An operation the per-row path would reject (duplicate insert,
-    /// delete of an unknown row) is counted in
+    /// A duplicate insert or a delete of an unknown row is counted in
     /// [`PublishReport::rejected`] and skipped; the rest of the batch
     /// still publishes — matching how a live front end treats per-request
     /// errors.
@@ -831,9 +788,10 @@ impl ClusterEngine {
         let mut inserts = 0u64;
         let mut deletes = 0u64;
         let mut rejected = 0usize;
+        // The router write lock excludes every routed publisher for its
+        // whole reserve → append window, so each entry the directory
+        // shows here already has its insert in the shard topic.
         let mut router = self.router.write();
-        // Router write excludes routed publishers, so the all-stripes
-        // guard can see no pending entries (debug-asserted inside it).
         let mut directory = self.directory.write_all();
         for op in ops {
             match op {
@@ -858,10 +816,14 @@ impl ClusterEngine {
             }
         }
         drop(router);
-        // Appends stay under the directory stripes for the same
-        // insert-before-delete guarantee as the per-row path; per-shard
-        // relative order inside each group is arrival order, and
-        // cross-shard order carries no meaning (offsets are per topic).
+        // Appends stay under the directory stripes: once the directory
+        // names a row, its insert is in the shard topic ahead of any
+        // delete a later publisher could append, and topic length and
+        // backlog gauge can never be observed out of step by anyone
+        // holding all stripes — which is what lets fail_shard rebuild the
+        // gauge absolutely. Per-shard relative order inside each group is
+        // arrival order, and cross-shard order carries no meaning
+        // (offsets are per topic).
         let mut published = 0usize;
         for (shard, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
@@ -908,8 +870,7 @@ impl ClusterEngine {
     /// caller already grouped by shard (against a [`RoutingSnapshot`] of
     /// `generation`) under a router **read** lock, so concurrent loaders
     /// feeding different shards do not serialize on the router — each
-    /// group costs one directory-stripe pass (reserve), one batched topic
-    /// append, and one commit pass.
+    /// group costs one directory-stripe pass and one batched topic append.
     ///
     /// The call re-verifies its inputs before trusting them: if the
     /// generation is stale (a rebalance landed since the snapshot), the
@@ -955,8 +916,10 @@ impl ClusterEngine {
         }
         // Fast path. The gate (shared) is what checkpoint/fail_shard
         // fence appends with; the router read lock is held for the whole
-        // body so no rebalance — and no pending-intolerant classic batch
-        // — can interleave with the reserve → append → commit window.
+        // body so no rebalance — and no classic batch, the only path that
+        // deletes — can interleave with a reserve → append window: a
+        // reserved row whose insert is not in its topic yet is only ever
+        // seen by another routed publisher's duplicate check.
         let _gate = self.ingest_gate.read();
         let mut published = 0usize;
         let mut rejected = 0usize;
@@ -970,20 +933,12 @@ impl ClusterEngine {
             if ok == 0 {
                 continue;
             }
-            let mut ids = Vec::with_capacity(ok);
-            let mut ops = Vec::with_capacity(ok);
-            for (row, acc) in rows.into_iter().zip(accepted) {
-                if acc {
-                    ids.push(row.id);
-                    ops.push(ShardOp::Insert(row));
-                }
-            }
+            let ops = rows
+                .into_iter()
+                .zip(accepted)
+                .filter_map(|(row, acc)| acc.then_some(ShardOp::Insert(row)));
             self.set.log.publish_batch(shard, ops);
             self.set.backlog[shard].fetch_add(ok as u64, Ordering::Relaxed);
-            // Commit after the append: a delete that raced in saw the
-            // reservation as pending and waited, so its topic record can
-            // only land after the insert it targets.
-            self.directory.commit(shard, &ids);
             published += ok;
         }
         self.set
@@ -1138,7 +1093,7 @@ impl ClusterEngine {
     ///   extrapolate from), then the remaining shards get whatever is
     ///   left of the budget. Sub-answers from shards that miss it are
     ///   dropped, and the arrived ones are merged k-of-n style
-    ///   ([`merge::merge_partial_additive`]): the merged value is scaled
+    ///   (see [`merge::gather`]): the merged value is scaled
     ///   by the missing shards' share of the pre-scatter population
     ///   snapshot, the CI widened by the between-shard rate dispersion,
     ///   and the estimate flagged [`Estimate::partial`]. With no deadline
@@ -1195,98 +1150,8 @@ impl ClusterEngine {
             } else {
                 Vec::new()
             };
-            let moments = query.agg == AggregateFunction::Avg;
-            let raw = self.scatter_bounded(&targets, query, moments, opts.priority, deadline);
-            let complete = raw.iter().all(Option::is_some);
-            let answer = match query.agg {
-                AggregateFunction::Count | AggregateFunction::Sum => {
-                    let mut parts = Vec::with_capacity(raw.len());
-                    let mut part_rows = Vec::with_capacity(raw.len());
-                    let mut missing_rows = 0u64;
-                    for (i, sub) in raw.into_iter().enumerate() {
-                        match sub {
-                            Some(SubAnswer::Estimate(r)) => {
-                                parts.push(r?.expect("COUNT/SUM always answer"));
-                                if !complete {
-                                    part_rows.push(populations[i]);
-                                }
-                            }
-                            Some(SubAnswer::Moments(_)) => {
-                                unreachable!("estimate scatter got a moment answer")
-                            }
-                            None => missing_rows += populations[i],
-                        }
-                    }
-                    if complete {
-                        Ok(Some(merge::merge_additive(&parts)))
-                    } else {
-                        Ok(Some(merge::merge_partial_additive(
-                            &parts,
-                            &part_rows,
-                            missing_rows,
-                        )))
-                    }
-                }
-                AggregateFunction::Avg => {
-                    let mut sums = Vec::with_capacity(raw.len());
-                    let mut counts = Vec::with_capacity(raw.len());
-                    let mut part_rows = Vec::with_capacity(raw.len());
-                    let mut missing_rows = 0u64;
-                    for (i, sub) in raw.into_iter().enumerate() {
-                        match sub {
-                            Some(SubAnswer::Moments(r)) => {
-                                let (sum, count) = r?;
-                                sums.push(sum);
-                                counts.push(count);
-                                if !complete {
-                                    part_rows.push(populations[i]);
-                                }
-                            }
-                            Some(SubAnswer::Estimate(_)) => {
-                                unreachable!("moment scatter got an estimate answer")
-                            }
-                            None => missing_rows += populations[i],
-                        }
-                    }
-                    if complete {
-                        Ok(merge::combine_avg(
-                            &merge::merge_additive(&sums),
-                            &merge::merge_additive(&counts),
-                        ))
-                    } else {
-                        Ok(merge::merge_partial_avg(
-                            &sums,
-                            &counts,
-                            &part_rows,
-                            missing_rows,
-                        ))
-                    }
-                }
-                AggregateFunction::Min | AggregateFunction::Max => {
-                    let minimum = query.agg == AggregateFunction::Min;
-                    let mut answered = Vec::with_capacity(raw.len());
-                    let mut missing_rows = 0u64;
-                    for (i, sub) in raw.into_iter().enumerate() {
-                        match sub {
-                            Some(SubAnswer::Estimate(r)) => answered.extend(r?),
-                            Some(SubAnswer::Moments(_)) => {
-                                unreachable!("estimate scatter got a moment answer")
-                            }
-                            None => missing_rows += populations[i],
-                        }
-                    }
-                    let mut extremum = merge::merge_extremum(&answered, minimum);
-                    // An extremum cannot be extrapolated; a missed shard
-                    // that held rows just flags the answer as partial
-                    // (missed *empty* shards cannot change the answer).
-                    if missing_rows > 0 {
-                        if let Some(e) = &mut extremum {
-                            e.partial = true;
-                        }
-                    }
-                    Ok(extremum)
-                }
-            };
+            let slots = self.scatter_bounded(&targets, query, opts.priority, deadline)?;
+            let answer = merge::gather(query.agg, &slots, &populations);
             if self.rebalance_generation.load(Ordering::Acquire) == generation {
                 // Count only the attempt whose answer is returned, so
                 // subqueries-per-query stats don't drift on retries.
@@ -1430,7 +1295,8 @@ impl ClusterEngine {
 
     /// Scatters `query` to `targets` on the worker pool and gathers the
     /// per-shard answers in shard order; slot `i` is `None` iff shard
-    /// `targets[i]` missed the deadline. A single-target scatter is
+    /// `targets[i]` missed the deadline, and the first failed sub-query
+    /// (in shard order) fails the scatter. A single-target scatter is
     /// served inline on the calling thread — no channel round trip, no
     /// deadline (there is nothing to overlap the wait with, and a
     /// one-shard gather can never be usefully partial).
@@ -1447,12 +1313,11 @@ impl ClusterEngine {
         &self,
         targets: &[usize],
         query: &Query,
-        moments: bool,
         priority: Priority,
         deadline: Option<Instant>,
-    ) -> Vec<Option<SubAnswer>> {
+    ) -> Result<Vec<Option<SubAnswer>>> {
         if targets.len() == 1 {
-            return vec![Some(self.set.serve(targets[0], query, moments))];
+            return Ok(vec![Some(self.set.serve(targets[0], query)?)]);
         }
         let query = Arc::new(query.clone());
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1463,14 +1328,12 @@ impl ClusterEngine {
                 Job::Query {
                     slot,
                     query: Arc::clone(&query),
-                    moments,
                     reply: tx.clone(),
                 },
             );
         }
         drop(tx);
-        let mut slots: Vec<Option<SubAnswer>> = Vec::new();
-        slots.resize_with(targets.len(), || None);
+        let mut slots: Vec<Option<Result<SubAnswer>>> = vec![None; targets.len()];
         let mut received = 0usize;
         while received < targets.len() {
             let message = match deadline {
@@ -1499,7 +1362,7 @@ impl ClusterEngine {
                 slots[slot] = Some(answer);
             }
         }
-        slots
+        slots.into_iter().map(Option::transpose).collect()
     }
 
     /// Fails a shard's primary and promotes its freshest follower (ties
@@ -1554,8 +1417,9 @@ impl ClusterEngine {
     ///
     /// Holding the router read lock, the ingest gate (exclusive), and
     /// every directory stripe (read) for the duration blocks all publish
-    /// paths — classic inserts need the router write lock, routed
-    /// publishes the shared gate, deletes a stripe write lock — so no
+    /// paths — classic batches need the router write lock (and hold the
+    /// stripes until their appends land), routed publishes the shared
+    /// gate — so no
     /// record lands in any topic while the cut is taken; queries keep
     /// flowing (they take none of these), and pump workers may keep
     /// applying already-published records, but each shard's `(snapshot,
@@ -1835,9 +1699,8 @@ impl ClusterEngine {
         // window short.
         self.pump_all()?;
         let mut router = self.router.write();
-        // Router write excludes routed publishers entirely, so the
-        // all-stripes guard sees no pending entries and no append can
-        // land anywhere for the duration of the migration.
+        // Router write excludes routed publishers entirely, so no append
+        // can land anywhere for the duration of the migration.
         let mut directory = self.directory.write_all();
         let mut guards: Vec<_> = self.set.shards.iter().map(|s| s.write()).collect();
         let mut replica_guards: Vec<_> = self.set.replicas.iter().map(|s| s.write()).collect();
@@ -1944,13 +1807,7 @@ fn drain_topic(
     if batch.is_empty() {
         return (0, 0, None);
     }
-    let (applied, skipped, first_error) = guard.engine.apply_update_batch(
-        batch.into_iter().map(|op| match op {
-            ShardOp::Insert(row) => Update::Insert(row),
-            ShardOp::Delete(id) => Update::Delete(id),
-        }),
-        skip_failed,
-    );
+    let (applied, skipped, first_error) = guard.engine.apply_update_batch(batch, skip_failed);
     guard.offset += (applied + skipped) as u64;
     (applied, skipped, first_error)
 }

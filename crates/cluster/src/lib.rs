@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`router`] | [`ShardPolicy`] (hash-by-id, round-robin, range on a predicate attribute) and the [`ShardRouter`] that applies it: row placement, per-shard slabs as [`janus_common::Rect`]s, query overlap pruning |
 //! | [`bootstrap`] | the shared shard-placement helpers: seed derivation, value→slab placement, partition-then-build |
-//! | `directory` (internal) | the striped row→shard placement map: 16 independently locked stripes keyed by a SplitMix64 hash of the row id, with the reserve/commit (pending-entry) protocol the pre-routed publish path lands batches under |
+//! | `directory` (internal) | the striped row→shard placement map: 16 independently locked stripes keyed by a SplitMix64 hash of the row id, with the one-pass reserve the pre-routed publish path lands batches under |
 //! | [`engine`] | [`ClusterEngine`]: lock-sharded state (`&self` everywhere — one `RwLock` per shard, router lock, striped directory, atomic counters), batch-first publish/pump ingest over [`janus_storage::ShardedLog`] (one Kafka-like topic + offset per shard, deterministic replay; [`ClusterEngine::publish_batch`] routes a whole batch under one lock acquisition, [`ClusterEngine::publish_batch_routed`] lands pre-grouped batches under a router *read* lock against a [`RoutingSnapshot`] generation check), parallel scatter-gather queries merged via [`janus_common::merge`] |
 //! | `scatter` (internal) | the persistent per-shard worker pool queries scatter on and `pump` drains through — long-lived threads fed by channels with a two-lane ([`Priority`]) queue, created at engine construction, joined on drop |
 //! | `cache` (internal) | the answer cache behind [`ClusterConfig::with_answer_cache`]: exact-shape query keys, entries pinned to (rebalance generation, per-shard applied offsets), lazily self-invalidating |

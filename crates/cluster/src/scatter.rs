@@ -43,7 +43,8 @@
 //! the single-queue pool it replaced.
 
 use crate::engine::ShardSet;
-use janus_common::{Estimate, JanusError, Query, Result, ScanPartial};
+use janus_common::merge::SubAnswer;
+use janus_common::{JanusError, Query, Result, ScanPartial};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -66,15 +67,6 @@ pub enum Priority {
     Interactive,
 }
 
-/// One sub-answer of a scatter, in the shape the aggregate needs.
-pub(crate) enum SubAnswer {
-    /// A plain per-shard estimate (COUNT/SUM expect `Some`; MIN/MAX may
-    /// be `None` on an empty selection).
-    Estimate(Result<Option<Estimate>>),
-    /// The (SUM, COUNT) moment pair AVG merges re-derive from.
-    Moments(Result<(Estimate, Estimate)>),
-}
-
 /// One unit of work for a shard's worker.
 pub(crate) enum Job {
     /// Serve one sub-query and reply on the scatter's gather channel,
@@ -82,8 +74,7 @@ pub(crate) enum Job {
     Query {
         slot: usize,
         query: Arc<Query>,
-        moments: bool,
-        reply: Sender<(usize, SubAnswer)>,
+        reply: Sender<(usize, Result<SubAnswer>)>,
     },
     /// Drain up to `max` topic records into the shard's primary engine
     /// (strict mode) and its followers; reply with
@@ -226,12 +217,7 @@ fn enqueue(interactive: &mut VecDeque<Job>, bulk: &mut VecDeque<Job>, p: Priorit
 
 fn run_job(set: &ShardSet, shard: usize, job: Job, stall_ms: &[AtomicU64]) {
     match job {
-        Job::Query {
-            slot,
-            query,
-            moments,
-            reply,
-        } => {
+        Job::Query { slot, query, reply } => {
             let stall = stall_ms[shard].load(Ordering::Relaxed);
             if stall > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(stall));
@@ -239,7 +225,7 @@ fn run_job(set: &ShardSet, shard: usize, job: Job, stall_ms: &[AtomicU64]) {
             // A gather abandoned mid-retry (or one whose deadline
             // expired) may have dropped its receiver; that is not the
             // worker's problem.
-            let _ = reply.send((slot, set.serve(shard, &query, moments)));
+            let _ = reply.send((slot, set.serve(shard, &query)));
         }
         Job::Pump { max, reply } => {
             let (applied, skipped, error) = set.pump_one(shard, max, false);

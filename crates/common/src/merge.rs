@@ -28,8 +28,105 @@
 //! (range partitioning). The result is flagged [`Estimate::partial`].
 //! With nothing missing the call *is* [`merge_additive`] — bit-identical,
 //! no widening, no flag.
+//!
+//! ## The gather
+//!
+//! [`gather`] is the one aggregate-generic composition of a scatter's
+//! per-shard [`SubAnswer`]s: every coordinator (in-process and networked)
+//! hands it the slots it collected and gets back the merged estimate, so
+//! the statistical merge exists exactly once.
 
-use crate::query::Estimate;
+use crate::error::{JanusError, Result};
+use crate::query::{AggregateFunction, Estimate};
+
+/// One shard's answer to a scattered sub-query, in the shape the
+/// aggregate needs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SubAnswer {
+    /// The shard's selection was empty (MIN/MAX only).
+    Empty,
+    /// A plain per-shard estimate (COUNT/SUM/MIN/MAX).
+    Estimate(Estimate),
+    /// The (SUM, COUNT) moment pair AVG merges re-derive from.
+    Moments {
+        /// The shard's SUM estimate.
+        sum: Estimate,
+        /// The shard's COUNT estimate.
+        count: Estimate,
+    },
+}
+
+/// Composes the sub-answers of one scatter into the query's answer.
+///
+/// `slots[i]` is target `i`'s sub-answer, `None` when it missed a gather
+/// deadline. `weights[i]` is target `i`'s row population (or a proxy for
+/// it) — the k-of-n extrapolation weight; it may be empty when every slot
+/// answered (no deadline, nothing to extrapolate). All-present gathers are
+/// bit-identical to [`merge_additive`] / [`combine_avg`] /
+/// [`merge_extremum`]; with slots missing COUNT/SUM/AVG extrapolate via
+/// [`merge_partial_additive`] / [`merge_partial_avg`], and an extremum —
+/// which cannot be extrapolated — is only flagged [`Estimate::partial`]
+/// when a missed shard held rows. `Ok(None)` is AVG/MIN/MAX over an
+/// (estimated) empty selection.
+///
+/// Sub-answers arrive from other processes, so a shape that does not fit
+/// `agg` (or a missing slot with no weight to extrapolate by) is a
+/// [`JanusError::Protocol`] error, never a panic.
+pub fn gather(
+    agg: AggregateFunction,
+    slots: &[Option<SubAnswer>],
+    weights: &[u64],
+) -> Result<Option<Estimate>> {
+    use AggregateFunction::{Avg, Count, Max, Min, Sum};
+    let complete = slots.iter().all(Option::is_some);
+    if weights.len() != slots.len() && !(complete && weights.is_empty()) {
+        return Err(JanusError::Protocol(format!(
+            "gather of {} slots (all answered: {complete}) got {} weights",
+            slots.len(),
+            weights.len()
+        )));
+    }
+    let weight = |i: usize| weights.get(i).copied().unwrap_or(0);
+    // `parts` holds the estimates — or, for AVG, the SUM halves.
+    let mut parts = Vec::with_capacity(slots.len());
+    let mut counts = Vec::new();
+    let mut part_rows = Vec::with_capacity(slots.len());
+    let mut missing_rows = 0u64;
+    for (i, slot) in slots.iter().enumerate() {
+        match (slot, agg) {
+            (None, _) => missing_rows += weight(i),
+            (Some(SubAnswer::Estimate(e)), Count | Sum | Min | Max) => {
+                parts.push(*e);
+                part_rows.push(weight(i));
+            }
+            (Some(SubAnswer::Empty), Min | Max) => {}
+            (Some(SubAnswer::Moments { sum, count }), Avg) => {
+                parts.push(*sum);
+                counts.push(*count);
+                part_rows.push(weight(i));
+            }
+            (Some(other), _) => {
+                return Err(JanusError::Protocol(format!(
+                    "{agg:?} gather got {other:?} in slot {i}"
+                )));
+            }
+        }
+    }
+    Ok(match agg {
+        Count | Sum => Some(merge_partial_additive(&parts, &part_rows, missing_rows)),
+        Avg => merge_partial_avg(&parts, &counts, &part_rows, missing_rows),
+        Min | Max => {
+            let mut extremum = merge_extremum(&parts, agg == Min);
+            // A missed *empty* shard cannot change an extremum.
+            if missing_rows > 0 {
+                if let Some(e) = &mut extremum {
+                    e.partial = true;
+                }
+            }
+            extremum
+        }
+    })
+}
 
 /// Merges additive (COUNT/SUM) partial estimates from disjoint shards:
 /// values add, per-source variances add, bookkeeping counters add.
@@ -346,6 +443,126 @@ mod tests {
         let zero_rows = merge_partial_additive(&[est(0.0, 0.0, 0.0)], &[0], 500);
         assert!(zero_rows.partial);
         assert_eq!(zero_rows.value, 0.0);
+    }
+
+    fn assert_bits(a: Option<Estimate>, b: Option<Estimate>) {
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(a.value.to_bits(), b.value.to_bits());
+        assert_eq!(a.catchup_variance.to_bits(), b.catchup_variance.to_bits());
+        assert_eq!(a.sample_variance.to_bits(), b.sample_variance.to_bits());
+        assert_eq!(a, b);
+    }
+
+    fn moments(sum: Estimate, count: Estimate) -> Option<SubAnswer> {
+        Some(SubAnswer::Moments { sum, count })
+    }
+
+    #[test]
+    fn complete_gather_is_bit_identical_to_the_direct_merges() {
+        let parts = [est(10.1, 1.3, 2.7), est(5.3, 0.5, 0.25), est(2.5, 0.0, 1.1)];
+        let counts = [est(4.0, 0.1, 0.2), est(3.0, 0.3, 0.1), est(1.5, 0.0, 0.7)];
+        let slots: Vec<_> = parts
+            .iter()
+            .map(|e| Some(SubAnswer::Estimate(*e)))
+            .collect();
+        // With and without weights: a complete gather never reads them.
+        for weights in [&[][..], &[100, 50, 25][..]] {
+            for agg in [AggregateFunction::Count, AggregateFunction::Sum] {
+                let got = gather(agg, &slots, weights).unwrap();
+                assert_bits(got, Some(merge_additive(&parts)));
+            }
+            let avg_slots: Vec<_> = (0..3).map(|i| moments(parts[i], counts[i])).collect();
+            assert_bits(
+                gather(AggregateFunction::Avg, &avg_slots, weights).unwrap(),
+                combine_avg(&merge_additive(&parts), &merge_additive(&counts)),
+            );
+        }
+        let mut with_empty = slots.clone();
+        with_empty.insert(1, Some(SubAnswer::Empty));
+        for (agg, minimum) in [
+            (AggregateFunction::Min, true),
+            (AggregateFunction::Max, false),
+        ] {
+            let direct = merge_extremum(&parts, minimum);
+            assert_bits(gather(agg, &with_empty, &[]).unwrap(), direct);
+            assert_bits(gather(agg, &with_empty, &[100, 7, 50, 25]).unwrap(), direct);
+        }
+        // No shard answered an extremum, or the merged AVG count is zero.
+        let empties = [Some(SubAnswer::Empty); 2];
+        assert_eq!(gather(AggregateFunction::Max, &empties, &[]), Ok(None));
+        let zero = [moments(est(0.0, 0.0, 0.0), est(0.0, 0.0, 0.0))];
+        assert_eq!(gather(AggregateFunction::Avg, &zero, &[]), Ok(None));
+        assert_eq!(
+            gather(AggregateFunction::Count, &[], &[]),
+            Ok(Some(Estimate::exact(0.0)))
+        );
+    }
+
+    #[test]
+    fn k_of_n_gather_equals_the_direct_partial_merges() {
+        let parts = [est(10.0, 1.0, 2.0), est(30.0, 1.0, 2.0)];
+        let counts = [est(4.0, 0.1, 0.2), est(9.0, 0.3, 0.1)];
+        let weights = [100, 300, 200, 0];
+        let slots = [
+            Some(SubAnswer::Estimate(parts[0])),
+            None,
+            Some(SubAnswer::Estimate(parts[1])),
+            None,
+        ];
+        let direct = merge_partial_additive(&parts, &[100, 200], 300);
+        assert!(direct.partial);
+        assert_bits(
+            gather(AggregateFunction::Sum, &slots, &weights).unwrap(),
+            Some(direct),
+        );
+        let avg_slots = [
+            moments(parts[0], counts[0]),
+            None,
+            moments(parts[1], counts[1]),
+            None,
+        ];
+        assert_bits(
+            gather(AggregateFunction::Avg, &avg_slots, &weights).unwrap(),
+            merge_partial_avg(&parts, &counts, &[100, 200], 300),
+        );
+        // An extremum is flagged, not extrapolated — and only when a
+        // missed shard held rows.
+        let max = gather(AggregateFunction::Max, &slots, &weights)
+            .unwrap()
+            .unwrap();
+        assert_eq!(max.value, 30.0);
+        assert!(max.partial);
+        let only_empty_missed = [slots[0], slots[2], None];
+        let max = gather(AggregateFunction::Max, &only_empty_missed, &[100, 200, 0]);
+        assert!(!max.unwrap().unwrap().partial);
+    }
+
+    #[test]
+    fn malformed_gathers_are_protocol_errors_not_panics() {
+        use AggregateFunction::{Avg, Count, Max, Min, Sum};
+        let e = est(1.0, 0.0, 0.0);
+        let protocol = |r: Result<Option<Estimate>>| matches!(r, Err(JanusError::Protocol(_)));
+        let estimate = Some(SubAnswer::Estimate(e));
+        let empty = Some(SubAnswer::Empty);
+        let misshapen = [
+            (Count, moments(e, e)),
+            (Count, empty),
+            (Sum, moments(e, e)),
+            (Sum, empty),
+            (Avg, estimate),
+            (Avg, empty),
+            (Min, moments(e, e)),
+            (Max, moments(e, e)),
+        ];
+        for (agg, slot) in misshapen {
+            assert!(protocol(gather(agg, &[slot], &[])), "{agg:?} took {slot:?}");
+        }
+        // A missed slot with no weight, and a weight list of the wrong length.
+        let missed = [estimate, None];
+        assert!(protocol(gather(Count, &missed, &[])));
+        assert!(protocol(gather(Count, &missed, &[5])));
+        assert!(protocol(gather(Count, &[estimate], &[5, 5])));
+        assert!(gather(Count, &missed, &[5, 5]).is_ok());
     }
 
     /// Pin (b) of the multi-tenant SLO work: over many seeded trials, the

@@ -21,8 +21,9 @@ use crate::engine::JanusEngine;
 use janus_common::{Moments, Result, Row, RowId};
 use std::time::{Duration, Instant};
 
-/// One update of a mixed workload.
-#[derive(Clone, Debug)]
+/// One update of a mixed workload — also the record type of a cluster
+/// shard topic (`janus_cluster::ShardOp` is this enum).
+#[derive(Clone, Debug, PartialEq)]
 pub enum Update {
     /// Insert this tuple.
     Insert(Row),

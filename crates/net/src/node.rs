@@ -22,7 +22,6 @@
 use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::{ShardCheckpoint, ShardOp};
 use janus_common::Result;
-use janus_core::concurrent::Update;
 use janus_core::{JanusEngine, SynopsisConfig};
 use janus_storage::TopicLog;
 use parking_lot::{Mutex, RwLock};
@@ -158,13 +157,7 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
         }
         idle = IDLE_MIN;
         let mut engine = slot.engine.lock();
-        let (done, skipped, _first_error) = engine.apply_update_batch(
-            batch.into_iter().map(|op| match op {
-                ShardOp::Insert(row) => Update::Insert(row),
-                ShardOp::Delete(id) => Update::Delete(id),
-            }),
-            true,
-        );
+        let (done, skipped, _first_error) = engine.apply_update_batch(batch, true);
         // Store under the engine lock: see `ShardSlot::applied`.
         slot.applied
             .store(applied + (done + skipped) as u64, Ordering::Release);

@@ -53,8 +53,9 @@ use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::bootstrap::shard_seed;
 use janus_cluster::notify::Progress;
 use janus_cluster::{PublishReport, ShardCheckpoint, ShardOp, ShardPolicy, ShardRouter};
+use janus_common::merge::{self, SubAnswer};
 use janus_common::{
-    faults, merge, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
+    faults, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
 };
 use janus_core::SynopsisConfig;
 use janus_storage::{CheckpointStore, ShardedLog};
@@ -917,86 +918,11 @@ impl RemoteCluster {
         } else {
             Vec::new()
         };
-        let raw = self.scatter(&targets, query, tenant, expiry)?;
-        if !targets.is_empty() && raw.iter().all(Option::is_none) {
+        let slots = self.scatter(&targets, query, tenant, expiry)?;
+        if !targets.is_empty() && slots.iter().all(Option::is_none) {
             return Err(JanusError::Deadline);
         }
-        let complete = raw.iter().all(Option::is_some);
-        let answer = match query.agg {
-            AggregateFunction::Count | AggregateFunction::Sum => {
-                let mut parts = Vec::with_capacity(raw.len());
-                let mut part_rows = Vec::with_capacity(raw.len());
-                let mut missing_rows = 0u64;
-                for (i, outcome) in raw.into_iter().enumerate() {
-                    match outcome {
-                        Some(QueryOutcome::Estimate(e)) => {
-                            parts.push(e);
-                            if !complete {
-                                part_rows.push(weights[i]);
-                            }
-                        }
-                        Some(other) => unreachable!("COUNT/SUM always answer, got {other:?}"),
-                        None => missing_rows += weights[i],
-                    }
-                }
-                if complete {
-                    Some(merge::merge_additive(&parts))
-                } else {
-                    Some(merge::merge_partial_additive(
-                        &parts,
-                        &part_rows,
-                        missing_rows,
-                    ))
-                }
-            }
-            AggregateFunction::Avg => {
-                let mut sums = Vec::with_capacity(raw.len());
-                let mut counts = Vec::with_capacity(raw.len());
-                let mut part_rows = Vec::with_capacity(raw.len());
-                let mut missing_rows = 0u64;
-                for (i, outcome) in raw.into_iter().enumerate() {
-                    match outcome {
-                        Some(QueryOutcome::Moments { sum, count }) => {
-                            sums.push(sum);
-                            counts.push(count);
-                            if !complete {
-                                part_rows.push(weights[i]);
-                            }
-                        }
-                        Some(other) => unreachable!("moment scatter got {other:?}"),
-                        None => missing_rows += weights[i],
-                    }
-                }
-                if complete {
-                    merge::combine_avg(
-                        &merge::merge_additive(&sums),
-                        &merge::merge_additive(&counts),
-                    )
-                } else {
-                    merge::merge_partial_avg(&sums, &counts, &part_rows, missing_rows)
-                }
-            }
-            AggregateFunction::Min | AggregateFunction::Max => {
-                let minimum = query.agg == AggregateFunction::Min;
-                let mut answered = Vec::with_capacity(raw.len());
-                let mut missing_rows = 0u64;
-                for (i, outcome) in raw.into_iter().enumerate() {
-                    match outcome {
-                        Some(QueryOutcome::Estimate(e)) => answered.push(e),
-                        Some(QueryOutcome::Empty) => {}
-                        Some(other) => unreachable!("estimate scatter got {other:?}"),
-                        None => missing_rows += weights[i],
-                    }
-                }
-                let mut extremum = merge::merge_extremum(&answered, minimum);
-                if missing_rows > 0 {
-                    if let Some(e) = &mut extremum {
-                        e.partial = true;
-                    }
-                }
-                extremum
-            }
-        };
+        let answer = merge::gather(query.agg, &slots, &weights)?;
         if answer.is_some_and(|e| e.partial) {
             self.shared
                 .counters
@@ -1023,7 +949,7 @@ impl RemoteCluster {
         query: &Query,
         tenant: u32,
         expiry: Option<Instant>,
-    ) -> Result<Vec<Option<QueryOutcome>>> {
+    ) -> Result<Vec<Option<SubAnswer>>> {
         let moments = query.agg == AggregateFunction::Avg;
         if targets.is_empty() {
             return Ok(Vec::new());
@@ -1061,7 +987,7 @@ impl RemoteCluster {
         moments: bool,
         tenant: u32,
         expiry: Option<Instant>,
-    ) -> Result<QueryOutcome> {
+    ) -> Result<SubAnswer> {
         let shared = &self.shared;
         let id = shared.query_seq.fetch_add(1, Ordering::Relaxed);
         let mut primary_only = false;
@@ -1157,15 +1083,17 @@ impl RemoteCluster {
                 shared.links[node].breaker.record_ok();
             }
             match reply {
-                Ok(Frame::Estimate {
-                    outcome: QueryOutcome::Stale { .. },
-                    ..
-                }) => primary_only = true,
-                Ok(Frame::Estimate {
-                    outcome: QueryOutcome::Failed(message),
-                    ..
-                }) => return Err(JanusError::Storage(message)),
-                Ok(Frame::Estimate { outcome, .. }) => return Ok(outcome),
+                // `Stale`/`Failed` are wire-only; the answer-bearing
+                // outcomes map one-to-one onto the gather's sub-answers.
+                Ok(Frame::Estimate { outcome, .. }) => match outcome {
+                    QueryOutcome::Stale { .. } => primary_only = true,
+                    QueryOutcome::Failed(message) => return Err(JanusError::Storage(message)),
+                    QueryOutcome::Empty => return Ok(SubAnswer::Empty),
+                    QueryOutcome::Estimate(e) => return Ok(SubAnswer::Estimate(e)),
+                    QueryOutcome::Moments { sum, count } => {
+                        return Ok(SubAnswer::Moments { sum, count })
+                    }
+                },
                 Ok(other) => {
                     return Err(JanusError::Protocol(format!(
                         "unexpected query reply: {other:?}"

@@ -5,6 +5,7 @@
 //! loader thread counts; and a load killed mid-flight must resume from
 //! its journal to the same bits an uninterrupted twin reaches.
 
+use janus::common::JanusError;
 use janus::data::partitioned::{list_chunks, read_chunk};
 use janus::prelude::*;
 use janus::storage::LoadProgress;
@@ -348,4 +349,74 @@ fn stale_journal_falls_back_to_classic_rerouting() {
     assert_eq!(count.value, (2_000 + 3_000 + 12_000) as f64);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Routed inserters race per-row deleters of the very ids being inserted.
+/// A delete either misses (`RowNotFound`, retried) or lands strictly
+/// after its row's insert in the same shard topic — the router lock is
+/// the only thing ordering the two, so a delete that slipped between a
+/// routed publish's directory pass and its topic append would surface
+/// here as a delete-before-insert record (and a failed strict pump).
+#[test]
+fn routed_inserts_racing_per_row_deletes_keep_topic_order() {
+    const THREADS: u64 = 3;
+    const PER_THREAD: u64 = 1_500;
+    let cluster = make_cluster(4, ShardPolicy::HashById);
+    let ids = |t: u64| t * PER_THREAD..(t + 1) * PER_THREAD;
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let cluster = &cluster;
+            scope.spawn(move || {
+                let rows: Vec<Row> = ids(t)
+                    .map(|id| Row::new(id, vec![(id % 100) as f64, 1.0]))
+                    .collect();
+                for chunk in rows.chunks(48) {
+                    let snapshot = cluster.routing_snapshot();
+                    let mut groups: Vec<(usize, Vec<Row>)> =
+                        (0..snapshot.shards).map(|s| (s, Vec::new())).collect();
+                    for row in chunk {
+                        groups[snapshot.route(row).unwrap()].1.push(row.clone());
+                    }
+                    let report = cluster
+                        .publish_batch_routed(snapshot.generation, groups)
+                        .unwrap();
+                    assert_eq!(report.rejected, 0, "ids are disjoint per thread");
+                }
+            });
+            scope.spawn(move || {
+                for id in ids(t).step_by(2) {
+                    loop {
+                        match cluster.publish_delete(id) {
+                            Ok(()) => break,
+                            Err(JanusError::RowNotFound(_)) => std::thread::yield_now(),
+                            Err(e) => panic!("delete of {id}: {e}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    cluster.pump_all().expect("no delete outran its insert");
+    let inserted = (THREADS * PER_THREAD) as usize;
+    assert_eq!(cluster.population(), 2_000 + inserted / 2);
+    assert_eq!(cluster.directory_len(), 2_000 + inserted / 2);
+
+    let topics = cluster.topics();
+    let mut deletes = 0;
+    for shard in 0..cluster.shards() {
+        let mut inserted_here = std::collections::HashSet::new();
+        for op in topics.poll(shard, 0, usize::MAX) {
+            match op {
+                ShardOp::Insert(row) => assert!(inserted_here.insert(row.id)),
+                ShardOp::Delete(id) => {
+                    assert!(
+                        inserted_here.contains(&id),
+                        "delete of {id} ahead of its insert"
+                    );
+                    deletes += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(deletes, inserted / 2);
 }

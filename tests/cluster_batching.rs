@@ -3,8 +3,12 @@
 //! rebalance must all be *observationally invisible* — bit-identical
 //! answers to the same traffic published one record at a time — across
 //! all three routing policies, including a checkpoint/restore cut taken
-//! mid-batch (with an unreplayed topic tail outstanding).
+//! mid-batch (with an unreplayed topic tail outstanding). The per-row
+//! entry points are one-element `publish_batch` calls, so the
+//! batch-vs-per-row cases pin grouping invariance: N one-element batches
+//! land the same topics as one N-element batch.
 
+use janus::common::JanusError;
 use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -535,4 +539,34 @@ fn live_front_end_batches_match_synchronous_per_row_cluster() {
         assert_eq!(stats.rejected_requests, 0, "{policy:?}");
         drop(live);
     }
+}
+
+/// The per-row entry points are one-element batches; a rejection still
+/// surfaces as the same typed error, and only accepted operations count.
+#[test]
+fn per_row_wrappers_map_rejections_to_typed_errors() {
+    let cluster = ClusterEngine::bootstrap(
+        ClusterConfig::new(exact_config(37), 2, ShardPolicy::HashById),
+        rows(2_000, 37),
+    )
+    .unwrap();
+    match cluster.publish_insert(Row::new(0, vec![1.0, 2.0])) {
+        Err(JanusError::InvalidConfig(msg)) => assert_eq!(msg, "duplicate row id 0"),
+        other => panic!("duplicate insert: {other:?}"),
+    }
+    match cluster.publish_delete(999_999_999) {
+        Err(JanusError::RowNotFound(id)) => assert_eq!(id, 999_999_999),
+        other => panic!("unknown delete: {other:?}"),
+    }
+    assert_eq!(cluster.pending(), 0, "rejections publish nothing");
+    cluster
+        .publish_insert(Row::new(50_000, vec![1.0, 2.0]))
+        .unwrap();
+    cluster.publish_delete(50_000).unwrap();
+    cluster.publish_delete(0).unwrap();
+    let stats = cluster.stats();
+    assert_eq!((stats.inserts, stats.deletes), (1, 2));
+    assert_eq!(cluster.backlog_gauges().iter().sum::<u64>(), 3);
+    cluster.pump_all().unwrap();
+    assert_eq!(cluster.population(), 1_999);
 }
