@@ -13,7 +13,7 @@ use crate::config::SynopsisConfig;
 use crate::maxvar::MaxVarianceIndex;
 use crate::partition::{PartitionOutcome, Partitioner, PartitionerKind};
 use crate::tree::Dpt;
-use crate::trigger::{self, TriggerConfig, TriggerDecision};
+use crate::trigger::{self, TriggerConfig};
 use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
 use janus_index::IndexPoint;
 use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
@@ -193,22 +193,12 @@ impl JanusEngine {
     /// Inserts a tuple: archive, tree path statistics, reservoir, and (if
     /// sampled) the max-variance index; may trigger re-partitioning.
     pub fn insert(&mut self, row: Row) -> Result<()> {
-        if !self.archive.insert(row.clone())? {
-            return Err(JanusError::InvalidConfig(format!(
-                "duplicate row id {}",
-                row.id
-            )));
+        let id = row.id;
+        if !self.archive.insert_values(id, &row.values)? {
+            return Err(JanusError::InvalidConfig(format!("duplicate row id {id}")));
         }
         let leaf = self.dpt.record_insert(&row);
-        let population = self.archive.len();
-        match self.reservoir.offer(row.clone(), population) {
-            InsertOutcome::Added => self.admit_sample(&row),
-            InsertOutcome::Replaced { evicted } => {
-                self.evict_sample(evicted);
-                self.admit_sample(&row);
-            }
-            InsertOutcome::Skipped => {}
-        }
+        self.offer_to_reservoir(row);
         self.stats.inserts += 1;
         self.after_update(leaf);
         Ok(())
@@ -241,11 +231,27 @@ impl JanusEngine {
         Ok(row)
     }
 
-    fn admit_sample(&mut self, row: &Row) {
+    /// Offers an archived row to the reservoir — its last consumer, so it
+    /// moves in — and mirrors an admission into the stratum map and the
+    /// max-variance index.
+    fn offer_to_reservoir(&mut self, row: Row) {
+        let id = row.id;
+        match self.reservoir.offer(row, self.archive.len()) {
+            InsertOutcome::Added => self.admit_sample(id),
+            InsertOutcome::Replaced { evicted } => {
+                self.evict_sample(evicted);
+                self.admit_sample(id);
+            }
+            InsertOutcome::Skipped => {}
+        }
+    }
+
+    fn admit_sample(&mut self, id: RowId) {
+        let row = self.reservoir.get(id).expect("row was just admitted");
         let point = self.dpt.project(row);
-        self.dpt.assign_sample(row.id, &point);
+        self.dpt.assign_sample(id, &point);
         self.maxvar
-            .insert(IndexPoint::new(point, row.id, self.dpt.agg_value(row)));
+            .insert(IndexPoint::new(point, id, self.dpt.agg_value(row)));
     }
 
     /// Removes a *replaced* sample (the row is still live in the archive)
@@ -285,17 +291,10 @@ impl JanusEngine {
     /// Archive + reservoir bookkeeping for an insert whose tree statistics
     /// were already applied by the batch updater.
     pub(crate) fn apply_insert_sampling(&mut self, row: Row) -> Result<()> {
-        if !self.archive.insert(row.clone())? {
+        if !self.archive.insert_values(row.id, &row.values)? {
             return Ok(());
         }
-        match self.reservoir.offer(row.clone(), self.archive.len()) {
-            InsertOutcome::Added => self.admit_sample(&row),
-            InsertOutcome::Replaced { evicted } => {
-                self.evict_sample(evicted);
-                self.admit_sample(&row);
-            }
-            InsertOutcome::Skipped => {}
-        }
+        self.offer_to_reservoir(row);
         self.stats.inserts += 1;
         Ok(())
     }
@@ -536,41 +535,46 @@ impl JanusEngine {
         if !self.config.auto_repartition {
             return;
         }
-        if let Some(decision) =
-            trigger::check_leaf(&self.dpt, &self.maxvar, leaf, &self.trigger_cfg)
-        {
-            let _ = self.try_repartition(decision);
+        if trigger::check_leaf(&self.dpt, &self.maxvar, leaf, &self.trigger_cfg).is_some() {
+            self.try_repartition();
         }
     }
 
-    /// Evaluates a flagged leaf: computes a candidate partitioning and
-    /// adopts it when it beats the current one by the β rule. Returns
-    /// whether a re-partitioning was adopted.
-    pub fn try_repartition(&mut self, decision: TriggerDecision) -> bool {
-        let _ = decision;
-        let Ok(outcome) = self
-            .partitioner
-            .compute(&self.maxvar, self.config.leaf_count)
-        else {
+    /// Evaluates the current partitioning after a leaf was flagged: asks
+    /// the partitioner for a candidate that can beat `M(R)/β` and adopts it
+    /// when it does (§5.4). A candidate the partitioner's pre-check rules
+    /// out ([`Partitioner::compute_if_below`]) counts as rejected without
+    /// being computed. Returns whether a re-partitioning was adopted.
+    pub fn try_repartition(&mut self) -> bool {
+        let current_max = self.current_max_variance();
+        let beta = self.config.beta;
+        let Ok(candidate) = self.partitioner.compute_if_below(
+            &self.maxvar,
+            self.config.leaf_count,
+            trigger::adoption_bound(current_max, beta),
+        ) else {
             return false;
         };
-        let current_max = self.current_max_variance();
-        if trigger::accept_candidate(current_max, outcome.max_leaf_variance, self.config.beta) {
-            self.adopt_partitioning(outcome);
-            self.stats.repartitions += 1;
-            true
-        } else {
-            self.stats.rejected_repartitions += 1;
-            false
+        match candidate {
+            Some(outcome)
+                if trigger::accept_candidate(current_max, outcome.max_leaf_variance, beta) =>
+            {
+                self.adopt_partitioning(outcome);
+                self.stats.repartitions += 1;
+                true
+            }
+            _ => {
+                self.stats.rejected_repartitions += 1;
+                false
+            }
         }
     }
 
     /// `M(R)` of the current partitioning: the worst live-leaf probe.
     pub fn current_max_variance(&self) -> f64 {
         self.dpt
-            .leaf_indices()
-            .into_iter()
-            .map(|i| self.maxvar.max_variance(&self.dpt.node(i).rect))
+            .live_leaves()
+            .map(|leaf| self.maxvar.max_variance(&leaf.rect))
             .fold(0.0, f64::max)
     }
 

@@ -16,6 +16,11 @@
 //! * [`kd`] — the k-d construction for `d >= 1` splitting the
 //!   highest-variance leaf at its sample median (§5.3.2);
 //! * [`dp1d`] — the PASS dynamic program, kept as the Table 3 baseline.
+//!
+//! [`Partitioner::compute`] runs the chosen algorithm;
+//! [`Partitioner::compute_if_below`] is the same for a caller that will
+//! discard any result at or above a bound (the §5.4 adoption rule), and may
+//! answer "not reachable" from a reject-only pre-check instead of a search.
 
 pub mod bs1d;
 pub mod dp1d;
@@ -207,21 +212,7 @@ impl Partitioner {
             return Err(JanusError::InvalidConfig("k must be positive".into()));
         }
         let start = Instant::now();
-        let kind = match self.kind {
-            PartitionerKind::Auto => {
-                if mv.dims() == 1 {
-                    if mv.focus() == AggregateFunction::Count {
-                        PartitionerKind::EquiCount1d
-                    } else {
-                        PartitionerKind::BinarySearch1d
-                    }
-                } else {
-                    PartitionerKind::KdTree
-                }
-            }
-            other => other,
-        };
-        let mut outcome = match kind {
+        let mut outcome = match self.resolve(mv) {
             PartitionerKind::BinarySearch1d => bs1d::partition(mv, k, self.rho)?,
             PartitionerKind::EquiCount1d => equicount::partition(mv, k)?,
             PartitionerKind::KdTree => kd::partition(mv, k)?,
@@ -230,6 +221,51 @@ impl Partitioner {
         };
         outcome.elapsed = start.elapsed();
         Ok(outcome)
+    }
+
+    /// [`compute`](Self::compute) for a caller that only wants the result
+    /// when `max_leaf_variance < bound` — the §5.4 update path, where
+    /// `bound = M(R)/β`. Returns `Ok(None)` when a cheap pre-check proves
+    /// the algorithm cannot get below `bound` with `k` leaves.
+    ///
+    /// The pre-check is **reject-only**: `None` means "would have been
+    /// rejected", never "skipped"; when it cannot rule the bound out the
+    /// full algorithm runs unchanged, so a `Some` outcome is exactly what
+    /// `compute` returns and the caller still compares it against `bound`.
+    /// Binary search pays one greedy cover ([`bs1d::can_reach`]),
+    /// equal-count a closed form ([`equicount::can_reach`]); k-d and the
+    /// DP have no cheap bound and always run in full.
+    pub fn compute_if_below(
+        &self,
+        mv: &MaxVarianceIndex,
+        k: usize,
+        bound: f64,
+    ) -> Result<Option<PartitionOutcome>> {
+        if k < 1 {
+            return Err(JanusError::InvalidConfig("k must be positive".into()));
+        }
+        let reachable = match self.resolve(mv) {
+            PartitionerKind::BinarySearch1d => bs1d::can_reach(mv, k, bound),
+            PartitionerKind::EquiCount1d => equicount::can_reach(mv, k, bound),
+            _ => true,
+        };
+        if reachable {
+            self.compute(mv, k).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Resolves [`PartitionerKind::Auto`] against the index's shape.
+    fn resolve(&self, mv: &MaxVarianceIndex) -> PartitionerKind {
+        match self.kind {
+            PartitionerKind::Auto if mv.dims() > 1 => PartitionerKind::KdTree,
+            PartitionerKind::Auto if mv.focus() == AggregateFunction::Count => {
+                PartitionerKind::EquiCount1d
+            }
+            PartitionerKind::Auto => PartitionerKind::BinarySearch1d,
+            other => other,
+        }
     }
 }
 
@@ -314,6 +350,48 @@ mod tests {
             spec.nodes[c].rect = r.clone();
         }
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn compute_if_below_rejects_or_returns_what_compute_returns() {
+        use janus_index::IndexPoint;
+        let points = |dims: usize| -> Vec<IndexPoint> {
+            (0..600u64)
+                .map(|i| {
+                    let x = (i * 7919 % 600) as f64;
+                    IndexPoint::new(vec![x; dims], i, 1.0 + (i * 31 % 17) as f64)
+                })
+                .collect()
+        };
+        let partitioner = Partitioner::auto(2.0);
+        let mv = MaxVarianceIndex::bulk_load(1, AggregateFunction::Sum, 0.1, 0.01, points(1));
+        let full = partitioner.compute(&mv, 8).unwrap();
+        // Far below what 8 buckets can do: rejected without a search.
+        let bound = full.max_leaf_variance / 100.0;
+        assert!(partitioner
+            .compute_if_below(&mv, 8, bound)
+            .unwrap()
+            .is_none());
+        // Not ruled out: the full search's own outcome, bound or no bound.
+        let some = partitioner
+            .compute_if_below(&mv, 8, full.max_leaf_variance * 2.0)
+            .unwrap()
+            .expect("reachable bound");
+        assert_eq!(some.leaf_variances, full.leaf_variances);
+        // k-d has no pre-check: always computed.
+        let mv2 = MaxVarianceIndex::bulk_load(2, AggregateFunction::Sum, 0.1, 0.01, points(2));
+        assert!(partitioner
+            .compute_if_below(&mv2, 8, 0.0)
+            .unwrap()
+            .is_some());
+        // Degenerate inputs: an empty index is "reachable" (one trivial
+        // leaf comes back); `k = 0` is an error, as for `compute`.
+        let empty = MaxVarianceIndex::bulk_load(1, AggregateFunction::Sum, 0.1, 0.01, Vec::new());
+        assert!(partitioner
+            .compute_if_below(&empty, 8, 0.0)
+            .unwrap()
+            .is_some());
+        assert!(partitioner.compute_if_below(&mv, 0, 1.0).is_err());
     }
 
     #[test]

@@ -189,6 +189,14 @@ impl Dpt {
         self.nodes.iter().filter(|n| n.live).count()
     }
 
+    /// The live leaves, in arena order and without allocating (for
+    /// order-insensitive folds; [`Dpt::leaf_indices`] walks the tree).
+    pub fn live_leaves(&self) -> impl Iterator<Item = &DptNode> {
+        self.nodes
+            .iter()
+            .filter(|n| n.live && n.children.is_empty())
+    }
+
     /// Indices of live leaves.
     pub fn leaf_indices(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -1008,9 +1016,8 @@ impl Dpt {
     /// Maximum `built_variance` across live leaves (the trigger's
     /// reference `M(R)`).
     pub fn max_built_variance(&self) -> f64 {
-        self.leaf_indices()
-            .into_iter()
-            .map(|i| self.nodes[i].built_variance)
+        self.live_leaves()
+            .map(|n| n.built_variance)
             .fold(0.0, f64::max)
     }
 }

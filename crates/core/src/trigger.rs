@@ -9,9 +9,19 @@
 //!    left the `[M_i/β, M_i·β]` band around the value recorded when the
 //!    partitioning was built.
 //!
-//! A trigger alone does not re-partition: the engine computes a candidate
-//! partitioning `R'` and adopts it only when `M(R') < M(R)/β` — otherwise
-//! the current partitioning is provably good enough.
+//! A trigger alone does not re-partition: the engine asks the partitioner
+//! for a candidate `R'` and adopts it only when `M(R') < M(R)/β` —
+//! otherwise the current partitioning is provably good enough.
+//!
+//! Most armed triggers end in that "otherwise", so the engine hands the
+//! partitioner the bound up front ([`adoption_bound`] →
+//! `Partitioner::compute_if_below`) and lets it answer "cannot get below
+//! that" from a pre-check instead of a search. The contract is
+//! **reject-only**: a pre-check may turn a candidate the rule would reject
+//! into one that is never computed, and nothing else — a candidate that is
+//! computed still goes through [`accept_candidate`]. It rests on the
+//! monotonicity of `M` in the bucket (§D.2), exact for COUNT and
+//! approximate for SUM; `partition::bs1d` states how approximate.
 
 use crate::maxvar::MaxVarianceIndex;
 use crate::tree::Dpt;
@@ -83,10 +93,16 @@ pub fn check_leaf(
     None
 }
 
+/// `M(R)/β`: what a candidate's worst variance must stay strictly below
+/// to be adopted.
+pub fn adoption_bound(current_max: f64, beta: f64) -> f64 {
+    current_max / beta
+}
+
 /// The adoption rule of §5.4: re-partition only when the candidate's worst
 /// variance beats the current one by a factor of `β`.
 pub fn accept_candidate(current_max: f64, candidate_max: f64, beta: f64) -> bool {
-    candidate_max < current_max / beta
+    candidate_max < adoption_bound(current_max, beta)
 }
 
 #[cfg(test)]

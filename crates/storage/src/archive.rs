@@ -375,7 +375,13 @@ impl ArchiveStore {
     /// Inserts a row. Returns `Ok(false)` (and ignores the row) if the id
     /// is already present; `Err` on a backend storage failure.
     pub fn insert(&mut self, row: Row) -> Result<bool> {
-        self.backend.insert(row.id, &row.values)
+        self.insert_values(row.id, &row.values)
+    }
+
+    /// [`ArchiveStore::insert`] from borrowed parts, for a caller that
+    /// still needs its `Row` afterwards (every backend copies the values).
+    pub fn insert_values(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
+        self.backend.insert(id, values)
     }
 
     /// Deletes a row by id, returning it if it existed; `Err` on a

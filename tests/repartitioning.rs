@@ -180,3 +180,191 @@ fn node_targeted_deletions_trigger_recovery() {
     );
     assert!(after < 0.25, "after re-partition p95 {after:.4}");
 }
+
+// ---------------------------------------------------------------------
+// The update path asks the partitioner for a candidate *below M(R)/β*
+// (`Partitioner::compute_if_below`), which may reject without searching.
+// These cases pin that shortcut to the rule it replaces.
+// ---------------------------------------------------------------------
+
+use janus::core::trigger::{self, TriggerConfig};
+use janus::core::Partitioner;
+
+/// What the reference observed at its armed triggers.
+#[derive(Debug, Default)]
+struct ReferenceTriggers {
+    rejected: u64,
+    /// Armed triggers the pre-check alone rejected.
+    rejected_unsearched: u64,
+}
+
+/// A seeded 80/20 insert/delete stream whose inserts arrive in key order
+/// past the bootstrap domain (the §6.8 skew), every third insert carrying
+/// a value `outlier_scale` times the usual.
+fn skewed_stream(n: usize, seed: u64, outlier_scale: f64) -> Vec<Update> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut live: Vec<u64> = (0..4_000).collect();
+    let mut next_id = 1_000_000u64;
+    (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.8) {
+                let i = next_id - 1_000_000;
+                let x = 100.0 + i as f64 * 0.01 + rng.gen::<f64>();
+                let scale = if i.is_multiple_of(3) {
+                    outlier_scale
+                } else {
+                    1.0
+                };
+                let row = Row::new(next_id, vec![x, scale * (1.0 + rng.gen::<f64>())]);
+                live.push(next_id);
+                next_id += 1;
+                Update::Insert(row)
+            } else {
+                Update::Delete(live.swap_remove(rng.gen_range(0..live.len())))
+            }
+        })
+        .collect()
+}
+
+/// Runs `stream` through the engine's own trigger path and through a
+/// reference that keeps `auto_repartition` off and instead, at every
+/// armed trigger, runs the full `Partitioner::compute` and applies
+/// `accept_candidate` — the §5.4 sequence as written. Returns both
+/// engines and what the reference saw.
+fn run_against_reference(
+    cfg: SynopsisConfig,
+    initial: Vec<Row>,
+    stream: &[Update],
+) -> (JanusEngine, JanusEngine, ReferenceTriggers) {
+    let mut engine = JanusEngine::bootstrap(cfg.clone(), initial.clone()).unwrap();
+    let mut reference_cfg = cfg.clone();
+    reference_cfg.auto_repartition = false;
+    let mut reference = JanusEngine::bootstrap(reference_cfg, initial).unwrap();
+    let partitioner = Partitioner::auto(cfg.rho);
+    let trigger_cfg = TriggerConfig {
+        beta: cfg.beta,
+        underrep_fraction: 1.0,
+    };
+    let mut seen = ReferenceTriggers::default();
+    for (i, update) in stream.iter().enumerate() {
+        let point = match update {
+            Update::Insert(row) => {
+                engine.insert(row.clone()).unwrap();
+                reference.insert(row.clone()).unwrap();
+                reference.dpt().project(row)
+            }
+            Update::Delete(id) => {
+                engine.delete(*id).unwrap();
+                let row = reference.delete(*id).unwrap();
+                reference.dpt().project(&row)
+            }
+        };
+        if !(i + 1).is_multiple_of(cfg.trigger_check_interval) {
+            continue;
+        }
+        let leaf = reference.dpt().leaf_of(&point);
+        if trigger::check_leaf(reference.dpt(), reference.maxvar(), leaf, &trigger_cfg).is_none() {
+            continue;
+        }
+        let current = reference.current_max_variance();
+        let bounded = partitioner
+            .compute_if_below(
+                reference.maxvar(),
+                cfg.leaf_count,
+                trigger::adoption_bound(current, cfg.beta),
+            )
+            .unwrap();
+        let full = partitioner
+            .compute(reference.maxvar(), cfg.leaf_count)
+            .unwrap();
+        let accept = trigger::accept_candidate(current, full.max_leaf_variance, cfg.beta);
+        match bounded {
+            // Reject-only: a pre-check "no" is a candidate the rule rejects.
+            None => {
+                assert!(
+                    !accept,
+                    "update {i}: pre-check rejected an acceptable candidate"
+                );
+                seen.rejected_unsearched += 1;
+            }
+            // Otherwise it is the full search's own outcome.
+            Some(b) => assert_eq!(
+                b.max_leaf_variance.to_bits(),
+                full.max_leaf_variance.to_bits()
+            ),
+        }
+        if accept {
+            reference.adopt_planned(full);
+        } else {
+            seen.rejected += 1;
+        }
+    }
+    (engine, reference, seen)
+}
+
+fn uniform_initial(seed: u64) -> Vec<Row> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..4_000)
+        .map(|i| Row::new(i, vec![rng.gen::<f64>() * 100.0, 1.0 + rng.gen::<f64>()]))
+        .collect()
+}
+
+/// Both sides made the same decisions and answer bit-identically.
+fn assert_same_outcome(
+    engine: &mut JanusEngine,
+    reference: &mut JanusEngine,
+    seen: &ReferenceTriggers,
+    seed: u64,
+) {
+    let expected = EngineStats {
+        rejected_repartitions: seen.rejected,
+        ..reference.stats()
+    };
+    assert_eq!(engine.stats(), expected);
+    let rows = reference.export_rows();
+    let spec = WorkloadSpec {
+        template: QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]),
+        count: 120,
+        min_width_fraction: 0.02,
+        seed,
+        domain_quantile: 1.0,
+    };
+    let bits = |e: Estimate| {
+        (
+            e.value.to_bits(),
+            e.catchup_variance.to_bits(),
+            e.sample_variance.to_bits(),
+            e.samples_used,
+        )
+    };
+    for q in &QueryWorkload::generate_over_rows(&rows, &spec).queries {
+        let a = engine.query(q).unwrap();
+        let b = reference.query(q).unwrap();
+        assert_eq!(a.map(bits), b.map(bits), "{q:?}");
+    }
+}
+
+#[test]
+fn rejecting_a_candidate_unsearched_matches_the_full_rule() {
+    let mut cfg = config(31);
+    cfg.trigger_check_interval = 16;
+    let stream = skewed_stream(12_000, 32, 1.0);
+    let (mut engine, mut reference, seen) =
+        run_against_reference(cfg, uniform_initial(31), &stream);
+    assert!(seen.rejected_unsearched > 100, "{seen:?}");
+    assert_same_outcome(&mut engine, &mut reference, &seen, 33);
+}
+
+#[test]
+fn adopting_through_the_bounded_entry_point_matches_the_full_rule() {
+    // Every third insert is a 10^4x outlier and β is 4: candidates do win.
+    let mut cfg = config(34);
+    cfg.trigger_check_interval = 16;
+    cfg.beta = 4.0;
+    let stream = skewed_stream(12_000, 35, 1e4);
+    let (mut engine, mut reference, seen) =
+        run_against_reference(cfg, uniform_initial(34), &stream);
+    assert!(engine.stats().repartitions > 10, "{:?}", engine.stats());
+    assert!(seen.rejected > 0, "{seen:?}");
+    assert_same_outcome(&mut engine, &mut reference, &seen, 36);
+}
