@@ -58,11 +58,6 @@ impl AccuracyRun {
         median(self.errors.clone())
     }
 
-    /// 95th-percentile relative error (the Fig. 7/8/10 metric).
-    pub fn p95_error(&self) -> f64 {
-        percentile(self.errors.clone(), 0.95)
-    }
-
     /// Average per-query latency in milliseconds (the Table 2 metric).
     pub fn avg_latency_ms(&self) -> f64 {
         if self.answered == 0 {

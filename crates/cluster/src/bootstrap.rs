@@ -39,34 +39,27 @@ pub fn shard_of_value(bounds: &[f64], x: f64) -> usize {
 
 /// The synopsis configuration shard `shard` runs with: the base config
 /// with its seed mixed per shard so shard samples are independent.
-pub(crate) fn shard_config(base: &SynopsisConfig, shard: usize) -> SynopsisConfig {
+pub fn shard_config(base: &SynopsisConfig, shard: usize) -> SynopsisConfig {
     let mut config = base.clone();
     config.seed = shard_seed(base.seed, shard);
     config
 }
 
 /// Per-shard row buckets plus the authoritative row→shard directory.
-pub(crate) type PartitionedRows = (Vec<Vec<Row>>, DetHashMap<RowId, usize>);
+pub type PartitionedRows = (Vec<Vec<Row>>, DetHashMap<RowId, usize>);
 
 /// Routes `rows` through `router` into per-shard buckets and builds the
 /// authoritative row→shard directory, rejecting duplicate row ids.
-/// Buckets and the directory are pre-sized for the batch, and the policy
-/// dispatch is hoisted out of the row loop: range routing (the
-/// bench-relevant policy) runs as one tight [`shard_of_value`] loop with
-/// the bounds slice in registers.
-pub(crate) fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result<PartitionedRows> {
+/// Buckets and the directory are pre-sized for the batch.
+pub fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result<PartitionedRows> {
     let shards = router.shards();
     let mut per_shard: Vec<Vec<Row>> = (0..shards)
         .map(|_| Vec::with_capacity(rows.len().div_ceil(shards)))
         .collect();
     let mut directory: DetHashMap<RowId, usize> =
         DetHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-    fn place(
-        per_shard: &mut [Vec<Row>],
-        directory: &mut DetHashMap<RowId, usize>,
-        shard: usize,
-        row: Row,
-    ) -> Result<()> {
+    for row in rows {
+        let shard = router.route(&row);
         if directory.insert(row.id, shard).is_some() {
             return Err(JanusError::InvalidConfig(format!(
                 "duplicate row id {} in bootstrap data",
@@ -74,24 +67,6 @@ pub(crate) fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result
             )));
         }
         per_shard[shard].push(row);
-        Ok(())
-    }
-    match router.policy().clone() {
-        crate::router::ShardPolicy::Range { column, bounds } => {
-            for row in rows {
-                let shard = shard_of_value(&bounds, row.value(column));
-                place(&mut per_shard, &mut directory, shard, row)?;
-            }
-        }
-        // Discrete policies stay on the stateful per-row path (the
-        // round-robin cursor must advance exactly as if routed row by
-        // row — checkpoints persist it).
-        _ => {
-            for row in rows {
-                let shard = router.route(&row);
-                place(&mut per_shard, &mut directory, shard, row)?;
-            }
-        }
     }
     Ok((per_shard, directory))
 }

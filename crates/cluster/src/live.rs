@@ -78,7 +78,7 @@
 
 use crate::checkpoint::ClusterCheckpoint;
 use crate::engine::{ClusterConfig, ClusterEngine, QueryOptions, ShardOp};
-use crate::notify::Progress;
+use crate::notify::{Backoff, Progress};
 use crate::scatter::Priority;
 use janus_common::{JanusError, Query, Result, Row, TenantId};
 use janus_storage::{CheckpointStore, Request, RequestLog};
@@ -88,14 +88,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Idle-wait backoff bounds shared by the workers and the barriers:
-/// waits start short (snappy wakeups while traffic flows) and double up
-/// to the cap (cheap idling when nothing moves). Every wait is also
-/// cut short by a [`Progress`] bump or an unpark, so the cap only
-/// bounds the missed-wakeup worst case, not the common-path latency.
-const IDLE_MIN: Duration = Duration::from_micros(200);
-const IDLE_MAX: Duration = Duration::from_millis(64);
 
 /// Tuning knobs of the live service loop.
 #[derive(Clone, Debug)]
@@ -353,7 +345,7 @@ impl LiveCluster {
                 std::thread::Builder::new()
                     .name(format!("janus-pump-{shard}"))
                     .spawn(move || {
-                        let mut idle = IDLE_MIN;
+                        let mut idle = Backoff::new();
                         while !worker.shutdown.load(Ordering::Relaxed) {
                             let (applied, skipped) =
                                 worker.cluster.pump_shard_lossy(shard, pump_chunk);
@@ -372,13 +364,12 @@ impl LiveCluster {
                                 // Topic drained: park with bounded backoff
                                 // instead of spinning on the shard lock; a
                                 // publish unparks us immediately.
-                                std::thread::park_timeout(idle);
-                                idle = (idle * 2).min(IDLE_MAX);
+                                idle.park();
                             } else {
                                 // Applied records are progress the drain /
                                 // stall / checkpoint barriers wait on.
                                 worker.progress.bump();
-                                idle = IDLE_MIN;
+                                idle.reset();
                             }
                         }
                     })
@@ -533,34 +524,30 @@ impl LiveCluster {
         self.shared
             .checkpoint_requested
             .store(true, Ordering::Release);
-        let mut idle = IDLE_MIN;
-        loop {
-            if let Some(t) = &self.frontend_thread {
-                t.thread().unpark();
-            }
-            for t in &self.pump_threads {
-                t.thread().unpark();
-            }
-            let attempts = || {
-                c.checkpoints.load(Ordering::Relaxed)
-                    + c.checkpoint_failures.load(Ordering::Relaxed)
-            };
-            if attempts() > attempts_before {
-                return c.checkpoints.load(Ordering::Relaxed) > ok_before;
-            }
-            if self.shared.shutdown.load(Ordering::Relaxed) {
-                return false;
-            }
-            // Wait for the front end to report the cut (it bumps after
-            // every checkpoint attempt); re-check after the snapshot so
-            // a bump between the probe and the wait is never missed.
-            let seen = self.shared.progress.snapshot();
-            if attempts() > attempts_before {
-                return c.checkpoints.load(Ordering::Relaxed) > ok_before;
-            }
-            self.shared.progress.wait_past(seen, idle);
-            idle = (idle * 2).min(IDLE_MAX);
-        }
+        // The front end bumps after every checkpoint attempt.
+        let attempted = self.wait_until(|| {
+            c.checkpoints.load(Ordering::Relaxed) + c.checkpoint_failures.load(Ordering::Relaxed)
+                > attempts_before
+        });
+        attempted && c.checkpoints.load(Ordering::Relaxed) > ok_before
+    }
+
+    /// Blocks until `done` holds, waking every worker each round; `false`
+    /// when the service shut down first.
+    fn wait_until(&self, done: impl FnMut() -> bool) -> bool {
+        self.shared.progress.wait_until(
+            Backoff::new(),
+            || self.shared.shutdown.load(Ordering::Relaxed),
+            || {
+                if let Some(t) = &self.frontend_thread {
+                    t.thread().unpark();
+                }
+                for t in &self.pump_threads {
+                    t.thread().unpark();
+                }
+            },
+            done,
+        )
     }
 
     /// Barrier: blocks until every request published *so far* has been
@@ -570,33 +557,13 @@ impl LiveCluster {
     /// publishing move the goalposts; quiesce them first for a final
     /// drain.
     pub fn drain(&self) {
-        let drained = || {
+        // Workers bump after every pumped batch / consumed request.
+        self.wait_until(|| {
             let end = self.shared.requests.end_offset();
             self.shared.front_offset.load(Ordering::Acquire) >= end
                 && self.shared.cluster.pending() == 0
                 && self.shared.cluster.replica_pending() == 0
-        };
-        let mut idle = IDLE_MIN;
-        loop {
-            if drained() {
-                return;
-            }
-            if let Some(t) = &self.frontend_thread {
-                t.thread().unpark();
-            }
-            for t in &self.pump_threads {
-                t.thread().unpark();
-            }
-            // Workers bump after every pumped batch / consumed request,
-            // so the barrier wakes as soon as the state moves; the
-            // timeout only backstops a missed wakeup.
-            let seen = self.shared.progress.snapshot();
-            if drained() {
-                return;
-            }
-            self.shared.progress.wait_past(seen, idle);
-            idle = (idle * 2).min(IDLE_MAX);
-        }
+        });
     }
 
     /// Stops all workers and returns the inner engine. Does *not* drain
@@ -646,7 +613,7 @@ fn frontend_loop(
 ) {
     let mut offset = shared.front_offset.load(Ordering::Acquire);
     let mut pumped_at_checkpoint = shared.cluster.pumped_records();
-    let mut idle = IDLE_MIN;
+    let mut idle = Backoff::new();
     loop {
         if shared.store.is_some() {
             let requested = shared.checkpoint_requested.swap(false, Ordering::AcqRel);
@@ -664,11 +631,10 @@ fn frontend_loop(
             if shared.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            std::thread::park_timeout(idle);
-            idle = (idle * 2).min(IDLE_MAX);
+            idle.park();
             continue;
         }
-        idle = IDLE_MIN;
+        idle.reset();
         // Consecutive data requests republish through the *batched* path:
         // one router/directory acquisition and one topic append per shard
         // per run, instead of a lock round trip per record. An Execute is
@@ -833,46 +799,47 @@ fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> boo
         .store
         .as_ref()
         .expect("take_checkpoint requires a store");
-    let mut idle = IDLE_MIN;
-    loop {
-        if shared.cluster.pending() == 0 {
-            let mut checkpoint = shared.cluster.checkpoint();
-            if checkpoint.is_tail_free() {
-                checkpoint.request_offset = shared.front_offset.load(Ordering::Acquire);
-                let id = store.latest_id().map_or(0, |latest| latest + 1);
-                let saved = checkpoint
-                    .save(store.as_ref(), id)
-                    .and_then(|()| store.prune(shared.checkpoint_keep));
-                match saved {
-                    Ok(()) => shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed),
-                    Err(_) => shared
-                        .counters
-                        .checkpoint_failures
-                        .fetch_add(1, Ordering::Relaxed),
-                };
-                // Wake any checkpoint_now() caller blocked on the
-                // attempt counters.
-                shared.progress.bump();
-                return true;
-            }
+    // The pumps bump progress per applied batch.
+    while wait_for_pumps(shared, pump_workers, || shared.cluster.pending() == 0) {
+        let mut checkpoint = shared.cluster.checkpoint();
+        if !checkpoint.is_tail_free() {
             // A record slipped in between the pending probe and the cut;
             // wait for the pumps and retry.
+            continue;
         }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return false;
-        }
-        for worker in pump_workers {
-            worker.unpark();
-        }
-        // The pumps bump progress per applied batch; block until they
-        // move instead of poll-parking (re-probe after the snapshot so
-        // a bump in between is never slept through).
-        let seen = shared.progress.snapshot();
-        if shared.cluster.pending() != 0 && !shared.shutdown.load(Ordering::Relaxed) {
-            shared.progress.wait_past(seen, idle);
-            idle = (idle * 2).min(IDLE_MAX);
-        }
+        checkpoint.request_offset = shared.front_offset.load(Ordering::Acquire);
+        let id = store.latest_id().map_or(0, |latest| latest + 1);
+        let saved = checkpoint
+            .save(store.as_ref(), id)
+            .and_then(|()| store.prune(shared.checkpoint_keep));
+        match saved {
+            Ok(()) => shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed),
+            Err(_) => shared
+                .counters
+                .checkpoint_failures
+                .fetch_add(1, Ordering::Relaxed),
+        };
+        // Wake any checkpoint_now() caller blocked on the attempt
+        // counters.
+        shared.progress.bump();
+        return true;
     }
+    false
+}
+
+/// Front-end side wait: blocks until `done` holds, unparking the pump
+/// workers each round. Returns `false` when shutdown was requested first.
+fn wait_for_pumps(
+    shared: &Shared,
+    pump_workers: &[std::thread::Thread],
+    done: impl FnMut() -> bool,
+) -> bool {
+    shared.progress.wait_until(
+        Backoff::new(),
+        || shared.shutdown.load(Ordering::Relaxed),
+        || pump_workers.iter().for_each(std::thread::Thread::unpark),
+        done,
+    )
 }
 
 /// Blocks while any shard's backlog is at/over `max_backlog`. Returns
@@ -884,25 +851,9 @@ fn stall_for_backlog(
     pump_workers: &[std::thread::Thread],
     max_backlog: u64,
 ) -> bool {
-    let mut idle = IDLE_MIN;
-    loop {
-        if !shared.cluster.backlog_exceeds(max_backlog) {
-            return true;
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return false;
-        }
-        for worker in pump_workers {
-            worker.unpark();
-        }
-        // The backlog only shrinks when a pump applies records, and
-        // every such batch bumps progress — wait on that instead of
-        // poll-parking, re-checking after the snapshot.
-        let seen = shared.progress.snapshot();
-        if !shared.cluster.backlog_exceeds(max_backlog) {
-            return true;
-        }
-        shared.progress.wait_past(seen, idle);
-        idle = (idle * 2).min(IDLE_MAX);
-    }
+    // The backlog only shrinks when a pump applies records, and every
+    // such batch bumps progress.
+    wait_for_pumps(shared, pump_workers, || {
+        !shared.cluster.backlog_exceeds(max_backlog)
+    })
 }

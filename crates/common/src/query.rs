@@ -26,13 +26,6 @@ pub enum AggregateFunction {
 }
 
 impl AggregateFunction {
-    /// True for the mean-style aggregates whose estimators are weighted by
-    /// relative partition size (`w_i = N_i / N_q`, §4.4.1).
-    #[inline]
-    pub fn is_avg(self) -> bool {
-        matches!(self, AggregateFunction::Avg)
-    }
-
     /// True for MIN/MAX, which are answered from the bounded heaps rather
     /// than from moment statistics.
     #[inline]
@@ -219,13 +212,6 @@ impl ExactAccumulator<'_> {
     #[inline]
     pub fn partial(&self) -> &ScanPartial {
         &self.partial
-    }
-
-    /// Merges a later partial (e.g. one produced by a segmented scan)
-    /// into this accumulator; see [`ScanPartial::merge`] for ordering.
-    #[inline]
-    pub fn merge_partial(&mut self, later: &ScanPartial) {
-        self.partial.merge(later);
     }
 
     /// The exact answer over everything offered so far (`None` for

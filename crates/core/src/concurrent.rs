@@ -36,6 +36,10 @@ pub enum Update {
 pub struct BatchReport {
     /// Updates applied.
     pub applied: usize,
+    /// Updates skipped because the sequential engine would have rejected
+    /// them at that point of the batch: an insert of an id that is live,
+    /// a delete of one that is not.
+    pub skipped: usize,
     /// Wall time of the parallel classification phase.
     pub parallel_phase: Duration,
     /// Wall time of the serial fold + sampling phase.
@@ -80,15 +84,36 @@ pub fn apply_batch(
 ) -> Result<BatchReport> {
     let threads = threads.max(1);
 
-    // Resolve deletes to full rows first (archive reads are cheap and the
-    // lookups must precede archive mutation).
+    // Resolve every update against the archive *as of its position in the
+    // batch* (archive reads are cheap and the lookups must precede archive
+    // mutation): `in_batch` overlays the ids this batch has touched so far
+    // with the row they hold now, `None` once deleted. An update the
+    // sequential engine would reject there resolves to `None` and reaches
+    // neither the tree deltas nor the sampling replay.
+    let mut in_batch: std::collections::HashMap<RowId, Option<&Row>> =
+        std::collections::HashMap::new();
     let resolved: Vec<Option<Row>> = updates
         .iter()
         .map(|u| match u {
-            Update::Insert(row) => Some(row.clone()),
-            Update::Delete(id) => engine.archive().get(*id),
+            Update::Insert(row) => {
+                let live = match in_batch.get(&row.id) {
+                    Some(held) => held.is_some(),
+                    None => engine.archive().contains(row.id),
+                };
+                if live {
+                    None
+                } else {
+                    in_batch.insert(row.id, Some(row));
+                    Some(row.clone())
+                }
+            }
+            Update::Delete(id) => match in_batch.insert(*id, None) {
+                Some(held) => held.cloned(),
+                None => engine.archive().get(*id),
+            },
         })
         .collect();
+    let skipped = resolved.iter().filter(|r| r.is_none()).count();
 
     // ---------------- parallel phase ----------------
     let started = Instant::now();
@@ -160,6 +185,7 @@ pub fn apply_batch(
 
     Ok(BatchReport {
         applied,
+        skipped,
         parallel_phase,
         serial_phase,
     })
@@ -256,6 +282,50 @@ mod tests {
         assert_eq!(report.applied, 1_000);
         assert!(report.throughput() > 0.0);
         assert!(report.total() >= report.parallel_phase);
+    }
+
+    #[test]
+    fn rejected_updates_leave_no_trace_in_the_tree() {
+        let row = |id: u64, x: f64| Row::new(id, vec![x, x * 3.0]);
+        let updates = vec![
+            Update::Insert(row(5, 10.0)), // id already live
+            Update::Insert(row(9_000, 20.0)),
+            Update::Insert(row(9_000, 30.0)), // repeated in the batch
+            Update::Delete(17),
+            Update::Delete(17),      // deleted twice
+            Update::Delete(424_242), // never existed
+            Update::Insert(row(9_001, 40.0)),
+            Update::Delete(9_001), // inserted earlier in the batch: applies
+            Update::Delete(23),
+            Update::Insert(row(23, 50.0)), // deleted earlier in the batch: applies
+        ];
+        let data = rows(2_000, 11);
+        let mut seq = crate::engine::JanusEngine::bootstrap(config(13), data.clone()).unwrap();
+        let (applied, skipped, _) = seq.apply_update_batch(updates.clone(), true);
+        assert_eq!((applied, skipped), (6, 4));
+
+        let mut par = crate::engine::JanusEngine::bootstrap(config(13), data).unwrap();
+        let report = apply_batch(&mut par, updates, 3).unwrap();
+        assert_eq!((report.applied, report.skipped), (applied, skipped));
+        assert_eq!(par.population(), seq.population());
+        for (lo, hi) in [
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (0.0, 25.0),
+            (15.0, 60.0),
+        ] {
+            let q = Query::new(
+                AggregateFunction::Count,
+                1,
+                vec![0],
+                RangePredicate::new(vec![lo], vec![hi]).unwrap(),
+            )
+            .unwrap();
+            assert_eq!(
+                par.query(&q).unwrap().unwrap().value,
+                seq.query(&q).unwrap().unwrap().value,
+                "COUNT over [{lo}, {hi}]"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
 use crate::maxvar::MaxVarianceIndex;
-use crate::partition::{PartitionOutcome, Partitioner, PartitionerKind};
+use crate::partition::{PartitionOutcome, Partitioner};
 use crate::tree::Dpt;
 use crate::trigger::{self, TriggerConfig};
 use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
@@ -171,14 +171,6 @@ impl JanusEngine {
     /// Operation counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Overrides the partitioner algorithm (experiments compare BS vs DP).
-    pub fn set_partitioner(&mut self, kind: PartitionerKind) {
-        self.partitioner = Partitioner {
-            kind,
-            rho: self.config.rho,
-        };
     }
 
     /// Catch-up progress in `[0, 1]`.

@@ -249,41 +249,50 @@ impl Dpt {
         row.value(self.template.agg_column)
     }
 
+    /// The one root-to-leaf descent: calls `visit(nodes, idx)` on every
+    /// node of `point`'s path, root first, and returns the last one — the
+    /// leaf, or the node none of whose children contain the point.
+    /// `nodes` is `&[DptNode]` for read-only walks and `&mut [DptNode]`
+    /// for the ones that update statistics on the way down.
+    #[inline(always)]
+    fn walk_path<N: std::ops::Deref<Target = [DptNode]>>(
+        mut nodes: N,
+        root: usize,
+        point: &[f64],
+        mut visit: impl FnMut(&mut N, usize),
+    ) -> usize {
+        let mut idx = root;
+        loop {
+            visit(&mut nodes, idx);
+            let Some(&next) = nodes[idx]
+                .children
+                .iter()
+                .find(|&&c| nodes[c].rect.contains(point))
+            else {
+                return idx;
+            };
+            idx = next;
+        }
+    }
+
     /// Leaf containing the predicate-space point.
     pub fn leaf_of(&self, point: &[f64]) -> usize {
-        let mut idx = self.root;
-        'descend: loop {
-            if self.nodes[idx].children.is_empty() {
-                return idx;
-            }
-            for &c in &self.nodes[idx].children {
-                if self.nodes[c].rect.contains(point) {
-                    idx = c;
-                    continue 'descend;
-                }
-            }
-            // Unbounded outer cells make this unreachable for valid specs.
-            debug_assert!(false, "point {point:?} escaped all children of node {idx}");
-            return idx;
-        }
+        let leaf = Self::walk_path(&self.nodes[..], self.root, point, |_, _| {});
+        // Unbounded outer cells make this unreachable for valid specs.
+        debug_assert!(
+            self.nodes[leaf].children.is_empty(),
+            "point {point:?} escaped all children of node {leaf}"
+        );
+        leaf
     }
 
     /// Records an insertion along the root-to-leaf path; returns the leaf.
     pub fn record_insert(&mut self, row: &Row) -> usize {
         let point = self.project_scratch(row);
         let a = self.agg_value(row);
-        let mut idx = self.root;
-        let leaf = loop {
-            self.nodes[idx].stats.record_insert(a);
-            let Some(&next) = self.nodes[idx]
-                .children
-                .iter()
-                .find(|&&c| self.nodes[c].rect.contains(&point))
-            else {
-                break idx;
-            };
-            idx = next;
-        };
+        let leaf = Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
+            nodes[idx].stats.record_insert(a)
+        });
         self.point_scratch = point;
         leaf
     }
@@ -292,18 +301,9 @@ impl Dpt {
     pub fn record_delete(&mut self, row: &Row) -> usize {
         let point = self.project_scratch(row);
         let a = self.agg_value(row);
-        let mut idx = self.root;
-        let leaf = loop {
-            self.nodes[idx].stats.record_delete(a);
-            let Some(&next) = self.nodes[idx]
-                .children
-                .iter()
-                .find(|&&c| self.nodes[c].rect.contains(&point))
-            else {
-                break idx;
-            };
-            idx = next;
-        };
+        let leaf = Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
+            nodes[idx].stats.record_delete(a)
+        });
         self.point_scratch = point;
         leaf
     }
@@ -323,20 +323,11 @@ impl Dpt {
     pub fn apply_catchup_point(&mut self, point: &[f64], a: f64) {
         let epoch = self.current_epoch();
         self.epochs[epoch].offered += 1;
-        let mut idx = self.root;
-        loop {
-            if self.nodes[idx].stats.epoch == epoch {
-                self.nodes[idx].stats.record_catchup(a);
+        Self::walk_path(&mut self.nodes[..], self.root, point, |nodes, idx| {
+            if nodes[idx].stats.epoch == epoch {
+                nodes[idx].stats.record_catchup(a);
             }
-            let Some(&next) = self.nodes[idx]
-                .children
-                .iter()
-                .find(|&&c| self.nodes[c].rect.contains(point))
-            else {
-                return;
-            };
-            idx = next;
-        }
+        });
     }
 
     /// Installs exact base statistics by scanning `rows` (SPT-style
@@ -364,20 +355,14 @@ impl Dpt {
             let mut point: Vec<f64> = Vec::new();
             let mut sink = |row: RowRef<'_>| {
                 row.project_into(cols, &mut point);
-                let a = row.value(agg_col);
-                let mut idx = root;
-                loop {
-                    acc[idx].add(a);
-                    values[idx].push(a);
-                    let Some(&next) = nodes[idx]
-                        .children
-                        .iter()
-                        .find(|&&c| nodes[c].rect.contains(&point))
-                    else {
-                        break;
-                    };
-                    idx = next;
-                }
+                Self::descend_add(
+                    nodes,
+                    root,
+                    &point,
+                    row.value(agg_col),
+                    &mut acc,
+                    &mut values,
+                );
             };
             scan(&mut sink);
         }
@@ -441,9 +426,9 @@ impl Dpt {
         }
     }
 
-    /// Root-to-leaf descent shared by the exact-base installers: adds `a`
-    /// to every node on `point`'s path (identical accumulation order to
-    /// the sink in [`Dpt::install_exact_base_with`]).
+    /// The per-row step shared by the exact-base installers: adds `a` to
+    /// every node on `point`'s path, root first.
+    #[inline]
     fn descend_add(
         nodes: &[DptNode],
         root: usize,
@@ -452,32 +437,10 @@ impl Dpt {
         acc: &mut [Moments],
         vals: &mut [Vec<f64>],
     ) {
-        let mut idx = root;
-        loop {
+        Self::walk_path(nodes, root, point, |_, idx| {
             acc[idx].add(a);
             vals[idx].push(a);
-            let Some(&next) = nodes[idx]
-                .children
-                .iter()
-                .find(|&&c| nodes[c].rect.contains(point))
-            else {
-                break;
-            };
-            idx = next;
-        }
-    }
-
-    /// Starts a fresh catch-up epoch with snapshot population `population`
-    /// and re-homes *all* nodes into it (full re-initialization, §4.3).
-    pub fn begin_epoch_all(&mut self, population: f64) {
-        self.epochs.push(EpochInfo {
-            population,
-            offered: 0,
         });
-        let epoch = self.current_epoch();
-        for node in &mut self.nodes {
-            node.stats = NodeStats::new(self.minmax_k, epoch, 0);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1011,14 +974,6 @@ impl Dpt {
             population,
             offered: 0,
         });
-    }
-
-    /// Maximum `built_variance` across live leaves (the trigger's
-    /// reference `M(R)`).
-    pub fn max_built_variance(&self) -> f64 {
-        self.live_leaves()
-            .map(|n| n.built_variance)
-            .fold(0.0, f64::max)
     }
 }
 

@@ -58,7 +58,6 @@ pub struct DynamicIndex<I: SpatialAggIndex> {
     dead_levels: Vec<Option<LevelData<I>>>,
     dead_ids: HashSet<u64>,
     live: usize,
-    rebuilds: u64,
 }
 
 impl<I: SpatialAggIndex> DynamicIndex<I> {
@@ -70,7 +69,6 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
             dead_levels: Vec::new(),
             dead_ids: HashSet::new(),
             live: 0,
-            rebuilds: 0,
         }
     }
 
@@ -83,7 +81,6 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
             dead_levels: Vec::new(),
             dead_ids: HashSet::new(),
             live,
-            rebuilds: 0,
         }
     }
 
@@ -102,12 +99,6 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
         self.dims
     }
 
-    /// Number of static-structure rebuilds performed so far (for the
-    /// dynamization ablation bench).
-    pub fn rebuild_count(&self) -> u64 {
-        self.rebuilds
-    }
-
     /// Inserts a point (amortized polylogarithmic).
     pub fn insert(&mut self, point: IndexPoint) {
         debug_assert_eq!(point.coords.len(), self.dims);
@@ -117,7 +108,6 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
         );
         self.live += 1;
         Self::carry_insert(self.dims, &mut self.levels, point);
-        self.rebuilds += 1;
     }
 
     fn carry_insert(dims: usize, levels: &mut Vec<Option<LevelData<I>>>, point: IndexPoint) {
@@ -171,7 +161,6 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
         self.dead_levels.clear();
         self.live = points.len();
         self.levels = build_levels(self.dims, points);
-        self.rebuilds += 1;
     }
 
     /// Fraction of stored points that are tombstoned garbage.

@@ -171,15 +171,6 @@ impl Directory {
         }
     }
 
-    /// Adds `node` as a follower of `shard` (after a checkpoint
-    /// install).
-    pub fn add_follower(&mut self, shard: u32, node: usize) {
-        let h = &mut self.hosts[shard as usize];
-        if h.primary != node && !h.followers.contains(&node) {
-            h.followers.push(node);
-        }
-    }
-
     /// Marks node `idx` dead and promotes a follower for every shard it
     /// led, using the `fail_shard` rule: the follower with the highest
     /// applied offset wins, ties break toward the lowest node index

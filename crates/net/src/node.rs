@@ -20,6 +20,7 @@
 //! bit-identical to an in-process shard engine at the same offset.
 
 use crate::wire::{self, Frame, QueryOutcome};
+use janus_cluster::notify::{Backoff, IDLE_MAX};
 use janus_cluster::{ShardCheckpoint, ShardOp};
 use janus_common::Result;
 use janus_core::{JanusEngine, SynopsisConfig};
@@ -31,12 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Shortest pump idle park; doubles per empty poll up to [`IDLE_MAX`].
-const IDLE_MIN: Duration = Duration::from_millis(1);
-/// Idle-park ceiling: bounds worst-case wake latency when an unpark is
-/// missed while the worker was outside its park.
-const IDLE_MAX: Duration = Duration::from_millis(64);
 
 /// Identity and tuning for one node daemon.
 #[derive(Clone, Debug)]
@@ -135,7 +130,7 @@ impl NodeState {
 
 /// Drains a slot's local topic into its engine until shutdown/release.
 fn pump_loop(state: &NodeState, slot: &ShardSlot) {
-    let mut idle = IDLE_MIN;
+    let mut idle = Backoff::new();
     while !state.shutdown.load(Ordering::Acquire) && !slot.retired.load(Ordering::Acquire) {
         // Chaos hook: an injected fault here models a wedged applier —
         // a transient stall, never a wrong apply. `Stall` sleeps inside
@@ -151,11 +146,10 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
             .log
             .poll(applied - slot.base, state.config.pump_chunk.max(1));
         if batch.is_empty() {
-            std::thread::park_timeout(idle);
-            idle = (idle * 2).min(IDLE_MAX);
+            idle.park();
             continue;
         }
-        idle = IDLE_MIN;
+        idle.reset();
         let mut engine = slot.engine.lock();
         let (done, skipped, _first_error) = engine.apply_update_batch(batch, true);
         // Store under the engine lock: see `ShardSlot::applied`.

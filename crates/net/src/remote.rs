@@ -15,6 +15,15 @@
 //! * the **placement directory** ([`Directory`]), replicated by value
 //!   through an optional [`CheckpointStore`].
 //!
+//! There is one publish path: [`RemoteCluster::publish_batch`] resolves a
+//! whole batch against the row directory under one lock acquisition,
+//! appends once per touched shard, wakes the shippers once, and then
+//! stalls once per touched shard while that shard is over the
+//! publish-ahead bound (`publish_insert` / `publish_delete` are
+//! one-element batches). Because the stall follows the append, the
+//! slowest alive copy of a shard trails its topic end by at most
+//! [`RemoteConfig::max_backlog`] records plus one batch.
+//!
 //! Per-node *shipper* threads push each shard topic's tail to every
 //! node hosting a copy ([`Frame::PublishBatch`]), so followers tail
 //! remote topics exactly like in-process replicas tail local ones. A
@@ -50,8 +59,8 @@
 use crate::directory::{Directory, NodeDesc};
 use crate::node::NodeConfig;
 use crate::wire::{self, Frame, QueryOutcome};
-use janus_cluster::bootstrap::shard_seed;
-use janus_cluster::notify::Progress;
+use janus_cluster::bootstrap::{partition_rows, shard_config};
+use janus_cluster::notify::{Backoff, Progress};
 use janus_cluster::{PublishReport, ShardCheckpoint, ShardOp, ShardPolicy, ShardRouter};
 use janus_common::merge::{self, SubAnswer};
 use janus_common::{
@@ -67,8 +76,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const IDLE_MIN: Duration = Duration::from_micros(200);
-const IDLE_MAX: Duration = Duration::from_millis(20);
+/// Ceiling of [`RemoteCluster::drain`]'s wait. Nodes do not push their
+/// applied offsets, so this one timeout is a probe period rather than a
+/// missed-wakeup backstop and stays shorter than the shared idle cap.
+const DRAIN_PROBE_MAX: Duration = Duration::from_millis(20);
+/// Pause before re-reading the directory when a shard's primary was seen
+/// dead mid-promotion.
+const PROMOTION_POLL: Duration = Duration::from_millis(1);
 /// Bound on a re-dial attempt during retry; the bootstrap dial keeps its
 /// own, more generous timeout.
 const REDIAL_TIMEOUT: Duration = Duration::from_secs(1);
@@ -189,7 +203,7 @@ impl Breaker {
 #[derive(Clone, Debug)]
 pub struct RemoteConfig {
     /// Base synopsis configuration; each shard gets its seed mixed via
-    /// [`shard_seed`], exactly like the in-process cluster.
+    /// [`shard_config`], exactly like the in-process cluster.
     pub base: SynopsisConfig,
     /// Number of shards.
     pub shards: usize,
@@ -200,9 +214,10 @@ pub struct RemoteConfig {
     /// Freshness gate: a follower serves reads only while it trails the
     /// shard topic end by at most this many records.
     pub replica_lag: u64,
-    /// Per-shard publish-ahead bound: publishes stall while any copy of
-    /// the target shard trails by more than this many applied records
-    /// (0 disables backpressure).
+    /// Per-shard publish-ahead bound: a publish call stalls on return
+    /// while any copy of a shard it appended to trails by more than this
+    /// many applied records, so a copy trails by at most `max_backlog`
+    /// plus one batch (0 disables backpressure).
     pub max_backlog: u64,
     /// Records per shipped batch.
     pub ship_chunk: usize,
@@ -256,9 +271,9 @@ impl RemoteConfig {
         self
     }
 
-    /// Sets the publish-ahead window (`max_backlog`): publishes stall
-    /// while any copy of the target shard trails by more than this many
-    /// applied records. `0` disables backpressure.
+    /// Sets the publish-ahead window (`max_backlog`): a publish call
+    /// stalls while any copy of a shard it appended to trails by more
+    /// than this many applied records. `0` disables backpressure.
     pub fn with_publish_window(mut self, max_backlog: u64) -> Self {
         self.max_backlog = max_backlog;
         self
@@ -510,6 +525,38 @@ impl RemoteShared {
     }
 }
 
+/// The error for a reply of the wrong kind: a node-side
+/// [`Frame::Error`] surfaces its message, anything else is a protocol
+/// violation naming the exchange.
+fn reply_error(reply: Frame, exchange: &str) -> JanusError {
+    match reply {
+        Frame::Error { message } => JanusError::Storage(message),
+        other => JanusError::Protocol(format!("unexpected {exchange} reply: {other:?}")),
+    }
+}
+
+/// Accepts [`Frame::Ok`]; everything else is a [`reply_error`].
+fn expect_ok(reply: Frame, exchange: &str) -> Result<()> {
+    match reply {
+        Frame::Ok => Ok(()),
+        other => Err(reply_error(other, exchange)),
+    }
+}
+
+/// `shard`'s primary if it is alive; `None` while its death has been
+/// observed but the promotion has not landed (callers pause
+/// [`PROMOTION_POLL`] and look again). Errs once the shard lost every
+/// copy.
+fn alive_primary(dir: &Directory, shard: u32) -> Result<Option<usize>> {
+    if dir.lost_shards().contains(&shard) {
+        return Err(JanusError::Storage(format!(
+            "shard {shard} lost every copy"
+        )));
+    }
+    let primary = dir.hosts_of(shard).primary;
+    Ok(dir.is_alive(primary).then_some(primary))
+}
+
 /// Marks a node dead and promotes followers for every shard it led.
 /// Idempotent: concurrent detectors (shipper error, heartbeat timeout,
 /// query error) race on the `alive` swap and only one runs promotions.
@@ -563,7 +610,7 @@ fn probe_all(shared: &RemoteShared) {
 /// Pushes topic tails to one node until shutdown or node death.
 fn shipper_loop(shared: &RemoteShared, idx: usize) {
     let link = &shared.links[idx];
-    let mut idle = IDLE_MIN;
+    let mut idle = Backoff::new();
     while !shared.shutdown.load(Ordering::Acquire) && link.alive.load(Ordering::Acquire) {
         let hosted = shared.directory.read().hosted_shards(idx);
         let mut moved = false;
@@ -606,10 +653,9 @@ fn shipper_loop(shared: &RemoteShared, idx: usize) {
             }
         }
         if moved {
-            idle = IDLE_MIN;
+            idle.reset();
         } else {
-            std::thread::park_timeout(idle);
-            idle = (idle * 2).min(IDLE_MAX);
+            idle.park();
         }
     }
 }
@@ -662,37 +708,16 @@ impl RemoteCluster {
         let directory = Directory::place(descs, config.shards, config.replicas)?;
 
         let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
-        let mut per_shard: Vec<Vec<Row>> = (0..config.shards).map(|_| Vec::new()).collect();
-        let mut row_homes = DetHashMap::default();
-        for row in rows {
-            let shard = router.route(&row);
-            if row_homes.insert(row.id, shard).is_some() {
-                return Err(JanusError::InvalidConfig(format!(
-                    "duplicate row id {} in bootstrap data",
-                    row.id
-                )));
-            }
-            per_shard[shard].push(row);
-        }
-
+        let (per_shard, row_homes) = partition_rows(&mut router, rows)?;
         for (shard, bucket) in per_shard.into_iter().enumerate() {
-            let mut shard_cfg = config.base.clone();
-            shard_cfg.seed = shard_seed(config.base.seed, shard);
+            let shard_cfg = shard_config(&config.base, shard);
             for node in directory.hosts_of(shard as u32).all() {
                 let reply = links[node].request_ship(&Frame::Host {
                     shard: shard as u32,
                     config: shard_cfg.clone(),
                     rows: bucket.clone(),
                 })?;
-                match reply {
-                    Frame::Ok => {}
-                    Frame::Error { message } => return Err(JanusError::Storage(message)),
-                    other => {
-                        return Err(JanusError::Protocol(format!(
-                            "unexpected host reply: {other:?}"
-                        )))
-                    }
-                }
+                expect_ok(reply, "host")?;
             }
         }
 
@@ -734,99 +759,116 @@ impl RemoteCluster {
         Ok(RemoteCluster { shared, workers })
     }
 
-    /// Routes an insert (duplicate ids rejected via the row directory,
-    /// like the in-process cluster) and appends it to the owning shard
-    /// topic. The record is durable at the coordinator on return;
-    /// shippers push it to every hosting node asynchronously.
+    /// Routes an insert to its shard topic — a one-element
+    /// [`RemoteCluster::publish_batch`].
     pub fn publish_insert(&self, row: Row) -> Result<()> {
-        let shard = {
-            let mut homes = self.shared.row_homes.lock();
-            if homes.contains_key(&row.id) {
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(JanusError::InvalidConfig(format!(
-                    "duplicate row id {}",
-                    row.id
-                )));
-            }
-            let shard = self.shared.router.write().route(&row);
-            homes.insert(row.id, shard);
-            // Publish under the row-directory lock, mirroring the
-            // in-process ordering guarantee: once the directory names
-            // this row, its insert is in the topic ahead of any delete
-            // a concurrent publisher could append.
-            self.shared.topics.publish(shard, ShardOp::Insert(row));
-            shard
-        };
-        self.shared
-            .counters
-            .published
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.links.iter().for_each(NodeLink::unpark);
-        self.stall_for_backlog(shard as u32);
-        Ok(())
+        let id = row.id;
+        match self.publish_batch([ShardOp::Insert(row)]).rejected {
+            0 => Ok(()),
+            _ => Err(JanusError::InvalidConfig(format!("duplicate row id {id}"))),
+        }
     }
 
-    /// Routes a delete to the shard holding the row.
+    /// Routes a delete to the shard holding the row — a one-element
+    /// [`RemoteCluster::publish_batch`].
     pub fn publish_delete(&self, id: RowId) -> Result<()> {
-        let shard = {
-            let mut homes = self.shared.row_homes.lock();
-            let Some(shard) = homes.remove(&id) else {
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(JanusError::RowNotFound(id));
-            };
-            self.shared.topics.publish(shard, ShardOp::Delete(id));
-            shard
-        };
-        self.shared
-            .counters
-            .published
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.links.iter().for_each(NodeLink::unpark);
-        self.stall_for_backlog(shard as u32);
-        Ok(())
+        match self.publish_batch([ShardOp::Delete(id)]).rejected {
+            0 => Ok(()),
+            _ => Err(JanusError::RowNotFound(id)),
+        }
     }
 
-    /// Publishes a batch, counting accepted and rejected operations.
+    /// Routes and publishes a batch under one row-directory and one
+    /// router-write acquisition, exactly like the in-process
+    /// `ClusterEngine::publish_batch`: operations resolve against the
+    /// directory in arrival order (a duplicate insert or a delete of an
+    /// unknown row counts as rejected and is skipped), group per shard,
+    /// and each group lands in its topic with a single batch append — so
+    /// per-shard topic contents are identical to publishing the same
+    /// operations one at a time, however the caller slices them. Every
+    /// accepted record is durable at the coordinator on return; shippers
+    /// push it to the hosting nodes asynchronously. The call then stalls
+    /// once per shard it appended to while that shard is over the
+    /// publish-ahead bound.
     pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
-        let mut report = PublishReport::default();
+        let shared = &self.shared;
+        let mut groups: Vec<Vec<ShardOp>> = (0..shared.config.shards).map(|_| Vec::new()).collect();
+        let mut rejected = 0usize;
+        let mut homes = shared.row_homes.lock();
+        let mut router = shared.router.write();
         for op in ops {
-            let outcome = match op {
-                ShardOp::Insert(row) => self.publish_insert(row),
-                ShardOp::Delete(id) => self.publish_delete(id),
-            };
-            match outcome {
-                Ok(()) => report.published += 1,
-                Err(_) => report.rejected += 1,
+            match op {
+                ShardOp::Insert(row) => {
+                    if homes.contains_key(&row.id) {
+                        rejected += 1;
+                        continue;
+                    }
+                    let shard = router.route(&row);
+                    homes.insert(row.id, shard);
+                    groups[shard].push(ShardOp::Insert(row));
+                }
+                ShardOp::Delete(id) => {
+                    let Some(shard) = homes.remove(&id) else {
+                        rejected += 1;
+                        continue;
+                    };
+                    groups[shard].push(ShardOp::Delete(id));
+                }
             }
         }
-        report
+        drop(router);
+        // Appends stay under the row-directory lock, mirroring the
+        // in-process ordering guarantee: once the directory names a row,
+        // its insert is in the topic ahead of any delete a concurrent
+        // publisher could append.
+        let mut published = 0usize;
+        let mut touched = Vec::new();
+        for (shard, group) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            published += group.len();
+            shared.topics.publish_batch(shard, group);
+            touched.push(shard as u32);
+        }
+        drop(homes);
+        let counters = &shared.counters;
+        counters
+            .published
+            .fetch_add(published as u64, Ordering::Relaxed);
+        counters
+            .rejected
+            .fetch_add(rejected as u64, Ordering::Relaxed);
+        if published > 0 {
+            shared.unpark_shippers();
+        }
+        for shard in touched {
+            self.stall_for_backlog(shard);
+        }
+        PublishReport {
+            published,
+            rejected,
+        }
     }
 
     /// Blocks while the publish-ahead bound is exceeded for `shard`:
     /// the slowest alive copy may trail the topic end by at most
-    /// `max_backlog` records (plus in-flight publishers), so an
-    /// unbounded producer cannot run away from the fleet.
+    /// `max_backlog` records plus the batch just appended (and in-flight
+    /// publishers), so an unbounded producer cannot run away from the
+    /// fleet. Applied offsets only move on a publish ack or a heartbeat,
+    /// and both bump progress.
     fn stall_for_backlog(&self, shard: u32) {
-        let limit = self.shared.config.max_backlog;
+        let shared = &self.shared;
+        let limit = shared.config.max_backlog;
         if limit == 0 {
             return;
         }
-        let mut idle = IDLE_MIN;
-        while !self.shared.shutdown.load(Ordering::Acquire) && self.shared.backlog_of(shard) > limit
-        {
-            let seen = self.shared.progress.snapshot();
-            if self.shared.backlog_of(shard) <= limit {
-                return;
-            }
-            self.shared.progress.wait_past(seen, idle);
-            idle = (idle * 2).min(IDLE_MAX);
-        }
+        shared.progress.wait_until(
+            Backoff::new(),
+            || shared.shutdown.load(Ordering::Acquire),
+            || {},
+            || shared.backlog_of(shard) <= limit,
+        );
     }
 
     /// Worst publish-ahead lag across shards — `true` if any shard's
@@ -840,20 +882,16 @@ impl RemoteCluster {
     /// nodes directly (not just on the heartbeat period) so the barrier
     /// resolves promptly.
     pub fn drain(&self) {
-        let mut idle = IDLE_MIN;
-        loop {
-            self.shared.unpark_shippers();
-            probe_all(&self.shared);
-            if self.drained() {
-                return;
-            }
-            let seen = self.shared.progress.snapshot();
-            if self.drained() {
-                return;
-            }
-            self.shared.progress.wait_past(seen, idle);
-            idle = (idle * 2).min(IDLE_MAX);
-        }
+        let shared = &self.shared;
+        shared.progress.wait_until(
+            Backoff::capped(DRAIN_PROBE_MAX),
+            || shared.shutdown.load(Ordering::Acquire),
+            || {
+                shared.unpark_shippers();
+                probe_all(shared);
+            },
+            || self.drained(),
+        );
     }
 
     fn drained(&self) -> bool {
@@ -1008,11 +1046,7 @@ impl RemoteCluster {
             };
             let picked = {
                 let dir = shared.directory.read();
-                if dir.lost_shards().contains(&shard) {
-                    return Err(JanusError::Storage(format!(
-                        "shard {shard} lost every copy"
-                    )));
-                }
+                let primary = alive_primary(&dir, shard)?;
                 let hosts = dir.hosts_of(shard);
                 let end = shared.topics.topic(shard as usize).len() as u64;
                 let lag = shared.config.replica_lag;
@@ -1025,7 +1059,7 @@ impl RemoteCluster {
                             && end.saturating_sub(shared.links[f].applied_of(shard)) <= lag
                     })
                     .collect();
-                if dir.is_alive(hosts.primary) {
+                primary.map(|primary| {
                     // Degraded replica reads: while the primary's
                     // breaker is open, steer round-robin across fresh
                     // followers only — unless the freshness fallback
@@ -1033,7 +1067,7 @@ impl RemoteCluster {
                     // pinned read doubles as the half-open probe).
                     let degraded = !primary_only
                         && !fresh.is_empty()
-                        && shared.links[hosts.primary].breaker.is_open();
+                        && shared.links[primary].breaker.is_open();
                     let pick = if primary_only {
                         0
                     } else if degraded {
@@ -1048,22 +1082,18 @@ impl RemoteCluster {
                             % (fresh.len() + 1)
                     };
                     if pick == 0 {
-                        Some((hosts.primary, 0))
+                        (primary, 0)
                     } else {
                         shared
                             .counters
                             .replica_queries
                             .fetch_add(1, Ordering::Relaxed);
-                        Some((fresh[pick - 1], end.saturating_sub(lag)))
+                        (fresh[pick - 1], end.saturating_sub(lag))
                     }
-                } else {
-                    // Primary death observed mid-promotion; retry after
-                    // the failover lands.
-                    None
-                }
+                })
             };
             let Some((node, min_applied)) = picked else {
-                std::thread::park_timeout(Duration::from_millis(1));
+                std::thread::park_timeout(PROMOTION_POLL);
                 continue;
             };
             let frame = Frame::Query {
@@ -1094,11 +1124,7 @@ impl RemoteCluster {
                         return Ok(SubAnswer::Moments { sum, count })
                     }
                 },
-                Ok(other) => {
-                    return Err(JanusError::Protocol(format!(
-                        "unexpected query reply: {other:?}"
-                    )))
-                }
+                Ok(other) => return Err(reply_error(other, "query")),
                 // A healthy-but-slow node: the shard misses this gather,
                 // the node stays in the cluster — and the breaker is
                 // left alone (slowness is the deadline's business).
@@ -1134,18 +1160,8 @@ impl RemoteCluster {
         let mut total = 0;
         for shard in 0..self.shared.config.shards as u32 {
             loop {
-                let primary = {
-                    let dir = self.shared.directory.read();
-                    if dir.lost_shards().contains(&shard) {
-                        return Err(JanusError::Storage(format!(
-                            "shard {shard} lost every copy"
-                        )));
-                    }
-                    let p = dir.hosts_of(shard).primary;
-                    dir.is_alive(p).then_some(p)
-                };
-                let Some(primary) = primary else {
-                    std::thread::park_timeout(Duration::from_millis(1));
+                let Some(primary) = alive_primary(&self.shared.directory.read(), shard)? else {
+                    std::thread::park_timeout(PROMOTION_POLL);
                     continue;
                 };
                 let link = &self.shared.links[primary];
@@ -1160,11 +1176,7 @@ impl RemoteCluster {
                         total += rows;
                         break;
                     }
-                    Ok(other) => {
-                        return Err(JanusError::Protocol(format!(
-                            "unexpected population reply: {other:?}"
-                        )))
-                    }
+                    Ok(other) => return Err(reply_error(other, "population")),
                     Err(_) => fail_node(&self.shared, primary),
                 }
             }
@@ -1200,19 +1212,12 @@ impl RemoteCluster {
             &shared.config.retry,
             &shared.counters.link_retries,
         )?;
-        let applied_offset = match &shipped {
-            Frame::Checkpoint { payload, .. } => {
-                let ck: ShardCheckpoint = serde_json::from_slice(payload)
-                    .map_err(|e| JanusError::Storage(format!("parse shipped checkpoint: {e}")))?;
-                ck.applied_offset
-            }
-            Frame::Error { message } => return Err(JanusError::Storage(message.clone())),
-            other => {
-                return Err(JanusError::Protocol(format!(
-                    "unexpected checkpoint reply: {other:?}"
-                )))
-            }
+        let Frame::Checkpoint { payload, .. } = &shipped else {
+            return Err(reply_error(shipped, "checkpoint"));
         };
+        let ck: ShardCheckpoint = serde_json::from_slice(payload)
+            .map_err(|e| JanusError::Storage(format!("parse shipped checkpoint: {e}")))?;
+        let applied_offset = ck.applied_offset;
         let install = shared.links[to].request_retry(
             &shared.links[to].ship,
             &shipped,
@@ -1220,16 +1225,10 @@ impl RemoteCluster {
             &shared.counters.link_retries,
         )?;
         match install {
-            Frame::Ok => {}
             // An install whose ack was lost to a retried transport
             // error already landed; "already hosted" is success here.
             Frame::Error { message } if message.contains("already hosted") => {}
-            Frame::Error { message } => return Err(JanusError::Storage(message)),
-            other => {
-                return Err(JanusError::Protocol(format!(
-                    "unexpected install reply: {other:?}"
-                )))
-            }
+            other => expect_ok(other, "install")?,
         }
         shared.links[to]
             .shipped
@@ -1286,6 +1285,12 @@ impl RemoteCluster {
     /// Current placement snapshot (for inspection / tests).
     pub fn directory_snapshot(&self) -> crate::directory::DirectorySnapshot {
         self.shared.directory.read().snapshot()
+    }
+
+    /// Every record of `shard`'s coordinator topic, in offset order (for
+    /// inspection / tests).
+    pub fn topic_records(&self, shard: usize) -> Vec<ShardOp> {
+        self.shared.topics.poll(shard, 0, usize::MAX)
     }
 
     /// Shards that lost every copy (answers for them fail loudly).

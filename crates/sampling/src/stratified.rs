@@ -42,11 +42,6 @@ pub fn stratum_is_underrepresented(
     (samples_in_stratum as f64) < threshold_fraction * (m as f64).ln()
 }
 
-/// Expected proportional allocation for a stratum: `α · N_i`.
-pub fn proportional_allocation(alpha: f64, stratum_population: f64) -> f64 {
-    alpha * stratum_population
-}
-
 /// True when an observed allocation is within a multiplicative `factor` of
 /// proportional (the "up to a factor of 2" of §4.2 / Appendix B).
 pub fn allocation_within_factor(observed: f64, expected: f64, factor: f64) -> bool {

@@ -160,22 +160,6 @@ impl SpillStats {
             self.live_rows as f64 / total as f64
         }
     }
-
-    /// Dead records over total sealed records (`0.0` when nothing is
-    /// sealed) — the quantity the auto-compaction threshold tests.
-    pub fn dead_record_ratio(&self) -> f64 {
-        if self.sealed_records == 0 {
-            return 0.0;
-        }
-        let live_sealed = (self.live_rows - self.tail_live_bound()) as u64;
-        1.0 - live_sealed.min(self.sealed_records) as f64 / self.sealed_records as f64
-    }
-
-    /// Upper bound on live rows residing in the tail (every tail record
-    /// could be a live insert).
-    fn tail_live_bound(&self) -> usize {
-        self.tail_records.min(self.live_rows)
-    }
 }
 
 /// Uniquifies ephemeral spill directories within the process.

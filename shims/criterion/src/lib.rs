@@ -110,13 +110,6 @@ impl BenchmarkId {
             label: format!("{}/{}", function.into(), parameter),
         }
     }
-
-    /// Builds an id from a displayed parameter only.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
 }
 
 /// Per-iteration throughput declaration.
@@ -167,22 +160,6 @@ impl Bencher {
             let input = setup();
             let started = Instant::now();
             black_box(routine(input));
-            self.total += started.elapsed();
-            self.iters += 1;
-        }
-    }
-
-    /// Like [`Bencher::iter_batched`], but the routine takes the state by
-    /// reference.
-    pub fn iter_batched_ref<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(&mut I) -> O,
-    {
-        for _ in 0..MEASURE_ITERS {
-            let mut input = setup();
-            let started = Instant::now();
-            black_box(routine(&mut input));
             self.total += started.elapsed();
             self.iters += 1;
         }

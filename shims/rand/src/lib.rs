@@ -290,11 +290,6 @@ pub mod seq {
             pub fn is_empty(&self) -> bool {
                 self.0.is_empty()
             }
-
-            /// The indices as a vector.
-            pub fn into_vec(self) -> Vec<usize> {
-                self.0
-            }
         }
 
         impl IntoIterator for IndexVec {

@@ -428,3 +428,134 @@ fn directory_places_followers_in_distinct_failure_domains() {
     remote.shutdown_nodes();
     remote.shutdown();
 }
+
+#[test]
+fn one_batch_seven_op_slices_and_row_by_row_publish_identically() {
+    const SHARDS: usize = 4;
+    // One fixed op sequence with every reject kind mixed in: duplicate
+    // inserts (of a bootstrap row, of a row inserted earlier in the
+    // sequence), unknown deletes, double deletes, and a delete of a row
+    // inserted a few ops earlier (same batch or the previous slice).
+    let mut rng = SmallRng::seed_from_u64(77);
+    let mut live: Vec<u64> = (0..2_000).collect();
+    let mut next = 5_000_000u64;
+    let mut ops = Vec::new();
+    for step in 0..1_500u64 {
+        let x = rng.gen::<f64>() * 100.0;
+        match step % 25 {
+            3 => ops.push(ShardOp::Insert(Row::new(live[0], vec![x, x]))),
+            9 => ops.push(ShardOp::Delete(9_000_000 + step)),
+            14 => {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                ops.push(ShardOp::Delete(id));
+                ops.push(ShardOp::Delete(id));
+            }
+            20 => {
+                ops.push(ShardOp::Insert(Row::new(next, vec![x, x * 2.0])));
+                ops.push(ShardOp::Insert(Row::new(next, vec![x, x * 3.0])));
+                ops.push(ShardOp::Delete(next));
+                next += 1;
+            }
+            _ if rng.gen_bool(0.8) => {
+                ops.push(ShardOp::Insert(Row::new(next, vec![x, x * 2.0])));
+                live.push(next);
+                next += 1;
+            }
+            _ => {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                ops.push(ShardOp::Delete(id));
+            }
+        }
+    }
+
+    type Answers = Vec<(u64, u64)>;
+    let answers = |query: &dyn Fn(&Query) -> Estimate| -> Answers {
+        probes()
+            .iter()
+            .map(|q| {
+                let e = query(q);
+                (e.value.to_bits(), e.variance().to_bits())
+            })
+            .collect()
+    };
+
+    // RoundRobin makes placement depend on the router's cursor, so any
+    // change in routing order between the variants would show.
+    for policy in [
+        ShardPolicy::RoundRobin,
+        ShardPolicy::range_equal_width(0, 0.0, 100.0, SHARDS).unwrap(),
+    ] {
+        let twin = ClusterEngine::bootstrap(
+            ClusterConfig::new(config(29), SHARDS, policy.clone()),
+            rows(2_000, 29),
+        )
+        .expect("twin");
+        let twin_report = twin.publish_batch(ops.clone());
+        assert!(twin_report.published > 0 && twin_report.rejected > 0);
+        twin.pump_all().expect("pump");
+        let twin_topics: Vec<Vec<ShardOp>> = (0..SHARDS)
+            .map(|s| twin.topics().poll(s, 0, usize::MAX))
+            .collect();
+        let twin_answers = answers(&|q| twin.query(q).expect("twin query").expect("answer"));
+
+        // `None` publishes row by row through the one-element wrappers.
+        for slice in [Some(ops.len()), Some(7), None] {
+            let fleet = local_fleet(2).expect("start fleet");
+            let remote = RemoteCluster::bootstrap(
+                RemoteConfig::new(config(29), SHARDS, policy.clone()),
+                rows(2_000, 29),
+                &addrs_of(&fleet),
+            )
+            .expect("bootstrap");
+            let mut report = PublishReport::default();
+            match slice {
+                Some(len) => {
+                    for chunk in ops.chunks(len) {
+                        let r = remote.publish_batch(chunk.to_vec());
+                        report.published += r.published;
+                        report.rejected += r.rejected;
+                    }
+                }
+                None => {
+                    for op in ops.clone() {
+                        let outcome = match op {
+                            ShardOp::Insert(row) => remote.publish_insert(row),
+                            ShardOp::Delete(id) => remote.publish_delete(id),
+                        };
+                        match outcome {
+                            Ok(()) => report.published += 1,
+                            Err(_) => report.rejected += 1,
+                        }
+                    }
+                }
+            }
+            let when = format!("{policy:?} sliced {slice:?}");
+            assert_eq!(report, twin_report, "{when}: publish report");
+            let stats = remote.stats();
+            assert_eq!(
+                (stats.published, stats.rejected),
+                (report.published as u64, report.rejected as u64),
+                "{when}: counters"
+            );
+            for (shard, expected) in twin_topics.iter().enumerate() {
+                assert_eq!(
+                    &remote.topic_records(shard),
+                    expected,
+                    "{when}: shard {shard} topic"
+                );
+            }
+            remote.drain();
+            assert_eq!(remote.population().unwrap(), twin.population() as u64);
+            assert_eq!(
+                answers(&|q| remote.query(q).expect("remote query").expect("answer")),
+                twin_answers,
+                "{when}: drained answers"
+            );
+            remote.shutdown_nodes();
+            remote.shutdown();
+            for s in fleet {
+                s.wait();
+            }
+        }
+    }
+}
