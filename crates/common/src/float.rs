@@ -6,9 +6,9 @@ use std::fmt;
 /// An `f64` with a total order (IEEE-754 `totalOrder`), usable as a key in
 /// `BTreeMap`/`BTreeSet` and in binary heaps.
 ///
-/// JanusAQP stores aggregation values in bounded top-k / bottom-k multisets
-/// to maintain MIN/MAX statistics incrementally (§4.1); those multisets are
-/// keyed by `F64`.
+/// The k-d partitioner's priority queue is keyed by `F64`, as is the
+/// `BTreeMap` reference model the bounded MIN/MAX multisets (§4.1) are
+/// property-tested against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct F64(pub f64);
 

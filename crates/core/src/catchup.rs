@@ -9,29 +9,35 @@
 //! epoch snapshot are essentially exact.
 
 use janus_common::Row;
+use janus_storage::ArchiveStore;
 
-/// A snapshot queue of shuffled historical rows with a sample goal.
+/// A snapshot queue of shuffled historical rows: exactly the rows the
+/// catch-up phase will apply to reach its sample goal, in order.
 pub struct CatchupQueue {
     rows: Vec<Row>,
     pos: usize,
-    goal: usize,
 }
 
 impl CatchupQueue {
-    /// Creates a queue over pre-shuffled `rows` targeting `goal` samples
-    /// (clamped to the queue length).
-    pub fn new(rows: Vec<Row>, goal: usize) -> Self {
-        let goal = goal.min(rows.len());
-        CatchupQueue { rows, pos: 0, goal }
+    /// Creates a queue whose goal is to apply all of the pre-shuffled
+    /// `rows`.
+    pub fn new(rows: Vec<Row>) -> Self {
+        CatchupQueue { rows, pos: 0 }
+    }
+
+    /// The catch-up phase of a (re-)initialization over `archive`: a goal
+    /// of `⌈catchup_ratio·|D|⌉` rows (at most `|D|`) in the seeded shuffle
+    /// order. Only those rows are materialized — the queue never reads
+    /// past its goal, so the rest of the shuffle would be dead weight for
+    /// the engine's lifetime.
+    pub fn over_archive(archive: &ArchiveStore, catchup_ratio: f64, seed: u64) -> Self {
+        let goal = (catchup_ratio * archive.len() as f64).ceil() as usize;
+        Self::new(archive.shuffled_prefix(seed, goal))
     }
 
     /// An already-complete queue (used when the base is exact).
     pub fn completed() -> Self {
-        CatchupQueue {
-            rows: Vec::new(),
-            pos: 0,
-            goal: 0,
-        }
+        Self::new(Vec::new())
     }
 
     /// Number of samples applied so far.
@@ -41,20 +47,20 @@ impl CatchupQueue {
 
     /// The sample goal.
     pub fn goal(&self) -> usize {
-        self.goal
+        self.rows.len()
     }
 
     /// True once the goal has been reached.
     pub fn is_complete(&self) -> bool {
-        self.pos >= self.goal
+        self.pos >= self.rows.len()
     }
 
     /// Progress in `[0, 1]`.
     pub fn progress(&self) -> f64 {
-        if self.goal == 0 {
+        if self.rows.is_empty() {
             1.0
         } else {
-            self.pos as f64 / self.goal as f64
+            self.pos as f64 / self.rows.len() as f64
         }
     }
 
@@ -62,12 +68,12 @@ impl CatchupQueue {
     /// what a synopsis snapshot persists so a restored engine resumes
     /// catch-up exactly where the original stood.
     pub fn remaining(&self) -> &[Row] {
-        &self.rows[self.pos..self.goal]
+        &self.rows[self.pos..]
     }
 
     /// Takes the next chunk of at most `n` rows toward the goal.
     pub fn next_chunk(&mut self, n: usize) -> &[Row] {
-        let end = (self.pos + n).min(self.goal);
+        let end = (self.pos + n).min(self.rows.len());
         let start = self.pos;
         self.pos = end;
         &self.rows[start..end]
@@ -84,7 +90,7 @@ mod tests {
 
     #[test]
     fn chunks_advance_to_goal_and_stop() {
-        let mut q = CatchupQueue::new(rows(100), 30);
+        let mut q = CatchupQueue::new(rows(30));
         assert!(!q.is_complete());
         assert_eq!(q.next_chunk(20).len(), 20);
         assert!((q.progress() - 2.0 / 3.0).abs() < 1e-12);
@@ -95,9 +101,12 @@ mod tests {
     }
 
     #[test]
-    fn goal_is_clamped_to_queue_length() {
-        let q = CatchupQueue::new(rows(10), 50);
-        assert_eq!(q.goal(), 10);
+    fn archive_queue_holds_only_its_goal() {
+        let archive = ArchiveStore::from_rows(rows(100));
+        let q = CatchupQueue::over_archive(&archive, 0.25, 9);
+        assert_eq!(q.goal(), 25);
+        assert_eq!(q.remaining(), &archive.shuffled(9)[..25]);
+        assert_eq!(CatchupQueue::over_archive(&archive, 2.5, 9).goal(), 100);
     }
 
     #[test]
@@ -110,7 +119,7 @@ mod tests {
 
     #[test]
     fn rows_come_out_in_order() {
-        let mut q = CatchupQueue::new(rows(5), 5);
+        let mut q = CatchupQueue::new(rows(5));
         let ids: Vec<u64> = q.next_chunk(5).iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }

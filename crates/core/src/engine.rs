@@ -104,8 +104,7 @@ impl JanusEngine {
             }
             CatchupQueue::completed()
         } else {
-            let goal = (config.catchup_ratio * n as f64).ceil() as usize;
-            CatchupQueue::new(archive.shuffled(config.seed ^ 0xca7c), goal)
+            CatchupQueue::over_archive(&archive, config.catchup_ratio, config.seed ^ 0xca7c)
         };
 
         Ok(JanusEngine {
@@ -663,8 +662,6 @@ impl JanusEngine {
         let points = sample_points(&template, reservoir.iter());
         let maxvar =
             MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
-        let catchup_rows = snapshot.catchup_rows.clone();
-        let goal = catchup_rows.len();
         Ok(JanusEngine {
             trigger_cfg: TriggerConfig {
                 beta: config.beta,
@@ -676,7 +673,7 @@ impl JanusEngine {
             reservoir,
             maxvar,
             dpt,
-            catchup: CatchupQueue::new(catchup_rows, goal),
+            catchup: CatchupQueue::new(snapshot.catchup_rows.clone()),
             stats: EngineStats::default(),
             updates_since_check: snapshot.updates_since_check as usize,
             seed_counter: snapshot.seed_counter,
@@ -744,9 +741,8 @@ impl JanusEngine {
         self.reservoir.reset(rows);
         self.rebuild_sample_structures();
         // (5) catch-up restarts in the background.
-        let goal = (self.config.catchup_ratio * n as f64).ceil() as usize;
         let seed = self.next_seed();
-        self.catchup = CatchupQueue::new(self.archive.shuffled(seed), goal);
+        self.catchup = CatchupQueue::over_archive(&self.archive, self.config.catchup_ratio, seed);
     }
 
     /// Partial re-partitioning (Appendix E): rebuilds only the subtree
@@ -778,9 +774,8 @@ impl JanusEngine {
             }
         }
         // Restart catch-up for the new-epoch nodes.
-        let goal = (self.config.catchup_ratio * self.archive.len() as f64).ceil() as usize;
         let seed = self.next_seed();
-        self.catchup = CatchupQueue::new(self.archive.shuffled(seed), goal);
+        self.catchup = CatchupQueue::over_archive(&self.archive, self.config.catchup_ratio, seed);
         self.stats.partial_repartitions += 1;
         Ok(())
     }
@@ -925,6 +920,24 @@ mod tests {
         let est = engine.query(&q).unwrap().unwrap();
         let truth = engine.evaluate_exact(&q).unwrap();
         assert!((est.value - truth).abs() / truth < 0.25);
+    }
+
+    /// The persisted catch-up queue is the head of the full archive
+    /// shuffle for the engine's seed — what it was when the queue held
+    /// every row — and shrinks from the front as catch-up advances.
+    #[test]
+    fn saved_catchup_rows_are_the_head_of_the_seeded_shuffle() {
+        let cfg = config(8);
+        let mut engine =
+            JanusEngine::bootstrap_without_catchup(cfg.clone(), rows(2_000, 8)).unwrap();
+        let full = engine.archive().shuffled(cfg.seed ^ 0xca7c);
+        let goal = 600; // catchup_ratio 0.3
+        assert_eq!(engine.save_synopsis().catchup_rows, full[..goal]);
+        assert_eq!(engine.advance_catchup(250), 250);
+        assert_eq!(engine.save_synopsis().catchup_rows, full[250..goal]);
+        engine.run_catchup_to_goal();
+        assert!(engine.save_synopsis().catchup_rows.is_empty());
+        assert_eq!(engine.stats().catchup_applied, goal as u64);
     }
 
     #[test]

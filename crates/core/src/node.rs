@@ -167,6 +167,13 @@ impl NodeStats {
     pub fn set_exact_base(&mut self, base: Moments) {
         self.exact_base = Some(base);
     }
+
+    /// Adds one scanned tuple to the exact base and the MIN/MAX heaps —
+    /// the per-row step of a full-scan construction.
+    pub fn record_base(&mut self, a: f64) {
+        self.exact_base.get_or_insert(Moments::ZERO).add(a);
+        self.minmax.insert(a);
+    }
 }
 
 #[cfg(test)]

@@ -197,9 +197,8 @@ impl MultiTemplateEngine {
             row.project_into(&template.predicate_columns, &mut point);
             dpt.assign_sample(row.id, &point);
         }
-        let goal = (config.catchup_ratio * n as f64).ceil() as usize;
         let seed = self.next_seed();
-        let catchup = CatchupQueue::new(self.archive.shuffled(seed), goal);
+        let catchup = CatchupQueue::over_archive(&self.archive, config.catchup_ratio, seed);
         self.synopses.push(TemplateSynopsis {
             config,
             dpt,

@@ -18,6 +18,7 @@ use janus_common::{
     AggregateFunction, Estimate, JanusError, Moments, Query, QueryTemplate, Rect, Result, Row,
     RowId, RowRef,
 };
+use janus_index::topk::MinMaxTracker;
 use std::collections::{BTreeSet, HashMap};
 
 /// Read-only access to the pooled sample rows, keyed by row id.
@@ -74,7 +75,8 @@ pub struct Dpt {
     sample_leaf: DetHashMap<RowId, usize>,
     /// Reusable projection buffer for the per-row hot paths (insert,
     /// delete, catch-up): projecting through it instead of allocating a
-    /// fresh `Vec` per row is what keeps tree maintenance allocation-free.
+    /// fresh `Vec` per row is what keeps tree maintenance allocation-free
+    /// (`tests/update_path_allocs.rs` counts).
     point_scratch: Vec<f64>,
 }
 
@@ -345,31 +347,17 @@ impl Dpt {
     /// shape a columnar archive's zero-copy `for_each_row` provides, so
     /// exact-base construction allocates nothing per row.
     pub fn install_exact_base_with(&mut self, scan: impl FnOnce(&mut dyn FnMut(RowRef<'_>))) {
-        let mut acc: Vec<Moments> = vec![Moments::ZERO; self.nodes.len()];
-        let mut values: Vec<Vec<f64>> = vec![Vec::new(); self.nodes.len()];
-        {
-            let nodes = &self.nodes;
-            let root = self.root;
-            let cols = &self.template.predicate_columns;
-            let agg_col = self.template.agg_column;
-            let mut point: Vec<f64> = Vec::new();
-            let mut sink = |row: RowRef<'_>| {
-                row.project_into(cols, &mut point);
-                Self::descend_add(
-                    nodes,
-                    root,
-                    &point,
-                    row.value(agg_col),
-                    &mut acc,
-                    &mut values,
-                );
-            };
-            scan(&mut sink);
-        }
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.stats.set_exact_base(acc[i]);
-            node.stats.minmax.rebuild(values[i].iter().copied());
-        }
+        self.reset_exact_base();
+        let nodes = &mut self.nodes[..];
+        let root = self.root;
+        let cols = &self.template.predicate_columns;
+        let agg_col = self.template.agg_column;
+        let mut point: Vec<f64> = Vec::new();
+        let mut sink = |row: RowRef<'_>| {
+            row.project_into(cols, &mut point);
+            Self::descend_add(nodes, root, &point, row.value(agg_col));
+        };
+        scan(&mut sink);
     }
 
     /// Columnar twin of [`Dpt::install_exact_base_with`]: scans a dense
@@ -384,12 +372,11 @@ impl Dpt {
     /// `for_each_row`.
     pub fn install_exact_base_columns(&mut self, values: &[f64], arity: usize) {
         use janus_common::kernels::CHUNK;
+        self.reset_exact_base();
         let dims = self.template.predicate_columns.len();
-        let mut acc: Vec<Moments> = vec![Moments::ZERO; self.nodes.len()];
-        let mut leaf_vals: Vec<Vec<f64>> = vec![Vec::new(); self.nodes.len()];
         if arity > 0 {
             debug_assert_eq!(values.len() % arity, 0);
-            let nodes = &self.nodes;
+            let nodes = &mut self.nodes[..];
             let root = self.root;
             let cols = &self.template.predicate_columns;
             let agg_col = self.template.agg_column;
@@ -409,7 +396,7 @@ impl Dpt {
                 }
                 for lane in 0..CHUNK {
                     let point = &points[lane * dims..(lane + 1) * dims];
-                    Self::descend_add(nodes, root, point, aggs[lane], &mut acc, &mut leaf_vals);
+                    Self::descend_add(nodes, root, point, aggs[lane]);
                 }
             }
             let mut point = vec![0.0f64; dims];
@@ -417,29 +404,27 @@ impl Dpt {
                 for (d, &c) in cols.iter().enumerate() {
                     point[d] = row[c];
                 }
-                Self::descend_add(nodes, root, &point, row[agg_col], &mut acc, &mut leaf_vals);
+                Self::descend_add(nodes, root, &point, row[agg_col]);
             }
         }
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.stats.set_exact_base(acc[i]);
-            node.stats.minmax.rebuild(leaf_vals[i].iter().copied());
+    }
+
+    /// Gives every node an empty exact base and empty MIN/MAX heaps — the
+    /// state the exact-base installers scan the table into.
+    fn reset_exact_base(&mut self) {
+        for node in &mut self.nodes {
+            node.stats.set_exact_base(Moments::ZERO);
+            node.stats.minmax = MinMaxTracker::new(self.minmax_k);
         }
     }
 
     /// The per-row step shared by the exact-base installers: adds `a` to
-    /// every node on `point`'s path, root first.
+    /// the exact base and the MIN/MAX heaps of every node on `point`'s
+    /// path, root first.
     #[inline]
-    fn descend_add(
-        nodes: &[DptNode],
-        root: usize,
-        point: &[f64],
-        a: f64,
-        acc: &mut [Moments],
-        vals: &mut [Vec<f64>],
-    ) {
-        Self::walk_path(nodes, root, point, |_, idx| {
-            acc[idx].add(a);
-            vals[idx].push(a);
+    fn descend_add(nodes: &mut [DptNode], root: usize, point: &[f64], a: f64) {
+        Self::walk_path(nodes, root, point, |nodes, idx| {
+            nodes[idx].stats.record_base(a)
         });
     }
 

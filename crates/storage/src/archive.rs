@@ -14,8 +14,8 @@
 //! Slot order is therefore a function of the insert/delete sequence only —
 //! never of the storage representation — which is what keeps every seeded
 //! sampling stream ([`ArchiveStore::sample_distinct`],
-//! [`ArchiveStore::sample_with_replacement`], [`ArchiveStore::shuffled`])
-//! bit-identical across backends.
+//! [`ArchiveStore::sample_with_replacement`], [`ArchiveStore::shuffled`],
+//! [`ArchiveStore::shuffled_prefix`]) bit-identical across backends.
 //!
 //! Two backends implement [`ArchiveBackend`]:
 //!
@@ -652,8 +652,7 @@ impl ArchiveStore {
         self.materialize((0..n).map(|_| rng.gen_range(0..len)))
     }
 
-    /// A uniformly shuffled copy of all live rows — the randomized catch-up
-    /// order over the full table used when the catch-up ratio is large.
+    /// A uniformly shuffled copy of all live rows.
     ///
     /// The shuffle permutes slot *indices* and materializes rows straight
     /// into their output positions: no intermediate whole-table `Vec<Row>`
@@ -661,9 +660,19 @@ impl ArchiveStore {
     /// and the RNG stream — the emitted order is bit-identical per seed to
     /// shuffling the materialized rows themselves.
     pub fn shuffled(&self, seed: u64) -> Vec<Row> {
+        self.shuffled_prefix(seed, usize::MAX)
+    }
+
+    /// The first `n` rows of [`ArchiveStore::shuffled`] (all of them when
+    /// `n` exceeds the table) — the randomized catch-up order of §4.3,
+    /// which only ever reads up to its sample goal. Every slot index is
+    /// still shuffled, so the prefix is row for row the full shuffle's,
+    /// but only the rows returned are materialized.
+    pub fn shuffled_prefix(&self, seed: u64, n: usize) -> Vec<Row> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.shuffle(&mut rng);
+        order.truncate(n);
         self.materialize(order.into_iter())
     }
 

@@ -853,6 +853,38 @@ mod tests {
         (store, dir)
     }
 
+    /// The catch-up prefix is row for row the head of the full shuffle,
+    /// on both backends, whether it is empty, partial, whole or overlong.
+    #[test]
+    fn shuffled_prefix_is_the_head_of_the_full_shuffle() {
+        let (mut file, dir) = file_store("prefix", 16);
+        let mut mem = ArchiveStore::new();
+        for i in 0..120u64 {
+            mem.insert(row(i)).unwrap();
+            file.insert(row(i)).unwrap();
+        }
+        for id in [5u64, 77, 119, 0] {
+            mem.delete(id).unwrap();
+            file.delete(id).unwrap();
+        }
+        for store in [&mem, &file] {
+            let len = store.len();
+            let full = store.shuffled(41);
+            assert_eq!(full, mem.shuffled(41));
+            for n in [0, 1, len / 10, len, len + 5] {
+                assert_eq!(
+                    store.shuffled_prefix(41, n),
+                    full[..n.min(len)],
+                    "{} prefix {n}",
+                    store.backend_name()
+                );
+            }
+        }
+        assert!(ArchiveStore::new().shuffled_prefix(41, 3).is_empty());
+        drop(file);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn file_backend_matches_memory_backend_exactly() {
         let (mut file, dir) = file_store("equiv", 16);
