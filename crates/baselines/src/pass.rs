@@ -9,24 +9,16 @@
 use janus_common::{DetHashMap, Estimate, Query, Result, Row, RowId};
 use janus_core::maxvar::MaxVarianceIndex;
 use janus_core::partition::{Partitioner, PartitionerKind};
-use janus_core::tree::{Dpt, SampleSource};
+use janus_core::tree::Dpt;
 use janus_core::SynopsisConfig;
 use janus_index::IndexPoint;
 use janus_storage::ArchiveStore;
 use std::time::Duration;
 
-struct SampleMap(DetHashMap<RowId, Row>);
-
-impl SampleSource for SampleMap {
-    fn sample_row(&self, id: RowId) -> Option<&Row> {
-        self.0.get(&id)
-    }
-}
-
 /// A static PASS synopsis.
 pub struct PassSynopsis {
     dpt: Dpt,
-    samples: SampleMap,
+    samples: DetHashMap<RowId, Row>,
     /// Time spent in the partition optimizer (the Table 3 metric).
     pub partition_time: Duration,
 }
@@ -78,11 +70,11 @@ impl PassSynopsis {
             Some(c) => dpt.install_exact_base_columns(c.values, c.arity),
             None => dpt.install_exact_base_with(|sink| archive.for_each_row(sink)),
         }
-        let mut samples = SampleMap(DetHashMap::default());
+        let mut samples = DetHashMap::default();
         for row in sample_rows {
             let point = row.project(&template.predicate_columns);
             dpt.assign_sample(row.id, &point);
-            samples.0.insert(row.id, row);
+            samples.insert(row.id, row);
         }
         Ok(PassSynopsis {
             dpt,

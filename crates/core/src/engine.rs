@@ -10,6 +10,7 @@
 
 use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
+use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
 use crate::partition::{PartitionOutcome, Partitioner};
 use crate::tree::Dpt;
@@ -43,7 +44,6 @@ pub struct EngineStats {
 /// The synchronous JanusAQP engine.
 pub struct JanusEngine {
     config: SynopsisConfig,
-    partitioner: Partitioner,
     trigger_cfg: TriggerConfig,
     archive: ArchiveStore,
     reservoir: DynamicReservoir,
@@ -81,8 +81,7 @@ impl JanusEngine {
         let maxvar =
             MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
 
-        let partitioner = Partitioner::auto(config.rho);
-        let outcome = partitioner.compute(&maxvar, config.leaf_count)?;
+        let outcome = Partitioner::auto(config.rho).compute(&maxvar, config.leaf_count)?;
         let mut dpt = Dpt::build(
             template,
             config.minmax_k,
@@ -112,7 +111,6 @@ impl JanusEngine {
                 beta: config.beta,
                 underrep_fraction: 1.0,
             },
-            partitioner,
             config,
             archive,
             reservoir,
@@ -347,53 +345,26 @@ impl JanusEngine {
     /// Answers a query from the synopsis. `Ok(None)` for AVG/MIN/MAX over
     /// an (estimated) empty selection.
     pub fn query(&mut self, query: &Query) -> Result<Option<Estimate>> {
-        self.stats.queries += 1;
-        if query.predicate_columns == self.config.template.predicate_columns {
-            if query.agg_column == self.config.template.agg_column {
-                self.dpt.answer(query, &self.reservoir)
-            } else {
-                // §5.5 heuristic: different aggregation attribute — answer
-                // from the stratified samples (full rows are pooled).
-                self.dpt.answer_sampling_only(query, &self.reservoir)
-            }
-        } else {
-            // §5.5 heuristic: different predicate attribute — fall back to
-            // uniform estimation over the pooled sample.
-            Ok(crate::templates::uniform_estimate(
-                query,
-                self.reservoir.iter(),
-                self.archive.len(),
-            ))
-        }
+        Ok(self.gather(query)?.finish(query.agg))
     }
 
     /// Moment-level merge hook for scatter-gather deployments: answers the
     /// query's selection as a (SUM, COUNT) estimate pair over the same
-    /// predicate. A cluster façade merges these additively across shards
-    /// and re-derives AVG as the ratio of the merged moments
+    /// predicate, from one gather. A cluster façade merges these additively
+    /// across shards and re-derives AVG as the ratio of the merged moments
     /// ([`janus_common::merge::combine_avg`]), which is the only
     /// composition that keeps the §4.4.1 two-source confidence interval
     /// correct — per-shard AVG answers themselves do not add.
     pub fn answer_sum_count(&mut self, query: &Query) -> Result<(Estimate, Estimate)> {
-        let sum_query = Query::new(
-            janus_common::AggregateFunction::Sum,
-            query.agg_column,
-            query.predicate_columns.clone(),
-            query.range.clone(),
-        )?;
-        let count_query = Query::new(
-            janus_common::AggregateFunction::Count,
-            query.agg_column,
-            query.predicate_columns.clone(),
-            query.range.clone(),
-        )?;
-        let sum = self
-            .query(&sum_query)?
-            .expect("SUM answers are always produced");
-        let count = self
-            .query(&count_query)?
-            .expect("COUNT answers are always produced");
-        Ok((sum, count))
+        Ok(self.gather(query)?.sum_count())
+    }
+
+    /// Counts the query and gathers what it touches, through the §5.5
+    /// dispatch: this engine's one tree, else the pooled sample.
+    fn gather(&mut self, query: &Query) -> Result<Gathered<'_>> {
+        self.stats.queries += 1;
+        let trees = std::iter::once(&self.dpt);
+        Gathered::route(query, trees, &self.reservoir, self.archive.len())
     }
 
     /// Applies a batch of updates in arrival order under a single call —
@@ -539,7 +510,7 @@ impl JanusEngine {
     pub fn try_repartition(&mut self) -> bool {
         let current_max = self.current_max_variance();
         let beta = self.config.beta;
-        let Ok(candidate) = self.partitioner.compute_if_below(
+        let Ok(candidate) = Partitioner::auto(self.config.rho).compute_if_below(
             &self.maxvar,
             self.config.leaf_count,
             trigger::adoption_bound(current_max, beta),
@@ -573,9 +544,8 @@ impl JanusEngine {
     /// from the pooled sample, populate approximate statistics from it,
     /// re-sample the reservoir, and restart catch-up.
     pub fn reinitialize(&mut self) -> Result<()> {
-        let outcome = self
-            .partitioner
-            .compute(&self.maxvar, self.config.leaf_count)?;
+        let outcome =
+            Partitioner::auto(self.config.rho).compute(&self.maxvar, self.config.leaf_count)?;
         self.adopt_partitioning(outcome);
         self.stats.repartitions += 1;
         Ok(())
@@ -667,7 +637,6 @@ impl JanusEngine {
                 beta: config.beta,
                 underrep_fraction: 1.0,
             },
-            partitioner: Partitioner::auto(config.rho),
             config,
             archive,
             reservoir,
@@ -700,7 +669,7 @@ impl JanusEngine {
             self.config.delta,
             points,
         );
-        self.partitioner.compute(&mv, self.config.leaf_count)
+        Partitioner::auto(self.config.rho).compute(&mv, self.config.leaf_count)
     }
 
     /// Installs a previously-planned partitioning — the §4.3 step-2
@@ -782,7 +751,7 @@ impl JanusEngine {
 }
 
 /// `|S| / |D|`, clamped into a sane range.
-fn effective_alpha(samples: usize, population: usize) -> f64 {
+pub(crate) fn effective_alpha(samples: usize, population: usize) -> f64 {
     if population == 0 {
         1.0
     } else {
@@ -791,7 +760,7 @@ fn effective_alpha(samples: usize, population: usize) -> f64 {
 }
 
 /// Projects sampled rows into max-variance index points.
-fn sample_points<'a>(
+pub(crate) fn sample_points<'a>(
     template: &janus_common::QueryTemplate,
     rows: impl Iterator<Item = &'a Row>,
 ) -> Vec<IndexPoint> {

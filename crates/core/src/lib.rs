@@ -34,6 +34,7 @@ pub mod catchup;
 pub mod concurrent;
 pub mod config;
 pub mod engine;
+mod estimator;
 pub mod formulas;
 pub mod live;
 pub mod maxvar;

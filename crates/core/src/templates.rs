@@ -16,10 +16,12 @@
 
 use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
+use crate::engine::{effective_alpha, sample_points};
+use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
 use crate::partition::Partitioner;
 use crate::tree::Dpt;
-use janus_common::{AggregateFunction, Estimate, JanusError, Moments, Query, Result, Row, RowId};
+use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
 use janus_index::IndexPoint;
 use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
 use janus_storage::ArchiveStore;
@@ -33,63 +35,7 @@ pub fn uniform_estimate<'a>(
     samples: impl Iterator<Item = &'a Row>,
     population: usize,
 ) -> Option<Estimate> {
-    let mut m = 0f64;
-    let mut phi = Moments::ZERO;
-    let mut extremum: Option<f64> = None;
-    let is_min = query.agg == AggregateFunction::Min;
-    for row in samples {
-        m += 1.0;
-        if query.matches(row) {
-            let a = row.value(query.agg_column);
-            phi.add(if query.agg == AggregateFunction::Count {
-                1.0
-            } else {
-                a
-            });
-            extremum = Some(match extremum {
-                None => a,
-                Some(b) if is_min => b.min(a),
-                Some(b) => b.max(a),
-            });
-        }
-    }
-    let n = population as f64;
-    match query.agg {
-        AggregateFunction::Count | AggregateFunction::Sum => {
-            let (value, variance) = if m > 0.0 {
-                (
-                    crate::formulas::sum_estimate(n, m, phi.sum),
-                    crate::formulas::sum_estimate_variance(n, m, &phi),
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            Some(Estimate {
-                value,
-                catchup_variance: 0.0,
-                sample_variance: variance,
-                covered_nodes: 0,
-                partial_nodes: 0,
-                samples_used: phi.count as usize,
-                partial: false,
-            })
-        }
-        AggregateFunction::Avg => {
-            if phi.count <= 0.0 {
-                return None;
-            }
-            Some(Estimate {
-                value: phi.sum / phi.count,
-                catchup_variance: 0.0,
-                sample_variance: crate::formulas::avg_estimate_variance(1.0, m, &phi),
-                covered_nodes: 0,
-                partial_nodes: 0,
-                samples_used: phi.count as usize,
-                partial: false,
-            })
-        }
-        AggregateFunction::Min | AggregateFunction::Max => extremum.map(Estimate::exact),
-    }
+    Gathered::pooled(query, samples, population).finish(query.agg)
 }
 
 /// One template's synopsis inside the shared-sample engine.
@@ -165,22 +111,8 @@ impl MultiTemplateEngine {
     fn add_template_internal(&mut self, config: SynopsisConfig) -> Result<()> {
         let template = config.template.clone();
         let n = self.archive.len();
-        let alpha = if n == 0 {
-            1.0
-        } else {
-            (self.reservoir.len() as f64 / n as f64).clamp(1e-9, 1.0)
-        };
-        let points: Vec<IndexPoint> = self
-            .reservoir
-            .iter()
-            .map(|r| {
-                IndexPoint::new(
-                    r.project(&template.predicate_columns),
-                    r.id,
-                    r.value(template.agg_column),
-                )
-            })
-            .collect();
+        let alpha = effective_alpha(self.reservoir.len(), n);
+        let points = sample_points(&template, self.reservoir.iter());
         let maxvar =
             MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
         let partitioner = Partitioner::auto(config.rho);
@@ -322,21 +254,8 @@ impl MultiTemplateEngine {
         let n = self.archive.len();
         for syn in &mut self.synopses {
             let template = &syn.config.template;
-            let alpha = if n == 0 {
-                1.0
-            } else {
-                (sampled.len() as f64 / n as f64).clamp(1e-9, 1.0)
-            };
-            let points: Vec<IndexPoint> = sampled
-                .iter()
-                .map(|r| {
-                    IndexPoint::new(
-                        r.project(&template.predicate_columns),
-                        r.id,
-                        r.value(template.agg_column),
-                    )
-                })
-                .collect();
+            let alpha = effective_alpha(sampled.len(), n);
+            let points = sample_points(template, sampled.iter());
             syn.maxvar = MaxVarianceIndex::bulk_load(
                 template.dims(),
                 template.agg,
@@ -359,31 +278,15 @@ impl MultiTemplateEngine {
     /// 2. a tree over the same predicate columns — sampling-only answering;
     /// 3. otherwise — uniform estimation over the pooled sample.
     pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
-        if let Some(syn) = self.synopses.iter().find(|s| {
-            s.config.template.predicate_columns == query.predicate_columns
-                && s.config.template.agg_column == query.agg_column
-        }) {
-            return syn.dpt.answer(query, &self.reservoir);
-        }
-        if let Some(syn) = self
-            .synopses
-            .iter()
-            .find(|s| s.config.template.predicate_columns == query.predicate_columns)
-        {
-            return syn.dpt.answer_sampling_only(query, &self.reservoir);
-        }
-        Ok(uniform_estimate(
-            query,
-            self.reservoir.iter(),
-            self.archive.len(),
-        ))
+        let trees = self.synopses.iter().map(|s| &s.dpt);
+        Ok(Gathered::route(query, trees, &self.reservoir, self.archive.len())?.finish(query.agg))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_common::{QueryTemplate, RangePredicate};
+    use janus_common::{AggregateFunction, QueryTemplate, RangePredicate};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

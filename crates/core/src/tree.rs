@@ -11,19 +11,20 @@
 //! the stratified samples, with sample variance `ν_s`), and combines both
 //! into a single estimate with a CLT confidence interval.
 
+use crate::estimator::{Gathered, Layers};
 use crate::node::{EpochInfo, NodeStats};
 use crate::partition::PartitionSpec;
 use janus_common::DetHashMap;
 use janus_common::{
-    AggregateFunction, Estimate, JanusError, Moments, Query, QueryTemplate, Rect, Result, Row,
-    RowId, RowRef,
+    Estimate, JanusError, Moments, Query, QueryTemplate, Rect, Result, Row, RowId, RowRef,
 };
 use janus_index::topk::MinMaxTracker;
 use std::collections::{BTreeSet, HashMap};
 
 /// Read-only access to the pooled sample rows, keyed by row id.
 ///
-/// Implemented by `janus_sampling::DynamicReservoir`; tests may supply maps.
+/// Implemented by `janus_sampling::DynamicReservoir` and by any
+/// `HashMap<RowId, Row, _>` (static synopses, tests).
 pub trait SampleSource {
     /// Borrows the sampled row with this id, if currently sampled.
     fn sample_row(&self, id: RowId) -> Option<&Row>;
@@ -35,7 +36,7 @@ impl SampleSource for janus_sampling::DynamicReservoir {
     }
 }
 
-impl SampleSource for HashMap<RowId, Row> {
+impl<S: std::hash::BuildHasher> SampleSource for HashMap<RowId, Row, S> {
     fn sample_row(&self, id: RowId) -> Option<&Row> {
         self.get(&id)
     }
@@ -201,16 +202,7 @@ impl Dpt {
 
     /// Indices of live leaves.
     pub fn leaf_indices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(i) = stack.pop() {
-            if self.nodes[i].children.is_empty() {
-                out.push(i);
-            } else {
-                stack.extend(self.nodes[i].children.iter().copied());
-            }
-        }
-        out
+        self.leaf_descendants(self.root)
     }
 
     /// Catch-up epoch table.
@@ -491,187 +483,15 @@ impl Dpt {
         (covered, partial)
     }
 
-    /// Answers a query from the synopsis and the pooled sample (§4.4).
+    /// Answers a query from the synopsis and the pooled sample (§4.4):
+    /// node statistics for covered nodes, stratified samples for partial
+    /// leaves (see [`crate::estimator`]).
     ///
     /// Returns `Err(UnsupportedTemplate)` when the query's predicate
     /// columns differ from the synopsis template; AVG/MIN/MAX over an
     /// (estimated) empty selection return `Ok(None)`.
     pub fn answer(&self, query: &Query, samples: &dyn SampleSource) -> Result<Option<Estimate>> {
-        if query.predicate_columns != self.template.predicate_columns {
-            return Err(JanusError::UnsupportedTemplate(format!(
-                "tree is over predicate columns {:?}, query uses {:?}",
-                self.template.predicate_columns, query.predicate_columns
-            )));
-        }
-        match query.agg {
-            AggregateFunction::Count | AggregateFunction::Sum => {
-                Ok(Some(self.answer_sum_like(query, samples, query.agg)))
-            }
-            AggregateFunction::Avg => Ok(self.answer_avg(query, samples)),
-            AggregateFunction::Min | AggregateFunction::Max => {
-                Ok(self.answer_extremum(query, samples))
-            }
-        }
-    }
-
-    /// Matching-sample φ moments for one partial leaf: COUNT uses `a ≡ 1`,
-    /// SUM uses the aggregation value.
-    fn partial_phi(
-        &self,
-        leaf: usize,
-        query: &Query,
-        samples: &dyn SampleSource,
-        count_query: bool,
-    ) -> (usize, Moments) {
-        let node = &self.nodes[leaf];
-        let mut phi = Moments::ZERO;
-        let mut m_i = 0usize;
-        for &id in &node.samples {
-            let Some(row) = samples.sample_row(id) else {
-                debug_assert!(false, "stratum references unsampled row {id}");
-                continue;
-            };
-            m_i += 1;
-            if query.matches(row) {
-                phi.add(if count_query {
-                    1.0
-                } else {
-                    row.value(query.agg_column)
-                });
-            }
-        }
-        (m_i, phi)
-    }
-
-    fn answer_sum_like(
-        &self,
-        query: &Query,
-        samples: &dyn SampleSource,
-        agg: AggregateFunction,
-    ) -> Estimate {
-        let count_query = agg == AggregateFunction::Count;
-        let (covered, partial) = self.classify(query);
-        let mut value = 0.0;
-        let mut vc = 0.0;
-        let mut vs = 0.0;
-        let mut samples_used = 0usize;
-        for &idx in &covered {
-            let stats = &self.nodes[idx].stats;
-            let est = stats.estimated_moments(&self.epochs);
-            value += if count_query { est.count } else { est.sum };
-            vc += stats.covered_catchup_variance(&self.epochs, count_query);
-        }
-        for &leaf in &partial {
-            let (m_i, phi) = self.partial_phi(leaf, query, samples, count_query);
-            if m_i == 0 {
-                continue;
-            }
-            samples_used += phi.count as usize;
-            let n_hat = self.nodes[leaf].stats.estimated_moments(&self.epochs).count;
-            value += crate::formulas::sum_estimate(n_hat, m_i as f64, phi.sum);
-            vs += crate::formulas::sum_estimate_variance(n_hat, m_i as f64, &phi);
-        }
-        Estimate {
-            value,
-            catchup_variance: vc,
-            sample_variance: vs,
-            covered_nodes: covered.len(),
-            partial_nodes: partial.len(),
-            samples_used,
-            partial: false,
-        }
-    }
-
-    fn answer_avg(&self, query: &Query, samples: &dyn SampleSource) -> Option<Estimate> {
-        // Ratio estimator: SUM estimate over COUNT estimate. The variance
-        // follows Appendix C with stratum weights w_i = N̂_i / N̂_q.
-        let sum_est = self.answer_sum_like(query, samples, AggregateFunction::Sum);
-        let count_est = self.answer_sum_like(query, samples, AggregateFunction::Count);
-        if count_est.value <= 0.0 {
-            return None;
-        }
-        let value = sum_est.value / count_est.value;
-
-        let (covered, partial) = self.classify(query);
-        // N̂_q: total population of all relevant partitions (Table 1).
-        let mut n_q = 0.0;
-        for &idx in covered.iter().chain(&partial) {
-            n_q += self.nodes[idx].stats.estimated_moments(&self.epochs).count;
-        }
-        if n_q <= 0.0 {
-            return None;
-        }
-        let mut vc = 0.0;
-        let mut vs = 0.0;
-        let mut samples_used = 0usize;
-        for &idx in &covered {
-            let stats = &self.nodes[idx].stats;
-            let w = stats.estimated_moments(&self.epochs).count / n_q;
-            vc += stats.covered_catchup_variance_avg(w);
-        }
-        for &leaf in &partial {
-            let (m_i, phi) = self.partial_phi(leaf, query, samples, false);
-            if m_i == 0 || phi.count == 0.0 {
-                continue;
-            }
-            samples_used += phi.count as usize;
-            let w = self.nodes[leaf].stats.estimated_moments(&self.epochs).count / n_q;
-            vs += crate::formulas::avg_estimate_variance(w, m_i as f64, &phi);
-        }
-        Some(Estimate {
-            value,
-            catchup_variance: vc,
-            sample_variance: vs,
-            covered_nodes: covered.len(),
-            partial_nodes: partial.len(),
-            samples_used,
-            partial: false,
-        })
-    }
-
-    fn answer_extremum(&self, query: &Query, samples: &dyn SampleSource) -> Option<Estimate> {
-        let is_min = query.agg == AggregateFunction::Min;
-        let (covered, partial) = self.classify(query);
-        let mut best: Option<f64> = None;
-        let mut fold = |candidate: f64| {
-            best = Some(match best {
-                None => candidate,
-                Some(b) if is_min => b.min(candidate),
-                Some(b) => b.max(candidate),
-            });
-        };
-        for &idx in &covered {
-            let stats = &self.nodes[idx].stats;
-            if stats.estimated_moments(&self.epochs).count <= 0.0 {
-                continue;
-            }
-            let v = if is_min {
-                stats.minmax.min()
-            } else {
-                stats.minmax.max()
-            };
-            if let Some(v) = v {
-                fold(v);
-            }
-        }
-        for &leaf in &partial {
-            for &id in &self.nodes[leaf].samples {
-                if let Some(row) = samples.sample_row(id) {
-                    if query.matches(row) {
-                        fold(row.value(query.agg_column));
-                    }
-                }
-            }
-        }
-        best.map(|value| Estimate {
-            value,
-            catchup_variance: 0.0,
-            sample_variance: 0.0,
-            covered_nodes: covered.len(),
-            partial_nodes: partial.len(),
-            samples_used: 0,
-            partial: false,
-        })
+        Ok(Gathered::from_tree(self, query, samples, Layers::Both)?.finish(query.agg))
     }
 
     /// Answers a query using only the leaf samples (every intersecting leaf
@@ -685,98 +505,7 @@ impl Dpt {
         query: &Query,
         samples: &dyn SampleSource,
     ) -> Result<Option<Estimate>> {
-        if query.predicate_columns != self.template.predicate_columns {
-            return Err(JanusError::UnsupportedTemplate(format!(
-                "tree is over predicate columns {:?}, query uses {:?}",
-                self.template.predicate_columns, query.predicate_columns
-            )));
-        }
-        let (covered, partial) = self.classify(query);
-        let mut leaves: Vec<usize> = partial;
-        for idx in covered {
-            leaves.extend(self.leaf_descendants(idx));
-        }
-        let count_query = query.agg == AggregateFunction::Count;
-        match query.agg {
-            AggregateFunction::Count | AggregateFunction::Sum => {
-                let mut value = 0.0;
-                let mut vs = 0.0;
-                let mut samples_used = 0;
-                for &leaf in &leaves {
-                    let (m_i, phi) = self.partial_phi(leaf, query, samples, count_query);
-                    if m_i == 0 {
-                        continue;
-                    }
-                    samples_used += phi.count as usize;
-                    let n_hat = self.nodes[leaf].stats.estimated_moments(&self.epochs).count;
-                    value += crate::formulas::sum_estimate(n_hat, m_i as f64, phi.sum);
-                    vs += crate::formulas::sum_estimate_variance(n_hat, m_i as f64, &phi);
-                }
-                Ok(Some(Estimate {
-                    value,
-                    catchup_variance: 0.0,
-                    sample_variance: vs,
-                    covered_nodes: 0,
-                    partial_nodes: leaves.len(),
-                    samples_used,
-                    partial: false,
-                }))
-            }
-            AggregateFunction::Avg => {
-                let mut sum = 0.0;
-                let mut count = 0.0;
-                let mut vs = 0.0;
-                let mut samples_used = 0;
-                let n_q: f64 = leaves
-                    .iter()
-                    .map(|&l| self.nodes[l].stats.estimated_moments(&self.epochs).count)
-                    .sum();
-                for &leaf in &leaves {
-                    let (m_i, phi) = self.partial_phi(leaf, query, samples, false);
-                    if m_i == 0 {
-                        continue;
-                    }
-                    samples_used += phi.count as usize;
-                    let n_hat = self.nodes[leaf].stats.estimated_moments(&self.epochs).count;
-                    sum += crate::formulas::sum_estimate(n_hat, m_i as f64, phi.sum);
-                    count += crate::formulas::sum_estimate(n_hat, m_i as f64, phi.count);
-                    if n_q > 0.0 {
-                        vs += crate::formulas::avg_estimate_variance(n_hat / n_q, m_i as f64, &phi);
-                    }
-                }
-                if count <= 0.0 {
-                    return Ok(None);
-                }
-                Ok(Some(Estimate {
-                    value: sum / count,
-                    catchup_variance: 0.0,
-                    sample_variance: vs,
-                    covered_nodes: 0,
-                    partial_nodes: leaves.len(),
-                    samples_used,
-                    partial: false,
-                }))
-            }
-            AggregateFunction::Min | AggregateFunction::Max => {
-                let is_min = query.agg == AggregateFunction::Min;
-                let mut best: Option<f64> = None;
-                for &leaf in &leaves {
-                    for &id in &self.nodes[leaf].samples {
-                        if let Some(row) = samples.sample_row(id) {
-                            if query.matches(row) {
-                                let v = row.value(query.agg_column);
-                                best = Some(match best {
-                                    None => v,
-                                    Some(b) if is_min => b.min(v),
-                                    Some(b) => b.max(v),
-                                });
-                            }
-                        }
-                    }
-                }
-                Ok(best.map(Estimate::exact))
-            }
-        }
+        Ok(Gathered::from_tree(self, query, samples, Layers::Strata)?.finish(query.agg))
     }
 
     /// All leaf indices under `idx` (inclusive when `idx` is a leaf).
@@ -836,14 +565,7 @@ impl Dpt {
 
     /// Number of leaves under `idx`.
     pub fn leaves_under(&self, idx: usize) -> usize {
-        if self.nodes[idx].children.is_empty() {
-            return 1;
-        }
-        self.nodes[idx]
-            .children
-            .iter()
-            .map(|&c| self.leaves_under(c))
-            .sum()
+        self.leaf_descendants(idx).len()
     }
 
     /// Splices a freshly-partitioned subtree in place of node `at`
@@ -966,7 +688,7 @@ impl Dpt {
 mod tests {
     use super::*;
     use crate::partition::PartitionSpec;
-    use janus_common::RangePredicate;
+    use janus_common::{AggregateFunction, RangePredicate};
 
     fn template() -> QueryTemplate {
         QueryTemplate::new(AggregateFunction::Sum, 1, vec![0])
