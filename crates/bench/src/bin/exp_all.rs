@@ -11,14 +11,11 @@ fn main() {
         ("table3", janus_bench::experiments::table3::run),
         ("table4", janus_bench::experiments::table4::run),
         ("fig5", janus_bench::experiments::fig5::run),
-        ("fig5_cluster", janus_bench::experiments::fig5_cluster::run),
         ("fig6", janus_bench::experiments::fig6::run),
         ("fig7", janus_bench::experiments::fig7::run),
         ("fig8", janus_bench::experiments::fig8::run),
         ("fig9", janus_bench::experiments::fig9::run),
         ("fig10", janus_bench::experiments::fig10::run),
-        ("archive", janus_bench::experiments::archive::run),
-        ("slo", janus_bench::experiments::slo::run),
     ];
     for (name, run) in runs {
         let t = std::time::Instant::now();

@@ -1,15 +1,12 @@
 //! One module per paper table/figure. Each exposes
 //! `run(scale: f64) -> ExpReport`.
 
-pub mod archive;
 pub mod fig10;
 pub mod fig5;
-pub mod fig5_cluster;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod slo;
 pub mod table2;
 pub mod table3;
 pub mod table4;

@@ -2,8 +2,8 @@
 //!
 //! The cluster's authoritative placement map used to be one
 //! `RwLock<DetHashMap<RowId, usize>>`, which made the directory write
-//! lock the serialization point of every publish — the flattening 4→8
-//! shard ingest curve in `BENCH_cluster.json`. This module shards the map
+//! lock the serialization point of every publish — ingest throughput
+//! flattened from 4 to 8 shards. This module shards the map
 //! into [`STRIPES`] independently locked stripes keyed by a SplitMix64
 //! hash of the row id, so concurrent pre-routed publishers
 //! ([`crate::ClusterEngine::publish_batch_routed`]) only contend when
