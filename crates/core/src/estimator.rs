@@ -67,7 +67,8 @@ impl Term {
         term
     }
 
-    /// Whether the stratum adds anything to a value or a variance.
+    /// Whether the stratum adds anything to a value, a variance or an
+    /// extreme.
     fn contributes(&self) -> bool {
         match (self.drawn > 0.0, self.matched.count > 0.0) {
             (false, _) => false,    // empty stratum
@@ -157,7 +158,7 @@ impl<'a> Gathered<'a> {
     /// strata; otherwise the pooled sample is one uniform stratum.
     pub(crate) fn route(
         query: &Query,
-        trees: impl Iterator<Item = &'a Dpt> + Clone,
+        mut trees: impl Iterator<Item = &'a Dpt> + Clone,
         reservoir: &DynamicReservoir,
         population: usize,
     ) -> Result<Self> {
@@ -166,7 +167,7 @@ impl<'a> Gathered<'a> {
             |t: &&Dpt| same_predicate(t) && t.template().agg_column == query.agg_column;
         if let Some(dpt) = trees.clone().find(same_template) {
             Self::from_tree(dpt, query, reservoir, Layers::Both)
-        } else if let Some(dpt) = trees.clone().find(same_predicate) {
+        } else if let Some(dpt) = trees.find(same_predicate) {
             Self::from_tree(dpt, query, reservoir, Layers::Strata)
         } else {
             Ok(Self::pooled(query, reservoir.iter(), population))
@@ -239,7 +240,7 @@ impl<'a> Gathered<'a> {
             return None;
         }
         let value = match (self.layers, &self.terms[..]) {
-            (Layers::Pooled, [pool]) => pool.matched.sum / pool.matched.count,
+            (Layers::Pooled, [pool]) => pool.matched.mean()?,
             _ => sum / count,
         };
         let (mut vc, mut vs) = (0.0, 0.0);
@@ -258,7 +259,7 @@ impl<'a> Gathered<'a> {
         let non_empty = |s: &&&NodeStats| s.estimated_moments(self.epochs).count > 0.0;
         let heaps = self.covered.iter().filter(non_empty).map(|s| &s.minmax);
         let heaped = heaps.filter_map(|h| if is_min { h.min() } else { h.max() });
-        let matching = self.terms.iter().filter(|t| t.matched.count > 0.0);
+        let matching = self.terms.iter().filter(|t| t.contributes());
         let sampled = matching.map(|t| if is_min { t.min } else { t.max });
         let extreme = |best: f64, v: f64| if is_min { best.min(v) } else { best.max(v) };
         let mut est = Estimate::exact(heaped.chain(sampled).reduce(extreme)?);

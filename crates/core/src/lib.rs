@@ -10,7 +10,10 @@
 //! * [`node`] / [`tree`] — the DPT itself (§4): per-node SUM/COUNT moments
 //!   split into catch-up estimates and exact insert/delete deltas, bounded
 //!   MIN/MAX heaps, pooled-sample strata at the leaves, query answering with
-//!   two-source confidence intervals (§4.4).
+//!   two-source confidence intervals (§4.4). Every answer path — the tree,
+//!   the §5.5 sampling-only and uniform fallbacks, the scatter-gather
+//!   `(SUM, COUNT)` pair — is one gather plus one finisher per aggregate in
+//!   the private `estimator` module.
 //! * [`maxvar`] — the dynamic max-variance index **M** (§5.3.1/§D.1):
 //!   median-split for COUNT/SUM, heaviest-canonical-cell for AVG, over a
 //!   Bentley–Saxe dynamized range tree (`d <= 2`) or kd-tree (`d > 2`).

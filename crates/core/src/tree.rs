@@ -9,7 +9,9 @@
 //! `R_cover` (fully covered: answered from node statistics, with catch-up
 //! variance `ν_c`) and `R_partial` (partially covered leaves: answered from
 //! the stratified samples, with sample variance `ν_s`), and combines both
-//! into a single estimate with a CLT confidence interval.
+//! into a single estimate with a CLT confidence interval. The tree only
+//! classifies; the estimate itself is the crate-private `estimator`
+//! module's, shared with the §5.5 fallbacks.
 
 use crate::estimator::{Gathered, Layers};
 use crate::node::{EpochInfo, NodeStats};
@@ -485,7 +487,8 @@ impl Dpt {
 
     /// Answers a query from the synopsis and the pooled sample (§4.4):
     /// node statistics for covered nodes, stratified samples for partial
-    /// leaves (see [`crate::estimator`]).
+    /// leaves — one classification, one scan per partial leaf, whatever
+    /// the aggregate (the crate-private `estimator` module).
     ///
     /// Returns `Err(UnsupportedTemplate)` when the query's predicate
     /// columns differ from the synopsis template; AVG/MIN/MAX over an
