@@ -220,7 +220,7 @@ impl MiniSpn {
     }
 
     /// Full retrain with the same configuration — DeepDB's (expensive)
-    /// re-optimization path, timed by the Fig. 5/9 experiments.
+    /// re-optimization path (the paper's Figs. 5 and 9 time it).
     pub fn retrain(&mut self, training: &[Row], population: usize) {
         *self = MiniSpn::train(training, population, self.config.clone());
     }

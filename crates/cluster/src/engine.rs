@@ -40,7 +40,7 @@
 //!
 //! | state | lock | writers |
 //! |---|---|---|
-//! | each `Shard` (engine + consumed offset) | own `RwLock` | pump, scatter, rebalance |
+//! | each `Shard` (engine + consumed offset) | own `RwLock` | pump, rebalance (scatter sub-queries only read) |
 //! | [`ShardRouter`] | `RwLock` | publish (rotation cursor), rebalance (bounds) |
 //! | row→shard directory | 16 striped `RwLock`s (`crate::directory`) | publish, rebalance |
 //! | ingest gate | `RwLock<()>` | checkpoint, fail_shard (exclusive); routed publish (shared) |
@@ -443,18 +443,20 @@ impl ShardSet {
     fn serve_shard_query<T>(
         &self,
         shard: usize,
-        f: &(impl Fn(&mut JanusEngine) -> Result<T> + Sync),
+        f: &(impl Fn(&JanusEngine) -> Result<T> + Sync),
     ) -> Result<T> {
         if self.replica_count > 0 {
             let set = self.replicas[shard].read();
             if !set.is_empty() {
                 let end = self.log.topic(shard).len() as u64;
                 let lag = self.replica_lag;
-                let fresh: Vec<usize> = set
+                // The guard that passed the freshness check is the guard
+                // the answer runs under: a follower cannot be judged fresh
+                // and then answer from a different offset.
+                let mut fresh: Vec<_> = set
                     .iter()
-                    .enumerate()
-                    .filter(|(_, r)| end.saturating_sub(r.read().offset) <= lag)
-                    .map(|(i, _)| i)
+                    .map(|r| r.read())
+                    .filter(|r| end.saturating_sub(r.offset) <= lag)
                     .collect();
                 let pick =
                     self.read_cursor.fetch_add(1, Ordering::Relaxed) as usize % (fresh.len() + 1);
@@ -462,11 +464,13 @@ impl ShardSet {
                     self.counters
                         .replica_queries
                         .fetch_add(1, Ordering::Relaxed);
-                    return f(&mut set[fresh[pick - 1]].write().engine);
+                    let replica = fresh.swap_remove(pick - 1);
+                    drop(fresh);
+                    return f(&replica.engine);
                 }
             }
         }
-        f(&mut self.shards[shard].write().engine)
+        f(&self.shards[shard].read().engine)
     }
 
     /// Scans one fixed-size segment of `shard`'s archive under the

@@ -154,7 +154,7 @@ impl Query {
     }
 
     /// Evaluates the query exactly over `rows` (the ground-truth oracle used
-    /// by tests and by the experiment harness). Scans that cannot hand out
+    /// by tests and by the benchmark). Scans that cannot hand out
     /// `&Row` (columnar archives) stream into an [`ExactAccumulator`]
     /// instead.
     pub fn evaluate_exact<'a>(&self, rows: impl IntoIterator<Item = &'a Row>) -> Option<f64> {

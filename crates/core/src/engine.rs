@@ -19,6 +19,7 @@ use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
 use janus_index::IndexPoint;
 use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
 use janus_storage::ArchiveStore;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Operation counters exposed for experiments and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,7 +51,9 @@ pub struct JanusEngine {
     maxvar: MaxVarianceIndex,
     dpt: Dpt,
     catchup: CatchupQueue,
+    /// Every counter but `queries`, which readers bump through `&self`.
     stats: EngineStats,
+    queries: AtomicU64,
     updates_since_check: usize,
     seed_counter: u64,
 }
@@ -118,6 +121,7 @@ impl JanusEngine {
             dpt,
             catchup,
             stats: EngineStats::default(),
+            queries: AtomicU64::new(0),
             updates_since_check: 0,
             seed_counter: 1,
         })
@@ -167,7 +171,10 @@ impl JanusEngine {
 
     /// Operation counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        EngineStats {
+            queries: self.queries.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
 
     /// Catch-up progress in `[0, 1]`.
@@ -344,7 +351,7 @@ impl JanusEngine {
 
     /// Answers a query from the synopsis. `Ok(None)` for AVG/MIN/MAX over
     /// an (estimated) empty selection.
-    pub fn query(&mut self, query: &Query) -> Result<Option<Estimate>> {
+    pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
         Ok(self.gather(query)?.finish(query.agg))
     }
 
@@ -355,14 +362,14 @@ impl JanusEngine {
     /// ([`janus_common::merge::combine_avg`]), which is the only
     /// composition that keeps the §4.4.1 two-source confidence interval
     /// correct — per-shard AVG answers themselves do not add.
-    pub fn answer_sum_count(&mut self, query: &Query) -> Result<(Estimate, Estimate)> {
+    pub fn answer_sum_count(&self, query: &Query) -> Result<(Estimate, Estimate)> {
         Ok(self.gather(query)?.sum_count())
     }
 
     /// Counts the query and gathers what it touches, through the §5.5
     /// dispatch: this engine's one tree, else the pooled sample.
-    fn gather(&mut self, query: &Query) -> Result<Gathered<'_>> {
-        self.stats.queries += 1;
+    fn gather(&self, query: &Query) -> Result<Gathered<'_>> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
         let trees = std::iter::once(&self.dpt);
         Gathered::route(query, trees, &self.reservoir, self.archive.len())
     }
@@ -427,7 +434,7 @@ impl JanusEngine {
     }
 
     /// Exact evaluation over the archive — the ground-truth oracle used by
-    /// the experiment harness (never used to answer synopsis queries).
+    /// tests and the benchmark (never used to answer synopsis queries).
     /// Dense backends go through the chunked columnar kernels; file-backed
     /// ones stream zero-copy row views — bit-identical either way (see the
     /// `janus_common::kernels` bit-identity contract).
@@ -644,6 +651,7 @@ impl JanusEngine {
             dpt,
             catchup: CatchupQueue::new(snapshot.catchup_rows.clone()),
             stats: EngineStats::default(),
+            queries: AtomicU64::new(0),
             updates_since_check: snapshot.updates_since_check as usize,
             seed_counter: snapshot.seed_counter,
         })
@@ -815,7 +823,7 @@ mod tests {
     #[test]
     fn bootstrap_and_query_are_reasonably_accurate() {
         let data = rows(20_000, 1);
-        let mut engine = JanusEngine::bootstrap(config(1), data).unwrap();
+        let engine = JanusEngine::bootstrap(config(1), data).unwrap();
         for (lo, hi) in [(10.0, 60.0), (0.0, 100.0), (40.0, 45.0)] {
             let q = sum_query(lo, hi);
             let est = engine.query(&q).unwrap().unwrap();
@@ -946,7 +954,7 @@ mod tests {
     #[test]
     fn different_agg_column_falls_back_to_sampling() {
         let data = rows(10_000, 8);
-        let mut engine = JanusEngine::bootstrap(config(8), data).unwrap();
+        let engine = JanusEngine::bootstrap(config(8), data).unwrap();
         // Query aggregates column 0 (the predicate column) instead of 1.
         let q = Query::new(
             AggregateFunction::Sum,
@@ -972,6 +980,43 @@ mod tests {
         let est = engine.query(&q).unwrap().unwrap();
         let truth = engine.evaluate_exact(&q).unwrap();
         assert!((est.value - truth).abs() / truth < 0.12);
+    }
+
+    #[test]
+    fn reinserting_a_deleted_sample_keeps_index_and_reservoir_in_step() {
+        // d = 2 runs the range-tree index, d = 3 the k-d tree; both sit
+        // behind `DynamicIndex`, whose tombstones are keyed by row id.
+        for dims in [2usize, 3] {
+            let mut rng = SmallRng::seed_from_u64(dims as u64);
+            let data: Vec<Row> = (0..400u64)
+                .map(|i| Row::new(i, (0..=dims).map(|_| rng.gen::<f64>() * 100.0).collect()))
+                .collect();
+            let template = QueryTemplate::new(AggregateFunction::Sum, dims, (0..dims).collect());
+            let mut cfg = SynopsisConfig::paper_default(template, 21);
+            cfg.leaf_count = 8;
+            cfg.sample_rate = 0.5; // 2m = 400: every row is sampled
+            let mut engine = JanusEngine::bootstrap(cfg, data.clone()).unwrap();
+            let whole = janus_common::Rect::unbounded(dims);
+            let in_step = |engine: &JanusEngine, step: &str| {
+                let sampled = engine.reservoir().len();
+                let indexed = engine.maxvar().moments_in(&whole).count;
+                assert_eq!(indexed, sampled as f64, "{dims}-D after {step}");
+                let points = engine.snapshot_sample_points().len();
+                assert_eq!(points, sampled, "{dims}-D after {step}");
+            };
+            in_step(&engine, "bootstrap");
+            let victim = data[7].clone();
+            engine.delete(victim.id).unwrap();
+            assert_eq!(engine.reservoir().len(), 399);
+            in_step(&engine, "delete");
+            // Below target the reservoir admits the next offer outright.
+            engine.insert(victim.clone()).unwrap();
+            assert_eq!(engine.reservoir().len(), 400);
+            in_step(&engine, "re-insert");
+            engine.delete(victim.id).unwrap();
+            assert_eq!(engine.reservoir().len(), 399);
+            in_step(&engine, "second delete");
+        }
     }
 
     #[test]

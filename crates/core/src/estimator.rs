@@ -328,7 +328,7 @@ mod tests {
             config.leaf_count = 4;
             config.sample_rate = 0.2;
             config.catchup_ratio = 0.5;
-            let mut engine = JanusEngine::bootstrap(config, rows(n, seed)).unwrap();
+            let engine = JanusEngine::bootstrap(config, rows(n, seed)).unwrap();
             // (aggregation column, predicate column): template, other
             // aggregation attribute, other predicate attribute.
             let (agg_col, pred, scale) = [(2, 0, 1.0), (1, 0, 1.0), (2, 1, 0.1)][path];

@@ -82,9 +82,7 @@ impl LiveEngine {
 
     /// Answers a query (concurrent with other readers).
     pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
-        // Statistics counters force a write lock in the inner engine; keep
-        // the public query path on the write lock for counter fidelity.
-        self.shared.engine.write().query(query)
+        self.shared.engine.read().query(query)
     }
 
     /// Ground-truth oracle (testing / experiments only).
@@ -308,5 +306,35 @@ mod tests {
         assert_eq!(live.stats().repartitions, 3);
         // Nothing was lost across the swaps.
         assert_eq!(live.population(), 15_000 + produced as usize);
+    }
+
+    /// While one reader holds the engine's read guard (and has answered
+    /// under it), [`LiveEngine::query`] on another thread must complete:
+    /// an exclusive lock there would wait for the guard to drop, which
+    /// the `recv_timeout` reports as a failure instead of a hang.
+    #[test]
+    fn a_query_completes_while_another_reader_is_inside() {
+        let mut live = LiveEngine::start(config(5), rows(5_000, 5)).unwrap();
+        // Retire the catch-up thread: a writer queued behind the held read
+        // guard would hold later readers back too.
+        live.wait_for_catchup();
+        live.shared.shutdown.store(true, Ordering::Relaxed);
+        let catchup = live.catchup_thread.take().unwrap();
+        catchup.thread().unpark();
+        catchup.join().unwrap();
+
+        let q = sum_query(0.0, 100.0);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let inside = live.shared.engine.read();
+            inside.query(&q).unwrap().unwrap();
+            let (live, q) = (&live, &q);
+            s.spawn(move || done_tx.send(live.query(q).unwrap().unwrap()).unwrap());
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("LiveEngine::query waited for a reader to leave");
+            drop(inside);
+        });
+        assert_eq!(live.stats().queries, 2);
     }
 }

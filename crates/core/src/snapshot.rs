@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn engine_restore_resumes_updates_and_queries() {
-        let mut e = engine(3);
+        let e = engine(3);
         let snap = e.save_synopsis();
         let archive: Vec<Row> = e.export_rows();
         let mut restored = JanusEngine::restore(e.config().clone(), archive, &snap).unwrap();

@@ -99,13 +99,15 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
         self.dims
     }
 
-    /// Inserts a point (amortized polylogarithmic).
+    /// Inserts a point (amortized polylogarithmic). Tombstones are keyed
+    /// by id, so an id that comes back while its tombstone is still stored
+    /// would be filtered out as dead and could never be deleted again:
+    /// that (rare) case compacts first, which drops the tombstone.
     pub fn insert(&mut self, point: IndexPoint) {
         debug_assert_eq!(point.coords.len(), self.dims);
-        debug_assert!(
-            !self.dead_ids.contains(&point.id),
-            "re-inserting a tombstoned id is not supported"
-        );
+        if self.dead_ids.contains(&point.id) {
+            self.compact();
+        }
         self.live += 1;
         Self::carry_insert(self.dims, &mut self.levels, point);
     }
@@ -293,6 +295,26 @@ mod tests {
         assert!(idx.delete(pts[0].clone()));
         assert!(!idx.delete(pts[0].clone()));
         assert_eq!(idx.len(), 9);
+    }
+
+    #[test]
+    fn reinserting_a_tombstoned_id_is_live_and_deletable_again() {
+        let pts = random_points(2, 100, 5);
+        let mut idx = DynamicIndex::<StaticKdTree>::bulk_load(2, pts.clone());
+        let whole = Rect::unbounded(2);
+        let back = IndexPoint::new(vec![0.5, 0.5], pts[3].id, 7.0);
+        assert!(idx.delete(pts[3].clone()));
+        idx.insert(back.clone());
+        assert_eq!(idx.len(), 100);
+        assert_eq!(idx.live_points().len(), 100);
+        assert_eq!(idx.count_in(&whole), 100);
+        let mut seen = 0;
+        idx.for_each_in(&whole, &mut |p| seen += usize::from(p.id == back.id));
+        assert_eq!(seen, 1, "the re-inserted point is visible exactly once");
+        assert!(idx.delete(back), "and can be deleted a second time");
+        assert_eq!(idx.len(), 99);
+        assert_eq!(idx.live_points().len(), 99);
+        assert_eq!(idx.count_in(&whole), 99);
     }
 
     #[test]

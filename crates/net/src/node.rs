@@ -65,9 +65,9 @@ struct ShardSlot {
     base: u64,
     /// Local copy of the shard topic's tail, fed by publish frames.
     log: TopicLog<ShardOp>,
-    engine: Mutex<JanusEngine>,
+    engine: RwLock<JanusEngine>,
     /// Global topic offset applied into the engine. Stored while the
-    /// engine lock is still held, so any reader holding that lock sees
+    /// engine's write guard is still held, so any reader holding the lock sees
     /// an offset consistent with the engine's state (checkpoints pair
     /// the two without a race).
     applied: AtomicU64,
@@ -150,9 +150,9 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
             continue;
         }
         idle.reset();
-        let mut engine = slot.engine.lock();
+        let mut engine = slot.engine.write();
         let (done, skipped, _first_error) = engine.apply_update_batch(batch, true);
-        // Store under the engine lock: see `ShardSlot::applied`.
+        // Store under the write guard: see `ShardSlot::applied`.
         slot.applied
             .store(applied + (done + skipped) as u64, Ordering::Release);
         drop(engine);
@@ -233,7 +233,7 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
         },
         Frame::Population { shard } => match state.slot(shard) {
             Some(slot) => {
-                let rows = slot.engine.lock().population() as u64;
+                let rows = slot.engine.read().population() as u64;
                 Frame::PopulationAck { shard, rows }
             }
             None => err_frame(format!("population: shard {shard} not hosted")),
@@ -259,7 +259,7 @@ fn host_shard(
     let slot = Arc::new(ShardSlot {
         base: 0,
         log: TopicLog::new(),
-        engine: Mutex::new(engine),
+        engine: RwLock::new(engine),
         applied: AtomicU64::new(0),
         retired: AtomicBool::new(false),
         pump_thread: Mutex::new(None),
@@ -313,7 +313,7 @@ fn answer_query(
     let Some(slot) = state.slot(shard) else {
         return QueryOutcome::Failed(format!("shard {shard} not hosted"));
     };
-    let mut engine = slot.engine.lock();
+    let engine = slot.engine.read();
     let applied = slot.applied.load(Ordering::Acquire);
     if applied < min_applied {
         return QueryOutcome::Stale { applied };
@@ -340,7 +340,7 @@ fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
     let slot = state
         .slot(shard)
         .ok_or_else(|| janus_common::JanusError::Storage(format!("shard {shard} not hosted")))?;
-    let engine = slot.engine.lock();
+    let engine = slot.engine.read();
     let checkpoint = ShardCheckpoint {
         shard: shard as usize,
         applied_offset: slot.applied.load(Ordering::Acquire),
@@ -379,7 +379,7 @@ fn install_checkpoint(
     let slot = Arc::new(ShardSlot {
         base: checkpoint.applied_offset,
         log: TopicLog::new(),
-        engine: Mutex::new(engine),
+        engine: RwLock::new(engine),
         applied: AtomicU64::new(checkpoint.applied_offset),
         retired: AtomicBool::new(false),
         pump_thread: Mutex::new(None),
@@ -689,5 +689,61 @@ mod tests {
 
         server.stop();
         twin.stop();
+    }
+
+    /// While one reader holds a hosted shard's read guard (and has
+    /// answered under it), a `Query` frame for the same shard must be
+    /// answered: an exclusive engine lock in `answer_query` would wait for
+    /// the guard to drop, which the `recv_timeout` reports as a failure.
+    #[test]
+    fn a_query_frame_is_answered_while_another_reader_is_inside_the_shard() {
+        let server = crate::local_fleet(1).unwrap().remove(0);
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        let host = Frame::Host {
+            shard: 0,
+            config: test_config(5),
+            rows: rows(500),
+        };
+        assert_eq!(wire::roundtrip(&mut conn, &host).unwrap(), Frame::Ok);
+        let query = janus_common::Query::new(
+            AggregateFunction::Sum,
+            1,
+            vec![0],
+            janus_common::RangePredicate::new(vec![100.0], vec![400.0]).unwrap(),
+        )
+        .unwrap();
+        let ask = Frame::Query {
+            id: 1,
+            shard: 0,
+            moments: false,
+            min_applied: 0,
+            tenant: 0,
+            deadline_ms: 0,
+            query: query.clone(),
+        };
+
+        let slot = server.state.slot(0).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let inside = slot.engine.read();
+        let local = inside.query(&query).unwrap().unwrap();
+        let remote = std::thread::spawn(move || {
+            done_tx
+                .send(wire::roundtrip(&mut conn, &ask).unwrap())
+                .unwrap();
+        });
+        let reply = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the node's query path waited for a reader to leave");
+        drop(inside);
+        remote.join().unwrap();
+        match reply {
+            Frame::Estimate {
+                outcome: QueryOutcome::Estimate(e),
+                ..
+            } => assert_eq!(e.value.to_bits(), local.value.to_bits()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(slot.engine.read().stats().queries, 2);
+        server.stop();
     }
 }

@@ -45,7 +45,7 @@ fn catchup_error_is_monotone_in_expectation() {
     let d = dataset();
     let queries = workload(&d, 1);
     let med_at = |ratio: f64| {
-        let mut engine = JanusEngine::bootstrap(config(&d, ratio, 61), d.rows.clone()).unwrap();
+        let engine = JanusEngine::bootstrap(config(&d, ratio, 61), d.rows.clone()).unwrap();
         let errs: Vec<f64> = queries
             .iter()
             .filter_map(|q| {
@@ -70,7 +70,7 @@ fn catchup_error_is_monotone_in_expectation() {
 fn live_engine_matches_sync_engine_accuracy() {
     let d = dataset();
     let queries = workload(&d, 2);
-    let mut sync_engine = JanusEngine::bootstrap(config(&d, 0.3, 62), d.rows.clone()).unwrap();
+    let sync_engine = JanusEngine::bootstrap(config(&d, 0.3, 62), d.rows.clone()).unwrap();
     let live = LiveEngine::start(config(&d, 0.3, 62), d.rows.clone()).unwrap();
     live.wait_for_catchup();
     for q in queries.iter().take(30) {

@@ -29,7 +29,7 @@ fn run_accuracy(
     config.leaf_count = 64;
     config.sample_rate = sample_rate;
     config.catchup_ratio = catchup;
-    let mut engine = JanusEngine::bootstrap(config, dataset.rows.clone()).unwrap();
+    let engine = JanusEngine::bootstrap(config, dataset.rows.clone()).unwrap();
 
     let workload = QueryWorkload::generate(
         dataset,
@@ -98,7 +98,7 @@ fn confidence_intervals_cover_the_truth() {
     config.leaf_count = 64;
     config.sample_rate = 0.02;
     config.catchup_ratio = 0.2;
-    let mut engine = JanusEngine::bootstrap(config, d.rows.clone()).unwrap();
+    let engine = JanusEngine::bootstrap(config, d.rows.clone()).unwrap();
     let workload = QueryWorkload::generate(
         &d,
         &WorkloadSpec {
@@ -134,7 +134,7 @@ fn all_five_aggregates_answer() {
     config.leaf_count = 32;
     config.sample_rate = 0.05;
     config.catchup_ratio = 0.3;
-    let mut engine = JanusEngine::bootstrap(config, d.rows.clone()).unwrap();
+    let engine = JanusEngine::bootstrap(config, d.rows.clone()).unwrap();
     let day = 86_400.0;
     for agg in AggregateFunction::ALL {
         let q = Query::new(
@@ -180,7 +180,7 @@ fn five_dimensional_template_works() {
     config.leaf_count = 64;
     config.sample_rate = 0.05;
     config.catchup_ratio = 0.3;
-    let mut engine = JanusEngine::bootstrap(config, d.rows.clone()).unwrap();
+    let engine = JanusEngine::bootstrap(config, d.rows.clone()).unwrap();
     let workload = QueryWorkload::generate(
         &d,
         &WorkloadSpec {

@@ -156,7 +156,7 @@ fn assert_pinned(actual: &[String], pins: &str) {
 
 #[test]
 fn single_engine_answers_are_pinned() {
-    let mut engine = pinned_engine();
+    let engine = pinned_engine();
     let mut actual = Vec::new();
     for (path, agg_col, pred, scale) in PATHS {
         for (range, lo, hi) in RANGES {
@@ -176,7 +176,7 @@ fn single_engine_answers_are_pinned() {
 /// SUM and COUNT answers pinned above, field for field, on every path.
 #[test]
 fn sum_count_pair_equals_the_two_pinned_queries() {
-    let mut engine = pinned_engine();
+    let engine = pinned_engine();
     for (path, agg_col, pred, scale) in PATHS {
         for (range, lo, hi) in RANGES {
             let q = query(

@@ -342,3 +342,66 @@ fn wrapping_a_synchronous_engine_resumes_its_backlog() {
     assert_eq!(engine.population(), 8_000);
     assert_eq!(engine.stats().pumped, 3_000);
 }
+
+/// Readers read: while one reader sits inside shard 0's engine (under the
+/// shard's read guard, having answered there), a full scatter-gather
+/// query that also lands on shard 0 must complete. A sub-query that took
+/// the shard exclusively would wait for the first reader to leave — the
+/// `recv_timeout` turns that into a failure instead of a hang.
+#[test]
+fn a_cluster_query_completes_while_another_reader_is_inside_the_same_shard() {
+    let cluster = ClusterEngine::bootstrap(
+        ClusterConfig::new(exact_config(71), 4, ShardPolicy::HashById),
+        rows(4_000, 71),
+    )
+    .unwrap();
+    let q = query(AggregateFunction::Sum, 0.0, 100.0);
+    let (inside_tx, inside_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        let (cluster, q) = (&cluster, &q);
+        s.spawn(move || {
+            inside_rx.recv().unwrap();
+            done_tx.send(cluster.query(q).unwrap().unwrap()).unwrap();
+        });
+        cluster.with_shard_engine(0, |engine| {
+            engine.query(q).unwrap().unwrap();
+            inside_tx.send(()).unwrap();
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the scatter waited for a reader of shard 0 to leave")
+        });
+    });
+    // The reader inside the guard and the scatter's sub-query both counted.
+    assert_eq!(cluster.with_shard_engine(0, |e| e.stats().queries), 2);
+}
+
+/// The query counter is bumped through `&self` by concurrent readers and
+/// must not lose an increment: N threads × M whole-domain queries over
+/// hash shards land N·M sub-queries on every shard.
+#[test]
+fn query_counter_is_exact_under_contention() {
+    const THREADS: u64 = 4;
+    const QUERIES: u64 = 200;
+    let cluster = ClusterEngine::bootstrap(
+        ClusterConfig::new(exact_config(72), 4, ShardPolicy::HashById),
+        rows(4_000, 72),
+    )
+    .unwrap();
+    let q = query(AggregateFunction::Count, 0.0, 100.0);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for _ in 0..QUERIES {
+                    cluster.query(&q).unwrap().unwrap();
+                }
+            });
+        }
+    });
+    let per_shard: Vec<u64> = (0..4)
+        .map(|shard| cluster.with_shard_engine(shard, |e| e.stats().queries))
+        .collect();
+    assert_eq!(per_shard, vec![THREADS * QUERIES; 4]);
+    assert_eq!(cluster.stats().subqueries, 4 * THREADS * QUERIES);
+    assert_eq!(cluster.stats().queries, THREADS * QUERIES);
+}

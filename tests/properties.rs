@@ -75,7 +75,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         let rows: Vec<Row> = rows.into_iter().filter(|r| seen.insert(r.id)).collect();
         prop_assume!(rows.len() >= 32);
-        let mut engine = JanusEngine::bootstrap(small_config(9, 4), rows.clone()).unwrap();
+        let engine = JanusEngine::bootstrap(small_config(9, 4), rows.clone()).unwrap();
         let q = |agg| Query::new(
             agg, 1, vec![0],
             RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY]).unwrap(),
@@ -144,7 +144,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         let rows: Vec<Row> = rows.into_iter().filter(|r| seen.insert(r.id)).collect();
         prop_assume!(rows.len() >= 40);
-        let mut engine = JanusEngine::bootstrap(small_config(17, 8), rows).unwrap();
+        let engine = JanusEngine::bootstrap(small_config(17, 8), rows).unwrap();
         let q = Query::new(
             AggregateFunction::Avg, 1, vec![0],
             RangePredicate::new(vec![lo], vec![lo + width]).unwrap(),
