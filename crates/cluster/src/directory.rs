@@ -37,7 +37,8 @@
 //!   duplicate check, which rejects the row exactly as it would once the
 //!   insert has landed.
 
-use crate::router::mix;
+use crate::engine::ShardOp;
+use crate::router::{mix, ShardRouter};
 use janus_common::{DetHashMap, RowId};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -46,18 +47,63 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// keeping the all-stripes paths (rebalance, checkpoint) cheap.
 pub(crate) const STRIPES: usize = 16;
 
-/// Anything placement updates can be recorded into — the live
-/// [`StripedDirectory`] via [`AllStripesWrite`], or a plain map when
-/// rebuilding placement offline (bootstrap, restore, unit tests).
-pub(crate) trait PlacementSink {
+/// A row → shard placement map held exclusively — the live striped
+/// directory under all its stripe locks, or a plain map (the networked
+/// coordinator's, or placement rebuilt offline in bootstrap, restore and
+/// unit tests).
+pub trait PlacementSink {
+    /// Whether `id` is placed anywhere.
+    fn contains(&self, id: RowId) -> bool;
     /// Records that `id` now lives on `shard` (insert or overwrite).
     fn place(&mut self, id: RowId, shard: usize);
+    /// Removes `id`, returning the shard it lived on.
+    fn remove(&mut self, id: RowId) -> Option<usize>;
 }
 
 impl PlacementSink for DetHashMap<RowId, usize> {
+    fn contains(&self, id: RowId) -> bool {
+        self.contains_key(&id)
+    }
     fn place(&mut self, id: RowId, shard: usize) {
         self.insert(id, shard);
     }
+    fn remove(&mut self, id: RowId) -> Option<usize> {
+        DetHashMap::remove(self, &id)
+    }
+}
+
+/// The publish path's resolve step, shared by both coordinators:
+/// resolves `ops` against `directory` in arrival order and groups the
+/// accepted ones per shard — an insert is routed and placed, a delete
+/// goes to the shard holding the row; an insert of a placed id or a
+/// delete of an unplaced one is rejected and skipped. Returns `(groups,
+/// inserts, deletes, rejected)`; order inside a group is arrival order.
+pub fn resolve_batch(
+    ops: impl IntoIterator<Item = ShardOp>,
+    directory: &mut impl PlacementSink,
+    router: &mut ShardRouter,
+) -> (Vec<Vec<ShardOp>>, u64, u64, usize) {
+    let mut groups: Vec<Vec<ShardOp>> = (0..router.shards()).map(|_| Vec::new()).collect();
+    let (mut inserts, mut deletes, mut rejected) = (0, 0, 0);
+    for op in ops {
+        match op {
+            ShardOp::Insert(row) if !directory.contains(row.id) => {
+                let shard = router.route(&row);
+                directory.place(row.id, shard);
+                groups[shard].push(ShardOp::Insert(row));
+                inserts += 1;
+            }
+            ShardOp::Insert(_) => rejected += 1,
+            ShardOp::Delete(id) => match directory.remove(id) {
+                Some(shard) => {
+                    groups[shard].push(ShardOp::Delete(id));
+                    deletes += 1;
+                }
+                None => rejected += 1,
+            },
+        }
+    }
+    (groups, inserts, deletes, rejected)
 }
 
 /// The row → shard placement map, sharded over [`STRIPES`] locks.
@@ -158,32 +204,21 @@ impl StripedDirectory {
 }
 
 /// Exclusive guard over every stripe (acquired in ascending order by
-/// [`StripedDirectory::write_all`]). Presents the flat-map API the
-/// classic batch path, rebalance, and restore code were written against.
+/// [`StripedDirectory::write_all`]); the flat map the classic batch path
+/// and rebalance see.
 pub(crate) struct AllStripesWrite<'a> {
     guards: Vec<RwLockWriteGuard<'a, DetHashMap<RowId, usize>>>,
 }
 
-impl AllStripesWrite<'_> {
-    /// Whether `id` is placed anywhere.
-    pub(crate) fn contains_key(&self, id: RowId) -> bool {
+impl PlacementSink for AllStripesWrite<'_> {
+    fn contains(&self, id: RowId) -> bool {
         self.guards[stripe_of(id)].contains_key(&id)
     }
-
-    /// Records `id` on `shard`.
-    pub(crate) fn insert(&mut self, id: RowId, shard: usize) {
+    fn place(&mut self, id: RowId, shard: usize) {
         self.guards[stripe_of(id)].insert(id, shard);
     }
-
-    /// Removes `id`, returning the shard it lived on.
-    pub(crate) fn remove(&mut self, id: RowId) -> Option<usize> {
+    fn remove(&mut self, id: RowId) -> Option<usize> {
         self.guards[stripe_of(id)].remove(&id)
-    }
-}
-
-impl PlacementSink for AllStripesWrite<'_> {
-    fn place(&mut self, id: RowId, shard: usize) {
-        self.insert(id, shard);
     }
 }
 

@@ -17,11 +17,12 @@
 //!   one shard-lock acquisition through the engine's batch-apply entry
 //!   point ([`JanusEngine::apply_update_batch`]).
 //! * **Queries** scatter to every shard whose slab the predicate can touch
-//!   (all shards under discrete policies), run in parallel on the
-//!   long-lived per-shard workers of the internal `scatter` pool (no thread is
-//!   spawned per query), and the per-shard [`Estimate`]s are gathered in
-//!   shard order and merged by [`janus_common::merge::gather`] — the one
-//!   gather every coordinator shares: COUNT/SUM add values and per-source
+//!   (all shards under discrete policies) through
+//!   [`ScatterPool::fan_out`] — one target on the calling thread, several
+//!   in parallel on the long-lived per-shard pool workers, no thread
+//!   spawned per query — and the per-shard [`Estimate`]s come back in
+//!   shard order and are merged by [`janus_common::merge::gather`], the
+//!   one merge every coordinator shares: COUNT/SUM add values and per-source
 //!   variances; AVG is re-derived from merged SUM/COUNT moment estimates
 //!   (each shard answers through the
 //!   [`JanusEngine::answer_sum_count`] moment hook); MIN/MAX take the
@@ -77,20 +78,18 @@
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
 use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
-use crate::directory::StripedDirectory;
+use crate::directory::{resolve_batch, StripedDirectory};
 use crate::rebalance::{self, RebalanceReport};
 use crate::router::{RoutingSnapshot, ShardPolicy, ShardRouter};
-use crate::scatter::{Job, Priority, ScatterPool};
+use crate::scatter::{Priority, ScatterPool};
 use janus_common::merge::{self, SubAnswer};
 use janus_common::{
-    kernels, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
-    ScanPartial,
+    AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
 };
 use janus_core::{JanusEngine, SynopsisConfig};
 use janus_storage::ShardedLog;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -342,12 +341,12 @@ pub(crate) struct Counters {
     cache_misses: AtomicU64,
 }
 
-/// The shard-side state the façade shares with the persistent worker
-/// pool: topics, primary and follower engines, the backlog gauges, and
-/// the counters both sides maintain. Everything the scatter/pump workers
-/// touch lives here — the router, directory, and rebalance state stay
-/// exclusive to [`ClusterEngine`], so workers can never participate in a
-/// router→directory lock ordering.
+/// The shard-side state the façade shares with the jobs it hands the
+/// worker pool: topics, primary and follower engines, the backlog gauges,
+/// and the counters both sides maintain. Everything a scatter or pump job
+/// touches lives here — the router, directory, and rebalance state stay
+/// exclusive to [`ClusterEngine`], so pool workers can never participate
+/// in a router→directory lock ordering.
 pub(crate) struct ShardSet {
     /// Shard topics are `Arc`-shared: like Kafka partitions they are
     /// durable *infrastructure*, not engine state, and surviving the
@@ -371,6 +370,9 @@ pub(crate) struct ShardSet {
     replica_count: usize,
     /// Configured freshness gate (`ClusterConfig::replica_lag`).
     replica_lag: u64,
+    /// Per-shard artificial delay (ms) before a *pooled* sub-query is
+    /// served — see [`ClusterEngine::inject_scatter_delay`].
+    stall_ms: Vec<AtomicU64>,
 }
 
 impl ShardSet {
@@ -472,25 +474,6 @@ impl ShardSet {
         }
         f(&self.shards[shard].read().engine)
     }
-
-    /// Scans one fixed-size segment of `shard`'s archive under the
-    /// shard's own read lock — the worker-side half of the parallel
-    /// exact scan ([`crate::ClusterEngine::evaluate_exact_parallel`]).
-    /// Segment bounds are recomputed from the shard's *current* length
-    /// and clamped, so a segment index that went stale (the shard shrank
-    /// since the fan-out snapshot) yields an empty partial, not a panic.
-    pub(crate) fn scan_segment(
-        &self,
-        shard: usize,
-        seg: usize,
-        segment_rows: usize,
-        query: &Query,
-    ) -> ScanPartial {
-        let guard = self.shards[shard].read();
-        let archive = guard.engine.archive();
-        let (start, end) = kernels::segment_bounds(seg, archive.len(), segment_rows);
-        archive.scan_partial_range(query, start, end)
-    }
 }
 
 /// N `JanusEngine` shards behind one scatter-gather façade. All methods
@@ -522,9 +505,9 @@ pub struct ClusterEngine {
     /// migration — the baseline the `rebalance_min_gain` hysteresis
     /// compares against.
     post_rebalance_skew: AtomicU64,
-    /// Shard-side state shared with the worker pool.
+    /// Shard-side state shared with the pool's jobs.
     set: Arc<ShardSet>,
-    /// The persistent per-shard scatter/pump workers; joined on drop.
+    /// One worker per shard under scatters and `pump`; joined on drop.
     pool: ScatterPool,
     /// Scatter-answer memo, present when `config.answer_cache > 0`.
     cache: Option<AnswerCache>,
@@ -588,8 +571,9 @@ impl ClusterEngine {
             counters: Counters::default(),
             replica_count: config.replicas,
             replica_lag: config.replica_lag,
+            stall_ms: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
         });
-        let pool = ScatterPool::start(&set);
+        let pool = ScatterPool::start("janus-scatter", config.shards);
         let cache = (config.answer_cache > 0).then(|| AnswerCache::new(config.answer_cache));
         ClusterEngine {
             config,
@@ -775,50 +759,24 @@ impl ClusterEngine {
     }
 
     /// Routes and publishes a whole batch of operations under **one**
-    /// router-write + directory-write acquisition: operations are
-    /// resolved against the directory in arrival order, grouped per
-    /// shard, and each group lands in its topic with a single batch
-    /// append — so per-shard topic contents (and therefore every drained
-    /// state) are identical to publishing the same operations one at a
-    /// time, however the caller slices them into batches. The backlog
-    /// gauge advances once per shard group instead of once per record.
+    /// router-write + directory-write acquisition: [`resolve_batch`]
+    /// resolves them in arrival order and groups them per shard, and
+    /// each group lands in its topic with a single batch append — so
+    /// per-shard topic contents (and therefore every drained state) are
+    /// identical to publishing the same operations one at a time, however
+    /// the caller slices them. The backlog gauge advances once per group.
     ///
     /// A duplicate insert or a delete of an unknown row is counted in
     /// [`PublishReport::rejected`] and skipped; the rest of the batch
     /// still publishes — matching how a live front end treats per-request
     /// errors.
     pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
-        let mut groups: Vec<Vec<ShardOp>> = (0..self.shards()).map(|_| Vec::new()).collect();
-        let mut inserts = 0u64;
-        let mut deletes = 0u64;
-        let mut rejected = 0usize;
         // The router write lock excludes every routed publisher for its
         // whole reserve → append window, so each entry the directory
         // shows here already has its insert in the shard topic.
         let mut router = self.router.write();
         let mut directory = self.directory.write_all();
-        for op in ops {
-            match op {
-                ShardOp::Insert(row) => {
-                    if directory.contains_key(row.id) {
-                        rejected += 1;
-                        continue;
-                    }
-                    let shard = router.route(&row);
-                    directory.insert(row.id, shard);
-                    groups[shard].push(ShardOp::Insert(row));
-                    inserts += 1;
-                }
-                ShardOp::Delete(id) => {
-                    let Some(shard) = directory.remove(id) else {
-                        rejected += 1;
-                        continue;
-                    };
-                    groups[shard].push(ShardOp::Delete(id));
-                    deletes += 1;
-                }
-            }
-        }
+        let (groups, inserts, deletes, rejected) = resolve_batch(ops, &mut directory, &mut router);
         drop(router);
         // Appends stay under the directory stripes: once the directory
         // names a row, its insert is in the shard topic ahead of any
@@ -1025,32 +983,22 @@ impl ClusterEngine {
     /// already advanced its engine and offset for the records before the
     /// failure, and those still count in `stats`.
     pub fn pump(&self, max_per_shard: usize) -> Result<usize> {
-        let n = self.shards();
-        let (tx, rx) = std::sync::mpsc::channel();
-        for shard in 0..n {
-            self.pool.send(
-                shard,
-                Job::Pump {
-                    max: max_per_shard,
-                    reply: tx.clone(),
-                },
-            );
-        }
-        drop(tx);
-        let mut outcomes: Vec<(usize, usize, usize, Option<JanusError>)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            outcomes.push(rx.recv().expect("pump worker died"));
-        }
-        // Deterministic error pick: the lowest-indexed failing shard, as
-        // the scoped-thread path reported.
-        outcomes.sort_by_key(|o| o.0);
+        let jobs = (0..self.shards()).map(|shard| {
+            let set = Arc::clone(&self.set);
+            let job = move || {
+                let (applied, _, error) = set.pump_one(shard, max_per_shard, false);
+                let followers = set.pump_replicas_mode(shard, max_per_shard, false);
+                (applied + followers, error)
+            };
+            (shard, job)
+        });
         let mut applied = 0;
         let mut first_error = None;
-        for (_, n, _, error) in outcomes {
+        // Shard order, so the error reported is the lowest failing shard's.
+        for outcome in self.pool.fan_out(Priority::Bulk, None, jobs) {
+            let (n, error) = outcome.expect("pump worker died");
             applied += n;
-            if first_error.is_none() {
-                first_error = error;
-            }
+            first_error = first_error.or(error);
         }
         match first_error {
             Some(e) => Err(e),
@@ -1202,7 +1150,7 @@ impl ClusterEngine {
     /// unaffected, so it exercises deadline paths without touching data.
     #[doc(hidden)]
     pub fn inject_scatter_delay(&self, shard: usize, delay: Duration) {
-        self.pool.set_stall_ms(shard, delay.as_millis() as u64);
+        self.set.stall_ms[shard].store(delay.as_millis() as u64, Ordering::Relaxed);
     }
 
     /// Exact evaluation across all shard archives (ground-truth oracle;
@@ -1225,94 +1173,10 @@ impl ClusterEngine {
         acc.finish()
     }
 
-    /// Parallel twin of [`ClusterEngine::evaluate_exact`]: tiles every
-    /// shard's archive into fixed [`kernels::SEGMENT_ROWS`]-row segments
-    /// and fans one `Job::Scan` per segment round-robin across **all**
-    /// pool workers, then merges the gathered partials in (shard,
-    /// segment) order. The segmentation is a function of table lengths
-    /// only — never of the worker count — so on a quiesced cluster (no
-    /// concurrent pumps or rebalances; the oracle/bench use case) the
-    /// answer is bit-identical to a sequential segmented merge in the
-    /// same order, for COUNT/MIN/MAX bit-identical to
-    /// [`ClusterEngine::evaluate_exact`] itself, and independent of how
-    /// many workers the pool happens to have.
-    ///
-    /// The caller snapshots lengths under brief per-shard read locks,
-    /// drops them, and holds *nothing* while waiting on the gather, so
-    /// scan workers (which take their own shard read locks) can never
-    /// deadlock against it.
-    pub fn evaluate_exact_parallel(&self, query: &Query) -> Option<f64> {
-        const SEGMENT_ROWS: usize = kernels::SEGMENT_ROWS;
-        let seg_counts: Vec<usize> = self
-            .set
-            .shards
-            .iter()
-            .map(|s| kernels::segment_count(s.read().engine.archive().len(), SEGMENT_ROWS))
-            .collect();
-        let total: usize = seg_counts.iter().sum();
-        let workers = self.set.shards.len();
-        if workers <= 1 || total <= 1 {
-            // Sequential fallback with the *same* segmentation, so the
-            // fallback answer matches the parallel one bit-for-bit.
-            let mut acc = ScanPartial::EMPTY;
-            for s in &self.set.shards {
-                let g = s.read();
-                acc.merge(
-                    &g.engine
-                        .archive()
-                        .scan_partial_segmented(query, SEGMENT_ROWS),
-                );
-            }
-            return acc.finish(query.agg);
-        }
-        let query_arc = Arc::new(query.clone());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut slot = 0usize;
-        for (shard, &segs) in seg_counts.iter().enumerate() {
-            for seg in 0..segs {
-                self.pool.send(
-                    slot % workers,
-                    Job::Scan {
-                        slot,
-                        shard,
-                        seg,
-                        segment_rows: SEGMENT_ROWS,
-                        query: Arc::clone(&query_arc),
-                        reply: tx.clone(),
-                    },
-                );
-                slot += 1;
-            }
-        }
-        drop(tx);
-        let mut partials = vec![ScanPartial::EMPTY; total];
-        for _ in 0..total {
-            let (slot, partial) = rx.recv().expect("scan worker died");
-            partials[slot] = partial;
-        }
-        let mut acc = ScanPartial::EMPTY;
-        for partial in &partials {
-            acc.merge(partial);
-        }
-        acc.finish(query.agg)
-    }
-
-    /// Scatters `query` to `targets` on the worker pool and gathers the
-    /// per-shard answers in shard order; slot `i` is `None` iff shard
-    /// `targets[i]` missed the deadline, and the first failed sub-query
-    /// (in shard order) fails the scatter. A single-target scatter is
-    /// served inline on the calling thread — no channel round trip, no
-    /// deadline (there is nothing to overlap the wait with, and a
-    /// one-shard gather can never be usefully partial).
-    ///
-    /// With `deadline: None` every slot is `Some` and the gather is the
-    /// pre-deadline path unchanged. With a deadline, the gather always
-    /// blocks for the *first* sub-answer (partial extrapolation needs at
-    /// least one responder), bounds the rest with `recv_timeout`, and
-    /// after expiry scoops whatever already sits in the channel — a shard
-    /// that answered while the gather was timing out still counts.
-    /// Stragglers' late replies land on a dropped receiver, which the
-    /// workers tolerate by design.
+    /// Scatters `query` to `targets` — one inline on the calling thread,
+    /// several through [`ScatterPool::fan_out`] on their shards' workers.
+    /// Slot `i` is `None` iff shard `targets[i]` missed the deadline; the
+    /// first failed sub-query (in target order) fails the scatter.
     fn scatter_bounded(
         &self,
         targets: &[usize],
@@ -1320,53 +1184,26 @@ impl ClusterEngine {
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<Vec<Option<SubAnswer>>> {
-        if targets.len() == 1 {
-            return Ok(vec![Some(self.set.serve(targets[0], query)?)]);
+        if let [shard] = *targets {
+            return Ok(vec![Some(self.set.serve(shard, query)?)]);
         }
         let query = Arc::new(query.clone());
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (slot, &shard) in targets.iter().enumerate() {
-            self.pool.send_with(
-                shard,
-                priority,
-                Job::Query {
-                    slot,
-                    query: Arc::clone(&query),
-                    reply: tx.clone(),
-                },
-            );
-        }
-        drop(tx);
-        let mut slots: Vec<Option<Result<SubAnswer>>> = vec![None; targets.len()];
-        let mut received = 0usize;
-        while received < targets.len() {
-            let message = match deadline {
-                None => rx.recv().ok(),
-                Some(_) if received == 0 => rx.recv().ok(),
-                Some(deadline) => {
-                    match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                        Ok(message) => Some(message),
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => None,
-                    }
+        let jobs = targets.iter().map(|&shard| {
+            let (set, query) = (Arc::clone(&self.set), Arc::clone(&query));
+            let job = move || {
+                let stall = set.stall_ms[shard].load(Ordering::Relaxed);
+                if stall > 0 {
+                    std::thread::sleep(Duration::from_millis(stall));
                 }
+                set.serve(shard, &query)
             };
-            let Some((slot, answer)) = message else {
-                // Workers outlive the engine, so a closed channel means
-                // every outstanding job already replied.
-                break;
-            };
-            slots[slot] = Some(answer);
-            received += 1;
-        }
-        // Deadline expired: take answers that raced in while we were
-        // giving up, but wait for nobody.
-        while let Ok((slot, answer)) = rx.try_recv() {
-            if slots[slot].is_none() {
-                slots[slot] = Some(answer);
-            }
-        }
-        slots.into_iter().map(Option::transpose).collect()
+            (shard, job)
+        });
+        self.pool
+            .fan_out(priority, deadline, jobs)
+            .into_iter()
+            .map(Option::transpose)
+            .collect()
     }
 
     /// Fails a shard's primary and promotes its freshest follower (ties

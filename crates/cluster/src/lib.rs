@@ -8,9 +8,9 @@
 //! |---|---|
 //! | [`router`] | [`ShardPolicy`] (hash-by-id, round-robin, range on a predicate attribute) and the [`ShardRouter`] that applies it: row placement, per-shard slabs as [`janus_common::Rect`]s, query overlap pruning |
 //! | [`bootstrap`] | the shared shard-placement helpers: seed derivation, value→slab placement, partition-then-build |
-//! | `directory` (internal) | the striped row→shard placement map: 16 independently locked stripes keyed by a SplitMix64 hash of the row id, with the one-pass reserve the pre-routed publish path lands batches under |
+//! | `directory` (internal) | the striped row→shard placement map: 16 independently locked stripes keyed by a SplitMix64 hash of the row id, with the one-pass reserve the pre-routed publish path lands batches under, and [`resolve_batch`], the publish path's resolve step both coordinators call |
 //! | [`engine`] | [`ClusterEngine`]: lock-sharded state (`&self` everywhere — one `RwLock` per shard, router lock, striped directory, atomic counters), batch-first publish/pump ingest over [`janus_storage::ShardedLog`] (one Kafka-like topic + offset per shard, deterministic replay; [`ClusterEngine::publish_batch`] routes a whole batch under one lock acquisition, [`ClusterEngine::publish_batch_routed`] lands pre-grouped batches under a router *read* lock against a [`RoutingSnapshot`] generation check), parallel scatter-gather queries merged via [`janus_common::merge`] |
-//! | `scatter` (internal) | the persistent per-shard worker pool queries scatter on and `pump` drains through — long-lived threads fed by channels with a two-lane ([`Priority`]) queue, created at engine construction, joined on drop |
+//! | `scatter` (internal) | [`ScatterPool`]: N long-lived named workers running boxed closures off two-lane ([`Priority`]) queues, and [`ScatterPool::fan_out`], the one gather (submission-order slots, single job inline, deadline-bounded) under both this crate's queries and `pump` and the networked coordinator's scatter |
 //! | `cache` (internal) | the answer cache behind [`ClusterConfig::with_answer_cache`]: exact-shape query keys, entries pinned to (rebalance generation, per-shard applied offsets), lazily self-invalidating |
 //! | [`live`] | [`LiveCluster`]: the engine as a long-running service — one background pump worker per shard plus a request/response front end over [`janus_storage::RequestLog`] (data runs republished through the batched path), with per-shard backpressure, a `drain()` barrier, graceful shutdown, and a multi-tenant submit path ([`LiveCluster::submit_query`]: admission quotas, deadlines, priority lanes) |
 //! | [`rebalance`] | the cluster-level skew trigger (largest shard ≥ `skew_factor` × median, with cooldown + minimum-gain hysteresis) and the snapshot-shipping migration built on the `janus-core` snapshot path |
@@ -75,6 +75,7 @@ pub mod router;
 pub(crate) mod scatter;
 
 pub use checkpoint::{ClusterCheckpoint, PolicyKind, RouterSnapshot, ShardCheckpoint};
+pub use directory::{resolve_batch, PlacementSink};
 pub use engine::{
     ClusterConfig, ClusterEngine, ClusterStats, PublishReport, QueryOptions, ShardOp,
 };
@@ -82,7 +83,7 @@ pub use live::{LiveCluster, LiveConfig, LiveStats, TenantStats};
 pub use notify::Progress;
 pub use rebalance::RebalanceReport;
 pub use router::{RoutingSnapshot, ShardPolicy, ShardRouter};
-pub use scatter::Priority;
+pub use scatter::{Priority, ScatterPool};
 
 #[allow(unused_imports)]
 use janus_core::JanusEngine; // rustdoc link target

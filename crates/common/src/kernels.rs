@@ -40,28 +40,12 @@
 //! guaranteed for `NaN`-free aggregate columns (predicate columns may
 //! hold anything; comparisons with `NaN` are simply `false` in both
 //! paths).
-//!
-//! Segmented scans ([`segment_bounds`]) split a buffer into fixed-width
-//! row ranges. Each segment folds its own `ScanPartial` (bit-identical
-//! to a scalar scan of that range) and partials are merged **in segment
-//! order** with [`ScanPartial::merge`]; any two scans — sequential or
-//! parallel — that use the same segmentation therefore produce
-//! bit-identical answers. Merging partials is *not* the same rounding
-//! sequence as one unsegmented scan for `SUM`/`AVG` (float addition is
-//! not associative), which is why the canonical single-accumulator
-//! exact paths stay unsegmented and the segmented/parallel scans are
-//! pinned against a same-segmentation sequential twin instead.
 
 use crate::query::{AggregateFunction, Query};
 
 /// Rows processed per kernel chunk. Wide enough for 512-bit vectors,
 /// small enough that mask + lane scratch stays in registers.
 pub const CHUNK: usize = 8;
-
-/// Rows per segment for segmented (and parallel) scans. Fixed — a
-/// function of the table length only — so the segmentation, and with it
-/// the merge order and every answer bit, never depends on worker count.
-pub const SEGMENT_ROWS: usize = 1 << 16;
 
 /// Mergeable partial state of an exact scan: the four accumulator lanes
 /// every [`AggregateFunction`] is derived from.
@@ -103,8 +87,8 @@ impl ScanPartial {
         self.offer(true, a);
     }
 
-    /// Merges a later partial into this one. Partials must be merged in
-    /// segment order for `SUM`/`AVG` bit-stability.
+    /// Merges a later partial into this one. `SUM`/`AVG` are bit-stable
+    /// only under a fixed merge order (float addition is not associative).
     #[inline]
     pub fn merge(&mut self, later: &ScanPartial) {
         self.count += later.count;
@@ -191,22 +175,6 @@ pub fn contains_half_open(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
         m &= (l <= x) & (x < h);
     }
     m
-}
-
-/// Number of [`SEGMENT_ROWS`]-style fixed-width segments covering
-/// `rows` rows (zero for an empty table).
-pub fn segment_count(rows: usize, segment_rows: usize) -> usize {
-    let sr = segment_rows.max(1);
-    rows.div_ceil(sr)
-}
-
-/// Row range `[start, end)` of segment `seg` under a fixed-width
-/// segmentation. Clamped to the table, so a stale `seg` yields an empty
-/// range instead of a panic.
-pub fn segment_bounds(seg: usize, rows: usize, segment_rows: usize) -> (usize, usize) {
-    let sr = segment_rows.max(1);
-    let start = seg.saturating_mul(sr).min(rows);
-    (start, start.saturating_add(sr).min(rows))
 }
 
 #[cfg(test)]
@@ -299,26 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_bounds_tile_the_table() {
-        for rows in [0usize, 1, 5, 16, 17, 100] {
-            for sr in [1usize, 4, 16, 1000] {
-                let segs = segment_count(rows, sr);
-                let mut covered = 0;
-                for seg in 0..segs {
-                    let (start, end) = segment_bounds(seg, rows, sr);
-                    assert_eq!(start, covered);
-                    assert!(end > start);
-                    covered = end;
-                }
-                assert_eq!(covered, rows);
-                // Stale segment indexes clamp to an empty range.
-                let (s, e) = segment_bounds(segs + 3, rows, sr);
-                assert_eq!(s, e);
-            }
-        }
-    }
-
-    #[test]
     fn segmented_merge_matches_segmented_sequential_twin() {
         let arity = 3;
         let values = pseudo_values(1000, arity);
@@ -329,15 +277,17 @@ mod tests {
             RangePredicate::new(vec![0.1, 0.0], vec![0.9, 0.7]).unwrap(),
         )
         .unwrap();
-        let rows = values.len() / arity;
-        let sr = 64;
-        let mut merged = ScanPartial::EMPTY;
-        for seg in 0..segment_count(rows, sr) {
-            let (start, end) = segment_bounds(seg, rows, sr);
-            let mut part = ScanPartial::EMPTY;
-            scan_columns(&q, &values[start * arity..end * arity], arity, &mut part);
-            merged.merge(&part);
-        }
+        // Partials of consecutive 64-row blocks, merged in block order.
+        let tile = || {
+            let mut merged = ScanPartial::EMPTY;
+            for block in values.chunks(64 * arity) {
+                let mut part = ScanPartial::EMPTY;
+                scan_columns(&q, block, arity, &mut part);
+                merged.merge(&part);
+            }
+            merged
+        };
+        let merged = tile();
         // COUNT / MIN / MAX are merge-order-insensitive and must match the
         // unsegmented scan exactly.
         let mut whole = ScanPartial::EMPTY;
@@ -346,14 +296,7 @@ mod tests {
         assert_eq!(merged.min.to_bits(), whole.min.to_bits());
         assert_eq!(merged.max.to_bits(), whole.max.to_bits());
         // SUM must match a second identically-segmented pass bit-for-bit.
-        let mut again = ScanPartial::EMPTY;
-        for seg in 0..segment_count(rows, sr) {
-            let (start, end) = segment_bounds(seg, rows, sr);
-            let mut part = ScanPartial::EMPTY;
-            scan_columns(&q, &values[start * arity..end * arity], arity, &mut part);
-            again.merge(&part);
-        }
-        assert_eq!(merged.sum.to_bits(), again.sum.to_bits());
+        assert_eq!(merged.sum.to_bits(), tile().sum.to_bits());
     }
 
     #[test]

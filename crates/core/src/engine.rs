@@ -207,15 +207,25 @@ impl JanusEngine {
             .delete(id)?
             .ok_or(JanusError::RowNotFound(id))?;
         let leaf = self.dpt.record_delete(&row);
-        match self.reservoir.delete(id) {
+        self.delete_from_reservoir(&row);
+        self.after_update(leaf);
+        Ok(row)
+    }
+
+    /// Removes a row that just left the archive from the reservoir and
+    /// mirrors the outcome into the stratum map and the max-variance
+    /// index — the one place a delete steps the three sample structures,
+    /// whichever path applied the tree statistics.
+    fn delete_from_reservoir(&mut self, row: &Row) {
+        match self.reservoir.delete(row.id) {
             DeleteOutcome::NotInSample => {}
             DeleteOutcome::Removed => {
                 // The row is gone from the archive; cancel its index entry
                 // with the copy in hand.
-                self.dpt.remove_sample(id);
-                let point = self.dpt.project(&row);
+                self.dpt.remove_sample(row.id);
+                let point = self.dpt.project(row);
                 self.maxvar
-                    .delete(&IndexPoint::new(point, id, self.dpt.agg_value(&row)));
+                    .delete(&IndexPoint::new(point, row.id, self.dpt.agg_value(row)));
             }
             DeleteOutcome::NeedsResample => {
                 self.resample_reservoir();
@@ -223,8 +233,6 @@ impl JanusEngine {
             }
         }
         self.stats.deletes += 1;
-        self.after_update(leaf);
-        Ok(row)
     }
 
     /// Offers an archived row to the reservoir — its last consumer, so it
@@ -297,24 +305,10 @@ impl JanusEngine {
 
     /// Archive + reservoir bookkeeping for a delete whose tree statistics
     /// were already applied by the batch updater.
-    pub(crate) fn apply_delete_sampling(&mut self, id: RowId, row: &Row) -> Result<()> {
-        if self.archive.delete(id)?.is_none() {
-            return Ok(());
+    pub(crate) fn apply_delete_sampling(&mut self, row: &Row) -> Result<()> {
+        if self.archive.delete(row.id)?.is_some() {
+            self.delete_from_reservoir(row);
         }
-        match self.reservoir.delete(id) {
-            DeleteOutcome::NotInSample => {}
-            DeleteOutcome::Removed => {
-                self.dpt.remove_sample(id);
-                let point = self.dpt.project(row);
-                self.maxvar
-                    .delete(&IndexPoint::new(point, id, self.dpt.agg_value(row)));
-            }
-            DeleteOutcome::NeedsResample => {
-                self.resample_reservoir();
-                self.stats.resamples += 1;
-            }
-        }
-        self.stats.deletes += 1;
         Ok(())
     }
 

@@ -4,7 +4,7 @@
 //! subset of shards, each as a [`JanusEngine`] plus a local tail copy of
 //! that shard's topic, and speaks the [`crate::wire`] protocol over
 //! plain TCP. The coordinator ([`crate::remote::RemoteCluster`]) pushes
-//! topic tails to it ([`Frame::Publish`] / [`Frame::PublishBatch`]),
+//! topic tails to it ([`Frame::PublishBatch`]),
 //! scatters sub-queries at it ([`Frame::Query`]), probes liveness and
 //! applied offsets ([`Frame::Heartbeat`]), and moves shards on or off it
 //! via checkpoint shipping ([`Frame::FetchCheckpoint`] /
@@ -190,7 +190,6 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
             Ok(()) => Frame::Ok,
             Err(e) => err_frame(format!("host shard {shard}: {e}")),
         },
-        Frame::Publish { shard, offset, op } => publish(state, shard, offset, vec![op]),
         Frame::PublishBatch {
             shard,
             first_offset,

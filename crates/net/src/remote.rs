@@ -34,12 +34,14 @@
 //! coordinator topic, so recovery is bit-exact for every acknowledged
 //! record.
 //!
-//! Reads scatter per overlapping shard with the same freshness gate as
-//! in-process replicas: a follower may serve only while it trails the
-//! topic end by at most `replica_lag` records (round-robin across
-//! primary + fresh followers); the node re-checks the gate under its
-//! engine lock and answers `Stale` if it fell behind, in which case the
-//! coordinator falls back to the primary.
+//! Reads scatter per overlapping shard through the in-process
+//! coordinator's own [`ScatterPool::fan_out`] (one pool worker per shard,
+//! started at bootstrap; one TCP exchange per job; no thread per query),
+//! with the same freshness gate as in-process replicas: a follower may
+//! serve only while it trails the topic end by at most `replica_lag`
+//! records (round-robin across primary + fresh followers); the node
+//! re-checks the gate under its engine lock and answers `Stale` if it
+//! fell behind, in which case the coordinator falls back to the primary.
 //!
 //! # Transient-failure hardening
 //!
@@ -61,7 +63,10 @@ use crate::node::NodeConfig;
 use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::bootstrap::{partition_rows, shard_config};
 use janus_cluster::notify::{Backoff, Progress};
-use janus_cluster::{PublishReport, ShardCheckpoint, ShardOp, ShardPolicy, ShardRouter};
+use janus_cluster::{
+    resolve_batch, Priority, PublishReport, ScatterPool, ShardCheckpoint, ShardOp, ShardPolicy,
+    ShardRouter,
+};
 use janus_common::merge::{self, SubAnswer};
 use janus_common::{
     faults, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
@@ -674,6 +679,9 @@ fn heartbeat_loop(shared: &RemoteShared) {
 pub struct RemoteCluster {
     shared: Arc<RemoteShared>,
     workers: Vec<JoinHandle<()>>,
+    /// One worker per shard, under every multi-target scatter; joined
+    /// when the handle drops, after `stop_workers` raised the flag.
+    pool: ScatterPool,
 }
 
 impl RemoteCluster {
@@ -756,7 +764,11 @@ impl RemoteCluster {
                 .spawn(move || heartbeat_loop(&s))
                 .map_err(|e| JanusError::Storage(format!("spawn heartbeat: {e}")))?,
         );
-        Ok(RemoteCluster { shared, workers })
+        Ok(RemoteCluster {
+            shared,
+            workers,
+            pool: ScatterPool::start("janus-gather", shards),
+        })
     }
 
     /// Routes an insert to its shard topic — a one-element
@@ -779,43 +791,20 @@ impl RemoteCluster {
     }
 
     /// Routes and publishes a batch under one row-directory and one
-    /// router-write acquisition, exactly like the in-process
-    /// `ClusterEngine::publish_batch`: operations resolve against the
-    /// directory in arrival order (a duplicate insert or a delete of an
-    /// unknown row counts as rejected and is skipped), group per shard,
-    /// and each group lands in its topic with a single batch append — so
-    /// per-shard topic contents are identical to publishing the same
-    /// operations one at a time, however the caller slices them. Every
+    /// router-write acquisition, through the in-process coordinator's own
+    /// [`resolve_batch`] (arrival-order resolve, rejects skipped, one
+    /// group per shard), and each group lands in its topic with a single
+    /// batch append — so per-shard topic contents match
+    /// `ClusterEngine::publish_batch`'s, however the caller slices. Every
     /// accepted record is durable at the coordinator on return; shippers
     /// push it to the hosting nodes asynchronously. The call then stalls
     /// once per shard it appended to while that shard is over the
     /// publish-ahead bound.
     pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
         let shared = &self.shared;
-        let mut groups: Vec<Vec<ShardOp>> = (0..shared.config.shards).map(|_| Vec::new()).collect();
-        let mut rejected = 0usize;
         let mut homes = shared.row_homes.lock();
         let mut router = shared.router.write();
-        for op in ops {
-            match op {
-                ShardOp::Insert(row) => {
-                    if homes.contains_key(&row.id) {
-                        rejected += 1;
-                        continue;
-                    }
-                    let shard = router.route(&row);
-                    homes.insert(row.id, shard);
-                    groups[shard].push(ShardOp::Insert(row));
-                }
-                ShardOp::Delete(id) => {
-                    let Some(shard) = homes.remove(&id) else {
-                        rejected += 1;
-                        continue;
-                    };
-                    groups[shard].push(ShardOp::Delete(id));
-                }
-            }
-        }
+        let (groups, _, _, rejected) = resolve_batch(ops, &mut *homes, &mut router);
         drop(router);
         // Appends stay under the row-directory lock, mirroring the
         // in-process ordering guarantee: once the directory names a row,
@@ -927,8 +916,9 @@ impl RemoteCluster {
     /// deadline.
     ///
     /// The tenant rides every scattered [`Frame::Query`] (billing /
-    /// tracing on the node side). The deadline is enforced with socket
-    /// read timeouts on the per-node control channels: a node that is
+    /// tracing on the node side). The deadline bounds the gather (the
+    /// first sub-answer is awaited, the rest only until expiry) and every
+    /// socket read on the per-node control channels: a node that is
     /// healthy but too slow surfaces [`JanusError::Deadline`] for its
     /// shard — **never** a failover — and the arrived sub-answers are
     /// merged k-of-n style exactly like the in-process engine's
@@ -978,9 +968,10 @@ impl RemoteCluster {
         self.shared.links[primary].applied_of(shard)
     }
 
-    /// Scatters `query` at every target shard concurrently, in target
-    /// order; slot `i` is `None` iff shard `targets[i]` missed the
-    /// deadline (every slot is `Some` when `expiry` is `None`).
+    /// Scatters `query` at every target shard through
+    /// [`ScatterPool::fan_out`] (one target on the calling thread, several
+    /// on the pool's per-shard workers), in target order; slot `i` is
+    /// `None` iff shard `targets[i]` missed the deadline.
     fn scatter(
         &self,
         targets: &[usize],
@@ -989,27 +980,20 @@ impl RemoteCluster {
         expiry: Option<Instant>,
     ) -> Result<Vec<Option<SubAnswer>>> {
         let moments = query.agg == AggregateFunction::Avg;
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let run = |t: usize| match self.scatter_one(t as u32, query, moments, tenant, expiry) {
-            Ok(outcome) => Ok(Some(outcome)),
-            Err(JanusError::Deadline) => Ok(None),
-            Err(e) => Err(e),
-        };
-        if targets.len() == 1 {
-            return Ok(vec![run(targets[0])?]);
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = targets
-                .iter()
-                .map(|&t| scope.spawn(move || run(t)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter thread panicked"))
-                .collect()
-        })
+        let query = Arc::new(query.clone());
+        let jobs = targets.iter().map(|&t| {
+            let (shared, query) = (Arc::clone(&self.shared), Arc::clone(&query));
+            let job = move || Self::scatter_one(&shared, t as u32, &query, moments, tenant, expiry);
+            (t, job)
+        });
+        self.pool
+            .fan_out(Priority::Bulk, expiry, jobs)
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Err(JanusError::Deadline)) | None => Ok(None),
+                Some(outcome) => outcome.map(Some),
+            })
+            .collect()
     }
 
     /// Serves one sub-query, load-balancing across the primary and
@@ -1019,14 +1003,13 @@ impl RemoteCluster {
     /// [`JanusError::Deadline`] means "shard too slow", and explicitly
     /// does not mark the node dead.
     fn scatter_one(
-        &self,
+        shared: &RemoteShared,
         shard: u32,
         query: &Query,
         moments: bool,
         tenant: u32,
         expiry: Option<Instant>,
     ) -> Result<SubAnswer> {
-        let shared = &self.shared;
         let id = shared.query_seq.fetch_add(1, Ordering::Relaxed);
         let mut primary_only = false;
         let mut attempts: HashMap<usize, u32> = HashMap::new();
@@ -1300,19 +1283,11 @@ impl RemoteCluster {
 
     /// Asks every alive node daemon to exit (best-effort).
     pub fn shutdown_nodes(&self) {
-        for link in &self.links_alive() {
-            let _ = self.shared.links[*link].request_ctrl(&Frame::Shutdown);
+        for link in &self.shared.links {
+            if link.alive.load(Ordering::Acquire) {
+                let _ = link.request_ctrl(&Frame::Shutdown);
+            }
         }
-    }
-
-    fn links_alive(&self) -> Vec<usize> {
-        self.shared
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.alive.load(Ordering::Acquire))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Stops coordinator threads (shippers, heartbeat). Node daemons
@@ -1327,20 +1302,10 @@ impl RemoteCluster {
         self.shared.unpark_shippers();
         self.shared.progress.bump();
         for w in self.workers.drain(..) {
-            w.unpark_and_join();
+            // Unpark first, so a parked worker observes the flag.
+            w.thread().unpark();
+            let _ = w.join();
         }
-    }
-}
-
-/// Unpark-then-join, so parked workers observe the shutdown flag.
-trait UnparkJoin {
-    fn unpark_and_join(self);
-}
-
-impl UnparkJoin for JoinHandle<()> {
-    fn unpark_and_join(self) {
-        self.thread().unpark();
-        let _ = self.join();
     }
 }
 
@@ -1401,4 +1366,49 @@ pub fn local_fleet(n: usize) -> std::io::Result<Vec<crate::node::NodeServer>> {
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use janus_common::{QueryTemplate, RangePredicate};
+
+    /// How many `std` threads this process has ever started: thread ids
+    /// come off one process-wide counter, so a fresh thread's id is it.
+    fn threads_started() -> u64 {
+        let id = std::thread::spawn(|| std::thread::current().id()).join();
+        let id = format!("{:?}", id.expect("probe thread"));
+        let digits = id.trim_matches(|c: char| !c.is_ascii_digit());
+        digits.parse().expect("ThreadId(n)")
+    }
+
+    #[test]
+    fn a_thousand_four_target_queries_start_no_thread() {
+        let fleet = local_fleet(2).expect("start fleet");
+        let addrs: Vec<SocketAddr> = fleet.iter().map(|s| s.addr()).collect();
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let mut base = SynopsisConfig::paper_default(template, 5);
+        base.leaf_count = 8;
+        base.sample_rate = 0.1;
+        let rows = (0..2_000u64).map(|i| Row::new(i, vec![(i % 100) as f64, i as f64]));
+        let config = RemoteConfig::new(base, 4, ShardPolicy::HashById);
+        let cluster = RemoteCluster::bootstrap(config, rows.collect(), &addrs).expect("bootstrap");
+        let all = RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY]).unwrap();
+        // Hash placement: every query fans out to all four shards.
+        let everything = Query::new(AggregateFunction::Count, 1, vec![0], all).unwrap();
+
+        let before = threads_started();
+        for _ in 0..1_000 {
+            cluster.query(&everything).expect("query").expect("answer");
+        }
+        let started = threads_started() - before - 1;
+        // Other tests of this binary start node servers while this one
+        // runs, so "none" is asserted as "nowhere near one per query".
+        assert!(
+            started < 100,
+            "{started} threads started under 1,000 queries"
+        );
+        cluster.shutdown_nodes();
+        cluster.shutdown();
+    }
 }

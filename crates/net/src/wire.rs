@@ -113,17 +113,8 @@ pub enum Frame {
         /// Bootstrap partition for this shard.
         rows: Vec<Row>,
     },
-    /// Ship one topic record — the single-record tail-replication path.
-    Publish {
-        /// Shard id.
-        shard: u32,
-        /// Topic offset of this record.
-        offset: u64,
-        /// The record.
-        op: ShardOp,
-    },
     /// Ship a contiguous run of topic records starting at
-    /// `first_offset` — the batched tail-replication path.
+    /// `first_offset` — the tail-replication path.
     PublishBatch {
         /// Shard id.
         shard: u32,
@@ -218,7 +209,7 @@ const KIND_HELLO_ACK: u8 = 2;
 const KIND_HEARTBEAT: u8 = 3;
 const KIND_HEARTBEAT_ACK: u8 = 4;
 const KIND_HOST: u8 = 5;
-const KIND_PUBLISH: u8 = 6;
+// 6 was the single-record `Publish`; reserved, never reassigned.
 const KIND_PUBLISH_BATCH: u8 = 7;
 const KIND_PUBLISH_ACK: u8 = 8;
 const KIND_QUERY: u8 = 9;
@@ -435,12 +426,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             e.config(config);
             e.rows(rows);
             KIND_HOST
-        }
-        Frame::Publish { shard, offset, op } => {
-            e.u32(*shard);
-            e.u64(*offset);
-            e.op(op);
-            KIND_PUBLISH
         }
         Frame::PublishBatch {
             shard,
@@ -782,11 +767,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
             config: d.config()?,
             rows: d.rows()?,
         },
-        KIND_PUBLISH => Frame::Publish {
-            shard: d.u32()?,
-            offset: d.u64()?,
-            op: d.op()?,
-        },
         KIND_PUBLISH_BATCH => Frame::PublishBatch {
             shard: d.u32()?,
             first_offset: d.u64()?,
@@ -1026,10 +1006,10 @@ mod tests {
 
     #[test]
     fn flipped_bit_fails_the_frame_crc_with_a_typed_error() {
-        let frame = Frame::Publish {
+        let frame = Frame::PublishBatch {
             shard: 1,
-            offset: 7,
-            op: ShardOp::Insert(Row::new(3, vec![0.5])),
+            first_offset: 7,
+            ops: vec![ShardOp::Insert(Row::new(3, vec![0.5]))],
         };
         let mut bytes = encode_frame(&frame);
         bytes[6] ^= 0x10; // damage the body, leave the length intact
@@ -1038,6 +1018,19 @@ mod tests {
         match dec.try_next() {
             Err(JanusError::Protocol(msg)) => assert!(msg.contains("CRC")),
             other => panic!("corrupt frame must fail CRC, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_retired_publish_kind_stays_unassigned() {
+        // Kind 6 was the single-record `Publish`: a peer still sending it
+        // gets a typed error, never another frame's decoder.
+        let mut payload = vec![WIRE_VERSION, 6];
+        let crc = crc32(&payload);
+        payload.extend_from_slice(&crc.to_le_bytes());
+        match decode_payload(&payload) {
+            Err(JanusError::Protocol(msg)) => assert!(msg.contains("unknown frame kind 6")),
+            other => panic!("kind 6 must not decode, got {other:?}"),
         }
     }
 

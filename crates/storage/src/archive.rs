@@ -33,7 +33,7 @@
 //! borrow.
 
 use crate::spill::{SegmentedFileArchive, SpillStats};
-use janus_common::{kernels, Query, Result, Row, RowId, RowRef, ScanPartial};
+use janus_common::{Query, Result, Row, RowId, RowRef, ScanPartial};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{seq::index::sample as index_sample, Rng, SeedableRng};
@@ -442,9 +442,9 @@ impl ArchiveStore {
     }
 
     /// Exact scan of the whole table into a mergeable partial, via the
-    /// chunked [`kernels`] on dense backends and the per-row path on
-    /// file-backed ones — bit-identical either way (see the kernels
-    /// bit-identity contract).
+    /// chunked [`janus_common::kernels`] on dense backends and the per-row
+    /// path on file-backed ones — bit-identical either way (see the
+    /// kernels bit-identity contract).
     pub fn scan_partial(&self, query: &Query) -> ScanPartial {
         let mut acc = query.exact_accumulator();
         match self.backend.columns() {
@@ -452,88 +452,6 @@ impl ArchiveStore {
             None => self.for_each_row(|r| acc.offer(r.values)),
         }
         *acc.partial()
-    }
-
-    /// Exact scan of the slot range `[start, end)` (clamped to the
-    /// table). Dense backends use the chunked kernels; file-backed ones
-    /// stream per row. Scanning `[0, len)` is bit-identical to
-    /// [`ArchiveStore::scan_partial`].
-    pub fn scan_partial_range(&self, query: &Query, start: usize, end: usize) -> ScanPartial {
-        let len = self.len();
-        let (start, end) = (start.min(len), end.min(len));
-        let mut acc = query.exact_accumulator();
-        if start < end {
-            match self.backend.columns() {
-                Some(c) => acc.offer_columns(&c.values[start * c.arity..end * c.arity], c.arity),
-                None => {
-                    let mut buf = Vec::with_capacity(self.backend.arity());
-                    for slot in start..end {
-                        self.backend.read_slot(slot, &mut buf);
-                        acc.offer(&buf);
-                    }
-                }
-            }
-        }
-        *acc.partial()
-    }
-
-    /// Sequential segmented scan: per-segment partials over fixed-width
-    /// row segments (see [`kernels::segment_bounds`]), merged in segment
-    /// order. This is the sequential twin of the parallel segmented
-    /// scans — any scan using the same segmentation and merge order is
-    /// bit-identical to this one, and `COUNT`/`MIN`/`MAX` additionally
-    /// match the unsegmented [`ArchiveStore::scan_partial`] exactly.
-    pub fn scan_partial_segmented(&self, query: &Query, segment_rows: usize) -> ScanPartial {
-        let rows = self.len();
-        let mut total = ScanPartial::EMPTY;
-        for seg in 0..kernels::segment_count(rows, segment_rows) {
-            let (start, end) = kernels::segment_bounds(seg, rows, segment_rows);
-            total.merge(&self.scan_partial_range(query, start, end));
-        }
-        total
-    }
-
-    /// Parallel segmented scan over `threads` scoped worker threads:
-    /// identical segmentation and merge order as
-    /// [`ArchiveStore::scan_partial_segmented`], so the answer is
-    /// bit-identical to the sequential twin regardless of thread count
-    /// or scheduling. Each thread scans a contiguous stripe of segments;
-    /// partials are gathered by segment index and merged in order.
-    pub fn scan_partial_parallel(
-        &self,
-        query: &Query,
-        segment_rows: usize,
-        threads: usize,
-    ) -> ScanPartial {
-        let rows = self.len();
-        let segs = kernels::segment_count(rows, segment_rows);
-        let threads = threads.max(1).min(segs.max(1));
-        if threads <= 1 || segs <= 1 {
-            return self.scan_partial_segmented(query, segment_rows);
-        }
-        let mut partials = vec![ScanPartial::EMPTY; segs];
-        std::thread::scope(|scope| {
-            // Deal segments out in contiguous stripes so each worker's
-            // reads stay dense.
-            let stripe = segs.div_ceil(threads);
-            let mut rest = partials.as_mut_slice();
-            for t in 0..threads {
-                let (mine, tail) = rest.split_at_mut(stripe.min(rest.len()));
-                rest = tail;
-                let first = t * stripe;
-                scope.spawn(move || {
-                    for (k, out) in mine.iter_mut().enumerate() {
-                        let (start, end) = kernels::segment_bounds(first + k, rows, segment_rows);
-                        *out = self.scan_partial_range(query, start, end);
-                    }
-                });
-            }
-        });
-        let mut total = ScanPartial::EMPTY;
-        for p in &partials {
-            total.merge(p);
-        }
-        total
     }
 
     /// Evaluates a query exactly over the whole table (the archive-side

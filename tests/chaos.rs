@@ -876,11 +876,6 @@ fn sample_frames() -> Vec<Frame> {
             config: config(3),
             rows: vec![Row::new(1, vec![1.0, 2.0]), Row::new(2, vec![3.5, -1.0])],
         },
-        Frame::Publish {
-            shard: 0,
-            offset: 4,
-            op: ShardOp::Insert(Row::new(9, vec![3.0, 4.0])),
-        },
         Frame::PublishBatch {
             shard: 2,
             first_offset: 10,

@@ -204,80 +204,6 @@ fn merged_estimates_are_bit_deterministic_across_runs() {
 }
 
 #[test]
-fn parallel_exact_scan_matches_sequential_oracle() {
-    // Two range shards over ~140k rows: each shard holds more than one
-    // 65 536-row scan segment, so the fan-out genuinely splits shards
-    // into multiple Job::Scan units across the worker pool.
-    let data = rows(140_000, 19);
-    let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 2).unwrap();
-    let cluster = ClusterEngine::bootstrap(
-        ClusterConfig::new(exact_config(19), 2, policy),
-        data.clone(),
-    )
-    .unwrap();
-
-    for (agg, lo, hi) in [
-        (AggregateFunction::Count, f64::NEG_INFINITY, f64::INFINITY),
-        (AggregateFunction::Count, 12.5, 77.5),
-        (AggregateFunction::Sum, 12.5, 77.5),
-        (AggregateFunction::Avg, 20.0, 60.0),
-        (AggregateFunction::Min, 0.0, 100.0),
-        (AggregateFunction::Max, 30.0, 35.0),
-    ] {
-        let q = query(agg, lo, hi);
-        let seq = cluster.evaluate_exact(&q);
-        let par = cluster.evaluate_exact_parallel(&q);
-        // The parallel gather merges in (shard, segment) order, so its
-        // answer is deterministic: repeated calls agree to the bit.
-        let par2 = cluster.evaluate_exact_parallel(&q);
-        assert_eq!(
-            par.map(f64::to_bits),
-            par2.map(f64::to_bits),
-            "{agg} [{lo},{hi}] parallel scan must be deterministic"
-        );
-        match agg {
-            // COUNT/MIN/MAX are grouping-insensitive: the segmented
-            // merge is bit-identical to the serial accumulator chain.
-            AggregateFunction::Count | AggregateFunction::Min | AggregateFunction::Max => {
-                assert_eq!(
-                    par.map(f64::to_bits),
-                    seq.map(f64::to_bits),
-                    "{agg} [{lo},{hi}]"
-                );
-            }
-            // SUM/AVG regroup the float additions per segment; answers
-            // agree to summation-order ULPs.
-            AggregateFunction::Sum | AggregateFunction::Avg => {
-                let (s, p) = (seq.unwrap(), par.unwrap());
-                assert!(
-                    (s - p).abs() <= 1e-9 * s.abs().max(1.0),
-                    "{agg} [{lo},{hi}]: seq {s} vs par {p}"
-                );
-            }
-        }
-    }
-
-    // An empty selection behaves identically on both paths.
-    let empty = query(AggregateFunction::Min, 200.0, 300.0);
-    assert_eq!(cluster.evaluate_exact(&empty), None);
-    assert_eq!(cluster.evaluate_exact_parallel(&empty), None);
-
-    // Single-shard cluster: the sequential fallback path answers, and it
-    // still matches the plain oracle bitwise on grouping-insensitive
-    // aggregates.
-    let one = ClusterEngine::bootstrap(
-        ClusterConfig::new(exact_config(19), 1, ShardPolicy::HashById),
-        data,
-    )
-    .unwrap();
-    let qc = whole_domain(AggregateFunction::Count);
-    assert_eq!(
-        one.evaluate_exact_parallel(&qc).map(f64::to_bits),
-        one.evaluate_exact(&qc).map(f64::to_bits)
-    );
-}
-
-#[test]
 fn range_policy_prunes_non_overlapping_shards() {
     let data = rows(12_000, 11);
     let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();

@@ -121,82 +121,6 @@ proptest! {
             );
         }
     }
-
-    /// Segmented scans merged in segment order are deterministic, and
-    /// grouping-insensitive aggregates (COUNT/MIN/MAX) are bit-identical
-    /// to the unsegmented scan; SUM/AVG agree to summation-order ULPs.
-    #[test]
-    fn segmented_merge_matches_unsegmented(
-        raw in prop::collection::vec(-1000.0f64..1000.0, 0..1200),
-        arity_sel in 1usize..4,
-        residue_class in 0usize..3,
-        seg_sel in 0usize..5,
-        c0 in (-900.0f64..900.0, -900.0f64..900.0),
-    ) {
-        let arity = arity_sel;
-        let (values, rows) = shape_rows(raw, arity, residue_class);
-        let query = build_query(arity, 0, 1, &[c0]);
-        let segment_rows = [1, 3, CHUNK, CHUNK + 1, 64][seg_sel];
-
-        let mut whole = ScanPartial::EMPTY;
-        kernels::scan_columns(&query, &values, arity, &mut whole);
-
-        let tile = |_: ()| {
-            let mut total = ScanPartial::EMPTY;
-            for seg in 0..kernels::segment_count(rows, segment_rows) {
-                let (start, end) = kernels::segment_bounds(seg, rows, segment_rows);
-                let mut part = ScanPartial::EMPTY;
-                kernels::scan_columns(&query, &values[start * arity..end * arity], arity, &mut part);
-                total.merge(&part);
-            }
-            total
-        };
-        let segged = tile(());
-        assert_partial_bits_eq(&segged, &tile(()), "segmented scan re-run");
-
-        prop_assert_eq!(segged.count.to_bits(), whole.count.to_bits());
-        prop_assert_eq!(segged.min.to_bits(), whole.min.to_bits());
-        prop_assert_eq!(segged.max.to_bits(), whole.max.to_bits());
-        prop_assert!((segged.sum - whole.sum).abs() <= 1e-9 * whole.sum.abs().max(1.0));
-    }
-
-    /// Through real storage: the pooled-parallel archive scan is
-    /// bit-identical to its sequential segmented twin, for any worker
-    /// count, and the whole-table kernel scan matches the scalar loop.
-    #[test]
-    fn archive_parallel_scan_matches_sequential_twin(
-        raw in prop::collection::vec(-1000.0f64..1000.0, 40..900),
-        residue_class in 0usize..3,
-        threads in 1usize..5,
-        seg_sel in 0usize..4,
-        c0 in (-900.0f64..900.0, -900.0f64..900.0),
-        c1 in (-900.0f64..900.0, -900.0f64..900.0),
-    ) {
-        let arity = 2;
-        let (values, rows) = shape_rows(raw, arity, residue_class);
-        let query = build_query(arity, 1, 2, &[c0, c1]);
-        let segment_rows = [3, CHUNK, 17, 64][seg_sel];
-
-        let mut store = ArchiveStore::new();
-        for (i, row) in values.chunks_exact(arity).enumerate() {
-            store.insert(Row::new(i as u64, row.to_vec())).unwrap();
-        }
-
-        let whole = store.scan_partial(&query);
-        assert_partial_bits_eq(
-            &whole,
-            &scalar_reference(&query, &values, arity),
-            &format!("store scan over {rows} rows"),
-        );
-
-        let sequential = store.scan_partial_segmented(&query, segment_rows);
-        let parallel = store.scan_partial_parallel(&query, segment_rows, threads);
-        assert_partial_bits_eq(
-            &parallel,
-            &sequential,
-            &format!("{threads}-thread scan, {segment_rows}-row segments"),
-        );
-    }
 }
 
 /// The spill store's per-row scan lands on the same bits as the dense

@@ -196,11 +196,6 @@ proptest! {
     }
 
     #[test]
-    fn publish_round_trips(shard in 0u32..64, offset in 0u64..1_000_000, op in arb_op()) {
-        assert_round_trips(Frame::Publish { shard, offset, op });
-    }
-
-    #[test]
     fn publish_batch_round_trips(
         shard in 0u32..64,
         first_offset in 0u64..1_000_000,

@@ -559,3 +559,67 @@ fn one_batch_seven_op_slices_and_row_by_row_publish_identically() {
         }
     }
 }
+
+/// `query_with`'s deadline path: a node that is healthy but slow costs the
+/// gather that node's shard — a flagged k-of-n answer — and nothing else.
+#[test]
+fn a_slow_node_yields_a_flagged_partial_not_a_failover() {
+    use janus::common::faults::{self, FaultKind, FaultPlan, TriggerMode};
+    use std::time::Duration;
+    const SHARDS: usize = 4;
+    // The failpoint registry is process-global and this binary's other
+    // cases run beside this one: the faulted body runs in a child process.
+    if std::env::var_os("JANUS_ISOLATED").is_none() {
+        let name = "a_slow_node_yields_a_flagged_partial_not_a_failover";
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", name, "--nocapture"])
+            .env("JANUS_ISOLATED", "1")
+            .output()
+            .expect("re-run isolated");
+        let output = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "isolated run failed:\n{output}");
+        return;
+    }
+
+    let fleet = local_fleet(2).expect("start fleet");
+    // No heartbeat during the test: the fault below counts socket writes.
+    let remote = RemoteCluster::bootstrap(
+        RemoteConfig::new(config(31), SHARDS, ShardPolicy::HashById)
+            .with_heartbeat_every(Duration::from_secs(3600)),
+        rows(4_000, 31),
+        &addrs_of(&fleet),
+    )
+    .expect("bootstrap remote");
+    let twin = ClusterEngine::bootstrap(
+        ClusterConfig::new(config(31), SHARDS, ShardPolicy::HashById),
+        rows(4_000, 31),
+    )
+    .expect("bootstrap twin");
+    // Every shard applies some records, so each carries a non-zero
+    // extrapolation weight (the coordinator's applied-offset gauge).
+    Feed::new(37, 4_000).publish(&remote, &twin, 600);
+    remote.drain();
+    twin.pump_all().expect("pump twin");
+
+    let everything = &probes()[0];
+    // A 4-target scatter is eight socket writes — four requests, four
+    // replies — and each request precedes its reply, so the eighth is a
+    // node's reply: that node sits on an answer for 800 ms.
+    let eighth = TriggerMode::Nth(2 * SHARDS as u64);
+    faults::install(FaultPlan::new(31).rule("net.write", eighth, FaultKind::Stall(800)));
+    let answer = remote
+        .query_with(everything, 0, Some(Duration::from_millis(200)))
+        .expect("one slow node does not fail the gather")
+        .expect("COUNT always answers");
+    assert_eq!(faults::fired("net.write"), 1, "the stall must have fired");
+    faults::reset();
+    assert!(answer.partial, "a missed shard flags the answer");
+    let stats = remote.stats();
+    assert_eq!((stats.partial_answers, stats.failovers), (1, 0));
+    assert!(remote.lost_shards().is_empty());
+
+    // Still a member: undeadlined, the same query matches the twin's bits.
+    assert_bit_identical(&remote, &twin, "after the stall");
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
