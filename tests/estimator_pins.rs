@@ -303,3 +303,141 @@ const MULTI_PINS: &str = "\
     MIN/uniform 3f4775aded9e4800 0000000000000000 0000000000000000 0 0 0
     MAX/uniform 4023fc60b8fa2cfb 0000000000000000 0000000000000000 0 0 0
 ";
+
+/// `pinned_engine` evicts ~60 samples against a floor of 1,000 and never
+/// re-samples. This one deletes sampled rows until the floor is breached
+/// (§4.2: re-sample `2m` rows, clear the strata, rebuild **M**), then
+/// inserts into the full reservoir so replacements evict residents.
+#[test]
+fn single_engine_answers_past_a_resample_are_pinned() {
+    let mut rng = SmallRng::seed_from_u64(0x7e5a);
+    let rows: Vec<Row> = (0..4_000).map(|i| row(i, &mut rng)).collect();
+    let mut engine = JanusEngine::bootstrap_without_catchup(config(X, 24), rows).unwrap();
+    engine.advance_catchup(400);
+    let target = engine.reservoir().target();
+    let sampled: Vec<u64> = engine.reservoir().iter().map(|r| r.id).collect();
+    assert_eq!(sampled.len(), target);
+    // Floor `m` is half the target: the (m + 1)-th sampled delete breaches it.
+    for &id in &sampled[..target / 2 + 1] {
+        engine.delete(id).unwrap();
+    }
+    assert_eq!(engine.stats().resamples, 1);
+    assert_eq!(engine.reservoir().len(), target);
+    let mut replaced = 0;
+    for id in 4_000..4_600u64 {
+        engine.insert(row(id, &mut rng)).unwrap();
+        replaced += usize::from(engine.reservoir().contains(id));
+    }
+    assert!(replaced >= 10, "only {replaced} inserts evicted a resident");
+    let mut actual = Vec::new();
+    for (path, agg_col, pred, scale) in PATHS {
+        for (range, lo, hi) in [RANGES[1], RANGES[3]] {
+            for agg in AGGS {
+                let q = query(agg, agg_col, pred, lo * scale, hi * scale);
+                actual.push(line(
+                    format!("{agg}/{path}/{range}"),
+                    engine.query(&q).unwrap(),
+                ));
+            }
+        }
+    }
+    assert_pinned(&actual, ENGINE_RESAMPLE_PINS);
+}
+
+/// `pinned_multi` evicts ~30 samples against a floor of 400. The engine
+/// exposes neither its reservoir nor counters, so the breach is forced by
+/// volume: deleting 4,400 of 8,000 rows takes the 800 samples to the floor
+/// at about the 4,000th delete — the next sampled delete re-samples 800
+/// rows — and the last ~400 deletes open ~80 slots again. The 600 inserts
+/// refill those and then replace ~100 residents at `|S|/|D|` ≈ 0.2; the
+/// whole-table sampling answer reports `samples_used` = 800, a full
+/// reservoir.
+#[test]
+fn multi_template_answers_past_a_resample_are_pinned() {
+    let mut rng = SmallRng::seed_from_u64(0x51ab);
+    let rows: Vec<Row> = (0..8_000).map(|i| row(i, &mut rng)).collect();
+    let mut engine =
+        MultiTemplateEngine::bootstrap(vec![config(X, 25), config(Y, 25)], rows).unwrap();
+    engine.run_all_catchup();
+    for id in 0..4_400u64 {
+        engine.delete(id).unwrap();
+    }
+    for id in 8_000..8_600u64 {
+        engine.insert(row(id, &mut rng)).unwrap();
+    }
+    let mut actual = Vec::new();
+    for (path, agg_col, pred, lo, hi) in [
+        ("tree-x", A, X, 10.5, 77.3),
+        ("tree-y", A, Y, 1.05, 7.73),
+        ("sampling", Y, X, 10.5, 77.3),
+        ("uniform", Y, A, 0.0, 150.0),
+        ("sampling-whole", Y, X, f64::NEG_INFINITY, f64::INFINITY),
+    ] {
+        for agg in AGGS {
+            let q = query(agg, agg_col, pred, lo, hi);
+            actual.push(line(format!("{agg}/{path}"), engine.query(&q).unwrap()));
+        }
+    }
+    assert_pinned(&actual, MULTI_RESAMPLE_PINS);
+}
+
+const ENGINE_RESAMPLE_PINS: &str = "\
+    SUM/match/wide 4113b2269f5eb2de 414ae560611b0ace 4181695c897e2a2b 3 2 125
+    COUNT/match/wide 40a7ae3d4538800e 0000000000000000 40ac94d47ea95543 3 2 125
+    AVG/match/wide 405a9d89ce2774de 3fd2285b0c37452b 40247487a4e20f0e 3 2 125
+    MIN/match/wide c0365623ca4f27e9 0000000000000000 0000000000000000 3 2 0
+    MAX/match/wide 406e1777c0485f01 0000000000000000 0000000000000000 3 2 0
+    SUM/match/whole 4120ae7303abdad0 419dffd05fb505cf 0000000000000000 1 0 0
+    COUNT/match/whole 40b12f0000000000 0000000000000000 0000000000000000 1 0 0
+    AVG/match/whole 405f109b861c0324 401a024a1a09ce52 0000000000000000 1 0 0
+    MIN/match/whole c04fecc10fac0bed 0000000000000000 0000000000000000 1 0 0
+    MAX/match/whole 40736174faa0a6e1 0000000000000000 0000000000000000 1 0 0
+    SUM/sampling/wide 40ccb4836ded8386 0000000000000000 411762005c785463 0 7 272
+    COUNT/sampling/wide 40a7ae3d4538800e 0000000000000000 40ac94d47ea95543 0 7 272
+    AVG/sampling/wide 40136514ccd50d30 0000000000000000 3fabce224f0322b6 0 7 272
+    MIN/sampling/wide 3fa03a5666b93780 0000000000000000 0000000000000000 0 0 0
+    MAX/sampling/wide 4023cade51d41db6 0000000000000000 0000000000000000 0 0 0
+    SUM/sampling/whole 40d5095d788de122 0000000000000000 411662a206bd9a5c 0 16 400
+    COUNT/sampling/whole 40b12f0000000001 0000000000000000 0000000000000000 0 16 400
+    AVG/sampling/whole 4013966ccc32ddd8 0000000000000000 3f9368609185b59c 0 16 400
+    MIN/sampling/whole 3f6fcf2c0d422200 0000000000000000 0000000000000000 0 0 0
+    MAX/sampling/whole 4023f15c37af9404 0000000000000000 0000000000000000 0 0 0
+    SUM/uniform/wide 4117bc6b0d98902c 0000000000000000 41b9709152b4387c 0 0 275
+    COUNT/uniform/wide 40a7a0a000000000 0000000000000000 40c44cdb11999999 0 0 275
+    AVG/uniform/wide 406012d22992ebf9 0000000000000000 404754f2fdebaca5 0 0 275
+    MIN/uniform/wide c04426c9f830818c 0000000000000000 0000000000000000 0 0 0
+    MAX/uniform/wide 4072292beb7a7709 0000000000000000 0000000000000000 0 0 0
+    SUM/uniform/whole 412094df92f1247e 0000000000000000 41b5f69370ca76e9 0 0 400
+    COUNT/uniform/whole 40b12f0000000000 0000000000000000 0000000000000000 0 0 400
+    AVG/uniform/whole 405ee0fa9bf8956e 0000000000000000 40330ab18006caa9 0 0 400
+    MIN/uniform/whole c0495db713378635 0000000000000000 0000000000000000 0 0 0
+    MAX/uniform/whole 407231ca835a28bf 0000000000000000 0000000000000000 0 0 0
+";
+
+const MULTI_RESAMPLE_PINS: &str = "\
+    SUM/tree-x 411221d2f7018a94 4136baccc8a61aae 41659945f90eabab 3 2 234
+    COUNT/tree-x 40a5795d63edd431 0000000000000000 4098fdf895f7510d 3 2 234
+    AVG/tree-x 405b0519a2d9661a 3fc290e361b04d36 40000cc5458772c4 3 2 234
+    MIN/tree-x c03d982e2e683d85 0000000000000000 0000000000000000 3 2 0
+    MAX/tree-x 406e5bbff63a8aca 0000000000000000 0000000000000000 3 2 0
+    SUM/tree-y 41162f8ab86513dd 417e873d34023d69 4175219b89baf1b8 3 2 76
+    COUNT/tree-y 40a5d8c45d4b4717 0000000000000000 4072f81dc05c4722 3 2 76
+    AVG/tree-y 40603f8d3a569368 400e88e8b0bbe7af 4012f4ed46f7c464 3 2 76
+    MIN/tree-y c0420092b45455db 0000000000000000 0000000000000000 3 2 0
+    MAX/tree-y 4072b0a1fff1a34a 0000000000000000 0000000000000000 3 2 0
+    SUM/sampling 40cc31372f797d6c 0000000000000000 410324c00dd53db8 0 7 527
+    COUNT/sampling 40a5795d63edd430 0000000000000000 4098fdf895f7510d 0 7 527
+    AVG/sampling 4015016f0952a71b 0000000000000000 3f9848b7fc87f493 0 7 527
+    MIN/sampling 3f81f6c09fd34380 0000000000000000 0000000000000000 0 0 0
+    MAX/sampling 4023df72e8978bc9 0000000000000000 0000000000000000 0 0 0
+    SUM/uniform 40c562fe46189e0a 0000000000000000 410c161244c71798 0 0 399
+    COUNT/uniform 40a05d8000000000 0000000000000000 40b588772e147ae1 0 0 399
+    AVG/uniform 4014e8cdd34dcf57 0000000000000000 3faad8b88c79155d 0 0 399
+    MIN/uniform 3f81f6c09fd34380 0000000000000000 0000000000000000 0 0 0
+    MAX/uniform 4023df72e8978bc9 0000000000000000 0000000000000000 0 0 0
+    SUM/sampling-whole 40d51c5ded515d2a 0000000000000000 4105f9cc24c1da51 0 16 800
+    COUNT/sampling-whole 40b0680000000001 0000000000000000 0000000000000000 0 16 800
+    AVG/sampling-whole 4014968b634bef93 0000000000000000 3f84e6a2cfd53972 0 16 800
+    MIN/sampling-whole 3f7573c14af87700 0000000000000000 0000000000000000 0 0 0
+    MAX/sampling-whole 4023fc13a85d99c4 0000000000000000 0000000000000000 0 0 0
+";
