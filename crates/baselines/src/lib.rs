@@ -10,7 +10,9 @@
 //!   off (constructed once, never re-partitioned);
 //! * [`spn::MiniSpn`] — the DeepDB substitute: a sum-product-network
 //!   learned synopsis with expensive (re)training, fixed resolution, and
-//!   fast queries (see DESIGN.md for the substitution argument);
+//!   fast queries (the module docs argue the substitution: the same
+//!   construction at reproduction scale, and Figs. 5/9 penalize exactly
+//!   the fixed resolution and the retrain cost);
 //! * [`pass::PassSynopsis`] — the static partition tree (SPT) of the PASS
 //!   system \[30], with exact node statistics from a full scan.
 

@@ -11,7 +11,6 @@ use janus_core::maxvar::MaxVarianceIndex;
 use janus_core::partition::{Partitioner, PartitionerKind};
 use janus_core::tree::Dpt;
 use janus_core::SynopsisConfig;
-use janus_index::IndexPoint;
 use janus_storage::ArchiveStore;
 use std::time::Duration;
 
@@ -34,23 +33,7 @@ impl PassSynopsis {
         let n = archive.len();
         let m = ((config.sample_rate * n as f64).ceil() as usize).max(16);
         let sample_rows = archive.sample_distinct(2 * m, config.seed ^ 0x9a55);
-        let alpha = if n == 0 {
-            1.0
-        } else {
-            (sample_rows.len() as f64 / n as f64).clamp(1e-9, 1.0)
-        };
-        let points: Vec<IndexPoint> = sample_rows
-            .iter()
-            .map(|r| {
-                IndexPoint::new(
-                    r.project(&template.predicate_columns),
-                    r.id,
-                    r.value(template.agg_column),
-                )
-            })
-            .collect();
-        let maxvar =
-            MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
+        let maxvar = MaxVarianceIndex::over_sample(template, config.delta, &sample_rows, n);
         let partitioner = Partitioner {
             kind,
             rho: config.rho,

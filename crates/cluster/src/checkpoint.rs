@@ -26,6 +26,7 @@
 use crate::router::{ShardPolicy, ShardRouter};
 use janus_common::{JanusError, Result, Row};
 use janus_core::snapshot::SynopsisSnapshot;
+use janus_core::JanusEngine;
 use janus_storage::CheckpointStore;
 use serde::{Deserialize, Serialize};
 
@@ -113,6 +114,20 @@ pub struct ShardCheckpoint {
     pub synopsis: SynopsisSnapshot,
     /// The shard's archival rows, in archive order.
     pub archive_rows: Vec<Row>,
+}
+
+impl ShardCheckpoint {
+    /// Captures `engine`'s state as shard `shard`'s checkpoint. The caller
+    /// holds the engine's lock and reads both offsets under it.
+    pub fn capture(shard: usize, engine: &JanusEngine, applied: u64, published: u64) -> Self {
+        ShardCheckpoint {
+            shard,
+            applied_offset: applied,
+            published_offset: published,
+            synopsis: engine.save_synopsis(),
+            archive_rows: engine.export_rows(),
+        }
+    }
 }
 
 /// A consistent whole-cluster checkpoint.

@@ -376,15 +376,42 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Single-shard drain: write-lock, then apply one batch.
-    pub(crate) fn pump_one(
+    /// One pump step of `shard`, the entry every pump path shares: up to
+    /// `max_primary` records into the primary under its write lock, then
+    /// up to `max_follower` into each follower; a side whose maximum is 0
+    /// is not locked. Both sides drain in the same mode, which is
+    /// load-bearing. Strict, a failing record stays at the head of both
+    /// cursors: a follower must never advance past a record its primary
+    /// still holds, or a later promotion would silently drop it. Lossy
+    /// (`skip_failed`), followers are bit-identical to the primary, so a
+    /// record it skipped fails, and is skipped, identically on each.
+    /// Returns `(applied, skipped, followers, first_error)`: the
+    /// primary's counts and error, and the records consumed across all
+    /// followers, whose progress touches neither the backlog gauge nor
+    /// the `pumped` counter.
+    pub(crate) fn pump(
         &self,
         shard: usize,
-        max: usize,
+        max_primary: usize,
+        max_follower: usize,
         skip_failed: bool,
-    ) -> (usize, usize, Option<JanusError>) {
-        let mut guard = self.shards[shard].write();
-        self.drain_locked(shard, &mut guard, max, skip_failed)
+    ) -> (usize, usize, usize, Option<JanusError>) {
+        let (applied, skipped, first_error) = if max_primary > 0 {
+            let mut guard = self.shards[shard].write();
+            self.drain_locked(shard, &mut guard, max_primary, skip_failed)
+        } else {
+            (0, 0, None)
+        };
+        let mut followers = 0;
+        if max_follower > 0 {
+            for replica in self.replicas[shard].read().iter() {
+                let mut guard = replica.write();
+                let (a, s, _) =
+                    drain_topic(&self.log, shard, &mut guard, max_follower, skip_failed);
+                followers += a + s;
+            }
+        }
+        (applied, skipped, followers, first_error)
     }
 
     /// Primary-shard drain — callers hold the shard's write guard. Wraps
@@ -405,21 +432,6 @@ impl ShardSet {
             .fetch_add(applied as u64, Ordering::Relaxed);
         self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
         (applied, skipped, first_error)
-    }
-
-    /// Drains up to `max` records into each follower of `shard`; returns
-    /// records consumed across all followers. Follower progress is
-    /// tracked per replica and does not touch the primary's backlog gauge
-    /// or `pumped` counter.
-    pub(crate) fn pump_replicas_mode(&self, shard: usize, max: usize, skip_failed: bool) -> usize {
-        let set = self.replicas[shard].read();
-        let mut applied = 0;
-        for replica in set.iter() {
-            let mut guard = replica.write();
-            let (a, s, _) = drain_topic(&self.log, shard, &mut guard, max, skip_failed);
-            applied += a + s;
-        }
-        applied
     }
 
     /// Serves one sub-query in the shape the gather needs — the worker
@@ -505,8 +517,8 @@ pub struct ClusterEngine {
     /// migration — the baseline the `rebalance_min_gain` hysteresis
     /// compares against.
     post_rebalance_skew: AtomicU64,
-    /// Shard-side state shared with the pool's jobs.
-    set: Arc<ShardSet>,
+    /// Shard-side state shared with the pool's jobs and the live workers.
+    pub(crate) set: Arc<ShardSet>,
     /// One worker per shard under scatters and `pump`; joined on drop.
     pool: ScatterPool,
     /// Scatter-answer memo, present when `config.answer_cache > 0`.
@@ -918,42 +930,20 @@ impl ClusterEngine {
     /// background pump worker owns: it write-locks only its shard once per
     /// batch, so pumping never blocks ingest or queries on other shards.
     pub fn pump_shard(&self, shard: usize, max: usize) -> Result<usize> {
-        let (applied, _, error) = self.set.pump_one(shard, max, false);
+        let (applied, _, _, error) = self.set.pump(shard, max, 0, false);
         match error {
             Some(e) => Err(e),
             None => Ok(applied),
         }
     }
 
-    /// Like [`ClusterEngine::pump_shard`], but a record whose application
-    /// fails is skipped (its offset consumed) instead of wedging the
-    /// topic; returns `(applied, skipped)`. Background workers use this:
-    /// a poisoned record must not stall a live shard forever.
-    pub(crate) fn pump_shard_lossy(&self, shard: usize, max: usize) -> (usize, usize) {
-        let (applied, skipped, _) = self.set.pump_one(shard, max, true);
-        (applied, skipped)
-    }
-
     /// Drains up to `max` records of `shard`'s topic into each of its
     /// follower engines, strictly — a record whose application fails
     /// stays at the head of the follower's cursor, exactly like
-    /// [`ClusterEngine::pump_shard`] on the primary. Matching the
-    /// primary's drain mode is load-bearing: a follower must never
-    /// advance past a record its primary is still holding, or a later
-    /// promotion would silently drop it. Returns records applied across
-    /// all followers.
+    /// [`ClusterEngine::pump_shard`] on the primary. Returns records
+    /// applied across all followers.
     pub fn pump_replicas(&self, shard: usize, max: usize) -> usize {
-        self.set.pump_replicas_mode(shard, max, false)
-    }
-
-    /// The lossy twin of [`ClusterEngine::pump_replicas`], for the live
-    /// workers whose *primary* drain is lossy too: follower engines are
-    /// bit-identical to the primary, so a record the primary skipped
-    /// fails (and is skipped) identically on every follower — the two
-    /// sides stay in lockstep in either mode, but only matching modes
-    /// keep them on the same offset.
-    pub(crate) fn pump_replicas_lossy(&self, shard: usize, max: usize) -> usize {
-        self.set.pump_replicas_mode(shard, max, true)
+        self.set.pump(shard, 0, max, false).2
     }
 
     /// Records published but not yet applied by follower engines, summed
@@ -986,8 +976,8 @@ impl ClusterEngine {
         let jobs = (0..self.shards()).map(|shard| {
             let set = Arc::clone(&self.set);
             let job = move || {
-                let (applied, _, error) = set.pump_one(shard, max_per_shard, false);
-                let followers = set.pump_replicas_mode(shard, max_per_shard, false);
+                let (applied, _, followers, error) =
+                    set.pump(shard, max_per_shard, max_per_shard, false);
                 (applied + followers, error)
             };
             (shard, job)
@@ -1284,13 +1274,8 @@ impl ClusterEngine {
             .enumerate()
             .map(|(i, s)| {
                 let g = s.read();
-                ShardCheckpoint {
-                    shard: i,
-                    applied_offset: g.offset,
-                    published_offset: self.set.log.topic(i).len() as u64,
-                    synopsis: g.engine.save_synopsis(),
-                    archive_rows: g.engine.export_rows(),
-                }
+                let published = self.set.log.topic(i).len() as u64;
+                ShardCheckpoint::capture(i, &g.engine, g.offset, published)
             })
             .collect();
         ClusterCheckpoint {

@@ -7,12 +7,13 @@
 //! [`LiveCluster::start`] bootstraps a lock-sharded [`ClusterEngine`] and
 //! spawns `shards + 1` threads:
 //!
-//! * **One pump worker per shard.** Worker `i` loops on
-//!   [`ClusterEngine::pump_shard`]'s lossy variant, draining shard `i`'s
-//!   topic into its engine in offset order. Each worker write-locks only
-//!   its own shard, so the shards absorb their streams in parallel and a
-//!   busy shard never blocks the others. An idle worker parks briefly and
-//!   is unparked when the front end publishes new records.
+//! * **One pump worker per shard.** Worker `i` loops on the lossy form of
+//!   the pump step behind [`ClusterEngine::pump_shard`], draining shard
+//!   `i`'s topic into its engine and followers in offset order. Each
+//!   worker write-locks only its own shard, so the shards absorb their
+//!   streams in parallel and a busy shard never blocks the others. An idle
+//!   worker parks briefly and is unparked when the front end publishes new
+//!   records.
 //! * **One front-end worker** consuming a [`janus_storage::RequestLog`]
 //!   from offset zero, in arrival order: runs of consecutive
 //!   `Insert`/`Delete` requests are republished through the *batched*
@@ -347,19 +348,17 @@ impl LiveCluster {
                     .spawn(move || {
                         let mut idle = Backoff::new();
                         while !worker.shutdown.load(Ordering::Relaxed) {
-                            let (applied, skipped) =
-                                worker.cluster.pump_shard_lossy(shard, pump_chunk);
+                            // Lossy on both sides: a poisoned record must
+                            // not stall a live shard forever, and followers
+                            // tail the same topic right behind the primary.
+                            let (applied, skipped, replica_applied, _) =
+                                worker.cluster.set.pump(shard, pump_chunk, pump_chunk, true);
                             if skipped > 0 {
                                 worker
                                     .counters
                                     .records_skipped
                                     .fetch_add(skipped as u64, Ordering::Relaxed);
                             }
-                            // Followers of this shard tail the same topic
-                            // right behind the primary, in the same
-                            // (lossy) drain mode so offsets stay aligned.
-                            let replica_applied =
-                                worker.cluster.pump_replicas_lossy(shard, pump_chunk);
                             if applied == 0 && skipped == 0 && replica_applied == 0 {
                                 // Topic drained: park with bounded backoff
                                 // instead of spinning on the shard lock; a

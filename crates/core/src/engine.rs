@@ -13,11 +13,12 @@ use crate::config::SynopsisConfig;
 use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
 use crate::partition::{PartitionOutcome, Partitioner};
+use crate::synopsis::{PooledSample, Synopsis};
 use crate::tree::Dpt;
 use crate::trigger::{self, TriggerConfig};
 use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
 use janus_index::IndexPoint;
-use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
+use janus_sampling::DynamicReservoir;
 use janus_storage::ArchiveStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,20 +43,15 @@ pub struct EngineStats {
     pub catchup_applied: u64,
 }
 
-/// The synchronous JanusAQP engine.
+/// The synchronous JanusAQP engine: the `L = 1` case of the §5.5
+/// architecture — one pooled sample, one synopsis over it.
 pub struct JanusEngine {
-    config: SynopsisConfig,
-    trigger_cfg: TriggerConfig,
-    archive: ArchiveStore,
-    reservoir: DynamicReservoir,
-    maxvar: MaxVarianceIndex,
-    dpt: Dpt,
-    catchup: CatchupQueue,
+    pool: PooledSample,
+    synopsis: Synopsis,
     /// Every counter but `queries`, which readers bump through `&self`.
     stats: EngineStats,
     queries: AtomicU64,
     updates_since_check: usize,
-    seed_counter: u64,
 }
 
 impl JanusEngine {
@@ -73,66 +69,21 @@ impl JanusEngine {
     pub fn bootstrap_without_catchup(config: SynopsisConfig, rows: Vec<Row>) -> Result<Self> {
         config.validate()?;
         let archive = ArchiveStore::from_rows_in(&config.archive_backend, rows)?;
-        let n = archive.len();
-        let m = ((config.sample_rate * n as f64).ceil() as usize).max(16);
-        let mut reservoir = DynamicReservoir::with_m(m, config.seed ^ 0x5e5e);
-        reservoir.reset(archive.sample_distinct(2 * m, config.seed ^ 0xa11a));
-
-        let alpha = effective_alpha(reservoir.len(), n);
-        let template = config.template.clone();
-        let points = sample_points(&template, reservoir.iter());
-        let maxvar =
-            MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
-
-        let outcome = Partitioner::auto(config.rho).compute(&maxvar, config.leaf_count)?;
-        let mut dpt = Dpt::build(
-            template,
-            config.minmax_k,
-            &outcome.spec,
-            &outcome.leaf_variances,
-            n as f64,
-        )?;
-        for row in reservoir.iter() {
-            let point = dpt.project(row);
-            dpt.assign_sample(row.id, &point);
-        }
-
-        let catchup = if config.catchup_ratio >= 1.0 {
-            // Dense backends feed the chunked columnar installer; spill
-            // backends stream row views — bit-identical either way.
-            match archive.columns() {
-                Some(c) => dpt.install_exact_base_columns(c.values, c.arity),
-                None => dpt.install_exact_base_with(|sink| archive.for_each_row(sink)),
-            }
-            CatchupQueue::completed()
-        } else {
-            CatchupQueue::over_archive(&archive, config.catchup_ratio, config.seed ^ 0xca7c)
-        };
-
-        Ok(JanusEngine {
-            trigger_cfg: TriggerConfig {
-                beta: config.beta,
-                underrep_fraction: 1.0,
-            },
-            config,
-            archive,
-            reservoir,
-            maxvar,
-            dpt,
-            catchup,
-            stats: EngineStats::default(),
-            queries: AtomicU64::new(0),
-            updates_since_check: 0,
-            seed_counter: 1,
-        })
+        let pool = PooledSample::draw(archive, config.sample_rate, config.seed, [0x5e5e, 0xa11a]);
+        // A catch-up goal of the whole table is an exact base instead.
+        let catchup_seed = (config.catchup_ratio < 1.0).then_some(config.seed ^ 0xca7c);
+        let synopsis = Synopsis::build(config, &pool, catchup_seed)?;
+        Ok(Self::assemble(pool, synopsis, 0))
     }
 
-    fn next_seed(&mut self) -> u64 {
-        self.seed_counter = self
-            .seed_counter
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(1);
-        self.config.seed ^ self.seed_counter
+    fn assemble(pool: PooledSample, synopsis: Synopsis, updates_since_check: usize) -> Self {
+        JanusEngine {
+            pool,
+            synopsis,
+            stats: EngineStats::default(),
+            queries: AtomicU64::new(0),
+            updates_since_check,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -141,32 +92,32 @@ impl JanusEngine {
 
     /// The synopsis configuration.
     pub fn config(&self) -> &SynopsisConfig {
-        &self.config
+        &self.synopsis.config
     }
 
     /// Current table size `|D|`.
     pub fn population(&self) -> usize {
-        self.archive.len()
+        self.pool.archive.len()
     }
 
     /// The archival store (ground-truth oracle for experiments).
     pub fn archive(&self) -> &ArchiveStore {
-        &self.archive
+        &self.pool.archive
     }
 
     /// The pooled reservoir sample.
     pub fn reservoir(&self) -> &DynamicReservoir {
-        &self.reservoir
+        &self.pool.reservoir
     }
 
     /// The partition tree.
     pub fn dpt(&self) -> &Dpt {
-        &self.dpt
+        &self.synopsis.dpt
     }
 
     /// The max-variance index.
     pub fn maxvar(&self) -> &MaxVarianceIndex {
-        &self.maxvar
+        &self.synopsis.maxvar
     }
 
     /// Operation counters.
@@ -179,7 +130,7 @@ impl JanusEngine {
 
     /// Catch-up progress in `[0, 1]`.
     pub fn catchup_progress(&self) -> f64 {
-        self.catchup.progress()
+        self.synopsis.catchup.progress()
     }
 
     // ------------------------------------------------------------------
@@ -190,12 +141,11 @@ impl JanusEngine {
     /// sampled) the max-variance index; may trigger re-partitioning.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         let id = row.id;
-        if !self.archive.insert_values(id, &row.values)? {
+        if !self.pool.archive.insert_values(id, &row.values)? {
             return Err(JanusError::InvalidConfig(format!("duplicate row id {id}")));
         }
-        let leaf = self.dpt.record_insert(&row);
+        let leaf = self.synopsis.dpt.record_insert(&row);
         self.offer_to_reservoir(row);
-        self.stats.inserts += 1;
         self.after_update(leaf);
         Ok(())
     }
@@ -203,76 +153,30 @@ impl JanusEngine {
     /// Deletes a tuple by id; returns the removed row.
     pub fn delete(&mut self, id: RowId) -> Result<Row> {
         let row = self
+            .pool
             .archive
             .delete(id)?
             .ok_or(JanusError::RowNotFound(id))?;
-        let leaf = self.dpt.record_delete(&row);
+        let leaf = self.synopsis.dpt.record_delete(&row);
         self.delete_from_reservoir(&row);
         self.after_update(leaf);
         Ok(row)
     }
 
-    /// Removes a row that just left the archive from the reservoir and
-    /// mirrors the outcome into the stratum map and the max-variance
-    /// index — the one place a delete steps the three sample structures,
-    /// whichever path applied the tree statistics.
-    fn delete_from_reservoir(&mut self, row: &Row) {
-        match self.reservoir.delete(row.id) {
-            DeleteOutcome::NotInSample => {}
-            DeleteOutcome::Removed => {
-                // The row is gone from the archive; cancel its index entry
-                // with the copy in hand.
-                self.dpt.remove_sample(row.id);
-                let point = self.dpt.project(row);
-                self.maxvar
-                    .delete(&IndexPoint::new(point, row.id, self.dpt.agg_value(row)));
-            }
-            DeleteOutcome::NeedsResample => {
-                self.resample_reservoir();
-                self.stats.resamples += 1;
-            }
-        }
-        self.stats.deletes += 1;
-    }
-
-    /// Offers an archived row to the reservoir — its last consumer, so it
-    /// moves in — and mirrors an admission into the stratum map and the
-    /// max-variance index.
+    /// The sample half of an insert the archive accepted, whichever path
+    /// applied the tree statistics.
+    #[inline]
     fn offer_to_reservoir(&mut self, row: Row) {
-        let id = row.id;
-        match self.reservoir.offer(row, self.archive.len()) {
-            InsertOutcome::Added => self.admit_sample(id),
-            InsertOutcome::Replaced { evicted } => {
-                self.evict_sample(evicted);
-                self.admit_sample(id);
-            }
-            InsertOutcome::Skipped => {}
-        }
+        self.pool
+            .offer(row, std::slice::from_mut(&mut self.synopsis));
+        self.stats.inserts += 1;
     }
 
-    fn admit_sample(&mut self, id: RowId) {
-        let row = self.reservoir.get(id).expect("row was just admitted");
-        let point = self.dpt.project(row);
-        self.dpt.assign_sample(id, &point);
-        self.maxvar
-            .insert(IndexPoint::new(point, id, self.dpt.agg_value(row)));
-    }
-
-    /// Removes a *replaced* sample (the row is still live in the archive)
-    /// from the stratum map and the max-variance index.
-    fn evict_sample(&mut self, id: RowId) {
-        self.dpt.remove_sample(id);
-        let template = &self.config.template;
-        let (point, a) = self
-            .archive
-            .with_row(id, |r| {
-                (
-                    r.project(&template.predicate_columns),
-                    r.value(template.agg_column),
-                )
-            })
-            .expect("replaced sample is live");
-        self.maxvar.delete(&IndexPoint::new(point, id, a));
+    /// The sample half of a delete the archive applied.
+    fn delete_from_reservoir(&mut self, row: &Row) {
+        let synopses = std::slice::from_mut(&mut self.synopsis);
+        self.stats.resamples += u64::from(self.pool.remove(row, synopses));
+        self.stats.deletes += 1;
     }
 
     // ------------------------------------------------------------------
@@ -288,55 +192,26 @@ impl JanusEngine {
         inserted_values: &[f64],
         deleted_values: &[f64],
     ) {
-        self.dpt
-            .apply_leaf_delta(leaf, inserted, deleted, inserted_values, deleted_values);
+        let dpt = &mut self.synopsis.dpt;
+        dpt.apply_leaf_delta(leaf, inserted, deleted, inserted_values, deleted_values);
     }
 
     /// Archive + reservoir bookkeeping for an insert whose tree statistics
     /// were already applied by the batch updater.
     pub(crate) fn apply_insert_sampling(&mut self, row: Row) -> Result<()> {
-        if !self.archive.insert_values(row.id, &row.values)? {
-            return Ok(());
+        if self.pool.archive.insert_values(row.id, &row.values)? {
+            self.offer_to_reservoir(row);
         }
-        self.offer_to_reservoir(row);
-        self.stats.inserts += 1;
         Ok(())
     }
 
     /// Archive + reservoir bookkeeping for a delete whose tree statistics
     /// were already applied by the batch updater.
     pub(crate) fn apply_delete_sampling(&mut self, row: &Row) -> Result<()> {
-        if self.archive.delete(row.id)?.is_some() {
+        if self.pool.archive.delete(row.id)?.is_some() {
             self.delete_from_reservoir(row);
         }
         Ok(())
-    }
-
-    /// Re-sample `2m` fresh rows from the archive (§4.2 floor breach and
-    /// §4.3 step 4).
-    fn resample_reservoir(&mut self) {
-        let seed = self.next_seed();
-        let rows = self.archive.sample_distinct(self.reservoir.target(), seed);
-        self.reservoir.reset(rows);
-        self.rebuild_sample_structures();
-    }
-
-    fn rebuild_sample_structures(&mut self) {
-        self.dpt.clear_samples();
-        let template = self.config.template.clone();
-        let alpha = effective_alpha(self.reservoir.len(), self.archive.len());
-        let points = sample_points(&template, self.reservoir.iter());
-        for row in self.reservoir.iter() {
-            let point = row.project(&template.predicate_columns);
-            self.dpt.assign_sample(row.id, &point);
-        }
-        self.maxvar = MaxVarianceIndex::bulk_load(
-            template.dims(),
-            template.agg,
-            alpha,
-            self.config.delta,
-            points,
-        );
     }
 
     // ------------------------------------------------------------------
@@ -364,8 +239,9 @@ impl JanusEngine {
     /// dispatch: this engine's one tree, else the pooled sample.
     fn gather(&self, query: &Query) -> Result<Gathered<'_>> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let trees = std::iter::once(&self.dpt);
-        Gathered::route(query, trees, &self.reservoir, self.archive.len())
+        let trees = std::iter::once(&self.synopsis.dpt);
+        let pool = &self.pool;
+        Gathered::route(query, trees, &pool.reservoir, pool.archive.len())
     }
 
     /// Applies a batch of updates in arrival order under a single call —
@@ -421,8 +297,8 @@ impl JanusEngine {
     /// entire future evolution — are bit-identical to this engine's.
     pub fn fork_via_snapshot(&self) -> Result<Self> {
         Self::restore_with_archive(
-            self.config.clone(),
-            self.archive.fork_in(&self.config.archive_backend)?,
+            self.config().clone(),
+            self.pool.archive.fork_in(&self.config().archive_backend)?,
             &self.save_synopsis(),
         )
     }
@@ -433,14 +309,14 @@ impl JanusEngine {
     /// ones stream zero-copy row views — bit-identical either way (see the
     /// `janus_common::kernels` bit-identity contract).
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
-        self.archive.evaluate_exact(query)
+        self.pool.archive.evaluate_exact(query)
     }
 
     /// Exports the live table rows (id order unspecified) — the archive
     /// side of a shard migration or a full synopsis hand-off; pair with
     /// [`JanusEngine::save_synopsis`] for the synopsis side.
     pub fn export_rows(&self) -> Vec<Row> {
-        self.archive.to_rows()
+        self.pool.archive.to_rows()
     }
 
     // ------------------------------------------------------------------
@@ -449,34 +325,14 @@ impl JanusEngine {
 
     /// Applies up to `n` catch-up rows; returns how many were applied.
     pub fn advance_catchup(&mut self, n: usize) -> usize {
-        // Field-disjoint borrows: the queue hands out rows, the tree
-        // absorbs them — no chunk clone, no per-row projection allocation.
-        let rows = self.catchup.next_chunk(n);
-        let applied = rows.len();
-        let cols = &self.config.template.predicate_columns;
-        let agg_col = self.config.template.agg_column;
-        let mut point: Vec<f64> = Vec::new();
-        for row in rows {
-            // Skip rows deleted since the snapshot was taken: their exact
-            // deltas already account for them only if they were counted in
-            // the base, so a deleted row *should* still be applied when it
-            // was part of the epoch snapshot. Rows inserted after the
-            // snapshot are not in the queue by construction.
-            row.project_into(cols, &mut point);
-            self.dpt.apply_catchup_point(&point, row.value(agg_col));
-        }
+        let applied = self.synopsis.advance_catchup(n);
         self.stats.catchup_applied += applied as u64;
         applied
     }
 
     /// Runs catch-up to the configured goal.
     pub fn run_catchup_to_goal(&mut self) {
-        while !self.catchup.is_complete() {
-            let n = self.config.catchup_chunk.max(1);
-            if self.advance_catchup(n) == 0 {
-                break;
-            }
-        }
+        self.stats.catchup_applied += self.synopsis.run_catchup_to_goal() as u64;
     }
 
     // ------------------------------------------------------------------
@@ -485,20 +341,25 @@ impl JanusEngine {
 
     fn after_update(&mut self, leaf: usize) {
         // Background catch-up, interleaved with update processing (§4.3).
-        if self.config.catchup_per_update > 0 && !self.catchup.is_complete() {
-            self.advance_catchup(self.config.catchup_per_update);
+        let per_update = self.config().catchup_per_update;
+        if per_update > 0 && !self.synopsis.catchup.is_complete() {
+            self.advance_catchup(per_update);
         }
         self.updates_since_check += 1;
-        if self.updates_since_check < self.config.trigger_check_interval {
+        if self.updates_since_check < self.config().trigger_check_interval {
             return;
         }
         self.updates_since_check = 0;
-        self.maxvar
-            .set_alpha(effective_alpha(self.reservoir.len(), self.archive.len()));
-        if !self.config.auto_repartition {
+        let synopsis = &mut self.synopsis;
+        synopsis.maxvar.set_population(self.pool.archive.len());
+        if !synopsis.config.auto_repartition {
             return;
         }
-        if trigger::check_leaf(&self.dpt, &self.maxvar, leaf, &self.trigger_cfg).is_some() {
+        let trigger_cfg = TriggerConfig {
+            beta: synopsis.config.beta,
+            underrep_fraction: 1.0,
+        };
+        if trigger::check_leaf(&synopsis.dpt, &synopsis.maxvar, leaf, &trigger_cfg).is_some() {
             self.try_repartition();
         }
     }
@@ -510,10 +371,11 @@ impl JanusEngine {
     /// being computed. Returns whether a re-partitioning was adopted.
     pub fn try_repartition(&mut self) -> bool {
         let current_max = self.current_max_variance();
-        let beta = self.config.beta;
-        let Ok(candidate) = Partitioner::auto(self.config.rho).compute_if_below(
-            &self.maxvar,
-            self.config.leaf_count,
+        let config = self.config();
+        let beta = config.beta;
+        let Ok(candidate) = Partitioner::auto(config.rho).compute_if_below(
+            &self.synopsis.maxvar,
+            config.leaf_count,
             trigger::adoption_bound(current_max, beta),
         ) else {
             return false;
@@ -522,8 +384,7 @@ impl JanusEngine {
             Some(outcome)
                 if trigger::accept_candidate(current_max, outcome.max_leaf_variance, beta) =>
             {
-                self.adopt_partitioning(outcome);
-                self.stats.repartitions += 1;
+                self.adopt_planned(outcome);
                 true
             }
             _ => {
@@ -535,9 +396,9 @@ impl JanusEngine {
 
     /// `M(R)` of the current partitioning: the worst live-leaf probe.
     pub fn current_max_variance(&self) -> f64 {
-        self.dpt
-            .live_leaves()
-            .map(|leaf| self.maxvar.max_variance(&leaf.rect))
+        let Synopsis { dpt, maxvar, .. } = &self.synopsis;
+        dpt.live_leaves()
+            .map(|leaf| maxvar.max_variance(&leaf.rect))
             .fold(0.0, f64::max)
     }
 
@@ -545,26 +406,27 @@ impl JanusEngine {
     /// from the pooled sample, populate approximate statistics from it,
     /// re-sample the reservoir, and restart catch-up.
     pub fn reinitialize(&mut self) -> Result<()> {
+        let config = self.config();
         let outcome =
-            Partitioner::auto(self.config.rho).compute(&self.maxvar, self.config.leaf_count)?;
-        self.adopt_partitioning(outcome);
-        self.stats.repartitions += 1;
+            Partitioner::auto(config.rho).compute(&self.synopsis.maxvar, config.leaf_count)?;
+        self.adopt_planned(outcome);
         Ok(())
     }
 
     /// Exports the synopsis (tree + pooled sample) for persistence; see
     /// [`crate::snapshot`].
     pub fn save_synopsis(&self) -> crate::snapshot::SynopsisSnapshot {
+        let reservoir = &self.pool.reservoir;
         crate::snapshot::SynopsisSnapshot {
-            dpt: self.dpt.to_snapshot(),
-            sample_rows: self.reservoir.iter().cloned().collect(),
-            reservoir_floor: self.reservoir.floor(),
-            reservoir_target: self.reservoir.target(),
-            population: self.archive.len(),
-            reservoir_rng: self.reservoir.rng_state().to_vec(),
-            seed_counter: self.seed_counter,
+            dpt: self.synopsis.dpt.to_snapshot(),
+            sample_rows: reservoir.iter().cloned().collect(),
+            reservoir_floor: reservoir.floor(),
+            reservoir_target: reservoir.target(),
+            population: self.pool.archive.len(),
+            reservoir_rng: reservoir.rng_state().to_vec(),
+            seed_counter: self.pool.seed_counter,
             updates_since_check: self.updates_since_check as u64,
-            catchup_rows: self.catchup.remaining().to_vec(),
+            catchup_rows: self.synopsis.catchup.remaining().to_vec(),
         }
     }
 
@@ -628,152 +490,89 @@ impl JanusEngine {
                 snapshot.reservoir_rng.len()
             )));
         }
-        let template = config.template.clone();
-        let alpha = effective_alpha(reservoir.len(), archive.len());
-        let points = sample_points(&template, reservoir.iter());
-        let maxvar =
-            MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
-        Ok(JanusEngine {
-            trigger_cfg: TriggerConfig {
-                beta: config.beta,
-                underrep_fraction: 1.0,
-            },
-            config,
+        let pool = PooledSample {
             archive,
             reservoir,
-            maxvar,
+            seed: config.seed,
+            seed_counter: snapshot.seed_counter,
+        };
+        let synopsis = Synopsis {
+            maxvar: Synopsis::index_over(&config, &pool),
+            config,
             dpt,
             catchup: CatchupQueue::new(snapshot.catchup_rows.clone()),
-            stats: EngineStats::default(),
-            queries: AtomicU64::new(0),
-            updates_since_check: snapshot.updates_since_check as usize,
-            seed_counter: snapshot.seed_counter,
-        })
+        };
+        let updates_since_check = snapshot.updates_since_check as usize;
+        Ok(Self::assemble(pool, synopsis, updates_since_check))
     }
 
     /// Snapshot of the current pooled-sample index points — the input the
     /// §4.3 *optimization phase* works on, taken so the optimizer can run
     /// off-thread without holding any engine lock.
     pub fn snapshot_sample_points(&self) -> Vec<IndexPoint> {
-        self.maxvar.live_points()
+        self.synopsis.maxvar.live_points()
     }
 
     /// Computes a candidate partitioning from a (possibly stale) point
     /// snapshot without touching engine state — §4.3 step 1, runnable in a
     /// worker thread while the old synopsis keeps serving.
     pub fn plan_repartition(&self, points: Vec<IndexPoint>) -> Result<PartitionOutcome> {
-        let template = &self.config.template;
-        let alpha = effective_alpha(points.len(), self.archive.len());
-        let mv = MaxVarianceIndex::bulk_load(
-            template.dims(),
-            template.agg,
-            alpha,
-            self.config.delta,
-            points,
-        );
-        Partitioner::auto(self.config.rho).compute(&mv, self.config.leaf_count)
+        let config = self.config();
+        let population = self.pool.archive.len();
+        let mv = MaxVarianceIndex::over_points(&config.template, config.delta, points, population);
+        Partitioner::auto(config.rho).compute(&mv, config.leaf_count)
     }
 
     /// Installs a previously-planned partitioning — the §4.3 step-2
     /// *blocking* swap (statistics populated from the current pooled
     /// sample, reservoir re-sampled, catch-up restarted).
     pub fn adopt_planned(&mut self, outcome: PartitionOutcome) {
-        self.adopt_partitioning(outcome);
-        self.stats.repartitions += 1;
-    }
-
-    fn adopt_partitioning(&mut self, outcome: PartitionOutcome) {
-        let n = self.archive.len();
-        let template = self.config.template.clone();
+        let (pool, synopsis) = (&mut self.pool, &mut self.synopsis);
         // (1) New empty DPT from the optimized spec.
-        let mut dpt = Dpt::build(
-            template,
-            self.config.minmax_k,
-            &outcome.spec,
-            &outcome.leaf_variances,
-            n as f64,
-        )
-        .expect("partitioner produced a valid spec");
+        let mut dpt = Synopsis::tree_over(&synopsis.config, &outcome, pool.archive.len())
+            .expect("partitioner produced a valid spec");
         // (2) Blocking step: approximate node statistics from the pooled
         // reservoir sample (reflects all data up to now).
-        for row in self.reservoir.iter() {
+        for row in pool.reservoir.iter() {
             dpt.apply_catchup_row(row);
         }
-        self.dpt = dpt;
-        // (3) old synopsis discarded (moved out). (4) fresh pooled sample,
-        // re-sized so the configured sampling rate tracks the *current*
-        // population (the paper's α·N sample; the table may have grown by
-        // orders of magnitude since bootstrap).
-        let m = ((self.config.sample_rate * n as f64).ceil() as usize).max(16);
-        let seed = self.next_seed();
-        self.reservoir = DynamicReservoir::with_m(m, seed);
-        let seed = self.next_seed();
-        let rows = self.archive.sample_distinct(2 * m, seed);
-        self.reservoir.reset(rows);
-        self.rebuild_sample_structures();
-        // (5) catch-up restarts in the background.
-        let seed = self.next_seed();
-        self.catchup = CatchupQueue::over_archive(&self.archive, self.config.catchup_ratio, seed);
+        // (3) The old tree is discarded. (4) Fresh pooled sample.
+        synopsis.dpt = dpt;
+        pool.redraw(synopsis.config.sample_rate);
+        synopsis.reset_samples(pool);
+        // (5) Catch-up restarts in the background.
+        synopsis.restart_catchup(pool);
+        self.stats.repartitions += 1;
     }
 
     /// Partial re-partitioning (Appendix E): rebuilds only the subtree
     /// `psi` levels above `leaf`, keeping all other estimates. Returns
     /// whether the splice succeeded.
     pub fn partial_repartition(&mut self, leaf: usize, psi: usize) -> Result<()> {
-        let at = self.dpt.ancestor_at(leaf, psi);
-        let l_u = self.dpt.leaves_under(at).max(2);
-        let rect = self.dpt.node(at).rect.clone();
-        let outcome = if self.config.dims() == 1 {
-            crate::partition::bs1d::partition_within(
-                &self.maxvar,
-                rect.lo()[0],
-                rect.hi()[0],
-                l_u,
-                self.config.rho,
-            )?
+        let (pool, synopsis) = (&mut self.pool, &mut self.synopsis);
+        let (dpt, maxvar) = (&mut synopsis.dpt, &synopsis.maxvar);
+        let at = dpt.ancestor_at(leaf, psi);
+        let l_u = dpt.leaves_under(at).max(2);
+        let rect = dpt.node(at).rect.clone();
+        let outcome = if synopsis.config.dims() == 1 {
+            let rho = synopsis.config.rho;
+            crate::partition::bs1d::partition_within(maxvar, rect.lo()[0], rect.hi()[0], l_u, rho)?
         } else {
-            crate::partition::kd::partition_within(&self.maxvar, rect, l_u)?
+            crate::partition::kd::partition_within(maxvar, rect, l_u)?
         };
-        self.dpt.push_epoch(self.archive.len() as f64);
-        let orphans = self
-            .dpt
-            .splice_subtree(at, &outcome.spec, &outcome.leaf_variances)?;
+        dpt.push_epoch(pool.archive.len() as f64);
+        let orphans = dpt.splice_subtree(at, &outcome.spec, &outcome.leaf_variances)?;
         for id in orphans {
-            if let Some(row) = self.reservoir.get(id) {
-                let point = row.project(&self.config.template.predicate_columns);
-                self.dpt.assign_sample(id, &point);
+            if let Some(row) = pool.reservoir.get(id) {
+                let point = dpt.project(row);
+                dpt.assign_sample(id, &point);
             }
         }
         // Restart catch-up for the new-epoch nodes.
-        let seed = self.next_seed();
-        self.catchup = CatchupQueue::over_archive(&self.archive, self.config.catchup_ratio, seed);
+        synopsis.restart_catchup(pool);
         self.stats.partial_repartitions += 1;
         Ok(())
     }
-}
-
-/// `|S| / |D|`, clamped into a sane range.
-pub(crate) fn effective_alpha(samples: usize, population: usize) -> f64 {
-    if population == 0 {
-        1.0
-    } else {
-        (samples as f64 / population as f64).clamp(1e-9, 1.0)
-    }
-}
-
-/// Projects sampled rows into max-variance index points.
-pub(crate) fn sample_points<'a>(
-    template: &janus_common::QueryTemplate,
-    rows: impl Iterator<Item = &'a Row>,
-) -> Vec<IndexPoint> {
-    rows.map(|r| {
-        IndexPoint::new(
-            r.project(&template.predicate_columns),
-            r.id,
-            r.value(template.agg_column),
-        )
-    })
-    .collect()
 }
 
 #[cfg(test)]
@@ -917,7 +716,7 @@ mod tests {
         let mut engine = JanusEngine::bootstrap(config(6), data).unwrap();
         engine.reinitialize().unwrap();
         assert!(engine.stats().repartitions >= 1);
-        assert!(!engine.catchup.is_complete());
+        assert!(!engine.synopsis.catchup.is_complete());
         engine.run_catchup_to_goal();
         let q = sum_query(0.0, 100.0);
         let est = engine.query(&q).unwrap().unwrap();

@@ -27,10 +27,15 @@
 //!   re-partitioning.
 //! * [`catchup`] — catch-up processing (§4.3): epoch bookkeeping and the
 //!   randomized archival sample queue that refines node statistics online.
-//! * [`engine`] — the synchronous, deterministic DAQP engine tying it all
-//!   together; [`concurrent`] — the multi-threaded wrapper used for the
-//!   throughput and re-initialization experiments (§6.3).
-//! * [`templates`] — multi-template support (§5.5): several DPTs sharing
+//! * `synopsis` (private) — the body both engines are built from (§4.2,
+//!   §4.3, §5.5): the archive and the pooled reservoir, and per template a
+//!   tree, its strata and **M**; the one place a reservoir outcome is
+//!   mirrored into them and a floor breach re-samples.
+//! * [`engine`] — the synchronous, deterministic DAQP engine (one synopsis)
+//!   with triggers, re-partitioning and snapshots; [`concurrent`] — the
+//!   multi-threaded wrapper used for the throughput and re-initialization
+//!   experiments (§6.3).
+//! * [`templates`] — multi-template support (§5.5): several synopses over
 //!   one pooled sample.
 
 pub mod catchup;
@@ -44,6 +49,7 @@ pub mod maxvar;
 pub mod node;
 pub mod partition;
 pub mod snapshot;
+mod synopsis;
 pub mod templates;
 pub mod tree;
 pub mod trigger;

@@ -18,7 +18,7 @@
 //! plus one coordinate treap per dimension for median searches.
 
 use crate::formulas;
-use janus_common::{AggregateFunction, Moments, Rect};
+use janus_common::{AggregateFunction, Moments, QueryTemplate, Rect, Row, RowRef};
 use janus_index::dynamic::DynamicIndex;
 use janus_index::kd::StaticKdTree;
 use janus_index::range_tree::StaticRangeTree;
@@ -88,6 +88,37 @@ impl MaxVarianceIndex {
             Spatial::High(s) => *s = DynamicIndex::bulk_load(dims, points),
         }
         idx
+    }
+
+    /// **M** for `template` over a pooled sample (`rows`) of a table of
+    /// `population` rows: each row projected onto the template's
+    /// predicate space and weighted by its aggregation attribute, with
+    /// the sampling rate `α = |S| / |D|` the sample implies.
+    pub fn over_sample<'a>(
+        template: &QueryTemplate,
+        delta: f64,
+        rows: impl IntoIterator<Item = &'a Row>,
+        population: usize,
+    ) -> Self {
+        let points = rows.into_iter().map(|r| index_point(template, r.as_ref()));
+        Self::over_points(template, delta, points.collect(), population)
+    }
+
+    /// [`MaxVarianceIndex::over_sample`] for already-projected points.
+    pub(crate) fn over_points(
+        template: &QueryTemplate,
+        delta: f64,
+        points: Vec<IndexPoint>,
+        population: usize,
+    ) -> Self {
+        let alpha = sampling_rate(points.len(), population);
+        Self::bulk_load(template.dims(), template.agg, alpha, delta, points)
+    }
+
+    /// Re-derives the sampling rate after the table grew or shrank to
+    /// `population` rows around an index that followed its sample.
+    pub(crate) fn set_population(&mut self, population: usize) {
+        self.set_alpha(sampling_rate(self.len(), population));
     }
 
     fn insert_treaps(&mut self, p: &IndexPoint) {
@@ -364,6 +395,22 @@ impl MaxVarianceIndex {
             },
         };
         formulas::bucket_avg_query_variance(m, &q)
+    }
+}
+
+/// A sampled row as **M** holds it under `template`: projected onto the
+/// predicate space, weighted by the aggregation attribute.
+pub(crate) fn index_point(template: &QueryTemplate, row: RowRef<'_>) -> IndexPoint {
+    let coords = row.project(&template.predicate_columns);
+    IndexPoint::new(coords, row.id, row.value(template.agg_column))
+}
+
+/// `|S| / |D|`, clamped into the range an index accepts.
+fn sampling_rate(samples: usize, population: usize) -> f64 {
+    if population == 0 {
+        1.0
+    } else {
+        (samples as f64 / population as f64).clamp(1e-9, 1.0)
     }
 }
 

@@ -21,6 +21,9 @@
 //! [`Partitioner::compute_if_below`] is the same for a caller that will
 //! discard any result at or above a bound (the §5.4 adoption rule), and may
 //! answer "not reachable" from a reject-only pre-check instead of a search.
+//! Only the SUM binary search and COUNT's closed form have such a check:
+//! for an AVG-focused index, the k-d construction and the DP,
+//! `compute_if_below` is plain `compute`.
 
 pub mod bs1d;
 pub mod dp1d;

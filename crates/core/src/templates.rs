@@ -14,16 +14,10 @@
 //!    attribute falls back to uniform estimation over the pooled sample
 //!    ([`uniform_estimate`]).
 
-use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
-use crate::engine::{effective_alpha, sample_points};
 use crate::estimator::Gathered;
-use crate::maxvar::MaxVarianceIndex;
-use crate::partition::Partitioner;
-use crate::tree::Dpt;
+use crate::synopsis::{PooledSample, Synopsis};
 use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
-use janus_index::IndexPoint;
-use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
 use janus_storage::ArchiveStore;
 
 /// Uniform-sampling estimate of a query from a pooled sample of a
@@ -38,21 +32,10 @@ pub fn uniform_estimate<'a>(
     Gathered::pooled(query, samples, population).finish(query.agg)
 }
 
-/// One template's synopsis inside the shared-sample engine.
-struct TemplateSynopsis {
-    config: SynopsisConfig,
-    dpt: Dpt,
-    maxvar: MaxVarianceIndex,
-    catchup: CatchupQueue,
-}
-
 /// §5.5 first method: one pooled sample, `L` partition trees.
 pub struct MultiTemplateEngine {
-    archive: ArchiveStore,
-    reservoir: DynamicReservoir,
-    synopses: Vec<TemplateSynopsis>,
-    seed_counter: u64,
-    base_seed: u64,
+    pool: PooledSample,
+    synopses: Vec<Synopsis>,
 }
 
 impl MultiTemplateEngine {
@@ -68,32 +51,16 @@ impl MultiTemplateEngine {
             c.validate()?;
         }
         let archive = ArchiveStore::from_rows_in(&configs[0].archive_backend, rows)?;
-        let n = archive.len();
         let rate = configs.iter().map(|c| c.sample_rate).fold(0.0, f64::max);
-        let base_seed = configs[0].seed;
-        let m = ((rate * n as f64).ceil() as usize).max(16);
-        let mut reservoir = DynamicReservoir::with_m(m, base_seed ^ 0x3333);
-        reservoir.reset(archive.sample_distinct(2 * m, base_seed ^ 0x4444));
-
         let mut engine = MultiTemplateEngine {
-            archive,
-            reservoir,
+            pool: PooledSample::draw(archive, rate, configs[0].seed, [0x3333, 0x4444]),
             synopses: Vec::new(),
-            seed_counter: 1,
-            base_seed,
         };
         for config in configs {
-            engine.add_template_internal(config)?;
+            let synopsis = engine.build_synopsis(config)?;
+            engine.synopses.push(synopsis);
         }
         Ok(engine)
-    }
-
-    fn next_seed(&mut self) -> u64 {
-        self.seed_counter = self
-            .seed_counter
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(1);
-        self.base_seed ^ self.seed_counter
     }
 
     /// Registers a new template at runtime (§5.5: "when we see a query from
@@ -102,42 +69,17 @@ impl MultiTemplateEngine {
     /// configured goal.
     pub fn add_template(&mut self, config: SynopsisConfig) -> Result<()> {
         config.validate()?;
-        self.add_template_internal(config)?;
-        let idx = self.synopses.len() - 1;
-        self.run_catchup_to_goal(idx);
+        let mut synopsis = self.build_synopsis(config)?;
+        synopsis.run_catchup_to_goal();
+        self.synopses.push(synopsis);
         Ok(())
     }
 
-    fn add_template_internal(&mut self, config: SynopsisConfig) -> Result<()> {
-        let template = config.template.clone();
-        let n = self.archive.len();
-        let alpha = effective_alpha(self.reservoir.len(), n);
-        let points = sample_points(&template, self.reservoir.iter());
-        let maxvar =
-            MaxVarianceIndex::bulk_load(template.dims(), template.agg, alpha, config.delta, points);
-        let partitioner = Partitioner::auto(config.rho);
-        let outcome = partitioner.compute(&maxvar, config.leaf_count)?;
-        let mut dpt = Dpt::build(
-            template.clone(),
-            config.minmax_k,
-            &outcome.spec,
-            &outcome.leaf_variances,
-            n as f64,
-        )?;
-        let mut point: Vec<f64> = Vec::new();
-        for row in self.reservoir.iter() {
-            row.project_into(&template.predicate_columns, &mut point);
-            dpt.assign_sample(row.id, &point);
-        }
-        let seed = self.next_seed();
-        let catchup = CatchupQueue::over_archive(&self.archive, config.catchup_ratio, seed);
-        self.synopses.push(TemplateSynopsis {
-            config,
-            dpt,
-            maxvar,
-            catchup,
-        });
-        Ok(())
+    /// One more tree over the pooled sample, its catch-up phase seeded
+    /// from the shared sequence and not yet started.
+    fn build_synopsis(&mut self, config: SynopsisConfig) -> Result<Synopsis> {
+        let seed = self.pool.next_seed();
+        Synopsis::build(config, &self.pool, Some(seed))
     }
 
     /// Number of registered templates.
@@ -147,128 +89,53 @@ impl MultiTemplateEngine {
 
     /// Current table size.
     pub fn population(&self) -> usize {
-        self.archive.len()
+        self.pool.archive.len()
     }
 
     /// Ground-truth oracle (chunked columnar scan on dense backends).
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
-        self.archive.evaluate_exact(query)
+        self.pool.archive.evaluate_exact(query)
     }
 
     /// Runs the catch-up of synopsis `idx` to its goal.
     pub fn run_catchup_to_goal(&mut self, idx: usize) {
-        let syn = &mut self.synopses[idx];
-        loop {
-            // Field-disjoint borrows: queue hands out rows, tree absorbs.
-            let rows = syn.catchup.next_chunk(4096);
-            if rows.is_empty() {
-                break;
-            }
-            for row in rows {
-                syn.dpt.apply_catchup_row(row);
-            }
-        }
+        self.synopses[idx].run_catchup_to_goal();
     }
 
     /// Runs every synopsis' catch-up to its goal.
     pub fn run_all_catchup(&mut self) {
-        for i in 0..self.synopses.len() {
-            self.run_catchup_to_goal(i);
+        for synopsis in &mut self.synopses {
+            synopsis.run_catchup_to_goal();
         }
     }
 
     /// Inserts a tuple, fanning out to every tree.
     pub fn insert(&mut self, row: Row) -> Result<()> {
-        if !self.archive.insert(row.clone())? {
+        if !self.pool.archive.insert_values(row.id, &row.values)? {
             return Err(JanusError::InvalidConfig(format!(
                 "duplicate row id {}",
                 row.id
             )));
         }
-        for syn in &mut self.synopses {
-            syn.dpt.record_insert(&row);
+        for synopsis in &mut self.synopses {
+            synopsis.dpt.record_insert(&row);
         }
-        match self.reservoir.offer(row.clone(), self.archive.len()) {
-            InsertOutcome::Added => self.admit(&row),
-            InsertOutcome::Replaced { evicted } => {
-                let old = self.archive.get(evicted);
-                if let Some(old) = old {
-                    self.evict(&old);
-                }
-                self.admit(&row);
-            }
-            InsertOutcome::Skipped => {}
-        }
+        self.pool.offer(row, &mut self.synopses);
         Ok(())
     }
 
     /// Deletes a tuple by id, fanning out to every tree.
     pub fn delete(&mut self, id: RowId) -> Result<Row> {
         let row = self
+            .pool
             .archive
             .delete(id)?
             .ok_or(JanusError::RowNotFound(id))?;
-        for syn in &mut self.synopses {
-            syn.dpt.record_delete(&row);
+        for synopsis in &mut self.synopses {
+            synopsis.dpt.record_delete(&row);
         }
-        match self.reservoir.delete(id) {
-            DeleteOutcome::NotInSample => {}
-            DeleteOutcome::Removed => self.evict(&row),
-            DeleteOutcome::NeedsResample => self.resample(),
-        }
+        self.pool.remove(&row, &mut self.synopses);
         Ok(row)
-    }
-
-    fn admit(&mut self, row: &Row) {
-        for syn in &mut self.synopses {
-            let point = row.project(&syn.config.template.predicate_columns);
-            syn.dpt.assign_sample(row.id, &point);
-            syn.maxvar.insert(IndexPoint::new(
-                point,
-                row.id,
-                row.value(syn.config.template.agg_column),
-            ));
-        }
-    }
-
-    fn evict(&mut self, row: &Row) {
-        for syn in &mut self.synopses {
-            syn.dpt.remove_sample(row.id);
-            let point = row.project(&syn.config.template.predicate_columns);
-            syn.maxvar.delete(&IndexPoint::new(
-                point,
-                row.id,
-                row.value(syn.config.template.agg_column),
-            ));
-        }
-    }
-
-    fn resample(&mut self) {
-        let seed = self.next_seed();
-        let rows = self.archive.sample_distinct(self.reservoir.target(), seed);
-        self.reservoir.reset(rows);
-        for syn in &mut self.synopses {
-            syn.dpt.clear_samples();
-        }
-        let sampled: Vec<Row> = self.reservoir.iter().cloned().collect();
-        let n = self.archive.len();
-        for syn in &mut self.synopses {
-            let template = &syn.config.template;
-            let alpha = effective_alpha(sampled.len(), n);
-            let points = sample_points(template, sampled.iter());
-            syn.maxvar = MaxVarianceIndex::bulk_load(
-                template.dims(),
-                template.agg,
-                alpha,
-                syn.config.delta,
-                points,
-            );
-            let mut point: Vec<f64> = Vec::new();
-            for r in &sampled {
-                r.project_into(&template.predicate_columns, &mut point);
-                syn.dpt.assign_sample(r.id, &point);
-            }
-        }
     }
 
     /// Routes a query to the best synopsis:
@@ -279,7 +146,8 @@ impl MultiTemplateEngine {
     /// 3. otherwise — uniform estimation over the pooled sample.
     pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
         let trees = self.synopses.iter().map(|s| &s.dpt);
-        Ok(Gathered::route(query, trees, &self.reservoir, self.archive.len())?.finish(query.agg))
+        let pool = &self.pool;
+        Ok(Gathered::route(query, trees, &pool.reservoir, pool.archive.len())?.finish(query.agg))
     }
 }
 

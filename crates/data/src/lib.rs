@@ -8,7 +8,8 @@
 //! reproduces the *statistical structure the experiments depend on* —
 //! distribution shapes of the predicate and aggregate attributes, their
 //! correlations, and the orderings that drive the skewed-insert scenarios.
-//! See DESIGN.md §2 for the substitution argument per dataset.
+//! Each generator's rustdoc in [`datasets`] names the structure it keeps;
+//! `REPRODUCTION.md` records where a synthetic table changes a result.
 //!
 //! All generators are deterministic in their seed.
 

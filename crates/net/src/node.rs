@@ -340,13 +340,8 @@ fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
         .slot(shard)
         .ok_or_else(|| janus_common::JanusError::Storage(format!("shard {shard} not hosted")))?;
     let engine = slot.engine.read();
-    let checkpoint = ShardCheckpoint {
-        shard: shard as usize,
-        applied_offset: slot.applied.load(Ordering::Acquire),
-        published_offset: slot.received(),
-        synopsis: engine.save_synopsis(),
-        archive_rows: engine.export_rows(),
-    };
+    let applied = slot.applied.load(Ordering::Acquire);
+    let checkpoint = ShardCheckpoint::capture(shard as usize, &engine, applied, slot.received());
     let config = engine.config().clone();
     drop(engine);
     let payload = serde_json::to_vec(&checkpoint)

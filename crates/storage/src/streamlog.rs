@@ -1,6 +1,6 @@
 //! Kafka-like append-only topic logs with offset-based polling.
 //!
-//! The substitution contract (see DESIGN.md): the behaviours the paper
+//! The substitution contract: the behaviours the paper
 //! exercises depend only on the log/offset/poll abstraction — ordered
 //! request processing, batch polling with per-poll overhead, and the
 //! inability to randomly access single records except by issuing a poll at

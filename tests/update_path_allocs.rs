@@ -5,8 +5,10 @@
 //! MIN/MAX extremes (§4.1); none of that touches the heap once the extremes
 //! hold their `k` values. A counting global allocator pins it: an insert
 //! the reservoir skips, and a delete of an unsampled row, allocate only
-//! what the archive does.
+//! what the archive does. The §5.5 multi-template engine inserts through
+//! the same pooled-sample step, so it inherits the bound.
 
+use janus::core::templates::MultiTemplateEngine;
 use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -143,4 +145,44 @@ fn skipped_inserts_and_unsampled_deletes_allocate_only_in_the_archive() {
         "{delete_allocs} allocations over {DELETES} unsampled deletes (bound {DELETE_BOUND})"
     );
     assert_eq!(engine.population(), next as usize - DELETES);
+}
+
+/// Two trees over one pooled sample: a skipped insert costs two path
+/// walks and nothing on the heap; only the ~5% the reservoir admits
+/// allocate (a projected point and index nodes per tree).
+#[test]
+fn multi_template_inserts_allocate_less_than_once_each() {
+    const BASE: u64 = 20_000;
+    const INSERTS: u64 = 10_000;
+
+    let mut rng = SmallRng::seed_from_u64(17);
+    let configs = [(1, 0), (0, 1)]
+        .map(|(agg, pred)| {
+            let template = QueryTemplate::new(AggregateFunction::Sum, agg, vec![pred]);
+            let mut config = SynopsisConfig::paper_default(template, 17);
+            config.leaf_count = 32;
+            config.sample_rate = 0.03;
+            config
+        })
+        .to_vec();
+    let initial: Vec<Row> = (0..BASE).map(|i| row(i, &mut rng)).collect();
+    let mut engine = MultiTemplateEngine::bootstrap(configs, initial).unwrap();
+    engine.run_all_catchup();
+
+    let mut next = BASE;
+    for _ in 0..2_000 {
+        engine.insert(row(next, &mut rng)).unwrap();
+        next += 1;
+    }
+    let rows: Vec<Row> = (next..next + INSERTS).map(|i| row(i, &mut rng)).collect();
+    let before = allocs();
+    for r in rows {
+        engine.insert(r).unwrap();
+    }
+    let spent = allocs() - before;
+    assert!(
+        spent < INSERTS,
+        "{spent} allocations over {INSERTS} inserts into two trees"
+    );
+    assert_eq!(engine.population() as u64, next + INSERTS);
 }
