@@ -165,7 +165,6 @@ impl JanusEngine {
 
     /// The sample half of an insert the archive accepted, whichever path
     /// applied the tree statistics.
-    #[inline]
     fn offer_to_reservoir(&mut self, row: Row) {
         self.pool
             .offer(row, std::slice::from_mut(&mut self.synopsis));

@@ -43,6 +43,7 @@ impl Synopsis {
         let maxvar = Self::index_over(&config, pool);
         let outcome = Partitioner::auto(config.rho).compute(&maxvar, config.leaf_count)?;
         let mut dpt = Self::tree_over(&config, &outcome, archive.len())?;
+        assign_strata(&mut dpt, &pool.reservoir);
         let catchup = match catchup_seed {
             Some(seed) => CatchupQueue::over_archive(archive, config.catchup_ratio, seed),
             None => {
@@ -55,14 +56,12 @@ impl Synopsis {
                 CatchupQueue::completed()
             }
         };
-        let mut synopsis = Synopsis {
+        Ok(Synopsis {
             config,
             dpt,
             maxvar,
             catchup,
-        };
-        synopsis.assign_strata(&pool.reservoir);
-        Ok(synopsis)
+        })
     }
 
     /// **M** for `config`'s template over the pooled sample as it stands.
@@ -86,14 +85,6 @@ impl Synopsis {
         )
     }
 
-    fn assign_strata(&mut self, reservoir: &DynamicReservoir) {
-        let mut point = Vec::new();
-        for row in reservoir.iter() {
-            self.dpt.project_into(row, &mut point);
-            self.dpt.assign_sample(row.id, &point);
-        }
-    }
-
     /// Registers a newly sampled row with its stratum and **M**.
     fn admit(&mut self, row: &Row) {
         let point = index_point(&self.config.template, row.as_ref());
@@ -112,7 +103,7 @@ impl Synopsis {
     /// wholesale (§4.2 floor breach, §4.3 step 4).
     pub(crate) fn reset_samples(&mut self, pool: &PooledSample) {
         self.dpt.clear_samples();
-        self.assign_strata(&pool.reservoir);
+        assign_strata(&mut self.dpt, &pool.reservoir);
         self.maxvar = Self::index_over(&self.config, pool);
     }
 
@@ -197,7 +188,6 @@ impl PooledSample {
     /// Offers a row the archive just took in to the reservoir — its last
     /// consumer, so it moves in — and mirrors an admission, and the
     /// eviction a replacement implies, into every synopsis.
-    #[inline]
     pub(crate) fn offer(&mut self, row: Row, synopses: &mut [Synopsis]) {
         let id = row.id;
         match self.reservoir.offer(row, self.archive.len()) {
@@ -244,6 +234,15 @@ impl PooledSample {
                 true
             }
         }
+    }
+}
+
+/// Registers every sampled row with the leaf stratum it falls in.
+fn assign_strata(dpt: &mut Dpt, reservoir: &DynamicReservoir) {
+    let mut point = Vec::new();
+    for row in reservoir.iter() {
+        dpt.project_into(row, &mut point);
+        dpt.assign_sample(row.id, &point);
     }
 }
 

@@ -309,15 +309,21 @@ impl Dpt {
     /// epoch's offered counter.
     pub fn apply_catchup_row(&mut self, row: &Row) {
         let point = self.project_scratch(row);
-        let a = self.agg_value(row);
+        self.apply_catchup_point(&point, self.agg_value(row));
+        self.point_scratch = point;
+    }
+
+    /// [`Dpt::apply_catchup_row`] over a pre-projected predicate-space
+    /// point — the form catch-up loops use with a hoisted projection
+    /// buffer.
+    pub fn apply_catchup_point(&mut self, point: &[f64], a: f64) {
         let epoch = self.current_epoch();
         self.epochs[epoch].offered += 1;
-        Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
+        Self::walk_path(&mut self.nodes[..], self.root, point, |nodes, idx| {
             if nodes[idx].stats.epoch == epoch {
                 nodes[idx].stats.record_catchup(a);
             }
         });
-        self.point_scratch = point;
     }
 
     /// Installs exact base statistics by scanning `rows` (SPT-style
