@@ -254,25 +254,23 @@ impl MaxVarianceIndex {
     /// `M` over a *rank range* of the dim-0 sample order — the bucket view
     /// the 1-D partitioners operate on (§5.2). Only meaningful for `d == 1`.
     pub fn max_variance_rank_range(&self, i: usize, j: usize) -> f64 {
+        self.rank_probe(i).upto(j)
+    }
+
+    /// `M` over the rank ranges `[start, j)` that share one `start` — a
+    /// greedy bucket's binary search (§5.2). Only meaningful for `d == 1`.
+    pub(crate) fn rank_probe(&self, start: usize) -> RankProbe<'_> {
         debug_assert!(self.dims == 1, "rank-range probes require d == 1");
-        if j <= i {
-            return 0.0;
-        }
-        let m = (j - i) as f64;
-        match self.focus {
-            AggregateFunction::Count => formulas::bucket_count_query_variance(m / self.alpha, m),
+        let below = match self.focus {
             AggregateFunction::Sum | AggregateFunction::Min | AggregateFunction::Max => {
-                let mid = i + (j - i) / 2;
-                let left = self.coord[0].moments_by_rank(i, mid);
-                let right = self.coord[0].moments_by_rank(mid, j);
-                let n_hat = m / self.alpha;
-                formulas::bucket_sum_query_variance(n_hat, m, &left)
-                    .max(formulas::bucket_sum_query_variance(n_hat, m, &right))
+                self.coord[0].prefix(start)
             }
-            AggregateFunction::Avg => {
-                let q = self.heaviest_window_ranks(i, j, self.avg_cap());
-                formulas::bucket_avg_query_variance(m, &q)
-            }
+            AggregateFunction::Count | AggregateFunction::Avg => Moments::ZERO,
+        };
+        RankProbe {
+            mv: self,
+            start,
+            below,
         }
     }
 
@@ -295,17 +293,21 @@ impl MaxVarianceIndex {
     }
 
     fn sum_max_variance(&self, rect: &Rect) -> f64 {
+        if self.dims == 1 {
+            let i = self.coord[0].rank_of_key(rect.lo()[0]);
+            let j = self.coord[0].rank_of_key(rect.hi()[0]);
+            return if j < i + 2 {
+                0.0
+            } else {
+                self.max_variance_rank_range(i, j)
+            };
+        }
         let total = self.moments_in(rect);
         let m = total.count;
         if m < 2.0 {
             return 0.0;
         }
         let n_hat = m / self.alpha;
-        if self.dims == 1 {
-            let i = self.coord[0].rank_of_key(rect.lo()[0]);
-            let j = self.coord[0].rank_of_key(rect.hi()[0]);
-            return self.max_variance_rank_range(i, j);
-        }
         // d > 1: median split along each dimension; keep the best half.
         let mut best = 0.0f64;
         for dim in 0..self.dims {
@@ -395,6 +397,49 @@ impl MaxVarianceIndex {
             },
         };
         formulas::bucket_avg_query_variance(m, &q)
+    }
+}
+
+/// Rank-range probes from one start ([`MaxVarianceIndex::rank_probe`]).
+/// The SUM/MIN/MAX half split reads `prefix(start)` once and `prefix(mid)`
+/// once per probe, so a probe costs two treap descents instead of four; the
+/// halves are the same `prefix(hi) − prefix(lo)` differences
+/// `Treap::moments_by_rank` takes, so the bits are too.
+pub(crate) struct RankProbe<'a> {
+    mv: &'a MaxVarianceIndex,
+    start: usize,
+    /// `prefix(start)` for the half split, zero for COUNT and AVG.
+    below: Moments,
+}
+
+impl RankProbe<'_> {
+    /// `M` over ranks `[start, end)`.
+    pub(crate) fn upto(&self, end: usize) -> f64 {
+        let (mv, i, j) = (self.mv, self.start, end);
+        if j <= i {
+            return 0.0;
+        }
+        let m = (j - i) as f64;
+        match mv.focus {
+            AggregateFunction::Count => formulas::bucket_count_query_variance(m / mv.alpha, m),
+            AggregateFunction::Sum | AggregateFunction::Min | AggregateFunction::Max => {
+                let mid = i + (j - i) / 2;
+                let at_mid = mv.coord[0].prefix(mid);
+                let left = if mid > i {
+                    at_mid.subtract(&self.below)
+                } else {
+                    Moments::ZERO
+                };
+                let right = mv.coord[0].prefix(j).subtract(&at_mid);
+                let n_hat = m / mv.alpha;
+                formulas::bucket_sum_query_variance(n_hat, m, &left)
+                    .max(formulas::bucket_sum_query_variance(n_hat, m, &right))
+            }
+            AggregateFunction::Avg => {
+                let q = mv.heaviest_window_ranks(i, j, mv.avg_cap());
+                formulas::bucket_avg_query_variance(m, &q)
+            }
+        }
     }
 }
 
@@ -536,7 +581,61 @@ mod tests {
         let r = Rect::new(vec![0.0], vec![100.1]).unwrap();
         let via_rect = idx.max_variance(&r);
         let via_rank = idx.max_variance_rank_range(0, 128);
-        assert!((via_rect - via_rank).abs() < 1e-9);
+        assert_eq!(via_rect.to_bits(), via_rank.to_bits());
+    }
+
+    /// The SUM probe reads each prefix once; the halves it subtracts are
+    /// the ones two `moments_by_rank` calls take, and a rect probe that
+    /// counted its samples through `moments_in` first decided "fewer than
+    /// two" the same way — bit for bit, through inserts, deletes and α
+    /// changes.
+    #[test]
+    fn shared_prefix_sum_probes_match_two_rank_range_sums_bit_for_bit() {
+        fn two_range_probe(idx: &MaxVarianceIndex, i: usize, j: usize) -> f64 {
+            if j <= i {
+                return 0.0;
+            }
+            let m = (j - i) as f64;
+            let mid = i + (j - i) / 2;
+            let left = idx.coord[0].moments_by_rank(i, mid);
+            let right = idx.coord[0].moments_by_rank(mid, j);
+            let n_hat = m / idx.alpha;
+            formulas::bucket_sum_query_variance(n_hat, m, &left)
+                .max(formulas::bucket_sum_query_variance(n_hat, m, &right))
+        }
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut idx = MaxVarianceIndex::new(1, AggregateFunction::Sum, 0.1, 0.01);
+        let mut live: Vec<IndexPoint> = Vec::new();
+        for step in 0..3_000u64 {
+            if live.len() < 4 || rng.gen_bool(0.7) {
+                let key = rng.gen_range(0..300) as f64;
+                let p = IndexPoint::new(vec![key], step, rng.gen::<f64>().powf(4.0) * 1e3);
+                idx.insert(p.clone());
+                live.push(p);
+            } else {
+                idx.delete(&live.swap_remove(rng.gen_range(0..live.len())));
+            }
+            if step % 97 == 0 {
+                idx.set_alpha(rng.gen_range(0.01..1.0));
+            }
+            let n = idx.len();
+            let i = rng.gen_range(0..n);
+            let probe = idx.rank_probe(i);
+            for j in [rng.gen_range(0..=n), i, i + 1, (i + 2).min(n), n] {
+                let parent = two_range_probe(&idx, i, j).to_bits();
+                assert_eq!(probe.upto(j).to_bits(), parent, "[{i}, {j}) of {n}");
+                assert_eq!(idx.max_variance_rank_range(i, j).to_bits(), parent);
+            }
+            let (a, b) = (rng.gen_range(-1..301) as f64, rng.gen_range(-1..301) as f64);
+            let rect = Rect::new(vec![a.min(b) + 0.5], vec![a.max(b) + 0.5]).unwrap();
+            let parent = if idx.moments_in(&rect).count < 2.0 {
+                0.0
+            } else {
+                let i = idx.rank_of_dim0_key(rect.lo()[0]);
+                two_range_probe(&idx, i, idx.rank_of_dim0_key(rect.hi()[0]))
+            };
+            assert_eq!(idx.max_variance(&rect).to_bits(), parent.to_bits());
+        }
     }
 
     #[test]

@@ -175,11 +175,12 @@ fn greedy_cover(
         }
         // Largest b in (a, end] with sqrt(M([a, b))) <= e; b = a + 1 is
         // always feasible for SUM/AVG (single-sample buckets have zero
-        // variance).
+        // variance). Every probe starts at `a`: one shared prefix.
+        let probe = mv.rank_probe(a);
         let (mut lo, mut hi) = (a + 1, end);
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
-            if mv.max_variance_rank_range(a, mid).sqrt() <= e {
+            if probe.upto(mid).sqrt() <= e {
                 lo = mid;
             } else {
                 hi = mid - 1;

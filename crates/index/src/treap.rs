@@ -246,17 +246,21 @@ impl Treap {
         rank
     }
 
-    /// Moments of the weights of entries with rank in `[lo, hi)`.
+    /// Moments of the weights of entries with rank in `[lo, hi)`:
+    /// `prefix(hi) − prefix(lo)`, so a caller holding one of the two
+    /// prefixes gets the same bits from [`Treap::prefix`] alone.
     pub fn moments_by_rank(&self, lo: usize, hi: usize) -> Moments {
         if lo >= hi {
             return Moments::ZERO;
         }
-        let upto_hi = Self::prefix_moments(self.root.as_deref(), hi);
-        let upto_lo = Self::prefix_moments(self.root.as_deref(), lo);
-        upto_hi.subtract(&upto_lo)
+        self.prefix(hi).subtract(&self.prefix(lo))
     }
 
-    /// Moments of the first `k` entries in key order.
+    /// Moments of the first `k` entries in key order (one descent).
+    pub fn prefix(&self, k: usize) -> Moments {
+        Self::prefix_moments(self.root.as_deref(), k)
+    }
+
     fn prefix_moments(node: Option<&Node>, k: usize) -> Moments {
         let Some(n) = node else { return Moments::ZERO };
         if k == 0 {
