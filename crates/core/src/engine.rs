@@ -12,6 +12,7 @@ use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
 use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
+use crate::partition::bs1d::Certificate;
 use crate::partition::{PartitionOutcome, Partitioner};
 use crate::synopsis::{PooledSample, Synopsis};
 use crate::tree::Dpt;
@@ -52,6 +53,10 @@ pub struct JanusEngine {
     stats: EngineStats,
     queries: AtomicU64,
     updates_since_check: usize,
+    /// Why the last armed trigger's candidate was out of reach, re-checked
+    /// by the next one before any cover runs (`partition::bs1d`,
+    /// "Certificates"). Never persisted.
+    certificate: Option<Certificate>,
 }
 
 impl JanusEngine {
@@ -83,6 +88,7 @@ impl JanusEngine {
             stats: EngineStats::default(),
             queries: AtomicU64::new(0),
             updates_since_check,
+            certificate: None,
         }
     }
 
@@ -367,15 +373,18 @@ impl JanusEngine {
     /// the partitioner for a candidate that can beat `M(R)/β` and adopts it
     /// when it does (§5.4). A candidate the partitioner's pre-check rules
     /// out ([`Partitioner::compute_if_below`]) counts as rejected without
-    /// being computed. Returns whether a re-partitioning was adopted.
+    /// being computed; most such rejections are decided by re-checking the
+    /// infeasibility certificate the previous one left, in `k` probes.
+    /// Returns whether a re-partitioning was adopted.
     pub fn try_repartition(&mut self) -> bool {
         let current_max = self.current_max_variance();
-        let config = self.config();
+        let config = &self.synopsis.config;
         let beta = config.beta;
-        let Ok(candidate) = Partitioner::auto(config.rho).compute_if_below(
+        let Ok(candidate) = Partitioner::auto(config.rho).compute_if_below_remembering(
             &self.synopsis.maxvar,
             config.leaf_count,
             trigger::adoption_bound(current_max, beta),
+            &mut self.certificate,
         ) else {
             return false;
         };
@@ -444,7 +453,12 @@ impl JanusEngine {
     /// one scoped exception: the max-variance index is rebuilt from the
     /// restored sample rather than carried over, so with
     /// `auto_repartition` enabled a *re-partitioning decision* after
-    /// restore may differ. Operation counters ([`EngineStats`]) restart
+    /// restore may differ. The trigger path's infeasibility certificate is
+    /// not saved either: the restored engine re-derives it from the first
+    /// armed trigger's failing cover. A certificate rejects only what it
+    /// re-verifies against the current index, so its absence costs that
+    /// one cover and — as far as `M` is monotone, the pre-check's own
+    /// caveat — no decision. Operation counters ([`EngineStats`]) restart
     /// from zero.
     pub fn restore(
         config: SynopsisConfig,

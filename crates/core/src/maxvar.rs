@@ -208,6 +208,11 @@ impl MaxVarianceIndex {
         self.coord[0].rank_of_key(key)
     }
 
+    /// Number of samples ordered at or before the dim-0 entry `(key, id)`.
+    pub(crate) fn rank_through_dim0(&self, key: f64, id: u64) -> usize {
+        self.coord[0].rank_through(key, id)
+    }
+
     /// Moments of samples inside `rect`.
     pub fn moments_in(&self, rect: &Rect) -> Moments {
         match &self.spatial {

@@ -41,6 +41,37 @@
 //! * **AVG** — the heavy-window probe has no such constant (the search and
 //!   a single cover disagree by up to 1.7× on the same instances), so AVG
 //!   indexes are never pre-checked.
+//!
+//! # Certificates
+//!
+//! A failing cover says more than "no": it names *why*, in a form that can
+//! be re-checked later in `k` probes instead of re-derived in a cover's
+//! ~`k log m`. Each of its `k` buckets ends at a *witness* `W_t`: the
+//! samples from the bucket's first one through the first one whose
+//! inclusion pushed the probe above `e` (the rank where the bucket's binary
+//! search stopped — `M` of one more sample was evaluated and exceeded
+//! `e²`). As key ranges `[x_t, y_t]`, with `x_1 = −∞`, the witnesses are
+//! ordered: `y_t ≤ x_{t+1}`, because the next bucket starts at or past
+//! `y_t`'s rank.
+//!
+//! *Claim*: if every witness still probes above `e²`, no partitioning into
+//! `k` key intervals `I_1 < … < I_k` (cut points `c_1 ≤ … ≤ c_{k−1}`,
+//! `c_0 = −∞`, `c_k = +∞`) keeps every interval at or below `e²`. Suppose
+//! no interval contains a whole witness. By induction `c_t ≤ y_t`: `c_{t−1}
+//! ≤ y_{t−1} ≤ x_t` puts `x_t` in `I_t` or later; if later, `c_t ≤ x_t ≤
+//! y_t`; if in `I_t`, then `y_t ∉ I_t`, so again `c_t ≤ y_t`. At `t = k`
+//! that contradicts `c_k = +∞`. So some interval contains a witness, and
+//! by the monotonicity above `M(interval) ≥ M(witness) > e²`.
+//!
+//! The certificate is the `k` key ranges, the last sample of each held as
+//! its `(key, id)` so that a witness is exactly the cover's rank range when
+//! it is made. It is re-verified against the *current* index every time it
+//! is used (`Certificate::holds`) — samples inserted, deleted, re-sampled,
+//! α re-derived — so it never needs invalidating for soundness: a
+//! certificate that no longer holds simply says nothing. What it rests on
+//! is what [`can_reach`] rests on: for COUNT the claim is exact, for
+//! SUM/MIN/MAX a held certificate proves only that the search stays above
+//! `e²/4`, and AVG is never certified.
 
 use super::{finish, snap_rank_to_distinct, PartitionOutcome, PartitionSpec};
 use crate::maxvar::MaxVarianceIndex;
@@ -48,6 +79,12 @@ use janus_common::{AggregateFunction, Result};
 
 /// Number of `ρ`-decades the ladder spans below its anchor.
 const LADDER_SPAN: f64 = 1e9;
+
+/// How far above the bound [`can_reach_remembering`] runs its first cover,
+/// so that a failing cover's certificate outlives the drift of the bound
+/// between triggers. Candidates rejected on skewed streams first turn
+/// feasible at 1.1–1.6× the bound.
+const RECHECK_MARGIN: f64 = 1.1;
 
 /// Runs the binary-search partitioner for (up to) `k` buckets.
 pub fn partition(mv: &MaxVarianceIndex, k: usize, rho: f64) -> Result<PartitionOutcome> {
@@ -73,9 +110,96 @@ pub fn partition_within(
 /// full domain. `false` means it cannot, as far as `M` is monotone (see the
 /// module docs); `true` promises nothing — run the search.
 pub fn can_reach(mv: &MaxVarianceIndex, k: usize, bound: f64) -> bool {
-    mv.focus() == AggregateFunction::Avg
-        || k <= 1
-        || greedy_cover(mv, 0, mv.len(), k, bound.sqrt()).is_some()
+    certify(mv, k, bound).is_none()
+}
+
+/// The certificate of a failing greedy cover at error `√bound` over the
+/// full domain; `None` when the cover fits in `k` buckets, for `k <= 1`
+/// and for an AVG-focused index.
+pub(crate) fn certify(mv: &MaxVarianceIndex, k: usize, bound: f64) -> Option<Certificate> {
+    if mv.focus() == AggregateFunction::Avg || k <= 1 {
+        return None;
+    }
+    let witnesses = greedy_cover(mv, 0, mv.len(), k, bound.sqrt()).err()?;
+    Some(Certificate::over(mv, &witnesses))
+}
+
+/// [`can_reach`] for a caller that asks again as its sample drifts (the
+/// engine's armed triggers). `held` is the certificate of the last failing
+/// cover: if it still holds at `bound` the answer is "no" in `k` probes.
+/// Otherwise one cover runs at [`RECHECK_MARGIN`]` × bound`, and only if
+/// that one fits does the cover at `bound` decide, exactly as
+/// [`can_reach`]. `held` keeps the certificate of whichever cover failed,
+/// and is emptied when neither did.
+pub(crate) fn can_reach_remembering(
+    mv: &MaxVarianceIndex,
+    k: usize,
+    bound: f64,
+    held: &mut Option<Certificate>,
+) -> bool {
+    if held.as_ref().is_some_and(|c| c.holds(mv, k, bound)) {
+        return false;
+    }
+    *held = certify(mv, k, bound * RECHECK_MARGIN).or_else(|| certify(mv, k, bound));
+    held.is_none()
+}
+
+/// Proof that no `k`-bucket partitioning keeps every bucket at or below a
+/// bound — the `k` witnesses of a failing cover (module docs,
+/// "Certificates").
+#[derive(Clone, Debug)]
+pub(crate) struct Certificate {
+    witnesses: Vec<Witness>,
+}
+
+/// One witness: the samples with key `>= from` ordered at or before
+/// `(through_key, through_id)`.
+#[derive(Clone, Copy, Debug)]
+struct Witness {
+    from: f64,
+    through_key: f64,
+    through_id: u64,
+}
+
+impl Certificate {
+    /// Key ranges of a failing cover's witness rank ranges `[first, last]`.
+    fn over(mv: &MaxVarianceIndex, ranks: &[(usize, usize)]) -> Self {
+        let key = |rank: usize| mv.kth_dim0(rank).expect("witness rank is a sample");
+        let witnesses = ranks
+            .iter()
+            .enumerate()
+            .map(|(t, &(first, last))| {
+                let through = key(last);
+                Witness {
+                    from: if t == 0 {
+                        f64::NEG_INFINITY
+                    } else {
+                        key(first).key
+                    },
+                    through_key: through.key,
+                    through_id: through.id,
+                }
+            })
+            .collect();
+        Certificate { witnesses }
+    }
+
+    /// Whether the certificate still proves that no `k`-bucket partitioning
+    /// of the current index gets every bucket to `bound` or below: it has at
+    /// least `k` witnesses and each one still probes above `bound`.
+    pub(crate) fn holds(&self, mv: &MaxVarianceIndex, k: usize, bound: f64) -> bool {
+        let e = bound.sqrt();
+        self.witnesses.len() >= k && self.probes(mv).all(|v| v.sqrt() > e)
+    }
+
+    /// `M` of each witness over the current index, in key order.
+    fn probes<'a>(&'a self, mv: &'a MaxVarianceIndex) -> impl Iterator<Item = f64> + 'a {
+        self.witnesses.iter().map(|w| {
+            let first = mv.rank_of_dim0_key(w.from);
+            let end = mv.rank_through_dim0(w.through_key, w.through_id);
+            mv.max_variance_rank_range(first, end)
+        })
+    }
 }
 
 fn partition_range(
@@ -112,7 +236,7 @@ fn partition_range(
     // still miss it where `M` is not monotone (AVG's heavy-window probe on
     // heavy-tailed values), so it is the starting point, not an `expect`.
     let feasible = |t: u32| -> Option<Vec<usize>> {
-        greedy_cover(mv, start, end, k, e_max / rho.powi(t as i32))
+        greedy_cover(mv, start, end, k, e_max / rho.powi(t as i32)).ok()
     };
     let mut best = feasible(0).unwrap_or_default();
     let (mut lo, mut hi) = (0u32, levels);
@@ -137,11 +261,11 @@ fn partition_range(
     for _ in 0..24 {
         let e_mid = (e_ok * e_bad).sqrt();
         match greedy_cover(mv, start, end, k, e_mid) {
-            Some(cuts) => {
+            Ok(cuts) => {
                 best = cuts;
                 e_ok = e_mid;
             }
-            None => e_bad = e_mid,
+            Err(_) => e_bad = e_mid,
         }
     }
 
@@ -159,15 +283,18 @@ fn partition_range(
 
 /// Greedy feasibility check: covers samples of rank `[start, end)` with at
 /// most `k` maximal buckets of error `<= e`. Returns interior cut ranks on
-/// success.
+/// success, and on failure each bucket's witness — the ranks `[first,
+/// last]` of its samples through the first one that took it above `e`
+/// (module docs, "Certificates").
 fn greedy_cover(
     mv: &MaxVarianceIndex,
     start: usize,
     end: usize,
     k: usize,
     e: f64,
-) -> Option<Vec<usize>> {
-    let mut cuts = Vec::with_capacity(k - 1);
+) -> std::result::Result<Vec<usize>, Vec<(usize, usize)>> {
+    let mut cuts = Vec::with_capacity(k);
+    let mut witnesses = Vec::with_capacity(k);
     let mut a = start;
     for _ in 0..k {
         if a >= end {
@@ -186,6 +313,10 @@ fn greedy_cover(
                 hi = mid - 1;
             }
         }
+        // `lo < end` means `M([a, lo + 1))` was probed and exceeded `e`.
+        if lo < end {
+            witnesses.push((a, lo));
+        }
         // Ties on the boundary coordinate must stay in one bucket.
         let b = snap_rank_to_distinct(mv, lo).clamp(a + 1, end);
         if b < end {
@@ -193,7 +324,11 @@ fn greedy_cover(
         }
         a = b;
     }
-    (a >= end).then_some(cuts)
+    if a >= end {
+        Ok(cuts)
+    } else {
+        Err(witnesses)
+    }
 }
 
 /// Converts interior cut ranks to bucket boundary coordinates (each cut is
@@ -351,6 +486,90 @@ mod tests {
                 "{focus:?}: infeasible at {e} but the search achieves {achieved}"
             );
         }
+
+        /// Certificates are re-verified, never invalidated. One holds at the
+        /// bound it was made for, and `can_reach` says "no" exactly when the
+        /// cover yields one. After random sample inserts and deletes and an α
+        /// change, wherever it still holds — at every bound below its weakest
+        /// witness — the full search stays at or above that bound (COUNT) or
+        /// a quarter of it (SUM). Same generator as the case above.
+        #[test]
+        fn a_held_certificate_only_rejects_what_the_search_cannot_achieve(
+            n in 1usize..1500,
+            k in 2usize..40,
+            distinct_keys in 1usize..2000,
+            tail in 0.2f64..6.0,
+            focus in 0usize..3,
+            slack in 0.0f64..1.0,
+            churn in 0usize..600,
+            grow in 0.2f64..0.8,
+            alpha in 0.001f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            use AggregateFunction::{Avg, Count, Sum};
+            let focus = [Sum, Avg, Count][focus];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut point = |id: u64| {
+                let key = rng.gen_range(0..distinct_keys) as f64;
+                IndexPoint::new(vec![key], id, 100.0 * rng.gen::<f64>().powf(tail))
+            };
+            let mut live: Vec<IndexPoint> = (0..n as u64).map(&mut point).collect();
+            let churned: Vec<IndexPoint> = (0..churn as u64).map(|i| point(n as u64 + i)).collect();
+            let mut mv = mv_with(live.clone(), focus);
+            // Around what the search achieves: mostly infeasible below it.
+            let bound = partition(&mv, k, 2.0).unwrap().max_leaf_variance * (0.4 + 0.7 * slack);
+            let cert = certify(&mv, k, bound);
+            prop_assert_eq!(cert.is_some(), !can_reach(&mv, k, bound));
+            let Some(cert) = cert else { return Ok(()) };
+            prop_assert!(cert.holds(&mv, k, bound));
+            let (weakest, floor) = weakest_witness_and_search(&mv, k, &cert);
+            prop_assert!(floor >= weakest, "{focus:?}: witness {weakest}, search {floor}");
+
+            let mut rng = SmallRng::seed_from_u64(!seed);
+            for (i, batch) in churned.chunks(50).enumerate() {
+                for p in batch {
+                    if live.is_empty() || rng.gen_bool(grow) {
+                        mv.insert(p.clone());
+                        live.push(p.clone());
+                    } else {
+                        mv.delete(&live.swap_remove(rng.gen_range(0..live.len())));
+                    }
+                }
+                let (weakest, floor) = weakest_witness_and_search(&mv, k, &cert);
+                prop_assert!(floor >= weakest, "{focus:?} batch {i}: witness {weakest}, search {floor}");
+            }
+            mv.set_alpha(alpha);
+            let (weakest, floor) = weakest_witness_and_search(&mv, k, &cert);
+            prop_assert!(floor >= weakest, "{focus:?} at α {alpha}: witness {weakest}, search {floor}");
+            let fresh = certify(&mv, k, bound);
+            prop_assert_eq!(fresh.is_some(), !can_reach(&mv, k, bound));
+            if let Some(fresh) = fresh {
+                prop_assert!(fresh.holds(&mv, k, bound));
+                let (weakest, floor) = weakest_witness_and_search(&mv, k, &fresh);
+                prop_assert!(floor >= weakest, "{focus:?} fresh: witness {weakest}, search {floor}");
+            }
+        }
+    }
+
+    /// The smallest witness probe of `cert` — it holds at every bound below
+    /// that — and what the full search achieves, times the probe's
+    /// approximation factor (module docs): soundness is the second at or
+    /// above the first.
+    fn weakest_witness_and_search(
+        mv: &MaxVarianceIndex,
+        k: usize,
+        cert: &Certificate,
+    ) -> (f64, f64) {
+        let achieved = partition(mv, k, 2.0).unwrap().max_leaf_variance;
+        let edge = if mv.focus() == AggregateFunction::Sum {
+            4.0
+        } else {
+            1.0
+        };
+        (
+            cert.probes(mv).fold(f64::INFINITY, f64::min),
+            achieved * edge,
+        )
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! [`Partitioner::compute`] runs the chosen algorithm;
 //! [`Partitioner::compute_if_below`] is the same for a caller that will
 //! discard any result at or above a bound (the §5.4 adoption rule), and may
-//! answer "not reachable" from a reject-only pre-check instead of a search.
+//! answer "not reachable" from a reject-only pre-check instead of a search;
+//! the engine's variant keeps the binary search's last infeasibility
+//! certificate between calls (`bs1d`, "Certificates").
 //! Only the SUM binary search and COUNT's closed form have such a check:
 //! for an AVG-focused index, the k-d construction and the DP,
 //! `compute_if_below` is plain `compute`.
@@ -244,12 +246,40 @@ impl Partitioner {
         k: usize,
         bound: f64,
     ) -> Result<Option<PartitionOutcome>> {
+        self.compute_below(mv, k, bound, None)
+    }
+
+    /// [`compute_if_below`](Self::compute_if_below) for a caller that asks
+    /// again as its sample drifts — the engine's armed triggers. The binary
+    /// search's pre-check first re-checks `held`, the certificate its last
+    /// failing cover left, and leaves the next one there
+    /// ([`bs1d::can_reach_remembering`]); the other pre-checks ignore it.
+    pub(crate) fn compute_if_below_remembering(
+        &self,
+        mv: &MaxVarianceIndex,
+        k: usize,
+        bound: f64,
+        held: &mut Option<bs1d::Certificate>,
+    ) -> Result<Option<PartitionOutcome>> {
+        self.compute_below(mv, k, bound, Some(held))
+    }
+
+    fn compute_below(
+        &self,
+        mv: &MaxVarianceIndex,
+        k: usize,
+        bound: f64,
+        held: Option<&mut Option<bs1d::Certificate>>,
+    ) -> Result<Option<PartitionOutcome>> {
         if k < 1 {
             return Err(JanusError::InvalidConfig("k must be positive".into()));
         }
-        let reachable = match self.resolve(mv) {
-            PartitionerKind::BinarySearch1d => bs1d::can_reach(mv, k, bound),
-            PartitionerKind::EquiCount1d => equicount::can_reach(mv, k, bound),
+        let reachable = match (self.resolve(mv), held) {
+            (PartitionerKind::BinarySearch1d, Some(held)) => {
+                bs1d::can_reach_remembering(mv, k, bound, held)
+            }
+            (PartitionerKind::BinarySearch1d, None) => bs1d::can_reach(mv, k, bound),
+            (PartitionerKind::EquiCount1d, _) => equicount::can_reach(mv, k, bound),
             _ => true,
         };
         if reachable {

@@ -22,6 +22,19 @@
 //! computed still goes through [`accept_candidate`]. It rests on the
 //! monotonicity of `M` in the bucket (§D.2), exact for COUNT and
 //! approximate for SUM; `partition::bs1d` states how approximate.
+//!
+//! A leaf outside its band stays armed, so the same rejection would be
+//! re-derived every `trigger_check_interval` updates from an almost
+//! unchanged sample. Instead the engine keeps the *certificate* of the last
+//! failing greedy cover — `k` witness key ranges, each of which any
+//! `k`-bucket partitioning must contain one of whole — and the next trigger
+//! re-verifies it against the current **M** in `k` probes before any cover
+//! runs. A certificate that still holds at the new `M(R)/β` is the same
+//! rejection; one that does not costs one cover at a small margin above the
+//! bound (whose certificate then replaces it) and, only if that fits, the
+//! cover at the bound as before. Wherever `M` is monotone the decisions are
+//! the plain pre-check's; `tests/repartitioning.rs` pins them against the
+//! full §5.4 rule on three streams.
 
 use crate::maxvar::MaxVarianceIndex;
 use crate::tree::Dpt;

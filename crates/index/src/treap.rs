@@ -246,6 +246,22 @@ impl Treap {
         rank
     }
 
+    /// Number of entries ordered at or before `(key, id)` — whether or not
+    /// that entry is present.
+    pub fn rank_through(&self, key: f64, id: u64) -> usize {
+        let mut node = self.root.as_deref();
+        let mut rank = 0;
+        while let Some(n) = node {
+            if cmp_key(n.entry.key, n.entry.id, key, id).is_le() {
+                rank += n.left.as_ref().map_or(0, |l| l.size) + 1;
+                node = n.right.as_deref();
+            } else {
+                node = n.left.as_deref();
+            }
+        }
+        rank
+    }
+
     /// Moments of the weights of entries with rank in `[lo, hi)`:
     /// `prefix(hi) − prefix(lo)`, so a caller holding one of the two
     /// prefixes gets the same bits from [`Treap::prefix`] alone.
@@ -366,6 +382,12 @@ mod tests {
         assert_eq!(t.rank_of_key(2.0), 1);
         assert_eq!(t.rank_of_key(2.5), 3);
         assert_eq!(t.rank_of_key(10.0), 4);
+        // Ids break ties among equal keys; an absent entry still has a rank.
+        assert_eq!(t.rank_through(2.0, 1), 2);
+        assert_eq!(t.rank_through(2.0, 2), 3);
+        assert_eq!(t.rank_through(2.0, 0), 1);
+        assert_eq!(t.rank_through(0.5, 9), 0);
+        assert_eq!(t.rank_through(3.0, 3), 4);
     }
 
     #[test]

@@ -368,3 +368,19 @@ fn adopting_through_the_bounded_entry_point_matches_the_full_rule() {
     assert!(seen.rejected > 0, "{seen:?}");
     assert_same_outcome(&mut engine, &mut reference, &seen, 36);
 }
+
+#[test]
+fn interleaved_adoptions_and_rejections_match_the_full_rule() {
+    // 10^2x outliers under β = 6: some candidates win, most do not, and
+    // the rejections between adoptions are re-checked on a sample the
+    // last adoption re-drew.
+    let mut cfg = config(37);
+    cfg.trigger_check_interval = 16;
+    cfg.beta = 6.0;
+    let stream = skewed_stream(12_000, 38, 1e2);
+    let (mut engine, mut reference, seen) =
+        run_against_reference(cfg, uniform_initial(37), &stream);
+    assert!(engine.stats().repartitions > 0, "{:?}", engine.stats());
+    assert!(seen.rejected > 0, "{seen:?}");
+    assert_same_outcome(&mut engine, &mut reference, &seen, 39);
+}
