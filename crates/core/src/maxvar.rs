@@ -208,9 +208,10 @@ impl MaxVarianceIndex {
         self.coord[0].rank_of_key(key)
     }
 
-    /// Number of samples ordered at or before the dim-0 entry `(key, id)`.
-    pub(crate) fn rank_through_dim0(&self, key: f64, id: u64) -> usize {
-        self.coord[0].rank_through(key, id)
+    /// Number of samples ordered at or before `entry` in the dim-0 order,
+    /// whether or not it is still sampled.
+    pub(crate) fn rank_through_dim0(&self, entry: &Entry) -> usize {
+        self.coord[0].rank_through(entry.key, entry.id)
     }
 
     /// Moments of samples inside `rect`.

@@ -76,6 +76,7 @@
 use super::{finish, snap_rank_to_distinct, PartitionOutcome, PartitionSpec};
 use crate::maxvar::MaxVarianceIndex;
 use janus_common::{AggregateFunction, Result};
+use janus_index::treap::Entry;
 
 /// Number of `ρ`-decades the ladder spans below its anchor.
 const LADDER_SPAN: f64 = 1e9;
@@ -147,38 +148,31 @@ pub(crate) fn can_reach_remembering(
 /// Proof that no `k`-bucket partitioning keeps every bucket at or below a
 /// bound — the `k` witnesses of a failing cover (module docs,
 /// "Certificates").
-#[derive(Clone, Debug)]
 pub(crate) struct Certificate {
     witnesses: Vec<Witness>,
 }
 
-/// One witness: the samples with key `>= from` ordered at or before
-/// `(through_key, through_id)`.
-#[derive(Clone, Copy, Debug)]
+/// One witness: the samples with key `>= from` ordered at or before the
+/// sample `through` (by `(key, id)`).
 struct Witness {
     from: f64,
-    through_key: f64,
-    through_id: u64,
+    through: Entry,
 }
 
 impl Certificate {
     /// Key ranges of a failing cover's witness rank ranges `[first, last]`.
     fn over(mv: &MaxVarianceIndex, ranks: &[(usize, usize)]) -> Self {
-        let key = |rank: usize| mv.kth_dim0(rank).expect("witness rank is a sample");
+        let entry = |rank: usize| mv.kth_dim0(rank).expect("witness rank is a sample");
         let witnesses = ranks
             .iter()
             .enumerate()
-            .map(|(t, &(first, last))| {
-                let through = key(last);
-                Witness {
-                    from: if t == 0 {
-                        f64::NEG_INFINITY
-                    } else {
-                        key(first).key
-                    },
-                    through_key: through.key,
-                    through_id: through.id,
-                }
+            .map(|(t, &(first, last))| Witness {
+                from: if t == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    entry(first).key
+                },
+                through: entry(last),
             })
             .collect();
         Certificate { witnesses }
@@ -196,7 +190,7 @@ impl Certificate {
     fn probes<'a>(&'a self, mv: &'a MaxVarianceIndex) -> impl Iterator<Item = f64> + 'a {
         self.witnesses.iter().map(|w| {
             let first = mv.rank_of_dim0_key(w.from);
-            let end = mv.rank_through_dim0(w.through_key, w.through_id);
+            let end = mv.rank_through_dim0(&w.through);
             mv.max_variance_rank_range(first, end)
         })
     }
