@@ -7,7 +7,7 @@
 //! can never drift apart on where a row belongs or how a shard's engine
 //! is seeded.
 
-use crate::engine::Shard;
+use crate::host::ShardHost;
 use crate::router::ShardRouter;
 use janus_common::{DetHashMap, JanusError, Result, Row, RowId};
 use janus_core::{JanusEngine, SynopsisConfig};
@@ -73,15 +73,16 @@ pub fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result<Partit
 
 /// Bootstraps one engine per bucket, each with its per-shard seed, at
 /// consumption offset zero.
-pub(crate) fn build_shards(base: &SynopsisConfig, per_shard: Vec<Vec<Row>>) -> Result<Vec<Shard>> {
+pub(crate) fn build_shards(
+    base: &SynopsisConfig,
+    per_shard: Vec<Vec<Row>>,
+) -> Result<Vec<ShardHost>> {
     per_shard
         .into_iter()
         .enumerate()
         .map(|(i, rows)| {
-            Ok(Shard {
-                engine: JanusEngine::bootstrap(shard_config(base, i), rows)?,
-                offset: 0,
-            })
+            let engine = JanusEngine::bootstrap(shard_config(base, i), rows)?;
+            Ok(ShardHost::new(engine, 0))
         })
         .collect()
 }
@@ -95,17 +96,15 @@ pub(crate) fn build_replicas(
     base: &SynopsisConfig,
     per_shard: &[Vec<Row>],
     count: usize,
-) -> Result<Vec<Vec<Shard>>> {
+) -> Result<Vec<Vec<ShardHost>>> {
     per_shard
         .iter()
         .enumerate()
         .map(|(i, rows)| {
             (0..count)
                 .map(|_| {
-                    Ok(Shard {
-                        engine: JanusEngine::bootstrap(shard_config(base, i), rows.clone())?,
-                        offset: 0,
-                    })
+                    let engine = JanusEngine::bootstrap(shard_config(base, i), rows.clone())?;
+                    Ok(ShardHost::new(engine, 0))
                 })
                 .collect()
         })
@@ -176,9 +175,9 @@ mod tests {
         let shards = build_shards(&base, buckets).unwrap();
         assert_eq!(shards.len(), 2);
         for (i, shard) in shards.iter().enumerate() {
-            assert_eq!(shard.engine.population(), 100);
-            assert_eq!(shard.engine.config().seed, shard_seed(7, i));
-            assert_eq!(shard.offset, 0);
+            assert_eq!(shard.read().population(), 100);
+            assert_eq!(shard.read().config().seed, shard_seed(7, i));
+            assert_eq!(shard.applied(), 0);
         }
     }
 }

@@ -26,7 +26,6 @@
 use crate::router::{ShardPolicy, ShardRouter};
 use janus_common::{JanusError, Result, Row};
 use janus_core::snapshot::SynopsisSnapshot;
-use janus_core::JanusEngine;
 use janus_storage::CheckpointStore;
 use serde::{Deserialize, Serialize};
 
@@ -100,7 +99,8 @@ impl RouterSnapshot {
     }
 }
 
-/// One shard's checkpoint: synopsis + archive + topic offsets.
+/// One shard's checkpoint: synopsis + archive + topic offsets, built by
+/// [`crate::host::ShardHost::capture`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShardCheckpoint {
     /// Shard index.
@@ -114,20 +114,6 @@ pub struct ShardCheckpoint {
     pub synopsis: SynopsisSnapshot,
     /// The shard's archival rows, in archive order.
     pub archive_rows: Vec<Row>,
-}
-
-impl ShardCheckpoint {
-    /// Captures `engine`'s state as shard `shard`'s checkpoint. The caller
-    /// holds the engine's lock and reads both offsets under it.
-    pub fn capture(shard: usize, engine: &JanusEngine, applied: u64, published: u64) -> Self {
-        ShardCheckpoint {
-            shard,
-            applied_offset: applied,
-            published_offset: published,
-            synopsis: engine.save_synopsis(),
-            archive_rows: engine.export_rows(),
-        }
-    }
 }
 
 /// A consistent whole-cluster checkpoint.

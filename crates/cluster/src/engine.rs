@@ -13,9 +13,9 @@
 //!   or [`ClusterEngine::pump_shard`] (one shard, the granularity the
 //!   [`crate::live::LiveCluster`] background workers use) — so per-shard
 //!   catch-up is independent, back-pressure is explicit, and replay from
-//!   offset zero is deterministic. Each drained batch is applied under
-//!   one shard-lock acquisition through the engine's batch-apply entry
-//!   point ([`JanusEngine::apply_update_batch`]).
+//!   offset zero is deterministic. Each shard, primary or follower, is a
+//!   [`ShardHost`], whose drain applies one batch under one shard-lock
+//!   acquisition.
 //! * **Queries** scatter to every shard whose slab the predicate can touch
 //!   (all shards under discrete policies) through
 //!   [`ScatterPool::fan_out`] — one target on the calling thread, several
@@ -41,7 +41,7 @@
 //!
 //! | state | lock | writers |
 //! |---|---|---|
-//! | each `Shard` (engine + consumed offset) | own `RwLock` | pump, rebalance (scatter sub-queries only read) |
+//! | each [`ShardHost`] engine (its applied offset is an atomic stored under it) | own `RwLock` | pump, rebalance, promotion (scatter sub-queries only read) |
 //! | [`ShardRouter`] | `RwLock` | publish (rotation cursor), rebalance (bounds) |
 //! | row→shard directory | 16 striped `RwLock`s (`crate::directory`) | publish, rebalance |
 //! | ingest gate | `RwLock<()>` | checkpoint, fail_shard (exclusive); routed publish (shared) |
@@ -77,15 +77,14 @@
 
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
-use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
+use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot};
 use crate::directory::{resolve_batch, StripedDirectory};
+use crate::host::ShardHost;
 use crate::rebalance::{self, RebalanceReport};
 use crate::router::{RoutingSnapshot, ShardPolicy, ShardRouter};
 use crate::scatter::{Priority, ScatterPool};
 use janus_common::merge::{self, SubAnswer};
-use janus_common::{
-    AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
-};
+use janus_common::{DetHashMap, Estimate, JanusError, Query, Result, Row, RowId};
 use janus_core::{JanusEngine, SynopsisConfig};
 use janus_storage::ShardedLog;
 use parking_lot::RwLock;
@@ -257,12 +256,6 @@ impl QueryOptions {
     }
 }
 
-/// One shard: a synopsis engine plus its consumption offset into its topic.
-pub(crate) struct Shard {
-    pub(crate) engine: JanusEngine,
-    pub(crate) offset: u64,
-}
-
 /// Outcome of one [`ClusterEngine::publish_batch`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PublishReport {
@@ -352,12 +345,12 @@ pub(crate) struct ShardSet {
     /// durable *infrastructure*, not engine state, and surviving the
     /// engine is what lets [`ClusterEngine::restore`] replay them.
     pub(crate) log: Arc<ShardedLog<ShardOp>>,
-    pub(crate) shards: Vec<RwLock<Shard>>,
-    /// Follower engines per shard (outer lock: membership, changed only
-    /// by promotion; inner locks: one per follower). Each follower tails
-    /// the primary's topic at its own offset. Lock order extends the
-    /// engine-wide order: primary shard → its replica set → one replica.
-    pub(crate) replicas: Vec<RwLock<Vec<RwLock<Shard>>>>,
+    pub(crate) shards: Vec<ShardHost>,
+    /// Follower hosts per shard (the lock guards membership, changed
+    /// only by promotion and migration). Each follower tails the
+    /// primary's topic at its own offset. Lock order extends the
+    /// engine-wide order: primary host → its replica set → one replica.
+    pub(crate) replicas: Vec<RwLock<Vec<ShardHost>>>,
     /// Round-robin cursor spreading sub-queries across a shard's primary
     /// and its fresh replicas.
     read_cursor: AtomicU64,
@@ -396,95 +389,67 @@ impl ShardSet {
         max_follower: usize,
         skip_failed: bool,
     ) -> (usize, usize, usize, Option<JanusError>) {
+        let topic = self.log.topic(shard);
         let (applied, skipped, first_error) = if max_primary > 0 {
-            let mut guard = self.shards[shard].write();
-            self.drain_locked(shard, &mut guard, max_primary, skip_failed)
+            self.shards[shard].drain(topic, 0, max_primary, skip_failed)
         } else {
             (0, 0, None)
         };
+        self.pumped(shard, applied, skipped);
         let mut followers = 0;
         if max_follower > 0 {
             for replica in self.replicas[shard].read().iter() {
-                let mut guard = replica.write();
-                let (a, s, _) =
-                    drain_topic(&self.log, shard, &mut guard, max_follower, skip_failed);
+                let (a, s, _) = replica.drain(topic, 0, max_follower, skip_failed);
                 followers += a + s;
             }
         }
         (applied, skipped, followers, first_error)
     }
 
-    /// Primary-shard drain — callers hold the shard's write guard. Wraps
-    /// the shared [`drain_topic`] batch apply and maintains the `pumped`
-    /// counter and the shard's atomic backlog gauge, so offset-advance,
-    /// counter, and gauge semantics cannot drift between pump paths.
-    pub(crate) fn drain_locked(
-        &self,
-        shard: usize,
-        guard: &mut Shard,
-        max: usize,
-        skip_failed: bool,
-    ) -> (usize, usize, Option<JanusError>) {
-        let (applied, skipped, first_error) =
-            drain_topic(&self.log, shard, guard, max, skip_failed);
+    /// Books records a primary consumed: the `pumped` counter and the
+    /// shard's backlog gauge.
+    fn pumped(&self, shard: usize, applied: usize, skipped: usize) {
         self.counters
             .pumped
             .fetch_add(applied as u64, Ordering::Relaxed);
         self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
-        (applied, skipped, first_error)
     }
 
     /// Serves one sub-query in the shape the gather needs — the worker
-    /// entry point.
+    /// entry point — load-balancing across the primary and its *fresh*
+    /// followers (round-robin). A follower is fresh while it trails the
+    /// topic end by at most `replica_lag` records; at the default of 0
+    /// only fully caught-up followers — whose engines are bit-identical
+    /// to a fully caught-up primary — serve, so replica answers are
+    /// exact. Stale followers are skipped, and the primary always remains
+    /// a candidate, so a lagging replica set degrades to primary-only
+    /// reads rather than stale answers.
     pub(crate) fn serve(&self, shard: usize, query: &Query) -> Result<SubAnswer> {
-        if query.agg == AggregateFunction::Avg {
-            self.serve_shard_query(shard, &|e| e.answer_sum_count(query))
-                .map(|(sum, count)| SubAnswer::Moments { sum, count })
-        } else {
-            self.serve_shard_query(shard, &|e| e.query(query))
-                .map(|answer| answer.map_or(SubAnswer::Empty, SubAnswer::Estimate))
-        }
-    }
-
-    /// Runs one sub-query against `shard`, load-balancing across the
-    /// primary and its *fresh* followers (round-robin). A follower is
-    /// fresh while it trails the topic end by at most `replica_lag`
-    /// records; at the default of 0 only fully caught-up followers —
-    /// whose engines are bit-identical to a fully caught-up primary —
-    /// serve, so replica answers are exact. Stale followers are skipped,
-    /// and the primary always remains a candidate, so a lagging replica
-    /// set degrades to primary-only reads rather than stale answers.
-    fn serve_shard_query<T>(
-        &self,
-        shard: usize,
-        f: &(impl Fn(&JanusEngine) -> Result<T> + Sync),
-    ) -> Result<T> {
         if self.replica_count > 0 {
             let set = self.replicas[shard].read();
             if !set.is_empty() {
-                let end = self.log.topic(shard).len() as u64;
-                let lag = self.replica_lag;
-                // The guard that passed the freshness check is the guard
-                // the answer runs under: a follower cannot be judged fresh
-                // and then answer from a different offset.
-                let mut fresh: Vec<_> = set
-                    .iter()
-                    .map(|r| r.read())
-                    .filter(|r| end.saturating_sub(r.offset) <= lag)
-                    .collect();
+                let min_applied =
+                    (self.log.topic(shard).len() as u64).saturating_sub(self.replica_lag);
+                let fresh: Vec<&ShardHost> =
+                    set.iter().filter(|r| r.applied() >= min_applied).collect();
                 let pick =
                     self.read_cursor.fetch_add(1, Ordering::Relaxed) as usize % (fresh.len() + 1);
+                // Offsets only grow, so the pick passes the re-check its
+                // answer runs under.
                 if pick > 0 {
-                    self.counters
-                        .replica_queries
-                        .fetch_add(1, Ordering::Relaxed);
-                    let replica = fresh.swap_remove(pick - 1);
-                    drop(fresh);
-                    return f(&replica.engine);
+                    if let Ok(answer) = fresh[pick - 1].answer(min_applied, query) {
+                        self.counters
+                            .replica_queries
+                            .fetch_add(1, Ordering::Relaxed);
+                        return answer;
+                    }
                 }
             }
         }
-        f(&self.shards[shard].read().engine)
+        match self.shards[shard].answer(0, query) {
+            Ok(answer) => answer,
+            Err(_) => unreachable!("every applied offset is at least 0"),
+        }
     }
 }
 
@@ -565,19 +530,16 @@ impl ClusterEngine {
         config: ClusterConfig,
         router: ShardRouter,
         directory: DetHashMap<RowId, usize>,
-        shards: Vec<Shard>,
-        replica_sets: Vec<Vec<Shard>>,
+        shards: Vec<ShardHost>,
+        replica_sets: Vec<Vec<ShardHost>>,
         log: Arc<ShardedLog<ShardOp>>,
         backlog: Vec<AtomicU64>,
         rebalance_generation: u64,
     ) -> Self {
         let set = Arc::new(ShardSet {
             log,
-            shards: shards.into_iter().map(RwLock::new).collect(),
-            replicas: replica_sets
-                .into_iter()
-                .map(|set| RwLock::new(set.into_iter().map(RwLock::new).collect()))
-                .collect(),
+            shards,
+            replicas: replica_sets.into_iter().map(RwLock::new).collect(),
             read_cursor: AtomicU64::new(0),
             backlog,
             counters: Counters::default(),
@@ -640,7 +602,7 @@ impl ClusterEngine {
         self.set.replicas[shard]
             .read()
             .iter()
-            .map(|r| r.read().offset)
+            .map(ShardHost::applied)
             .collect()
     }
 
@@ -666,11 +628,7 @@ impl ClusterEngine {
 
     /// Rows applied across all shard engines.
     pub fn population(&self) -> usize {
-        self.set
-            .shards
-            .iter()
-            .map(|s| s.read().engine.population())
-            .sum()
+        self.shard_populations().into_iter().sum()
     }
 
     /// Applied rows per shard, in shard order.
@@ -678,20 +636,20 @@ impl ClusterEngine {
         self.set
             .shards
             .iter()
-            .map(|s| s.read().engine.population())
+            .map(|s| s.read().population())
             .collect()
     }
 
     /// Records published but not yet pumped, per shard in shard order.
-    /// Read without a global lock, so under concurrent pumping the values
-    /// can only *under*-state the true lag — never overstate it.
+    /// Read without any lock, so under concurrent pumping the values can
+    /// only *under*-state the true lag — never overstate it.
     pub fn shard_backlogs(&self) -> Vec<u64> {
         self.set
             .log
             .end_offsets()
             .iter()
             .zip(&self.set.shards)
-            .map(|(end, s)| end.saturating_sub(s.read().offset))
+            .map(|(end, s)| end.saturating_sub(s.applied()))
             .collect()
     }
 
@@ -742,7 +700,7 @@ impl ClusterEngine {
 
     /// Runs `f` against one shard's engine (experiments and tests).
     pub fn with_shard_engine<T>(&self, shard: usize, f: impl FnOnce(&JanusEngine) -> T) -> T {
-        f(&self.set.shards[shard].read().engine)
+        f(&self.set.shards[shard].read())
     }
 
     // ------------------------------------------------------------------
@@ -957,7 +915,7 @@ impl ClusterEngine {
             .map(|(set, end)| {
                 set.read()
                     .iter()
-                    .map(|r| end.saturating_sub(r.read().offset))
+                    .map(|r| end.saturating_sub(r.applied()))
                     .sum::<u64>()
             })
             .sum()
@@ -1087,7 +1045,7 @@ impl ClusterEngine {
             let populations: Vec<u64> = if deadline.is_some() {
                 targets
                     .iter()
-                    .map(|&s| self.set.shards[s].read().engine.population() as u64)
+                    .map(|&s| self.set.shards[s].read().population() as u64)
                     .collect()
             } else {
                 Vec::new()
@@ -1131,7 +1089,7 @@ impl ClusterEngine {
 
     /// One shard's applied topic offset — the cache-invalidation clock.
     fn applied_offset(&self, shard: usize) -> u64 {
-        self.set.shards[shard].read().offset
+        self.set.shards[shard].applied()
     }
 
     /// Makes `shard`'s pool worker sleep `delay` before serving each
@@ -1151,10 +1109,10 @@ impl ClusterEngine {
     /// row views — bit-identical either way, and unchanged from the
     /// pre-kernel scan.
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
-        let guards: Vec<_> = self.set.shards.iter().map(|s| s.read()).collect();
+        let guards: Vec<_> = self.set.shards.iter().map(ShardHost::read).collect();
         let mut acc = query.exact_accumulator();
         for g in &guards {
-            let archive = g.engine.archive();
+            let archive = g.archive();
             match archive.columns() {
                 Some(c) => acc.offer_columns(c.values, c.arity),
                 None => archive.for_each_row(|r| acc.offer(r.values)),
@@ -1216,7 +1174,8 @@ impl ClusterEngine {
         // then primary → replica set, the engine-wide lock order.
         let _gate = self.ingest_gate.write();
         let _directory = self.directory.write_all();
-        let mut primary = self.set.shards[shard].write();
+        let host = &self.set.shards[shard];
+        let mut primary = host.write();
         let mut set = self.set.replicas[shard].write();
         if set.is_empty() {
             return Err(JanusError::InvalidConfig(format!(
@@ -1226,12 +1185,12 @@ impl ClusterEngine {
         let best = set
             .iter()
             .enumerate()
-            .max_by_key(|(i, r)| (r.read().offset, usize::MAX - *i))
+            .max_by_key(|(i, r)| (r.applied(), usize::MAX - *i))
             .expect("non-empty replica set")
             .0;
-        *primary = set.remove(best).into_inner();
+        let applied = host.take_over(&mut primary, set.remove(best));
         let end = self.set.log.topic(shard).len() as u64;
-        self.set.backlog[shard].store(end.saturating_sub(primary.offset), Ordering::Relaxed);
+        self.set.backlog[shard].store(end.saturating_sub(applied), Ordering::Relaxed);
         drop(set);
         drop(primary);
         self.set.counters.promotions.fetch_add(1, Ordering::Relaxed);
@@ -1272,11 +1231,7 @@ impl ClusterEngine {
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let g = s.read();
-                let published = self.set.log.topic(i).len() as u64;
-                ShardCheckpoint::capture(i, &g.engine, g.offset, published)
-            })
+            .map(|(i, s)| s.capture(i, self.set.log.topic(i), 0))
             .collect();
         ClusterCheckpoint {
             router: RouterSnapshot::capture(&router),
@@ -1390,23 +1345,19 @@ impl ClusterEngine {
                 &shard_cfg.archive_backend,
                 sc.archive_rows,
             )?;
-            let set: Vec<Shard> = (0..config.replicas)
+            let set: Vec<ShardHost> = (0..config.replicas)
                 .map(|_| {
-                    Ok(Shard {
-                        engine: JanusEngine::restore_with_archive(
-                            shard_cfg.clone(),
-                            archive.fork(),
-                            &sc.synopsis,
-                        )?,
-                        offset,
-                    })
+                    let engine = JanusEngine::restore_with_archive(
+                        shard_cfg.clone(),
+                        archive.fork(),
+                        &sc.synopsis,
+                    )?;
+                    Ok(ShardHost::new(engine, offset))
                 })
                 .collect::<Result<_>>()?;
             replica_sets.push(set);
-            shards.push(Shard {
-                engine: JanusEngine::restore_with_archive(shard_cfg, archive, &sc.synopsis)?,
-                offset,
-            });
+            let engine = JanusEngine::restore_with_archive(shard_cfg, archive, &sc.synopsis)?;
+            shards.push(ShardHost::new(engine, offset));
         }
 
         // Records published after the checkpoint updated the (lost)
@@ -1473,7 +1424,7 @@ impl ClusterEngine {
         let backlog: Vec<AtomicU64> = shards
             .iter()
             .enumerate()
-            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.offset)))
+            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.applied())))
             .collect();
         Ok(Self::assemble(
             config,
@@ -1528,8 +1479,12 @@ impl ClusterEngine {
         // Router write excludes routed publishers entirely, so no append
         // can land anywhere for the duration of the migration.
         let mut directory = self.directory.write_all();
-        let mut guards: Vec<_> = self.set.shards.iter().map(|s| s.write()).collect();
-        let mut replica_guards: Vec<_> = self.set.replicas.iter().map(|s| s.write()).collect();
+        let mut guards: Vec<_> = self.set.shards.iter().map(ShardHost::write).collect();
+        let replica_sets: Vec<_> = self.set.replicas.iter().map(|s| s.write()).collect();
+        let mut replica_guards: Vec<Vec<_>> = replica_sets
+            .iter()
+            .map(|set| set.iter().map(|r| (r, r.write())).collect())
+            .collect();
         // Drain the stragglers published between pump_all() and lock
         // acquisition: we hold the router write lock and every directory
         // stripe, so no further records can land, and migrating with
@@ -1539,9 +1494,22 @@ impl ClusterEngine {
         // drain to the same point so the shipped post-migration snapshots
         // replace followers that were bit-identical to their primaries.
         let chunk = self.config.pump_chunk.max(1);
-        for (i, guard) in guards.iter_mut().enumerate() {
+        let primaries = (self.set.shards.iter().zip(&mut guards).enumerate())
+            .map(|(shard, (host, engine))| (shard, true, host, &mut **engine));
+        let followers = replica_guards
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(shard, set)| {
+                set.iter_mut()
+                    .map(move |(host, engine)| (shard, false, *host, &mut **engine))
+            });
+        for (shard, primary, host, engine) in primaries.chain(followers) {
             loop {
-                let (applied, _, error) = self.set.drain_locked(i, guard, chunk, false);
+                let (applied, skipped, error) =
+                    host.drain_locked(engine, self.set.log.topic(shard), 0, chunk, false);
+                if primary {
+                    self.set.pumped(shard, applied, skipped);
+                }
                 if let Some(e) = error {
                     return Err(e);
                 }
@@ -1550,21 +1518,7 @@ impl ClusterEngine {
                 }
             }
         }
-        for (i, set) in replica_guards.iter_mut().enumerate() {
-            for replica in set.iter_mut() {
-                let guard = replica.get_mut();
-                loop {
-                    let (applied, _, error) = drain_topic(&self.set.log, i, guard, chunk, false);
-                    if let Some(e) = error {
-                        return Err(e);
-                    }
-                    if applied == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        let populations: Vec<usize> = guards.iter().map(|g| g.engine.population()).collect();
+        let populations: Vec<usize> = guards.iter().map(|g| g.population()).collect();
         if !rebalance::skew_exceeds(&populations, factor) {
             return Ok(None);
         }
@@ -1578,10 +1532,10 @@ impl ClusterEngine {
                 return Ok(None);
             }
         }
-        let mut shard_refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
-        let mut replica_refs: Vec<Vec<&mut Shard>> = replica_guards
+        let mut shard_refs: Vec<&mut JanusEngine> = guards.iter_mut().map(|g| &mut **g).collect();
+        let mut replica_refs: Vec<Vec<&mut JanusEngine>> = replica_guards
             .iter_mut()
-            .map(|set| set.iter_mut().map(|r| r.get_mut()).collect())
+            .map(|set| set.iter_mut().map(|(_, g)| &mut **g).collect())
             .collect();
         let report = rebalance::rebalance(
             &mut router,
@@ -1607,7 +1561,7 @@ impl ClusterEngine {
             // skew ratio this migration achieved.
             self.rebalance_mark
                 .store(self.pumped_records(), Ordering::Relaxed);
-            let post: Vec<usize> = guards.iter().map(|g| g.engine.population()).collect();
+            let post: Vec<usize> = guards.iter().map(|g| g.population()).collect();
             self.post_rebalance_skew
                 .store(rebalance::skew_ratio(&post).to_bits(), Ordering::Relaxed);
         }
@@ -1615,25 +1569,58 @@ impl ClusterEngine {
     }
 }
 
-/// The one batch-apply loop every consumer of a shard topic shares —
-/// primaries and replicas alike. Polls one batch and applies it through
-/// the engine's batch entry point ([`JanusEngine::apply_update_batch`]),
-/// so a drained batch costs one poll and one apply call under the
-/// caller's single lock acquisition. Returns `(applied, skipped, first
-/// error)`; with `skip_failed` unset, the failing record stays at the
-/// head of the topic (offset not consumed).
-fn drain_topic(
-    log: &ShardedLog<ShardOp>,
-    shard: usize,
-    guard: &mut Shard,
-    max: usize,
-    skip_failed: bool,
-) -> (usize, usize, Option<JanusError>) {
-    let batch = log.poll(shard, guard.offset, max);
-    if batch.is_empty() {
-        return (0, 0, None);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use janus_common::{AggregateFunction, QueryTemplate};
+
+    /// Progress probes read offsets, not engines: while one thread holds
+    /// shard 0's primary and follower engines exclusively, `pending`,
+    /// `shard_backlogs` and `replica_pending` still return — a probe that
+    /// took a shard's read lock would wait, which the `recv_timeout`
+    /// reports as a failure instead of a hang.
+    #[test]
+    fn progress_reads_do_not_wait_on_a_shard_lock() {
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let mut base = SynopsisConfig::paper_default(template, 5);
+        base.leaf_count = 4;
+        base.sample_rate = 0.1;
+        let rows = (0..400).map(|i| Row::new(i, vec![i as f64, 1.0])).collect();
+        let config = ClusterConfig::new(base, 2, ShardPolicy::HashById).with_replicas(1);
+        let cluster = ClusterEngine::bootstrap(config, rows).unwrap();
+        for id in 1_000..1_010 {
+            cluster
+                .publish_insert(Row::new(id, vec![1.0, 1.0]))
+                .unwrap();
+        }
+        let expected = (
+            cluster.pending(),
+            cluster.shard_backlogs(),
+            cluster.replica_pending(),
+        );
+        assert_eq!(expected.0, 10);
+        let (inside_tx, inside_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let cluster = &cluster;
+            s.spawn(move || {
+                inside_rx.recv().unwrap();
+                let probes = (
+                    cluster.pending(),
+                    cluster.shard_backlogs(),
+                    cluster.replica_pending(),
+                );
+                done_tx.send(probes).unwrap();
+            });
+            let primary = cluster.set.shards[0].write();
+            let followers = cluster.set.replicas[0].read();
+            let follower = followers[0].write();
+            inside_tx.send(()).unwrap();
+            let probes = done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a progress read waited for shard 0's write guard");
+            drop((follower, primary));
+            assert_eq!(probes, expected);
+        });
     }
-    let (applied, skipped, first_error) = guard.engine.apply_update_batch(batch, skip_failed);
-    guard.offset += (applied + skipped) as u64;
-    (applied, skipped, first_error)
 }

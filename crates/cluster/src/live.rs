@@ -9,11 +9,16 @@
 //!
 //! * **One pump worker per shard.** Worker `i` loops on the lossy form of
 //!   the pump step behind [`ClusterEngine::pump_shard`], draining shard
-//!   `i`'s topic into its engine and followers in offset order. Each
-//!   worker write-locks only its own shard, so the shards absorb their
-//!   streams in parallel and a busy shard never blocks the others. An idle
-//!   worker parks briefly and is unparked when the front end publishes new
-//!   records.
+//!   `i`'s topic into its primary and follower
+//!   [`ShardHost`](crate::host::ShardHost)s in offset order — the same
+//!   host and drain a `janus-node` pump thread runs. Each worker
+//!   write-locks only its own shard's engines, one at a time, in the
+//!   engine-wide lock order: primary host → replica set → one replica.
+//!   The shards absorb their streams in parallel and a busy shard never
+//!   blocks the others; progress probes ([`ClusterEngine::pending`],
+//!   [`LiveCluster::drain`]) read each host's applied offset atomically
+//!   and never wait on a shard lock. An idle worker parks briefly and is
+//!   unparked when the front end publishes new records.
 //! * **One front-end worker** consuming a [`janus_storage::RequestLog`]
 //!   from offset zero, in arrival order: runs of consecutive
 //!   `Insert`/`Delete` requests are republished through the *batched*

@@ -42,7 +42,6 @@
 
 use crate::bootstrap::{shard_config, shard_of_value};
 use crate::directory::PlacementSink;
-use crate::engine::Shard;
 use crate::router::{ShardPolicy, ShardRouter};
 use janus_common::{DetHashSet, Result, Row, RowId};
 use janus_core::{JanusEngine, SynopsisConfig};
@@ -99,8 +98,8 @@ fn median_population(populations: &[usize]) -> usize {
 /// its per-shard write guards.
 pub(crate) fn rebalance(
     router: &mut ShardRouter,
-    shards: &mut [&mut Shard],
-    replicas: &mut [Vec<&mut Shard>],
+    shards: &mut [&mut JanusEngine],
+    replicas: &mut [Vec<&mut JanusEngine>],
     directory: &mut dyn PlacementSink,
     base: &SynopsisConfig,
 ) -> Result<Option<RebalanceReport>> {
@@ -121,8 +120,8 @@ pub(crate) fn rebalance(
 /// migrate misplaced rows.
 fn range_redraw(
     router: &mut ShardRouter,
-    shards: &mut [&mut Shard],
-    replicas: &mut [Vec<&mut Shard>],
+    shards: &mut [&mut JanusEngine],
+    replicas: &mut [Vec<&mut JanusEngine>],
     directory: &mut dyn PlacementSink,
     base: &SynopsisConfig,
     column: usize,
@@ -134,7 +133,7 @@ fn range_redraw(
     // population-proportional again.
     let mut weighted: Vec<(f64, f64)> = Vec::new();
     for shard in shards.iter() {
-        let snapshot = shard.engine.save_synopsis();
+        let snapshot = shard.save_synopsis();
         if snapshot.sample_rows.is_empty() {
             continue;
         }
@@ -175,7 +174,7 @@ fn range_redraw(
     // zero-copy: only rows that actually move materialize.
     let mut moves: Vec<(usize, usize, Row)> = Vec::new();
     for (from, shard) in shards.iter().enumerate() {
-        shard.engine.archive().for_each_row(|row| {
+        shard.archive().for_each_row(|row| {
             let to = shard_of_value(&bounds, row.value(column));
             if to != from {
                 moves.push((from, to, row.to_row()));
@@ -198,12 +197,12 @@ fn range_redraw(
 /// keeps duplicate-heavy (even constant) columns from shipping the whole
 /// shard and oscillating.
 fn discrete_split(
-    shards: &mut [&mut Shard],
-    replicas: &mut [Vec<&mut Shard>],
+    shards: &mut [&mut JanusEngine],
+    replicas: &mut [Vec<&mut JanusEngine>],
     directory: &mut dyn PlacementSink,
     base: &SynopsisConfig,
 ) -> Result<RebalanceReport> {
-    let populations: Vec<usize> = shards.iter().map(|s| s.engine.population()).collect();
+    let populations: Vec<usize> = shards.iter().map(|s| s.population()).collect();
     let donor = populations
         .iter()
         .enumerate()
@@ -230,7 +229,7 @@ fn discrete_split(
     // the split deterministic — and ship the top `move_count` by rank.
     // Only the 16-byte sort keys are collected from the zero-copy scan;
     // just the rows that actually move materialize afterwards.
-    let donor_archive = shards[donor].engine.archive();
+    let donor_archive = shards[donor].archive();
     let mut keys: Vec<(f64, RowId)> = Vec::with_capacity(donor_archive.len());
     donor_archive.for_each_row(|row| keys.push((row.value(column), row.id)));
     keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -265,8 +264,8 @@ fn discrete_split(
 /// rebuild is staged before any engine or directory entry changes, so a
 /// mid-migration failure leaves the cluster exactly as it was.
 fn apply_moves(
-    shards: &mut [&mut Shard],
-    replicas: &mut [Vec<&mut Shard>],
+    shards: &mut [&mut JanusEngine],
+    replicas: &mut [Vec<&mut JanusEngine>],
     directory: &mut dyn PlacementSink,
     base: &SynopsisConfig,
     moves: Vec<(usize, usize, Row)>,
@@ -297,8 +296,8 @@ fn apply_moves(
         // (seeded) build. Survivors materialize straight off the
         // zero-copy scan.
         let mut rows: Vec<Row> =
-            Vec::with_capacity(shards[shard].engine.population() + arriving[shard].len());
-        shards[shard].engine.archive().for_each_row(|r| {
+            Vec::with_capacity(shards[shard].population() + arriving[shard].len());
+        shards[shard].archive().for_each_row(|r| {
             if !departing[shard].contains(&r.id) {
                 rows.push(r.to_row());
             }
@@ -312,9 +311,9 @@ fn apply_moves(
     }
     for (shard, engine, followers) in staged {
         for (follower, engine) in replicas[shard].iter_mut().zip(followers) {
-            follower.engine = engine;
+            **follower = engine;
         }
-        shards[shard].engine = engine;
+        *shards[shard] = engine;
     }
     for (id, to) in placements {
         directory.place(id, to);
@@ -364,11 +363,8 @@ mod tests {
         c
     }
 
-    fn shard_of(rows: Vec<Row>, seed: u64) -> Shard {
-        Shard {
-            engine: janus_core::JanusEngine::bootstrap(test_config(seed), rows).unwrap(),
-            offset: 0,
-        }
+    fn shard_of(rows: Vec<Row>, seed: u64) -> JanusEngine {
+        JanusEngine::bootstrap(test_config(seed), rows).unwrap()
     }
 
     /// Duplicate-heavy routing columns must not oscillate: the rank-based
@@ -382,12 +378,12 @@ mod tests {
             shard_of(constant_rows(0..4_000), 1),
             shard_of(constant_rows(10_000..10_500), 2),
         ];
-        let mut shard_refs: Vec<&mut Shard> = shards.iter_mut().collect();
+        let mut shard_refs: Vec<&mut JanusEngine> = shards.iter_mut().collect();
         let mut router = ShardRouter::new(ShardPolicy::RoundRobin, 2).unwrap();
         let mut directory: janus_common::DetHashMap<RowId, usize> = Default::default();
         let base = test_config(3);
 
-        let mut replica_refs: Vec<Vec<&mut Shard>> = vec![Vec::new(), Vec::new()];
+        let mut replica_refs: Vec<Vec<&mut JanusEngine>> = vec![Vec::new(), Vec::new()];
         let report = rebalance(
             &mut router,
             &mut shard_refs,
@@ -398,13 +394,13 @@ mod tests {
         .unwrap()
         .expect("two shards migrate");
         assert_eq!(report.rows_moved, 1_750, "exactly equalizing half moves");
-        let pops: Vec<usize> = shards.iter().map(|s| s.engine.population()).collect();
+        let pops: Vec<usize> = shards.iter().map(|s| s.population()).collect();
         assert_eq!(pops, vec![2_250, 2_250]);
         assert!(!skew_exceeds(&pops, 2.0), "balanced after one migration");
 
         // A second pass finds nothing to move — no oscillation.
-        let mut shard_refs: Vec<&mut Shard> = shards.iter_mut().collect();
-        let mut replica_refs: Vec<Vec<&mut Shard>> = vec![Vec::new(), Vec::new()];
+        let mut shard_refs: Vec<&mut JanusEngine> = shards.iter_mut().collect();
+        let mut replica_refs: Vec<Vec<&mut JanusEngine>> = vec![Vec::new(), Vec::new()];
         let report = rebalance(
             &mut router,
             &mut shard_refs,
@@ -436,8 +432,8 @@ mod tests {
         let mut router = ShardRouter::new(ShardPolicy::HashById, 2).unwrap();
         let mut directory: janus_common::DetHashMap<RowId, usize> = Default::default();
         let base = test_config(3);
-        let mut shard_refs: Vec<&mut Shard> = shards.iter_mut().collect();
-        let mut replica_refs: Vec<Vec<&mut Shard>> =
+        let mut shard_refs: Vec<&mut JanusEngine> = shards.iter_mut().collect();
+        let mut replica_refs: Vec<Vec<&mut JanusEngine>> =
             followers.iter_mut().map(|f| vec![f]).collect();
         let report = rebalance(
             &mut router,
@@ -451,12 +447,12 @@ mod tests {
         assert!(report.rows_moved > 0);
         for (primary, follower) in shards.iter().zip(&followers) {
             assert_eq!(
-                primary.engine.population(),
-                follower.engine.population(),
+                primary.population(),
+                follower.population(),
                 "shipped follower must mirror its primary"
             );
-            let ps = serde_json::to_string(&primary.engine.save_synopsis()).unwrap();
-            let fs = serde_json::to_string(&follower.engine.save_synopsis()).unwrap();
+            let ps = serde_json::to_string(&primary.save_synopsis()).unwrap();
+            let fs = serde_json::to_string(&follower.save_synopsis()).unwrap();
             assert_eq!(ps, fs, "snapshots must be bit-identical");
         }
     }

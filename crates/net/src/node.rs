@@ -11,24 +11,33 @@
 //! [`Frame::Checkpoint`] / [`Frame::Release`]).
 //!
 //! Each hosted shard runs the same pump discipline as the in-process
-//! [`janus_cluster::LiveCluster`]: a dedicated pump thread drains the
-//! local topic copy into the engine in offset order through
-//! [`JanusEngine::apply_update_batch`], parking with bounded exponential
-//! backoff when idle and unparked by the publish handler — so an idle
-//! node burns no cores. Because records are applied in exactly the
-//! topic order the coordinator assigned, a node's engine is
+//! [`janus_cluster::LiveCluster`] — literally the same code, because each
+//! is a [`ShardHost`]: a dedicated pump thread drains the local topic
+//! copy into the engine in offset order through [`ShardHost::drain`],
+//! parking with bounded exponential backoff when idle and unparked by
+//! the publish handler — so an idle node burns no cores. Queries answer
+//! through [`ShardHost::answer`]'s freshness gate and checkpoints ship
+//! through [`ShardHost::capture`]. Because records are applied in exactly
+//! the topic order the coordinator assigned, a node's engine is
 //! bit-identical to an in-process shard engine at the same offset.
+//!
+//! The lock order is the in-process one — primary host → replica set →
+//! one replica — of which a node, hosting each shard once, uses only the
+//! first rung: a host takes no other lock under its engine's, and the
+//! `shards` map is never held while an engine is locked.
 
 use crate::wire::{self, Frame, QueryOutcome};
+use janus_cluster::host::ShardHost;
 use janus_cluster::notify::{Backoff, IDLE_MAX};
 use janus_cluster::{ShardCheckpoint, ShardOp};
-use janus_common::Result;
+use janus_common::merge::SubAnswer;
+use janus_common::{JanusError, Result};
 use janus_core::{JanusEngine, SynopsisConfig};
 use janus_storage::TopicLog;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -56,8 +65,7 @@ impl NodeConfig {
     }
 }
 
-/// One hosted shard: the engine, its local topic tail copy, and the
-/// pump's progress through it.
+/// One hosted shard: its local topic tail copy and the host draining it.
 struct ShardSlot {
     /// Global topic offset of the first record in `log` — zero for
     /// bootstrap-hosted shards, the checkpoint's applied offset for
@@ -65,12 +73,7 @@ struct ShardSlot {
     base: u64,
     /// Local copy of the shard topic's tail, fed by publish frames.
     log: TopicLog<ShardOp>,
-    engine: RwLock<JanusEngine>,
-    /// Global topic offset applied into the engine. Stored while the
-    /// engine's write guard is still held, so any reader holding the lock sees
-    /// an offset consistent with the engine's state (checkpoints pair
-    /// the two without a race).
-    applied: AtomicU64,
+    host: ShardHost,
     /// Set by `Release`; the pump thread exits on sight.
     retired: AtomicBool,
     /// Pump thread handle, for publish-side unparks.
@@ -78,6 +81,18 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
+    /// A slot for `engine`, whose first local record will sit at global
+    /// offset `base`, the offset it has applied.
+    fn new(engine: JanusEngine, base: u64) -> Self {
+        ShardSlot {
+            base,
+            log: TopicLog::new(),
+            host: ShardHost::new(engine, base),
+            retired: AtomicBool::new(false),
+            pump_thread: Mutex::new(None),
+        }
+    }
+
     /// Global topic offset up to which records are locally durable.
     fn received(&self) -> u64 {
         self.base + self.log.len() as u64
@@ -108,15 +123,27 @@ impl NodeState {
             .shards
             .read()
             .iter()
-            .map(|(s, slot)| (*s, slot.applied.load(Ordering::Acquire)))
+            .map(|(s, slot)| (*s, slot.host.applied()))
             .collect();
         out.sort_unstable_by_key(|(s, _)| *s);
         out
     }
 
-    /// Registers a freshly built slot and spawns its pump thread.
-    fn install_slot(self: &Arc<Self>, shard: u32, slot: Arc<ShardSlot>) {
-        self.shards.write().insert(shard, Arc::clone(&slot));
+    /// Registers a freshly built slot and spawns its pump thread; errors,
+    /// spawning nothing, when the shard is already hosted. The occupancy
+    /// check and the insert share one `shards` write guard, so of two
+    /// concurrent installs of one shard exactly one succeeds.
+    fn install_slot(self: &Arc<Self>, shard: u32, engine: JanusEngine, base: u64) -> Result<()> {
+        let slot = Arc::new(ShardSlot::new(engine, base));
+        {
+            let mut shards = self.shards.write();
+            if shards.contains_key(&shard) {
+                return Err(JanusError::InvalidConfig(format!(
+                    "shard {shard} already hosted"
+                )));
+            }
+            shards.insert(shard, Arc::clone(&slot));
+        }
         let state = Arc::clone(self);
         let pump_slot = Arc::clone(&slot);
         let handle = std::thread::Builder::new()
@@ -125,6 +152,7 @@ impl NodeState {
             .expect("spawn pump thread");
         *slot.pump_thread.lock() = Some(handle.thread().clone());
         self.pumps.lock().push(handle);
+        Ok(())
     }
 }
 
@@ -141,21 +169,13 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
             std::thread::park_timeout(IDLE_MAX);
             continue;
         }
-        let applied = slot.applied.load(Ordering::Acquire);
-        let batch = slot
-            .log
-            .poll(applied - slot.base, state.config.pump_chunk.max(1));
-        if batch.is_empty() {
+        let chunk = state.config.pump_chunk.max(1);
+        let (done, skipped, _first_error) = slot.host.drain(&slot.log, slot.base, chunk, true);
+        if done + skipped == 0 {
             idle.park();
-            continue;
+        } else {
+            idle.reset();
         }
-        idle.reset();
-        let mut engine = slot.engine.write();
-        let (done, skipped, _first_error) = engine.apply_update_batch(batch, true);
-        // Store under the write guard: see `ShardSlot::applied`.
-        slot.applied
-            .store(applied + (done + skipped) as u64, Ordering::Release);
-        drop(engine);
     }
 }
 
@@ -198,17 +218,19 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
         // `tenant` and `deadline_ms` are advisory on the node side: the
         // coordinator bills the query and enforces the deadline with a
         // socket read timeout, so the node just answers as fast as it can.
+        // `moments` is implied by the aggregate, which is what the host
+        // answers by: the coordinator sets it exactly for AVG.
         Frame::Query {
             id,
             shard,
-            moments,
+            moments: _,
             min_applied,
             tenant: _,
             deadline_ms: _,
             query,
         } => Frame::Estimate {
             id,
-            outcome: answer_query(state, shard, moments, min_applied, &query),
+            outcome: answer_query(state, shard, min_applied, &query),
         },
         Frame::FetchCheckpoint { shard } => match fetch_checkpoint(state, shard) {
             Ok(frame) => frame,
@@ -232,7 +254,7 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
         },
         Frame::Population { shard } => match state.slot(shard) {
             Some(slot) => {
-                let rows = slot.engine.read().population() as u64;
+                let rows = slot.host.read().population() as u64;
                 Frame::PopulationAck { shard, rows }
             }
             None => err_frame(format!("population: shard {shard} not hosted")),
@@ -249,22 +271,7 @@ fn host_shard(
     config: SynopsisConfig,
     rows: Vec<janus_common::Row>,
 ) -> Result<()> {
-    if state.shards.read().contains_key(&shard) {
-        return Err(janus_common::JanusError::InvalidConfig(format!(
-            "shard {shard} already hosted"
-        )));
-    }
-    let engine = JanusEngine::bootstrap(config, rows)?;
-    let slot = Arc::new(ShardSlot {
-        base: 0,
-        log: TopicLog::new(),
-        engine: RwLock::new(engine),
-        applied: AtomicU64::new(0),
-        retired: AtomicBool::new(false),
-        pump_thread: Mutex::new(None),
-    });
-    state.install_slot(shard, slot);
-    Ok(())
+    state.install_slot(shard, JanusEngine::bootstrap(config, rows)?, 0)
 }
 
 /// Accepts a run of topic records. Replays are idempotent: a batch whose
@@ -294,40 +301,29 @@ fn publish(state: &Arc<NodeState>, shard: u32, first_offset: u64, ops: Vec<Shard
     Frame::PublishAck {
         shard,
         received: slot.received(),
-        applied: slot.applied.load(Ordering::Acquire),
+        applied: slot.host.applied(),
     }
 }
 
-/// Answers one scattered sub-query, enforcing the coordinator's
-/// freshness gate: if the engine has applied less than `min_applied`
-/// the node refuses with [`QueryOutcome::Stale`] instead of serving a
-/// stale answer — the same contract in-process fresh followers obey.
+/// Answers one scattered sub-query behind the coordinator's freshness
+/// gate ([`ShardHost::answer`]): a host that has applied less than
+/// `min_applied` refuses with [`QueryOutcome::Stale`] instead of serving
+/// a stale answer — the same contract in-process fresh followers obey.
 fn answer_query(
     state: &Arc<NodeState>,
     shard: u32,
-    moments: bool,
     min_applied: u64,
     query: &janus_common::Query,
 ) -> QueryOutcome {
     let Some(slot) = state.slot(shard) else {
         return QueryOutcome::Failed(format!("shard {shard} not hosted"));
     };
-    let engine = slot.engine.read();
-    let applied = slot.applied.load(Ordering::Acquire);
-    if applied < min_applied {
-        return QueryOutcome::Stale { applied };
-    }
-    if moments {
-        match engine.answer_sum_count(query) {
-            Ok((sum, count)) => QueryOutcome::Moments { sum, count },
-            Err(e) => QueryOutcome::Failed(e.to_string()),
-        }
-    } else {
-        match engine.query(query) {
-            Ok(Some(e)) => QueryOutcome::Estimate(e),
-            Ok(None) => QueryOutcome::Empty,
-            Err(e) => QueryOutcome::Failed(e.to_string()),
-        }
+    match slot.host.answer(min_applied, query) {
+        Err(applied) => QueryOutcome::Stale { applied },
+        Ok(Ok(SubAnswer::Empty)) => QueryOutcome::Empty,
+        Ok(Ok(SubAnswer::Estimate(e))) => QueryOutcome::Estimate(e),
+        Ok(Ok(SubAnswer::Moments { sum, count })) => QueryOutcome::Moments { sum, count },
+        Ok(Err(e)) => QueryOutcome::Failed(e.to_string()),
     }
 }
 
@@ -338,14 +334,11 @@ fn answer_query(
 fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
     let slot = state
         .slot(shard)
-        .ok_or_else(|| janus_common::JanusError::Storage(format!("shard {shard} not hosted")))?;
-    let engine = slot.engine.read();
-    let applied = slot.applied.load(Ordering::Acquire);
-    let checkpoint = ShardCheckpoint::capture(shard as usize, &engine, applied, slot.received());
-    let config = engine.config().clone();
-    drop(engine);
+        .ok_or_else(|| JanusError::Storage(format!("shard {shard} not hosted")))?;
+    let checkpoint = slot.host.capture(shard as usize, &slot.log, slot.base);
+    let config = slot.host.read().config().clone();
     let payload = serde_json::to_vec(&checkpoint)
-        .map_err(|e| janus_common::JanusError::Storage(format!("serialize checkpoint: {e}")))?;
+        .map_err(|e| JanusError::Storage(format!("serialize checkpoint: {e}")))?;
     Ok(Frame::Checkpoint {
         shard,
         config,
@@ -362,24 +355,10 @@ fn install_checkpoint(
     config: SynopsisConfig,
     payload: &[u8],
 ) -> Result<()> {
-    if state.shards.read().contains_key(&shard) {
-        return Err(janus_common::JanusError::InvalidConfig(format!(
-            "shard {shard} already hosted"
-        )));
-    }
     let checkpoint: ShardCheckpoint = serde_json::from_slice(payload)
-        .map_err(|e| janus_common::JanusError::Storage(format!("parse checkpoint: {e}")))?;
+        .map_err(|e| JanusError::Storage(format!("parse checkpoint: {e}")))?;
     let engine = JanusEngine::restore(config, checkpoint.archive_rows, &checkpoint.synopsis)?;
-    let slot = Arc::new(ShardSlot {
-        base: checkpoint.applied_offset,
-        log: TopicLog::new(),
-        engine: RwLock::new(engine),
-        applied: AtomicU64::new(checkpoint.applied_offset),
-        retired: AtomicBool::new(false),
-        pump_thread: Mutex::new(None),
-    });
-    state.install_slot(shard, slot);
-    Ok(())
+    state.install_slot(shard, engine, checkpoint.applied_offset)
 }
 
 /// A running node daemon: a TCP accept loop plus per-shard pump threads.
@@ -685,6 +664,41 @@ mod tests {
         twin.stop();
     }
 
+    /// A second install of a hosted shard — a `Host` or a `Checkpoint`
+    /// frame — is refused before it spawns a pump, and the first host
+    /// keeps serving.
+    #[test]
+    fn a_shard_is_hosted_at_most_once() {
+        let server = NodeServer::start("127.0.0.1:0", NodeConfig::new(3, "a")).unwrap();
+        let state = &server.state;
+        host_shard(state, 0, test_config(7), rows(500)).unwrap();
+        let again = host_shard(state, 0, test_config(8), rows(100));
+        assert!(again.is_err(), "a second Host of shard 0 must error");
+        let Frame::Checkpoint {
+            config, payload, ..
+        } = fetch_checkpoint(state, 0).unwrap()
+        else {
+            panic!("fetch_checkpoint returns a Checkpoint frame");
+        };
+        let shipped = install_checkpoint(state, 0, config, &payload);
+        assert!(shipped.is_err(), "a Checkpoint onto shard 0 must error");
+        assert_eq!(state.pumps.lock().len(), 1, "one pump per hosted shard");
+
+        let count = janus_common::Query::new(
+            AggregateFunction::Count,
+            1,
+            vec![0],
+            janus_common::RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY])
+                .unwrap(),
+        )
+        .unwrap();
+        match answer_query(state, 0, 0, &count) {
+            QueryOutcome::Estimate(e) => assert_eq!(e.value, 500.0, "the first engine answers"),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+        server.stop();
+    }
+
     /// While one reader holds a hosted shard's read guard (and has
     /// answered under it), a `Query` frame for the same shard must be
     /// answered: an exclusive engine lock in `answer_query` would wait for
@@ -718,7 +732,7 @@ mod tests {
 
         let slot = server.state.slot(0).unwrap();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let inside = slot.engine.read();
+        let inside = slot.host.read();
         let local = inside.query(&query).unwrap().unwrap();
         let remote = std::thread::spawn(move || {
             done_tx
@@ -737,7 +751,7 @@ mod tests {
             } => assert_eq!(e.value.to_bits(), local.value.to_bits()),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(slot.engine.read().stats().queries, 2);
+        assert_eq!(slot.host.read().stats().queries, 2);
         server.stop();
     }
 }
