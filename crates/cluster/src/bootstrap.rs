@@ -71,44 +71,32 @@ pub fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result<Partit
     Ok((per_shard, directory))
 }
 
-/// Bootstraps one engine per bucket, each with its per-shard seed, at
-/// consumption offset zero.
+/// Bootstraps one primary and `replicas` followers per bucket, all at
+/// offset zero. Followers use the *same* per-shard config (seed
+/// included) and rows as their primary: the engine is deterministic in
+/// its input sequence, so a follower that tails the primary's topic is
+/// bit-identical to the primary at equal offsets — the invariant replica
+/// reads and promotion rely on.
 pub(crate) fn build_shards(
     base: &SynopsisConfig,
     per_shard: Vec<Vec<Row>>,
-) -> Result<Vec<ShardHost>> {
-    per_shard
-        .into_iter()
-        .enumerate()
-        .map(|(i, rows)| {
-            let engine = JanusEngine::bootstrap(shard_config(base, i), rows)?;
-            Ok(ShardHost::new(engine, 0))
-        })
-        .collect()
-}
-
-/// Bootstraps `count` follower engines per shard bucket. Followers use
-/// the *same* per-shard config (seed included) and rows as their primary:
-/// the engine is deterministic in its input sequence, so a follower that
-/// tails the primary's topic is bit-identical to the primary at equal
-/// offsets — the invariant replica reads and promotion rely on.
-pub(crate) fn build_replicas(
-    base: &SynopsisConfig,
-    per_shard: &[Vec<Row>],
-    count: usize,
-) -> Result<Vec<Vec<ShardHost>>> {
-    per_shard
-        .iter()
-        .enumerate()
-        .map(|(i, rows)| {
-            (0..count)
-                .map(|_| {
-                    let engine = JanusEngine::bootstrap(shard_config(base, i), rows.clone())?;
-                    Ok(ShardHost::new(engine, 0))
-                })
-                .collect()
-        })
-        .collect()
+    replicas: usize,
+) -> Result<(Vec<ShardHost>, Vec<Vec<ShardHost>>)> {
+    let host = |shard, rows| -> Result<ShardHost> {
+        let engine = JanusEngine::bootstrap(shard_config(base, shard), rows)?;
+        Ok(ShardHost::new(engine, 0))
+    };
+    let mut primaries = Vec::with_capacity(per_shard.len());
+    let mut followers = Vec::with_capacity(per_shard.len());
+    for (shard, rows) in per_shard.into_iter().enumerate() {
+        followers.push(
+            (0..replicas)
+                .map(|_| host(shard, rows.clone()))
+                .collect::<Result<_>>()?,
+        );
+        primaries.push(host(shard, rows)?);
+    }
+    Ok((primaries, followers))
 }
 
 #[cfg(test)]
@@ -172,7 +160,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let shards = build_shards(&base, buckets).unwrap();
+        let (shards, _) = build_shards(&base, buckets, 0).unwrap();
         assert_eq!(shards.len(), 2);
         for (i, shard) in shards.iter().enumerate() {
             assert_eq!(shard.read().population(), 100);

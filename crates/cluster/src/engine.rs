@@ -395,7 +395,10 @@ impl ShardSet {
         } else {
             (0, 0, None)
         };
-        self.pumped(shard, applied, skipped);
+        self.counters
+            .pumped
+            .fetch_add(applied as u64, Ordering::Relaxed);
+        self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
         let mut followers = 0;
         if max_follower > 0 {
             for replica in self.replicas[shard].read().iter() {
@@ -404,15 +407,6 @@ impl ShardSet {
             }
         }
         (applied, skipped, followers, first_error)
-    }
-
-    /// Books records a primary consumed: the `pumped` counter and the
-    /// shard's backlog gauge.
-    fn pumped(&self, shard: usize, applied: usize, skipped: usize) {
-        self.counters
-            .pumped
-            .fetch_add(applied as u64, Ordering::Relaxed);
-        self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
     }
 
     /// Serves one sub-query in the shape the gather needs — the worker
@@ -504,12 +498,8 @@ impl ClusterEngine {
         // Followers bootstrap from the same rows with the same per-shard
         // seed as their primary: identical construction + identical topic
         // replay keeps them bit-identical at equal offsets.
-        let replica_sets =
-            crate::bootstrap::build_replicas(&config.base, &per_shard, config.replicas)?;
-        let shards = build_shards(&config.base, per_shard)?;
-        let n_shards = config.shards;
-        let log = Arc::new(ShardedLog::new(n_shards));
-        let backlog = (0..n_shards).map(|_| AtomicU64::new(0)).collect();
+        let (shards, replica_sets) = build_shards(&config.base, per_shard, config.replicas)?;
+        let log = Arc::new(ShardedLog::new(config.shards));
         Ok(Self::assemble(
             config,
             router,
@@ -517,15 +507,14 @@ impl ClusterEngine {
             shards,
             replica_sets,
             log,
-            backlog,
             0,
         ))
     }
 
     /// Final assembly shared by [`ClusterEngine::bootstrap`] and
     /// [`ClusterEngine::restore`]: wraps the state into the shared
-    /// [`ShardSet`] and starts the worker pool over it.
-    #[allow(clippy::too_many_arguments)]
+    /// [`ShardSet`], each backlog gauge starting at its shard's
+    /// published-minus-applied lag, and starts the worker pool over it.
     fn assemble(
         config: ClusterConfig,
         router: ShardRouter,
@@ -533,9 +522,13 @@ impl ClusterEngine {
         shards: Vec<ShardHost>,
         replica_sets: Vec<Vec<ShardHost>>,
         log: Arc<ShardedLog<ShardOp>>,
-        backlog: Vec<AtomicU64>,
         rebalance_generation: u64,
     ) -> Self {
+        let backlog = shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.applied())))
+            .collect();
         let set = Arc::new(ShardSet {
             log,
             shards,
@@ -1345,19 +1338,17 @@ impl ClusterEngine {
                 &shard_cfg.archive_backend,
                 sc.archive_rows,
             )?;
-            let set: Vec<ShardHost> = (0..config.replicas)
-                .map(|_| {
-                    let engine = JanusEngine::restore_with_archive(
-                        shard_cfg.clone(),
-                        archive.fork(),
-                        &sc.synopsis,
-                    )?;
-                    Ok(ShardHost::new(engine, offset))
-                })
-                .collect::<Result<_>>()?;
-            replica_sets.push(set);
-            let engine = JanusEngine::restore_with_archive(shard_cfg, archive, &sc.synopsis)?;
-            shards.push(ShardHost::new(engine, offset));
+            let host = |archive| -> Result<ShardHost> {
+                let engine =
+                    JanusEngine::restore_with_archive(shard_cfg.clone(), archive, &sc.synopsis)?;
+                Ok(ShardHost::new(engine, offset))
+            };
+            replica_sets.push(
+                (0..config.replicas)
+                    .map(|_| host(archive.fork()))
+                    .collect::<Result<_>>()?,
+            );
+            shards.push(host(archive)?);
         }
 
         // Records published after the checkpoint updated the (lost)
@@ -1421,11 +1412,6 @@ impl ClusterEngine {
             router.restore_cursor(router_snapshot.cursor + (tail_inserts as usize % config.shards));
         }
 
-        let backlog: Vec<AtomicU64> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.applied())))
-            .collect();
         Ok(Self::assemble(
             config,
             router,
@@ -1433,7 +1419,6 @@ impl ClusterEngine {
             shards,
             replica_sets,
             log,
-            backlog,
             rebalance_generation,
         ))
     }
@@ -1479,45 +1464,17 @@ impl ClusterEngine {
         // Router write excludes routed publishers entirely, so no append
         // can land anywhere for the duration of the migration.
         let mut directory = self.directory.write_all();
-        let mut guards: Vec<_> = self.set.shards.iter().map(ShardHost::write).collect();
-        let replica_sets: Vec<_> = self.set.replicas.iter().map(|s| s.write()).collect();
-        let mut replica_guards: Vec<Vec<_>> = replica_sets
-            .iter()
-            .map(|set| set.iter().map(|r| (r, r.write())).collect())
-            .collect();
-        // Drain the stragglers published between pump_all() and lock
+        // Drain the stragglers published between the pre-drain and lock
         // acquisition: we hold the router write lock and every directory
         // stripe, so no further records can land, and migrating with
-        // unapplied topic records would
-        // misplace them against the redrawn bounds (or resurrect rows
-        // whose pending delete fails on the donor after a move). Replicas
-        // drain to the same point so the shipped post-migration snapshots
-        // replace followers that were bit-identical to their primaries.
-        let chunk = self.config.pump_chunk.max(1);
-        let primaries = (self.set.shards.iter().zip(&mut guards).enumerate())
-            .map(|(shard, (host, engine))| (shard, true, host, &mut **engine));
-        let followers = replica_guards
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(shard, set)| {
-                set.iter_mut()
-                    .map(move |(host, engine)| (shard, false, *host, &mut **engine))
-            });
-        for (shard, primary, host, engine) in primaries.chain(followers) {
-            loop {
-                let (applied, skipped, error) =
-                    host.drain_locked(engine, self.set.log.topic(shard), 0, chunk, false);
-                if primary {
-                    self.set.pumped(shard, applied, skipped);
-                }
-                if let Some(e) = error {
-                    return Err(e);
-                }
-                if applied == 0 {
-                    break;
-                }
-            }
-        }
+        // unapplied topic records would misplace them against the redrawn
+        // bounds (or resurrect rows whose pending delete fails on the
+        // donor after a move). Replicas drain to the same point so the
+        // shipped post-migration snapshots replace followers that were
+        // bit-identical to their primaries.
+        self.pump_all()?;
+        let mut guards: Vec<_> = self.set.shards.iter().map(ShardHost::write).collect();
+        let mut replica_sets: Vec<_> = self.set.replicas.iter().map(|s| s.write()).collect();
         let populations: Vec<usize> = guards.iter().map(|g| g.population()).collect();
         if !rebalance::skew_exceeds(&populations, factor) {
             return Ok(None);
@@ -1533,9 +1490,9 @@ impl ClusterEngine {
             }
         }
         let mut shard_refs: Vec<&mut JanusEngine> = guards.iter_mut().map(|g| &mut **g).collect();
-        let mut replica_refs: Vec<Vec<&mut JanusEngine>> = replica_guards
+        let mut replica_refs: Vec<Vec<&mut JanusEngine>> = replica_sets
             .iter_mut()
-            .map(|set| set.iter_mut().map(|(_, g)| &mut **g).collect())
+            .map(|set| set.iter_mut().map(ShardHost::get_mut).collect())
             .collect();
         let report = rebalance::rebalance(
             &mut router,
@@ -1574,7 +1531,7 @@ mod tests {
     use super::*;
     use janus_common::{AggregateFunction, QueryTemplate};
 
-    /// Progress probes read offsets, not engines: while one thread holds
+    /// Progress probes read offsets, not engines: while this thread holds
     /// shard 0's primary and follower engines exclusively, `pending`,
     /// `shard_backlogs` and `replica_pending` still return — a probe that
     /// took a shard's read lock would wait, which the `recv_timeout`
@@ -1584,43 +1541,32 @@ mod tests {
         let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
         let mut base = SynopsisConfig::paper_default(template, 5);
         base.leaf_count = 4;
-        base.sample_rate = 0.1;
         let rows = (0..400).map(|i| Row::new(i, vec![i as f64, 1.0])).collect();
         let config = ClusterConfig::new(base, 2, ShardPolicy::HashById).with_replicas(1);
         let cluster = ClusterEngine::bootstrap(config, rows).unwrap();
-        for id in 1_000..1_010 {
-            cluster
-                .publish_insert(Row::new(id, vec![1.0, 1.0]))
-                .unwrap();
-        }
-        let expected = (
-            cluster.pending(),
-            cluster.shard_backlogs(),
-            cluster.replica_pending(),
-        );
-        assert_eq!(expected.0, 10);
-        let (inside_tx, inside_rx) = std::sync::mpsc::channel();
+        cluster
+            .publish_batch((1_000..1_010).map(|id| ShardOp::Insert(Row::new(id, vec![1.0, 1.0]))));
+        let probes = || {
+            (
+                cluster.pending(),
+                cluster.shard_backlogs(),
+                cluster.replica_pending(),
+            )
+        };
+        let expected = probes();
+        assert_eq!((expected.0, expected.2), (10, 10));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let primary = cluster.set.shards[0].write();
+        let followers = cluster.set.replicas[0].read();
+        let follower = followers[0].write();
         std::thread::scope(|s| {
-            let cluster = &cluster;
-            s.spawn(move || {
-                inside_rx.recv().unwrap();
-                let probes = (
-                    cluster.pending(),
-                    cluster.shard_backlogs(),
-                    cluster.replica_pending(),
-                );
-                done_tx.send(probes).unwrap();
-            });
-            let primary = cluster.set.shards[0].write();
-            let followers = cluster.set.replicas[0].read();
-            let follower = followers[0].write();
-            inside_tx.send(()).unwrap();
-            let probes = done_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("a progress read waited for shard 0's write guard");
+            s.spawn(|| done_tx.send(probes()).unwrap());
+            let reply = done_rx.recv_timeout(Duration::from_secs(10));
             drop((follower, primary));
-            assert_eq!(probes, expected);
+            assert_eq!(
+                reply.expect("a progress read waited for a shard lock"),
+                expected
+            );
         });
     }
 }

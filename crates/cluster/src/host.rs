@@ -1,34 +1,18 @@
-//! The one shard host under every runtime that serves a shard.
+//! The one shard host: a [`JanusEngine`] under a `RwLock` plus the topic
+//! offset it has applied. The in-process cluster's primaries and
+//! followers ([`crate::ClusterEngine`], pumped by [`crate::LiveCluster`]'s
+//! workers) and every shard a `janus-node` daemon serves are
+//! [`ShardHost`]s, so the drain, the freshness-gated answer and the
+//! checkpoint capture exist once.
 //!
-//! A hosted shard is a [`JanusEngine`] under a `RwLock` plus the topic
-//! offset it has applied. [`ShardHost`] is that pair, and the only code
-//! that moves it: the in-process cluster keeps its primaries and
-//! followers as hosts ([`crate::ClusterEngine`], whose pump workers are
-//! the [`crate::LiveCluster`]'s), and each shard a `janus-node` daemon
-//! serves is a host over the node's local copy of the shard topic.
-//!
-//! * **Drain** — [`ShardHost::drain`] polls one batch of the topic at the
-//!   applied offset and applies it through
-//!   [`JanusEngine::apply_update_batch`] under the engine's write guard,
-//!   strict (a failing record stays at the head) or lossy (it is skipped
-//!   and counted). The crate-internal `drain_locked` is the same step
-//!   under a guard the caller already holds.
-//! * **Offset** — `applied` is stored (`Release`) while the write guard
-//!   is still held, so a reader under the read guard sees the offset its
-//!   engine state corresponds to, and progress probes
-//!   ([`ShardHost::applied`]) are one atomic load that never waits on
-//!   the engine lock.
-//! * **Read** — [`ShardHost::read_if_fresh`] checks `applied` against a
-//!   freshness floor and runs the read under the same read guard, so a
-//!   host cannot be judged fresh and then answer from another offset;
-//!   [`ShardHost::answer`] is the sub-query on top of it, with the AVG →
-//!   `(sum, count)` moment split every gather expects.
-//! * **Capture** — [`ShardHost::capture`] pairs the engine's snapshot
-//!   with its applied offset under one read guard.
+//! `applied` is stored (`Release`) only while the engine's write guard is
+//! held, so a reader under the read guard sees the offset its engine
+//! state corresponds to, and a progress probe ([`ShardHost::applied`]) is
+//! one `Acquire` load that never waits on the engine lock.
 //!
 //! Lock order: primary host → replica set → one replica (a migration,
-//! holding the set's write guard, may hold every replica). A host never
-//! takes another lock while it holds its engine's.
+//! holding the set's write guard, may hold every replica). A host takes
+//! no other lock while it holds its engine's.
 
 use crate::checkpoint::ShardCheckpoint;
 use crate::engine::ShardOp;
@@ -66,10 +50,14 @@ impl ShardHost {
         self.engine.read()
     }
 
-    /// The engine's write guard — for promotion, migration, and
-    /// [`ShardHost::drain_locked`].
+    /// The engine's write guard — for promotion and migration.
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, JanusEngine> {
         self.engine.write()
+    }
+
+    /// The engine, through exclusive access to the host.
+    pub(crate) fn get_mut(&mut self) -> &mut JanusEngine {
+        self.engine.get_mut()
     }
 
     /// Applies up to `max` records of `topic` — whose first record sits
@@ -88,19 +76,7 @@ impl ShardHost {
         if base + topic.len() as u64 <= self.applied() {
             return (0, 0, None);
         }
-        self.drain_locked(&mut self.engine.write(), topic, base, max, skip_failed)
-    }
-
-    /// [`ShardHost::drain`] under `engine`, this host's write guard,
-    /// which the caller already holds.
-    pub(crate) fn drain_locked(
-        &self,
-        engine: &mut JanusEngine,
-        topic: &TopicLog<ShardOp>,
-        base: u64,
-        max: usize,
-        skip_failed: bool,
-    ) -> (usize, usize, Option<JanusError>) {
+        let mut engine = self.engine.write();
         let applied = self.applied();
         let batch = topic.poll(applied - base, max);
         if batch.is_empty() {
@@ -114,7 +90,7 @@ impl ShardHost {
 
     /// Runs `f` under the engine's read guard if the host has applied at
     /// least `min_applied`; otherwise returns the applied offset.
-    pub fn read_if_fresh<T>(
+    fn read_if_fresh<T>(
         &self,
         min_applied: u64,
         f: impl FnOnce(&JanusEngine) -> T,

@@ -81,18 +81,6 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    /// A slot for `engine`, whose first local record will sit at global
-    /// offset `base`, the offset it has applied.
-    fn new(engine: JanusEngine, base: u64) -> Self {
-        ShardSlot {
-            base,
-            log: TopicLog::new(),
-            host: ShardHost::new(engine, base),
-            retired: AtomicBool::new(false),
-            pump_thread: Mutex::new(None),
-        }
-    }
-
     /// Global topic offset up to which records are locally durable.
     fn received(&self) -> u64 {
         self.base + self.log.len() as u64
@@ -134,7 +122,15 @@ impl NodeState {
     /// check and the insert share one `shards` write guard, so of two
     /// concurrent installs of one shard exactly one succeeds.
     fn install_slot(self: &Arc<Self>, shard: u32, engine: JanusEngine, base: u64) -> Result<()> {
-        let slot = Arc::new(ShardSlot::new(engine, base));
+        // The local log starts where the engine stands: its first record
+        // sits at global offset `base`, the offset the engine has applied.
+        let slot = Arc::new(ShardSlot {
+            base,
+            log: TopicLog::new(),
+            host: ShardHost::new(engine, base),
+            retired: AtomicBool::new(false),
+            pump_thread: Mutex::new(None),
+        });
         {
             let mut shards = self.shards.write();
             if shards.contains_key(&shard) {
@@ -522,6 +518,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reply, Frame::Ok);
+        // A second Host of the hosted shard is refused before it spawns a
+        // pump; the first engine keeps serving (the counts below).
+        let again = Frame::Host {
+            shard: 2,
+            config: test_config(2),
+            rows: rows(50),
+        };
+        let reply = wire::roundtrip(&mut conn, &again).unwrap();
+        assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
+        assert_eq!(server.state.pumps.lock().len(), 1);
 
         // Ship two records; the replayed prefix must deduplicate.
         let ops = vec![
@@ -627,6 +633,10 @@ mod tests {
         let shipped = wire::roundtrip(&mut src, &Frame::FetchCheckpoint { shard: 0 }).unwrap();
         assert!(matches!(shipped, Frame::Checkpoint { shard: 0, .. }));
         assert_eq!(wire::roundtrip(&mut dst, &shipped).unwrap(), Frame::Ok);
+        // Installing it again is refused, spawning no second pump.
+        let again = wire::roundtrip(&mut dst, &shipped).unwrap();
+        assert!(matches!(again, Frame::Error { .. }), "{again:?}");
+        assert_eq!(twin.state.pumps.lock().len(), 1);
 
         let q = janus_common::Query::new(
             AggregateFunction::Sum,
@@ -662,41 +672,6 @@ mod tests {
 
         server.stop();
         twin.stop();
-    }
-
-    /// A second install of a hosted shard — a `Host` or a `Checkpoint`
-    /// frame — is refused before it spawns a pump, and the first host
-    /// keeps serving.
-    #[test]
-    fn a_shard_is_hosted_at_most_once() {
-        let server = NodeServer::start("127.0.0.1:0", NodeConfig::new(3, "a")).unwrap();
-        let state = &server.state;
-        host_shard(state, 0, test_config(7), rows(500)).unwrap();
-        let again = host_shard(state, 0, test_config(8), rows(100));
-        assert!(again.is_err(), "a second Host of shard 0 must error");
-        let Frame::Checkpoint {
-            config, payload, ..
-        } = fetch_checkpoint(state, 0).unwrap()
-        else {
-            panic!("fetch_checkpoint returns a Checkpoint frame");
-        };
-        let shipped = install_checkpoint(state, 0, config, &payload);
-        assert!(shipped.is_err(), "a Checkpoint onto shard 0 must error");
-        assert_eq!(state.pumps.lock().len(), 1, "one pump per hosted shard");
-
-        let count = janus_common::Query::new(
-            AggregateFunction::Count,
-            1,
-            vec![0],
-            janus_common::RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY])
-                .unwrap(),
-        )
-        .unwrap();
-        match answer_query(state, 0, 0, &count) {
-            QueryOutcome::Estimate(e) => assert_eq!(e.value, 500.0, "the first engine answers"),
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        server.stop();
     }
 
     /// While one reader holds a hosted shard's read guard (and has
