@@ -381,7 +381,8 @@ impl ShardSet {
     /// Returns `(applied, skipped, followers, first_error)`: the
     /// primary's counts and error, and the records consumed across all
     /// followers, whose progress touches neither the backlog gauge nor
-    /// the `pumped` counter.
+    /// the `pumped` counter. Both move under the primary's write guard,
+    /// the guard [`ClusterEngine::fail_shard`] rebuilds the gauge under.
     pub(crate) fn pump(
         &self,
         shard: usize,
@@ -391,14 +392,18 @@ impl ShardSet {
     ) -> (usize, usize, usize, Option<JanusError>) {
         let topic = self.log.topic(shard);
         let (applied, skipped, first_error) = if max_primary > 0 {
-            self.shards[shard].drain(topic, 0, max_primary, skip_failed)
+            let host = &self.shards[shard];
+            let mut engine = host.write();
+            let (applied, skipped, first_error) =
+                host.drain_locked(&mut engine, topic, 0, max_primary, skip_failed);
+            self.counters
+                .pumped
+                .fetch_add(applied as u64, Ordering::Relaxed);
+            self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
+            (applied, skipped, first_error)
         } else {
             (0, 0, None)
         };
-        self.counters
-            .pumped
-            .fetch_add(applied as u64, Ordering::Relaxed);
-        self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
         let mut followers = 0;
         if max_follower > 0 {
             for replica in self.replicas[shard].read().iter() {
@@ -1183,6 +1188,8 @@ impl ClusterEngine {
             .0;
         let applied = host.take_over(&mut primary, set.remove(best));
         let end = self.set.log.topic(shard).len() as u64;
+        // A pump settles the gauge before it releases the primary's guard,
+        // so no decrement for the old engine can land after this store.
         self.set.backlog[shard].store(end.saturating_sub(applied), Ordering::Relaxed);
         drop(set);
         drop(primary);
@@ -1530,6 +1537,22 @@ impl ClusterEngine {
 mod tests {
     use super::*;
     use janus_common::{AggregateFunction, QueryTemplate};
+    use std::sync::atomic::AtomicBool;
+
+    /// `shards` hash shards with one follower each over 400 bootstrap
+    /// rows, and `published` inserts published but not pumped.
+    fn replicated_cluster(shards: usize, published: u64) -> ClusterEngine {
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let mut base = SynopsisConfig::paper_default(template, 5);
+        base.leaf_count = 4;
+        let rows = (0..400).map(|i| Row::new(i, vec![i as f64, 1.0])).collect();
+        let config = ClusterConfig::new(base, shards, ShardPolicy::HashById).with_replicas(1);
+        let cluster = ClusterEngine::bootstrap(config, rows).unwrap();
+        cluster.publish_batch(
+            (1_000..1_000 + published).map(|id| ShardOp::Insert(Row::new(id, vec![1.0, 1.0]))),
+        );
+        cluster
+    }
 
     /// Progress probes read offsets, not engines: while this thread holds
     /// shard 0's primary and follower engines exclusively, `pending`,
@@ -1538,14 +1561,7 @@ mod tests {
     /// reports as a failure instead of a hang.
     #[test]
     fn progress_reads_do_not_wait_on_a_shard_lock() {
-        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
-        let mut base = SynopsisConfig::paper_default(template, 5);
-        base.leaf_count = 4;
-        let rows = (0..400).map(|i| Row::new(i, vec![i as f64, 1.0])).collect();
-        let config = ClusterConfig::new(base, 2, ShardPolicy::HashById).with_replicas(1);
-        let cluster = ClusterEngine::bootstrap(config, rows).unwrap();
-        cluster
-            .publish_batch((1_000..1_010).map(|id| ShardOp::Insert(Row::new(id, vec![1.0, 1.0]))));
+        let cluster = replicated_cluster(2, 10);
         let probes = || {
             (
                 cluster.pending(),
@@ -1568,5 +1584,44 @@ mod tests {
                 expected
             );
         });
+    }
+
+    /// A pump settles the backlog gauge before it releases the primary's
+    /// write guard, so whoever takes that guard next — here this thread,
+    /// and once a promotion that rebuilds the gauge — finds it equal to
+    /// `published - applied`. A decrement landing after the guard drops
+    /// would undercut the promotion's rebuild, and the gauge would wrap
+    /// once the promoted follower drained.
+    #[test]
+    fn a_promotion_racing_a_pump_leaves_the_backlog_gauge_exact() {
+        let published = 2_000;
+        let cluster = replicated_cluster(1, published);
+        let host = &cluster.set.shards[0];
+        let done = AtomicBool::new(false);
+        let mut promoted = false;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    cluster.set.pump(0, 1, 0, false);
+                }
+            });
+            loop {
+                let engine = host.write();
+                let (gauges, backlogs) = (cluster.backlog_gauges(), cluster.shard_backlogs());
+                drop(engine);
+                if gauges != backlogs || (promoted && backlogs[0] == 0) {
+                    done.store(true, Ordering::Relaxed);
+                    assert_eq!(gauges, backlogs);
+                    break;
+                }
+                if !promoted && backlogs[0] < published / 2 {
+                    cluster.fail_shard(0).unwrap();
+                    promoted = true;
+                }
+            }
+        });
+        cluster.pump_all().unwrap();
+        assert_eq!(cluster.backlog_gauges(), cluster.shard_backlogs());
+        assert_eq!(cluster.shard_backlogs(), vec![0]);
     }
 }

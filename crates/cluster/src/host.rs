@@ -50,7 +50,7 @@ impl ShardHost {
         self.engine.read()
     }
 
-    /// The engine's write guard — for promotion and migration.
+    /// The engine's write guard — for pumping, promotion and migration.
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, JanusEngine> {
         self.engine.write()
     }
@@ -64,8 +64,7 @@ impl ShardHost {
     /// at global offset `base` — from the applied offset on, under the
     /// engine's write guard. Returns `(applied, skipped, first_error)`;
     /// strict (`skip_failed` unset), a failing record is neither and
-    /// stays at the head. A topic with nothing past the applied offset
-    /// returns without taking the lock.
+    /// stays at the head.
     pub fn drain(
         &self,
         topic: &TopicLog<ShardOp>,
@@ -73,10 +72,20 @@ impl ShardHost {
         max: usize,
         skip_failed: bool,
     ) -> (usize, usize, Option<JanusError>) {
-        if base + topic.len() as u64 <= self.applied() {
-            return (0, 0, None);
-        }
-        let mut engine = self.engine.write();
+        self.drain_locked(&mut self.engine.write(), topic, base, max, skip_failed)
+    }
+
+    /// [`ShardHost::drain`] under `engine`, this host's write guard, which
+    /// the caller holds — so state it keeps in step with the offset
+    /// changes under the same guard.
+    pub(crate) fn drain_locked(
+        &self,
+        engine: &mut JanusEngine,
+        topic: &TopicLog<ShardOp>,
+        base: u64,
+        max: usize,
+        skip_failed: bool,
+    ) -> (usize, usize, Option<JanusError>) {
         let applied = self.applied();
         let batch = topic.poll(applied - base, max);
         if batch.is_empty() {
@@ -88,40 +97,29 @@ impl ShardHost {
         (done, skipped, first_error)
     }
 
-    /// Runs `f` under the engine's read guard if the host has applied at
-    /// least `min_applied`; otherwise returns the applied offset.
-    fn read_if_fresh<T>(
-        &self,
-        min_applied: u64,
-        f: impl FnOnce(&JanusEngine) -> T,
-    ) -> std::result::Result<T, u64> {
-        let engine = self.engine.read();
-        let applied = self.applied();
-        if applied < min_applied {
-            return Err(applied);
-        }
-        Ok(f(&engine))
-    }
-
     /// Answers one scattered sub-query in the shape the gather merges —
     /// AVG as its `(sum, count)` moments, everything else as the
     /// engine's estimate — if the host has applied at least
-    /// `min_applied`; otherwise returns the applied offset.
+    /// `min_applied`; otherwise returns the applied offset. The check and
+    /// the answer share one read guard.
     pub fn answer(
         &self,
         min_applied: u64,
         query: &Query,
     ) -> std::result::Result<Result<SubAnswer>, u64> {
-        self.read_if_fresh(min_applied, |engine| {
-            if query.agg == AggregateFunction::Avg {
-                engine
-                    .answer_sum_count(query)
-                    .map(|(sum, count)| SubAnswer::Moments { sum, count })
-            } else {
-                engine
-                    .query(query)
-                    .map(|answer| answer.map_or(SubAnswer::Empty, SubAnswer::Estimate))
-            }
+        let engine = self.engine.read();
+        let applied = self.applied();
+        if applied < min_applied {
+            return Err(applied);
+        }
+        Ok(if query.agg == AggregateFunction::Avg {
+            engine
+                .answer_sum_count(query)
+                .map(|(sum, count)| SubAnswer::Moments { sum, count })
+        } else {
+            engine
+                .query(query)
+                .map(|answer| answer.map_or(SubAnswer::Empty, SubAnswer::Estimate))
         })
     }
 

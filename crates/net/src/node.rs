@@ -165,13 +165,14 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
             std::thread::park_timeout(IDLE_MAX);
             continue;
         }
-        let chunk = state.config.pump_chunk.max(1);
-        let (done, skipped, _first_error) = slot.host.drain(&slot.log, slot.base, chunk, true);
-        if done + skipped == 0 {
+        // An idle shard parks without taking its engine's write guard.
+        if slot.received() <= slot.host.applied() {
             idle.park();
-        } else {
-            idle.reset();
+            continue;
         }
+        idle.reset();
+        let chunk = state.config.pump_chunk.max(1);
+        slot.host.drain(&slot.log, slot.base, chunk, true);
     }
 }
 
