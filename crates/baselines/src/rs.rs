@@ -7,7 +7,7 @@
 //! Table 2 shows RS latencies growing with data progress.
 
 use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
-use janus_core::templates::uniform_estimate;
+use janus_core::uniform_estimate;
 use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
 use janus_storage::ArchiveStore;
 

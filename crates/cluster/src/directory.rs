@@ -41,6 +41,7 @@ use crate::engine::ShardOp;
 use crate::router::{mix, ShardRouter};
 use janus_common::{DetHashMap, RowId};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::hash_map::Entry;
 
 /// Number of directory stripes. A power of two so stripe selection is a
 /// mask; 16 comfortably exceeds any plausible loader-thread count while
@@ -190,13 +191,12 @@ impl StripedDirectory {
             }
             let mut guard = self.stripes[stripe].write();
             for &i in bucket {
-                let id = rows[i].id;
-                if guard.contains_key(&id) {
-                    continue;
+                // One hash per id: the lookup that finds it absent places it.
+                if let Entry::Vacant(slot) = guard.entry(rows[i].id) {
+                    slot.insert(shard);
+                    accepted[i] = true;
+                    ok += 1;
                 }
-                guard.insert(id, shard);
-                accepted[i] = true;
-                ok += 1;
             }
         }
         ok

@@ -18,7 +18,7 @@
 //! triggers disabled, which the tests verify.
 
 use crate::engine::JanusEngine;
-use janus_common::{Moments, Result, Row, RowId};
+use janus_common::{JanusError, Moments, Result, Row, RowId};
 use std::time::{Duration, Instant};
 
 /// One update of a mixed workload — also the record type of a cluster
@@ -76,12 +76,20 @@ struct LeafDelta {
 /// the classification/aggregation phase (see module docs).
 ///
 /// Re-partitioning triggers are not evaluated inside the batch; call the
-/// engine's trigger path between batches if desired.
+/// engine's trigger path between batches if desired. The parallel phase
+/// classifies against one tree, so an engine with more than one template
+/// is rejected with [`JanusError::InvalidConfig`].
 pub fn apply_batch(
     engine: &mut JanusEngine,
     updates: Vec<Update>,
     threads: usize,
 ) -> Result<BatchReport> {
+    if engine.template_count() > 1 {
+        return Err(JanusError::InvalidConfig(format!(
+            "apply_batch drives one partition tree, not {}",
+            engine.template_count()
+        )));
+    }
     let threads = threads.max(1);
 
     // Resolve every update against the archive *as of its position in the
@@ -335,6 +343,15 @@ mod tests {
         let updates = vec![Update::Delete(999_999), Update::Delete(999_998)];
         let report = apply_batch(&mut engine, updates, 2).unwrap();
         assert_eq!(report.applied, 0);
+        assert_eq!(engine.population(), 500);
+    }
+
+    #[test]
+    fn an_engine_over_two_templates_is_refused() {
+        let configs = vec![config(9), config(10)];
+        let mut engine = JanusEngine::bootstrap_templates(configs, rows(500, 5)).unwrap();
+        let refused = apply_batch(&mut engine, vec![Update::Delete(0)], 2);
+        assert!(matches!(refused, Err(JanusError::InvalidConfig(_))));
         assert_eq!(engine.population(), 500);
     }
 }

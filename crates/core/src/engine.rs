@@ -1,6 +1,15 @@
-//! The JanusAQP engine (§3, §4.3, §5.4): archive + pooled reservoir +
-//! max-variance index + DPT, with catch-up processing and automatic
-//! re-partitioning.
+//! The JanusAQP engine (§3, §4.3, §5.4, §5.5): archive + pooled reservoir
+//! feeding `L` synopses (max-variance index + DPT each), with catch-up
+//! processing and automatic re-partitioning.
+//!
+//! `L = 1` ([`JanusEngine::bootstrap`]) is the common case. §5.5's first
+//! method registers one tree per query template over the same pooled
+//! sample ([`JanusEngine::bootstrap_templates`], or
+//! [`JanusEngine::add_template`] at run time) for total space `O(m + L·k)`;
+//! every update fans out to all trees, and each tree keeps its own
+//! statistics, catch-up and triggers. A query goes to the tree over its
+//! template, else to a tree over its predicate columns (sampling-only),
+//! else to the pooled sample ([`crate::uniform_estimate`]).
 //!
 //! This engine is synchronous and deterministic: every random choice
 //! derives from the configured seed, and catch-up advances only when the
@@ -12,7 +21,6 @@ use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
 use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
-use crate::partition::bs1d::Certificate;
 use crate::partition::{PartitionOutcome, Partitioner};
 use crate::synopsis::{PooledSample, Synopsis};
 use crate::tree::Dpt;
@@ -23,7 +31,8 @@ use janus_sampling::DynamicReservoir;
 use janus_storage::ArchiveStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Operation counters exposed for experiments and tests.
+/// Operation counters exposed for experiments and tests, summed over
+/// every tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Tuples inserted.
@@ -44,19 +53,20 @@ pub struct EngineStats {
     pub catchup_applied: u64,
 }
 
-/// The synchronous JanusAQP engine: the `L = 1` case of the §5.5
-/// architecture — one pooled sample, one synopsis over it.
+/// The synchronous JanusAQP engine: the §5.5 architecture — one pooled
+/// sample, one synopsis over it per registered template. The single-tree
+/// accessors ([`JanusEngine::dpt`], [`JanusEngine::try_repartition`], …)
+/// address the first template.
 pub struct JanusEngine {
     pool: PooledSample,
-    synopsis: Synopsis,
+    /// Never empty.
+    synopses: Vec<Synopsis>,
     /// Every counter but `queries`, which readers bump through `&self`.
     stats: EngineStats,
     queries: AtomicU64,
+    /// Updates since the last trigger check, at the first template's
+    /// `trigger_check_interval`.
     updates_since_check: usize,
-    /// Why the last armed trigger's candidate was out of reach, re-checked
-    /// by the next one before any cover runs (`partition::bs1d`,
-    /// "Certificates"). Never persisted.
-    certificate: Option<Certificate>,
 }
 
 impl JanusEngine {
@@ -78,17 +88,58 @@ impl JanusEngine {
         // A catch-up goal of the whole table is an exact base instead.
         let catchup_seed = (config.catchup_ratio < 1.0).then_some(config.seed ^ 0xca7c);
         let synopsis = Synopsis::build(config, &pool, catchup_seed)?;
-        Ok(Self::assemble(pool, synopsis, 0))
+        Ok(Self::assemble(pool, vec![synopsis], 0))
     }
 
-    fn assemble(pool: PooledSample, synopsis: Synopsis, updates_since_check: usize) -> Self {
+    /// Builds an engine with one synopsis per config over one pooled
+    /// sample (§5.5), sized by the largest configured sample rate and
+    /// seeded by the first config. Every catch-up phase is left
+    /// unconsumed, seeded from the shared sequence. All configs must name
+    /// the same archive backend: the trees share one archive.
+    pub fn bootstrap_templates(configs: Vec<SynopsisConfig>, rows: Vec<Row>) -> Result<Self> {
+        let Some(first) = configs.first() else {
+            return Err(JanusError::InvalidConfig(
+                "need at least one template".into(),
+            ));
+        };
+        for config in &configs {
+            config.validate()?;
+            same_archive(first, config)?;
+        }
+        let archive = ArchiveStore::from_rows_in(&first.archive_backend, rows)?;
+        let rate = configs.iter().map(|c| c.sample_rate).fold(0.0, f64::max);
+        let mut pool = PooledSample::draw(archive, rate, first.seed, [0x3333, 0x4444]);
+        let synopses = configs
+            .into_iter()
+            .map(|config| {
+                let seed = pool.next_seed();
+                Synopsis::build(config, &pool, Some(seed))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Self::assemble(pool, synopses, 0))
+    }
+
+    /// Registers a new template at run time (§5.5: "when we see a query
+    /// from a new template we can construct a new partition tree ... and
+    /// start the catch-up phase only for this tree"), running its catch-up
+    /// to the configured goal.
+    pub fn add_template(&mut self, config: SynopsisConfig) -> Result<()> {
+        config.validate()?;
+        same_archive(self.config(), &config)?;
+        let seed = self.pool.next_seed();
+        let mut synopsis = Synopsis::build(config, &self.pool, Some(seed))?;
+        self.stats.catchup_applied += synopsis.run_catchup_to_goal() as u64;
+        self.synopses.push(synopsis);
+        Ok(())
+    }
+
+    fn assemble(pool: PooledSample, synopses: Vec<Synopsis>, updates_since_check: usize) -> Self {
         JanusEngine {
             pool,
-            synopsis,
+            synopses,
             stats: EngineStats::default(),
             queries: AtomicU64::new(0),
             updates_since_check,
-            certificate: None,
         }
     }
 
@@ -96,9 +147,14 @@ impl JanusEngine {
     // Accessors
     // ------------------------------------------------------------------
 
-    /// The synopsis configuration.
+    /// The first template's synopsis configuration.
     pub fn config(&self) -> &SynopsisConfig {
-        &self.synopsis.config
+        &self.synopses[0].config
+    }
+
+    /// Number of registered templates `L`.
+    pub fn template_count(&self) -> usize {
+        self.synopses.len()
     }
 
     /// Current table size `|D|`.
@@ -116,14 +172,14 @@ impl JanusEngine {
         &self.pool.reservoir
     }
 
-    /// The partition tree.
+    /// The first template's partition tree.
     pub fn dpt(&self) -> &Dpt {
-        &self.synopsis.dpt
+        &self.synopses[0].dpt
     }
 
-    /// The max-variance index.
+    /// The first template's max-variance index.
     pub fn maxvar(&self) -> &MaxVarianceIndex {
-        &self.synopsis.maxvar
+        &self.synopses[0].maxvar
     }
 
     /// Operation counters.
@@ -134,25 +190,29 @@ impl JanusEngine {
         }
     }
 
-    /// Catch-up progress in `[0, 1]`.
+    /// Catch-up progress in `[0, 1]` of the tree furthest behind.
     pub fn catchup_progress(&self) -> f64 {
-        self.synopsis.catchup.progress()
+        let progress = self.synopses.iter().map(|s| s.catchup.progress());
+        progress.fold(1.0, f64::min)
     }
 
     // ------------------------------------------------------------------
     // Updates (§4.1, §4.2)
     // ------------------------------------------------------------------
 
-    /// Inserts a tuple: archive, tree path statistics, reservoir, and (if
-    /// sampled) the max-variance index; may trigger re-partitioning.
+    /// Inserts a tuple: archive, every tree's path statistics, reservoir,
+    /// and (if sampled) the max-variance indexes; may trigger
+    /// re-partitioning.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         let id = row.id;
         if !self.pool.archive.insert_values(id, &row.values)? {
             return Err(JanusError::InvalidConfig(format!("duplicate row id {id}")));
         }
-        let leaf = self.synopsis.dpt.record_insert(&row);
+        for synopsis in &mut self.synopses {
+            synopsis.last_leaf = synopsis.dpt.record_insert(&row);
+        }
         self.offer_to_reservoir(row);
-        self.after_update(leaf);
+        self.after_update();
         Ok(())
     }
 
@@ -163,24 +223,25 @@ impl JanusEngine {
             .archive
             .delete(id)?
             .ok_or(JanusError::RowNotFound(id))?;
-        let leaf = self.synopsis.dpt.record_delete(&row);
+        for synopsis in &mut self.synopses {
+            synopsis.last_leaf = synopsis.dpt.record_delete(&row);
+        }
         self.delete_from_reservoir(&row);
-        self.after_update(leaf);
+        self.after_update();
         Ok(row)
     }
 
     /// The sample half of an insert the archive accepted, whichever path
     /// applied the tree statistics.
     fn offer_to_reservoir(&mut self, row: Row) {
-        self.pool
-            .offer(row, std::slice::from_mut(&mut self.synopsis));
+        self.pool.offer(row, &mut self.synopses);
         self.stats.inserts += 1;
     }
 
     /// The sample half of a delete the archive applied.
     fn delete_from_reservoir(&mut self, row: &Row) {
-        let synopses = std::slice::from_mut(&mut self.synopsis);
-        self.stats.resamples += u64::from(self.pool.remove(row, synopses));
+        let resampled = self.pool.remove(row, &mut self.synopses);
+        self.stats.resamples += u64::from(resampled);
         self.stats.deletes += 1;
     }
 
@@ -197,7 +258,7 @@ impl JanusEngine {
         inserted_values: &[f64],
         deleted_values: &[f64],
     ) {
-        let dpt = &mut self.synopsis.dpt;
+        let dpt = &mut self.synopses[0].dpt;
         dpt.apply_leaf_delta(leaf, inserted, deleted, inserted_values, deleted_values);
     }
 
@@ -241,10 +302,10 @@ impl JanusEngine {
     }
 
     /// Counts the query and gathers what it touches, through the §5.5
-    /// dispatch: this engine's one tree, else the pooled sample.
+    /// dispatch over the registered trees, else the pooled sample.
     fn gather(&self, query: &Query) -> Result<Gathered<'_>> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let trees = std::iter::once(&self.synopsis.dpt);
+        let trees = self.synopses.iter().map(|s| &s.dpt);
         let pool = &self.pool;
         Gathered::route(query, trees, &pool.reservoir, pool.archive.len())
     }
@@ -254,7 +315,8 @@ impl JanusEngine {
     /// draining its ingest log) use so per-record dispatch overhead is
     /// paid once per batch. Application is strictly sequential, so the
     /// resulting engine state is *bit-identical* to calling
-    /// [`JanusEngine::insert`]/[`JanusEngine::delete`] per record.
+    /// [`JanusEngine::insert`]/[`JanusEngine::delete`] per record, for any
+    /// number of templates.
     ///
     /// Returns `(applied, skipped, first_error)`. With `skip_failed`
     /// unset, application stops at the first failing update (it is
@@ -328,63 +390,77 @@ impl JanusEngine {
     // Catch-up (§4.3)
     // ------------------------------------------------------------------
 
-    /// Applies up to `n` catch-up rows; returns how many were applied.
+    /// Applies up to `n` catch-up rows to every tree; returns how many
+    /// were applied in all.
     pub fn advance_catchup(&mut self, n: usize) -> usize {
-        let applied = self.synopsis.advance_catchup(n);
+        let applied = self.synopses.iter_mut().map(|s| s.advance_catchup(n)).sum();
         self.stats.catchup_applied += applied as u64;
         applied
     }
 
-    /// Runs catch-up to the configured goal.
+    /// Runs every tree's catch-up to its configured goal.
     pub fn run_catchup_to_goal(&mut self) {
-        self.stats.catchup_applied += self.synopsis.run_catchup_to_goal() as u64;
+        let synopses = self.synopses.iter_mut();
+        let applied: usize = synopses.map(Synopsis::run_catchup_to_goal).sum();
+        self.stats.catchup_applied += applied as u64;
     }
 
     // ------------------------------------------------------------------
     // Re-optimization (§4.3, §5.4, Appendix E)
     // ------------------------------------------------------------------
 
-    fn after_update(&mut self, leaf: usize) {
+    fn after_update(&mut self) {
         // Background catch-up, interleaved with update processing (§4.3).
-        let per_update = self.config().catchup_per_update;
-        if per_update > 0 && !self.synopsis.catchup.is_complete() {
-            self.advance_catchup(per_update);
+        for synopsis in &mut self.synopses {
+            let per_update = synopsis.config.catchup_per_update;
+            if per_update > 0 && !synopsis.catchup.is_complete() {
+                self.stats.catchup_applied += synopsis.advance_catchup(per_update) as u64;
+            }
         }
         self.updates_since_check += 1;
         if self.updates_since_check < self.config().trigger_check_interval {
             return;
         }
         self.updates_since_check = 0;
-        let synopsis = &mut self.synopsis;
-        synopsis.maxvar.set_population(self.pool.archive.len());
-        if !synopsis.config.auto_repartition {
-            return;
-        }
-        let trigger_cfg = TriggerConfig {
-            beta: synopsis.config.beta,
-            underrep_fraction: 1.0,
-        };
-        if trigger::check_leaf(&synopsis.dpt, &synopsis.maxvar, leaf, &trigger_cfg).is_some() {
-            self.try_repartition();
+        for i in 0..self.synopses.len() {
+            let synopsis = &mut self.synopses[i];
+            synopsis.maxvar.set_population(self.pool.archive.len());
+            if !synopsis.config.auto_repartition {
+                continue;
+            }
+            let trigger_cfg = TriggerConfig {
+                beta: synopsis.config.beta,
+                underrep_fraction: 1.0,
+            };
+            let (dpt, maxvar, leaf) = (&synopsis.dpt, &synopsis.maxvar, synopsis.last_leaf);
+            if trigger::check_leaf(dpt, maxvar, leaf, &trigger_cfg).is_some() {
+                self.try_repartition_at(i);
+            }
         }
     }
 
-    /// Evaluates the current partitioning after a leaf was flagged: asks
-    /// the partitioner for a candidate that can beat `M(R)/β` and adopts it
-    /// when it does (§5.4). A candidate the partitioner's pre-check rules
-    /// out ([`Partitioner::compute_if_below`]) counts as rejected without
-    /// being computed; most such rejections are decided by re-checking the
-    /// infeasibility certificate the previous one left, in `k` probes.
-    /// Returns whether a re-partitioning was adopted.
+    /// Evaluates the first tree's partitioning after a leaf was flagged:
+    /// asks the partitioner for a candidate that can beat `M(R)/β` and
+    /// adopts it when it does (§5.4). A candidate the partitioner's
+    /// pre-check rules out ([`Partitioner::compute_if_below`]) counts as
+    /// rejected without being computed; most such rejections are decided
+    /// by re-checking the infeasibility certificate the previous one left,
+    /// in `k` probes. Returns whether a re-partitioning was adopted.
     pub fn try_repartition(&mut self) -> bool {
-        let current_max = self.current_max_variance();
-        let config = &self.synopsis.config;
+        self.try_repartition_at(0)
+    }
+
+    /// [`JanusEngine::try_repartition`] for tree `i`.
+    fn try_repartition_at(&mut self, i: usize) -> bool {
+        let current_max = self.current_max_variance_at(i);
+        let synopsis = &mut self.synopses[i];
+        let config = &synopsis.config;
         let beta = config.beta;
         let Ok(candidate) = Partitioner::auto(config.rho).compute_if_below_remembering(
-            &self.synopsis.maxvar,
+            &synopsis.maxvar,
             config.leaf_count,
             trigger::adoption_bound(current_max, beta),
-            &mut self.certificate,
+            &mut synopsis.certificate,
         ) else {
             return false;
         };
@@ -392,7 +468,7 @@ impl JanusEngine {
             Some(outcome)
                 if trigger::accept_candidate(current_max, outcome.max_leaf_variance, beta) =>
             {
-                self.adopt_planned(outcome);
+                self.adopt_at(i, outcome);
                 true
             }
             _ => {
@@ -402,31 +478,46 @@ impl JanusEngine {
         }
     }
 
-    /// `M(R)` of the current partitioning: the worst live-leaf probe.
+    /// `M(R)` of the first tree's partitioning: the worst live-leaf probe.
     pub fn current_max_variance(&self) -> f64 {
-        let Synopsis { dpt, maxvar, .. } = &self.synopsis;
+        self.current_max_variance_at(0)
+    }
+
+    fn current_max_variance_at(&self, i: usize) -> f64 {
+        let Synopsis { dpt, maxvar, .. } = &self.synopses[i];
         dpt.live_leaves()
             .map(|leaf| maxvar.max_variance(&leaf.rect))
             .fold(0.0, f64::max)
     }
 
-    /// Forces a full re-initialization (§4.3): re-optimize the partitioning
-    /// from the pooled sample, populate approximate statistics from it,
-    /// re-sample the reservoir, and restart catch-up.
+    /// Forces a full re-initialization of the first tree (§4.3):
+    /// re-optimize the partitioning from the pooled sample, populate
+    /// approximate statistics from it, re-sample the reservoir, and restart
+    /// catch-up.
     pub fn reinitialize(&mut self) -> Result<()> {
-        let config = self.config();
-        let outcome =
-            Partitioner::auto(config.rho).compute(&self.synopsis.maxvar, config.leaf_count)?;
-        self.adopt_planned(outcome);
+        let Synopsis { config, maxvar, .. } = &self.synopses[0];
+        let outcome = Partitioner::auto(config.rho).compute(maxvar, config.leaf_count)?;
+        self.adopt_at(0, outcome);
         Ok(())
     }
 
     /// Exports the synopsis (tree + pooled sample) for persistence; see
     /// [`crate::snapshot`].
+    ///
+    /// # Panics
+    ///
+    /// If more than one template is registered: a snapshot carries one
+    /// tree.
     pub fn save_synopsis(&self) -> crate::snapshot::SynopsisSnapshot {
+        let [synopsis] = self.synopses.as_slice() else {
+            panic!(
+                "a synopsis snapshot holds one tree, not {}",
+                self.synopses.len()
+            );
+        };
         let reservoir = &self.pool.reservoir;
         crate::snapshot::SynopsisSnapshot {
-            dpt: self.synopsis.dpt.to_snapshot(),
+            dpt: synopsis.dpt.to_snapshot(),
             sample_rows: reservoir.iter().cloned().collect(),
             reservoir_floor: reservoir.floor(),
             reservoir_target: reservoir.target(),
@@ -434,7 +525,7 @@ impl JanusEngine {
             reservoir_rng: reservoir.rng_state().to_vec(),
             seed_counter: self.pool.seed_counter,
             updates_since_check: self.updates_since_check as u64,
-            catchup_rows: self.synopsis.catchup.remaining().to_vec(),
+            catchup_rows: synopsis.catchup.remaining().to_vec(),
         }
     }
 
@@ -514,21 +605,24 @@ impl JanusEngine {
             config,
             dpt,
             catchup: CatchupQueue::new(snapshot.catchup_rows.clone()),
+            certificate: None,
+            last_leaf: 0,
         };
         let updates_since_check = snapshot.updates_since_check as usize;
-        Ok(Self::assemble(pool, synopsis, updates_since_check))
+        Ok(Self::assemble(pool, vec![synopsis], updates_since_check))
     }
 
-    /// Snapshot of the current pooled-sample index points — the input the
-    /// §4.3 *optimization phase* works on, taken so the optimizer can run
-    /// off-thread without holding any engine lock.
+    /// Snapshot of the current pooled-sample index points of the first
+    /// tree — the input the §4.3 *optimization phase* works on, taken so
+    /// the optimizer can run off-thread without holding any engine lock.
     pub fn snapshot_sample_points(&self) -> Vec<IndexPoint> {
-        self.synopsis.maxvar.live_points()
+        self.maxvar().live_points()
     }
 
-    /// Computes a candidate partitioning from a (possibly stale) point
-    /// snapshot without touching engine state — §4.3 step 1, runnable in a
-    /// worker thread while the old synopsis keeps serving.
+    /// Computes a candidate partitioning for the first tree from a
+    /// (possibly stale) point snapshot without touching engine state —
+    /// §4.3 step 1, runnable in a worker thread while the old synopsis
+    /// keeps serving.
     pub fn plan_repartition(&self, points: Vec<IndexPoint>) -> Result<PartitionOutcome> {
         let config = self.config();
         let population = self.pool.archive.len();
@@ -536,11 +630,20 @@ impl JanusEngine {
         Partitioner::auto(config.rho).compute(&mv, config.leaf_count)
     }
 
-    /// Installs a previously-planned partitioning — the §4.3 step-2
-    /// *blocking* swap (statistics populated from the current pooled
-    /// sample, reservoir re-sampled, catch-up restarted).
+    /// Installs a previously-planned partitioning of the first tree — the
+    /// §4.3 step-2 *blocking* swap (statistics populated from the current
+    /// pooled sample, reservoir re-sampled, catch-up restarted).
     pub fn adopt_planned(&mut self, outcome: PartitionOutcome) {
-        let (pool, synopsis) = (&mut self.pool, &mut self.synopsis);
+        self.adopt_at(0, outcome);
+    }
+
+    /// [`JanusEngine::adopt_planned`] for tree `i`. The re-drawn pooled
+    /// sample is every tree's, so each re-derives its strata and **M** —
+    /// as on a §4.2 floor breach — while catch-up restarts for tree `i`
+    /// alone.
+    fn adopt_at(&mut self, i: usize, outcome: PartitionOutcome) {
+        let pool = &mut self.pool;
+        let synopsis = &mut self.synopses[i];
         // (1) New empty DPT from the optimized spec.
         let mut dpt = Synopsis::tree_over(&synopsis.config, &outcome, pool.archive.len())
             .expect("partitioner produced a valid spec");
@@ -549,20 +652,24 @@ impl JanusEngine {
         for row in pool.reservoir.iter() {
             dpt.apply_catchup_row(row);
         }
-        // (3) The old tree is discarded. (4) Fresh pooled sample.
+        // (3) The old tree is discarded. (4) Fresh pooled sample, at the
+        // largest rate any tree asks for.
         synopsis.dpt = dpt;
-        pool.redraw(synopsis.config.sample_rate);
-        synopsis.reset_samples(pool);
+        let rates = self.synopses.iter().map(|s| s.config.sample_rate);
+        pool.redraw(rates.fold(0.0, f64::max));
+        for synopsis in &mut self.synopses {
+            synopsis.reset_samples(pool);
+        }
         // (5) Catch-up restarts in the background.
-        synopsis.restart_catchup(pool);
+        self.synopses[i].restart_catchup(pool);
         self.stats.repartitions += 1;
     }
 
-    /// Partial re-partitioning (Appendix E): rebuilds only the subtree
-    /// `psi` levels above `leaf`, keeping all other estimates. Returns
-    /// whether the splice succeeded.
+    /// Partial re-partitioning of the first tree (Appendix E): rebuilds
+    /// only the subtree `psi` levels above `leaf`, keeping all other
+    /// estimates. Returns whether the splice succeeded.
     pub fn partial_repartition(&mut self, leaf: usize, psi: usize) -> Result<()> {
-        let (pool, synopsis) = (&mut self.pool, &mut self.synopsis);
+        let (pool, synopsis) = (&mut self.pool, &mut self.synopses[0]);
         let (dpt, maxvar) = (&mut synopsis.dpt, &synopsis.maxvar);
         let at = dpt.ancestor_at(leaf, psi);
         let l_u = dpt.leaves_under(at).max(2);
@@ -586,6 +693,18 @@ impl JanusEngine {
         self.stats.partial_repartitions += 1;
         Ok(())
     }
+}
+
+/// The trees share one archive, so a template must name the backend the
+/// engine's first template put it on.
+fn same_archive(first: &SynopsisConfig, config: &SynopsisConfig) -> Result<()> {
+    if config.archive_backend == first.archive_backend {
+        return Ok(());
+    }
+    Err(JanusError::InvalidConfig(format!(
+        "template archive backend {:?} differs from the shared archive's {:?}",
+        config.archive_backend, first.archive_backend
+    )))
 }
 
 #[cfg(test)]
@@ -729,7 +848,7 @@ mod tests {
         let mut engine = JanusEngine::bootstrap(config(6), data).unwrap();
         engine.reinitialize().unwrap();
         assert!(engine.stats().repartitions >= 1);
-        assert!(!engine.synopsis.catchup.is_complete());
+        assert!(!engine.synopses[0].catchup.is_complete());
         engine.run_catchup_to_goal();
         let q = sum_query(0.0, 100.0);
         let est = engine.query(&q).unwrap().unwrap();
@@ -838,5 +957,85 @@ mod tests {
             engine.query(&q).unwrap().unwrap().value
         };
         assert_eq!(run(), run());
+    }
+
+    /// The trees share one archive: a template on another backend is
+    /// refused at bootstrap and at run-time registration alike.
+    #[test]
+    fn a_template_on_another_archive_backend_is_rejected() {
+        let spill = SynopsisConfig {
+            archive_backend: janus_storage::ArchiveBackendKind::FileSpill {
+                root: std::env::temp_dir(),
+                seg_rows: 64,
+            },
+            ..config(11)
+        };
+        let both = vec![config(11), spill.clone()];
+        let refused = JanusEngine::bootstrap_templates(both, rows(500, 11));
+        assert!(matches!(refused, Err(JanusError::InvalidConfig(_))));
+        let mut engine = JanusEngine::bootstrap_templates(vec![config(11)], rows(500, 11)).unwrap();
+        let refused = engine.add_template(spill);
+        assert!(matches!(refused, Err(JanusError::InvalidConfig(_))));
+        assert_eq!(engine.template_count(), 1);
+        engine.add_template(config(12)).unwrap();
+        assert_eq!(engine.template_count(), 2);
+    }
+
+    /// A batch is per-row `insert`/`delete` in arrival order, triggers
+    /// included, with one template or two over the pooled sample.
+    #[test]
+    fn update_batches_match_per_row_updates_for_one_and_two_templates() {
+        use crate::concurrent::Update;
+        let mut transposed = config(14);
+        transposed.template = QueryTemplate::new(AggregateFunction::Sum, 0, vec![1]);
+        let mut rng = SmallRng::seed_from_u64(15);
+        let updates: Vec<Update> = (0..3_000u64)
+            .map(|i| match i % 4 {
+                3 => Update::Delete(i),
+                _ => {
+                    let x = rng.gen::<f64>() * 100.0;
+                    Update::Insert(Row::new(10_000 + i, vec![x, x * 2.0]))
+                }
+            })
+            .collect();
+        let queries = [
+            sum_query(10.0, 60.0),
+            Query::new(
+                AggregateFunction::Avg,
+                0,
+                vec![1],
+                RangePredicate::new(vec![30.0], vec![150.0]).unwrap(),
+            )
+            .unwrap(),
+        ];
+        for configs in [vec![config(14)], vec![config(14), transposed]] {
+            let make = || {
+                let mut engine =
+                    JanusEngine::bootstrap_templates(configs.clone(), rows(4_000, 14)).unwrap();
+                engine.run_catchup_to_goal();
+                engine
+            };
+            let (mut per_row, mut batched) = (make(), make());
+            for update in updates.clone() {
+                match update {
+                    Update::Insert(row) => per_row.insert(row).unwrap(),
+                    Update::Delete(id) => drop(per_row.delete(id).unwrap()),
+                }
+            }
+            let (applied, skipped, error) = batched.apply_update_batch(updates.clone(), false);
+            assert_eq!((applied, skipped), (updates.len(), 0));
+            assert!(error.is_none());
+            let templates = configs.len();
+            assert_eq!(batched.stats(), per_row.stats(), "{templates} templates");
+            let bits = |engine: &JanusEngine, q: &Query| {
+                let e = engine.query(q).unwrap().unwrap();
+                let variances = (e.catchup_variance.to_bits(), e.sample_variance.to_bits());
+                (e.value.to_bits(), variances, e.samples_used)
+            };
+            for q in &queries {
+                let (a, b) = (bits(&batched, q), bits(&per_row, q));
+                assert_eq!(a, b, "{templates} templates: {q:?}");
+            }
+        }
     }
 }

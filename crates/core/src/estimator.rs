@@ -270,11 +270,22 @@ impl<'a> Gathered<'a> {
     }
 }
 
+/// Uniform-sampling estimate of a query from a pooled sample of a
+/// population of `population` rows — the RS-style fallback for predicate
+/// attributes the synopsis was not built over (§5.5, evaluated in Fig. 8
+/// as "DropoffOverPickup").
+pub fn uniform_estimate<'a>(
+    query: &Query,
+    samples: impl Iterator<Item = &'a Row>,
+    population: usize,
+) -> Option<Estimate> {
+    Gathered::pooled(query, samples, population).finish(query.agg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::PartitionSpec;
-    use crate::templates::uniform_estimate;
     use crate::{JanusEngine, SynopsisConfig};
     use janus_common::{QueryTemplate, RangePredicate, RowId};
     use proptest::prelude::*;
@@ -305,6 +316,31 @@ mod tests {
             covered: Vec::new(),
             terms,
         }
+    }
+
+    #[test]
+    fn uniform_estimate_tracks_truth() {
+        let data = rows(5_000, 1);
+        let sample: Vec<&Row> = data.iter().step_by(20).collect();
+        let q = query(AggregateFunction::Sum, 2, 0, 1.0, 8.0);
+        let est = uniform_estimate(&q, sample.into_iter(), data.len()).unwrap();
+        let truth = q.evaluate_exact(&data).unwrap();
+        assert!(
+            (est.value - truth).abs() / truth < 0.2,
+            "est {} truth {truth}",
+            est.value
+        );
+        assert!(est.sample_variance > 0.0);
+    }
+
+    #[test]
+    fn uniform_estimate_handles_empty_matches() {
+        let data = rows(100, 2);
+        let q = query(AggregateFunction::Avg, 2, 0, 1000.0, 2000.0);
+        assert!(uniform_estimate(&q, data.iter(), data.len()).is_none());
+        let q = query(AggregateFunction::Count, 2, 0, 1000.0, 2000.0);
+        let est = uniform_estimate(&q, data.iter(), data.len()).unwrap();
+        assert_eq!(est.value, 0.0);
     }
 
     proptest! {

@@ -11,9 +11,9 @@
 //!   split into catch-up estimates and exact insert/delete deltas, bounded
 //!   MIN/MAX heaps, pooled-sample strata at the leaves, query answering with
 //!   two-source confidence intervals (§4.4). Every answer path — the tree,
-//!   the §5.5 sampling-only and uniform fallbacks, the scatter-gather
-//!   `(SUM, COUNT)` pair — is one gather plus one finisher per aggregate in
-//!   the private `estimator` module.
+//!   the §5.5 sampling-only and uniform ([`uniform_estimate`]) fallbacks,
+//!   the scatter-gather `(SUM, COUNT)` pair — is one gather plus one
+//!   finisher per aggregate in the private `estimator` module.
 //! * [`maxvar`] — the dynamic max-variance index **M** (§5.3.1/§D.1):
 //!   median-split for COUNT/SUM, heaviest-canonical-cell for AVG, over a
 //!   Bentley–Saxe dynamized range tree (`d <= 2`) or kd-tree (`d > 2`).
@@ -27,16 +27,14 @@
 //!   re-partitioning.
 //! * [`catchup`] — catch-up processing (§4.3): epoch bookkeeping and the
 //!   randomized archival sample queue that refines node statistics online.
-//! * `synopsis` (private) — the body both engines are built from (§4.2,
+//! * `synopsis` (private) — the body the engine is built from (§4.2,
 //!   §4.3, §5.5): the archive and the pooled reservoir, and per template a
 //!   tree, its strata and **M**; the one place a reservoir outcome is
 //!   mirrored into them and a floor breach re-samples.
-//! * [`engine`] — the synchronous, deterministic DAQP engine (one synopsis)
-//!   with triggers, re-partitioning and snapshots; [`concurrent`] — the
-//!   multi-threaded wrapper used for the throughput and re-initialization
-//!   experiments (§6.3).
-//! * [`templates`] — multi-template support (§5.5): several synopses over
-//!   one pooled sample.
+//! * [`engine`] — the synchronous, deterministic DAQP engine (one synopsis
+//!   per registered template, §5.5) with triggers, re-partitioning and
+//!   snapshots; [`concurrent`] — the multi-threaded wrapper used for the
+//!   throughput and re-initialization experiments (§6.3).
 
 pub mod catchup;
 pub mod concurrent;
@@ -50,12 +48,12 @@ pub mod node;
 pub mod partition;
 pub mod snapshot;
 mod synopsis;
-pub mod templates;
 pub mod tree;
 pub mod trigger;
 
 pub use config::SynopsisConfig;
 pub use engine::{EngineStats, JanusEngine};
+pub use estimator::uniform_estimate;
 pub use live::LiveEngine;
 pub use maxvar::MaxVarianceIndex;
 pub use partition::{PartitionSpec, Partitioner, PartitionerKind};

@@ -1,4 +1,4 @@
-//! The synopsis body both engines are built from (§4.2, §4.3, §5.5): one
+//! The synopsis body the engine is built from (§4.2, §4.3, §5.5): one
 //! pooled sample feeding `L` partition trees, each with its strata, its
 //! max-variance index **M** and its catch-up queue.
 //!
@@ -6,12 +6,13 @@
 //! reservoir drawn from it and the derived-seed sequence. Every reservoir
 //! outcome is mirrored into the strata and **M** of every synopsis here,
 //! in [`PooledSample::offer`] and [`PooledSample::remove`], and nowhere
-//! else: [`crate::engine::JanusEngine`] is the `L = 1` case and
-//! [`crate::templates::MultiTemplateEngine`] the general one.
+//! else. [`crate::engine::JanusEngine`] holds one pool and `L ≥ 1`
+//! synopses.
 
 use crate::catchup::CatchupQueue;
 use crate::config::SynopsisConfig;
 use crate::maxvar::{index_point, MaxVarianceIndex};
+use crate::partition::bs1d::Certificate;
 use crate::partition::{PartitionOutcome, Partitioner};
 use crate::tree::Dpt;
 use janus_common::{Result, Row, RowRef};
@@ -25,6 +26,13 @@ pub(crate) struct Synopsis {
     pub(crate) dpt: Dpt,
     pub(crate) maxvar: MaxVarianceIndex,
     pub(crate) catchup: CatchupQueue,
+    /// Why this tree's last armed trigger's candidate was out of reach,
+    /// re-checked against **M** by the next one before any cover runs
+    /// (`partition::bs1d`, "Certificates"). Never persisted.
+    pub(crate) certificate: Option<Certificate>,
+    /// The leaf the latest update's path ended in: the one a trigger
+    /// check inspects.
+    pub(crate) last_leaf: usize,
 }
 
 impl Synopsis {
@@ -61,6 +69,8 @@ impl Synopsis {
             dpt,
             maxvar,
             catchup,
+            certificate: None,
+            last_leaf: 0,
         })
     }
 
@@ -150,7 +160,7 @@ pub(crate) struct PooledSample {
 impl PooledSample {
     /// Draws the initial pooled sample of `archive` at `sample_rate`.
     /// `salts` tell the reservoir's admission stream and the draw apart
-    /// from each other and from the other engine's.
+    /// from each other and from the other bootstrap's.
     pub(crate) fn draw(
         archive: ArchiveStore,
         sample_rate: f64,

@@ -76,7 +76,6 @@ pub mod prelude {
         RowRef, Schema, TenantId, Z_95,
     };
     pub use janus_core::concurrent::{apply_batch, Update};
-    pub use janus_core::templates::MultiTemplateEngine;
     pub use janus_core::{EngineStats, JanusEngine, LiveEngine, PartitionerKind, SynopsisConfig};
     pub use janus_data::{
         generate_partitioned, intel_wireless, nasdaq_etf, nyc_taxi, Dataset, PartitionedSpec,

@@ -1,11 +1,10 @@
 //! Internet-of-things monitoring (§1): several query templates over one
-//! sensor stream, served by the §5.5 multi-template engine — one pooled
-//! sample shared by multiple partition trees — plus MIN/MAX alerting from
-//! the bounded heaps.
+//! sensor stream, served by one engine over §5.5's multiple templates —
+//! one pooled sample shared by several partition trees, each with its own
+//! triggers and catch-up — plus MIN/MAX alerting from the bounded heaps.
 //!
 //! Run with: `cargo run --release --example iot_monitoring`
 
-use janus::core::templates::MultiTemplateEngine;
 use janus::prelude::*;
 
 fn main() {
@@ -30,12 +29,12 @@ fn main() {
     };
     let split = dataset.len() / 2;
     let (initial, arriving) = dataset.rows.split_at(split);
-    let mut engine = MultiTemplateEngine::bootstrap(
+    let mut engine = JanusEngine::bootstrap_templates(
         vec![mk(light, vec![time], 1), mk(temperature, vec![voltage], 2)],
         initial.to_vec(),
     )
     .expect("bootstrap");
-    engine.run_all_catchup();
+    engine.run_catchup_to_goal();
     println!(
         "{} templates over {} rows",
         engine.template_count(),

@@ -14,7 +14,6 @@
 //! two-layer MIN/MAX answer reports `samples_used = 0`, and a uniform
 //! answer reports `partial_nodes = 0`.
 
-use janus::core::templates::MultiTemplateEngine;
 use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,12 +66,12 @@ fn pinned_engine() -> JanusEngine {
     engine
 }
 
-fn pinned_multi() -> MultiTemplateEngine {
+fn pinned_multi() -> JanusEngine {
     let mut rng = SmallRng::seed_from_u64(0x3171);
     let rows: Vec<Row> = (0..8_000).map(|i| row(i, &mut rng)).collect();
     let mut engine =
-        MultiTemplateEngine::bootstrap(vec![config(X, 19), config(Y, 19)], rows).unwrap();
-    engine.run_all_catchup();
+        JanusEngine::bootstrap_templates(vec![config(X, 19), config(Y, 19)], rows).unwrap();
+    engine.run_catchup_to_goal();
     for id in 8_000..8_600u64 {
         engine.insert(row(id, &mut rng)).unwrap();
     }
@@ -357,8 +356,8 @@ fn multi_template_answers_past_a_resample_are_pinned() {
     let mut rng = SmallRng::seed_from_u64(0x51ab);
     let rows: Vec<Row> = (0..8_000).map(|i| row(i, &mut rng)).collect();
     let mut engine =
-        MultiTemplateEngine::bootstrap(vec![config(X, 25), config(Y, 25)], rows).unwrap();
-    engine.run_all_catchup();
+        JanusEngine::bootstrap_templates(vec![config(X, 25), config(Y, 25)], rows).unwrap();
+    engine.run_catchup_to_goal();
     for id in 0..4_400u64 {
         engine.delete(id).unwrap();
     }

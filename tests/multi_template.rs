@@ -1,10 +1,9 @@
 //! §5.5 multi-template behaviour across crates: shared pooled sample,
 //! per-template trees, heuristic fallbacks (Fig. 8 scenarios).
 
-use janus::core::templates::MultiTemplateEngine;
 use janus::prelude::*;
 
-fn taxi_engine(n: usize, seed: u64) -> (Dataset, MultiTemplateEngine) {
+fn taxi_engine(n: usize, seed: u64) -> (Dataset, JanusEngine) {
     let d = nyc_taxi(n, seed);
     let pickup = d.col("pickup_time");
     let dropoff = d.col("dropoff_time");
@@ -20,8 +19,8 @@ fn taxi_engine(n: usize, seed: u64) -> (Dataset, MultiTemplateEngine) {
         c
     };
     let mut engine =
-        MultiTemplateEngine::bootstrap(vec![mk(pickup), mk(dropoff)], d.rows.clone()).unwrap();
-    engine.run_all_catchup();
+        JanusEngine::bootstrap_templates(vec![mk(pickup), mk(dropoff)], d.rows.clone()).unwrap();
+    engine.run_catchup_to_goal();
     (d, engine)
 }
 

@@ -384,3 +384,61 @@ fn interleaved_adoptions_and_rejections_match_the_full_rule() {
     assert!(seen.rejected > 0, "{seen:?}");
     assert_same_outcome(&mut engine, &mut reference, &seen, 39);
 }
+
+/// `automatic_trigger_fires_under_extreme_drift` over two templates on one
+/// pooled sample — SUM(col 1) over col 0 and SUM(col 0) over col 1 — so
+/// every tree checks its own trigger. An adoption by either re-draws the
+/// sample both trees stratify: no tree may keep strata from the old one.
+#[test]
+fn automatic_triggers_fire_over_two_templates_under_extreme_drift() {
+    let mut rng = SmallRng::seed_from_u64(22);
+    let initial: Vec<Row> = (0..5_000)
+        .map(|i| Row::new(i, vec![rng.gen::<f64>() * 100.0, rng.gen::<f64>()]))
+        .collect();
+    let configs = [(1, 0), (0, 1)]
+        .map(|(agg, pred)| {
+            let mut cfg = config(22);
+            cfg.template = QueryTemplate::new(AggregateFunction::Sum, agg, vec![pred]);
+            cfg.trigger_check_interval = 64;
+            cfg.beta = 4.0;
+            cfg
+        })
+        .to_vec();
+    let mut engine = JanusEngine::bootstrap_templates(configs, initial).unwrap();
+    engine.run_catchup_to_goal();
+    for i in 0..5_000u64 {
+        let x = 42.0 + (i as f64) * 1e-5;
+        engine
+            .insert(Row::new(100_000 + i, vec![x, 1e5 + rng.gen::<f64>() * 1e4]))
+            .unwrap();
+    }
+    let s = engine.stats();
+    assert!(
+        s.repartitions + s.rejected_repartitions > 0,
+        "trigger never evaluated a candidate: {s:?}"
+    );
+    let whole = |agg_col: usize, pred: usize| {
+        let all = RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY]).unwrap();
+        Query::new(AggregateFunction::Sum, agg_col, vec![pred], all).unwrap()
+    };
+    // Aggregating a tree's own predicate column answers from its strata
+    // alone, and over the whole domain every sampled row matches.
+    for pred in [0, 1] {
+        let est = engine.query(&whole(pred, pred)).unwrap().unwrap();
+        assert_eq!(
+            est.samples_used,
+            engine.reservoir().len(),
+            "strata of the tree over column {pred}"
+        );
+    }
+    for (agg_col, pred) in [(1, 0), (0, 1)] {
+        let q = whole(agg_col, pred);
+        let est = engine.query(&q).unwrap().unwrap();
+        let truth = engine.evaluate_exact(&q).unwrap();
+        assert!(
+            est.relative_error(truth) < 0.1,
+            "SUM(col {agg_col}) over col {pred}: est {} truth {truth}",
+            est.value
+        );
+    }
+}

@@ -8,7 +8,6 @@
 //! what the archive does. The §5.5 multi-template engine inserts through
 //! the same pooled-sample step, so it inherits the bound.
 
-use janus::core::templates::MultiTemplateEngine;
 use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -166,8 +165,8 @@ fn multi_template_inserts_allocate_less_than_once_each() {
         })
         .to_vec();
     let initial: Vec<Row> = (0..BASE).map(|i| row(i, &mut rng)).collect();
-    let mut engine = MultiTemplateEngine::bootstrap(configs, initial).unwrap();
-    engine.run_all_catchup();
+    let mut engine = JanusEngine::bootstrap_templates(configs, initial).unwrap();
+    engine.run_catchup_to_goal();
 
     let mut next = BASE;
     for _ in 0..2_000 {
