@@ -1,4 +1,4 @@
-//! The serialized form of a whole-cluster checkpoint.
+//! The persisted form of a whole-cluster checkpoint.
 //!
 //! A [`ClusterCheckpoint`] is everything a dead cluster needs to come
 //! back *exactly* as it was: the router (policy, range bounds, rotation
@@ -20,38 +20,28 @@
 //!   the invariant the live checkpointer enforces before saving).
 //!
 //! Checkpoints travel through the payload-agnostic
-//! [`janus_storage::CheckpointStore`] as JSON, so any backend (memory,
-//! files, and whatever the trait grows next) can carry them.
+//! [`janus_storage::CheckpointStore`] as CRC-sealed
+//! [`janus_common::codec`] blobs, so any backend (memory, files, and
+//! whatever the trait grows next) can carry them and a flipped bit is a
+//! typed [`JanusError::Storage`], never a different synopsis.
 
 use crate::router::{ShardPolicy, ShardRouter};
+use janus_common::codec::{self, Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Result, Row};
 use janus_core::snapshot::SynopsisSnapshot;
 use janus_storage::CheckpointStore;
-use serde::{Deserialize, Serialize};
 
-/// Which routing policy a [`RouterSnapshot`] captures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PolicyKind {
-    /// [`ShardPolicy::HashById`].
-    HashById,
-    /// [`ShardPolicy::RoundRobin`].
-    RoundRobin,
-    /// [`ShardPolicy::Range`].
-    Range,
-}
+/// Blob tags: a blob of the wrong kind fails to decode.
+const ROUTER_TAG: &[u8; 4] = b"JRTR";
+const SHARD_TAG: &[u8; 4] = b"JSHD";
+const CLUSTER_TAG: &[u8; 4] = b"JCKP";
 
-/// Serialized router state: the policy plus the routing state that is
-/// not derivable from it (current range bounds after rebalances, the
-/// round-robin rotation cursor).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Persisted router state: the policy (current range bounds after
+/// rebalances included) plus the round-robin rotation cursor.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RouterSnapshot {
-    /// Routing policy discriminant.
-    pub kind: PolicyKind,
-    /// Routing column (`Range` only; 0 otherwise).
-    pub column: usize,
-    /// Ascending inner slab boundaries (`Range` only; empty otherwise).
-    /// Bounds are always finite, so they survive JSON exactly.
-    pub bounds: Vec<f64>,
+    /// The routing policy.
+    pub policy: ShardPolicy,
     /// Round-robin rotation cursor (0 under other policies).
     pub cursor: usize,
 }
@@ -62,46 +52,37 @@ impl RouterSnapshot {
         Self::from_policy(router.policy(), router.rotation_cursor())
     }
 
-    /// Encodes a bare policy (plus rotation cursor) without a live
-    /// router — what the bulk loader pins into its resume journal from a
+    /// A bare policy (plus rotation cursor) without a live router — what
+    /// the bulk loader pins into its resume journal from a
     /// [`crate::RoutingSnapshot`].
     pub fn from_policy(policy: &ShardPolicy, cursor: usize) -> Self {
-        let (kind, column, bounds) = match policy {
-            ShardPolicy::HashById => (PolicyKind::HashById, 0, Vec::new()),
-            ShardPolicy::RoundRobin => (PolicyKind::RoundRobin, 0, Vec::new()),
-            ShardPolicy::Range { column, bounds } => (PolicyKind::Range, *column, bounds.clone()),
-        };
         RouterSnapshot {
-            kind,
-            column,
-            bounds,
+            policy: policy.clone(),
             cursor,
-        }
-    }
-
-    /// The policy this snapshot encodes.
-    pub fn to_policy(&self) -> ShardPolicy {
-        match self.kind {
-            PolicyKind::HashById => ShardPolicy::HashById,
-            PolicyKind::RoundRobin => ShardPolicy::RoundRobin,
-            PolicyKind::Range => ShardPolicy::Range {
-                column: self.column,
-                bounds: self.bounds.clone(),
-            },
         }
     }
 
     /// Rebuilds a router mid-rotation for `shards` shards.
     pub fn rebuild(&self, shards: usize) -> Result<ShardRouter> {
-        let mut router = ShardRouter::new(self.to_policy(), shards)?;
+        let mut router = ShardRouter::new(self.policy.clone(), shards)?;
         router.restore_cursor(self.cursor);
         Ok(router)
+    }
+
+    /// Encodes to a CRC-sealed blob.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::to_blob(ROUTER_TAG, self)
+    }
+
+    /// Decodes a blob written by [`RouterSnapshot::to_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        codec::from_blob(ROUTER_TAG, bytes, "router snapshot")
     }
 }
 
 /// One shard's checkpoint: synopsis + archive + topic offsets, built by
 /// [`crate::host::ShardHost::capture`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ShardCheckpoint {
     /// Shard index.
     pub shard: usize,
@@ -116,8 +97,21 @@ pub struct ShardCheckpoint {
     pub archive_rows: Vec<Row>,
 }
 
+impl ShardCheckpoint {
+    /// Encodes to a CRC-sealed blob — the payload of a shipped
+    /// `Frame::Checkpoint`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::to_blob(SHARD_TAG, self)
+    }
+
+    /// Decodes a blob written by [`ShardCheckpoint::to_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        codec::from_blob(SHARD_TAG, bytes, "shard checkpoint")
+    }
+}
+
 /// A consistent whole-cluster checkpoint.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterCheckpoint {
     /// Router state at checkpoint time.
     pub router: RouterSnapshot,
@@ -148,20 +142,19 @@ impl ClusterCheckpoint {
             .all(|s| s.applied_offset == s.published_offset)
     }
 
-    /// Serializes to the JSON payload a [`CheckpointStore`] carries.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serialization is infallible")
+    /// Encodes to the sealed blob a [`CheckpointStore`] carries.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::to_blob(CLUSTER_TAG, self)
     }
 
-    /// Parses a stored payload.
-    pub fn from_json(payload: &str) -> Result<Self> {
-        serde_json::from_str(payload)
-            .map_err(|e| JanusError::Storage(format!("corrupt checkpoint: {e}")))
+    /// Decodes a stored blob; any corruption is [`JanusError::Storage`].
+    pub fn from_bytes(payload: &[u8]) -> Result<Self> {
+        codec::from_blob(CLUSTER_TAG, payload, "checkpoint")
     }
 
     /// Persists this checkpoint under `id`.
     pub fn save(&self, store: &dyn CheckpointStore, id: u64) -> Result<()> {
-        store.put(id, &self.to_json())
+        store.put(id, &self.to_bytes())
     }
 
     /// Loads the newest checkpoint in `store`, returning its id too.
@@ -172,7 +165,93 @@ impl ClusterCheckpoint {
         let payload = store
             .get(id)
             .ok_or_else(|| JanusError::Storage(format!("checkpoint {id} vanished")))?;
-        Ok((id, Self::from_json(&payload)?))
+        Ok((id, Self::from_bytes(&payload)?))
+    }
+}
+
+impl Encode for ShardPolicy {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            ShardPolicy::HashById => e.u8(0),
+            ShardPolicy::RoundRobin => e.u8(1),
+            ShardPolicy::Range { column, bounds } => {
+                e.u8(2);
+                e.usize(*column);
+                bounds.encode(e);
+            }
+        }
+    }
+}
+
+impl Decode for ShardPolicy {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => ShardPolicy::HashById,
+            1 => ShardPolicy::RoundRobin,
+            2 => ShardPolicy::Range {
+                column: d.usize()?,
+                bounds: d.get()?,
+            },
+            other => return Err(d.error(format!("invalid shard-policy tag {other}"))),
+        })
+    }
+}
+
+impl Encode for RouterSnapshot {
+    fn encode(&self, e: &mut Enc) {
+        self.policy.encode(e);
+        e.usize(self.cursor);
+    }
+}
+
+impl Decode for RouterSnapshot {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(RouterSnapshot {
+            policy: d.get()?,
+            cursor: d.usize()?,
+        })
+    }
+}
+
+impl Encode for ShardCheckpoint {
+    fn encode(&self, e: &mut Enc) {
+        e.usize(self.shard);
+        e.u64(self.applied_offset);
+        e.u64(self.published_offset);
+        self.synopsis.encode(e);
+        self.archive_rows.encode(e);
+    }
+}
+
+impl Decode for ShardCheckpoint {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(ShardCheckpoint {
+            shard: d.usize()?,
+            applied_offset: d.u64()?,
+            published_offset: d.u64()?,
+            synopsis: d.get()?,
+            archive_rows: d.get()?,
+        })
+    }
+}
+
+impl Encode for ClusterCheckpoint {
+    fn encode(&self, e: &mut Enc) {
+        self.router.encode(e);
+        e.u64(self.rebalance_generation);
+        e.u64(self.request_offset);
+        self.shards.encode(e);
+    }
+}
+
+impl Decode for ClusterCheckpoint {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(ClusterCheckpoint {
+            router: d.get()?,
+            rebalance_generation: d.u64()?,
+            request_offset: d.u64()?,
+            shards: d.get()?,
+        })
     }
 }
 
@@ -202,18 +281,22 @@ mod tests {
             let rebuilt = snap.rebuild(shards).unwrap();
             assert_eq!(rebuilt.policy(), &policy);
             assert_eq!(rebuilt.rotation_cursor(), router.rotation_cursor());
-            // And the snapshot itself survives JSON.
-            let json = serde_json::to_string(&snap).unwrap();
-            let back: RouterSnapshot = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.bounds, snap.bounds);
-            assert_eq!(back.cursor, snap.cursor);
-            assert_eq!(back.kind, snap.kind);
+            // And the snapshot itself survives its encoding.
+            assert_eq!(RouterSnapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
         }
     }
 
     #[test]
     fn corrupt_payloads_are_rejected() {
-        assert!(ClusterCheckpoint::from_json("not json").is_err());
-        assert!(ClusterCheckpoint::from_json("{\"router\": 3}").is_err());
+        for payload in [
+            &b""[..],
+            b"not a checkpoint",
+            &RouterSnapshot::from_policy(&ShardPolicy::HashById, 0).to_bytes(),
+        ] {
+            assert!(matches!(
+                ClusterCheckpoint::from_bytes(payload),
+                Err(JanusError::Storage(_))
+            ));
+        }
     }
 }

@@ -1306,7 +1306,7 @@ impl ClusterEngine {
         // bounds move with rebalances and the rotation cursor with
         // traffic, and both are part of what "exactly as it was" means.
         let mut router = checkpoint.router.rebuild(config.shards)?;
-        config.policy = checkpoint.router.to_policy();
+        config.policy = checkpoint.router.policy.clone();
         let rebalance_generation = checkpoint.rebalance_generation;
         let router_snapshot = checkpoint.router.clone();
         let detached = log.is_none();

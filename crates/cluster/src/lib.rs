@@ -76,7 +76,7 @@ pub mod rebalance;
 pub mod router;
 pub(crate) mod scatter;
 
-pub use checkpoint::{ClusterCheckpoint, PolicyKind, RouterSnapshot, ShardCheckpoint};
+pub use checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
 pub use directory::{resolve_batch, PlacementSink};
 pub use engine::{
     ClusterConfig, ClusterEngine, ClusterStats, PublishReport, QueryOptions, ShardOp,

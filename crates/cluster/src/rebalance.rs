@@ -451,8 +451,8 @@ mod tests {
                 follower.population(),
                 "shipped follower must mirror its primary"
             );
-            let ps = serde_json::to_string(&primary.save_synopsis()).unwrap();
-            let fs = serde_json::to_string(&follower.save_synopsis()).unwrap();
+            let ps = primary.save_synopsis().to_bytes();
+            let fs = follower.save_synopsis().to_bytes();
             assert_eq!(ps, fs, "snapshots must be bit-identical");
         }
     }

@@ -19,12 +19,16 @@
 //!   deployments;
 //! * [`faults`] — the seeded, zero-cost-when-disabled failpoint registry
 //!   every durability and network boundary checks;
-//! * [`mod@crc32`] — the end-to-end integrity checksum on wire frames and
-//!   sealed spill segments.
+//! * [`codec`] — the one binary encoding (LE integers, `f64` bits,
+//!   count-prefixed collections, CRC32-sealed blobs) of wire frames,
+//!   spill segments, checkpoints, journals and directory snapshots;
+//! * [`mod@crc32`] — the end-to-end integrity checksum [`codec`] seals
+//!   with.
 //!
 //! The crate is dependency-light by design: every other crate in the
 //! workspace builds on these types.
 
+pub mod codec;
 pub mod crc32;
 pub mod det_hash;
 pub mod error;

@@ -3,7 +3,6 @@
 use crate::kernels::{self, ScanPartial};
 use crate::rect::RangePredicate;
 use crate::row::Row;
-use serde::{Deserialize, Serialize};
 
 /// Identifies the tenant a request is billed to in a multi-tenant
 /// deployment. Tenant `0` is the untenanted default every legacy path
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub type TenantId = u32;
 
 /// The aggregate functions supported by JanusAQP synopses (§1, §3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AggregateFunction {
     /// `COUNT(*)` over matching tuples.
     Count,
@@ -58,7 +57,7 @@ impl std::fmt::Display for AggregateFunction {
 
 /// A query *template*: the shape `SELECT agg(A) FROM D WHERE
 /// Rectangle(c1,...,cd)` that a synopsis is constructed for (§3.1, §5.5).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct QueryTemplate {
     /// Aggregate function of the template.
     pub agg: AggregateFunction,
@@ -87,7 +86,7 @@ impl QueryTemplate {
 
 /// A concrete aggregate query: a template instantiated with a rectangular
 /// predicate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Query {
     /// Aggregate function.
     pub agg: AggregateFunction,
@@ -223,7 +222,7 @@ impl ExactAccumulator<'_> {
 }
 
 /// An approximate answer together with its uncertainty (§4.4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Estimate {
     /// Point estimate of the aggregate.
     pub value: f64,

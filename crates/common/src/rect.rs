@@ -16,10 +16,9 @@
 //! the cost of touching a few more samples.
 
 use crate::error::{JanusError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A half-open axis-aligned box `[lo, hi)` in predicate space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Rect {
     lo: Vec<f64>,
     hi: Vec<f64>,
@@ -160,7 +159,7 @@ impl Rect {
 }
 
 /// A closed axis-aligned query predicate `[lo, hi]`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RangePredicate {
     lo: Vec<f64>,
     hi: Vec<f64>,

@@ -1,7 +1,6 @@
 //! Relational tuple model: rows, columns, schemas.
 
 use crate::error::{JanusError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Unique identifier of a tuple over the lifetime of the database.
 ///
@@ -14,7 +13,7 @@ pub type RowId = u64;
 /// All attributes are numeric, matching the paper's setting (aggregation
 /// attributes and rectangular predicates over numeric columns). Categorical
 /// attributes are dictionary-encoded into `f64` by the data generators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     /// Stable unique id.
     pub id: RowId,
@@ -137,14 +136,14 @@ fn project_values_into(values: &[f64], cols: &[usize], out: &mut Vec<f64>) {
 }
 
 /// A named column.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name, unique within a schema.
     pub name: String,
 }
 
 /// An ordered list of named columns.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

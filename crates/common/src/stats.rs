@@ -6,13 +6,11 @@
 //! group under merge/subtract, which is what makes incremental maintenance
 //! under arbitrary insertions *and* deletions possible.
 
-use serde::{Deserialize, Serialize};
-
 /// A count / sum / sum-of-squares accumulator.
 ///
 /// `count` is an `f64` so that the same type can hold *estimated* moments
 /// (e.g. scaled catch-up statistics, which are generally fractional).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Moments {
     /// Number of values (possibly estimated / fractional).
     pub count: f64,

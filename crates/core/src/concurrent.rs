@@ -18,6 +18,7 @@
 //! triggers disabled, which the tests verify.
 
 use crate::engine::JanusEngine;
+use janus_common::codec::{Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Moments, Result, Row, RowId};
 use std::time::{Duration, Instant};
 
@@ -29,6 +30,34 @@ pub enum Update {
     Insert(Row),
     /// Delete the tuple with this id.
     Delete(RowId),
+}
+
+impl Encode for Update {
+    #[inline]
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            Update::Insert(row) => {
+                e.u8(0);
+                row.encode(e);
+            }
+            Update::Delete(id) => {
+                e.u8(1);
+                e.u64(*id);
+            }
+        }
+    }
+}
+
+impl Decode for Update {
+    const MIN_LEN: usize = 9;
+    #[inline]
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => Update::Insert(d.get()?),
+            1 => Update::Delete(d.u64()?),
+            other => return Err(d.error(format!("invalid shard-op tag {other}"))),
+        })
+    }
 }
 
 /// Outcome of a parallel batch application.

@@ -1,5 +1,6 @@
 //! Synopsis construction parameters (§3.1, §5.5).
 
+use janus_common::codec::{Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, QueryTemplate, Result};
 use janus_storage::ArchiveBackendKind;
 
@@ -138,6 +139,46 @@ impl SynopsisConfig {
             ));
         }
         Ok(())
+    }
+}
+
+impl Encode for SynopsisConfig {
+    fn encode(&self, e: &mut Enc) {
+        self.template.encode(e);
+        e.usize(self.leaf_count);
+        e.f64(self.sample_rate);
+        e.f64(self.catchup_ratio);
+        e.usize(self.minmax_k);
+        e.f64(self.beta);
+        e.f64(self.delta);
+        e.f64(self.rho);
+        e.u64(self.seed);
+        e.bool(self.auto_repartition);
+        e.usize(self.trigger_check_interval);
+        e.usize(self.catchup_chunk);
+        e.usize(self.catchup_per_update);
+        self.archive_backend.encode(e);
+    }
+}
+
+impl Decode for SynopsisConfig {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(SynopsisConfig {
+            template: d.get()?,
+            leaf_count: d.usize()?,
+            sample_rate: d.f64()?,
+            catchup_ratio: d.f64()?,
+            minmax_k: d.usize()?,
+            beta: d.f64()?,
+            delta: d.f64()?,
+            rho: d.f64()?,
+            seed: d.u64()?,
+            auto_repartition: d.bool()?,
+            trigger_check_interval: d.usize()?,
+            catchup_chunk: d.usize()?,
+            catchup_per_update: d.usize()?,
+            archive_backend: d.get()?,
+        })
     }
 }
 

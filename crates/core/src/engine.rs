@@ -522,7 +522,7 @@ impl JanusEngine {
             reservoir_floor: reservoir.floor(),
             reservoir_target: reservoir.target(),
             population: self.pool.archive.len(),
-            reservoir_rng: reservoir.rng_state().to_vec(),
+            reservoir_rng: reservoir.rng_state(),
             seed_counter: self.pool.seed_counter,
             updates_since_check: self.updates_since_check as u64,
             catchup_rows: synopsis.catchup.remaining().to_vec(),
@@ -586,14 +586,7 @@ impl JanusEngine {
             config.seed ^ 0x4e4e,
         );
         reservoir.reset(snapshot.sample_rows.clone());
-        if let Ok(words) = <[u64; 4]>::try_from(snapshot.reservoir_rng.as_slice()) {
-            reservoir.restore_rng(words);
-        } else if !snapshot.reservoir_rng.is_empty() {
-            return Err(JanusError::InvalidConfig(format!(
-                "snapshot reservoir RNG has {} state words, expected 4",
-                snapshot.reservoir_rng.len()
-            )));
-        }
+        reservoir.restore_rng(snapshot.reservoir_rng);
         let pool = PooledSample {
             archive,
             reservoir,

@@ -22,7 +22,7 @@ use janus_common::Moments;
 use janus_index::topk::MinMaxTracker;
 
 /// Per-epoch catch-up bookkeeping shared by all nodes of that epoch.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpochInfo {
     /// Table size `N` at the epoch snapshot.
     pub population: f64,

@@ -1,6 +1,6 @@
 //! Synopsis persistence: export a DPT (and its pooled sample) as a
-//! serde-serializable snapshot, and restore an engine from it without
-//! rescanning the table.
+//! snapshot with one [`janus_common::codec`] encoding, and restore an
+//! engine from it without rescanning the table.
 //!
 //! A production deployment restarts; the paper's synopsis is exactly the
 //! state worth persisting — the partition hierarchy, every node's
@@ -11,20 +11,17 @@
 
 use crate::node::{EpochInfo, NodeStats};
 use crate::tree::{Dpt, DptNode};
+use janus_common::codec::{self, Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Moments, QueryTemplate, Rect, Result, Row, RowId};
-use serde::{Deserialize, Serialize};
 
-/// Serialized form of one DPT node.
-///
-/// Rectangle coordinates are stored as IEEE-754 bit patterns: partition
-/// cells legitimately contain `±inf` (unbounded outer edges), which JSON
-/// cannot represent as numbers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Blob tag of a stand-alone [`SynopsisSnapshot`].
+const TAG: &[u8; 4] = b"JSYN";
+
+/// Persisted form of one DPT node.
+#[derive(Clone, Debug)]
 pub struct NodeSnapshot {
-    /// Cell lower corner (f64 bit patterns).
-    pub rect_lo_bits: Vec<u64>,
-    /// Cell upper corner, exclusive (f64 bit patterns).
-    pub rect_hi_bits: Vec<u64>,
+    /// The node's cell (outer edges may be `±inf`).
+    pub rect: Rect,
     /// Parent index.
     pub parent: Option<usize>,
     /// Child indices.
@@ -53,8 +50,8 @@ pub struct NodeSnapshot {
     pub live: bool,
 }
 
-/// Serialized form of a whole DPT.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Persisted form of a whole DPT.
+#[derive(Clone, Debug)]
 pub struct DptSnapshot {
     /// The synopsis template.
     pub template: QueryTemplate,
@@ -78,7 +75,7 @@ pub struct DptSnapshot {
 /// bit-identical decisions on every subsequent insert/delete. That is the
 /// property cluster crash-recovery leans on: snapshot + deterministic
 /// topic replay reproduces an uninterrupted engine exactly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SynopsisSnapshot {
     /// The partition tree.
     pub dpt: DptSnapshot,
@@ -91,9 +88,9 @@ pub struct SynopsisSnapshot {
     pub reservoir_target: usize,
     /// Table size at snapshot time (consistency check at restore).
     pub population: usize,
-    /// The reservoir admission RNG's raw state words (4 × u64), captured
+    /// The reservoir admission RNG's raw state words, captured
     /// mid-stream so restored sampling decisions stay bit-identical.
-    pub reservoir_rng: Vec<u64>,
+    pub reservoir_rng: [u64; 4],
     /// The engine's derived-seed counter (re-sample seeds after floor
     /// breaches depend on it).
     pub seed_counter: u64,
@@ -103,15 +100,137 @@ pub struct SynopsisSnapshot {
     pub catchup_rows: Vec<Row>,
 }
 
+impl SynopsisSnapshot {
+    /// Encodes to a CRC-sealed blob.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::to_blob(TAG, self)
+    }
+
+    /// Decodes a blob written by [`SynopsisSnapshot::to_bytes`]; any
+    /// corruption is [`JanusError::Storage`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        codec::from_blob(TAG, bytes, "synopsis snapshot")
+    }
+}
+
+impl Encode for EpochInfo {
+    fn encode(&self, e: &mut Enc) {
+        e.f64(self.population);
+        e.u64(self.offered);
+    }
+}
+
+impl Decode for EpochInfo {
+    const MIN_LEN: usize = 16;
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(EpochInfo {
+            population: d.f64()?,
+            offered: d.u64()?,
+        })
+    }
+}
+
+impl Encode for NodeSnapshot {
+    fn encode(&self, e: &mut Enc) {
+        self.rect.encode(e);
+        self.parent.encode(e);
+        self.children.encode(e);
+        self.exact_base.encode(e);
+        self.catchup.encode(e);
+        self.inserted.encode(e);
+        self.deleted.encode(e);
+        e.usize(self.epoch);
+        e.u64(self.h_start);
+        e.f64(self.built_variance);
+        self.min_values.encode(e);
+        self.max_values.encode(e);
+        self.samples.encode(e);
+        e.bool(self.live);
+    }
+}
+
+impl Decode for NodeSnapshot {
+    const MIN_LEN: usize = 123;
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(NodeSnapshot {
+            rect: d.get()?,
+            parent: d.get()?,
+            children: d.get()?,
+            exact_base: d.get()?,
+            catchup: d.get()?,
+            inserted: d.get()?,
+            deleted: d.get()?,
+            epoch: d.usize()?,
+            h_start: d.u64()?,
+            built_variance: d.f64()?,
+            min_values: d.get()?,
+            max_values: d.get()?,
+            samples: d.get()?,
+            live: d.bool()?,
+        })
+    }
+}
+
+impl Encode for DptSnapshot {
+    fn encode(&self, e: &mut Enc) {
+        self.template.encode(e);
+        e.usize(self.minmax_k);
+        e.usize(self.root);
+        self.epochs.encode(e);
+        self.nodes.encode(e);
+    }
+}
+
+impl Decode for DptSnapshot {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(DptSnapshot {
+            template: d.get()?,
+            minmax_k: d.usize()?,
+            root: d.usize()?,
+            epochs: d.get()?,
+            nodes: d.get()?,
+        })
+    }
+}
+
+impl Encode for SynopsisSnapshot {
+    fn encode(&self, e: &mut Enc) {
+        self.dpt.encode(e);
+        self.sample_rows.encode(e);
+        e.usize(self.reservoir_floor);
+        e.usize(self.reservoir_target);
+        e.usize(self.population);
+        self.reservoir_rng.encode(e);
+        e.u64(self.seed_counter);
+        e.u64(self.updates_since_check);
+        self.catchup_rows.encode(e);
+    }
+}
+
+impl Decode for SynopsisSnapshot {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(SynopsisSnapshot {
+            dpt: d.get()?,
+            sample_rows: d.get()?,
+            reservoir_floor: d.usize()?,
+            reservoir_target: d.usize()?,
+            population: d.usize()?,
+            reservoir_rng: d.get()?,
+            seed_counter: d.u64()?,
+            updates_since_check: d.u64()?,
+            catchup_rows: d.get()?,
+        })
+    }
+}
+
 impl Dpt {
-    /// Exports the tree as a serializable snapshot.
+    /// Exports the tree as a snapshot.
     pub fn to_snapshot(&self) -> DptSnapshot {
         let nodes = self
             .nodes_raw()
             .iter()
             .map(|n| NodeSnapshot {
-                rect_lo_bits: n.rect.lo().iter().map(|x| x.to_bits()).collect(),
-                rect_hi_bits: n.rect.hi().iter().map(|x| x.to_bits()).collect(),
+                rect: n.rect.clone(),
                 parent: n.parent,
                 children: n.children.clone(),
                 exact_base: n.stats.exact_base,
@@ -142,10 +261,6 @@ impl Dpt {
     pub fn from_snapshot(snapshot: &DptSnapshot) -> Result<Dpt> {
         let mut nodes = Vec::with_capacity(snapshot.nodes.len());
         for s in &snapshot.nodes {
-            let rect = Rect::new(
-                s.rect_lo_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-                s.rect_hi_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-            )?;
             let mut stats = NodeStats::new(snapshot.minmax_k, s.epoch, s.h_start);
             stats.exact_base = s.exact_base;
             stats.catchup = s.catchup;
@@ -154,7 +269,7 @@ impl Dpt {
             stats.minmax.restore(&s.min_values, &s.max_values);
             let samples: std::collections::BTreeSet<RowId> = s.samples.iter().copied().collect();
             nodes.push(DptNode {
-                rect,
+                rect: s.rect.clone(),
                 parent: s.parent,
                 children: s.children.clone(),
                 stats,
@@ -281,8 +396,7 @@ mod tests {
         original.delete(4_321).unwrap();
 
         let snap = original.save_synopsis();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: SynopsisSnapshot = serde_json::from_str(&json).unwrap();
+        let back = SynopsisSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         let mut restored =
             JanusEngine::restore(original.config().clone(), original.export_rows(), &back).unwrap();
 
@@ -316,8 +430,7 @@ mod tests {
     fn snapshot_serializes_through_json() {
         let e = engine(2);
         let snap = e.save_synopsis();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: SynopsisSnapshot = serde_json::from_str(&json).unwrap();
+        let back = SynopsisSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(back.dpt.nodes.len(), snap.dpt.nodes.len());
         assert_eq!(back.sample_rows.len(), snap.sample_rows.len());
         assert_eq!(back.population, 10_000);

@@ -232,22 +232,16 @@ impl<'a> BulkLoader<'a> {
         };
         let (progress, next_id, claim) = match resumed {
             Some((id, progress)) => {
-                let snap: RouterSnapshot = serde_json::from_str(&progress.router)
-                    .map_err(|e| JanusError::Storage(format!("corrupt journal router: {e}")))?;
                 let claim = RoutingSnapshot {
                     generation: progress.generation,
                     shards: self.cluster.shards(),
-                    policy: snap.to_policy(),
+                    policy: RouterSnapshot::from_bytes(&progress.router)?.policy,
                 };
                 (progress, id + 1, claim)
             }
             None => {
                 let router = RouterSnapshot::from_policy(&live.policy, 0);
-                let progress = LoadProgress::new(
-                    live.generation,
-                    serde_json::to_string(&router)
-                        .map_err(|e| JanusError::Storage(format!("encode journal router: {e}")))?,
-                );
+                let progress = LoadProgress::new(live.generation, router.to_bytes());
                 (progress, 1, live.clone())
             }
         };

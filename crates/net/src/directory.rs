@@ -19,9 +19,12 @@
 //! [`janus_storage::CheckpointStore`] alongside shard checkpoints, so a
 //! restarted coordinator recovers the same placement map.
 
+use janus_common::codec::{self, Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Result};
-use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
+
+/// Blob tag of a stored [`DirectorySnapshot`].
+const TAG: &[u8; 4] = b"JDIR";
 
 /// Identity facts for one node, learned from its `HelloAck`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -215,7 +218,7 @@ impl Directory {
         promotions
     }
 
-    /// Serializable copy of the full directory state.
+    /// Persistable copy of the full directory state.
     pub fn snapshot(&self) -> DirectorySnapshot {
         DirectorySnapshot {
             nodes: self
@@ -273,7 +276,7 @@ impl Directory {
 }
 
 /// Wire/storage form of one node's identity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeSnapshot {
     /// Stable node id.
     pub node_id: u64,
@@ -283,10 +286,10 @@ pub struct NodeSnapshot {
     pub addr: String,
 }
 
-/// JSON-serializable directory state, persisted through the checkpoint
-/// store after every placement mutation so a coordinator restart
-/// recovers the map (the "replicated directory").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// Directory state, persisted through the checkpoint store after every
+/// placement mutation so a coordinator restart recovers the map (the
+/// "replicated directory").
+#[derive(Clone, Debug, PartialEq)]
 pub struct DirectorySnapshot {
     /// Node identities, in index order.
     pub nodes: Vec<NodeSnapshot>,
@@ -298,6 +301,59 @@ pub struct DirectorySnapshot {
     pub followers: Vec<Vec<usize>>,
     /// Shards that lost every copy.
     pub lost: Vec<u32>,
+}
+
+impl DirectorySnapshot {
+    /// Encodes to the sealed blob the checkpoint store carries.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::to_blob(TAG, self)
+    }
+
+    /// Decodes a stored blob; any corruption is [`JanusError::Storage`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        codec::from_blob(TAG, bytes, "directory snapshot")
+    }
+}
+
+impl Encode for NodeSnapshot {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.node_id);
+        e.str(&self.domain);
+        e.str(&self.addr);
+    }
+}
+
+impl Decode for NodeSnapshot {
+    const MIN_LEN: usize = 16;
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(NodeSnapshot {
+            node_id: d.u64()?,
+            domain: d.str()?,
+            addr: d.str()?,
+        })
+    }
+}
+
+impl Encode for DirectorySnapshot {
+    fn encode(&self, e: &mut Enc) {
+        self.nodes.encode(e);
+        self.alive.encode(e);
+        self.primaries.encode(e);
+        self.followers.encode(e);
+        self.lost.encode(e);
+    }
+}
+
+impl Decode for DirectorySnapshot {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(DirectorySnapshot {
+            nodes: d.get()?,
+            alive: d.get()?,
+            primaries: d.get()?,
+            followers: d.get()?,
+            lost: d.get()?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -372,8 +428,7 @@ mod tests {
     fn snapshot_round_trips_through_json() {
         let mut dir = Directory::place(fleet(&["a", "b", "c"]), 5, 1).unwrap();
         dir.fail_node(1, |_, _| 3);
-        let json = serde_json::to_string(&dir.snapshot()).unwrap();
-        let back: DirectorySnapshot = serde_json::from_str(&json).unwrap();
+        let back = DirectorySnapshot::from_bytes(&dir.snapshot().to_bytes()).unwrap();
         assert_eq!(Directory::from_snapshot(&back).unwrap(), dir);
     }
 }

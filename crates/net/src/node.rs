@@ -326,7 +326,7 @@ fn answer_query(
 
 /// Snapshots a hosted shard for checkpoint shipping: the same
 /// synopsis-plus-archive pair [`JanusEngine::fork_via_snapshot`] ships
-/// locally, serialized for transit — cross-node migration is the same
+/// locally, encoded for transit — cross-node migration is the same
 /// operation as the local rebuild.
 fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
     let slot = state
@@ -334,12 +334,10 @@ fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
         .ok_or_else(|| JanusError::Storage(format!("shard {shard} not hosted")))?;
     let checkpoint = slot.host.capture(shard as usize, &slot.log, slot.base);
     let config = slot.host.read().config().clone();
-    let payload = serde_json::to_vec(&checkpoint)
-        .map_err(|e| JanusError::Storage(format!("serialize checkpoint: {e}")))?;
     Ok(Frame::Checkpoint {
         shard,
         config,
-        payload,
+        payload: checkpoint.to_bytes(),
     })
 }
 
@@ -352,8 +350,7 @@ fn install_checkpoint(
     config: SynopsisConfig,
     payload: &[u8],
 ) -> Result<()> {
-    let checkpoint: ShardCheckpoint = serde_json::from_slice(payload)
-        .map_err(|e| JanusError::Storage(format!("parse checkpoint: {e}")))?;
+    let checkpoint = ShardCheckpoint::from_bytes(payload)?;
     let engine = JanusEngine::restore(config, checkpoint.archive_rows, &checkpoint.synopsis)?;
     state.install_slot(shard, engine, checkpoint.applied_offset)
 }

@@ -506,10 +506,8 @@ impl RemoteShared {
     fn persist_directory(&self, dir: &Directory) {
         if let Some(store) = &self.store {
             let version = self.store_version.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Ok(json) = serde_json::to_string(&dir.snapshot()) {
-                let _ = store.put(version, &json);
-                let _ = store.prune(2);
-            }
+            let _ = store.put(version, &dir.snapshot().to_bytes());
+            let _ = store.prune(2);
         }
     }
 
@@ -1170,10 +1168,12 @@ impl RemoteCluster {
     /// Moves `shard`'s primary copy to node `to` via checkpoint
     /// shipping — the networked twin of the in-process
     /// snapshot-shipping rebalance (`fork_via_snapshot` + archive
-    /// fork): the source serializes synopsis + archive, the target
+    /// fork): the source encodes synopsis + archive, the target
     /// restores them bit-identically, and the coordinator re-ships the
     /// topic tail from the checkpoint's applied offset. Publishes may
-    /// continue throughout.
+    /// continue throughout. The checkpoint travels as one frame, so the
+    /// largest movable shard is [`crate::wire::MAX_FRAME_LEN`] over its
+    /// bytes per row: about 61 for 5 columns, ≈ 1.1M rows.
     pub fn move_shard(&self, shard: u32, to: usize) -> Result<()> {
         let shared = &self.shared;
         if to >= shared.links.len() {
@@ -1198,9 +1198,7 @@ impl RemoteCluster {
         let Frame::Checkpoint { payload, .. } = &shipped else {
             return Err(reply_error(shipped, "checkpoint"));
         };
-        let ck: ShardCheckpoint = serde_json::from_slice(payload)
-            .map_err(|e| JanusError::Storage(format!("parse shipped checkpoint: {e}")))?;
-        let applied_offset = ck.applied_offset;
+        let applied_offset = ShardCheckpoint::from_bytes(payload)?.applied_offset;
         let install = shared.links[to].request_retry(
             &shared.links[to].ship,
             &shipped,

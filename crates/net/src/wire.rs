@@ -12,11 +12,11 @@
 //! kind byte, and the body; a frame whose checksum does not match is
 //! rejected with [`JanusError::Protocol`] *before* any field is parsed,
 //! so a flipped bit anywhere in transit can kill the connection but can
-//! never mis-parse into a structurally valid frame. All integers are
-//! little-endian; floats travel as their IEEE-754 bit patterns, so
-//! estimates survive the wire bit-exactly — the property the cluster's
-//! equivalence tests pin. Collections are `u32` count-prefixed; strings
-//! are count-prefixed UTF-8.
+//! never mis-parse into a structurally valid frame. Fields use the
+//! workspace's one binary codec ([`janus_common::codec`]): little-endian
+//! integers, floats as their IEEE-754 bit patterns (so estimates survive
+//! the wire bit-exactly — the property the cluster's equivalence tests
+//! pin), `u32` count-prefixed collections and UTF-8 strings.
 //!
 //! The decoder is hardened against hostile or torn input: a length
 //! prefix above [`MAX_FRAME_LEN`] (or below the 6-byte
@@ -31,19 +31,17 @@
 //! convenience pair built on the same codec.
 
 use janus_cluster::ShardOp;
-use janus_common::QueryTemplate;
-use janus_common::{
-    crc32, faults, AggregateFunction, Estimate, JanusError, Query, RangePredicate, Result, Row,
-};
+use janus_common::codec::{self, Dec, Decode, Enc, Encode};
+use janus_common::{faults, Estimate, JanusError, Query, Result, Row};
 use janus_core::SynopsisConfig;
-use janus_storage::ArchiveBackendKind;
 use std::io::{Read, Write};
 
 /// Protocol version carried in every frame header. Version 2 added the
 /// tenant/deadline fields on [`Frame::Query`] and the partiality flag on
 /// every transported [`Estimate`]; version 3 added the end-to-end CRC32
-/// trailer on every frame.
-pub const WIRE_VERSION: u8 = 3;
+/// trailer on every frame; version 4 made the [`Frame::Checkpoint`]
+/// payload a sealed binary `ShardCheckpoint` blob.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Upper bound on a frame's declared length. A prefix above this is a
 /// protocol error and is rejected before any allocation happens, so a
@@ -166,14 +164,14 @@ pub enum Frame {
         shard: u32,
     },
     /// A shipped shard checkpoint: install it and start hosting. The
-    /// payload is a JSON-serialized `ShardCheckpoint` — the same bytes
-    /// the file-backed checkpoint store persists, framed for transit.
+    /// payload is `ShardCheckpoint::to_bytes` — the same sealed codec
+    /// blob layout the checkpoint stores persist, framed for transit.
     Checkpoint {
         /// Shard id.
         shard: u32,
         /// Per-shard synopsis configuration for the restore.
         config: SynopsisConfig,
-        /// JSON `ShardCheckpoint` bytes.
+        /// Encoded `ShardCheckpoint` blob.
         payload: Vec<u8>,
     },
     /// Stop hosting `shard` and drop its local state (post-migration).
@@ -227,156 +225,46 @@ fn perr(msg: impl Into<String>) -> JanusError {
     JanusError::Protocol(msg.into())
 }
 
-// ---------------------------------------------------------------------
-// Encoder
-// ---------------------------------------------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn count(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize, "collection too large for wire");
-        self.u32(n as u32);
-    }
-    fn str(&mut self, s: &str) {
-        self.count(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.count(b.len());
-        self.buf.extend_from_slice(b);
-    }
-    fn f64s(&mut self, xs: &[f64]) {
-        self.count(xs.len());
-        for x in xs {
-            self.f64(*x);
-        }
-    }
-    fn usizes(&mut self, xs: &[usize]) {
-        self.count(xs.len());
-        for x in xs {
-            self.usize(*x);
-        }
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn agg(&mut self, agg: AggregateFunction) {
-        self.u8(match agg {
-            AggregateFunction::Count => 0,
-            AggregateFunction::Sum => 1,
-            AggregateFunction::Avg => 2,
-            AggregateFunction::Min => 3,
-            AggregateFunction::Max => 4,
-        });
-    }
-    fn row(&mut self, row: &Row) {
-        self.u64(row.id);
-        self.f64s(&row.values);
-    }
-    fn rows(&mut self, rows: &[Row]) {
-        self.count(rows.len());
-        for r in rows {
-            self.row(r);
-        }
-    }
-    fn op(&mut self, op: &ShardOp) {
-        match op {
-            ShardOp::Insert(row) => {
-                self.u8(0);
-                self.row(row);
-            }
-            ShardOp::Delete(id) => {
-                self.u8(1);
-                self.u64(*id);
-            }
-        }
-    }
-    fn ops(&mut self, ops: &[ShardOp]) {
-        self.count(ops.len());
-        for op in ops {
-            self.op(op);
-        }
-    }
-    fn estimate(&mut self, e: &Estimate) {
-        self.f64(e.value);
-        self.f64(e.catchup_variance);
-        self.f64(e.sample_variance);
-        self.usize(e.covered_nodes);
-        self.usize(e.partial_nodes);
-        self.usize(e.samples_used);
-        self.bool(e.partial);
-    }
-    fn query(&mut self, q: &Query) {
-        self.agg(q.agg);
-        self.usize(q.agg_column);
-        self.usizes(&q.predicate_columns);
-        self.f64s(q.range.lo());
-        self.f64s(q.range.hi());
-    }
-    fn config(&mut self, c: &SynopsisConfig) {
-        self.agg(c.template.agg);
-        self.usize(c.template.agg_column);
-        self.usizes(&c.template.predicate_columns);
-        self.usize(c.leaf_count);
-        self.f64(c.sample_rate);
-        self.f64(c.catchup_ratio);
-        self.usize(c.minmax_k);
-        self.f64(c.beta);
-        self.f64(c.delta);
-        self.f64(c.rho);
-        self.u64(c.seed);
-        self.bool(c.auto_repartition);
-        self.usize(c.trigger_check_interval);
-        self.usize(c.catchup_chunk);
-        self.usize(c.catchup_per_update);
-        match &c.archive_backend {
-            ArchiveBackendKind::Memory => self.u8(0),
-            ArchiveBackendKind::FileSpill { root, seg_rows } => {
-                self.u8(1);
-                self.str(&root.to_string_lossy());
-                self.usize(*seg_rows);
-            }
-        }
-    }
-    fn outcome(&mut self, o: &QueryOutcome) {
-        match o {
-            QueryOutcome::Empty => self.u8(0),
-            QueryOutcome::Estimate(e) => {
-                self.u8(1);
-                self.estimate(e);
+impl Encode for QueryOutcome {
+    #[inline]
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            QueryOutcome::Empty => e.u8(0),
+            QueryOutcome::Estimate(est) => {
+                e.u8(1);
+                est.encode(e);
             }
             QueryOutcome::Moments { sum, count } => {
-                self.u8(2);
-                self.estimate(sum);
-                self.estimate(count);
+                e.u8(2);
+                sum.encode(e);
+                count.encode(e);
             }
             QueryOutcome::Stale { applied } => {
-                self.u8(3);
-                self.u64(*applied);
+                e.u8(3);
+                e.u64(*applied);
             }
             QueryOutcome::Failed(msg) => {
-                self.u8(4);
-                self.str(msg);
+                e.u8(4);
+                e.str(msg);
             }
         }
+    }
+}
+
+impl Decode for QueryOutcome {
+    #[inline]
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => QueryOutcome::Empty,
+            1 => QueryOutcome::Estimate(d.get()?),
+            2 => QueryOutcome::Moments {
+                sum: d.get()?,
+                count: d.get()?,
+            },
+            3 => QueryOutcome::Stale { applied: d.u64()? },
+            4 => QueryOutcome::Failed(d.str()?),
+            other => return Err(d.error(format!("invalid query-outcome tag {other}"))),
+        })
     }
 }
 
@@ -398,10 +286,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         } => {
             e.u64(*node_id);
             e.str(domain);
-            e.count(shards.len());
-            for s in shards {
-                e.u32(*s);
-            }
+            e.put(shards);
             KIND_HELLO_ACK
         }
         Frame::Heartbeat { seq } => {
@@ -410,11 +295,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::HeartbeatAck { seq, applied } => {
             e.u64(*seq);
-            e.count(applied.len());
-            for (shard, off) in applied {
-                e.u32(*shard);
-                e.u64(*off);
-            }
+            e.put(applied);
             KIND_HEARTBEAT_ACK
         }
         Frame::Host {
@@ -423,8 +304,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             rows,
         } => {
             e.u32(*shard);
-            e.config(config);
-            e.rows(rows);
+            e.put(config);
+            e.put(rows);
             KIND_HOST
         }
         Frame::PublishBatch {
@@ -434,7 +315,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         } => {
             e.u32(*shard);
             e.u64(*first_offset);
-            e.ops(ops);
+            e.put(ops);
             KIND_PUBLISH_BATCH
         }
         Frame::PublishAck {
@@ -462,12 +343,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             e.u64(*min_applied);
             e.u32(*tenant);
             e.u64(*deadline_ms);
-            e.query(query);
+            e.put(query);
             KIND_QUERY
         }
         Frame::Estimate { id, outcome } => {
             e.u64(*id);
-            e.outcome(outcome);
+            e.put(outcome);
             KIND_ESTIMATE
         }
         Frame::FetchCheckpoint { shard } => {
@@ -480,7 +361,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             payload,
         } => {
             e.u32(*shard);
-            e.config(config);
+            e.put(config);
             e.bytes(payload);
             KIND_CHECKPOINT
         }
@@ -505,8 +386,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Shutdown => KIND_SHUTDOWN,
     };
     e.buf[5] = kind;
-    let crc = crc32(&e.buf[4..]);
-    e.buf.extend_from_slice(&crc.to_le_bytes());
+    codec::seal(&mut e.buf, 4);
     let len = (e.buf.len() - 4) as u32;
     e.buf[..4].copy_from_slice(&len.to_le_bytes());
     // Chaos hook: flips one bit *after* the checksum was stamped, so an
@@ -517,182 +397,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // not corrupt data) — end-to-end CRC guards everything after it.
     faults::maybe_corrupt("wire.encode", &mut e.buf[4..]);
     e.buf
-}
-
-// ---------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(perr(format!(
-                "truncated frame: needed {n} more bytes, had {}",
-                self.remaining()
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| perr(format!("value {v} overflows usize")))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(perr(format!("invalid bool tag {other}"))),
-        }
-    }
-    /// Reads a collection count and refuses counts that could not
-    /// possibly fit in the remaining bytes (each element occupies at
-    /// least `min_elem` bytes) — so a hostile count cannot trigger a
-    /// huge allocation.
-    fn count(&mut self, min_elem: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem.max(1)) > self.remaining() {
-            return Err(perr(format!(
-                "collection count {n} exceeds {} remaining payload bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| perr("string is not valid UTF-8"))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn usizes(&mut self) -> Result<Vec<usize>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.usize()).collect()
-    }
-    fn agg(&mut self) -> Result<AggregateFunction> {
-        Ok(match self.u8()? {
-            0 => AggregateFunction::Count,
-            1 => AggregateFunction::Sum,
-            2 => AggregateFunction::Avg,
-            3 => AggregateFunction::Min,
-            4 => AggregateFunction::Max,
-            other => return Err(perr(format!("invalid aggregate tag {other}"))),
-        })
-    }
-    fn row(&mut self) -> Result<Row> {
-        let id = self.u64()?;
-        let values = self.f64s()?;
-        Ok(Row::new(id, values))
-    }
-    fn rows(&mut self) -> Result<Vec<Row>> {
-        let n = self.count(12)?;
-        (0..n).map(|_| self.row()).collect()
-    }
-    fn op(&mut self) -> Result<ShardOp> {
-        Ok(match self.u8()? {
-            0 => ShardOp::Insert(self.row()?),
-            1 => ShardOp::Delete(self.u64()?),
-            other => return Err(perr(format!("invalid shard-op tag {other}"))),
-        })
-    }
-    fn ops(&mut self) -> Result<Vec<ShardOp>> {
-        let n = self.count(9)?;
-        (0..n).map(|_| self.op()).collect()
-    }
-    fn estimate(&mut self) -> Result<Estimate> {
-        Ok(Estimate {
-            value: self.f64()?,
-            catchup_variance: self.f64()?,
-            sample_variance: self.f64()?,
-            covered_nodes: self.usize()?,
-            partial_nodes: self.usize()?,
-            samples_used: self.usize()?,
-            partial: self.bool()?,
-        })
-    }
-    fn query(&mut self) -> Result<Query> {
-        let agg = self.agg()?;
-        let agg_column = self.usize()?;
-        let predicate_columns = self.usizes()?;
-        let lo = self.f64s()?;
-        let hi = self.f64s()?;
-        let range =
-            RangePredicate::new(lo, hi).map_err(|e| perr(format!("invalid query range: {e}")))?;
-        Query::new(agg, agg_column, predicate_columns, range)
-            .map_err(|e| perr(format!("invalid query: {e}")))
-    }
-    fn config(&mut self) -> Result<SynopsisConfig> {
-        let agg = self.agg()?;
-        let agg_column = self.usize()?;
-        let predicate_columns = self.usizes()?;
-        let template = QueryTemplate::new(agg, agg_column, predicate_columns);
-        let mut c = SynopsisConfig::paper_default(template, 0);
-        c.leaf_count = self.usize()?;
-        c.sample_rate = self.f64()?;
-        c.catchup_ratio = self.f64()?;
-        c.minmax_k = self.usize()?;
-        c.beta = self.f64()?;
-        c.delta = self.f64()?;
-        c.rho = self.f64()?;
-        c.seed = self.u64()?;
-        c.auto_repartition = self.bool()?;
-        c.trigger_check_interval = self.usize()?;
-        c.catchup_chunk = self.usize()?;
-        c.catchup_per_update = self.usize()?;
-        c.archive_backend = match self.u8()? {
-            0 => ArchiveBackendKind::Memory,
-            1 => {
-                let root = std::path::PathBuf::from(self.str()?);
-                let seg_rows = self.usize()?;
-                ArchiveBackendKind::FileSpill { root, seg_rows }
-            }
-            other => return Err(perr(format!("invalid archive-backend tag {other}"))),
-        };
-        Ok(c)
-    }
-    fn outcome(&mut self) -> Result<QueryOutcome> {
-        Ok(match self.u8()? {
-            0 => QueryOutcome::Empty,
-            1 => QueryOutcome::Estimate(self.estimate()?),
-            2 => QueryOutcome::Moments {
-                sum: self.estimate()?,
-                count: self.estimate()?,
-            },
-            3 => QueryOutcome::Stale {
-                applied: self.u64()?,
-            },
-            4 => QueryOutcome::Failed(self.str()?),
-            other => return Err(perr(format!("invalid query-outcome tag {other}"))),
-        })
-    }
 }
 
 /// Validates a length prefix before any body is read or allocated.
@@ -720,19 +424,12 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
             payload.len()
         )));
     }
-    let (covered, trailer) = payload.split_at(payload.len() - 4);
-    let want = u32::from_le_bytes(trailer.try_into().unwrap());
-    let got = crc32(covered);
-    if got != want {
-        return Err(perr(format!(
-            "frame CRC mismatch: computed {got:08x}, trailer says {want:08x} — \
-             corrupt frame, dropping the connection"
-        )));
-    }
-    let mut d = Dec {
-        buf: covered,
-        pos: 0,
-    };
+    let covered = codec::unseal(payload, |why| {
+        perr(format!(
+            "frame {why} — corrupt frame, dropping the connection"
+        ))
+    })?;
+    let mut d = Dec::new(covered, JanusError::Protocol);
     let version = d.u8()?;
     if version != WIRE_VERSION {
         return Err(perr(format!(
@@ -742,35 +439,25 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
     let kind = d.u8()?;
     let frame = match kind {
         KIND_HELLO => Frame::Hello { node_id: d.u64()? },
-        KIND_HELLO_ACK => {
-            let node_id = d.u64()?;
-            let domain = d.str()?;
-            let n = d.count(4)?;
-            let shards = (0..n).map(|_| d.u32()).collect::<Result<Vec<_>>>()?;
-            Frame::HelloAck {
-                node_id,
-                domain,
-                shards,
-            }
-        }
+        KIND_HELLO_ACK => Frame::HelloAck {
+            node_id: d.u64()?,
+            domain: d.str()?,
+            shards: d.get()?,
+        },
         KIND_HEARTBEAT => Frame::Heartbeat { seq: d.u64()? },
-        KIND_HEARTBEAT_ACK => {
-            let seq = d.u64()?;
-            let n = d.count(12)?;
-            let applied = (0..n)
-                .map(|_| Ok((d.u32()?, d.u64()?)))
-                .collect::<Result<Vec<_>>>()?;
-            Frame::HeartbeatAck { seq, applied }
-        }
+        KIND_HEARTBEAT_ACK => Frame::HeartbeatAck {
+            seq: d.u64()?,
+            applied: d.get()?,
+        },
         KIND_HOST => Frame::Host {
             shard: d.u32()?,
-            config: d.config()?,
-            rows: d.rows()?,
+            config: d.get()?,
+            rows: d.get()?,
         },
         KIND_PUBLISH_BATCH => Frame::PublishBatch {
             shard: d.u32()?,
             first_offset: d.u64()?,
-            ops: d.ops()?,
+            ops: d.get()?,
         },
         KIND_PUBLISH_ACK => Frame::PublishAck {
             shard: d.u32()?,
@@ -784,16 +471,16 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
             min_applied: d.u64()?,
             tenant: d.u32()?,
             deadline_ms: d.u64()?,
-            query: d.query()?,
+            query: d.get()?,
         },
         KIND_ESTIMATE => Frame::Estimate {
             id: d.u64()?,
-            outcome: d.outcome()?,
+            outcome: d.get()?,
         },
         KIND_FETCH_CHECKPOINT => Frame::FetchCheckpoint { shard: d.u32()? },
         KIND_CHECKPOINT => Frame::Checkpoint {
             shard: d.u32()?,
-            config: d.config()?,
+            config: d.get()?,
             payload: d.bytes()?,
         },
         KIND_RELEASE => Frame::Release { shard: d.u32()? },
@@ -807,12 +494,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
         KIND_SHUTDOWN => Frame::Shutdown,
         other => return Err(perr(format!("unknown frame kind {other}"))),
     };
-    if d.remaining() != 0 {
-        return Err(perr(format!(
-            "{} trailing bytes after frame body",
-            d.remaining()
-        )));
-    }
+    d.finish()?;
     Ok(frame)
 }
 
@@ -959,6 +641,7 @@ pub fn read_frame_deadline(r: &mut impl Read) -> Result<Option<Frame>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use janus_common::crc32;
 
     #[test]
     fn round_trip_via_incremental_decoder() {
@@ -1038,5 +721,47 @@ mod tests {
     fn read_frame_clean_eof_is_none() {
         let empty: &[u8] = &[];
         assert_eq!(read_frame(&mut { empty }).unwrap(), None);
+    }
+
+    /// The largest shard `move_shard` can ship is `MAX_FRAME_LEN /
+    /// bytes_per_row` rows, since a migration is one `Frame::Checkpoint`.
+    /// A 5-column row is 52 codec bytes in the archive; the synopsis
+    /// (1% sample, 10% catch-up queue, 128-leaf tree) adds the rest.
+    #[test]
+    fn a_shipped_5_column_shard_checkpoint_is_61_bytes_per_row() {
+        use janus_cluster::ShardCheckpoint;
+        use janus_common::{AggregateFunction, QueryTemplate};
+        use janus_core::JanusEngine;
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+        const ROWS: u64 = 10_000;
+        let mut rng = SmallRng::seed_from_u64(12);
+        let rows = (0..ROWS)
+            .map(|id| Row::new(id, (0..5).map(|_| rng.gen::<f64>() * 1e3).collect()))
+            .collect();
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let engine = JanusEngine::bootstrap(SynopsisConfig::paper_default(template, 12), rows)
+            .expect("bootstrap");
+        let checkpoint = ShardCheckpoint {
+            shard: 0,
+            applied_offset: 0,
+            published_offset: 0,
+            synopsis: engine.save_synopsis(),
+            archive_rows: engine.export_rows(),
+        };
+        let frame = encode_frame(&Frame::Checkpoint {
+            shard: 0,
+            config: engine.config().clone(),
+            payload: checkpoint.to_bytes(),
+        });
+        let bytes_per_row = frame.len() as f64 / ROWS as f64;
+        println!(
+            "{bytes_per_row:.2} bytes per row; largest movable shard {} rows",
+            (MAX_FRAME_LEN as f64 / bytes_per_row) as u64
+        );
+        assert!(
+            (bytes_per_row - 61.0).abs() < 0.5,
+            "{bytes_per_row} bytes per row"
+        );
     }
 }

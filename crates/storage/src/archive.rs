@@ -33,6 +33,7 @@
 //! borrow.
 
 use crate::spill::{SegmentedFileArchive, SpillStats};
+use janus_common::codec::{Dec, Decode, Enc, Encode};
 use janus_common::{Query, Result, Row, RowId, RowRef, ScanPartial};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -166,6 +167,32 @@ impl ArchiveBackendKind {
                 SegmentedFileArchive::create_ephemeral(root, *seg_rows)?,
             )),
         }
+    }
+}
+
+impl Encode for ArchiveBackendKind {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            ArchiveBackendKind::Memory => e.u8(0),
+            ArchiveBackendKind::FileSpill { root, seg_rows } => {
+                e.u8(1);
+                e.str(&root.to_string_lossy());
+                e.usize(*seg_rows);
+            }
+        }
+    }
+}
+
+impl Decode for ArchiveBackendKind {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => ArchiveBackendKind::Memory,
+            1 => ArchiveBackendKind::FileSpill {
+                root: PathBuf::from(d.str()?),
+                seg_rows: d.usize()?,
+            },
+            other => return Err(d.error(format!("invalid archive-backend tag {other}"))),
+        })
     }
 }
 

@@ -5,18 +5,18 @@
 //! whatever was written *outside* the process: the request topics (the
 //! Kafka side of §3.2) and the checkpoints saved here. This module keeps
 //! the store deliberately payload-agnostic — a [`CheckpointStore`] maps a
-//! monotonically-increasing checkpoint id to an opaque serialized payload
-//! (`janus-cluster` encodes its [`ClusterCheckpoint`] as JSON) — so the
-//! same trait-shaped API can grow further backends (object storage, mmap)
-//! without the cluster layer changing, mirroring how [`crate::archive`]
-//! seeds the multi-backend direction for cold data.
+//! monotonically-increasing checkpoint id to an opaque byte payload
+//! (`janus-cluster` stores its [`ClusterCheckpoint`] as a CRC-sealed
+//! [`janus_common::codec`] blob) — so the same trait-shaped API can grow
+//! further backends (object storage, mmap) without the cluster layer
+//! changing, mirroring how [`crate::archive`] seeds the multi-backend
+//! direction for cold data.
 //!
 //! Two backends ship in-tree:
 //!
 //! * [`MemoryCheckpointStore`] — a lock-protected map; the unit-test and
 //!   single-process default.
-//! * [`FileCheckpointStore`] — one JSON file per checkpoint in a
-//!   directory, written via temp-file + rename so a crash mid-write never
+//! * [`FileCheckpointStore`] — one file per checkpoint in a directory, written via temp-file + rename so a crash mid-write never
 //!   leaves a torn latest checkpoint; reopening the directory from a new
 //!   process recovers everything.
 //!
@@ -27,7 +27,7 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Keyed, durable storage for serialized checkpoints.
+/// Keyed, durable storage for encoded checkpoints.
 ///
 /// Ids are chosen by the writer and expected to increase over time;
 /// [`CheckpointStore::latest_id`] is what recovery starts from. A `put`
@@ -35,10 +35,10 @@ use std::path::{Path, PathBuf};
 pub trait CheckpointStore: Send + Sync {
     /// Persists `payload` under `id`, overwriting any previous payload
     /// with the same id.
-    fn put(&self, id: u64, payload: &str) -> Result<()>;
+    fn put(&self, id: u64, payload: &[u8]) -> Result<()>;
 
     /// The payload stored under `id`, if any.
-    fn get(&self, id: u64) -> Option<String>;
+    fn get(&self, id: u64) -> Option<Vec<u8>>;
 
     /// All stored checkpoint ids, ascending.
     fn ids(&self) -> Vec<u64>;
@@ -69,7 +69,7 @@ pub trait CheckpointStore: Send + Sync {
 /// need.
 #[derive(Default)]
 pub struct MemoryCheckpointStore {
-    slots: RwLock<BTreeMap<u64, String>>,
+    slots: RwLock<BTreeMap<u64, Vec<u8>>>,
 }
 
 impl MemoryCheckpointStore {
@@ -80,12 +80,12 @@ impl MemoryCheckpointStore {
 }
 
 impl CheckpointStore for MemoryCheckpointStore {
-    fn put(&self, id: u64, payload: &str) -> Result<()> {
-        self.slots.write().insert(id, payload.to_string());
+    fn put(&self, id: u64, payload: &[u8]) -> Result<()> {
+        self.slots.write().insert(id, payload.to_vec());
         Ok(())
     }
 
-    fn get(&self, id: u64) -> Option<String> {
+    fn get(&self, id: u64) -> Option<Vec<u8>> {
         self.slots.read().get(&id).cloned()
     }
 
@@ -99,7 +99,7 @@ impl CheckpointStore for MemoryCheckpointStore {
     }
 }
 
-/// File-backed [`CheckpointStore`]: `checkpoint-<id>.json` files in one
+/// File-backed [`CheckpointStore`]: `checkpoint-<id>.bin` files in one
 /// directory. Writes go to a temp file first and are renamed into place,
 /// so concurrent readers (and a crash mid-write) only ever see complete
 /// checkpoints. The id space is recovered from the directory listing, so
@@ -129,12 +129,12 @@ impl FileCheckpointStore {
     }
 
     fn path_of(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("checkpoint-{id:020}.json"))
+        self.dir.join(format!("checkpoint-{id:020}.bin"))
     }
 
     fn id_of(name: &str) -> Option<u64> {
         name.strip_prefix("checkpoint-")?
-            .strip_suffix(".json")?
+            .strip_suffix(".bin")?
             .parse()
             .ok()
     }
@@ -161,7 +161,7 @@ impl FileCheckpointStore {
 }
 
 impl CheckpointStore for FileCheckpointStore {
-    fn put(&self, id: u64, payload: &str) -> Result<()> {
+    fn put(&self, id: u64, payload: &[u8]) -> Result<()> {
         let target = self.path_of(id);
         let tmp = self.dir.join(format!(".checkpoint-{id:020}.tmp"));
         janus_common::faults::check_storage("checkpoint.write")?;
@@ -173,8 +173,8 @@ impl CheckpointStore for FileCheckpointStore {
         std::fs::rename(&tmp, &target).map_err(|e| storage_err("publish checkpoint", &e))
     }
 
-    fn get(&self, id: u64) -> Option<String> {
-        std::fs::read_to_string(self.path_of(id)).ok()
+    fn get(&self, id: u64) -> Option<Vec<u8>> {
+        std::fs::read(self.path_of(id)).ok()
     }
 
     fn ids(&self) -> Vec<u64> {
@@ -232,15 +232,19 @@ mod tests {
 
     fn exercise(store: &dyn CheckpointStore) {
         assert!(store.latest_id().is_none());
-        store.put(0, "zero").unwrap();
-        store.put(2, "two").unwrap();
-        store.put(1, "one").unwrap();
+        store.put(0, b"zero").unwrap();
+        store.put(2, b"two").unwrap();
+        store.put(1, b"one").unwrap();
         assert_eq!(store.ids(), vec![0, 1, 2]);
         assert_eq!(store.latest_id(), Some(2));
-        assert_eq!(store.get(1).as_deref(), Some("one"));
+        assert_eq!(store.get(1).as_deref(), Some(&b"one"[..]));
         assert!(store.get(9).is_none());
-        store.put(1, "one-v2").unwrap();
-        assert_eq!(store.get(1).as_deref(), Some("one-v2"), "put overwrites");
+        store.put(1, b"one-v2").unwrap();
+        assert_eq!(
+            store.get(1).as_deref(),
+            Some(&b"one-v2"[..]),
+            "put overwrites"
+        );
         store.remove(0).unwrap();
         store.remove(0).unwrap(); // absent id is fine
         assert_eq!(store.ids(), vec![1, 2]);
@@ -267,15 +271,15 @@ mod tests {
         let dir = scratch_dir("reopen");
         {
             let store = FileCheckpointStore::open(&dir).unwrap();
-            store.put(7, "{\"gen\":7}").unwrap();
-            store.put(12, "{\"gen\":12}").unwrap();
+            store.put(7, b"gen 7").unwrap();
+            store.put(12, b"gen 12").unwrap();
         } // handle dropped: nothing of the store survives in memory
 
         let reopened = FileCheckpointStore::open(&dir).unwrap();
         assert_eq!(reopened.ids(), vec![7, 12]);
         assert_eq!(reopened.latest_id(), Some(12));
-        assert_eq!(reopened.get(12).as_deref(), Some("{\"gen\":12}"));
-        assert_eq!(reopened.get(7).as_deref(), Some("{\"gen\":7}"));
+        assert_eq!(reopened.get(12).as_deref(), Some(&b"gen 12"[..]));
+        assert_eq!(reopened.get(7).as_deref(), Some(&b"gen 7"[..]));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -283,7 +287,7 @@ mod tests {
     fn prune_keeps_only_the_newest() {
         let store = MemoryCheckpointStore::new();
         for id in 0..6 {
-            store.put(id, "x").unwrap();
+            store.put(id, b"x").unwrap();
         }
         store.prune(2).unwrap();
         assert_eq!(store.ids(), vec![4, 5]);
@@ -295,7 +299,7 @@ mod tests {
     fn torn_writes_are_invisible() {
         let dir = scratch_dir("torn");
         let store = FileCheckpointStore::open(&dir).unwrap();
-        store.put(3, "good").unwrap();
+        store.put(3, b"good").unwrap();
         // A crash mid-write leaves a temp file behind; it must not be
         // listed as a checkpoint.
         std::fs::write(store.dir().join(".checkpoint-004.tmp"), "partial").unwrap();
@@ -312,7 +316,7 @@ mod tests {
         let dir = scratch_dir("sweep-open");
         {
             let store = FileCheckpointStore::open(&dir).unwrap();
-            store.put(3, "good").unwrap();
+            store.put(3, b"good").unwrap();
             std::fs::write(store.dir().join(".checkpoint-004.tmp"), "torn").unwrap();
             std::fs::write(store.dir().join("unrelated.txt"), "noise").unwrap();
         } // "crash"
@@ -322,7 +326,7 @@ mod tests {
             !reopened.dir().join(".checkpoint-004.tmp").exists(),
             "orphaned temp must be swept on open"
         );
-        assert_eq!(reopened.get(3).as_deref(), Some("good"));
+        assert_eq!(reopened.get(3).as_deref(), Some(&b"good"[..]));
         assert!(
             reopened.dir().join("unrelated.txt").exists(),
             "sweep must only touch checkpoint temp files"
@@ -338,7 +342,7 @@ mod tests {
         let dir = scratch_dir("sweep-prune");
         let store = FileCheckpointStore::open(&dir).unwrap();
         for id in 0..4 {
-            store.put(id, "x").unwrap();
+            store.put(id, b"x").unwrap();
         }
         std::fs::write(store.dir().join(".checkpoint-009.tmp"), "torn").unwrap();
         store.prune(2).unwrap();

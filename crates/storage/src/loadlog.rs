@@ -10,21 +10,24 @@
 //! between publish and journal flush can only under-count, and the
 //! resumed load's re-publishes are rejected as duplicates by the
 //! cluster's directory. The journal also pins the routing snapshot
-//! (generation plus an opaque serialized policy) the claims were made
+//! (generation plus the opaque encoded policy) the claims were made
 //! under: a resumed load re-partitions with the *journal's* snapshot, so
 //! per-file skip counts stay aligned with the original claim boundaries
 //! even if the live cluster has rebalanced since.
 //!
 //! Journals travel through the payload-agnostic [`CheckpointStore`] as
-//! JSON, like cluster checkpoints do — a file-backed store makes a load
-//! resumable across processes.
+//! CRC-sealed [`janus_common::codec`] blobs, like cluster checkpoints do
+//! — a file-backed store makes a load resumable across processes.
 
 use crate::checkpoint::CheckpointStore;
+use janus_common::codec::{self, Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Result};
-use serde::{Deserialize, Serialize};
+
+/// Blob tag of a stored [`LoadProgress`].
+const TAG: &[u8; 4] = b"JLOG";
 
 /// Publish progress of one input file: rows attempted per shard.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FileLoadProgress {
     /// File name (relative to the dataset directory).
     pub file: String,
@@ -36,21 +39,21 @@ pub struct FileLoadProgress {
 }
 
 /// The whole journal: routing pin plus per-file progress.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadProgress {
     /// Rebalance generation of the routing snapshot the file claims were
     /// computed under.
     pub generation: u64,
-    /// Opaque serialized routing policy (the cluster layer's router
-    /// snapshot JSON). Storage carries it without interpreting it.
-    pub router: String,
+    /// Opaque encoded routing policy (the cluster layer's router
+    /// snapshot bytes). Storage carries it without interpreting it.
+    pub router: Vec<u8>,
     /// Per-file progress, in first-touch order.
     pub files: Vec<FileLoadProgress>,
 }
 
 impl LoadProgress {
     /// An empty journal pinned to a routing snapshot.
-    pub fn new(generation: u64, router: String) -> Self {
+    pub fn new(generation: u64, router: Vec<u8>) -> Self {
         LoadProgress {
             generation,
             router,
@@ -90,20 +93,19 @@ impl LoadProgress {
             .sum()
     }
 
-    /// Serializes to the JSON payload a [`CheckpointStore`] carries.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("load journal serialization is infallible")
+    /// Encodes to the sealed blob a [`CheckpointStore`] carries.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::to_blob(TAG, self)
     }
 
-    /// Parses a stored payload.
-    pub fn from_json(payload: &str) -> Result<Self> {
-        serde_json::from_str(payload)
-            .map_err(|e| JanusError::Storage(format!("corrupt load journal: {e}")))
+    /// Decodes a stored blob; any corruption is [`JanusError::Storage`].
+    pub fn from_bytes(payload: &[u8]) -> Result<Self> {
+        codec::from_blob(TAG, payload, "load journal")
     }
 
     /// Persists this journal under `id`.
     pub fn save(&self, store: &dyn CheckpointStore, id: u64) -> Result<()> {
-        store.put(id, &self.to_json())
+        store.put(id, &self.to_bytes())
     }
 
     /// Loads the newest journal in `store`, returning its id too.
@@ -115,7 +117,42 @@ impl LoadProgress {
         let payload = store
             .get(id)
             .ok_or_else(|| JanusError::Storage(format!("load journal {id} vanished")))?;
-        Ok(Some((id, Self::from_json(&payload)?)))
+        Ok(Some((id, Self::from_bytes(&payload)?)))
+    }
+}
+
+impl Encode for FileLoadProgress {
+    fn encode(&self, e: &mut Enc) {
+        e.str(&self.file);
+        self.published.encode(e);
+    }
+}
+
+impl Decode for FileLoadProgress {
+    const MIN_LEN: usize = 8;
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(FileLoadProgress {
+            file: d.str()?,
+            published: d.get()?,
+        })
+    }
+}
+
+impl Encode for LoadProgress {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.generation);
+        e.bytes(&self.router);
+        self.files.encode(e);
+    }
+}
+
+impl Decode for LoadProgress {
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(LoadProgress {
+            generation: d.u64()?,
+            router: d.bytes()?,
+            files: d.get()?,
+        })
     }
 }
 
@@ -126,7 +163,7 @@ mod tests {
 
     #[test]
     fn record_and_query_round_trip() {
-        let mut journal = LoadProgress::new(3, "{\"kind\":\"Range\"}".into());
+        let mut journal = LoadProgress::new(3, b"range".to_vec());
         journal.record("chunk-00000.jrc", 1, 4, 100);
         journal.record("chunk-00000.jrc", 1, 4, 28);
         journal.record("chunk-00001.jrc", 0, 4, 7);
@@ -141,19 +178,22 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_exact() {
-        let mut journal = LoadProgress::new(9, "policy-blob".into());
+        let mut journal = LoadProgress::new(9, b"policy-blob".to_vec());
         journal.record("a", 2, 3, 41);
         journal.record("b", 0, 3, 1);
-        let parsed = LoadProgress::from_json(&journal.to_json()).unwrap();
+        let parsed = LoadProgress::from_bytes(&journal.to_bytes()).unwrap();
         assert_eq!(parsed, journal);
-        assert!(LoadProgress::from_json("{nope").is_err());
+        assert!(matches!(
+            LoadProgress::from_bytes(b"{nope"),
+            Err(JanusError::Storage(_))
+        ));
     }
 
     #[test]
     fn store_round_trip_and_empty_store() {
         let store = MemoryCheckpointStore::new();
         assert!(LoadProgress::load_latest(&store).unwrap().is_none());
-        let mut journal = LoadProgress::new(0, String::new());
+        let mut journal = LoadProgress::new(0, Vec::new());
         journal.record("a", 0, 2, 10);
         journal.save(&store, 1).unwrap();
         journal.record("a", 1, 2, 5);

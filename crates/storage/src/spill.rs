@@ -32,10 +32,11 @@
 //!
 //! ## End-to-end integrity
 //!
-//! Every sealed segment and the MANIFEST carry a CRC32 trailer
-//! ([`mod@janus_common::crc32`]) over their full contents. Reopen verifies
-//! each listed segment before replaying a single record: a mismatch —
-//! bit rot, a torn in-place overwrite, an injected
+//! Every sealed segment and the MANIFEST carry a CRC32 trailer over
+//! their full contents (a segment is a [`janus_common::codec`]-sealed
+//! buffer, the same layout as a wire frame or a stored checkpoint).
+//! Reopen verifies each listed segment before replaying a single
+//! record: a mismatch — bit rot, a torn in-place overwrite, an injected
 //! [`janus_common::faults`] corruption — **quarantines** the file
 //! (renamed to `<name>.quarantine`, counted in
 //! [`SpillStats::quarantined`]) and fails the open with a typed
@@ -70,6 +71,7 @@
 //! [`ArchiveBackend`]: crate::archive::ArchiveBackend
 
 use crate::archive::ArchiveBackend;
+use janus_common::codec::{self, Dec, Enc, TRAILER};
 use janus_common::{crc32, faults, JanusError, Result, Row, RowId};
 use std::collections::HashMap;
 use std::fs::File;
@@ -81,8 +83,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAGIC: u64 = 0x4745_5353_554e_414a;
 /// Bytes of the per-segment header: magic + arity.
 const HEADER: usize = 16;
-/// Bytes of the CRC32 integrity trailer closing every sealed segment.
-const TRAILER: usize = 4;
 /// Record kind tags.
 const KIND_INSERT: u64 = 0;
 const KIND_DELETE: u64 = 1;
@@ -463,21 +463,12 @@ impl SegmentedFileArchive {
             if bytes.len() < HEADER + TRAILER {
                 return Err(self.quarantine(name, "shorter than header + crc trailer"));
             }
-            let body = &bytes[..bytes.len() - TRAILER];
-            let stated =
-                u32::from_le_bytes(bytes[bytes.len() - TRAILER..].try_into().expect("4 bytes"));
-            let actual = crc32::crc32(body);
-            if stated != actual {
-                return Err(self.quarantine(
-                    name,
-                    &format!("crc mismatch (stated {stated:08x}, computed {actual:08x})"),
-                ));
-            }
-            let magic = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-            if magic != MAGIC {
+            let body = codec::unseal(&bytes, |why| self.quarantine(name, &why))?;
+            let mut d = Dec::new(body, JanusError::Storage);
+            if d.u64()? != MAGIC {
                 return Err(self.quarantine(name, "not a janus spill segment"));
             }
-            let arity = u64::from_le_bytes(body[8..HEADER].try_into().expect("8 bytes")) as usize;
+            let arity = d.usize()?;
             match self.arity {
                 None => self.arity = Some(arity),
                 Some(a) if a == arity => {}
@@ -489,13 +480,14 @@ impl SegmentedFileArchive {
                 }
             }
             let rec_size = Self::record_size(arity);
-            let records = &body[HEADER..];
-            if records.len() % rec_size != 0 {
+            if !d.remaining().is_multiple_of(rec_size) {
                 return Err(self.quarantine(name, "record area is not whole records"));
             }
-            for (rec_no, record) in records.chunks_exact(rec_size).enumerate() {
-                let kind = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
-                let id = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
+            let records = d.remaining() / rec_size;
+            for rec_no in 0..records {
+                let kind = d.u64()?;
+                let id = d.u64()?;
+                d.take(8 * arity)?;
                 match kind {
                     KIND_INSERT => {
                         if !self.index_of.contains_key(&id) {
@@ -520,7 +512,7 @@ impl SegmentedFileArchive {
                     }
                 }
             }
-            self.sealed_records += (records.len() / rec_size) as u64;
+            self.sealed_records += records as u64;
             let file = File::open(&path).map_err(|e| storage_err("open segment", &e))?;
             self.segments.push(Segment { file });
         }
@@ -552,14 +544,34 @@ impl SegmentedFileArchive {
         Some(slot)
     }
 
-    /// Appends the CRC32 trailer, writes one segment file (header +
-    /// records + trailer) via tmp + rename and reopens it for positioned
-    /// reads. The `spill.segment.bytes` failpoint flips a bit *after*
-    /// the checksum is computed — modeling media corruption that the
-    /// next open's CRC verification must catch.
-    fn publish_segment(&self, seg_no: u64, mut bytes: Vec<u8>) -> Result<(String, File)> {
-        let crc = crc32::crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+    /// An encoder holding a segment header (magic + arity) with room for
+    /// `records` records and the trailer.
+    fn segment(arity: usize, records: usize) -> Enc {
+        let mut e = Enc {
+            buf: Vec::with_capacity(HEADER + records * Self::record_size(arity) + TRAILER),
+        };
+        e.u64(MAGIC);
+        e.usize(arity);
+        e
+    }
+
+    /// Appends one insert record.
+    fn insert_record(e: &mut Enc, id: RowId, values: &[f64]) {
+        e.u64(KIND_INSERT);
+        e.u64(id);
+        for &v in values {
+            e.f64(v);
+        }
+    }
+
+    /// Seals a segment (CRC32 trailer), writes the file via tmp + rename
+    /// and reopens it for positioned reads. The `spill.segment.bytes`
+    /// failpoint flips a bit *after* the checksum is computed — modeling
+    /// media corruption that the next open's CRC verification must
+    /// catch.
+    fn publish_segment(&self, seg_no: u64, segment: Enc) -> Result<(String, File)> {
+        let mut bytes = segment.buf;
+        codec::seal(&mut bytes, 0);
         faults::maybe_corrupt("spill.segment.bytes", &mut bytes);
         let name = Self::seg_name(seg_no);
         let target = self.dir.join(&name);
@@ -578,28 +590,24 @@ impl SegmentedFileArchive {
         }
         faults::check_storage("spill.seal")?;
         let arity = self.arity.expect("tail operations imply a known arity");
-        let mut bytes = Vec::with_capacity(HEADER + self.tail_ops.len() * Self::record_size(arity));
-        bytes.extend_from_slice(&MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&(arity as u64).to_le_bytes());
+        let mut e = Self::segment(arity, self.tail_ops.len());
         for op in &self.tail_ops {
             match op {
                 TailOp::Insert { id, val } => {
-                    bytes.extend_from_slice(&KIND_INSERT.to_le_bytes());
-                    bytes.extend_from_slice(&id.to_le_bytes());
                     let start = *val as usize * arity;
-                    for v in &self.tail_values[start..start + arity] {
-                        bytes.extend_from_slice(&v.to_le_bytes());
-                    }
+                    Self::insert_record(&mut e, *id, &self.tail_values[start..start + arity]);
                 }
                 TailOp::Delete { id } => {
-                    bytes.extend_from_slice(&KIND_DELETE.to_le_bytes());
-                    bytes.extend_from_slice(&id.to_le_bytes());
-                    bytes.extend_from_slice(&vec![0u8; 8 * arity]);
+                    e.u64(KIND_DELETE);
+                    e.u64(*id);
+                    for _ in 0..arity {
+                        e.u64(0);
+                    }
                 }
             }
         }
         let seg_no = self.next_seg_no;
-        let (name, file) = self.publish_segment(seg_no, bytes)?;
+        let (name, file) = self.publish_segment(seg_no, e)?;
         self.next_seg_no = seg_no + 1;
         // Position index of the new segment in the logical order.
         let seg_pos = self.segments.len();
@@ -641,27 +649,20 @@ impl SegmentedFileArchive {
         let arity = self
             .arity
             .expect("dead records imply sealed segments and a known arity");
-        let rec_size = Self::record_size(arity);
         let mut new_files = Vec::new();
         let mut new_names = Vec::new();
         let mut buf = Vec::with_capacity(arity);
         let mut start = 0usize;
         while start < self.slots.len() {
             let end = (start + self.seg_rows).min(self.slots.len());
-            let mut bytes = Vec::with_capacity(HEADER + (end - start) * rec_size);
-            bytes.extend_from_slice(&MAGIC.to_le_bytes());
-            bytes.extend_from_slice(&(arity as u64).to_le_bytes());
+            let mut e = Self::segment(arity, end - start);
             for k in start..end {
                 let slot = self.slots[k];
                 self.read_values_into(slot.loc, &mut buf)?;
-                bytes.extend_from_slice(&KIND_INSERT.to_le_bytes());
-                bytes.extend_from_slice(&slot.id.to_le_bytes());
-                for v in &buf {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
+                Self::insert_record(&mut e, slot.id, &buf);
             }
             let seg_no = self.next_seg_no;
-            let (name, file) = self.publish_segment(seg_no, bytes)?;
+            let (name, file) = self.publish_segment(seg_no, e)?;
             self.next_seg_no = seg_no + 1;
             new_files.push(Segment { file });
             new_names.push(name);

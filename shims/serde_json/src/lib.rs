@@ -1,18 +1,55 @@
-//! Offline, in-tree stand-in for `serde_json`: a JSON writer/parser over
-//! the in-tree serde shim's [`Value`] model.
+//! Offline, in-tree stand-in for `serde_json`, reduced to what the
+//! benchmark's tests call: [`from_str`] parses a document into a
+//! [`Value`] tree read with [`Value::get`], [`Value::as_str`] and
+//! [`Value::as_f64`]. There is no writer and no typed (de)serialization;
+//! the product crates encode their state with `janus_common::codec`.
 //!
-//! Notable deviations from upstream, both deliberate:
-//!
-//! * integers print losslessly from the [`serde::Number`] integer arms
-//!   (needed for `f64::to_bits` round trips in synopsis snapshots);
-//! * non-finite floats print as `null` exactly like upstream (standard
-//!   JSON has no non-finite numbers), while the *parser* additionally
-//!   tolerates bare `Infinity` / `-Infinity` / `NaN` tokens from
-//!   hand-written inputs.
+//! Numbers are held as `f64`.
 
-pub use serde::{Number, Value};
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// JSON boolean.
+    Bool(bool),
+    /// JSON number.
+    Number(f64),
+    /// JSON string.
+    String(String),
+    /// JSON array.
+    Array(Vec<Value>),
+    /// JSON object with insertion-ordered keys.
+    Object(Vec<(String, Value)>),
+}
 
-/// Errors from parsing or (I/O-free here) serialization.
+impl Value {
+    /// Object lookup by key; `None` for non-objects or missing keys.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64` if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as `&str` if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// A parse error, with the byte offset it was found at.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -24,162 +61,11 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error(e.0)
-    }
-}
-
-impl From<Error> for std::io::Error {
-    fn from(e: Error) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}
-
 /// Convenience alias mirroring `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Renders any serializable as a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
-}
-
-/// Serializes to a compact JSON string.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
-}
-
-/// Serializes to a 2-space-indented JSON string.
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
-}
-
-/// Serializes to compact JSON bytes.
-pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
-}
-
-/// Parses a JSON string into any deserializable.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
-    let value = parse_value(s)?;
-    Ok(T::from_value(&value)?)
-}
-
-/// Parses JSON bytes into any deserializable.
-pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error(e.to_string()))?;
-    from_str(s)
-}
-
-/// Builds a [`Value`] in place: `json!(expr)`, `json!(null)`,
-/// `json!([a, b])`, or `json!({"key": expr, ...})`. Nested containers are
-/// written as nested `json!` calls.
-#[macro_export]
-macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ([ $($elem:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::to_value(&$elem) ),* ])
-    };
-    ({ $($key:literal : $value:expr),* $(,)? }) => {
-        $crate::Value::Object(vec![
-            $( (($key).to_string(), $crate::to_value(&$value)) ),*
-        ])
-    };
-    ($other:expr) => { $crate::to_value(&$other) };
-}
-
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value> {
+/// Parses a JSON document.
+pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -193,14 +79,15 @@ fn parse_value(s: &str) -> Result<Value> {
     Ok(v)
 }
 
-impl<'a> Parser<'a> {
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
@@ -235,14 +122,10 @@ impl<'a> Parser<'a> {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'N') if self.eat_keyword("NaN") => Ok(Value::Number(Number::F64(f64::NAN))),
-            Some(b'I') if self.eat_keyword("Infinity") => {
-                Ok(Value::Number(Number::F64(f64::INFINITY)))
-            }
             Some(b'"') => self.string().map(Value::String),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(Error(format!(
                 "unexpected byte `{}` at {}",
                 other as char, self.pos
@@ -250,55 +133,53 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
+    /// Parses `open item (, item)* close` with `item` per element.
+    fn list<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        self.expect(open)?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(item(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(items);
                 }
-                _ => return Err(Error(format!("expected `,` or `]` at byte {}", self.pos))),
+                _ => {
+                    return Err(Error(format!(
+                        "expected `,` or `{}` at byte {}",
+                        close as char, self.pos
+                    )))
+                }
             }
         }
     }
 
+    fn array(&mut self) -> Result<Value> {
+        self.list(b'[', b']', Self::value).map(Value::Array)
+    }
+
     fn object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos))),
-            }
-        }
+        self.list(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            Ok((key, p.value()?))
+        })
+        .map(Value::Object)
     }
 
     fn string(&mut self) -> Result<String> {
@@ -329,15 +210,14 @@ impl<'a> Parser<'a> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| Error(e.to_string()))?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| Error(e.to_string()))?;
+                            let c = u32::from_str_radix(hex, 16)
+                                .ok()
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| Error(format!("bad \\u{hex}")))?;
                             self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error(format!("bad \\u{hex}")))?,
-                            );
+                            out.push(c);
                         }
                         other => return Err(Error(format!("bad escape `\\{}`", other as char))),
                     }
@@ -345,9 +225,9 @@ impl<'a> Parser<'a> {
                 _ => {
                     // Re-scan as UTF-8 from the byte before.
                     let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|e| Error(e.to_string()))?;
-                    let c = s.chars().next().unwrap();
+                    let s = std::str::from_utf8(&self.bytes[start..])
+                        .map_err(|e| Error(e.to_string()))?;
+                    let c = s.chars().next().expect("non-empty");
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -357,42 +237,13 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value> {
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
-            // Accept `-Infinity` (our own writer's non-finite rendering).
-            if self.eat_keyword("Infinity") {
-                return Ok(Value::Number(Number::F64(f64::NEG_INFINITY)));
-            }
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| Error(e.to_string()))?;
-        if text.is_empty() || text == "-" {
-            return Err(Error(format!("bad number at byte {start}")));
-        }
-        if !is_float {
-            if negative {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Value::Number(Number::I64(v)));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::U64(v)));
-            }
-        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
         text.parse::<f64>()
-            .map(|v| Value::Number(Number::F64(v)))
-            .map_err(|e| Error(format!("bad number `{text}`: {e}")))
+            .map(Value::Number)
+            .map_err(|e| Error(format!("bad number `{text}` at byte {start}: {e}")))
     }
 }
 
@@ -402,71 +253,42 @@ mod tests {
 
     #[test]
     fn scalars_round_trip() {
-        for src in ["null", "true", "false", "1.5", "42", "-7", "\"hi\\n\""] {
-            let v: Value = from_str(src).unwrap();
-            let back: Value = from_str(&to_string(&v).unwrap()).unwrap();
-            assert_eq!(v, back, "{src}");
+        for (src, want) in [
+            ("null", Value::Null),
+            ("true", Value::Bool(true)),
+            ("false", Value::Bool(false)),
+            ("1.5", Value::Number(1.5)),
+            ("42", Value::Number(42.0)),
+            ("-7e-1", Value::Number(-0.7)),
+            ("\"hi\\n\"", Value::String("hi\n".into())),
+        ] {
+            assert_eq!(from_str(src).unwrap(), want, "{src}");
         }
     }
 
     #[test]
-    fn u64_bit_patterns_survive() {
-        let bits = f64::NEG_INFINITY.to_bits();
-        let json = to_string(&vec![bits]).unwrap();
-        let back: Vec<u64> = from_str(&json).unwrap();
-        assert_eq!(back, vec![bits]);
-    }
-
-    #[test]
-    fn nonfinite_floats_serialize_as_standard_null() {
-        let v = vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.25];
-        let json = to_string(&v).unwrap();
-        assert_eq!(
-            json, "[null,null,null,1.25]",
-            "external tooling stays happy"
-        );
-        // The parser additionally tolerates bare non-finite tokens.
-        let back: Vec<f64> = from_str("[Infinity, -Infinity, NaN]").unwrap();
-        assert_eq!(back[0], f64::INFINITY);
-        assert_eq!(back[1], f64::NEG_INFINITY);
-        assert!(back[2].is_nan());
-    }
-
-    #[test]
-    fn json_macro_builds_objects_and_arrays() {
-        let v = json!({
-            "id": "x",
-            "n": 1.5,
-            "rows": vec![1u64, 2],
-            "nested": json!([1u64, 2]),
-        });
-        let s = to_string(&v).unwrap();
-        assert_eq!(s, r#"{"id":"x","n":1.5,"rows":[1,2],"nested":[1,2]}"#);
-        assert_eq!(json!(null), Value::Null);
-        assert_eq!(json!(2u64), Value::Number(Number::U64(2)));
-    }
-
-    #[test]
-    fn pretty_printing_is_parseable_and_indented() {
-        let v = json!({"a": vec![1u64], "b": "x"});
-        let pretty = to_string_pretty(&v).unwrap();
-        assert!(pretty.contains("\n  \"a\""));
-        let back: Value = from_str(&pretty).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
     fn string_escapes_round_trip() {
-        let s = "quote\" slash\\ newline\n tab\t unicode\u{1}é漢".to_string();
-        let back: String = from_str(&to_string(&s).unwrap()).unwrap();
-        assert_eq!(back, s);
+        let src = r#""quote\" slash\\ newline\n tab\t unicode\u0001é漢""#;
+        let want = "quote\" slash\\ newline\n tab\t unicode\u{1}é漢";
+        assert_eq!(from_str(src).unwrap().as_str(), Some(want));
+    }
+
+    #[test]
+    fn objects_and_arrays_answer_lookups() {
+        let doc = from_str(r#" {"a": [1, {"unit": "s"}], "b": 2.5, "c": {}} "#).unwrap();
+        let Some(Value::Array(items)) = doc.get("a") else {
+            panic!("a is an array")
+        };
+        assert_eq!(items[1].get("unit").and_then(Value::as_str), Some("s"));
+        assert_eq!(doc.get("b").and_then(Value::as_f64), Some(2.5));
+        assert_eq!(doc.get("c"), Some(&Value::Object(Vec::new())));
+        assert_eq!(doc.get("missing"), None);
     }
 
     #[test]
     fn parse_errors_are_reported() {
-        assert!(from_str::<Value>("{").is_err());
-        assert!(from_str::<Value>("[1,]").is_err());
-        assert!(from_str::<Value>("12 34").is_err());
-        assert!(from_str::<Value>("").is_err());
+        for bad in ["{", "[1,]", "12 34", "", "-", "{\"a\" 1}", "\"open"] {
+            assert!(from_str(bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -279,16 +279,16 @@ fn engines_evolve_bit_identically_across_backends() {
     }
     assert_eq!(mem.export_rows(), file.export_rows(), "export order");
     assert_eq!(
-        serde_json::to_string(&mem.save_synopsis()).unwrap(),
-        serde_json::to_string(&file.save_synopsis()).unwrap(),
+        mem.save_synopsis().to_bytes(),
+        file.save_synopsis().to_bytes(),
         "snapshots must be bit-identical"
     );
     // Forks of a spilling engine are bit-identical too (fork is the
     // replica-construction path).
     let forked = file.fork_via_snapshot().unwrap();
     assert_eq!(
-        serde_json::to_string(&forked.save_synopsis()).unwrap(),
-        serde_json::to_string(&mem.save_synopsis()).unwrap()
+        forked.save_synopsis().to_bytes(),
+        mem.save_synopsis().to_bytes()
     );
     drop(file);
     let _ = std::fs::remove_dir_all(root);

@@ -169,14 +169,14 @@ struct TrippingStore<'a> {
 }
 
 impl CheckpointStore for TrippingStore<'_> {
-    fn put(&self, id: u64, payload: &str) -> janus::common::Result<()> {
+    fn put(&self, id: u64, payload: &[u8]) -> janus::common::Result<()> {
         self.inner.put(id, payload)?;
         if self.puts.fetch_add(1, Ordering::Relaxed) + 1 >= self.after {
             self.stop.store(true, Ordering::Relaxed);
         }
         Ok(())
     }
-    fn get(&self, id: u64) -> Option<String> {
+    fn get(&self, id: u64) -> Option<Vec<u8>> {
         self.inner.get(id)
     }
     fn ids(&self) -> Vec<u64> {

@@ -98,11 +98,11 @@ fn snapshot_survives_simulated_restart_with_replay() {
             .unwrap();
     }
     let snap: SynopsisSnapshot = engine.save_synopsis();
-    let json = serde_json::to_vec(&snap).unwrap();
+    let bytes = snap.to_bytes();
 
     // "Restart": rebuild from the durable archive + deserialized synopsis.
     let archive: Vec<Row> = engine.export_rows();
-    let snap2: SynopsisSnapshot = serde_json::from_slice(&json).unwrap();
+    let snap2 = SynopsisSnapshot::from_bytes(&bytes).unwrap();
     let mut restored = JanusEngine::restore(engine.config().clone(), archive, &snap2).unwrap();
 
     // Post-restart updates replay cleanly.

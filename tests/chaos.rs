@@ -714,18 +714,18 @@ fn checkpoint_write_and_rename_faults_are_typed_and_torn_writes_invisible() {
                 .rule("checkpoint.rename", TriggerMode::Nth(1), FaultKind::Error),
         );
         assert!(
-            matches!(store.put(1, "payload-1"), Err(JanusError::Storage(_))),
+            matches!(store.put(1, b"payload-1"), Err(JanusError::Storage(_))),
             "write fault must surface as a typed storage error"
         );
         assert!(
-            matches!(store.put(2, "payload-2"), Err(JanusError::Storage(_))),
+            matches!(store.put(2, b"payload-2"), Err(JanusError::Storage(_))),
             "rename fault must surface as a typed storage error"
         );
     }
     assert_eq!(store.get(1), None, "failed write must be invisible");
     assert_eq!(store.get(2), None, "torn rename must be invisible");
-    store.put(3, "payload-3").expect("healthy put");
-    assert_eq!(store.get(3).as_deref(), Some("payload-3"));
+    store.put(3, b"payload-3").expect("healthy put");
+    assert_eq!(store.get(3).as_deref(), Some(&b"payload-3"[..]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1035,4 +1035,89 @@ fn sealed_segment_and_manifest_bit_flips_always_fail_the_open() {
     assert!(rejected > 0, "the fuzz loop must actually run trials");
     let _ = std::fs::remove_dir_all(&master);
     let _ = std::fs::remove_dir_all(&trial_dir);
+}
+
+/// Flips every bit of stored file `id` in `store` one at a time and
+/// requires `load` to fail with a typed storage error on each flip.
+/// Returns the number of flips tried.
+fn every_stored_bit_flip_fails<T: std::fmt::Debug>(
+    store: &FileCheckpointStore,
+    id: u64,
+    load: impl Fn(&FileCheckpointStore) -> janus::common::Result<T>,
+) -> usize {
+    let path = store.dir().join(format!("checkpoint-{id:020}.bin"));
+    let pristine = std::fs::read(&path).expect("stored file");
+    load(store).expect("the pristine blob loads");
+    for bit in 0..pristine.len() * 8 {
+        let mut bytes = pristine.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &bytes).expect("write corrupted");
+        match load(store) {
+            Err(JanusError::Storage(_)) => {}
+            other => panic!(
+                "{} bit {bit}: expected a storage error, got {other:?}",
+                path.display()
+            ),
+        }
+    }
+    std::fs::write(&path, &pristine).expect("restore pristine");
+    pristine.len() * 8
+}
+
+#[test]
+fn stored_checkpoint_journal_and_directory_bit_flips_are_typed_storage_errors() {
+    let _g = lock();
+    let _plan = PlanGuard::none();
+    let mut small = config(5);
+    small.leaf_count = 2;
+    small.minmax_k = 2;
+    let cluster = ClusterEngine::bootstrap(
+        ClusterConfig::new(small, 2, ShardPolicy::HashById),
+        rows(24, 5),
+    )
+    .expect("bootstrap");
+
+    let ckpt_dir = tdir("state-fuzz-ckpt");
+    let store = FileCheckpointStore::open(&ckpt_dir).expect("open store");
+    cluster
+        .checkpoint()
+        .save(&store, 1)
+        .expect("save checkpoint");
+    let mut flips = every_stored_bit_flip_fails(&store, 1, |s| {
+        ClusterCheckpoint::load_latest(s).map(|(_, c)| c.population())
+    });
+
+    let journal_dir = tdir("state-fuzz-journal");
+    let store = FileCheckpointStore::open(&journal_dir).expect("open store");
+    let router = janus::cluster::RouterSnapshot::from_policy(&ShardPolicy::HashById, 0);
+    let mut journal = janus::storage::LoadProgress::new(4, router.to_bytes());
+    journal.record("chunk-00000.jrc", 1, 2, 300);
+    journal.record("chunk-00001.jrc", 0, 2, 12);
+    journal.save(&store, 1).expect("save journal");
+    flips += every_stored_bit_flip_fails(&store, 1, |s| {
+        janus::storage::LoadProgress::load_latest(s).map(|j| j.map(|(_, j)| j.total_published()))
+    });
+
+    let dir_dir = tdir("state-fuzz-dir");
+    let store = FileCheckpointStore::open(&dir_dir).expect("open store");
+    let nodes = (0..3)
+        .map(|i| janus::net::NodeDesc {
+            node_id: i,
+            domain: format!("rack-{i}"),
+            addr: format!("127.0.0.1:{}", 7000 + i).parse().unwrap(),
+        })
+        .collect();
+    let mut directory = janus::net::Directory::place(nodes, 4, 1).expect("place");
+    directory.fail_node(2, |_, _| 0);
+    store
+        .put(1, &directory.snapshot().to_bytes())
+        .expect("save directory");
+    flips += every_stored_bit_flip_fails(&store, 1, |s| {
+        janus::net::DirectorySnapshot::from_bytes(&s.get(1).expect("stored"))
+    });
+
+    assert!(flips > 0, "the fuzz loop must actually run trials");
+    for d in [ckpt_dir, journal_dir, dir_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

@@ -165,7 +165,7 @@ fn checkpointed_restore_replays_to_bit_identical_answers() {
 
         // The checkpoint itself must survive serialization: recovery
         // always reads it back from a store.
-        let checkpoint = ClusterCheckpoint::from_json(&checkpoint.to_json()).unwrap();
+        let checkpoint = ClusterCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
 
         // Phase 2: more identical traffic after the checkpoint.
         stream.publish(&[&uninterrupted, &crashing], 2_000);
