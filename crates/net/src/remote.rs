@@ -42,6 +42,10 @@
 //! records (round-robin across primary + fresh followers); the node
 //! re-checks the gate under its engine lock and answers `Stale` if it
 //! fell behind, in which case the coordinator falls back to the primary.
+//! The networked coordinator keeps no answer cache: every query scatters.
+//! Every scatter rides [`Priority::Bulk`], because this pool carries only
+//! query jobs, so there is no background work for an interactive lane to
+//! overtake.
 //!
 //! # Transient-failure hardening
 //!

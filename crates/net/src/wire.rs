@@ -717,6 +717,30 @@ mod tests {
         }
     }
 
+    /// The trailer below was captured from the bytewise CRC32 this codec
+    /// shipped with: a checksum that only agrees with itself would still
+    /// pass every round trip and bit-flip test, but not this.
+    #[test]
+    fn a_1024_row_publish_batch_keeps_its_crc_trailer() {
+        use janus_common::faults::mix64;
+        let unit = |k: u64| (mix64(k) >> 11) as f64 / (1u64 << 53) as f64;
+        let ops = (0..1024u64)
+            .map(|id| {
+                ShardOp::Insert(Row::new(
+                    id,
+                    (0..5).map(|c| unit(id * 5 + c) * 1e3).collect(),
+                ))
+            })
+            .collect();
+        let bytes = encode_frame(&Frame::PublishBatch {
+            shard: 2,
+            first_offset: 4096,
+            ops,
+        });
+        assert_eq!(bytes.len(), 54_298);
+        assert_eq!(bytes[bytes.len() - 4..], 0xAB69_263Du32.to_le_bytes());
+    }
+
     #[test]
     fn read_frame_clean_eof_is_none() {
         let empty: &[u8] = &[];
