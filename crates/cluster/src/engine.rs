@@ -881,6 +881,24 @@ impl ClusterEngine {
         })
     }
 
+    /// Reserves room for about `rows` more inserts, split evenly over the
+    /// shards: `rows.div_ceil(shards)` records in every shard topic and
+    /// rows in every shard archive, primaries and followers alike. A bulk
+    /// producer that knows its volume calls this once, so the topic (grown
+    /// by the publisher) and the archive (grown by the pump) are not
+    /// doubled step by step from two threads. Capacity only: no state a
+    /// query or a checkpoint sees changes.
+    pub fn reserve(&self, rows: usize) {
+        let per_shard = rows.div_ceil(self.shards());
+        for (shard, host) in self.set.shards.iter().enumerate() {
+            self.set.log.topic(shard).reserve(per_shard);
+            host.write().reserve(per_shard);
+            for follower in self.set.replicas[shard].read().iter() {
+                follower.write().reserve(per_shard);
+            }
+        }
+    }
+
     /// Drains up to `max` records of `shard`'s topic into its engine, in
     /// offset order; returns the number applied. This is the granularity a
     /// background pump worker owns: it write-locks only its shard once per

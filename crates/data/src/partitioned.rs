@@ -20,6 +20,10 @@
 //! rows    count × (id u64, arity × f64)
 //! ```
 //!
+//! A file is therefore exactly `12 + 16·arity + count·8·(1 + arity)`
+//! bytes, and the readers reject any other length as
+//! `JanusError::Storage` before allocating for `count` rows.
+//!
 //! Floats are stored via `to_bits`, so a write→read round trip is
 //! bit-exact — the contract the loader's bit-identity tests lean on.
 //! Chunk files sort lexicographically (`chunk-00000.jrc`, …), and that
@@ -225,13 +229,29 @@ pub fn list_chunks(dir: &Path) -> Result<Vec<PathBuf>> {
     Ok(paths)
 }
 
+fn open_chunk(path: &Path) -> Result<(File, u64)> {
+    let file = File::open(path).map_err(|e| io_err("open chunk", e))?;
+    let len = file.metadata().map_err(|e| io_err("stat chunk", e))?.len();
+    Ok((file, len))
+}
+
 fn read_exact_buf<const N: usize>(r: &mut impl Read, ctx: &str) -> Result<[u8; N]> {
     let mut buf = [0u8; N];
     r.read_exact(&mut buf).map_err(|e| io_err(ctx, e))?;
     Ok(buf)
 }
 
-fn read_header_from(r: &mut impl Read, path: &Path) -> Result<ChunkHeader> {
+/// The exact byte length of a chunk file of `rows` rows of `arity`
+/// values: 12 fixed bytes (magic, arity, count), the ranges, the rows.
+fn chunk_file_len(arity: usize, rows: usize) -> u128 {
+    let (arity, rows) = (arity as u128, rows as u128);
+    12 + 16 * arity + rows * 8 * (1 + arity)
+}
+
+/// Reads a chunk header and checks its row count against the file's
+/// length, so a corrupt count is a typed error rather than an allocation
+/// sized by it.
+fn read_header_from(r: &mut impl Read, path: &Path, file_len: u64) -> Result<ChunkHeader> {
     let ctx = "read chunk header";
     let magic: [u8; 4] = read_exact_buf(r, ctx)?;
     if &magic != MAGIC {
@@ -245,6 +265,13 @@ fn read_header_from(r: &mut impl Read, path: &Path) -> Result<ChunkHeader> {
     if arity == 0 || rows == 0 {
         return Err(JanusError::Storage(format!(
             "{} has a degenerate header (arity {arity}, rows {rows})",
+            path.display()
+        )));
+    }
+    let expected = chunk_file_len(arity, rows);
+    if expected != u128::from(file_len) {
+        return Err(JanusError::Storage(format!(
+            "{} is {file_len} bytes but its header (arity {arity}, rows {rows}) needs {expected}",
             path.display()
         )));
     }
@@ -266,15 +293,15 @@ fn read_header_from(r: &mut impl Read, path: &Path) -> Result<ChunkHeader> {
 /// pass does for every chunk before deciding which threads read which
 /// files (a few dozen bytes per file, never the rows).
 pub fn read_chunk_header(path: &Path) -> Result<ChunkHeader> {
-    let file = File::open(path).map_err(|e| io_err("open chunk", e))?;
-    read_header_from(&mut BufReader::new(file), path)
+    let (file, len) = open_chunk(path)?;
+    read_header_from(&mut BufReader::new(file), path, len)
 }
 
 /// Reads a whole chunk file: header plus rows, bit-exact.
 pub fn read_chunk(path: &Path) -> Result<(ChunkHeader, Vec<Row>)> {
-    let file = File::open(path).map_err(|e| io_err("open chunk", e))?;
+    let (file, len) = open_chunk(path)?;
     let mut r = BufReader::new(file);
-    let header = read_header_from(&mut r, path)?;
+    let header = read_header_from(&mut r, path, len)?;
     let ctx = "read chunk rows";
     let mut rows = Vec::with_capacity(header.rows);
     for _ in 0..header.rows {
@@ -357,6 +384,31 @@ mod tests {
         let bogus = dir.join("bogus.jrc");
         fs::write(&bogus, b"not a chunk at all").unwrap();
         assert!(read_chunk_header(&bogus).is_err(), "bad magic");
+        // A 52-byte file whose header claims u32::MAX rows: a typed error,
+        // not an allocation sized by the count.
+        let huge = dir.join("huge.jrc");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(52, 0);
+        fs::write(&huge, &bytes).unwrap();
+        assert!(matches!(
+            read_chunk_header(&huge),
+            Err(JanusError::Storage(_))
+        ));
+        assert!(matches!(read_chunk(&huge), Err(JanusError::Storage(_))));
+        // A valid chunk cut short by a few bytes.
+        let cut = dir.join("cut.jrc");
+        let rows: Vec<Row> = (0..3u64).map(|id| Row::new(id, vec![id as f64])).collect();
+        write_chunk(&cut, &rows).unwrap();
+        assert_eq!(read_chunk(&cut).unwrap().1, rows);
+        let full = fs::read(&cut).unwrap();
+        fs::write(&cut, &full[..full.len() - 5]).unwrap();
+        assert!(matches!(
+            read_chunk_header(&cut),
+            Err(JanusError::Storage(_))
+        ));
+        assert!(matches!(read_chunk(&cut), Err(JanusError::Storage(_))));
         let spec = PartitionedSpec {
             sort_by: Some(9),
             ..PartitionedSpec::uniform_sorted(10, 5, 1)

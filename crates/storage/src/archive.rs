@@ -122,6 +122,10 @@ pub trait ArchiveBackend: Send + Sync {
         None
     }
 
+    /// Reserves room for at least `additional` more rows. A capacity
+    /// hint only; the default does nothing.
+    fn reserve(&mut self, _additional: usize) {}
+
     /// Forces a maintenance compaction pass, returning `Ok(true)` if the
     /// backend rewrote storage. In-memory backends have nothing to
     /// compact (swap-remove deletion never leaves dead records).
@@ -313,6 +317,14 @@ impl ArchiveBackend for ColumnarArchive {
         self.ids[slot]
     }
 
+    /// Until the first insert fixes the arity the value buffer's share
+    /// is unknown, so only the id column and the index grow.
+    fn reserve(&mut self, additional: usize) {
+        self.ids.reserve(additional);
+        self.values.reserve(additional * self.stride());
+        self.index_of.reserve(additional);
+    }
+
     fn columns(&self) -> Option<ArchiveColumns<'_>> {
         Some(ArchiveColumns {
             ids: &self.ids,
@@ -409,6 +421,12 @@ impl ArchiveStore {
     /// still needs its `Row` afterwards (every backend copies the values).
     pub fn insert_values(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
         self.backend.insert(id, values)
+    }
+
+    /// Reserves room for at least `additional` more rows on backends that
+    /// keep them in memory (a no-op elsewhere).
+    pub fn reserve(&mut self, additional: usize) {
+        self.backend.reserve(additional);
     }
 
     /// Deletes a row by id, returning it if it existed; `Err` on a

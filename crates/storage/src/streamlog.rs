@@ -47,6 +47,12 @@ impl<T: Clone> TopicLog<T> {
         first
     }
 
+    /// Reserves room for at least `additional` more records, so a
+    /// producer that knows its volume grows the log once.
+    pub fn reserve(&self, additional: usize) {
+        self.entries.write().reserve(additional);
+    }
+
     /// Number of records in the topic (the end offset).
     pub fn len(&self) -> usize {
         self.entries.read().len()

@@ -848,8 +848,59 @@ fn bulk_load_journal_faults_fail_the_load_typed() {
         .load()
         .expect("healthy load");
     assert_eq!(report.rows_published, 400);
+
+    // A shard whose archive cannot seal a segment fails its apply
+    // mid-load: the drain beside the loader threads surfaces it as the
+    // load's typed error, and every thread the load started is gone.
+    let spill_dir = tdir("load-spill");
+    let mut spilling = config(31);
+    spilling.archive_backend = ArchiveBackendKind::FileSpill {
+        root: spill_dir.clone(),
+        seg_rows: 32,
+    };
+    let cluster = ClusterEngine::bootstrap(
+        ClusterConfig::new(spilling, 2, ShardPolicy::HashById),
+        seed_rows(500),
+    )
+    .expect("bootstrap");
+    let threads_before = process_threads();
+    {
+        let _plan = PlanGuard::install(FaultPlan::new(5).rule(
+            "spill.seal",
+            TriggerMode::Permanent { after: 1 },
+            FaultKind::Error,
+        ));
+        let result = BulkLoader::new(&cluster, &data_dir)
+            .with_config(LoadConfig {
+                threads: 2,
+                batch_rows: 16,
+                ..LoadConfig::default()
+            })
+            .load();
+        assert!(
+            matches!(result, Err(JanusError::Storage(_))),
+            "a failing shard apply must fail the load with a typed error, got {result:?}"
+        );
+        assert!(faults::fired("spill.seal") > 0);
+    }
+    // Joined threads leave the kernel's task list a moment after the join.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while process_threads() > threads_before && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        process_threads() <= threads_before,
+        "the failed load left a thread running"
+    );
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&spill_dir);
     let _ = std::fs::remove_dir_all(&data_dir);
     let _ = std::fs::remove_dir_all(&journal_dir);
+}
+
+/// Threads of this process, from `/proc` (0 where it does not exist).
+fn process_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |tasks| tasks.count())
 }
 
 // ---------------------------------------------------------------------
