@@ -7,9 +7,10 @@
 //! can never drift apart on where a row belongs or how a shard's engine
 //! is seeded.
 
+use crate::directory::PlacementSink;
 use crate::host::ShardHost;
 use crate::router::ShardRouter;
-use janus_common::{DetHashMap, JanusError, Result, Row, RowId};
+use janus_common::{JanusError, Result, Row};
 use janus_core::{JanusEngine, SynopsisConfig};
 
 /// Decorrelates shard engine seeds from the base seed (SplitMix64's golden
@@ -45,22 +46,22 @@ pub fn shard_config(base: &SynopsisConfig, shard: usize) -> SynopsisConfig {
     config
 }
 
-/// Per-shard row buckets plus the authoritative row→shard directory.
-pub type PartitionedRows = (Vec<Vec<Row>>, DetHashMap<RowId, usize>);
-
-/// Routes `rows` through `router` into per-shard buckets and builds the
-/// authoritative row→shard directory, rejecting duplicate row ids.
-/// Buckets and the directory are pre-sized for the batch.
-pub fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result<PartitionedRows> {
+/// Routes `rows` through `router` into per-shard buckets, placing each
+/// row in `directory` as it goes (one probe per row) and rejecting
+/// duplicate row ids. Buckets are pre-sized for the batch; the caller
+/// sizes the directory.
+pub fn partition_rows(
+    router: &mut ShardRouter,
+    rows: Vec<Row>,
+    directory: &mut impl PlacementSink,
+) -> Result<Vec<Vec<Row>>> {
     let shards = router.shards();
     let mut per_shard: Vec<Vec<Row>> = (0..shards)
         .map(|_| Vec::with_capacity(rows.len().div_ceil(shards)))
         .collect();
-    let mut directory: DetHashMap<RowId, usize> =
-        DetHashMap::with_capacity_and_hasher(rows.len(), Default::default());
     for row in rows {
         let shard = router.route(&row);
-        if directory.insert(row.id, shard).is_some() {
+        if directory.place(row.id, shard).is_some() {
             return Err(JanusError::InvalidConfig(format!(
                 "duplicate row id {} in bootstrap data",
                 row.id
@@ -68,7 +69,7 @@ pub fn partition_rows(router: &mut ShardRouter, rows: Vec<Row>) -> Result<Partit
         }
         per_shard[shard].push(row);
     }
-    Ok((per_shard, directory))
+    Ok(per_shard)
 }
 
 /// Bootstraps one primary and `replicas` followers per bucket, all at
@@ -102,7 +103,7 @@ pub(crate) fn build_shards(
 mod tests {
     use super::*;
     use crate::router::ShardPolicy;
-    use janus_common::{AggregateFunction, QueryTemplate};
+    use janus_common::{AggregateFunction, DetHashMap, QueryTemplate};
 
     #[test]
     fn shard_seeds_are_distinct_and_deterministic() {
@@ -132,7 +133,8 @@ mod tests {
     fn partition_rows_rejects_duplicates_and_fills_directory() {
         let mut router = ShardRouter::new(ShardPolicy::RoundRobin, 3).unwrap();
         let rows: Vec<Row> = (0..9).map(|i| Row::new(i, vec![i as f64])).collect();
-        let (per_shard, directory) = partition_rows(&mut router, rows).unwrap();
+        let mut directory = DetHashMap::default();
+        let per_shard = partition_rows(&mut router, rows, &mut directory).unwrap();
         assert_eq!(
             per_shard.iter().map(Vec::len).collect::<Vec<_>>(),
             [3, 3, 3]
@@ -143,7 +145,7 @@ mod tests {
 
         let mut router = ShardRouter::new(ShardPolicy::HashById, 2).unwrap();
         let dup = vec![Row::new(7, vec![1.0]), Row::new(7, vec![2.0])];
-        assert!(partition_rows(&mut router, dup).is_err());
+        assert!(partition_rows(&mut router, dup, &mut DetHashMap::default()).is_err());
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //!   insert has landed.
 
 use crate::engine::ShardOp;
-use crate::router::{mix, ShardRouter};
+use crate::router::ShardRouter;
+use janus_common::faults::mix64;
 use janus_common::{DetHashMap, RowId};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::hash_map::Entry;
@@ -49,14 +50,15 @@ use std::collections::hash_map::Entry;
 pub(crate) const STRIPES: usize = 16;
 
 /// A row → shard placement map held exclusively — the live striped
-/// directory under all its stripe locks, or a plain map (the networked
-/// coordinator's, or placement rebuilt offline in bootstrap, restore and
-/// unit tests).
+/// directory under all its stripe locks (which bootstrap fills
+/// directly), or a plain map (the networked coordinator's, or a unit
+/// test's).
 pub trait PlacementSink {
     /// Whether `id` is placed anywhere.
     fn contains(&self, id: RowId) -> bool;
-    /// Records that `id` now lives on `shard` (insert or overwrite).
-    fn place(&mut self, id: RowId, shard: usize);
+    /// Records that `id` now lives on `shard` (insert or overwrite),
+    /// returning the shard it lived on before — one probe either way.
+    fn place(&mut self, id: RowId, shard: usize) -> Option<usize>;
     /// Removes `id`, returning the shard it lived on.
     fn remove(&mut self, id: RowId) -> Option<usize>;
 }
@@ -65,8 +67,8 @@ impl PlacementSink for DetHashMap<RowId, usize> {
     fn contains(&self, id: RowId) -> bool {
         self.contains_key(&id)
     }
-    fn place(&mut self, id: RowId, shard: usize) {
-        self.insert(id, shard);
+    fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
+        self.insert(id, shard)
     }
     fn remove(&mut self, id: RowId) -> Option<usize> {
         DetHashMap::remove(self, &id)
@@ -113,26 +115,39 @@ pub(crate) struct StripedDirectory {
 }
 
 /// Stripe index of a row id. Uses the *high* half of the SplitMix64 mix —
-/// hash routing consumes the low bits (`mix % shards`), so stripe choice
+/// hash routing consumes the low bits (`mix64 % shards`), so stripe choice
 /// stays decorrelated from shard choice under `ShardPolicy::HashById`.
+/// (Each stripe's own map hashes the id with the salted
+/// [`janus_common::det_hash::DetHasher`], not with this mix.)
 #[inline]
 pub(crate) fn stripe_of(id: RowId) -> usize {
-    ((mix(id) >> 32) as usize) & (STRIPES - 1)
+    ((mix64(id) >> 32) as usize) & (STRIPES - 1)
 }
 
 impl StripedDirectory {
-    /// An empty directory.
-    pub(crate) fn new() -> Self {
+    /// An empty directory whose stripes hold `rows` uniformly spread ids
+    /// without growing: each stripe gets its share plus an eighth, which
+    /// covers the binomial spread of any table large enough to matter.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        let per_stripe = match rows.div_ceil(STRIPES) {
+            0 => 0,
+            share => share + share / 8 + 16,
+        };
         StripedDirectory {
             stripes: (0..STRIPES)
-                .map(|_| RwLock::new(DetHashMap::default()))
+                .map(|_| {
+                    RwLock::new(DetHashMap::with_capacity_and_hasher(
+                        per_stripe,
+                        Default::default(),
+                    ))
+                })
                 .collect(),
         }
     }
 
-    /// Builds a directory from a flat placement map (bootstrap/restore).
+    /// Builds a directory from a flat placement map (restore).
     pub(crate) fn from_map(map: DetHashMap<RowId, usize>) -> Self {
-        let dir = Self::new();
+        let dir = Self::with_capacity(map.len());
         {
             let mut all = dir.write_all();
             for (id, shard) in map {
@@ -214,8 +229,8 @@ impl PlacementSink for AllStripesWrite<'_> {
     fn contains(&self, id: RowId) -> bool {
         self.guards[stripe_of(id)].contains_key(&id)
     }
-    fn place(&mut self, id: RowId, shard: usize) {
-        self.guards[stripe_of(id)].insert(id, shard);
+    fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
+        self.guards[stripe_of(id)].insert(id, shard)
     }
     fn remove(&mut self, id: RowId) -> Option<usize> {
         self.guards[stripe_of(id)].remove(&id)
@@ -233,7 +248,7 @@ mod tests {
 
     #[test]
     fn reserve_places_absent_ids_and_rejects_present_ones() {
-        let dir = StripedDirectory::new();
+        let dir = StripedDirectory::with_capacity(0);
         let batch = rows(0..100);
         let mut accepted = vec![false; batch.len()];
         assert_eq!(dir.reserve(3, &batch, &mut accepted), 100);
@@ -265,7 +280,7 @@ mod tests {
 
     #[test]
     fn stripes_spread_ids() {
-        let dir = StripedDirectory::new();
+        let dir = StripedDirectory::with_capacity(0);
         let batch = rows(0..16_000);
         let mut accepted = vec![false; batch.len()];
         dir.reserve(0, &batch, &mut accepted);

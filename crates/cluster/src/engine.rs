@@ -499,7 +499,8 @@ impl ClusterEngine {
             return Err(JanusError::InvalidConfig("need at least one shard".into()));
         }
         let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
-        let (per_shard, directory) = partition_rows(&mut router, rows)?;
+        let directory = StripedDirectory::with_capacity(rows.len());
+        let per_shard = partition_rows(&mut router, rows, &mut directory.write_all())?;
         // Followers bootstrap from the same rows with the same per-shard
         // seed as their primary: identical construction + identical topic
         // replay keeps them bit-identical at equal offsets.
@@ -523,7 +524,7 @@ impl ClusterEngine {
     fn assemble(
         config: ClusterConfig,
         router: ShardRouter,
-        directory: DetHashMap<RowId, usize>,
+        directory: StripedDirectory,
         shards: Vec<ShardHost>,
         replica_sets: Vec<Vec<ShardHost>>,
         log: Arc<ShardedLog<ShardOp>>,
@@ -550,7 +551,7 @@ impl ClusterEngine {
         ClusterEngine {
             config,
             router: RwLock::new(router),
-            directory: StripedDirectory::from_map(directory),
+            directory,
             ingest_gate: RwLock::new(()),
             rebalance_generation: AtomicU64::new(rebalance_generation),
             rebalance_mark: AtomicU64::new(0),
@@ -1440,7 +1441,7 @@ impl ClusterEngine {
         Ok(Self::assemble(
             config,
             router,
-            directory,
+            StripedDirectory::from_map(directory),
             shards,
             replica_sets,
             log,

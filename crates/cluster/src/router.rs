@@ -8,12 +8,14 @@
 //! scatter phase prune shards whose slab a query cannot touch.
 
 use crate::bootstrap::shard_of_value;
-use janus_common::{JanusError, Query, Rect, Result, Row, RowId};
+use janus_common::faults::mix64;
+use janus_common::{JanusError, Query, Rect, Result, Row};
 
 /// How rows are assigned to shards.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardPolicy {
-    /// Discrete: deterministic hash of the row id. Uniform under any
+    /// Discrete: deterministic hash of the row id (`mix64(id) % shards`,
+    /// SplitMix64 via `janus_common::faults::mix64`). Uniform under any
     /// workload; every query touches every shard.
     HashById,
     /// Discrete: strict rotation in arrival order. Uniform counts by
@@ -84,18 +86,6 @@ pub struct ShardRouter {
     next: usize,
 }
 
-/// SplitMix64 — the same mixer the engine seeds derive from, so hash
-/// routing is deterministic across runs and platforms. Shared with the
-/// directory stripes, which consume the *high* half of the mix so stripe
-/// choice stays independent of `mix % shards` hash routing.
-#[inline]
-pub(crate) fn mix(id: RowId) -> u64 {
-    let mut z = id.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 impl ShardRouter {
     /// Builds a router; a `Range` policy must carry `shards - 1` bounds.
     pub fn new(policy: ShardPolicy, shards: usize) -> Result<Self> {
@@ -150,7 +140,7 @@ impl ShardRouter {
     /// `RoundRobin` (hence `&mut`).
     pub fn route(&mut self, row: &Row) -> usize {
         match &self.policy {
-            ShardPolicy::HashById => (mix(row.id) % self.shards as u64) as usize,
+            ShardPolicy::HashById => (mix64(row.id) % self.shards as u64) as usize,
             ShardPolicy::RoundRobin => {
                 let s = self.next;
                 self.next = (self.next + 1) % self.shards;
@@ -242,7 +232,7 @@ impl ShardRouter {
 /// the row alone; `RoundRobin` cannot (cursor-dependent) and yields `None`.
 fn route_stateless(policy: &ShardPolicy, shards: usize, row: &Row) -> Option<usize> {
     match policy {
-        ShardPolicy::HashById => Some((mix(row.id) % shards as u64) as usize),
+        ShardPolicy::HashById => Some((mix64(row.id) % shards as u64) as usize),
         ShardPolicy::RoundRobin => None,
         ShardPolicy::Range { column, bounds } => Some(shard_of_value(bounds, row.value(*column))),
     }

@@ -19,7 +19,7 @@
 
 use crate::engine::JanusEngine;
 use janus_common::codec::{Dec, Decode, Enc, Encode};
-use janus_common::{JanusError, Moments, Result, Row, RowId};
+use janus_common::{DetHashMap, JanusError, Moments, Result, Row, RowId};
 use std::time::{Duration, Instant};
 
 /// One update of a mixed workload — also the record type of a cluster
@@ -127,8 +127,7 @@ pub fn apply_batch(
     // with the row they hold now, `None` once deleted. An update the
     // sequential engine would reject there resolves to `None` and reaches
     // neither the tree deltas nor the sampling replay.
-    let mut in_batch: std::collections::HashMap<RowId, Option<&Row>> =
-        std::collections::HashMap::new();
+    let mut in_batch: DetHashMap<RowId, Option<&Row>> = DetHashMap::default();
     let resolved: Vec<Option<Row>> = updates
         .iter()
         .map(|u| match u {

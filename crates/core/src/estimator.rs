@@ -287,11 +287,10 @@ mod tests {
     use super::*;
     use crate::partition::PartitionSpec;
     use crate::{JanusEngine, SynopsisConfig};
-    use janus_common::{QueryTemplate, RangePredicate, RowId};
+    use janus_common::{DetHashMap, QueryTemplate, RangePredicate, RowId};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashMap;
 
     /// Rows `(x ∈ [0, 10), y ∈ [0, 1), a)`; the template is SUM(a) over x.
     fn rows(n: usize, seed: u64) -> Vec<Row> {
@@ -399,7 +398,7 @@ mod tests {
             let mut dpt = Dpt::build(template, 4, &spec, &[0.0], n as f64).unwrap();
             dpt.install_exact_base(table.iter());
             let mut rng = SmallRng::seed_from_u64(seed ^ 1);
-            let mut sample: HashMap<RowId, Row> = HashMap::new();
+            let mut sample: DetHashMap<RowId, Row> = DetHashMap::default();
             for row in table.iter().filter(|_| rng.gen::<f64>() < keep) {
                 dpt.assign_sample(row.id, &[row.value(0)]);
                 sample.insert(row.id, row.clone());

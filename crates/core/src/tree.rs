@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 /// Read-only access to the pooled sample rows, keyed by row id.
 ///
 /// Implemented by `janus_sampling::DynamicReservoir` and by any
-/// `HashMap<RowId, Row, _>` (static synopses, tests).
+/// `DetHashMap<RowId, Row>` (static synopses, tests).
 pub trait SampleSource {
     /// Borrows the sampled row with this id, if currently sampled.
     fn sample_row(&self, id: RowId) -> Option<&Row>;
@@ -38,7 +38,7 @@ impl SampleSource for janus_sampling::DynamicReservoir {
     }
 }
 
-impl<S: std::hash::BuildHasher> SampleSource for HashMap<RowId, Row, S> {
+impl SampleSource for DetHashMap<RowId, Row> {
     fn sample_row(&self, id: RowId) -> Option<&Row> {
         self.get(&id)
     }
@@ -698,7 +698,7 @@ mod tests {
     }
 
     /// Tree over [-inf,2),[2,4),[4,6),[6,inf) with rows (x, a = 10x).
-    fn tree_with_rows(n: usize) -> (Dpt, Vec<Row>, HashMap<RowId, Row>) {
+    fn tree_with_rows(n: usize) -> (Dpt, Vec<Row>, DetHashMap<RowId, Row>) {
         let spec = PartitionSpec::from_boundaries(&[2.0, 4.0, 6.0]).unwrap();
         let mut dpt = Dpt::build(template(), 8, &spec, &[0.0; 4], n as f64).unwrap();
         let rows: Vec<Row> = (0..n)
@@ -708,7 +708,7 @@ mod tests {
             })
             .collect();
         dpt.install_exact_base(rows.iter());
-        (dpt, rows, HashMap::new())
+        (dpt, rows, DetHashMap::default())
     }
 
     fn query(agg: AggregateFunction, lo: f64, hi: f64) -> Query {
@@ -842,7 +842,7 @@ mod tests {
         // statistics-based (no strata needed).
         let q = query(AggregateFunction::Sum, 2.0, f64::INFINITY);
         let truth = q.evaluate_exact(&rows).unwrap();
-        let samples: HashMap<RowId, Row> = HashMap::new();
+        let samples: DetHashMap<RowId, Row> = DetHashMap::default();
         let mut errs = Vec::new();
         for chunk in [50usize, 450, 500] {
             for _ in 0..chunk {

@@ -8,10 +8,11 @@
 //! the aggregation values of the samples in that range.
 //!
 //! Entries are keyed by `(coordinate, id)` so duplicate coordinates are
-//! supported; priorities are derived deterministically from the id via a
-//! splitmix64 hash, making tree shape (and therefore all downstream
-//! partitionings) reproducible.
+//! supported; priorities are derived deterministically from the id via
+//! SplitMix64 (`janus_common::faults::mix64`), making tree shape (and
+//! therefore all downstream partitionings) reproducible.
 
+use janus_common::faults::mix64;
 use janus_common::Moments;
 
 /// One entry of the treap.
@@ -37,7 +38,7 @@ struct Node {
 impl Node {
     fn new(entry: Entry) -> Box<Node> {
         Box::new(Node {
-            priority: splitmix64(entry.id ^ 0x9e3779b97f4a7c15),
+            priority: mix64(entry.id ^ 0x9e3779b97f4a7c15),
             size: 1,
             agg: Moments::of(entry.weight),
             entry,
@@ -60,13 +61,6 @@ impl Node {
         self.size = size;
         self.agg = agg;
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 /// Total order on `(key, id)` pairs; keys compared by `total_cmp`.

@@ -718,7 +718,8 @@ impl RemoteCluster {
         let directory = Directory::place(descs, config.shards, config.replicas)?;
 
         let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
-        let (per_shard, row_homes) = partition_rows(&mut router, rows)?;
+        let mut row_homes = DetHashMap::with_capacity_and_hasher(rows.len(), Default::default());
+        let per_shard = partition_rows(&mut router, rows, &mut row_homes)?;
         for (shard, bucket) in per_shard.into_iter().enumerate() {
             let shard_cfg = shard_config(&config.base, shard);
             for node in directory.hosts_of(shard as u32).all() {

@@ -12,10 +12,9 @@
 //!   which case the caller must re-sample `2m` fresh tuples from the
 //!   archive ([`DeleteOutcome::NeedsResample`]).
 
-use janus_common::{Row, RowId};
+use janus_common::{DetHashMap, Row, RowId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Result of offering an inserted tuple to the reservoir.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,7 +49,7 @@ pub struct DynamicReservoir {
     /// Floor `m` below which deletions force a re-sample.
     floor: usize,
     rows: Vec<Row>,
-    index_of: HashMap<RowId, usize>,
+    index_of: DetHashMap<RowId, usize>,
     rng: SmallRng,
 }
 
@@ -65,7 +64,7 @@ impl DynamicReservoir {
             target,
             floor,
             rows: Vec::with_capacity(target),
-            index_of: HashMap::with_capacity(target),
+            index_of: DetHashMap::with_capacity_and_hasher(target, Default::default()),
             rng: SmallRng::seed_from_u64(seed),
         }
     }

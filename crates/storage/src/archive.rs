@@ -34,11 +34,11 @@
 
 use crate::spill::{SegmentedFileArchive, SpillStats};
 use janus_common::codec::{Dec, Decode, Enc, Encode};
-use janus_common::{Query, Result, Row, RowId, RowRef, ScanPartial};
+use janus_common::{DetHashMap, JanusError, Query, Result, Row, RowId, RowRef, ScanPartial};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{seq::index::sample as index_sample, Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 
 /// A dense, zero-copy view of an in-memory backend's storage: the id
@@ -105,8 +105,9 @@ pub trait ArchiveBackend: Send + Sync {
     fn slot_of(&self, id: RowId) -> Option<usize>;
 
     /// Appends a row at slot `len`. Returns `Ok(false)` (storing nothing)
-    /// if the id is already live; `Err` on a storage failure (the row was
-    /// not stored).
+    /// if the id is already live; `Err` on a storage failure or when
+    /// `values` does not match the arity the first insert fixed (the row
+    /// was not stored either way).
     fn insert(&mut self, id: RowId, values: &[f64]) -> Result<bool>;
 
     /// Deletes a row by id with `swap_remove` slot semantics, returning
@@ -211,7 +212,24 @@ pub struct ColumnarArchive {
     /// emptiness), exactly like the file-backed backend — the two must
     /// accept and reject the same update sequences.
     arity: Option<usize>,
-    index_of: HashMap<RowId, usize>,
+    index_of: DetHashMap<RowId, usize>,
+}
+
+/// Checks a row's arity against the one a backend's first insert fixed
+/// (fixing it on that first insert): a published row of the wrong width
+/// is a typed error for the caller, not a panic in the shard thread.
+pub(crate) fn check_arity(arity: &mut Option<usize>, id: RowId, values: &[f64]) -> Result<()> {
+    match *arity {
+        None => *arity = Some(values.len()),
+        Some(a) if a != values.len() => {
+            return Err(JanusError::InvalidConfig(format!(
+                "row {id} has {} values; the archive holds rows of {a}",
+                values.len()
+            )))
+        }
+        Some(_) => {}
+    }
+    Ok(())
 }
 
 impl ColumnarArchive {
@@ -271,18 +289,11 @@ impl ArchiveBackend for ColumnarArchive {
     }
 
     fn insert(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
-        if self.index_of.contains_key(&id) {
+        let Entry::Vacant(slot) = self.index_of.entry(id) else {
             return Ok(false);
-        }
-        match self.arity {
-            None => self.arity = Some(values.len()),
-            Some(a) => assert_eq!(
-                values.len(),
-                a,
-                "columnar archive requires uniform row arity"
-            ),
-        }
-        self.index_of.insert(id, self.ids.len());
+        };
+        check_arity(&mut self.arity, id, values)?;
+        slot.insert(self.ids.len());
         self.ids.push(id);
         self.values.extend_from_slice(values);
         Ok(true)
@@ -379,7 +390,7 @@ impl ArchiveStore {
     pub fn from_rows(rows: impl IntoIterator<Item = Row>) -> Self {
         let mut a = Self::new();
         for r in rows {
-            a.insert(r).expect("in-memory archive insert cannot fail");
+            a.insert(r).expect("initial rows must share one arity");
         }
         a
     }

@@ -70,10 +70,10 @@
 //!
 //! [`ArchiveBackend`]: crate::archive::ArchiveBackend
 
-use crate::archive::ArchiveBackend;
+use crate::archive::{check_arity, ArchiveBackend};
 use janus_common::codec::{self, Dec, Enc, TRAILER};
-use janus_common::{crc32, faults, JanusError, Result, Row, RowId};
-use std::collections::HashMap;
+use janus_common::{crc32, faults, DetHashMap, JanusError, Result, Row, RowId};
+use std::collections::hash_map::Entry;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -172,7 +172,7 @@ pub struct SegmentedFileArchive {
     /// Values per row; `None` until the first insert (or reopen) fixes it.
     arity: Option<usize>,
     slots: Vec<Slot>,
-    index_of: HashMap<RowId, usize>,
+    index_of: DetHashMap<RowId, usize>,
     segments: Vec<Segment>,
     /// File name of each open segment, in logical (replay) order. The
     /// manifest is this list, published atomically.
@@ -216,7 +216,7 @@ impl SegmentedFileArchive {
             seg_rows,
             arity: None,
             slots: Vec::new(),
-            index_of: HashMap::new(),
+            index_of: DetHashMap::default(),
             segments: Vec::new(),
             seg_files: Vec::new(),
             next_seg_no: 0,
@@ -490,8 +490,8 @@ impl SegmentedFileArchive {
                 d.take(8 * arity)?;
                 match kind {
                     KIND_INSERT => {
-                        if !self.index_of.contains_key(&id) {
-                            self.index_of.insert(id, self.slots.len());
+                        if let Entry::Vacant(slot) = self.index_of.entry(id) {
+                            slot.insert(self.slots.len());
                             self.slots.push(Slot {
                                 id,
                                 loc: Loc::Sealed {
@@ -748,19 +748,16 @@ impl ArchiveBackend for SegmentedFileArchive {
     }
 
     fn insert(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
-        if self.index_of.contains_key(&id) {
+        let Entry::Vacant(slot) = self.index_of.entry(id) else {
             return Ok(false);
-        }
-        match self.arity {
-            None => self.arity = Some(values.len()),
-            Some(a) => assert_eq!(a, values.len(), "spill archive requires uniform row arity"),
-        }
+        };
+        check_arity(&mut self.arity, id, values)?;
+        slot.insert(self.slots.len());
         let op = self.tail_ops.len() as u32;
         let val = self.tail_inserts;
         self.tail_values.extend_from_slice(values);
         self.tail_ops.push(TailOp::Insert { id, val });
         self.tail_inserts += 1;
-        self.index_of.insert(id, self.slots.len());
         self.slots.push(Slot {
             id,
             loc: Loc::Tail { op, val },
@@ -1075,14 +1072,13 @@ mod tests {
         for store in [&mut mem, &mut file] {
             assert!(store.insert(Row::new(1, vec![1.0, 2.0])).unwrap());
             assert!(store.delete(1).unwrap().is_some());
-            let refit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                store.insert(Row::new(2, vec![1.0, 2.0, 3.0]))
-            }));
+            let refit = store.insert(Row::new(2, vec![1.0, 2.0, 3.0]));
             assert!(
-                refit.is_err(),
+                matches!(refit, Err(JanusError::InvalidConfig(_))),
                 "{}: arity must stay locked after emptying",
                 store.backend_name()
             );
+            assert!(!store.contains(2), "a rejected row is not stored");
             assert!(
                 store.insert(Row::new(3, vec![4.0, 5.0])).unwrap(),
                 "same arity ok"

@@ -444,3 +444,39 @@ fn torn_spill_segment_is_invisible_after_reopen() {
     assert!(!reopened.contains(32), "unsealed tail is gone");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A row of the wrong arity is a typed error on both backends, not a
+/// panic in the shard thread that applies it: the archive, the synopsis
+/// and every answer are exactly as they were before the bad insert.
+#[test]
+fn a_row_of_the_wrong_arity_is_rejected_on_both_backends() {
+    let (file_kind, root) = file_backend("arity", 512);
+    for kind in [ArchiveBackendKind::Memory, file_kind] {
+        let mut engine =
+            JanusEngine::bootstrap(exact_config(5, kind), engine_rows(3_000, 3)).unwrap();
+        let before: Vec<_> = probe_queries()
+            .iter()
+            .map(|q| engine.query(q).unwrap().map(|e| estimate_bits(&e)))
+            .collect();
+        let snapshot = engine.save_synopsis().to_bytes();
+        for values in [vec![1.0], vec![1.0, 2.0, 3.0]] {
+            let err = engine.insert(Row::new(50_000, values)).unwrap_err();
+            assert!(
+                matches!(err, janus::common::JanusError::InvalidConfig(_)),
+                "{err}"
+            );
+        }
+        assert_eq!(engine.population(), 3_000);
+        assert!(!engine.archive().contains(50_000));
+        let after: Vec<_> = probe_queries()
+            .iter()
+            .map(|q| engine.query(q).unwrap().map(|e| estimate_bits(&e)))
+            .collect();
+        assert_eq!(before, after, "{}", engine.archive().backend_name());
+        assert_eq!(engine.save_synopsis().to_bytes(), snapshot);
+        // The id stays free: the same row at the right arity lands.
+        engine.insert(Row::new(50_000, vec![1.0, 2.0])).unwrap();
+        assert_eq!(engine.population(), 3_001);
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
