@@ -643,13 +643,21 @@ impl ClusterEngine {
     /// Read without any lock, so under concurrent pumping the values can
     /// only *under*-state the true lag — never overstate it.
     pub fn shard_backlogs(&self) -> Vec<u64> {
-        self.set
-            .log
-            .end_offsets()
-            .iter()
-            .zip(&self.set.shards)
-            .map(|(end, s)| end.saturating_sub(s.applied()))
+        (0..self.set.shards.len())
+            .map(|i| self.backlog(i))
             .collect()
+    }
+
+    /// Shard `i`'s `published - applied`, the topic end read first so the
+    /// value can only understate the lag. Allocation-free: the drain,
+    /// stall and checkpoint loops probe it on every progress bump.
+    fn backlog(&self, i: usize) -> u64 {
+        self.topic_end(i)
+            .saturating_sub(self.set.shards[i].applied())
+    }
+
+    fn topic_end(&self, i: usize) -> u64 {
+        self.set.log.topic(i).len() as u64
     }
 
     /// The per-shard backlog *gauges* (the atomics the backpressure probe
@@ -674,7 +682,7 @@ impl ClusterEngine {
 
     /// Records published but not yet pumped into shard engines.
     pub fn pending(&self) -> u64 {
-        self.shard_backlogs().iter().sum()
+        (0..self.set.shards.len()).map(|i| self.backlog(i)).sum()
     }
 
     /// Records drained into primary shard engines so far — the cheap
@@ -924,12 +932,12 @@ impl ClusterEngine {
     /// Records published but not yet applied by follower engines, summed
     /// over every replica of every shard.
     pub fn replica_pending(&self) -> u64 {
-        let ends = self.set.log.end_offsets();
         self.set
             .replicas
             .iter()
-            .zip(&ends)
-            .map(|(set, end)| {
+            .enumerate()
+            .map(|(i, set)| {
+                let end = self.topic_end(i);
                 set.read()
                     .iter()
                     .map(|r| end.saturating_sub(r.applied()))
@@ -1341,7 +1349,14 @@ impl ClusterEngine {
 
         let mut shards = Vec::with_capacity(config.shards);
         let mut replica_sets = Vec::with_capacity(config.shards);
-        let mut directory: DetHashMap<RowId, usize> = DetHashMap::default();
+        // Sized once for every checkpointed row, like each shard's index.
+        let rows: usize = checkpoint
+            .shards
+            .iter()
+            .map(|sc| sc.archive_rows.len())
+            .sum();
+        let mut directory: DetHashMap<RowId, usize> =
+            DetHashMap::with_capacity_and_hasher(rows, Default::default());
         for sc in checkpoint.shards {
             let offset = if detached { 0 } else { sc.applied_offset };
             for row in &sc.archive_rows {

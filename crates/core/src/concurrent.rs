@@ -172,7 +172,7 @@ pub fn apply_batch(
                     if leaf % threads != worker {
                         continue;
                     }
-                    let a = dpt.agg_value(row);
+                    let a = dpt.agg_value(row.as_ref());
                     let delta = local.entry(leaf).or_default();
                     match u {
                         Update::Insert(_) => {

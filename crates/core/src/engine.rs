@@ -531,7 +531,12 @@ impl JanusEngine {
             reservoir_rng: reservoir.rng_state(),
             seed_counter: self.pool.seed_counter,
             updates_since_check: self.updates_since_check as u64,
-            catchup_rows: synopsis.catchup.remaining().to_vec(),
+            catchup_rows: synopsis
+                .catchup
+                .remaining()
+                .rows()
+                .map(|r| r.to_row())
+                .collect(),
         }
     }
 
@@ -603,7 +608,7 @@ impl JanusEngine {
             maxvar: Synopsis::index_over(&config, &pool),
             config,
             dpt,
-            catchup: CatchupQueue::new(snapshot.catchup_rows.clone()),
+            catchup: CatchupQueue::from_rows(&snapshot.catchup_rows)?,
             certificate: None,
             last_leaf: 0,
         };
@@ -649,7 +654,7 @@ impl JanusEngine {
         // (2) Blocking step: approximate node statistics from the pooled
         // reservoir sample (reflects all data up to now).
         for row in pool.reservoir.iter() {
-            dpt.apply_catchup_row(row);
+            dpt.apply_catchup_row(row.as_ref());
         }
         // (3) The old tree is discarded. (4) Fresh pooled sample, at the
         // largest rate any tree asks for.
@@ -825,7 +830,9 @@ mod tests {
 
     /// The persisted catch-up queue is the head of the full archive
     /// shuffle for the engine's seed — what it was when the queue held
-    /// every row — and shrinks from the front as catch-up advances.
+    /// every row — and shrinks from the front as catch-up advances. A
+    /// half-consumed queue survives a save → restore round trip through
+    /// the snapshot bytes.
     #[test]
     fn saved_catchup_rows_are_the_head_of_the_seeded_shuffle() {
         let cfg = config(8);
@@ -835,7 +842,16 @@ mod tests {
         let goal = 600; // catchup_ratio 0.3
         assert_eq!(engine.save_synopsis().catchup_rows, full[..goal]);
         assert_eq!(engine.advance_catchup(250), 250);
-        assert_eq!(engine.save_synopsis().catchup_rows, full[250..goal]);
+        let saved = engine.save_synopsis();
+        assert_eq!(saved.catchup_rows, full[250..goal]);
+        let snapshot = crate::snapshot::SynopsisSnapshot::from_bytes(&saved.to_bytes()).unwrap();
+        let mut restored = JanusEngine::restore(cfg, engine.export_rows(), &snapshot).unwrap();
+        assert_eq!(restored.save_synopsis().to_bytes(), saved.to_bytes());
+        assert_eq!(restored.advance_catchup(100), engine.advance_catchup(100));
+        assert_eq!(
+            restored.save_synopsis().to_bytes(),
+            engine.save_synopsis().to_bytes()
+        );
         engine.run_catchup_to_goal();
         assert!(engine.save_synopsis().catchup_rows.is_empty());
         assert_eq!(engine.stats().catchup_applied, goal as u64);

@@ -130,11 +130,11 @@ impl Synopsis {
         // absorbs them — no chunk clone. A row deleted since the queue was
         // drawn is still applied (it was in the epoch snapshot its delete
         // delta is relative to); later inserts are not in the queue.
-        let rows = self.catchup.next_chunk(n);
-        for row in rows {
+        let chunk = self.catchup.next_chunk(n);
+        for row in chunk.rows() {
             self.dpt.apply_catchup_row(row);
         }
-        rows.len()
+        chunk.len()
     }
 
     /// Runs catch-up to the configured goal; returns the rows applied.

@@ -233,7 +233,7 @@ impl Dpt {
     /// hands it back with the buffer — the borrow-splitting dance the
     /// `&mut self` per-row paths share.
     #[inline]
-    fn project_scratch(&mut self, row: &Row) -> Vec<f64> {
+    fn project_scratch(&mut self, row: RowRef<'_>) -> Vec<f64> {
         let mut point = std::mem::take(&mut self.point_scratch);
         row.project_into(&self.template.predicate_columns, &mut point);
         point
@@ -241,7 +241,7 @@ impl Dpt {
 
     /// Aggregation value of a row under this template.
     #[inline]
-    pub fn agg_value(&self, row: &Row) -> f64 {
+    pub fn agg_value(&self, row: RowRef<'_>) -> f64 {
         row.value(self.template.agg_column)
     }
 
@@ -284,6 +284,7 @@ impl Dpt {
 
     /// Records an insertion along the root-to-leaf path; returns the leaf.
     pub fn record_insert(&mut self, row: &Row) -> usize {
+        let row = row.as_ref();
         let point = self.project_scratch(row);
         let a = self.agg_value(row);
         let leaf = Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
@@ -295,6 +296,7 @@ impl Dpt {
 
     /// Records a deletion along the root-to-leaf path; returns the leaf.
     pub fn record_delete(&mut self, row: &Row) -> usize {
+        let row = row.as_ref();
         let point = self.project_scratch(row);
         let a = self.agg_value(row);
         let leaf = Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
@@ -307,7 +309,7 @@ impl Dpt {
     /// Absorbs one catch-up sample (§4.3 step 5): updates the catch-up
     /// moments of every *current-epoch* node on the path and advances the
     /// epoch's offered counter.
-    pub fn apply_catchup_row(&mut self, row: &Row) {
+    pub fn apply_catchup_row(&mut self, row: RowRef<'_>) {
         let point = self.project_scratch(row);
         self.apply_catchup_point(&point, self.agg_value(row));
         self.point_scratch = point;
@@ -847,7 +849,7 @@ mod tests {
         for chunk in [50usize, 450, 500] {
             for _ in 0..chunk {
                 let idx = order.pop().unwrap();
-                dpt.apply_catchup_row(&rows[idx]);
+                dpt.apply_catchup_row(rows[idx].as_ref());
             }
             let est = dpt.answer(&q, &samples).unwrap().unwrap();
             errs.push((est.value - truth).abs() / truth);

@@ -27,10 +27,28 @@
 //!   store (values on disk in sealed, tmp+rename-published segments; an
 //!   in-memory slot index) for tables larger than RAM.
 //!
+//! **Bulk builds.** Every archive built from a whole table at once —
+//! engine bootstrap and restore, each cluster shard's, each `janus-node`
+//! shard's — goes through [`ArchiveStore::from_rows_in`], which on the
+//! in-memory backend builds in two passes ([`ColumnarArchive::from_rows`])
+//! instead of inserting row by row: pass 1 moves the rows into the id and
+//! value columns, pass 2 indexes the id column into a map sized once for
+//! it. The result is the per-row build's, slot for slot and error for
+//! error: a repeated id keeps its first slot (pass 2 closes the later
+//! one's gap in place), and a row of another arity ends the bulk pass, so
+//! it and every later row go through `insert`, which ignores it if its id
+//! is live and rejects it otherwise. The spill backend builds row by row.
+//!
+//! Only the index is pre-sized, never the columns: they grow by doubling
+//! exactly as under inserts. Sizing them to the row count lowers
+//! `peak_rss_mb` where the archive is all there is, but where a bulk load
+//! follows (`ClusterEngine::reserve`) the exact-size columns are grown
+//! again at once, and the process peaks higher than with doubled ones.
+//!
 //! [`Row`] stays the API boundary type: anything that crosses an ownership
-//! boundary (checkpoints, catch-up queues, sampling results) materializes,
-//! while scans ([`ArchiveStore::for_each_row`], [`ArchiveStore::iter_refs`])
-//! borrow.
+//! boundary (checkpoints, sampling results) materializes, while scans
+//! ([`ArchiveStore::for_each_row`], [`ArchiveStore::iter_refs`],
+//! [`ArchiveStore::for_each_shuffled`]) borrow.
 
 use crate::spill::{SegmentedFileArchive, SpillStats};
 use janus_common::codec::{Dec, Decode, Enc, Encode};
@@ -41,9 +59,11 @@ use rand::{seq::index::sample as index_sample, Rng, SeedableRng};
 use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 
-/// A dense, zero-copy view of an in-memory backend's storage: the id
-/// column plus the arity-strided value buffer. Slot `i`'s values are
+/// A dense, zero-copy view of rows stored as columns — an in-memory
+/// backend's storage, or a span of a catch-up queue: the id column plus
+/// the arity-strided value buffer. Slot `i`'s values are
 /// `values[i*arity..(i+1)*arity]`.
+#[derive(Clone, Copy)]
 pub struct ArchiveColumns<'a> {
     /// Row id of each slot.
     pub ids: &'a [RowId],
@@ -68,6 +88,24 @@ impl<'a> ArchiveColumns<'a> {
     #[inline]
     pub fn row_ref(&self, slot: usize) -> RowRef<'a> {
         RowRef::new(self.ids[slot], self.slot_values(slot))
+    }
+
+    /// Number of rows in the view.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the view holds no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Every row of the view, in slot order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = RowRef<'a>> + 'a {
+        let view = *self;
+        (0..self.len()).map(move |slot| view.row_ref(slot))
     }
 }
 
@@ -239,24 +277,74 @@ impl ColumnarArchive {
     }
 
     /// Builds a columnar archive by copying a dense column view (the
-    /// fast-path fork: two buffer memcpys plus the index rebuild, no
+    /// fast-path fork: two buffer memcpys plus the index pass, no
     /// per-row allocation). Slot order is preserved exactly.
     pub fn from_columns(columns: ArchiveColumns<'_>) -> Self {
-        let index_of = columns
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(slot, &id)| (id, slot))
-            .collect();
-        ColumnarArchive {
+        let mut out = ColumnarArchive {
             // An empty view carries no arity information; leave it
             // underived so the copy accepts the same first insert the
             // source would have.
             arity: (!columns.ids.is_empty()).then_some(columns.arity),
             ids: columns.ids.to_vec(),
             values: columns.values.to_vec(),
-            index_of,
+            index_of: DetHashMap::default(),
+        };
+        out.index_columns();
+        out
+    }
+
+    /// Builds a columnar archive from owned rows in bulk, with exactly the
+    /// result — slots, index, arity, error — of inserting them one at a
+    /// time in order (see the module doc's "Representation").
+    ///
+    /// Pass 1 moves rows into the columns while they keep the first row's
+    /// arity; pass 2 indexes them into a map sized once. A row of another
+    /// arity ends pass 1: it and every row after it go through
+    /// [`ArchiveBackend::insert`], which ignores it if its id is already
+    /// live and rejects it otherwise.
+    pub fn from_rows(rows: impl IntoIterator<Item = Row>) -> Result<Self> {
+        let mut rows = rows.into_iter();
+        let mut out = ColumnarArchive::new();
+        let mut odd = None;
+        for row in rows.by_ref() {
+            if *out.arity.get_or_insert(row.values.len()) != row.values.len() {
+                odd = Some(row);
+                break;
+            }
+            out.ids.push(row.id);
+            out.values.extend_from_slice(&row.values);
         }
+        out.index_columns();
+        for row in odd.into_iter().chain(rows) {
+            out.insert(row.id, &row.values)?;
+        }
+        Ok(out)
+    }
+
+    /// Pass 2 of a bulk build: indexes the id column into a map sized once
+    /// for it. A repeated id keeps its first slot and its later one is
+    /// dropped, closing the gap in place — what per-row `insert` does
+    /// when it returns `Ok(false)`.
+    fn index_columns(&mut self) {
+        let arity = self.stride();
+        let mut index_of = DetHashMap::with_capacity_and_hasher(self.ids.len(), Default::default());
+        let mut kept = 0;
+        for slot in 0..self.ids.len() {
+            let id = self.ids[slot];
+            let Entry::Vacant(entry) = index_of.entry(id) else {
+                continue;
+            };
+            entry.insert(kept);
+            if kept < slot {
+                self.ids[kept] = id;
+                self.values
+                    .copy_within(slot * arity..(slot + 1) * arity, kept * arity);
+            }
+            kept += 1;
+        }
+        self.ids.truncate(kept);
+        self.values.truncate(kept * arity);
+        self.index_of = index_of;
     }
 
     #[inline]
@@ -388,18 +476,23 @@ impl ArchiveStore {
 
     /// Builds an in-memory archive from initial rows.
     pub fn from_rows(rows: impl IntoIterator<Item = Row>) -> Self {
-        let mut a = Self::new();
-        for r in rows {
-            a.insert(r).expect("initial rows must share one arity");
-        }
-        a
+        Self::from_rows_in(&ArchiveBackendKind::Memory, rows)
+            .expect("initial rows must share one arity")
     }
 
-    /// Builds an archive from initial rows on the configured backend.
+    /// Builds an archive from initial rows on the configured backend, with
+    /// the result of inserting them one at a time in order: in bulk
+    /// ([`ColumnarArchive::from_rows`]) in memory, row by row on a spill
+    /// store.
     pub fn from_rows_in(
         kind: &ArchiveBackendKind,
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<Self> {
+        if let ArchiveBackendKind::Memory = kind {
+            return Ok(Self::with_backend(Box::new(ColumnarArchive::from_rows(
+                rows,
+            )?)));
+        }
         let mut a = Self::open(kind)?;
         for r in rows {
             a.insert(r)?;
@@ -415,6 +508,11 @@ impl ArchiveStore {
     /// Current table size `|D|`.
     pub fn len(&self) -> usize {
         self.backend.len()
+    }
+
+    /// Values per row (0 until the first insert fixes it).
+    pub fn arity(&self) -> usize {
+        self.backend.arity()
     }
 
     /// True when the table is empty.
@@ -469,7 +567,12 @@ impl ArchiveStore {
 
     /// True if the id is live.
     pub fn contains(&self, id: RowId) -> bool {
-        self.backend.slot_of(id).is_some()
+        self.slot_of(id).is_some()
+    }
+
+    /// The slot currently holding `id`, if live.
+    pub fn slot_of(&self, id: RowId) -> Option<usize> {
+        self.backend.slot_of(id)
     }
 
     /// Scans all live rows in slot order, handing each to `f` as a
@@ -477,18 +580,8 @@ impl ArchiveStore {
     /// phase (exact evaluation, rebalance rebuilds, snapshot export)
     /// drives. In-memory backends borrow straight from the value buffer;
     /// file-backed ones reuse one scratch buffer for the whole scan.
-    pub fn for_each_row(&self, mut f: impl FnMut(RowRef<'_>)) {
-        if let Some(c) = self.backend.columns() {
-            for slot in 0..c.ids.len() {
-                f(c.row_ref(slot));
-            }
-        } else {
-            let mut buf = Vec::with_capacity(self.backend.arity());
-            for slot in 0..self.backend.len() {
-                let id = self.backend.read_slot(slot, &mut buf);
-                f(RowRef::new(id, &buf));
-            }
-        }
+    pub fn for_each_row(&self, f: impl FnMut(RowRef<'_>)) {
+        self.visit(0..self.len(), f);
     }
 
     /// The dense column view, when the backend keeps values in memory
@@ -532,9 +625,7 @@ impl ArchiveStore {
     /// keeps values in memory (`None` on file-backed stores — use
     /// [`ArchiveStore::for_each_row`] for backend-agnostic scans).
     pub fn iter_refs(&self) -> Option<impl Iterator<Item = RowRef<'_>>> {
-        self.backend
-            .columns()
-            .map(|c| (0..c.ids.len()).map(move |slot| c.row_ref(slot)))
+        self.backend.columns().map(|c| c.rows())
     }
 
     /// Iterates all live rows in slot order as owned [`Row`]s (one
@@ -643,25 +734,44 @@ impl ArchiveStore {
     /// still shuffled, so the prefix is row for row the full shuffle's,
     /// but only the rows returned are materialized.
     pub fn shuffled_prefix(&self, seed: u64, n: usize) -> Vec<Row> {
+        self.materialize(self.shuffled_slots(seed, n).into_iter())
+    }
+
+    /// Hands the rows of [`ArchiveStore::shuffled_prefix`] to `f` in the
+    /// same order as borrowed views, materializing none — what a flat
+    /// catch-up queue copies its columns from.
+    pub fn for_each_shuffled(&self, seed: u64, n: usize, f: impl FnMut(RowRef<'_>)) {
+        self.visit(self.shuffled_slots(seed, n).into_iter(), f);
+    }
+
+    /// The first `n` slot indices of the seeded Fisher–Yates permutation.
+    fn shuffled_slots(&self, seed: u64, n: usize) -> Vec<usize> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.shuffle(&mut rng);
         order.truncate(n);
-        self.materialize(order.into_iter())
+        order
     }
 
     /// Materializes the given slots, in the given order.
     fn materialize(&self, slots: impl Iterator<Item = usize>) -> Vec<Row> {
+        let mut out = Vec::with_capacity(slots.size_hint().0);
+        self.visit(slots, |r| out.push(r.to_row()));
+        out
+    }
+
+    /// Hands the given slots to `f`, in the given order, as borrowed views:
+    /// straight from the value buffer in memory, through one scratch
+    /// buffer on file-backed stores.
+    fn visit(&self, slots: impl Iterator<Item = usize>, mut f: impl FnMut(RowRef<'_>)) {
         match self.backend.columns() {
-            Some(c) => slots.map(|slot| c.row_ref(slot).to_row()).collect(),
+            Some(c) => slots.for_each(|slot| f(c.row_ref(slot))),
             None => {
                 let mut buf = Vec::with_capacity(self.backend.arity());
-                slots
-                    .map(|slot| {
-                        let id = self.backend.read_slot(slot, &mut buf);
-                        Row::new(id, buf.clone())
-                    })
-                    .collect()
+                for slot in slots {
+                    let id = self.backend.read_slot(slot, &mut buf);
+                    f(RowRef::new(id, &buf));
+                }
             }
         }
     }

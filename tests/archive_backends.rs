@@ -480,3 +480,146 @@ fn a_row_of_the_wrong_arity_is_rejected_on_both_backends() {
     }
     let _ = std::fs::remove_dir_all(root);
 }
+
+/// The reference every bulk build must match: `rows` inserted one at a
+/// time, in order, into a fresh store of `kind`.
+fn per_row_build(kind: &ArchiveBackendKind, rows: &[Row]) -> janus::common::Result<ArchiveStore> {
+    let mut store = ArchiveStore::open(kind)?;
+    for r in rows {
+        store.insert(r.clone())?;
+    }
+    Ok(store)
+}
+
+/// Everything a consumer can see of a store: slot order, the slot of
+/// every id asked about, and every seeded stream.
+type Observed = (Vec<Row>, Vec<Option<usize>>, Vec<Row>, Vec<Row>, Vec<Row>);
+
+fn observe(store: &ArchiveStore, ids: &[u64], seed: u64) -> Observed {
+    (
+        store.to_rows(),
+        ids.iter().map(|&id| store.slot_of(id)).collect(),
+        store.sample_distinct(64, seed),
+        store.sample_with_replacement(64, seed),
+        store.shuffled_prefix(seed, 150),
+    )
+}
+
+/// Clean rows `0..700`, with each `(at, row)` of `odd` spliced in just
+/// before clean row `at`.
+fn rows_with(odd: &[(usize, Row)]) -> Vec<Row> {
+    let mut odd = odd.to_vec();
+    odd.sort_by_key(|(at, _)| *at);
+    let mut rows: Vec<Row> = (0..700).map(row).collect();
+    for (at, r) in odd.into_iter().rev() {
+        rows.insert(at, r);
+    }
+    rows
+}
+
+/// `ArchiveStore::from_rows_in` builds in bulk in memory and row by row
+/// on a spill store; on every input both must be exactly the per-row
+/// build — slots, index, streams, and every update afterwards —
+/// including a repeated id (the first occurrence wins) and a repeated id
+/// of the wrong arity (ignored, as per-row `insert` probes the index
+/// before the arity).
+#[test]
+fn bulk_builds_match_per_row_builds_on_both_backends() {
+    let (file_kind, root) = file_backend("bulk", 64);
+    let cases = [
+        ("clean", rows_with(&[])),
+        (
+            "repeated ids",
+            rows_with(&[
+                (1, Row::new(0, vec![-1.0, -1.0])),
+                (300, Row::new(17, vec![-2.0, -3.0])),
+                (700, Row::new(699, vec![-4.0, -5.0])),
+            ]),
+        ),
+        (
+            "repeated ids of another arity",
+            rows_with(&[
+                (350, Row::new(33, vec![1.0, 2.0, 3.0])),
+                (351, Row::new(34, vec![-1.0, -1.0])),
+                (500, Row::new(5, vec![7.0])),
+            ]),
+        ),
+    ];
+    for (case, rows) in cases {
+        let mut ids: Vec<u64> = rows.iter().map(|r| r.id).collect();
+        ids.extend([700, 9_999]);
+        let mut reference = per_row_build(&ArchiveBackendKind::Memory, &rows).unwrap();
+        let mut stores = vec![
+            ArchiveStore::from_rows_in(&ArchiveBackendKind::Memory, rows.clone()).unwrap(),
+            ArchiveStore::from_rows(rows.clone()),
+            ArchiveStore::from_rows_in(&file_kind, rows.clone()).unwrap(),
+            per_row_build(&file_kind, &rows).unwrap(),
+        ];
+        for seed in [3, 0xfeed] {
+            let expected = observe(&reference, &ids, seed);
+            for (i, store) in stores.iter().enumerate() {
+                assert_eq!(observe(store, &ids, seed), expected, "{case}: build {i}");
+            }
+        }
+        // A delete/insert stream afterwards evolves every build alike.
+        let mut rng = SmallRng::seed_from_u64(0xb01c);
+        let mut next = 700u64;
+        for _ in 0..400 {
+            let (id, insert) = if rng.gen_bool(0.5) {
+                next += 1;
+                (next, true)
+            } else {
+                (rng.gen_range(0..next), false)
+            };
+            let expected = if insert {
+                reference.insert(row(id)).unwrap().then_some(row(id))
+            } else {
+                reference.delete(id).unwrap()
+            };
+            for store in &mut stores {
+                let got = if insert {
+                    store.insert(row(id)).unwrap().then_some(row(id))
+                } else {
+                    store.delete(id).unwrap()
+                };
+                assert_eq!(got, expected, "{case}: op on {id}");
+            }
+        }
+        ids.extend(701..=next);
+        let expected = observe(&reference, &ids, 11);
+        for (i, store) in stores.iter().enumerate() {
+            assert_eq!(
+                observe(store, &ids, 11),
+                expected,
+                "{case}: build {i} after updates"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A new id of the wrong arity fails a bulk build with the per-row
+/// build's error, on both backends, wherever it sits.
+#[test]
+fn bulk_builds_reject_a_new_id_of_another_arity_like_per_row_builds() {
+    let (file_kind, root) = file_backend("bulk-arity", 64);
+    for at in [1, 350, 700] {
+        // A repeated id of another arity first (ignored), where it can be.
+        let rows = rows_with(&[
+            (4.max(at / 2), Row::new(3, vec![0.0])),
+            (at, Row::new(9_999, vec![1.0, 2.0, 3.0])),
+        ]);
+        let expected = per_row_build(&ArchiveBackendKind::Memory, &rows)
+            .err()
+            .expect("per-row build rejects the row")
+            .to_string();
+        assert!(expected.contains("row 9999"), "{expected}");
+        for kind in [&ArchiveBackendKind::Memory, &file_kind] {
+            let bulk = ArchiveStore::from_rows_in(kind, rows.clone()).err();
+            assert_eq!(bulk.map(|e| e.to_string()), Some(expected.clone()));
+            let per_row = per_row_build(kind, &rows).err();
+            assert_eq!(per_row.map(|e| e.to_string()), Some(expected.clone()));
+        }
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
