@@ -395,7 +395,7 @@ impl ShardSet {
             let host = &self.shards[shard];
             let mut engine = host.write();
             let (applied, skipped, first_error) =
-                host.drain_locked(&mut engine, topic, 0, max_primary, skip_failed);
+                host.drain_locked(&mut engine, topic, max_primary, skip_failed);
             self.counters
                 .pumped
                 .fetch_add(applied as u64, Ordering::Relaxed);
@@ -407,7 +407,8 @@ impl ShardSet {
         let mut followers = 0;
         if max_follower > 0 {
             for replica in self.replicas[shard].read().iter() {
-                let (a, s, _) = replica.drain(topic, 0, max_follower, skip_failed);
+                let (a, s, _) =
+                    replica.drain_locked(&mut replica.write(), topic, max_follower, skip_failed);
                 followers += a + s;
             }
         }
@@ -1258,7 +1259,7 @@ impl ClusterEngine {
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| s.capture(i, self.set.log.topic(i), 0))
+            .map(|(i, s)| s.capture(i, self.set.log.topic(i).len() as u64))
             .collect();
         ClusterCheckpoint {
             router: RouterSnapshot::capture(&router),

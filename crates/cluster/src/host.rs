@@ -2,7 +2,7 @@
 //! offset it has applied. The in-process cluster's primaries and
 //! followers ([`crate::ClusterEngine`], pumped by [`crate::LiveCluster`]'s
 //! workers) and every shard a `janus-node` daemon serves are
-//! [`ShardHost`]s, so the drain, the freshness-gated answer and the
+//! [`ShardHost`]s, so the apply, the freshness-gated answer and the
 //! checkpoint capture exist once.
 //!
 //! `applied` is stored (`Release`) only while the engine's write guard is
@@ -60,37 +60,46 @@ impl ShardHost {
         self.engine.get_mut()
     }
 
-    /// Applies up to `max` records of `topic` — whose first record sits
-    /// at global offset `base` — from the applied offset on, under the
+    /// Applies `batch`, the records from the applied offset on, under the
     /// engine's write guard. Returns `(applied, skipped, first_error)`;
-    /// strict (`skip_failed` unset), a failing record is neither and
-    /// stays at the head.
-    pub fn drain(
+    /// strict (`skip_failed` unset), a failing record is neither, and
+    /// the batch stops there.
+    pub fn apply(
         &self,
-        topic: &TopicLog<ShardOp>,
-        base: u64,
-        max: usize,
+        batch: Vec<ShardOp>,
         skip_failed: bool,
     ) -> (usize, usize, Option<JanusError>) {
-        self.drain_locked(&mut self.engine.write(), topic, base, max, skip_failed)
+        self.apply_locked(&mut self.engine.write(), batch, skip_failed)
     }
 
-    /// [`ShardHost::drain`] under `engine`, this host's write guard, which
-    /// the caller holds — so state it keeps in step with the offset
-    /// changes under the same guard.
+    /// Applies up to `max` records of `topic` from the applied offset
+    /// on, under `engine`, this host's write guard, which the caller
+    /// holds — so state it keeps in step with the offset changes under
+    /// the same guard. Strict, a failing record stays at the head of
+    /// `topic`.
     pub(crate) fn drain_locked(
         &self,
         engine: &mut JanusEngine,
         topic: &TopicLog<ShardOp>,
-        base: u64,
         max: usize,
         skip_failed: bool,
     ) -> (usize, usize, Option<JanusError>) {
-        let applied = self.applied();
-        let batch = topic.poll(applied - base, max);
+        let batch = topic.poll(self.applied(), max);
+        self.apply_locked(engine, batch, skip_failed)
+    }
+
+    /// The one apply body under [`ShardHost::apply`] and
+    /// [`ShardHost::drain_locked`].
+    fn apply_locked(
+        &self,
+        engine: &mut JanusEngine,
+        batch: Vec<ShardOp>,
+        skip_failed: bool,
+    ) -> (usize, usize, Option<JanusError>) {
         if batch.is_empty() {
             return (0, 0, None);
         }
+        let applied = self.applied();
         let (done, skipped, first_error) = engine.apply_update_batch(batch, skip_failed);
         self.applied
             .store(applied + (done + skipped) as u64, Ordering::Release);
@@ -124,15 +133,14 @@ impl ShardHost {
     }
 
     /// Captures the host as shard `shard`'s checkpoint: the engine's
-    /// synopsis and archive, its applied offset, and the end of `topic`
-    /// (first record at global offset `base`) as the published offset,
-    /// all read under one read guard.
-    pub fn capture(&self, shard: usize, topic: &TopicLog<ShardOp>, base: u64) -> ShardCheckpoint {
+    /// synopsis and archive and its applied offset, read under one read
+    /// guard, with `published` as the published offset.
+    pub fn capture(&self, shard: usize, published: u64) -> ShardCheckpoint {
         let engine = self.engine.read();
         ShardCheckpoint {
             shard,
             applied_offset: self.applied(),
-            published_offset: base + topic.len() as u64,
+            published_offset: published,
             synopsis: engine.save_synopsis(),
             archive_rows: engine.export_rows(),
         }

@@ -1,46 +1,60 @@
 //! The shard-hosting node daemon.
 //!
 //! A [`NodeServer`] is one member of a networked cluster: it hosts a
-//! subset of shards, each as a [`JanusEngine`] plus a local tail copy of
-//! that shard's topic, and speaks the [`crate::wire`] protocol over
-//! plain TCP. The coordinator ([`crate::remote::RemoteCluster`]) pushes
-//! topic tails to it ([`Frame::PublishBatch`]),
-//! scatters sub-queries at it ([`Frame::Query`]), probes liveness and
-//! applied offsets ([`Frame::Heartbeat`]), and moves shards on or off it
-//! via checkpoint shipping ([`Frame::FetchCheckpoint`] /
-//! [`Frame::Checkpoint`] / [`Frame::Release`]).
+//! subset of shards, each as a [`JanusEngine`] plus the records of that
+//! shard's topic it has received and not yet applied, and speaks the
+//! [`crate::wire`] protocol over plain TCP. The coordinator
+//! ([`crate::remote::RemoteCluster`]) pushes topic tails to it and waits
+//! on its applies ([`Frame::PublishBatch`]), scatters sub-queries at it
+//! ([`Frame::Query`]), probes liveness and applied offsets
+//! ([`Frame::Heartbeat`]), and moves shards on or off it via checkpoint
+//! shipping ([`Frame::FetchCheckpoint`] / [`Frame::Checkpoint`] /
+//! [`Frame::Release`]).
 //!
-//! Each hosted shard runs the same pump discipline as the in-process
-//! [`janus_cluster::LiveCluster`] — literally the same code, because each
-//! is a [`ShardHost`]: a dedicated pump thread drains the local topic
-//! copy into the engine in offset order through [`ShardHost::drain`],
+//! Each hosted shard is a streaming consumer of its topic tail: the
+//! coordinator's topic is the durable copy, so the node keeps no second
+//! one. A publish appends to the shard's FIFO of unapplied records, and a
+//! dedicated pump thread pops up to `pump_chunk` of them and moves them
+//! into the engine in offset order through [`ShardHost::apply`] — the
+//! same host the in-process [`janus_cluster::LiveCluster`] pumps —
 //! parking with bounded exponential backoff when idle and unparked by
-//! the publish handler — so an idle node burns no cores. Queries answer
-//! through [`ShardHost::answer`]'s freshness gate and checkpoints ship
-//! through [`ShardHost::capture`]. Because records are applied in exactly
-//! the topic order the coordinator assigned, a node's engine is
+//! the publish handler, so an idle node burns no cores. A node's memory
+//! beyond its engines is therefore bounded by the coordinator's
+//! publish-ahead window. After each applied chunk the pump bumps a
+//! node-wide [`Progress`], on which an empty publish batch waits, so the
+//! coordinator learns of an apply on the ship link as it happens rather
+//! than at the next heartbeat. Queries answer through
+//! [`ShardHost::answer`]'s freshness gate and checkpoints ship through
+//! [`ShardHost::capture`]. Because records are applied in exactly the
+//! topic order the coordinator assigned, a node's engine is
 //! bit-identical to an in-process shard engine at the same offset.
 //!
 //! The lock order is the in-process one — primary host → replica set →
 //! one replica — of which a node, hosting each shard once, uses only the
 //! first rung: a host takes no other lock under its engine's, and the
-//! `shards` map is never held while an engine is locked.
+//! `shards` map is never held while an engine is locked. A shard's tail
+//! lock comes before its engine's (a checkpoint capture holds both);
+//! the pump releases the tail before it applies.
 
 use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::host::ShardHost;
-use janus_cluster::notify::{Backoff, IDLE_MAX};
+use janus_cluster::notify::{Backoff, Progress, IDLE_MAX};
 use janus_cluster::{ShardCheckpoint, ShardOp};
 use janus_common::merge::SubAnswer;
 use janus_common::{JanusError, Result};
 use janus_core::{JanusEngine, SynopsisConfig};
-use janus_storage::TopicLog;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Bound on an empty [`Frame::PublishBatch`]'s wait for the pump to move:
+/// well under any sensible link read timeout, so a wedged pump costs the
+/// shipper a short round, never a transport error.
+const ACK_WAIT: Duration = Duration::from_millis(5);
 
 /// Identity and tuning for one node daemon.
 #[derive(Clone, Debug)]
@@ -65,14 +79,22 @@ impl NodeConfig {
     }
 }
 
-/// One hosted shard: its local topic tail copy and the host draining it.
+/// The records of a shard topic a node has received and not yet applied.
+struct Tail {
+    /// Unapplied records in topic order; the last sits at `received - 1`.
+    ops: VecDeque<ShardOp>,
+    /// Global topic offset up to which records have been received.
+    received: u64,
+}
+
+/// One hosted shard: its unapplied tail and the host applying it.
 struct ShardSlot {
-    /// Global topic offset of the first record in `log` — zero for
+    /// Global topic offset the slot started at — zero for
     /// bootstrap-hosted shards, the checkpoint's applied offset for
     /// shards installed from a shipped snapshot.
     base: u64,
-    /// Local copy of the shard topic's tail, fed by publish frames.
-    log: TopicLog<ShardOp>,
+    /// Fed by publish frames, emptied by the pump.
+    tail: Mutex<Tail>,
     host: ShardHost,
     /// Set by `Release`; the pump thread exits on sight.
     retired: AtomicBool,
@@ -81,9 +103,9 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    /// Global topic offset up to which records are locally durable.
+    /// Global topic offset up to which records have been received.
     fn received(&self) -> u64 {
-        self.base + self.log.len() as u64
+        self.tail.lock().received
     }
 
     fn unpark_pump(&self) {
@@ -98,6 +120,9 @@ struct NodeState {
     shards: RwLock<HashMap<u32, Arc<ShardSlot>>>,
     pumps: Mutex<Vec<JoinHandle<()>>>,
     shutdown: AtomicBool,
+    /// Bumped by every pump after each applied chunk, and by `Release`
+    /// and shutdown — what an empty publish batch waits on.
+    progress: Progress,
 }
 
 impl NodeState {
@@ -122,11 +147,14 @@ impl NodeState {
     /// check and the insert share one `shards` write guard, so of two
     /// concurrent installs of one shard exactly one succeeds.
     fn install_slot(self: &Arc<Self>, shard: u32, engine: JanusEngine, base: u64) -> Result<()> {
-        // The local log starts where the engine stands: its first record
-        // sits at global offset `base`, the offset the engine has applied.
+        // The tail starts where the engine stands: its first record sits
+        // at global offset `base`, the offset the engine has applied.
         let slot = Arc::new(ShardSlot {
             base,
-            log: TopicLog::new(),
+            tail: Mutex::new(Tail {
+                ops: VecDeque::new(),
+                received: base,
+            }),
             host: ShardHost::new(engine, base),
             retired: AtomicBool::new(false),
             pump_thread: Mutex::new(None),
@@ -152,7 +180,7 @@ impl NodeState {
     }
 }
 
-/// Drains a slot's local topic into its engine until shutdown/release.
+/// Moves a slot's tail into its engine until shutdown/release.
 fn pump_loop(state: &NodeState, slot: &ShardSlot) {
     let mut idle = Backoff::new();
     while !state.shutdown.load(Ordering::Acquire) && !slot.retired.load(Ordering::Acquire) {
@@ -165,14 +193,22 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
             std::thread::park_timeout(IDLE_MAX);
             continue;
         }
+        let batch: Vec<ShardOp> = {
+            let mut tail = slot.tail.lock();
+            let take = tail.ops.len().min(state.config.pump_chunk.max(1));
+            tail.ops.drain(..take).collect()
+        };
         // An idle shard parks without taking its engine's write guard.
-        if slot.received() <= slot.host.applied() {
+        if batch.is_empty() {
             idle.park();
             continue;
         }
         idle.reset();
-        let chunk = state.config.pump_chunk.max(1);
-        slot.host.drain(&slot.log, slot.base, chunk, true);
+        // Lossy (`skip_failed`), as the coordinator's row directory
+        // already rejected what cannot apply: every popped record is
+        // consumed.
+        slot.host.apply(batch, true);
+        state.progress.bump();
     }
 }
 
@@ -245,6 +281,7 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
             Some(slot) => {
                 slot.retired.store(true, Ordering::Release);
                 slot.unpark_pump();
+                state.progress.bump();
                 Frame::Ok
             }
             None => err_frame(format!("release: shard {shard} not hosted")),
@@ -271,35 +308,70 @@ fn host_shard(
     state.install_slot(shard, JanusEngine::bootstrap(config, rows)?, 0)
 }
 
-/// Accepts a run of topic records. Replays are idempotent: a batch whose
-/// prefix is already received is deduplicated by offset, so the
-/// coordinator may re-ship after a reconnect without double-applying.
+/// Accepts a run of topic records into the slot's tail. Replays are
+/// idempotent: a batch whose prefix is already received is deduplicated
+/// by offset, so the coordinator may re-ship after a reconnect without
+/// double-applying. An empty batch asks for the apply instead: its ack
+/// waits until the pump moves ([`await_apply`]).
 fn publish(state: &Arc<NodeState>, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> Frame {
     let Some(slot) = state.slot(shard) else {
         return err_frame(format!("publish: shard {shard} not hosted"));
     };
-    let received = slot.received();
-    if first_offset > received {
-        return err_frame(format!(
-            "publish gap on shard {shard}: batch starts at {first_offset}, node is at {received}"
-        ));
-    }
-    if first_offset < slot.base {
-        return err_frame(format!(
-            "publish below shard {shard} base {}: batch starts at {first_offset}",
-            slot.base
-        ));
-    }
-    let skip = (received - first_offset) as usize;
-    if skip < ops.len() {
-        slot.log.append_batch(ops.into_iter().skip(skip));
+    let ack_apply = ops.is_empty();
+    let appended = {
+        let mut tail = slot.tail.lock();
+        let received = tail.received;
+        if first_offset > received {
+            return err_frame(format!(
+                "publish gap on shard {shard}: batch starts at {first_offset}, node is at {received}"
+            ));
+        }
+        if first_offset < slot.base {
+            return err_frame(format!(
+                "publish below shard {shard} base {}: batch starts at {first_offset}",
+                slot.base
+            ));
+        }
+        let skip = (received - first_offset) as usize;
+        let appended = skip < ops.len();
+        if appended {
+            tail.received = first_offset + ops.len() as u64;
+            tail.ops.extend(ops.into_iter().skip(skip));
+        }
+        appended
+    };
+    if appended {
         slot.unpark_pump();
+    } else if ack_apply {
+        await_apply(state, &slot);
     }
     Frame::PublishAck {
         shard,
         received: slot.received(),
         applied: slot.host.applied(),
     }
+}
+
+/// Waits until `slot`'s applied offset passes its value on arrival or
+/// reaches the received offset, for at most [`ACK_WAIT`] (give or take
+/// one backoff round), or until the node stops or the shard is released.
+/// Holds no shard or engine lock while it waits.
+fn await_apply(state: &NodeState, slot: &ShardSlot) {
+    let arrived = slot.host.applied();
+    let give_up = Instant::now() + ACK_WAIT;
+    state.progress.wait_until(
+        Backoff::capped(ACK_WAIT),
+        || {
+            state.shutdown.load(Ordering::Acquire)
+                || slot.retired.load(Ordering::Acquire)
+                || Instant::now() >= give_up
+        },
+        || {},
+        || {
+            let applied = slot.host.applied();
+            applied > arrived || applied >= slot.received()
+        },
+    );
 }
 
 /// Answers one scattered sub-query behind the coordinator's freshness
@@ -332,7 +404,11 @@ fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
     let slot = state
         .slot(shard)
         .ok_or_else(|| JanusError::Storage(format!("shard {shard} not hosted")))?;
-    let checkpoint = slot.host.capture(shard as usize, &slot.log, slot.base);
+    // The tail lock pins the received offset, so the checkpoint's
+    // published offset is never behind its applied one.
+    let tail = slot.tail.lock();
+    let checkpoint = slot.host.capture(shard as usize, tail.received);
+    drop(tail);
     let config = slot.host.read().config().clone();
     Ok(Frame::Checkpoint {
         shard,
@@ -374,6 +450,7 @@ impl NodeServer {
             shards: RwLock::new(HashMap::new()),
             pumps: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
+            progress: Progress::new(),
         });
         let accept_state = Arc::clone(&state);
         let accept = std::thread::Builder::new()
@@ -431,6 +508,7 @@ impl Drop for NodeServer {
 /// connection so the accept thread observes the flag.
 fn begin_shutdown(state: &NodeState, addr: SocketAddr) {
     state.shutdown.store(true, Ordering::Release);
+    state.progress.bump();
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
 }
 
@@ -553,7 +631,34 @@ mod tests {
             }
         }
 
-        // Wait for the pump, then count rows through the fresh gate.
+        // An empty batch at the received offset acks the apply: it comes
+        // back once the pump has moved, and is repeated until the node
+        // reports both records applied (an idle host's first ack does).
+        let ask_apply = Frame::PublishBatch {
+            shard: 2,
+            first_offset: 2,
+            ops: vec![],
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            match wire::roundtrip(&mut conn, &ask_apply).unwrap() {
+                Frame::PublishAck {
+                    shard: 2,
+                    received: 2,
+                    applied: 2,
+                } => break,
+                Frame::PublishAck {
+                    shard: 2,
+                    received: 2,
+                    ..
+                } if std::time::Instant::now() < deadline => {}
+                other => panic!("unexpected apply ack {other:?}"),
+            }
+        }
+        // Applied records are freed, not kept beside the engine.
+        assert!(server.state.slot(2).unwrap().tail.lock().ops.is_empty());
+
+        // Count rows through the fresh gate.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let outcome = loop {
             let q = janus_common::Query::new(

@@ -26,13 +26,18 @@
 //!
 //! Per-node *shipper* threads push each shard topic's tail to every
 //! node hosting a copy ([`Frame::PublishBatch`]), so followers tail
-//! remote topics exactly like in-process replicas tail local ones. A
-//! heartbeat thread doubles as failure detector and applied-offset
-//! poller. When a node dies (heartbeat or ship error), the directory
-//! promotes the freshest surviving follower per lost primary — the
-//! `fail_shard` rule — and the promoted copy catches up from the
-//! coordinator topic, so recovery is bit-exact for every acknowledged
-//! record.
+//! remote topics exactly like in-process replicas tail local ones. Apply
+//! progress rides the same link: after a round with nothing to ship, the
+//! shipper sends an empty batch for every copy that has not applied what
+//! it was shipped, and the node acks it when its pump moves, so
+//! [`RemoteCluster::drain`] and a stalled publisher wake on the apply.
+//! A heartbeat thread is the failure detector; its replies refresh
+//! applied offsets too. Each copy's offsets only rise at the
+//! coordinator, whichever reply lands last. When a node dies (heartbeat
+//! or ship error), the directory promotes the freshest surviving
+//! follower per lost primary — the `fail_shard` rule — and the promoted
+//! copy catches up from the coordinator topic, so recovery is bit-exact
+//! for every acknowledged record.
 //!
 //! Reads scatter per overlapping shard through the in-process
 //! coordinator's own [`ScatterPool::fan_out`] (one pool worker per shard,
@@ -85,10 +90,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Ceiling of [`RemoteCluster::drain`]'s wait. Nodes do not push their
-/// applied offsets, so this one timeout is a probe period rather than a
-/// missed-wakeup backstop and stays shorter than the shared idle cap.
-const DRAIN_PROBE_MAX: Duration = Duration::from_millis(20);
 /// Pause before re-reading the directory when a shard's primary was seen
 /// dead mid-promotion.
 const PROMOTION_POLL: Duration = Duration::from_millis(1);
@@ -329,6 +330,36 @@ struct Counters {
     degraded_reads: AtomicU64,
 }
 
+/// Per-shard topic offsets one node has reported. Two threads report
+/// them — the shipper on the ship channel, heartbeats on the control
+/// channel — and a reply built before another can land after it, so a
+/// recorded offset only rises; [`Offsets::reset`] and
+/// [`Offsets::remove`] start a shard afresh when it moves.
+#[derive(Default)]
+struct Offsets(Mutex<HashMap<u32, u64>>);
+
+impl Offsets {
+    fn of(&self, shard: u32) -> u64 {
+        self.0.lock().get(&shard).copied().unwrap_or(0)
+    }
+
+    /// Records `offset` for `shard` unless a higher one is recorded.
+    fn record(&self, shard: u32, offset: u64) {
+        let mut map = self.0.lock();
+        let at = map.entry(shard).or_insert(offset);
+        *at = (*at).max(offset);
+    }
+
+    /// Sets `shard`'s offset outright — a freshly installed copy.
+    fn reset(&self, shard: u32, offset: u64) {
+        self.0.lock().insert(shard, offset);
+    }
+
+    fn remove(&self, shard: u32) {
+        self.0.lock().remove(&shard);
+    }
+}
+
 /// Live connection state for one node.
 struct NodeLink {
     desc: NodeDesc,
@@ -339,9 +370,9 @@ struct NodeLink {
     ctrl: Mutex<TcpStream>,
     alive: AtomicBool,
     /// Per-shard topic offset acknowledged as received by the node.
-    shipped: Mutex<HashMap<u32, u64>>,
+    shipped: Offsets,
     /// Per-shard topic offset the node reported as applied.
-    applied: Mutex<HashMap<u32, u64>>,
+    applied: Offsets,
     /// Shipper thread handle, for publish-side unparks.
     thread: Mutex<Option<std::thread::Thread>>,
     hb_seq: AtomicU64,
@@ -464,14 +495,6 @@ impl NodeLink {
         }
     }
 
-    fn shipped_of(&self, shard: u32) -> u64 {
-        self.shipped.lock().get(&shard).copied().unwrap_or(0)
-    }
-
-    fn applied_of(&self, shard: u32) -> u64 {
-        self.applied.lock().get(&shard).copied().unwrap_or(0)
-    }
-
     fn unpark(&self) {
         if let Some(t) = self.thread.lock().as_ref() {
             t.unpark();
@@ -526,7 +549,7 @@ impl RemoteShared {
         dir.hosts_of(shard)
             .all()
             .filter(|&n| dir.is_alive(n))
-            .map(|n| end.saturating_sub(self.links[n].applied_of(shard)))
+            .map(|n| end.saturating_sub(self.links[n].applied.of(shard)))
             .max()
             .unwrap_or(0)
     }
@@ -572,7 +595,7 @@ fn fail_node(shared: &RemoteShared, idx: usize) {
         return;
     }
     let mut dir = shared.directory.write();
-    let promotions = dir.fail_node(idx, |node, shard| shared.links[node].applied_of(shard));
+    let promotions = dir.fail_node(idx, |node, shard| shared.links[node].applied.of(shard));
     shared.persist_directory(&dir);
     drop(dir);
     drop(promotions);
@@ -595,11 +618,9 @@ fn probe_all(shared: &RemoteShared) {
         match link.request_ctrl(&Frame::Heartbeat { seq }) {
             Ok(Frame::HeartbeatAck { applied, .. }) => {
                 link.hb_misses.store(0, Ordering::Relaxed);
-                let mut map = link.applied.lock();
                 for (shard, off) in applied {
-                    map.insert(shard, off);
+                    link.applied.record(shard, off);
                 }
-                drop(map);
                 shared.progress.bump();
             }
             _ => {
@@ -614,55 +635,86 @@ fn probe_all(shared: &RemoteShared) {
     }
 }
 
-/// Pushes topic tails to one node until shutdown or node death.
+/// Pushes topic tails to one node until shutdown or node death. A round
+/// that ships nothing waits on the node's pump instead, one empty batch
+/// per copy that trails what it was shipped; once every copy has applied
+/// its tail, the shipper parks and sends nothing.
 fn shipper_loop(shared: &RemoteShared, idx: usize) {
     let link = &shared.links[idx];
     let mut idle = Backoff::new();
     while !shared.shutdown.load(Ordering::Acquire) && link.alive.load(Ordering::Acquire) {
         let hosted = shared.directory.read().hosted_shards(idx);
         let mut moved = false;
-        for shard in hosted {
-            let cursor = link.shipped_of(shard);
+        for &shard in &hosted {
+            let cursor = link.shipped.of(shard);
             let batch = shared
                 .topics
                 .poll(shard as usize, cursor, shared.config.ship_chunk.max(1));
             if batch.is_empty() {
                 continue;
             }
-            let frame = Frame::PublishBatch {
-                shard,
-                first_offset: cursor,
-                ops: batch,
-            };
-            let reply = link.request_retry(
-                &link.ship,
-                &frame,
-                &shared.config.retry,
-                &shared.counters.link_retries,
-            );
-            match reply {
-                Ok(Frame::PublishAck {
-                    received, applied, ..
-                }) => {
-                    link.shipped.lock().insert(shard, received);
-                    link.applied.lock().insert(shard, applied);
-                    moved = true;
-                    shared.progress.bump();
+            if !ship(shared, idx, shard, cursor, batch) {
+                return;
+            }
+            moved = true;
+        }
+        if !moved {
+            for &shard in &hosted {
+                let cursor = link.shipped.of(shard);
+                if link.applied.of(shard) >= cursor {
+                    continue;
                 }
-                // A node-side error (gap, unhosted shard) means this
-                // copy cannot converge; a transport failure surviving
-                // the full retry budget means the node is gone. Either
-                // way the copy is done for.
-                Ok(_) | Err(_) => {
-                    fail_node(shared, idx);
+                if !ship(shared, idx, shard, cursor, Vec::new()) {
                     return;
                 }
+                moved = true;
             }
         }
         if moved {
             idle.reset();
         } else {
             idle.park();
+        }
+    }
+}
+
+/// Ships `ops` — topic records from `first_offset` on, or none to wait
+/// for the node's apply — to node `idx`'s copy of `shard` and folds the
+/// ack into the link. Returns `false` once the copy is done for: a
+/// node-side error (gap, unhosted shard) means it cannot converge, and a
+/// transport failure surviving the full retry budget means the node is
+/// gone.
+fn ship(
+    shared: &RemoteShared,
+    idx: usize,
+    shard: u32,
+    first_offset: u64,
+    ops: Vec<ShardOp>,
+) -> bool {
+    let link = &shared.links[idx];
+    let frame = Frame::PublishBatch {
+        shard,
+        first_offset,
+        ops,
+    };
+    let reply = link.request_retry(
+        &link.ship,
+        &frame,
+        &shared.config.retry,
+        &shared.counters.link_retries,
+    );
+    match reply {
+        Ok(Frame::PublishAck {
+            received, applied, ..
+        }) => {
+            link.shipped.record(shard, received);
+            link.applied.record(shard, applied);
+            shared.progress.bump();
+            true
+        }
+        Ok(_) | Err(_) => {
+            fail_node(shared, idx);
+            false
         }
     }
 }
@@ -847,8 +899,9 @@ impl RemoteCluster {
     /// the slowest alive copy may trail the topic end by at most
     /// `max_backlog` records plus the batch just appended (and in-flight
     /// publishers), so an unbounded producer cannot run away from the
-    /// fleet. Applied offsets only move on a publish ack or a heartbeat,
-    /// and both bump progress.
+    /// fleet. Applied offsets move on a publish ack — the shipper keeps
+    /// asking for one while a copy trails — or a heartbeat, and both
+    /// bump progress.
     fn stall_for_backlog(&self, shard: u32) {
         let shared = &self.shared;
         let limit = shared.config.max_backlog;
@@ -870,13 +923,14 @@ impl RemoteCluster {
     }
 
     /// Blocks until every alive copy of every shard has received and
-    /// applied the full topic — the networked drain barrier. Probes
-    /// nodes directly (not just on the heartbeat period) so the barrier
-    /// resolves promptly.
+    /// applied the full topic — the networked drain barrier. The
+    /// shippers' apply acks wake it; each round also unparks them and
+    /// probes the nodes once, so a barrier over an idle fleet resolves
+    /// at once.
     pub fn drain(&self) {
         let shared = &self.shared;
         shared.progress.wait_until(
-            Backoff::capped(DRAIN_PROBE_MAX),
+            Backoff::new(),
             || shared.shutdown.load(Ordering::Acquire),
             || {
                 shared.unpark_shippers();
@@ -888,18 +942,17 @@ impl RemoteCluster {
 
     fn drained(&self) -> bool {
         let dir = self.shared.directory.read();
-        let ends = self.shared.topics.end_offsets();
         (0..self.shared.config.shards as u32).all(|shard| {
             if dir.lost_shards().contains(&shard) {
                 return true; // nothing left to converge
             }
-            let end = ends[shard as usize];
+            let end = self.shared.topics.topic(shard as usize).len() as u64;
             dir.hosts_of(shard)
                 .all()
                 .filter(|&n| dir.is_alive(n))
                 .all(|n| {
-                    self.shared.links[n].shipped_of(shard) >= end
-                        && self.shared.links[n].applied_of(shard) >= end
+                    self.shared.links[n].shipped.of(shard) >= end
+                        && self.shared.links[n].applied.of(shard) >= end
                 })
         })
     }
@@ -968,7 +1021,7 @@ impl RemoteCluster {
     fn shard_weight(&self, shard: u32) -> u64 {
         let dir = self.shared.directory.read();
         let primary = dir.hosts_of(shard).primary;
-        self.shared.links[primary].applied_of(shard)
+        self.shared.links[primary].applied.of(shard)
     }
 
     /// Scatters `query` at every target shard through
@@ -1042,7 +1095,7 @@ impl RemoteCluster {
                     .copied()
                     .filter(|&f| {
                         dir.is_alive(f)
-                            && end.saturating_sub(shared.links[f].applied_of(shard)) <= lag
+                            && end.saturating_sub(shared.links[f].applied.of(shard)) <= lag
                     })
                     .collect();
                 primary.map(|primary| {
@@ -1216,22 +1269,16 @@ impl RemoteCluster {
             Frame::Error { message } if message.contains("already hosted") => {}
             other => expect_ok(other, "install")?,
         }
-        shared.links[to]
-            .shipped
-            .lock()
-            .insert(shard, applied_offset);
-        shared.links[to]
-            .applied
-            .lock()
-            .insert(shard, applied_offset);
+        shared.links[to].shipped.reset(shard, applied_offset);
+        shared.links[to].applied.reset(shard, applied_offset);
         {
             let mut dir = shared.directory.write();
             dir.repoint(shard, from, to);
             shared.persist_directory(&dir);
         }
         let _ = shared.links[from].request_ship(&Frame::Release { shard });
-        shared.links[from].shipped.lock().remove(&shard);
-        shared.links[from].applied.lock().remove(&shard);
+        shared.links[from].shipped.remove(shard);
+        shared.links[from].applied.remove(shard);
         shared.counters.migrations.fetch_add(1, Ordering::Relaxed);
         shared.unpark_shippers();
         shared.progress.bump();
@@ -1348,8 +1395,8 @@ fn connect_node(addr: SocketAddr, read_timeout: Option<Duration>) -> Result<Node
         ship: Mutex::new(ship),
         ctrl: Mutex::new(ctrl),
         alive: AtomicBool::new(true),
-        shipped: Mutex::new(HashMap::new()),
-        applied: Mutex::new(HashMap::new()),
+        shipped: Offsets::default(),
+        applied: Offsets::default(),
         thread: Mutex::new(None),
         hb_seq: AtomicU64::new(0),
         hb_misses: AtomicU32::new(0),
@@ -1383,6 +1430,17 @@ mod tests {
         let id = format!("{:?}", id.expect("probe thread"));
         let digits = id.trim_matches(|c: char| !c.is_ascii_digit());
         digits.parse().expect("ThreadId(n)")
+    }
+
+    #[test]
+    fn a_recorded_offset_only_rises_until_its_shard_moves() {
+        let offsets = Offsets::default();
+        offsets.record(3, 10);
+        offsets.record(3, 5);
+        assert_eq!(offsets.of(3), 10, "an older reply must not win");
+        offsets.remove(3);
+        offsets.record(3, 5);
+        assert_eq!(offsets.of(3), 5, "a re-hosted shard starts afresh");
     }
 
     #[test]

@@ -112,7 +112,10 @@ pub enum Frame {
         rows: Vec<Row>,
     },
     /// Ship a contiguous run of topic records starting at
-    /// `first_offset` — the tail-replication path.
+    /// `first_offset` — the tail-replication path. An empty run at the
+    /// node's received offset asks for apply progress instead: the node
+    /// acks once its applied offset moves past its value on arrival or
+    /// reaches the received offset, or after a few milliseconds.
     PublishBatch {
         /// Shard id.
         shard: u32,
@@ -125,7 +128,8 @@ pub enum Frame {
     PublishAck {
         /// Shard id.
         shard: u32,
-        /// Topic records accepted into the node's local tail copy.
+        /// Topic offset up to which the node has received records —
+        /// applied, or queued for its pump.
         received: u64,
         /// Topic records applied into the shard engine.
         applied: u64,

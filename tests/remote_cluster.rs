@@ -623,3 +623,39 @@ fn a_slow_node_yields_a_flagged_partial_not_a_failover() {
     remote.shutdown_nodes();
     remote.shutdown();
 }
+
+/// A publisher stalled by the publish-ahead window wakes when the nodes
+/// apply, not at the next heartbeat: the shippers ask each node for its
+/// apply on the ship link. Twenty stalled batches under a one-second
+/// heartbeat would take twenty seconds on a heartbeat wakeup.
+#[test]
+fn a_stalled_publisher_wakes_on_the_apply() {
+    use std::time::{Duration, Instant};
+    let fleet = local_fleet(2).expect("start fleet");
+    let remote = RemoteCluster::bootstrap(
+        RemoteConfig::new(config(41), 4, ShardPolicy::HashById)
+            .with_publish_window(64)
+            .with_heartbeat_every(Duration::from_secs(1)),
+        rows(2_000, 41),
+        &addrs_of(&fleet),
+    )
+    .expect("bootstrap");
+
+    let start = Instant::now();
+    for batch in 0..20u64 {
+        let ops = (0..1_024u64).map(|i| {
+            let id = 1_000_000 + batch * 1_024 + i;
+            ShardOp::Insert(Row::new(id, vec![(i % 100) as f64, i as f64]))
+        });
+        assert_eq!(remote.publish_batch(ops).published, 1_024);
+    }
+    remote.drain();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "20 stalled batches took {took:?}: the publisher waited on heartbeats"
+    );
+    assert!(!remote.backlog_exceeds(0), "drain leaves zero backlog");
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
