@@ -6,7 +6,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`wire`] | the versioned wire protocol: [`wire::Frame`] (publish / scatter-query / checkpoint / heartbeat / host frames), the byte-level codec (LE integers, `f64::to_bits` so estimates cross the wire bit-exactly), [`wire::FrameDecoder`] for split reads, and blocking [`wire::read_frame`] / [`wire::write_frame`] helpers with an allocation-guarded length check |
+//! | [`wire`] | the versioned wire protocol: [`wire::Frame`] (publish / scatter-query / checkpoint / heartbeat / host frames), the byte-level codec (LE integers, `f64::to_bits` so estimates cross the wire bit-exactly), [`wire::FrameDecoder`] for split reads, and blocking [`wire::read_frame`] / [`wire::write_frame`] / [`wire::write_encoded`] helpers with an allocation-guarded length check |
 //! | [`node`] | [`node::NodeServer`]: the shard-hosting daemon — per-shard engine + local topic tail with a pump thread (bounded park backoff), serving publishes idempotently by offset, queries behind the replica freshness gate, and checkpoint export/install |
 //! | [`directory`] | [`directory::Directory`]: shard → node placement with followers pinned to distinct failure domains, freshest-follower promotion on node failure (`fail_shard` semantics), loud lost-shard tracking, and a CRC-sealed snapshot blob for replication |
 //! | [`remote`] | [`remote::RemoteCluster`]: the coordinator front end presenting the in-process cluster's API (publish / query / drain / backpressure / move_shard) over per-node shipper threads and a heartbeat failure detector |

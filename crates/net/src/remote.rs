@@ -39,17 +39,24 @@
 //! copy catches up from the coordinator topic, so recovery is bit-exact
 //! for every acknowledged record.
 //!
-//! Reads scatter per overlapping shard through the in-process
-//! coordinator's own [`ScatterPool::fan_out`] (one pool worker per shard,
-//! started at bootstrap; one TCP exchange per job; no thread per query),
-//! with the same freshness gate as in-process replicas: a follower may
-//! serve only while it trails the topic end by at most `replica_lag`
-//! records (round-robin across primary + fresh followers); the node
-//! re-checks the gate under its engine lock and answers `Stale` if it
-//! fell behind, in which case the coordinator falls back to the primary.
-//! The networked coordinator keeps no answer cache: every query scatters.
-//! Every scatter rides [`Priority::Bulk`], because this pool carries only
-//! query jobs, so there is no background work for an interactive lane to
+//! The bootstrap partitions the rows first, so a duplicate id fails
+//! before any node hosts anything; then it encodes each shard's
+//! [`Frame::Host`] once, on the caller, dropping the shard's rows as it
+//! goes, and ships every node's frames at once through the in-process
+//! coordinator's own [`ScatterPool::fan_out`], one job per node. A node
+//! job that fails makes the bootstrap release every shard it hosted.
+//!
+//! Reads scatter per overlapping shard through the same pool (one worker
+//! per shard, started at bootstrap; one TCP exchange per job; no thread
+//! per query), with the same freshness gate as in-process replicas: a
+//! follower may serve only while it trails the topic end by at most
+//! `replica_lag` records (round-robin across primary + fresh followers);
+//! the node re-checks the gate under its engine lock and answers `Stale`
+//! if it fell behind, in which case the coordinator falls back to the
+//! primary. The networked coordinator keeps no answer cache: every query
+//! scatters. Every scatter rides [`Priority::Bulk`], because this pool
+//! carries only the bootstrap's Host jobs, before any query, and query
+//! jobs, so there is no background work for an interactive lane to
 //! overtake.
 //!
 //! # Transient-failure hardening
@@ -401,7 +408,19 @@ impl NodeLink {
             Frame::Query { id, .. } => Some(*id),
             _ => None,
         };
-        wire::write_frame(s, frame)?;
+        Self::exchange_encoded(s, &wire::encode_frame(frame), want, bounded)
+    }
+
+    /// [`NodeLink::exchange`] of a frame already encoded by
+    /// [`wire::encode_frame`]; `want` is the correlation id of the query
+    /// it carries, if any.
+    fn exchange_encoded(
+        s: &mut TcpStream,
+        bytes: &[u8],
+        want: Option<u64>,
+        bounded: bool,
+    ) -> Result<Frame> {
+        wire::write_encoded(s, bytes)?;
         loop {
             let reply = if bounded {
                 wire::read_frame_deadline(s)?
@@ -729,6 +748,91 @@ fn heartbeat_loop(shared: &RemoteShared) {
     }
 }
 
+/// Ships every shard's bootstrap partition to its hosts, all nodes at
+/// once. Each shard's [`Frame::Host`] is encoded once, on the calling
+/// thread, and its rows are dropped right after; every copy of the shard
+/// is sent the same bytes. One [`ScatterPool::fan_out`] job per node
+/// writes that node's frames in shard order, so every node decodes and
+/// builds its engines while the others build theirs, and node `k` is
+/// already shipping while the caller encodes node `k + 1`'s frames.
+///
+/// If any node fails, every shard this bootstrap may have hosted is
+/// released (best-effort), so the fleet can be bootstrapped again, and
+/// the first error in node order is returned.
+fn host_shards(
+    shared: &Arc<RemoteShared>,
+    pool: &ScatterPool,
+    mut per_shard: Vec<Vec<Row>>,
+) -> Result<()> {
+    let plan: Vec<Vec<u32>> = {
+        let dir = shared.directory.read();
+        (0..shared.links.len())
+            .map(|node| dir.hosted_shards(node))
+            .collect()
+    };
+    let mut encoded: Vec<Option<Arc<Vec<u8>>>> = vec![None; per_shard.len()];
+    let jobs = plan.into_iter().enumerate().map(|(node, hosted)| {
+        let frames: Vec<(u32, Arc<Vec<u8>>)> = hosted
+            .into_iter()
+            .map(|shard| {
+                let bytes = encoded[shard as usize].get_or_insert_with(|| {
+                    Arc::new(wire::encode_frame(&Frame::Host {
+                        shard,
+                        config: shard_config(&shared.config.base, shard as usize),
+                        rows: std::mem::take(&mut per_shard[shard as usize]),
+                    }))
+                });
+                (shard, Arc::clone(bytes))
+            })
+            .collect();
+        let worker = node % shared.config.shards;
+        let shared = Arc::clone(shared);
+        (worker, move || host_on(&shared.links[node], frames))
+    });
+    let outcomes = pool.fan_out(Priority::Bulk, None, jobs);
+
+    let mut first = None;
+    let mut hosted = Vec::with_capacity(outcomes.len());
+    for slot in outcomes {
+        let (shards, outcome) = slot.expect("host worker died");
+        first = first.or(outcome.err());
+        hosted.push(shards);
+    }
+    let Some(error) = first else {
+        return Ok(());
+    };
+    for (link, shards) in shared.links.iter().zip(hosted) {
+        for shard in shards {
+            let release = Frame::Release { shard };
+            let retry = &shared.config.retry;
+            let _ = link.request_retry(&link.ship, &release, retry, &shared.counters.link_retries);
+        }
+    }
+    Err(error)
+}
+
+/// Writes `frames` — `(shard, encoded Frame::Host)` in shard order — on
+/// `link`'s ship stream and awaits an `Ok` after each. Returns the first
+/// error and the shards the node may now host: every acked one, plus the
+/// one whose exchange failed in transport, since its Host may have landed.
+fn host_on(link: &NodeLink, frames: Vec<(u32, Arc<Vec<u8>>)>) -> (Vec<u32>, Result<()>) {
+    let mut hosted = Vec::with_capacity(frames.len());
+    let mut ship = link.ship.lock();
+    for (shard, bytes) in frames {
+        match NodeLink::exchange_encoded(&mut ship, &bytes, None, false) {
+            Ok(Frame::Ok) => hosted.push(shard),
+            // The node refused the shard: it hosts nothing new.
+            Ok(refusal) => return (hosted, Err(reply_error(refusal, "host"))),
+            // The Host may have landed before the link broke.
+            Err(e) => {
+                hosted.push(shard);
+                return (hosted, Err(e));
+            }
+        }
+    }
+    (hosted, Ok(()))
+}
+
 /// A networked cluster's coordinator handle.
 pub struct RemoteCluster {
     shared: Arc<RemoteShared>,
@@ -743,7 +847,9 @@ impl RemoteCluster {
     /// `config.shards` shards exactly like the in-process cluster
     /// (same router, same per-shard seeds), places primaries and
     /// distinct-failure-domain followers via [`Directory::place`], and
-    /// ships each shard's bootstrap partition to its hosts.
+    /// ships each shard's bootstrap partition to its hosts, every node at
+    /// once. A failed bootstrap releases the shards it hosted, so the
+    /// same fleet can be bootstrapped again.
     pub fn bootstrap(config: RemoteConfig, rows: Vec<Row>, addrs: &[SocketAddr]) -> Result<Self> {
         Self::bootstrap_with_store(config, rows, addrs, None)
     }
@@ -771,18 +877,8 @@ impl RemoteCluster {
 
         let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
         let mut row_homes = DetHashMap::with_capacity_and_hasher(rows.len(), Default::default());
+        // A duplicate id fails here, before any node hosts anything.
         let per_shard = partition_rows(&mut router, rows, &mut row_homes)?;
-        for (shard, bucket) in per_shard.into_iter().enumerate() {
-            let shard_cfg = shard_config(&config.base, shard);
-            for node in directory.hosts_of(shard as u32).all() {
-                let reply = links[node].request_ship(&Frame::Host {
-                    shard: shard as u32,
-                    config: shard_cfg.clone(),
-                    rows: bucket.clone(),
-                })?;
-                expect_ok(reply, "host")?;
-            }
-        }
 
         let shards = config.shards;
         let shared = Arc::new(RemoteShared {
@@ -800,6 +896,8 @@ impl RemoteCluster {
             store_version: AtomicU64::new(0),
             counters: Counters::default(),
         });
+        let pool = ScatterPool::start("janus-gather", shards);
+        host_shards(&shared, &pool, per_shard)?;
         shared.persist_directory(&shared.directory.read());
 
         let mut workers = Vec::new();
@@ -822,7 +920,7 @@ impl RemoteCluster {
         Ok(RemoteCluster {
             shared,
             workers,
-            pool: ScatterPool::start("janus-gather", shards),
+            pool,
         })
     }
 

@@ -28,7 +28,8 @@
 //! incremental path (feed arbitrary byte slices, frames pop out as they
 //! complete — reads split across buffer boundaries are the normal
 //! case); [`read_frame`] / [`write_frame`] are the blocking-socket
-//! convenience pair built on the same codec.
+//! convenience pair built on the same codec, and [`write_encoded`] sends
+//! bytes [`encode_frame`] produced once for several peers.
 
 use janus_cluster::ShardOp;
 use janus_common::codec::{self, Dec, Decode, Enc, Encode};
@@ -559,9 +560,15 @@ fn io_err(what: &str, e: std::io::Error) -> JanusError {
 
 /// Writes one frame to a blocking stream.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<()> {
+    write_encoded(w, &encode_frame(frame))
+}
+
+/// Writes one frame already encoded by [`encode_frame`] — the one write
+/// under every frame, so a frame encoded once and sent to several peers
+/// passes the same `net.write` failpoint as any other.
+pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<()> {
     faults::check_protocol("net.write")?;
-    w.write_all(&encode_frame(frame))
-        .map_err(|e| io_err("write frame", e))
+    w.write_all(bytes).map_err(|e| io_err("write frame", e))
 }
 
 /// Reads one frame from a blocking stream. Returns `Ok(None)` on a
@@ -743,6 +750,34 @@ mod tests {
         });
         assert_eq!(bytes.len(), 54_298);
         assert_eq!(bytes[bytes.len() - 4..], 0xAB69_263Du32.to_le_bytes());
+    }
+
+    #[test]
+    fn a_pre_encoded_frame_writes_the_bytes_write_frame_writes() {
+        use janus_common::{AggregateFunction, QueryTemplate};
+        let rows: Vec<Row> = (0..1024u64)
+            .map(|id| Row::new(id, vec![id as f64 * 0.5, -(id as f64)]))
+            .collect();
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let frames = [
+            Frame::Host {
+                shard: 3,
+                config: SynopsisConfig::paper_default(template, 9),
+                rows: rows.clone(),
+            },
+            Frame::PublishBatch {
+                shard: 1,
+                first_offset: 2048,
+                ops: rows.into_iter().map(ShardOp::Insert).collect(),
+            },
+        ];
+        for frame in &frames {
+            let (mut framed, mut encoded) = (Vec::new(), Vec::new());
+            write_frame(&mut framed, frame).unwrap();
+            write_encoded(&mut encoded, &encode_frame(frame)).unwrap();
+            assert_eq!(framed, encoded);
+            assert_eq!(decode_payload(&encoded[4..]).unwrap(), *frame);
+        }
     }
 
     #[test]

@@ -1172,3 +1172,75 @@ fn stored_checkpoint_journal_and_directory_bit_flips_are_typed_storage_errors() 
         let _ = std::fs::remove_dir_all(d);
     }
 }
+
+// ---------------------------------------------------------------------
+// Bootstrap shipping under an injected write fault
+// ---------------------------------------------------------------------
+
+/// Threads of this process whose name starts with `prefix`, from `/proc`.
+fn threads_named(prefix: &str) -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with(prefix))
+        .count()
+}
+
+/// The bootstrap's Host frames, encoded once on the coordinator, pass the
+/// same `net.write` failpoint as every other frame. An injected write
+/// failure fails the bootstrap with a typed error, releases whatever it
+/// hosted and leaves no gather job behind; the same fleet then
+/// bootstraps cleanly and matches its twin.
+#[test]
+fn a_failed_bootstrap_write_releases_the_fleet_for_a_clean_retry() {
+    let _g = lock();
+    let fleet = local_fleet(2).expect("start fleet");
+    let addrs: Vec<SocketAddr> = fleet.iter().map(|s| s.addr()).collect();
+    let config_of = || RemoteConfig::new(config(53), 4, ShardPolicy::HashById);
+    {
+        // Writes 1–4 are the two hello round trips, one node after the
+        // other. Write 6 is then the second Host write or the first `Ok`
+        // reply, coordinator- or node-side, on either node's link: every
+        // one of them must end the same way.
+        let _plan = PlanGuard::install(FaultPlan::new(0xB007).rule(
+            "net.write",
+            TriggerMode::Nth(6),
+            FaultKind::Error,
+        ));
+        let Err(error) = RemoteCluster::bootstrap(config_of(), rows(2_000, 53), &addrs) else {
+            panic!("the injected write must fail the bootstrap");
+        };
+        assert!(matches!(error, JanusError::Protocol(_)), "{error}");
+        assert_eq!(faults::fired("net.write"), 1);
+        assert_eq!(
+            threads_named("janus-gather"),
+            0,
+            "a gather worker outlived the bootstrap"
+        );
+        assert_eq!(
+            threads_named("janus-ship"),
+            0,
+            "a shipper started for a failed bootstrap"
+        );
+    }
+    faults::reset();
+    let remote =
+        RemoteCluster::bootstrap(config_of(), rows(2_000, 53), &addrs).expect("clean bootstrap");
+    let twin = ClusterEngine::bootstrap(
+        ClusterConfig::new(config(53), 4, ShardPolicy::HashById),
+        rows(2_000, 53),
+    )
+    .expect("twin");
+    let mut feed = Feed::new(91, 2_000);
+    feed.publish(&remote, &twin, 500);
+    remote.drain();
+    twin.pump_all().expect("pump");
+    assert_bit_identical(&remote, &twin, "after the faulted bootstrap");
+    remote.shutdown_nodes();
+    remote.shutdown();
+    for s in fleet {
+        s.wait();
+    }
+}

@@ -659,3 +659,80 @@ fn a_stalled_publisher_wakes_on_the_apply() {
     remote.shutdown_nodes();
     remote.shutdown();
 }
+
+/// Sends one frame to node `addr` on a fresh connection, outside any
+/// coordinator.
+fn raw_request(addr: SocketAddr, frame: &janus::net::wire::Frame) -> janus::net::wire::Frame {
+    let mut stream = std::net::TcpStream::connect(addr).expect("dial node");
+    janus::net::wire::roundtrip(&mut stream, frame).expect("raw exchange")
+}
+
+/// A bootstrap that fails on one node releases what it hosted on every
+/// node, so the same fleet can be bootstrapped again.
+#[test]
+fn a_failed_bootstrap_releases_its_shards_and_the_retry_matches_the_twin() {
+    use janus::net::wire::Frame;
+    let fleet = local_fleet(2).expect("start fleet");
+    let addrs = addrs_of(&fleet);
+    let policy = ShardPolicy::HashById;
+    // Round-robin placement puts shard 3 on node 1; host it there first.
+    let squat = Frame::Host {
+        shard: 3,
+        config: config(1),
+        rows: rows(200, 1),
+    };
+    assert_eq!(raw_request(addrs[1], &squat), Frame::Ok);
+
+    let bootstrap = || {
+        RemoteCluster::bootstrap(
+            RemoteConfig::new(config(43), 4, policy.clone()),
+            rows(3_000, 43),
+            &addrs,
+        )
+    };
+    match bootstrap() {
+        Err(e) => assert!(
+            e.to_string().contains("shard 3 already hosted"),
+            "unexpected bootstrap error: {e}"
+        ),
+        Ok(_) => panic!("bootstrap over a hosted shard must fail"),
+    }
+    assert_eq!(
+        raw_request(addrs[1], &Frame::Release { shard: 3 }),
+        Frame::Ok
+    );
+
+    let remote = bootstrap().expect("the retry hosts every shard");
+    let twin = ClusterEngine::bootstrap(ClusterConfig::new(config(43), 4, policy), rows(3_000, 43))
+        .expect("twin");
+    let mut feed = Feed::new(81, 3_000);
+    feed.publish(&remote, &twin, 600);
+    remote.drain();
+    twin.pump_all().expect("pump");
+    assert_bit_identical(&remote, &twin, "after the retried bootstrap");
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
+
+/// Partitioning comes before shipping: a duplicate bootstrap id fails
+/// before any node hosts a shard, so the fleet stays free to bootstrap.
+#[test]
+fn a_duplicate_bootstrap_id_fails_before_any_node_hosts_a_shard() {
+    let fleet = local_fleet(2).expect("start fleet");
+    let addrs = addrs_of(&fleet);
+    let config_of = || RemoteConfig::new(config(47), 4, ShardPolicy::HashById);
+    let mut duplicated = rows(2_000, 47);
+    duplicated.push(Row::new(7, vec![1.0, 2.0]));
+    match RemoteCluster::bootstrap(config_of(), duplicated, &addrs) {
+        Err(JanusError::InvalidConfig(message)) => {
+            assert!(message.contains("duplicate row id 7"), "{message}")
+        }
+        Err(e) => panic!("a duplicate id must be InvalidConfig, got {e}"),
+        Ok(_) => panic!("a duplicate id must fail the bootstrap"),
+    }
+    let remote = RemoteCluster::bootstrap(config_of(), rows(2_000, 47), &addrs)
+        .expect("nothing was hosted, so a clean bootstrap succeeds");
+    assert_eq!(remote.population().unwrap(), 2_000);
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
