@@ -13,7 +13,9 @@
 //! * [`restore`](crate::ClusterEngine::restore) — the shard topics
 //!   survived (they are durable infrastructure in the paper's Kafka
 //!   deployment, and `Arc`-shared here): reattach them and replay each
-//!   shard's tail from its checkpointed offset.
+//!   shard's tail from its checkpointed offset. The topics retain that
+//!   tail for the newest checkpoint only; an older one whose tail was
+//!   truncated fails with a typed [`JanusError::Storage`].
 //! * [`restore_detached`](crate::ClusterEngine::restore_detached) — the
 //!   topics died with the process: rebuild on fresh topics, which is
 //!   exact when the checkpoint was *tail-free* (applied == published,

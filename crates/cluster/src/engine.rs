@@ -13,9 +13,15 @@
 //!   or [`ClusterEngine::pump_shard`] (one shard, the granularity the
 //!   [`crate::live::LiveCluster`] background workers use) — so per-shard
 //!   catch-up is independent, back-pressure is explicit, and replay from
-//!   offset zero is deterministic. Each shard, primary or follower, is a
-//!   [`ShardHost`], whose drain applies one batch under one shard-lock
-//!   acquisition.
+//!   any retained offset is deterministic. Each shard, primary or
+//!   follower, is a [`ShardHost`], whose drain applies one batch under
+//!   one shard-lock acquisition.
+//! * **Retention.** Every pump step that drains a primary truncates its
+//!   shard topic below the shard's *floor*: the lowest applied offset
+//!   over the primary, its followers and the newest
+//!   [`ClusterEngine::checkpoint`] (or restore). A topic
+//!   therefore holds what some copy or a restore from the newest
+//!   checkpoint still needs, not the whole stream.
 //! * **Queries** scatter to every shard whose slab the predicate can touch
 //!   (all shards under discrete policies) through
 //!   [`ScatterPool::fan_out`] — one target on the calling thread, several
@@ -77,7 +83,7 @@
 
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
-use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot};
+use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
 use crate::directory::{resolve_batch, StripedDirectory};
 use crate::host::ShardHost;
 use crate::rebalance::{self, RebalanceReport};
@@ -91,6 +97,9 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// [`ShardSet::checkpointed`] before a shard's first checkpoint.
+const NO_CHECKPOINT: u64 = u64::MAX;
 
 /// One record of a shard's ingest topic: the engine's own update type,
 /// so a drained batch feeds [`JanusEngine::apply_update_batch`] as is.
@@ -363,6 +372,11 @@ pub(crate) struct ShardSet {
     replica_count: usize,
     /// Configured freshness gate (`ClusterConfig::replica_lag`).
     replica_lag: u64,
+    /// Per-shard applied offset of the newest checkpoint taken or
+    /// restored ([`NO_CHECKPOINT`] before the first), which pins the
+    /// shard's retention floor. Stored under the primary's read guard,
+    /// read under its write guard.
+    checkpointed: Vec<AtomicU64>,
     /// Per-shard artificial delay (ms) before a *pooled* sub-query is
     /// served — see [`ClusterEngine::inject_scatter_delay`].
     stall_ms: Vec<AtomicU64>,
@@ -383,6 +397,10 @@ impl ShardSet {
     /// followers, whose progress touches neither the backlog gauge nor
     /// the `pumped` counter. Both move under the primary's write guard,
     /// the guard [`ClusterEngine::fail_shard`] rebuilds the gauge under.
+    ///
+    /// A step that drains the primary also computes the shard's floor
+    /// under that guard and, after every lock is released, truncates
+    /// the topic below it.
     pub(crate) fn pump(
         &self,
         shard: usize,
@@ -391,7 +409,7 @@ impl ShardSet {
         skip_failed: bool,
     ) -> (usize, usize, usize, Option<JanusError>) {
         let topic = self.log.topic(shard);
-        let (applied, skipped, first_error) = if max_primary > 0 {
+        let (applied, skipped, first_error, floor) = if max_primary > 0 {
             let host = &self.shards[shard];
             let mut engine = host.write();
             let (applied, skipped, first_error) =
@@ -400,9 +418,14 @@ impl ShardSet {
                 .pumped
                 .fetch_add(applied as u64, Ordering::Relaxed);
             self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
-            (applied, skipped, first_error)
+            (
+                applied,
+                skipped,
+                first_error,
+                Some(self.floor_locked(shard)),
+            )
         } else {
-            (0, 0, None)
+            (0, 0, None, None)
         };
         let mut followers = 0;
         if max_follower > 0 {
@@ -412,7 +435,42 @@ impl ShardSet {
                 followers += a + s;
             }
         }
+        if let Some(floor) = floor {
+            topic.truncate_below(floor);
+        }
         (applied, skipped, followers, first_error)
+    }
+
+    /// `shard`'s retention floor: the lowest offset its primary, any
+    /// follower, or a restore from its newest checkpoint still needs.
+    /// Called under the primary's write guard; takes the replica set's
+    /// read lock, the engine-wide order. Under both, no promotion can
+    /// swap a lower-offset follower in and no checkpoint can be cut, so
+    /// the floor never passes a cursor. Offsets only rise afterwards, so
+    /// the floor stays safe once the guards are released.
+    fn floor_locked(&self, shard: usize) -> u64 {
+        let followers = self.replicas[shard]
+            .read()
+            .iter()
+            .map(ShardHost::applied)
+            .min()
+            .unwrap_or(u64::MAX);
+        self.shards[shard]
+            .applied()
+            .min(followers)
+            .min(self.checkpointed[shard].load(Ordering::Acquire))
+    }
+
+    /// Captures shard `shard` for a checkpoint and makes its applied
+    /// offset the shard's checkpoint floor, under one read guard of the
+    /// primary — so no pump step computes a floor between the two.
+    fn checkpoint_shard(&self, shard: usize) -> ShardCheckpoint {
+        let host = &self.shards[shard];
+        let engine = host.read();
+        let published = self.log.topic(shard).len() as u64;
+        let captured = host.capture_locked(&engine, shard, published);
+        self.checkpointed[shard].store(captured.applied_offset, Ordering::Release);
+        captured
     }
 
     /// Serves one sub-query in the shape the gather needs — the worker
@@ -545,6 +603,9 @@ impl ClusterEngine {
             counters: Counters::default(),
             replica_count: config.replicas,
             replica_lag: config.replica_lag,
+            checkpointed: (0..config.shards)
+                .map(|_| AtomicU64::new(NO_CHECKPOINT))
+                .collect(),
             stall_ms: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
         });
         let pool = ScatterPool::start("janus-scatter", config.shards);
@@ -586,7 +647,10 @@ impl ClusterEngine {
     /// A shared handle to the shard topics. Topics are durable
     /// infrastructure (the Kafka side of the deployment): they outlive
     /// the engine, and a handle taken before a crash is what
-    /// [`ClusterEngine::restore`] replays from.
+    /// [`ClusterEngine::restore`] replays from. Each topic retains only
+    /// the records from its shard's retention floor on (see the module
+    /// docs), so a poll below [`janus_storage::TopicLog::first_offset`]
+    /// panics.
     pub fn topics(&self) -> Arc<ShardedLog<ShardOp>> {
         Arc::clone(&self.set.log)
     }
@@ -892,16 +956,15 @@ impl ClusterEngine {
     }
 
     /// Reserves room for about `rows` more inserts, split evenly over the
-    /// shards: `rows.div_ceil(shards)` records in every shard topic and
-    /// rows in every shard archive, primaries and followers alike. A bulk
-    /// producer that knows its volume calls this once, so the topic (grown
-    /// by the publisher) and the archive (grown by the pump) are not
-    /// doubled step by step from two threads. Capacity only: no state a
-    /// query or a checkpoint sees changes.
+    /// shards: `rows.div_ceil(shards)` rows in every shard archive,
+    /// primaries and followers alike. A bulk producer that knows its
+    /// volume calls this once, so the archives (grown by the pump) are
+    /// not doubled step by step. Topics need no reserve: they grow by
+    /// fixed-size blocks and never copy. Capacity only: no state a query
+    /// or a checkpoint sees changes.
     pub fn reserve(&self, rows: usize) {
         let per_shard = rows.div_ceil(self.shards());
         for (shard, host) in self.set.shards.iter().enumerate() {
-            self.set.log.topic(shard).reserve(per_shard);
             host.write().reserve(per_shard);
             for follower in self.set.replicas[shard].read().iter() {
                 follower.write().reserve(per_shard);
@@ -1246,6 +1309,10 @@ impl ClusterEngine {
     /// from the primary snapshot at restore, which is exact because a
     /// follower at the same offset *is* the primary, bit for bit.
     ///
+    /// The checkpoint becomes each shard topic's retention pin: from the
+    /// next pump step on, the topics keep every record from its applied
+    /// offsets on, and may drop what an older checkpoint would need.
+    ///
     /// A later [`ClusterEngine::maybe_rebalance`] migration invalidates
     /// replay from this checkpoint (migrations move rows without topic
     /// records); take a fresh checkpoint after every rebalance. The
@@ -1254,12 +1321,8 @@ impl ClusterEngine {
         let router = self.router.read();
         let _gate = self.ingest_gate.write();
         let _directory = self.directory.read_all();
-        let shards = self
-            .set
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.capture(i, self.set.log.topic(i).len() as u64))
+        let shards = (0..self.shards())
+            .map(|i| self.set.checkpoint_shard(i))
             .collect();
         ClusterCheckpoint {
             router: RouterSnapshot::capture(&router),
@@ -1272,12 +1335,15 @@ impl ClusterEngine {
     /// Rebuilds a cluster from a checkpoint plus the *surviving* shard
     /// topics (an `Arc` handle taken via [`ClusterEngine::topics`] before
     /// the crash — topics are durable infrastructure in the modeled
-    /// deployment). Every record published after the checkpoint is still
-    /// in the topics; the restored shards resume at their checkpointed
-    /// offsets, so the next [`ClusterEngine::pump_all`] replays exactly
-    /// the missed tail and the cluster converges to the state of an
-    /// uninterrupted run — bit for bit, because engine restoration is
-    /// bit-faithful and per-shard replay order is topic order.
+    /// deployment). The topics retain every record from the *newest*
+    /// checkpoint's applied offsets on; the restored shards resume at
+    /// their checkpointed offsets, so the next [`ClusterEngine::pump_all`]
+    /// replays exactly the missed tail and the cluster converges to the
+    /// state of an uninterrupted run — bit for bit, because engine
+    /// restoration is bit-faithful and per-shard replay order is topic
+    /// order. Restoring from an older checkpoint whose tail the topics
+    /// have already dropped fails with [`JanusError::Storage`] before
+    /// anything is built.
     ///
     /// Takes the checkpoint by value: each shard's archive rows are
     /// *moved* into its restored primary (followers, which need their own
@@ -1328,6 +1394,16 @@ impl ClusterEngine {
                     log.shards(),
                     config.shards
                 )));
+            }
+            for (i, sc) in checkpoint.shards.iter().enumerate() {
+                let first = log.topic(i).first_offset();
+                if sc.applied_offset < first {
+                    return Err(JanusError::Storage(format!(
+                        "shard {i} resumes at offset {} but its topic retains only \
+                         offsets {first} and up; restore from a newer checkpoint",
+                        sc.applied_offset
+                    )));
+                }
             }
         }
         // The checkpoint's router state supersedes the configured policy:
@@ -1454,7 +1530,7 @@ impl ClusterEngine {
             router.restore_cursor(router_snapshot.cursor + (tail_inserts as usize % config.shards));
         }
 
-        Ok(Self::assemble(
+        let cluster = Self::assemble(
             config,
             router,
             StripedDirectory::from_map(directory),
@@ -1462,7 +1538,15 @@ impl ClusterEngine {
             replica_sets,
             log,
             rebalance_generation,
-        ))
+        );
+        // A restore over the surviving topics pins them at the offsets it
+        // resumes from, as the checkpoint it restores did.
+        if !detached {
+            for (pin, (applied, _)) in cluster.set.checkpointed.iter().zip(offsets) {
+                pin.store(applied, Ordering::Release);
+            }
+        }
+        Ok(cluster)
     }
 
     // ------------------------------------------------------------------

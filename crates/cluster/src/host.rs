@@ -136,7 +136,17 @@ impl ShardHost {
     /// synopsis and archive and its applied offset, read under one read
     /// guard, with `published` as the published offset.
     pub fn capture(&self, shard: usize, published: u64) -> ShardCheckpoint {
-        let engine = self.engine.read();
+        self.capture_locked(&self.engine.read(), shard, published)
+    }
+
+    /// [`ShardHost::capture`] under `engine`, this host's read guard,
+    /// which the caller holds.
+    pub(crate) fn capture_locked(
+        &self,
+        engine: &JanusEngine,
+        shard: usize,
+        published: u64,
+    ) -> ShardCheckpoint {
         ShardCheckpoint {
             shard,
             applied_offset: self.applied(),

@@ -248,6 +248,11 @@ impl LiveCluster {
     ///
     /// The request log is consumed from offset zero, so it must carry
     /// only post-bootstrap traffic (bootstrap rows arrive via `rows`).
+    /// The front end truncates `requests` below what it has consumed —
+    /// and, when a checkpoint store is attached, below the offset of the
+    /// newest saved checkpoint, which is where [`LiveCluster::recover`]
+    /// resumes — so the log holds only requests someone may still read.
+    /// `responses` is kept whole.
     pub fn start(config: ClusterConfig, rows: Vec<Row>, requests: Arc<RequestLog>) -> Result<Self> {
         Self::start_with(config, rows, requests, LiveConfig::default())
     }
@@ -608,6 +613,9 @@ impl Drop for LiveCluster {
 /// order, republish data to shard topics, answer queries — and, when a
 /// checkpoint store is attached, cut tail-free checkpoints between
 /// batches (every `checkpoint_every` pumped records, or on request).
+/// After each batch it truncates the request topic below its *request
+/// floor*: the consumed offset, or the newest saved checkpoint's
+/// `request_offset` when that is lower (recovery replays from there).
 fn frontend_loop(
     shared: &Shared,
     pump_workers: &[std::thread::Thread],
@@ -616,6 +624,13 @@ fn frontend_loop(
     checkpoint_every: u64,
 ) {
     let mut offset = shared.front_offset.load(Ordering::Acquire);
+    // The request offset recovery would resume from: the start offset
+    // until a checkpoint is saved, and no pin at all without a store.
+    let mut saved_request_offset = if shared.store.is_some() {
+        offset
+    } else {
+        u64::MAX
+    };
     let mut pumped_at_checkpoint = shared.cluster.pumped_records();
     let mut idle = Backoff::new();
     loop {
@@ -624,8 +639,10 @@ fn frontend_loop(
             let due = checkpoint_every > 0
                 && shared.cluster.pumped_records() - pumped_at_checkpoint >= checkpoint_every;
             if requested || due {
-                if !take_checkpoint(shared, pump_workers) {
-                    return; // shutdown while waiting for the drain
+                match take_checkpoint(shared, pump_workers) {
+                    None => return, // shutdown while waiting for the drain
+                    Some(true) => saved_request_offset = offset,
+                    Some(false) => {} // a failed save moves nothing
                 }
                 pumped_at_checkpoint = shared.cluster.pumped_records();
             }
@@ -683,6 +700,10 @@ fn frontend_loop(
         if !flush_ops(shared, pump_workers, &mut pending, &mut offset, max_backlog) {
             return;
         }
+        shared
+            .requests
+            .requests
+            .truncate_below(offset.min(saved_request_offset));
         for worker in pump_workers {
             worker.unpark();
         }
@@ -797,8 +818,10 @@ fn flush_ops(
 /// — the exact point recovery resumes from. The tail-free property is
 /// re-verified on the cut itself (direct publishers bypassing the
 /// request log would violate it) and the cut retried until it holds.
-/// Returns `false` when shutdown was requested mid-wait.
-fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> bool {
+/// Returns whether the save succeeded — its `request_offset` is the
+/// front end's consumed offset — or `None` when shutdown was requested
+/// mid-wait.
+fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> Option<bool> {
     let store = shared
         .store
         .as_ref()
@@ -816,19 +839,17 @@ fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> boo
         let saved = checkpoint
             .save(store.as_ref(), id)
             .and_then(|()| store.prune(shared.checkpoint_keep));
-        match saved {
-            Ok(()) => shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed),
-            Err(_) => shared
-                .counters
-                .checkpoint_failures
-                .fetch_add(1, Ordering::Relaxed),
+        let counter = match saved {
+            Ok(()) => &shared.counters.checkpoints,
+            Err(_) => &shared.counters.checkpoint_failures,
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         // Wake any checkpoint_now() caller blocked on the attempt
         // counters.
         shared.progress.bump();
-        return true;
+        return Some(saved.is_ok());
     }
-    false
+    None
 }
 
 /// Front-end side wait: blocks until `done` holds, unparking the pump

@@ -40,13 +40,14 @@
 //! **Capacity reserved from the headers.** Before any thread starts, the
 //! loader reads every chunk header once (the threads are handed them,
 //! so a thread opens each file it reads once), sums their row counts and
-//! calls [`ClusterEngine::reserve`]: every shard topic and every shard
-//! archive grows once, to its even share. Without it the publisher grows
-//! the topics and the drain grows the archives by doubling from two
-//! threads, each in its own malloc arena, and the arenas keep the freed
-//! halves: on a 2-vCPU x86-64 VM, `peak_rss_mb` on the benchmark's
-//! `cluster_scatter` rose 302 → 322–333 MB with the overlap alone (304
-//! with the reserve), while a fixed mmap threshold
+//! calls [`ClusterEngine::reserve`]: every shard archive grows once, to
+//! its even share. (Topics need no reserve: they grow by fixed-size
+//! blocks, and the drain truncates the blocks it has applied.) Without
+//! it the drain grows the archives by doubling while the publisher
+//! allocates topic blocks, each thread in its own malloc arena, and the
+//! arenas keep the freed halves: on a 2-vCPU x86-64 VM, `peak_rss_mb` on
+//! the benchmark's `cluster_scatter` rose 302 → 322–333 MB with the
+//! overlap alone (304 with the reserve), while a fixed mmap threshold
 //! (`MALLOC_MMAP_THRESHOLD_=131072`) read 275–283 MB with or without
 //! it — allocator retention, not live data.
 //!

@@ -52,6 +52,11 @@ impl ShardHosts {
     pub fn all(&self) -> impl Iterator<Item = usize> + '_ {
         std::iter::once(self.primary).chain(self.followers.iter().copied())
     }
+
+    /// Whether node `idx` holds a copy.
+    pub fn includes(&self, idx: usize) -> bool {
+        self.all().any(|n| n == idx)
+    }
 }
 
 /// The shard → node placement map plus node liveness.
@@ -151,7 +156,7 @@ impl Directory {
         self.hosts
             .iter()
             .enumerate()
-            .filter(|(_, h)| h.all().any(|n| n == idx))
+            .filter(|(_, h)| h.includes(idx))
             .map(|(s, _)| s as u32)
             .collect()
     }

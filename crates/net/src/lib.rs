@@ -16,7 +16,7 @@
 //! ```text
 //!   publishers ──▶ RemoteCluster (coordinator)
 //!                  ├─ router + row directory   (placement identical to ClusterEngine)
-//!                  ├─ per-shard topics          (durable source of truth)
+//!                  ├─ per-shard topics          (durable source of truth, truncated below every copy's apply)
 //!                  ├─ directory                 (replicated via CheckpointStore)
 //!                  └─ shipper threads ──TCP──▶ janus-node daemons
 //!                                               └─ shard engines + pump threads

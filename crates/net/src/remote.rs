@@ -11,7 +11,12 @@
 //!   per-shard topic contents, hence bit-identical shard engines);
 //! * the **per-shard topics** ([`ShardedLog`]) — the source of truth a
 //!   node death can never lose: an acknowledged publish is durable at
-//!   the coordinator before any node sees it;
+//!   the coordinator before any node sees it, and stays there until
+//!   every alive copy of its shard has acked applying it. The shippers
+//!   then drop it with its block: each topic is truncated below the
+//!   lowest applied offset over the shard's alive copies, computed under
+//!   the directory read lock, so it holds the tails copies still need,
+//!   not the whole stream;
 //! * the **placement directory** ([`Directory`]), replicated by value
 //!   through an optional [`CheckpointStore`].
 //!
@@ -103,6 +108,8 @@ const PROMOTION_POLL: Duration = Duration::from_millis(1);
 /// Bound on a re-dial attempt during retry; the bootstrap dial keeps its
 /// own, more generous timeout.
 const REDIAL_TIMEOUT: Duration = Duration::from_secs(1);
+/// A shard's retention pin while no [`RemoteCluster::move_shard`] holds it.
+const UNPINNED: u64 = u64::MAX;
 
 /// Exponential-backoff budget for transport exchanges with one node.
 ///
@@ -528,8 +535,14 @@ struct RemoteShared {
     /// cluster's directory): dedups inserts, routes deletes.
     row_homes: Mutex<DetHashMap<RowId, usize>>,
     /// The durable per-shard operation topics. Source of truth: every
-    /// acknowledged publish lives here before any node applies it.
+    /// acknowledged publish lives here until every alive copy of its
+    /// shard has applied it.
     topics: ShardedLog<ShardOp>,
+    /// Per-shard retention pin ([`UNPINNED`] when none):
+    /// [`RemoteCluster::move_shard`] holds the floor at or below its
+    /// source's applied offset until the target's offsets are reset.
+    /// Written under the directory write lock, read under its read lock.
+    pins: Vec<AtomicU64>,
     directory: RwLock<Directory>,
     links: Vec<NodeLink>,
     shutdown: AtomicBool,
@@ -554,6 +567,26 @@ impl RemoteShared {
             let version = self.store_version.fetch_add(1, Ordering::Relaxed) + 1;
             let _ = store.put(version, &dir.snapshot().to_bytes());
             let _ = store.prune(2);
+        }
+    }
+
+    /// Truncates `shard`'s topic below its floor: the lowest applied
+    /// offset any alive copy has acked, or the shard's pin if lower.
+    /// The floor is computed under the directory read lock, so it sees
+    /// either no pin and no move in flight, or the pin. A shard with no
+    /// alive copy keeps its topic.
+    fn retain(&self, shard: u32) {
+        let floor = {
+            let dir = self.directory.read();
+            dir.hosts_of(shard)
+                .all()
+                .filter(|&n| dir.is_alive(n))
+                .map(|n| self.links[n].applied.of(shard))
+                .min()
+                .map(|floor| floor.min(self.pins[shard as usize].load(Ordering::Acquire)))
+        };
+        if let Some(floor) = floor {
+            self.topics.topic(shard as usize).truncate_below(floor);
         }
     }
 
@@ -657,18 +690,32 @@ fn probe_all(shared: &RemoteShared) {
 /// Pushes topic tails to one node until shutdown or node death. A round
 /// that ships nothing waits on the node's pump instead, one empty batch
 /// per copy that trails what it was shipped; once every copy has applied
-/// its tail, the shipper parks and sends nothing.
+/// its tail, the shipper parks and sends nothing. Every round first
+/// truncates each hosted shard's topic below what all its copies have
+/// applied.
 fn shipper_loop(shared: &RemoteShared, idx: usize) {
     let link = &shared.links[idx];
     let mut idle = Backoff::new();
     while !shared.shutdown.load(Ordering::Acquire) && link.alive.load(Ordering::Acquire) {
         let hosted = shared.directory.read().hosted_shards(idx);
+        for &shard in &hosted {
+            shared.retain(shard);
+        }
         let mut moved = false;
         for &shard in &hosted {
             let cursor = link.shipped.of(shard);
-            let batch = shared
-                .topics
-                .poll(shard as usize, cursor, shared.config.ship_chunk.max(1));
+            // Polled under the directory read lock while this node still
+            // hosts the shard, so every floor computed meanwhile counts
+            // this copy's cursor; a shard a move has just taken off the
+            // node is skipped instead of read below its truncated topic.
+            let batch = {
+                let dir = shared.directory.read();
+                if !dir.hosts_of(shard).includes(idx) {
+                    continue;
+                }
+                let chunk = shared.config.ship_chunk.max(1);
+                shared.topics.poll(shard as usize, cursor, chunk)
+            };
             if batch.is_empty() {
                 continue;
             }
@@ -702,7 +749,9 @@ fn shipper_loop(shared: &RemoteShared, idx: usize) {
 /// ack into the link. Returns `false` once the copy is done for: a
 /// node-side error (gap, unhosted shard) means it cannot converge, and a
 /// transport failure surviving the full retry budget means the node is
-/// gone.
+/// gone. A refusal for a shard the directory no longer places on the
+/// node is neither: [`RemoteCluster::move_shard`] released it after
+/// this round began.
 fn ship(
     shared: &RemoteShared,
     idx: usize,
@@ -731,6 +780,7 @@ fn ship(
             shared.progress.bump();
             true
         }
+        Ok(Frame::Error { .. }) if !shared.directory.read().hosts_of(shard).includes(idx) => true,
         Ok(_) | Err(_) => {
             fail_node(shared, idx);
             false
@@ -886,6 +936,7 @@ impl RemoteCluster {
             router: RwLock::new(router),
             row_homes: Mutex::new(row_homes),
             topics: ShardedLog::new(shards),
+            pins: (0..shards).map(|_| AtomicU64::new(UNPINNED)).collect(),
             directory: RwLock::new(directory),
             links,
             shutdown: AtomicBool::new(false),
@@ -1336,15 +1387,34 @@ impl RemoteCluster {
             return Err(JanusError::InvalidConfig(format!("no node {to}")));
         }
         let from = {
-            let dir = shared.directory.read();
+            let dir = shared.directory.write();
             if !dir.is_alive(to) {
                 return Err(JanusError::InvalidConfig(format!("node {to} is dead")));
             }
-            dir.hosts_of(shard).primary
+            let from = dir.hosts_of(shard).primary;
+            if from != to {
+                // Pin the floor at the source's recorded offset, which
+                // the checkpoint's cannot be below: a heartbeat may raise
+                // the recorded offset past the checkpoint before the
+                // target is in place, and the target catches up from the
+                // checkpoint's offset.
+                let pin = shared.links[from].applied.of(shard);
+                shared.pins[shard as usize].store(pin, Ordering::Release);
+            }
+            from
         };
         if from == to {
             return Ok(());
         }
+        let moved = self.move_pinned(shard, from, to);
+        shared.pins[shard as usize].store(UNPINNED, Ordering::Release);
+        moved
+    }
+
+    /// [`RemoteCluster::move_shard`] once its pin is held: fetch, install,
+    /// reset the target's offsets and repoint the directory.
+    fn move_pinned(&self, shard: u32, from: usize, to: usize) -> Result<()> {
+        let shared = &self.shared;
         let shipped = shared.links[from].request_retry(
             &shared.links[from].ship,
             &Frame::FetchCheckpoint { shard },
@@ -1420,8 +1490,19 @@ impl RemoteCluster {
 
     /// Every record of `shard`'s coordinator topic, in offset order (for
     /// inspection / tests).
+    ///
+    /// # Panics
+    /// Panics once the shippers have truncated the topic: its records
+    /// from offset 0 are no longer all held.
     pub fn topic_records(&self, shard: usize) -> Vec<ShardOp> {
         self.shared.topics.poll(shard, 0, usize::MAX)
+    }
+
+    /// Records of `shard`'s coordinator topic still held in memory — the
+    /// tail some alive copy has not acked applying, plus at most the
+    /// block it starts in (for inspection / tests).
+    pub fn topic_resident_len(&self, shard: usize) -> usize {
+        self.shared.topics.topic(shard).resident_len()
     }
 
     /// Shards that lost every copy (answers for them fail loudly).

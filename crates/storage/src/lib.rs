@@ -7,11 +7,12 @@
 //! * [`streamlog`] — append-only topic logs with offset-based batched
 //!   `poll()` access and *no random access to individual records without a
 //!   poll*, exactly the constraint that makes sampling from Kafka
-//!   non-trivial (Appendix A). The three topics of §3.2 —
-//!   `insert(tuple)`, `delete(tuple)`, `execute(query)` — are modeled by
-//!   [`streamlog::RequestLog`], and [`streamlog::ShardedLog`] gives a
-//!   sharded deployment one independent topic (and offset space) per
-//!   shard.
+//!   non-trivial (Appendix A). The three request kinds of §3.2 —
+//!   `insert(tuple)`, `delete(tuple)`, `execute(query)` — share one
+//!   arrival-ordered topic in [`streamlog::RequestLog`], and
+//!   [`streamlog::ShardedLog`] gives a sharded deployment one independent
+//!   topic (and offset space) per shard. Topics are block lists that
+//!   their owners truncate below what every consumer has applied.
 //! * [`archive`] — the cold/archival store of §2.1: holds the full current
 //!   table state, accessible offline for initialization, re-sampling, and
 //!   catch-up, but never consulted at query time. Columnar in memory by
@@ -44,4 +45,4 @@ pub use checkpoint::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore
 pub use loadlog::{FileLoadProgress, LoadProgress};
 pub use samplers::{PollCostModel, SampleRun, SequentialSampler, SingletonSampler};
 pub use spill::{SegmentedFileArchive, SpillStats};
-pub use streamlog::{QueryResponse, Request, RequestLog, ShardedLog, TopicLog};
+pub use streamlog::{QueryResponse, Request, RequestLog, ShardedLog, TopicLog, BLOCK_RECORDS};

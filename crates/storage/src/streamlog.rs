@@ -1,4 +1,5 @@
-//! Kafka-like append-only topic logs with offset-based polling.
+//! Kafka-like append-only topic logs with offset-based polling and
+//! retention.
 //!
 //! The substitution contract: the behaviours the paper
 //! exercises depend only on the log/offset/poll abstraction — ordered
@@ -6,16 +7,48 @@
 //! inability to randomly access single records except by issuing a poll at
 //! an offset. This module reproduces that abstraction in-process and
 //! thread-safely.
+//!
+//! **Retention.** A topic stores its records in blocks of
+//! [`BLOCK_RECORDS`] and keeps a base offset, like a Kafka log keeps
+//! segments. Its owner drops whole leading blocks once every consumer
+//! has moved past them ([`TopicLog::truncate_below`]), so a long-running
+//! log holds what its slowest consumer still needs, not the whole stream.
+//! Offsets never move: [`TopicLog::len`] stays the end offset, and
+//! [`TopicLog::first_offset`] is the lowest offset still held. Polling
+//! below it is a retention bug and panics; it never returns a suffix.
 
 use janus_common::{Estimate, Query, Row, RowId, TenantId};
 use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Records per topic block: the unit a topic allocates and drops. Every
+/// block but the last is full, and each is allocated once at this
+/// capacity, so an append never copies records.
+pub const BLOCK_RECORDS: usize = 4096;
+
+/// A topic's blocks and the offset of the first record they hold.
+struct Blocks<T> {
+    /// Offset of `blocks[0][0]`: a multiple of [`BLOCK_RECORDS`], since
+    /// only whole blocks are dropped.
+    base: u64,
+    blocks: VecDeque<Vec<T>>,
+    /// The end offset.
+    end: u64,
+    /// The newest truncated block, set aside for the next append to free
+    /// — on the appending thread, which usually allocated its records, so
+    /// the frees stay in that thread's malloc arena instead of contending
+    /// with it from the truncating thread.
+    retired: Option<Vec<T>>,
+}
 
 /// A thread-safe append-only log of records of type `T`.
 ///
 /// Offsets are dense and start at zero, like Kafka partition offsets.
+/// Records below [`TopicLog::first_offset`] have been dropped by
+/// [`TopicLog::truncate_below`].
 pub struct TopicLog<T: Clone> {
-    entries: RwLock<Vec<T>>,
+    entries: RwLock<Blocks<T>>,
 }
 
 impl<T: Clone> Default for TopicLog<T> {
@@ -28,49 +61,131 @@ impl<T: Clone> TopicLog<T> {
     /// Creates an empty topic.
     pub fn new() -> Self {
         TopicLog {
-            entries: RwLock::new(Vec::new()),
+            entries: RwLock::new(Blocks {
+                base: 0,
+                blocks: VecDeque::new(),
+                end: 0,
+                retired: None,
+            }),
         }
     }
 
     /// Appends one record; returns its offset.
     pub fn append(&self, record: T) -> u64 {
-        let mut entries = self.entries.write();
-        entries.push(record);
-        (entries.len() - 1) as u64
+        self.append_batch(std::iter::once(record))
     }
 
     /// Appends many records; returns the offset of the first.
     pub fn append_batch(&self, records: impl IntoIterator<Item = T>) -> u64 {
+        let mut records = records.into_iter().peekable();
         let mut entries = self.entries.write();
-        let first = entries.len() as u64;
-        entries.extend(records);
+        let first = entries.end;
+        let mut added = 0usize;
+        while records.peek().is_some() {
+            if entries
+                .blocks
+                .back()
+                .is_none_or(|b| b.len() == BLOCK_RECORDS)
+            {
+                entries.blocks.push_back(Vec::with_capacity(BLOCK_RECORDS));
+            }
+            let block = entries.blocks.back_mut().expect("a block with room");
+            let before = block.len();
+            block.extend(records.by_ref().take(BLOCK_RECORDS - before));
+            added += block.len() - before;
+        }
+        entries.end += added as u64;
+        let retired = entries.retired.take();
+        drop(entries);
+        drop(retired);
         first
     }
 
-    /// Reserves room for at least `additional` more records, so a
-    /// producer that knows its volume grows the log once.
-    pub fn reserve(&self, additional: usize) {
-        self.entries.write().reserve(additional);
-    }
-
-    /// Number of records in the topic (the end offset).
+    /// Number of records ever appended: the end offset, whatever has
+    /// been truncated.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.read().end as usize
     }
 
-    /// True when the topic holds no records.
+    /// True when nothing was ever appended.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.len() == 0
+    }
+
+    /// The lowest offset still held; equals [`TopicLog::len`] when every
+    /// record has been dropped.
+    pub fn first_offset(&self) -> u64 {
+        self.entries.read().base
+    }
+
+    /// Records held in memory: those from [`TopicLog::first_offset`] on,
+    /// plus the truncated block, if any, that the next append frees.
+    pub fn resident_len(&self) -> usize {
+        let entries = self.entries.read();
+        (entries.end - entries.base) as usize + entries.retired.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Drops every whole block that lies below `floor` (clamped to the
+    /// end offset); returns the records dropped. The caller guarantees no
+    /// consumer will poll below `floor` again. When `floor` has not
+    /// crossed a block boundary this is one read-locked check; otherwise
+    /// the blocks are unlinked under the write lock and freed after it is
+    /// released, so no append waits on the frees. The newest unlinked
+    /// block is set aside for the next append to free instead (see
+    /// [`TopicLog::resident_len`]); the block an earlier truncation set
+    /// aside, if no append came for it, is freed here.
+    pub fn truncate_below(&self, floor: u64) -> usize {
+        let whole =
+            |base: u64, end: u64| floor.min(end).saturating_sub(base) as usize / BLOCK_RECORDS;
+        {
+            let entries = self.entries.read();
+            if whole(entries.base, entries.end) == 0 {
+                return 0;
+            }
+        }
+        let (n, freed) = {
+            let mut entries = self.entries.write();
+            let n = whole(entries.base, entries.end);
+            entries.base += (n * BLOCK_RECORDS) as u64;
+            let mut freed: Vec<Vec<T>> = entries.blocks.drain(..n).collect();
+            let newest = freed.pop();
+            freed.extend(std::mem::replace(&mut entries.retired, newest));
+            (n, freed)
+        };
+        drop(freed);
+        n * BLOCK_RECORDS
     }
 
     /// Polls up to `max_records` starting at `offset`. Returns an empty
     /// vector when `offset` is at or past the end — there is no blocking in
     /// this in-process model; consumers re-poll.
+    ///
+    /// # Panics
+    /// Panics when `offset` is below [`TopicLog::first_offset`]: the
+    /// records were dropped while a consumer still needed them (a
+    /// retention bug).
     pub fn poll(&self, offset: u64, max_records: usize) -> Vec<T> {
         let entries = self.entries.read();
-        let start = (offset as usize).min(entries.len());
-        let end = start.saturating_add(max_records).min(entries.len());
-        entries[start..end].to_vec()
+        if offset >= entries.end || max_records == 0 {
+            return Vec::new();
+        }
+        assert!(
+            offset >= entries.base,
+            "poll at offset {offset} below the topic's first retained offset {}",
+            entries.base
+        );
+        let count = (entries.end - offset).min(max_records as u64) as usize;
+        let mut out = Vec::with_capacity(count);
+        let from = (offset - entries.base) as usize;
+        let (mut block, mut slot) = (from / BLOCK_RECORDS, from % BLOCK_RECORDS);
+        while out.len() < count {
+            let records = &entries.blocks[block];
+            let take = (count - out.len()).min(records.len() - slot);
+            out.extend_from_slice(&records[slot..slot + take]);
+            block += 1;
+            slot = 0;
+        }
+        out
     }
 }
 
@@ -109,19 +224,18 @@ pub enum Request {
 /// yet" always means "not yet processed", never "empty answer".
 pub type QueryResponse = (u64, Option<Estimate>);
 
-/// The three Kafka topics of §3.2 plus a unified arrival-ordered request
-/// log and a response topic. The unified log is the source of truth for
-/// processing order; the per-kind topics support offset-based sampling of
-/// historical data (Appendix A uses the insert topic for initialization
-/// and catch-up); the response topic carries `(request offset, estimate)`
-/// answers back to clients, making the log a complete request/response
-/// front end for a long-running service.
+/// The §3.2 request stream as one unified arrival-ordered request log
+/// plus a response topic. The unified log is the source of truth for
+/// processing order; the response topic carries `(request offset,
+/// estimate)` answers back to clients, making the log a complete
+/// request/response front end for a long-running service. Its consumer
+/// may truncate `requests` below what it has consumed and can no longer
+/// be asked to replay; `responses` is never truncated, since
+/// [`RequestLog::find_response`] scans it from offset zero.
 #[derive(Default)]
 pub struct RequestLog {
     /// Unified arrival-ordered stream.
     pub requests: TopicLog<Request>,
-    /// Insert-only view (the "historical data" topic samplers read).
-    pub inserts: TopicLog<Row>,
     /// Query answers, keyed by the `Execute` request's unified offset.
     /// Publication order follows processing order, not request order.
     pub responses: TopicLog<QueryResponse>,
@@ -140,7 +254,6 @@ impl RequestLog {
 
     /// Publishes an insertion; returns its unified-stream offset.
     pub fn publish_insert(&self, row: Row) -> u64 {
-        self.inserts.append(row.clone());
         self.requests.append(Request::Insert(row))
     }
 
@@ -214,7 +327,9 @@ impl RequestLog {
 /// ingest fabric of a sharded deployment (`janus-cluster`): a router
 /// appends each record to exactly one shard topic, and each shard consumer
 /// polls its own topic at its own offset, so per-shard catch-up is
-/// independent and replay from offset zero is deterministic.
+/// independent and replay from any retained offset is deterministic. The
+/// owner truncates each topic below the lowest offset any of its
+/// consumers, or a restore, still needs.
 pub struct ShardedLog<T: Clone> {
     topics: Vec<TopicLog<T>>,
 }
@@ -320,8 +435,6 @@ mod tests {
         assert!(matches!(reqs[0], Request::Insert(_)));
         assert!(matches!(reqs[1], Request::Delete(1)));
         assert!(matches!(&reqs[2], Request::Execute(got) if *got == q));
-        // Insert view only sees the insert.
-        assert_eq!(log.inserts.len(), 1);
     }
 
     #[test]
@@ -486,5 +599,76 @@ mod tests {
         let mut all = log.poll(0, 5000);
         all.sort_unstable();
         assert_eq!(all, (0..4000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn records_span_blocks_in_offset_order() {
+        let t = TopicLog::new();
+        let n = 3 * BLOCK_RECORDS as u64 + 17;
+        assert_eq!(t.append_batch(0..BLOCK_RECORDS as u64 - 1), 0);
+        assert_eq!(t.append(BLOCK_RECORDS as u64 - 1), BLOCK_RECORDS as u64 - 1);
+        t.append_batch(BLOCK_RECORDS as u64..n);
+        assert_eq!(t.len() as u64, n);
+        assert_eq!(t.poll(0, usize::MAX), (0..n).collect::<Vec<_>>());
+        let at = BLOCK_RECORDS as u64 - 3;
+        assert_eq!(t.poll(at, 7), (at..at + 7).collect::<Vec<_>>());
+        assert_eq!(t.poll(n - 2, 10), vec![n - 2, n - 1]);
+    }
+
+    #[test]
+    fn truncation_drops_whole_blocks_only() {
+        let t = TopicLog::new();
+        let block = BLOCK_RECORDS as u64;
+        t.append_batch(0..2 * block + 5);
+        assert_eq!(t.truncate_below(block - 1), 0, "floor inside block 0");
+        assert_eq!(t.first_offset(), 0);
+        assert_eq!(t.truncate_below(block + 9), BLOCK_RECORDS);
+        assert_eq!((t.first_offset(), t.len() as u64), (block, 2 * block + 5));
+        assert_eq!(
+            t.resident_len() as u64,
+            2 * block + 5,
+            "the dropped block waits for the next append to free it"
+        );
+        assert_eq!(
+            t.poll(block, 2),
+            vec![block, block + 1],
+            "offsets never move"
+        );
+        assert_eq!(
+            t.truncate_below(u64::MAX),
+            BLOCK_RECORDS,
+            "clamped to the end"
+        );
+        assert_eq!(t.first_offset(), 2 * block);
+        assert_eq!(
+            t.resident_len() as u64,
+            block + 5,
+            "a truncation frees the block an earlier one set aside"
+        );
+        assert_eq!(t.truncate_below(0), 0, "a lower floor is a no-op");
+        assert_eq!(t.append(7), 2 * block + 5);
+        assert_eq!(t.resident_len(), 6, "the append freed the set-aside block");
+        assert_eq!(t.poll(2 * block + 4, 9), vec![2 * block + 4, 7]);
+    }
+
+    #[test]
+    fn truncating_every_record_keeps_the_end_offset() {
+        let t = TopicLog::new();
+        let block = BLOCK_RECORDS as u64;
+        t.append_batch(0..block);
+        assert_eq!(t.truncate_below(block), BLOCK_RECORDS);
+        assert_eq!((t.first_offset(), t.len()), (block, BLOCK_RECORDS));
+        assert!(t.poll(block, 4).is_empty());
+        assert_eq!(t.append(1), block);
+        assert_eq!((t.resident_len(), t.poll(block, 4)), (1, vec![1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "below the topic's first retained offset")]
+    fn polling_below_the_floor_is_a_retention_bug() {
+        let t = TopicLog::new();
+        t.append_batch(0..BLOCK_RECORDS as u64 + 1);
+        t.truncate_below(BLOCK_RECORDS as u64);
+        let _ = t.poll(3, 1);
     }
 }

@@ -450,3 +450,150 @@ fn detached_restore_refuses_tail_bearing_checkpoints() {
     restored.pump_all().unwrap();
     assert_eq!(restored.population(), 2_001);
 }
+
+/// Records per shard topic block: streams below cross more than two
+/// blocks per shard, so retention really drops some.
+const BLOCK: u64 = janus::storage::BLOCK_RECORDS as u64;
+
+/// A crash after the cluster kept pumping past its checkpoint — the
+/// normal case: checkpoint, publish, pump everything, publish across
+/// more than two blocks per shard, crash, restore. The topics kept the
+/// checkpoint's tail however far the pumps ran, so the restore replays
+/// it bit for bit.
+#[test]
+fn restore_after_pumping_past_the_checkpoint_is_bit_identical() {
+    const SHARDS: usize = 2;
+    let data = rows(4_000, 93);
+    let make = || {
+        ClusterEngine::bootstrap(
+            ClusterConfig::new(exact_config(93), SHARDS, ShardPolicy::HashById),
+            data.clone(),
+        )
+        .unwrap()
+    };
+    let uninterrupted = make();
+    let crashing = make();
+    let mut stream = Stream::new(94, 4_000, 2_000_000);
+    stream.publish(&[&uninterrupted, &crashing], 1_500);
+    crashing.pump(256).unwrap();
+    let checkpoint = crashing.checkpoint();
+    let checkpoint = ClusterCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
+
+    stream.publish(&[&uninterrupted, &crashing], 3 * BLOCK * SHARDS as u64);
+    crashing.pump_all().unwrap();
+    stream.publish(&[&uninterrupted, &crashing], 3 * BLOCK * SHARDS as u64);
+    let topics = crashing.topics();
+    for (shard, sc) in checkpoint.shards.iter().enumerate() {
+        assert!(topics.topic(shard).len() as u64 > sc.applied_offset + 2 * BLOCK);
+        assert!(topics.topic(shard).first_offset() <= sc.applied_offset);
+    }
+    drop(crashing);
+
+    let config = ClusterConfig::new(exact_config(93), SHARDS, ShardPolicy::HashById);
+    let restored = ClusterEngine::restore(config, checkpoint, topics).unwrap();
+    restored.pump_all().unwrap();
+    uninterrupted.pump_all().unwrap();
+    assert_same_answers(&uninterrupted, &restored, "restored after pumping past");
+
+    // Restored, the checkpoint still pins the floor: pumping drops only
+    // what lies below its offsets, and the twins stay in lockstep.
+    stream.publish(&[&uninterrupted, &restored], 1_000);
+    uninterrupted.pump_all().unwrap();
+    restored.pump_all().unwrap();
+    assert_same_answers(&uninterrupted, &restored, "post-restore traffic");
+}
+
+/// A newer checkpoint moves the floor: once the pumps have dropped the
+/// blocks below it, restoring from an older checkpoint fails typed
+/// instead of replaying a partial tail, and the newest one restores bit
+/// for bit.
+#[test]
+fn restoring_a_checkpoint_older_than_the_floor_fails_typed() {
+    const SHARDS: usize = 2;
+    let data = rows(2_000, 95);
+    let config = || ClusterConfig::new(exact_config(95), SHARDS, ShardPolicy::RoundRobin);
+    let uninterrupted = ClusterEngine::bootstrap(config(), data.clone()).unwrap();
+    let crashing = ClusterEngine::bootstrap(config(), data).unwrap();
+    let mut stream = Stream::new(96, 2_000, 3_000_000);
+    stream.publish(&[&uninterrupted, &crashing], 500);
+    crashing.pump_all().unwrap();
+    let older = crashing.checkpoint();
+
+    stream.publish(&[&uninterrupted, &crashing], 3 * BLOCK * SHARDS as u64);
+    crashing.pump_all().unwrap();
+    let newest = crashing.checkpoint();
+    stream.publish(&[&uninterrupted, &crashing], 500);
+    crashing.pump_all().unwrap();
+
+    let topics = crashing.topics();
+    for (shard, (old, new)) in older.shards.iter().zip(&newest.shards).enumerate() {
+        let first = topics.topic(shard).first_offset();
+        assert!(
+            old.applied_offset < first,
+            "shard {shard}: blocks not dropped"
+        );
+        assert!(
+            first <= new.applied_offset,
+            "shard {shard}: floor passed the newest"
+        );
+    }
+    drop(crashing);
+
+    match ClusterEngine::restore(config(), older, Arc::clone(&topics)) {
+        Err(janus::common::JanusError::Storage(message)) => {
+            assert!(message.contains("newer checkpoint"))
+        }
+        Err(other) => panic!("expected a storage error, got {other}"),
+        Ok(_) => panic!("an older-than-floor checkpoint restored"),
+    }
+    let restored = ClusterEngine::restore(config(), newest, topics).unwrap();
+    restored.pump_all().unwrap();
+    uninterrupted.pump_all().unwrap();
+    assert_same_answers(&uninterrupted, &restored, "newest checkpoint");
+}
+
+/// A follower more than a block behind its primary pins the floor, so
+/// promoting it — while another thread keeps pumping the shard — loses
+/// nothing: the promoted copy resumes from its own offset.
+#[test]
+fn promoting_a_follower_more_than_a_block_behind_loses_nothing() {
+    const SHARDS: usize = 2;
+    let data = rows(2_000, 97);
+    let plain = ClusterEngine::bootstrap(
+        ClusterConfig::new(exact_config(97), SHARDS, ShardPolicy::HashById),
+        data.clone(),
+    )
+    .unwrap();
+    let replicated = ClusterEngine::bootstrap(
+        ClusterConfig::new(exact_config(97), SHARDS, ShardPolicy::HashById).with_replicas(1),
+        data,
+    )
+    .unwrap();
+    let mut stream = Stream::new(98, 2_000, 4_000_000);
+    stream.publish(&[&plain, &replicated], 3 * BLOCK * SHARDS as u64);
+    for shard in 0..SHARDS {
+        replicated.pump_replicas(shard, 100);
+        replicated.pump_shard(shard, usize::MAX).unwrap();
+    }
+    let topic = replicated.topics();
+    let lag = topic.topic(1).len() as u64 - replicated.replica_offsets(1)[0];
+    assert!(
+        lag > BLOCK,
+        "the follower should trail by more than a block"
+    );
+    assert!(topic.topic(1).first_offset() <= replicated.replica_offsets(1)[0]);
+
+    // More traffic, pumped on another thread while the shard fails over.
+    stream.publish(&[&plain, &replicated], BLOCK);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..64 {
+                replicated.pump_shard(1, 64).unwrap();
+            }
+        });
+        replicated.fail_shard(1).unwrap();
+    });
+    replicated.pump_all().unwrap();
+    plain.pump_all().unwrap();
+    assert_same_answers(&plain, &replicated, "promoted a lagging follower");
+}

@@ -736,3 +736,60 @@ fn a_duplicate_bootstrap_id_fails_before_any_node_hosts_a_shard() {
     remote.shutdown_nodes();
     remote.shutdown();
 }
+
+/// `move_shard` while another thread pushes more than two topic blocks
+/// into the moving shard: the shippers keep truncating the topic behind
+/// the copies' applies, and heartbeats keep raising the source's applied
+/// offset, yet the move pins the floor at the checkpoint it ships, so the
+/// target catches up from there and the fleet stays bit-identical to the
+/// in-process twin.
+#[test]
+fn move_shard_under_a_concurrent_publisher_keeps_the_tail_it_ships() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
+    const BLOCK: u64 = janus::storage::BLOCK_RECORDS as u64;
+    let fleet = local_fleet(3).expect("start fleet");
+    let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+    let remote = RemoteCluster::bootstrap(
+        RemoteConfig::new(config(13), 4, policy.clone())
+            .with_heartbeat_every(Duration::from_millis(2)),
+        rows(2_000, 13),
+        &addrs_of(&fleet),
+    )
+    .expect("bootstrap");
+    let twin = ClusterEngine::bootstrap(ClusterConfig::new(config(13), 4, policy), rows(2_000, 13))
+        .expect("twin");
+
+    // Every insert lands in shard 0 (x < 25).
+    let total = 3 * BLOCK;
+    let published = AtomicU64::new(0);
+    let target = (remote.directory_snapshot().primaries[0] + 1) % 3;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for batch in 0..total / 256 {
+                let ops: Vec<ShardOp> = (0..256u64)
+                    .map(|i| {
+                        let id = 7_000_000 + batch * 256 + i;
+                        let x = (id % 2_500) as f64 / 100.0;
+                        ShardOp::Insert(Row::new(id, vec![x, x * 2.0]))
+                    })
+                    .collect();
+                assert_eq!(remote.publish_batch(ops.clone()).published, 256);
+                assert_eq!(twin.publish_batch(ops).published, 256);
+                published.fetch_add(256, Ordering::Release);
+            }
+        });
+        while published.load(Ordering::Acquire) < BLOCK {
+            std::thread::yield_now();
+        }
+        remote.move_shard(0, target).expect("move shard");
+    });
+    assert!(published.load(Ordering::Acquire) == total);
+    assert_eq!(remote.directory_snapshot().primaries[0], target);
+    remote.drain();
+    twin.pump_all().expect("pump");
+    assert_eq!(remote.population().unwrap(), twin.population() as u64);
+    assert_bit_identical(&remote, &twin, "after a move under load");
+    remote.shutdown_nodes();
+    remote.shutdown();
+}

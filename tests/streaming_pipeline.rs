@@ -3,7 +3,9 @@
 //! consumes them exactly once; Appendix A samplers feed initialization.
 
 use janus::prelude::*;
-use janus::storage::{PollCostModel, Request, RequestLog, SequentialSampler, SingletonSampler};
+use janus::storage::{
+    PollCostModel, Request, RequestLog, SequentialSampler, SingletonSampler, TopicLog,
+};
 
 fn dataset() -> Dataset {
     intel_wireless(20_000, 50)
@@ -104,13 +106,11 @@ fn request_stream_is_processed_in_arrival_order() {
 #[test]
 fn samplers_feed_initialization_from_the_insert_topic() {
     let d = dataset();
-    let log = RequestLog::new();
-    for row in &d.rows {
-        log.publish_insert(row.clone());
-    }
+    let inserts = TopicLog::new();
+    inserts.append_batch(d.rows.iter().cloned());
     // Appendix A: singleton sampler for the (small) initialization sample.
     let mut singleton = SingletonSampler::new(PollCostModel::KAFKA_LIKE, 51);
-    let init_run = singleton.sample(&log.inserts, 600);
+    let init_run = singleton.sample(&inserts, 600);
     assert_eq!(init_run.sample.len(), 600);
 
     // Deduplicate (singleton draws with replacement) and bootstrap.
@@ -126,7 +126,7 @@ fn samplers_feed_initialization_from_the_insert_topic() {
     // Sequential sampler for the (large) catch-up sample: cheaper per record
     // under the simulated cost model.
     let mut sequential = SequentialSampler::new(PollCostModel::KAFKA_LIKE, 10_000, 51);
-    let catchup_run = sequential.sample(&log.inserts, d.len() / 10);
+    let catchup_run = sequential.sample(&inserts, d.len() / 10);
     assert!(catchup_run.sample.len() > d.len() / 20);
     let per_record_seq = catchup_run.simulated_cost_nanos / catchup_run.sample.len() as f64;
     let per_record_single = init_run.simulated_cost_nanos / 600.0;
