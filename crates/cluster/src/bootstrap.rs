@@ -50,7 +50,7 @@ pub fn shard_config(base: &SynopsisConfig, shard: usize) -> SynopsisConfig {
 /// row in `directory` as it goes (one probe per row) and rejecting
 /// duplicate row ids. Buckets are pre-sized for the batch; the caller
 /// sizes the directory.
-pub fn partition_rows(
+pub(crate) fn partition_rows(
     router: &mut ShardRouter,
     rows: Vec<Row>,
     directory: &mut impl PlacementSink,

@@ -9,6 +9,17 @@
 //! ([`crate::ClusterEngine::publish_batch_routed`]) only contend when
 //! their rows actually collide on a stripe.
 //!
+//! ## Per-shard counts
+//!
+//! Beside the map, the directory keeps how many rows it places on each
+//! shard: bootstrap rows, plus accepted inserts, minus accepted deletes,
+//! moved by migrations. A deadline-partial gather weighs the shards it
+//! missed by these counts, on either transport, without taking a lock.
+//! They change once per call and shard, never per row: an
+//! [`AllStripesWrite`] nets what its placements moved and settles the
+//! counts when it is released, still under every stripe, and
+//! [`StripedDirectory::reserve`] adds what it accepted.
+//!
 //! ## Lock order
 //!
 //! The engine-wide order is **router → ingest gate → directory stripes
@@ -43,6 +54,7 @@ use janus_common::faults::mix64;
 use janus_common::{DetHashMap, RowId};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of directory stripes. A power of two so stripe selection is a
 /// mask; 16 comfortably exceeds any plausible loader-thread count while
@@ -51,9 +63,8 @@ pub(crate) const STRIPES: usize = 16;
 
 /// A row → shard placement map held exclusively — the live striped
 /// directory under all its stripe locks (which bootstrap fills
-/// directly), or a plain map (the networked coordinator's, or a unit
-/// test's).
-pub trait PlacementSink {
+/// directly), or a plain map (a unit test's).
+pub(crate) trait PlacementSink {
     /// Whether `id` is placed anywhere.
     fn contains(&self, id: RowId) -> bool;
     /// Records that `id` now lives on `shard` (insert or overwrite),
@@ -63,25 +74,12 @@ pub trait PlacementSink {
     fn remove(&mut self, id: RowId) -> Option<usize>;
 }
 
-impl PlacementSink for DetHashMap<RowId, usize> {
-    fn contains(&self, id: RowId) -> bool {
-        self.contains_key(&id)
-    }
-    fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
-        self.insert(id, shard)
-    }
-    fn remove(&mut self, id: RowId) -> Option<usize> {
-        DetHashMap::remove(self, &id)
-    }
-}
-
-/// The publish path's resolve step, shared by both coordinators:
-/// resolves `ops` against `directory` in arrival order and groups the
+/// The publish path's resolve step: resolves `ops` against `directory` in arrival order and groups the
 /// accepted ones per shard — an insert is routed and placed, a delete
 /// goes to the shard holding the row; an insert of a placed id or a
 /// delete of an unplaced one is rejected and skipped. Returns `(groups,
 /// inserts, deletes, rejected)`; order inside a group is arrival order.
-pub fn resolve_batch(
+pub(crate) fn resolve_batch(
     ops: impl IntoIterator<Item = ShardOp>,
     directory: &mut impl PlacementSink,
     router: &mut ShardRouter,
@@ -109,9 +107,12 @@ pub fn resolve_batch(
     (groups, inserts, deletes, rejected)
 }
 
-/// The row → shard placement map, sharded over [`STRIPES`] locks.
+/// The row → shard placement map, sharded over [`STRIPES`] locks, and
+/// the rows it places per shard.
 pub(crate) struct StripedDirectory {
     stripes: Vec<RwLock<DetHashMap<RowId, usize>>>,
+    /// Rows placed per shard, in shard order (see the module docs).
+    counts: Vec<AtomicU64>,
 }
 
 /// Stripe index of a row id. Uses the *high* half of the SplitMix64 mix —
@@ -125,10 +126,11 @@ pub(crate) fn stripe_of(id: RowId) -> usize {
 }
 
 impl StripedDirectory {
-    /// An empty directory whose stripes hold `rows` uniformly spread ids
-    /// without growing: each stripe gets its share plus an eighth, which
-    /// covers the binomial spread of any table large enough to matter.
-    pub(crate) fn with_capacity(rows: usize) -> Self {
+    /// An empty directory over `shards` shards whose stripes hold `rows`
+    /// uniformly spread ids without growing: each stripe gets its share
+    /// plus an eighth, which covers the binomial spread of any table large
+    /// enough to matter.
+    pub(crate) fn with_capacity(shards: usize, rows: usize) -> Self {
         let per_stripe = match rows.div_ceil(STRIPES) {
             0 => 0,
             share => share + share / 8 + 16,
@@ -142,12 +144,14 @@ impl StripedDirectory {
                     ))
                 })
                 .collect(),
+            counts: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Builds a directory from a flat placement map (restore).
-    pub(crate) fn from_map(map: DetHashMap<RowId, usize>) -> Self {
-        let dir = Self::with_capacity(map.len());
+    /// Builds a directory over `shards` shards from a flat placement map
+    /// (restore); the per-shard counts are recounted from it.
+    pub(crate) fn from_map(shards: usize, map: DetHashMap<RowId, usize>) -> Self {
+        let dir = Self::with_capacity(shards, map.len());
         {
             let mut all = dir.write_all();
             for (id, shard) in map {
@@ -169,6 +173,8 @@ impl StripedDirectory {
     pub(crate) fn write_all(&self) -> AllStripesWrite<'_> {
         AllStripesWrite {
             guards: self.stripes.iter().map(|s| s.write()).collect(),
+            counts: &self.counts,
+            moved: vec![0; self.counts.len()],
         }
     }
 
@@ -180,6 +186,11 @@ impl StripedDirectory {
     /// Entries across all stripes.
     pub(crate) fn len(&self) -> usize {
         self.stripes.iter().map(|s| s.read().len()).sum()
+    }
+
+    /// Rows placed on `shard`, read without a lock.
+    pub(crate) fn count(&self, shard: usize) -> u64 {
+        self.counts[shard].load(Ordering::Relaxed)
     }
 
     /// The routed publish's directory pass: places `rows`' ids on
@@ -214,15 +225,20 @@ impl StripedDirectory {
                 }
             }
         }
+        self.counts[shard].fetch_add(ok as u64, Ordering::Relaxed);
         ok
     }
 }
 
 /// Exclusive guard over every stripe (acquired in ascending order by
-/// [`StripedDirectory::write_all`]); the flat map the classic batch path
-/// and rebalance see.
+/// [`StripedDirectory::write_all`]); the flat map bootstrap, the classic
+/// batch path and rebalance see.
 pub(crate) struct AllStripesWrite<'a> {
     guards: Vec<RwLockWriteGuard<'a, DetHashMap<RowId, usize>>>,
+    counts: &'a [AtomicU64],
+    /// Net rows placed per shard through this guard, settled into
+    /// `counts` when it drops.
+    moved: Vec<i64>,
 }
 
 impl PlacementSink for AllStripesWrite<'_> {
@@ -230,10 +246,32 @@ impl PlacementSink for AllStripesWrite<'_> {
         self.guards[stripe_of(id)].contains_key(&id)
     }
     fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
-        self.guards[stripe_of(id)].insert(id, shard)
+        let before = self.guards[stripe_of(id)].insert(id, shard);
+        self.moved[shard] += 1;
+        if let Some(from) = before {
+            self.moved[from] -= 1;
+        }
+        before
     }
     fn remove(&mut self, id: RowId) -> Option<usize> {
-        self.guards[stripe_of(id)].remove(&id)
+        let before = self.guards[stripe_of(id)].remove(&id);
+        if let Some(from) = before {
+            self.moved[from] -= 1;
+        }
+        before
+    }
+}
+
+impl Drop for AllStripesWrite<'_> {
+    /// Settles the counts before the stripe guards (dropped after this
+    /// body) are released. A net removal wraps, which is the two's
+    /// complement subtraction; a count itself never goes below zero.
+    fn drop(&mut self) {
+        for (count, &delta) in self.counts.iter().zip(&self.moved) {
+            if delta != 0 {
+                count.fetch_add(delta as u64, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -242,13 +280,25 @@ mod tests {
     use super::*;
     use janus_common::Row;
 
+    impl PlacementSink for DetHashMap<RowId, usize> {
+        fn contains(&self, id: RowId) -> bool {
+            self.contains_key(&id)
+        }
+        fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
+            self.insert(id, shard)
+        }
+        fn remove(&mut self, id: RowId) -> Option<usize> {
+            DetHashMap::remove(self, &id)
+        }
+    }
+
     fn rows(ids: std::ops::Range<u64>) -> Vec<Row> {
         ids.map(|id| Row::new(id, vec![id as f64])).collect()
     }
 
     #[test]
     fn reserve_places_absent_ids_and_rejects_present_ones() {
-        let dir = StripedDirectory::with_capacity(0);
+        let dir = StripedDirectory::with_capacity(8, 0);
         let batch = rows(0..100);
         let mut accepted = vec![false; batch.len()];
         assert_eq!(dir.reserve(3, &batch, &mut accepted), 100);
@@ -263,6 +313,25 @@ mod tests {
         assert_eq!(dir.probe(99), Some(3));
         assert_eq!(dir.probe(100), Some(5));
         assert_eq!(dir.len(), 150);
+        assert_eq!((dir.count(3), dir.count(5)), (100, 50));
+    }
+
+    #[test]
+    fn counts_follow_placements_removals_and_moves() {
+        let dir = StripedDirectory::with_capacity(3, 0);
+        {
+            let mut all = dir.write_all();
+            for id in 0..30u64 {
+                all.place(id, (id % 3) as usize);
+            }
+            all.remove(0);
+            all.remove(1_000);
+            all.place(1, 2);
+            // Settled only once the guard drops.
+            assert_eq!(dir.counts[0].load(Ordering::Relaxed), 0);
+        }
+        assert_eq!((dir.count(0), dir.count(1), dir.count(2)), (9, 9, 11));
+        assert_eq!(dir.len(), 29);
     }
 
     #[test]
@@ -271,8 +340,10 @@ mod tests {
         for id in 0..500u64 {
             map.insert(id, (id % 7) as usize);
         }
-        let dir = StripedDirectory::from_map(map);
+        let dir = StripedDirectory::from_map(7, map);
         assert_eq!(dir.len(), 500);
+        let counts: Vec<u64> = (0..7).map(|shard| dir.count(shard)).collect();
+        assert_eq!(counts, [72, 72, 72, 71, 71, 71, 71]);
         for id in 0..500u64 {
             assert_eq!(dir.probe(id), Some((id % 7) as usize));
         }
@@ -280,7 +351,7 @@ mod tests {
 
     #[test]
     fn stripes_spread_ids() {
-        let dir = StripedDirectory::with_capacity(0);
+        let dir = StripedDirectory::with_capacity(1, 0);
         let batch = rows(0..16_000);
         let mut accepted = vec![false; batch.len()];
         dir.reserve(0, &batch, &mut accepted);

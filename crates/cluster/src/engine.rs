@@ -1,4 +1,15 @@
-//! The cluster façade: N `JanusEngine` shards behind one ingest/query API.
+//! The cluster coordinator: N `JanusEngine` shards behind one
+//! ingest/query API, over either of two transports.
+//!
+//! [`ClusterEngine`] is the one coordinator. It owns the router, the
+//! row → shard directory, the ingest gate, the rebalance generation, the
+//! answer cache and the scatter pool, and it holds the one publish body
+//! and the one scatter/gather/merge body. What lies behind the shards is a
+//! [`ShardTransport`]. [`ShardSet`], the default, holds in-process
+//! [`ShardHost`]s, which this module pumps, checkpoints, restores,
+//! promotes and rebalances. The node links of `janus-net`'s
+//! `RemoteCluster` ship each topic's tail to `janus-node` processes and
+//! answer sub-queries over TCP.
 //!
 //! * **Ingest** is published to one Kafka-like topic per shard
 //!   ([`janus_storage::ShardedLog`]); a [`ShardRouter`] picks the topic.
@@ -27,12 +38,13 @@
 //!   [`ScatterPool::fan_out`] — one target on the calling thread, several
 //!   in parallel on the long-lived per-shard pool workers, no thread
 //!   spawned per query — and the per-shard [`Estimate`]s come back in
-//!   shard order and are merged by [`janus_common::merge::gather`], the
-//!   one merge every coordinator shares: COUNT/SUM add values and per-source
+//!   shard order and are merged by [`janus_common::merge::gather`]:
+//!   COUNT/SUM add values and per-source
 //!   variances; AVG is re-derived from merged SUM/COUNT moment estimates
 //!   (each shard answers through the
 //!   [`JanusEngine::answer_sum_count`] moment hook); MIN/MAX take the
-//!   extreme answer.
+//!   extreme answer. A deadline-partial gather weighs each shard by the
+//!   rows the directory places on it, whichever the transport.
 //! * **Re-partitioning** stays local to each shard (its own triggers keep
 //!   firing); the cluster level adds a row-count skew check with
 //!   hysteresis (a cooldown in pumped records plus a minimum skew-ratio
@@ -56,7 +68,10 @@
 //! Lock order is router → ingest gate → directory stripes (ascending
 //! stripe index) → shards (ascending) → replica sets; no path acquires
 //! them in any other order — the pool workers touch only shard and
-//! replica locks — so the engine is deadlock-free by construction.
+//! replica locks — so the engine is deadlock-free by construction. Both
+//! transports publish through the same body, so they share this order;
+//! the networked transport takes its own locks (placement directory,
+//! links) only outside the router and the stripes.
 //! Classic publishes hold every directory stripe across their topic
 //! appends, and take the router write lock first — which a routed publish
 //! holds shared for its whole call — so a delete can never outrun its
@@ -283,6 +298,9 @@ pub struct ClusterStats {
     pub inserts: u64,
     /// Deletes published.
     pub deletes: u64,
+    /// Operations rejected at publish (duplicate insert, delete of an
+    /// unknown row).
+    pub rejected: u64,
     /// Queries answered (scatter-gather round trips).
     pub queries: u64,
     /// Per-shard sub-queries dispatched across all scatters.
@@ -326,30 +344,62 @@ impl ClusterStats {
     }
 }
 
-/// Lock-free operation counters (relaxed: they are metrics, not fences).
+/// The coordinator's lock-free operation counters (relaxed: they are
+/// metrics, not fences).
 #[derive(Default)]
-pub(crate) struct Counters {
+struct Counters {
     inserts: AtomicU64,
     deletes: AtomicU64,
+    rejected: AtomicU64,
     queries: AtomicU64,
     subqueries: AtomicU64,
-    pub(crate) pumped: AtomicU64,
-    pub(crate) rebalances: AtomicU64,
+    rebalances: AtomicU64,
     rows_migrated: AtomicU64,
-    replica_queries: AtomicU64,
     promotions: AtomicU64,
     partial_answers: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
 }
 
-/// The shard-side state the façade shares with the jobs it hands the
-/// worker pool: topics, primary and follower engines, the backlog gauges,
-/// and the counters both sides maintain. Everything a scatter or pump job
-/// touches lives here — the router, directory, and rebalance state stay
-/// exclusive to [`ClusterEngine`], so pool workers can never participate
-/// in a router→directory lock ordering.
-pub(crate) struct ShardSet {
+/// What the coordinator needs of the shards behind it: the topics it
+/// appends to, a hook per appended group, each shard's applied offset,
+/// and one sub-query answer. [`ClusterEngine`]'s publish and query bodies
+/// call nothing else, so they run unchanged over [`ShardSet`] (in
+/// process) and over `janus-net`'s node links. Pumping, shipping and
+/// checkpoints stay with each transport.
+///
+/// Pool workers call [`ShardTransport::serve`] with no coordinator lock
+/// held, so a transport must not take the router or the directory.
+pub trait ShardTransport: Send + Sync + 'static {
+    /// The per-shard topics published records are appended to.
+    fn topics(&self) -> &Arc<ShardedLog<ShardOp>>;
+
+    /// `n` records just landed in `shard`'s topic; called once per
+    /// group, while the publisher still holds the directory stripes.
+    fn appended(&self, shard: usize, n: usize);
+
+    /// `shard`'s primary applied topic offset — the answer cache's clock.
+    fn applied(&self, shard: usize) -> u64;
+
+    /// Answers one sub-query of `shard` in the shape the gather needs.
+    /// `tenant` tags it for the shard's side; `expiry` bounds the wait,
+    /// and [`JanusError::Deadline`] means the shard missed this gather
+    /// and nothing else.
+    fn serve(
+        &self,
+        shard: usize,
+        query: &Query,
+        tenant: u32,
+        expiry: Option<Instant>,
+    ) -> Result<SubAnswer>;
+}
+
+/// The in-process transport: topics, primary and follower engines, the
+/// backlog gauges, and the counters the pool's jobs maintain. Everything
+/// a scatter or pump job touches lives here — the router, directory, and
+/// rebalance state stay exclusive to [`ClusterEngine`], so pool workers
+/// can never participate in a router→directory lock ordering.
+pub struct ShardSet {
     /// Shard topics are `Arc`-shared: like Kafka partitions they are
     /// durable *infrastructure*, not engine state, and surviving the
     /// engine is what lets [`ClusterEngine::restore`] replay them.
@@ -367,7 +417,10 @@ pub(crate) struct ShardSet {
     /// publish/pump time so the backpressure probe is a handful of
     /// relaxed loads instead of lock acquisitions.
     pub(crate) backlog: Vec<AtomicU64>,
-    pub(crate) counters: Counters,
+    /// Records drained into primaries.
+    pumped: AtomicU64,
+    /// Sub-queries served by followers.
+    replica_queries: AtomicU64,
     /// Configured follower count (`ClusterConfig::replicas`).
     replica_count: usize,
     /// Configured freshness gate (`ClusterConfig::replica_lag`).
@@ -377,12 +430,39 @@ pub(crate) struct ShardSet {
     /// shard's retention floor. Stored under the primary's read guard,
     /// read under its write guard.
     checkpointed: Vec<AtomicU64>,
-    /// Per-shard artificial delay (ms) before a *pooled* sub-query is
-    /// served — see [`ClusterEngine::inject_scatter_delay`].
-    stall_ms: Vec<AtomicU64>,
 }
 
 impl ShardSet {
+    /// The transport over freshly built hosts: each backlog gauge starts
+    /// at its shard's published-minus-applied lag, and no shard is
+    /// checkpointed yet.
+    fn new(
+        config: &ClusterConfig,
+        shards: Vec<ShardHost>,
+        replica_sets: Vec<Vec<ShardHost>>,
+        log: Arc<ShardedLog<ShardOp>>,
+    ) -> Arc<Self> {
+        let backlog = shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.applied())))
+            .collect();
+        Arc::new(ShardSet {
+            log,
+            shards,
+            replicas: replica_sets.into_iter().map(RwLock::new).collect(),
+            read_cursor: AtomicU64::new(0),
+            backlog,
+            pumped: AtomicU64::new(0),
+            replica_queries: AtomicU64::new(0),
+            replica_count: config.replicas,
+            replica_lag: config.replica_lag,
+            checkpointed: (0..config.shards)
+                .map(|_| AtomicU64::new(NO_CHECKPOINT))
+                .collect(),
+        })
+    }
+
     /// One pump step of `shard`, the entry every pump path shares: up to
     /// `max_primary` records into the primary under its write lock, then
     /// up to `max_follower` into each follower; a side whose maximum is 0
@@ -414,9 +494,7 @@ impl ShardSet {
             let mut engine = host.write();
             let (applied, skipped, first_error) =
                 host.drain_locked(&mut engine, topic, max_primary, skip_failed);
-            self.counters
-                .pumped
-                .fetch_add(applied as u64, Ordering::Relaxed);
+            self.pumped.fetch_add(applied as u64, Ordering::Relaxed);
             self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
             (
                 applied,
@@ -472,17 +550,39 @@ impl ShardSet {
         self.checkpointed[shard].store(captured.applied_offset, Ordering::Release);
         captured
     }
+}
 
-    /// Serves one sub-query in the shape the gather needs — the worker
-    /// entry point — load-balancing across the primary and its *fresh*
-    /// followers (round-robin). A follower is fresh while it trails the
-    /// topic end by at most `replica_lag` records; at the default of 0
-    /// only fully caught-up followers — whose engines are bit-identical
-    /// to a fully caught-up primary — serve, so replica answers are
-    /// exact. Stale followers are skipped, and the primary always remains
-    /// a candidate, so a lagging replica set degrades to primary-only
-    /// reads rather than stale answers.
-    pub(crate) fn serve(&self, shard: usize, query: &Query) -> Result<SubAnswer> {
+impl ShardTransport for ShardSet {
+    fn topics(&self) -> &Arc<ShardedLog<ShardOp>> {
+        &self.log
+    }
+
+    /// Advances the backlog gauge. Under the directory stripes, so
+    /// anyone holding all of them sees topic length and gauge in step.
+    fn appended(&self, shard: usize, n: usize) {
+        self.backlog[shard].fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    fn applied(&self, shard: usize) -> u64 {
+        self.shards[shard].applied()
+    }
+
+    /// Load-balances across the primary and its *fresh* followers
+    /// (round-robin). A follower is fresh while it trails the topic end
+    /// by at most `replica_lag` records; at the default of 0 only fully
+    /// caught-up followers — whose engines are bit-identical to a fully
+    /// caught-up primary — serve, so replica answers are exact. Stale
+    /// followers are skipped, and the primary always remains a candidate,
+    /// so a lagging replica set degrades to primary-only reads rather
+    /// than stale answers. Answers in process never miss a deadline:
+    /// `tenant` and `expiry` are ignored.
+    fn serve(
+        &self,
+        shard: usize,
+        query: &Query,
+        _tenant: u32,
+        _expiry: Option<Instant>,
+    ) -> Result<SubAnswer> {
         if self.replica_count > 0 {
             let set = self.replicas[shard].read();
             if !set.is_empty() {
@@ -496,9 +596,7 @@ impl ShardSet {
                 // answer runs under.
                 if pick > 0 {
                     if let Ok(answer) = fresh[pick - 1].answer(min_applied, query) {
-                        self.counters
-                            .replica_queries
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.replica_queries.fetch_add(1, Ordering::Relaxed);
                         return answer;
                     }
                 }
@@ -511,9 +609,10 @@ impl ShardSet {
     }
 }
 
-/// N `JanusEngine` shards behind one scatter-gather façade. All methods
+/// The one coordinator: N shards behind one scatter-gather façade, over
+/// the transport `T` — in-process [`ShardSet`] by default. All methods
 /// take `&self` — see the module docs for the locking model.
-pub struct ClusterEngine {
+pub struct ClusterEngine<T: ShardTransport = ShardSet> {
     config: ClusterConfig,
     router: RwLock<ShardRouter>,
     /// Authoritative row → shard placement, updated at publish time and by
@@ -521,6 +620,7 @@ pub struct ClusterEngine {
     /// stays correct even after the router's bounds move. Striped over 16
     /// locks so concurrent pre-routed publishers don't serialize on one
     /// write lock — see [`crate::directory`] for the stripe discipline.
+    /// Its per-shard row counts weigh deadline-partial gathers.
     directory: StripedDirectory,
     /// The ingest gate: routed publishers hold it shared for the span of
     /// a [`ClusterEngine::publish_batch_routed`] call (they never take
@@ -540,77 +640,57 @@ pub struct ClusterEngine {
     /// migration — the baseline the `rebalance_min_gain` hysteresis
     /// compares against.
     post_rebalance_skew: AtomicU64,
-    /// Shard-side state shared with the pool's jobs and the live workers.
-    pub(crate) set: Arc<ShardSet>,
-    /// One worker per shard under scatters and `pump`; joined on drop.
+    counters: Counters,
+    /// Per-shard artificial delay (ms) before a *pooled* sub-query is
+    /// served — see [`ClusterEngine::inject_scatter_delay`].
+    stall_ms: Vec<AtomicU64>,
+    /// Shard-side state shared with the pool's jobs (and, in process,
+    /// the live workers).
+    pub(crate) set: Arc<T>,
+    /// One worker per shard under scatters, `pump` and a transport's
+    /// bootstrap jobs; joined on drop.
     pool: ScatterPool,
     /// Scatter-answer memo, present when `config.answer_cache > 0`.
     cache: Option<AnswerCache>,
 }
 
-impl ClusterEngine {
-    /// Partitions `rows` by the configured policy and bootstraps one
-    /// engine per shard (empty shards bootstrap lazily on first insert is
-    /// *not* supported by the underlying engine, so every shard gets at
-    /// least its slab's rows; tiny shards are fine).
-    pub fn bootstrap(config: ClusterConfig, rows: Vec<Row>) -> Result<Self> {
+impl<T: ShardTransport> ClusterEngine<T> {
+    /// Partitions `rows` by the configured policy — a duplicate id fails
+    /// here, before any shard is hosted — and builds the coordinator over
+    /// the transport `host` returns for the per-shard partitions, the
+    /// fresh topics, and the coordinator's scatter pool (one worker per
+    /// shard, named `{pool}-{index}`), which `host` may run its own jobs
+    /// on. [`ClusterEngine::bootstrap`] is this over in-process hosts.
+    pub fn bootstrap_over(
+        config: ClusterConfig,
+        rows: Vec<Row>,
+        pool: &str,
+        host: impl FnOnce(Vec<Vec<Row>>, Arc<ShardedLog<ShardOp>>, &ScatterPool) -> Result<Arc<T>>,
+    ) -> Result<Self> {
         if config.shards == 0 {
             return Err(JanusError::InvalidConfig("need at least one shard".into()));
         }
         let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
-        let directory = StripedDirectory::with_capacity(rows.len());
+        let directory = StripedDirectory::with_capacity(config.shards, rows.len());
         let per_shard = partition_rows(&mut router, rows, &mut directory.write_all())?;
-        // Followers bootstrap from the same rows with the same per-shard
-        // seed as their primary: identical construction + identical topic
-        // replay keeps them bit-identical at equal offsets.
-        let (shards, replica_sets) = build_shards(&config.base, per_shard, config.replicas)?;
-        let log = Arc::new(ShardedLog::new(config.shards));
-        Ok(Self::assemble(
-            config,
-            router,
-            directory,
-            shards,
-            replica_sets,
-            log,
-            0,
-        ))
+        let pool = ScatterPool::start(pool, config.shards);
+        let set = host(per_shard, Arc::new(ShardedLog::new(config.shards)), &pool)?;
+        Ok(Self::assemble(config, router, directory, set, 0, pool))
     }
 
-    /// Final assembly shared by [`ClusterEngine::bootstrap`] and
-    /// [`ClusterEngine::restore`]: wraps the state into the shared
-    /// [`ShardSet`], each backlog gauge starting at its shard's
-    /// published-minus-applied lag, and starts the worker pool over it.
+    /// Final assembly shared by [`ClusterEngine::bootstrap_over`] and
+    /// [`ClusterEngine::restore`].
     fn assemble(
         config: ClusterConfig,
         router: ShardRouter,
         directory: StripedDirectory,
-        shards: Vec<ShardHost>,
-        replica_sets: Vec<Vec<ShardHost>>,
-        log: Arc<ShardedLog<ShardOp>>,
+        set: Arc<T>,
         rebalance_generation: u64,
+        pool: ScatterPool,
     ) -> Self {
-        let backlog = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.applied())))
-            .collect();
-        let set = Arc::new(ShardSet {
-            log,
-            shards,
-            replicas: replica_sets.into_iter().map(RwLock::new).collect(),
-            read_cursor: AtomicU64::new(0),
-            backlog,
-            counters: Counters::default(),
-            replica_count: config.replicas,
-            replica_lag: config.replica_lag,
-            checkpointed: (0..config.shards)
-                .map(|_| AtomicU64::new(NO_CHECKPOINT))
-                .collect(),
-            stall_ms: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
-        });
-        let pool = ScatterPool::start("janus-scatter", config.shards);
         let cache = (config.answer_cache > 0).then(|| AnswerCache::new(config.answer_cache));
         ClusterEngine {
+            stall_ms: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
             config,
             router: RwLock::new(router),
             directory,
@@ -618,6 +698,7 @@ impl ClusterEngine {
             rebalance_generation: AtomicU64::new(rebalance_generation),
             rebalance_mark: AtomicU64::new(0),
             post_rebalance_skew: AtomicU64::new(0f64.to_bits()),
+            counters: Counters::default(),
             set,
             pool,
             cache,
@@ -630,7 +711,7 @@ impl ClusterEngine {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.set.shards.len()
+        self.config.shards
     }
 
     /// The cluster configuration.
@@ -652,91 +733,35 @@ impl ClusterEngine {
     /// docs), so a poll below [`janus_storage::TopicLog::first_offset`]
     /// panics.
     pub fn topics(&self) -> Arc<ShardedLog<ShardOp>> {
-        Arc::clone(&self.set.log)
+        Arc::clone(self.set.topics())
     }
 
-    /// Live follower count of one shard (shrinks when a promotion
-    /// consumes a replica).
-    pub fn replica_count(&self, shard: usize) -> usize {
-        self.set.replicas[shard].read().len()
+    /// The transport behind the shards.
+    pub fn transport(&self) -> &Arc<T> {
+        &self.set
     }
 
-    /// Topic offsets of one shard's followers, in replica order.
-    pub fn replica_offsets(&self, shard: usize) -> Vec<u64> {
-        self.set.replicas[shard]
-            .read()
-            .iter()
-            .map(ShardHost::applied)
-            .collect()
-    }
-
-    /// Cluster-level operation counters and the current pump-lag snapshot.
-    pub fn stats(&self) -> ClusterStats {
-        let counters = &self.set.counters;
+    /// The coordinator's own counters: publishes, queries, partial
+    /// answers, the cache and rebalances. The shard-side fields —
+    /// `pumped`, `replica_queries` and `shard_backlog` — belong to the
+    /// transport and are zero here; [`ClusterEngine::stats`] fills them
+    /// in process.
+    pub fn coordinator_stats(&self) -> ClusterStats {
+        let counters = &self.counters;
         ClusterStats {
             inserts: counters.inserts.load(Ordering::Relaxed),
             deletes: counters.deletes.load(Ordering::Relaxed),
+            rejected: counters.rejected.load(Ordering::Relaxed),
             queries: counters.queries.load(Ordering::Relaxed),
             subqueries: counters.subqueries.load(Ordering::Relaxed),
-            pumped: counters.pumped.load(Ordering::Relaxed),
             rebalances: counters.rebalances.load(Ordering::Relaxed),
             rows_migrated: counters.rows_migrated.load(Ordering::Relaxed),
-            replica_queries: counters.replica_queries.load(Ordering::Relaxed),
             promotions: counters.promotions.load(Ordering::Relaxed),
             partial_answers: counters.partial_answers.load(Ordering::Relaxed),
             cache_hits: counters.cache_hits.load(Ordering::Relaxed),
             cache_misses: counters.cache_misses.load(Ordering::Relaxed),
-            shard_backlog: self.shard_backlogs(),
+            ..ClusterStats::default()
         }
-    }
-
-    /// Rows applied across all shard engines.
-    pub fn population(&self) -> usize {
-        self.shard_populations().into_iter().sum()
-    }
-
-    /// Applied rows per shard, in shard order.
-    pub fn shard_populations(&self) -> Vec<usize> {
-        self.set
-            .shards
-            .iter()
-            .map(|s| s.read().population())
-            .collect()
-    }
-
-    /// Records published but not yet pumped, per shard in shard order.
-    /// Read without any lock, so under concurrent pumping the values can
-    /// only *under*-state the true lag — never overstate it.
-    pub fn shard_backlogs(&self) -> Vec<u64> {
-        (0..self.set.shards.len())
-            .map(|i| self.backlog(i))
-            .collect()
-    }
-
-    /// Shard `i`'s `published - applied`, the topic end read first so the
-    /// value can only understate the lag. Allocation-free: the drain,
-    /// stall and checkpoint loops probe it on every progress bump.
-    fn backlog(&self, i: usize) -> u64 {
-        self.topic_end(i)
-            .saturating_sub(self.set.shards[i].applied())
-    }
-
-    fn topic_end(&self, i: usize) -> u64 {
-        self.set.log.topic(i).len() as u64
-    }
-
-    /// The per-shard backlog *gauges* (the atomics the backpressure probe
-    /// reads), in shard order. In any quiesced state they equal
-    /// [`ClusterEngine::shard_backlogs`] — `published - applied` per
-    /// shard — which the batching tests pin down; under concurrent
-    /// pumping a gauge may transiently overstate the lag between a
-    /// pump's application and its decrement.
-    pub fn backlog_gauges(&self) -> Vec<u64> {
-        self.set
-            .backlog
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Rows the row → shard directory currently places — published
@@ -745,38 +770,8 @@ impl ClusterEngine {
         self.directory.len()
     }
 
-    /// Records published but not yet pumped into shard engines.
-    pub fn pending(&self) -> u64 {
-        (0..self.set.shards.len()).map(|i| self.backlog(i)).sum()
-    }
-
-    /// Records drained into primary shard engines so far — the cheap
-    /// (one relaxed load, no allocation) progress gauge the live
-    /// checkpointer paces itself by.
-    pub fn pumped_records(&self) -> u64 {
-        self.set.counters.pumped.load(Ordering::Relaxed)
-    }
-
-    /// True when any shard's publish-ahead backlog has reached `limit` —
-    /// the backpressure probe the live front end calls per batch. Reads
-    /// only the per-shard atomic counters (no locks, no allocation); the
-    /// counters can transiently *over*state the lag between a pump's
-    /// application and its decrement, which errs on the safe side for
-    /// backpressure (a spurious stall, never a missed one).
-    pub fn backlog_exceeds(&self, limit: u64) -> bool {
-        self.set
-            .backlog
-            .iter()
-            .any(|b| b.load(Ordering::Relaxed) >= limit)
-    }
-
-    /// Runs `f` against one shard's engine (experiments and tests).
-    pub fn with_shard_engine<T>(&self, shard: usize, f: impl FnOnce(&JanusEngine) -> T) -> T {
-        f(&self.set.shards[shard].read())
-    }
-
     // ------------------------------------------------------------------
-    // Ingest: publish → topic, pump → engine
+    // Ingest: publish
     // ------------------------------------------------------------------
 
     /// Routes an insert to its shard topic — a one-element
@@ -801,18 +796,31 @@ impl ClusterEngine {
     }
 
     /// Routes and publishes a whole batch of operations under **one**
-    /// router-write + directory-write acquisition: [`resolve_batch`]
+    /// router-write + directory-write acquisition: `resolve_batch`
     /// resolves them in arrival order and groups them per shard, and
     /// each group lands in its topic with a single batch append — so
     /// per-shard topic contents (and therefore every drained state) are
     /// identical to publishing the same operations one at a time, however
-    /// the caller slices them. The backlog gauge advances once per group.
+    /// the caller slices them. The transport hears of each group once
+    /// ([`ShardTransport::appended`]; in process, the backlog gauge).
     ///
     /// A duplicate insert or a delete of an unknown row is counted in
     /// [`PublishReport::rejected`] and skipped; the rest of the batch
     /// still publishes — matching how a live front end treats per-request
     /// errors.
     pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
+        self.publish_batch_with(ops, |_| {})
+    }
+
+    /// [`ClusterEngine::publish_batch`] that calls `landed(shard)` for
+    /// each shard it appends to, in shard order, right after the append
+    /// (still under the directory stripes) — how a transport that paces
+    /// its publishers learns which shards to wait on.
+    pub fn publish_batch_with(
+        &self,
+        ops: impl IntoIterator<Item = ShardOp>,
+        mut landed: impl FnMut(usize),
+    ) -> PublishReport {
         // The router write lock excludes every routed publisher for its
         // whole reserve → append window, so each entry the directory
         // shows here already has its insert in the shard topic.
@@ -828,25 +836,25 @@ impl ClusterEngine {
         // gauge absolutely. Per-shard relative order inside each group is
         // arrival order, and cross-shard order carries no meaning
         // (offsets are per topic).
+        let topics = self.set.topics();
         let mut published = 0usize;
         for (shard, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let len = group.len();
-            self.set.log.publish_batch(shard, group);
-            self.set.backlog[shard].fetch_add(len as u64, Ordering::Relaxed);
+            topics.publish_batch(shard, group);
+            self.set.appended(shard, len);
+            landed(shard);
             published += len;
         }
         drop(directory);
-        self.set
-            .counters
-            .inserts
-            .fetch_add(inserts, Ordering::Relaxed);
-        self.set
-            .counters
-            .deletes
-            .fetch_add(deletes, Ordering::Relaxed);
+        let counters = &self.counters;
+        counters.inserts.fetch_add(inserts, Ordering::Relaxed);
+        counters.deletes.fetch_add(deletes, Ordering::Relaxed);
+        counters
+            .rejected
+            .fetch_add(rejected as u64, Ordering::Relaxed);
         PublishReport {
             published,
             rejected,
@@ -941,19 +949,336 @@ impl ClusterEngine {
                 .into_iter()
                 .zip(accepted)
                 .filter_map(|(row, acc)| acc.then_some(ShardOp::Insert(row)));
-            self.set.log.publish_batch(shard, ops);
-            self.set.backlog[shard].fetch_add(ok as u64, Ordering::Relaxed);
+            self.set.topics().publish_batch(shard, ops);
+            self.set.appended(shard, ok);
             published += ok;
         }
-        self.set
-            .counters
+        self.counters
             .inserts
             .fetch_add(published as u64, Ordering::Relaxed);
+        self.counters
+            .rejected
+            .fetch_add(rejected as u64, Ordering::Relaxed);
         Ok(PublishReport {
             published,
             rejected,
         })
     }
+
+    // ------------------------------------------------------------------
+    // Queries: scatter, gather, merge
+    // ------------------------------------------------------------------
+
+    /// Answers a query by scatter-gather over the overlapping shards.
+    /// `Ok(None)` for AVG/MIN/MAX over an (estimated) empty selection,
+    /// matching the single-engine contract.
+    ///
+    /// Equivalent to [`ClusterEngine::query_with`] under
+    /// [`QueryOptions::default`]: bulk lane, no deadline, cache consulted
+    /// when the cluster has one.
+    ///
+    /// The target-shard set is pruned against the router's range bounds,
+    /// which a concurrent [`ClusterEngine::maybe_rebalance`] can redraw
+    /// between pruning and gathering; the scatter therefore re-validates
+    /// the rebalance generation afterwards and retries on a mismatch, so
+    /// an answer never merges stale pruning with migrated shards.
+    pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
+        self.query_with(query, QueryOptions::default())
+    }
+
+    /// [`ClusterEngine::query`] with per-call serving options.
+    ///
+    /// * **Priority** picks the pool lane the scatter's sub-queries ride
+    ///   (see [`Priority`]); it affects scheduling only, never answers.
+    /// * **Deadline** bounds the *gather*: the first sub-answer is always
+    ///   awaited (a partial answer needs at least one shard's rate to
+    ///   extrapolate from), then the remaining shards get whatever is
+    ///   left of the budget. Sub-answers from shards that miss it are
+    ///   dropped, and the arrived ones are merged k-of-n style
+    ///   (see [`merge::gather`]): the merged value is scaled by the
+    ///   missing shards' share of the rows the directory places (their
+    ///   populations, once the topics are drained), the CI widened by the
+    ///   between-shard rate dispersion,
+    ///   and the estimate flagged [`Estimate::partial`]. With no deadline
+    ///   — or when every shard answers in time — the gather, the merges,
+    ///   and the answer are bit-identical to [`ClusterEngine::query`].
+    ///   The deadline bounds waiting, not correctness: the rare
+    ///   mid-scatter rebalance still retries even past the deadline, so
+    ///   an answer never merges stale pruning with migrated shards.
+    /// * **`use_cache`** consults (and on a complete miss populates) the
+    ///   cluster's answer cache, when [`ClusterConfig::with_answer_cache`]
+    ///   enabled one. A hit returns bit-identically the memoized
+    ///   estimate; entries self-invalidate as soon as a write is pumped
+    ///   into any covered shard or a rebalance lands. Partial answers are
+    ///   never cached.
+    pub fn query_with(&self, query: &Query, opts: QueryOptions) -> Result<Option<Estimate>> {
+        self.query_as(query, 0, opts)
+    }
+
+    /// [`ClusterEngine::query_with`] on behalf of `tenant`, which tags
+    /// every sub-query the transport sends (the networked one carries it
+    /// to the nodes; in process it is ignored). The one query body: the
+    /// generation retry, the cache, the deadline-partial gather weighted
+    /// by the directory's per-shard row counts, and the one error of a
+    /// deadline — [`JanusError::Deadline`] when *no* shard answered.
+    pub fn query_as(
+        &self,
+        query: &Query,
+        tenant: u32,
+        opts: QueryOptions,
+    ) -> Result<Option<Estimate>> {
+        self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        let deadline = opts.deadline.map(|budget| Instant::now() + budget);
+        let cache = self
+            .cache
+            .as_ref()
+            .filter(|_| opts.use_cache)
+            .map(|cache| (cache, QueryKey::of(query)));
+        loop {
+            let generation = self.rebalance_generation.load(Ordering::Acquire);
+            let targets = self.router.read().overlapping(query);
+            // Cache lookup, and the offsets a complete answer would be
+            // memoized under. Snapshotting them *before* the scatter (and
+            // re-checking after) guarantees a memoized answer corresponds
+            // to exactly these shard states — a write pumped mid-scatter
+            // vetoes the insert rather than caching an ambiguous answer.
+            let pre_offsets: Vec<u64> = match &cache {
+                Some((cache, key)) => {
+                    let offsets: Vec<u64> = targets.iter().map(|&s| self.set.applied(s)).collect();
+                    if let Some(hit) = cache.lookup(key, generation, |s| self.set.applied(s)) {
+                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(hit);
+                    }
+                    self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    offsets
+                }
+                None => Vec::new(),
+            };
+            // k-of-n extrapolation weights, read without a lock; only a
+            // deadline-bounded gather can need them.
+            let weights: Vec<u64> = if deadline.is_some() {
+                targets.iter().map(|&s| self.directory.count(s)).collect()
+            } else {
+                Vec::new()
+            };
+            let slots = self.scatter(&targets, query, tenant, opts.priority, deadline)?;
+            if !targets.is_empty() && slots.iter().all(Option::is_none) {
+                return Err(JanusError::Deadline);
+            }
+            let answer = merge::gather(query.agg, &slots, &weights);
+            if self.rebalance_generation.load(Ordering::Acquire) == generation {
+                // Count only the attempt whose answer is returned, so
+                // subqueries-per-query stats don't drift on retries.
+                self.counters
+                    .subqueries
+                    .fetch_add(targets.len() as u64, Ordering::Relaxed);
+                if let Ok(estimate) = &answer {
+                    if estimate.is_some_and(|e| e.partial) {
+                        self.counters
+                            .partial_answers
+                            .fetch_add(1, Ordering::Relaxed);
+                    } else if let Some((cache, key)) = &cache {
+                        let post_offsets: Vec<u64> =
+                            targets.iter().map(|&s| self.set.applied(s)).collect();
+                        if post_offsets == pre_offsets {
+                            cache.insert(
+                                key.clone(),
+                                generation,
+                                targets.clone(),
+                                post_offsets,
+                                *estimate,
+                            );
+                        }
+                    }
+                }
+                return answer;
+            }
+            // A migration landed mid-scatter; the pruning may have missed
+            // shards that now hold matching rows. Rebalances are rare, so
+            // the retry loop terminates in practice after one extra pass.
+        }
+    }
+
+    /// Makes `shard`'s pool worker sleep `delay` before serving each
+    /// sub-query (zero clears it) — a deterministic straggler for tests,
+    /// demos, and the SLO benchmark. Scheduling-only: answers are
+    /// unaffected, so it exercises deadline paths without touching data.
+    #[doc(hidden)]
+    pub fn inject_scatter_delay(&self, shard: usize, delay: Duration) {
+        self.stall_ms[shard].store(delay.as_millis() as u64, Ordering::Relaxed);
+    }
+
+    /// Scatters `query` to `targets` — one inline on the calling thread,
+    /// several through [`ScatterPool::fan_out`] on their shards' workers,
+    /// each pooled job first sleeping its shard's injected delay. Slot `i`
+    /// is `None` iff shard `targets[i]` missed the deadline; the first
+    /// other failed sub-query (in target order) fails the scatter.
+    fn scatter(
+        &self,
+        targets: &[usize],
+        query: &Query,
+        tenant: u32,
+        priority: Priority,
+        expiry: Option<Instant>,
+    ) -> Result<Vec<Option<SubAnswer>>> {
+        let settle = |slot: Option<Result<SubAnswer>>| match slot {
+            Some(Err(JanusError::Deadline)) | None => Ok(None),
+            Some(outcome) => outcome.map(Some),
+        };
+        if let [shard] = *targets {
+            return Ok(vec![settle(Some(
+                self.set.serve(shard, query, tenant, expiry),
+            ))?]);
+        }
+        let query = Arc::new(query.clone());
+        let jobs = targets.iter().map(|&shard| {
+            let (set, query) = (Arc::clone(&self.set), Arc::clone(&query));
+            let stall = self.stall_ms[shard].load(Ordering::Relaxed);
+            let job = move || {
+                if stall > 0 {
+                    std::thread::sleep(Duration::from_millis(stall));
+                }
+                set.serve(shard, &query, tenant, expiry)
+            };
+            (shard, job)
+        });
+        self.pool
+            .fan_out(priority, expiry, jobs)
+            .into_iter()
+            .map(settle)
+            .collect()
+    }
+}
+
+/// The in-process transport: pumping, failover, checkpoints and rebalance.
+impl ClusterEngine<ShardSet> {
+    /// Partitions `rows` by the configured policy and bootstraps one
+    /// engine per shard (empty shards bootstrap lazily on first insert is
+    /// *not* supported by the underlying engine, so every shard gets at
+    /// least its slab's rows; tiny shards are fine).
+    pub fn bootstrap(config: ClusterConfig, rows: Vec<Row>) -> Result<Self> {
+        let hosts = config.clone();
+        Self::bootstrap_over(config, rows, "janus-scatter", |per_shard, log, _| {
+            // Followers bootstrap from the same rows with the same
+            // per-shard seed as their primary: identical construction +
+            // identical topic replay keeps them bit-identical at equal
+            // offsets.
+            let (shards, replica_sets) = build_shards(&hosts.base, per_shard, hosts.replicas)?;
+            Ok(ShardSet::new(&hosts, shards, replica_sets, log))
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Accessors
+    // ------------------------------------------------------------------
+
+    /// Live follower count of one shard (shrinks when a promotion
+    /// consumes a replica).
+    pub fn replica_count(&self, shard: usize) -> usize {
+        self.set.replicas[shard].read().len()
+    }
+
+    /// Topic offsets of one shard's followers, in replica order.
+    pub fn replica_offsets(&self, shard: usize) -> Vec<u64> {
+        self.set.replicas[shard]
+            .read()
+            .iter()
+            .map(ShardHost::applied)
+            .collect()
+    }
+
+    /// Cluster-level operation counters and the current pump-lag snapshot.
+    pub fn stats(&self) -> ClusterStats {
+        ClusterStats {
+            pumped: self.pumped_records(),
+            replica_queries: self.set.replica_queries.load(Ordering::Relaxed),
+            shard_backlog: self.shard_backlogs(),
+            ..self.coordinator_stats()
+        }
+    }
+
+    /// Rows applied across all shard engines.
+    pub fn population(&self) -> usize {
+        self.shard_populations().into_iter().sum()
+    }
+
+    /// Applied rows per shard, in shard order.
+    pub fn shard_populations(&self) -> Vec<usize> {
+        self.set
+            .shards
+            .iter()
+            .map(|s| s.read().population())
+            .collect()
+    }
+
+    /// Records published but not yet pumped, per shard in shard order.
+    /// Read without any lock, so under concurrent pumping the values can
+    /// only *under*-state the true lag — never overstate it.
+    pub fn shard_backlogs(&self) -> Vec<u64> {
+        (0..self.set.shards.len())
+            .map(|i| self.backlog(i))
+            .collect()
+    }
+
+    /// Shard `i`'s `published - applied`, the topic end read first so the
+    /// value can only understate the lag. Allocation-free: the drain,
+    /// stall and checkpoint loops probe it on every progress bump.
+    fn backlog(&self, i: usize) -> u64 {
+        self.topic_end(i)
+            .saturating_sub(self.set.shards[i].applied())
+    }
+
+    fn topic_end(&self, i: usize) -> u64 {
+        self.set.log.topic(i).len() as u64
+    }
+
+    /// The per-shard backlog *gauges* (the atomics the backpressure probe
+    /// reads), in shard order. In any quiesced state they equal
+    /// [`ClusterEngine::shard_backlogs`] — `published - applied` per
+    /// shard — which the batching tests pin down; under concurrent
+    /// pumping a gauge may transiently overstate the lag between a
+    /// pump's application and its decrement.
+    pub fn backlog_gauges(&self) -> Vec<u64> {
+        self.set
+            .backlog
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Records published but not yet pumped into shard engines.
+    pub fn pending(&self) -> u64 {
+        (0..self.set.shards.len()).map(|i| self.backlog(i)).sum()
+    }
+
+    /// Records drained into primary shard engines so far — the cheap
+    /// (one relaxed load, no allocation) progress gauge the live
+    /// checkpointer paces itself by.
+    pub fn pumped_records(&self) -> u64 {
+        self.set.pumped.load(Ordering::Relaxed)
+    }
+
+    /// True when any shard's publish-ahead backlog has reached `limit` —
+    /// the backpressure probe the live front end calls per batch. Reads
+    /// only the per-shard atomic counters (no locks, no allocation); the
+    /// counters can transiently *over*state the lag between a pump's
+    /// application and its decrement, which errs on the safe side for
+    /// backpressure (a spurious stall, never a missed one).
+    pub fn backlog_exceeds(&self, limit: u64) -> bool {
+        self.set
+            .backlog
+            .iter()
+            .any(|b| b.load(Ordering::Relaxed) >= limit)
+    }
+
+    /// Runs `f` against one shard's engine (experiments and tests).
+    pub fn with_shard_engine<T>(&self, shard: usize, f: impl FnOnce(&JanusEngine) -> T) -> T {
+        f(&self.set.shards[shard].read())
+    }
+
+    // ------------------------------------------------------------------
+    // Ingest: pump
+    // ------------------------------------------------------------------
 
     /// Reserves room for about `rows` more inserts, split evenly over the
     /// shards: `rows.div_ceil(shards)` rows in every shard archive,
@@ -1053,142 +1378,8 @@ impl ClusterEngine {
     }
 
     // ------------------------------------------------------------------
-    // Queries: scatter, gather, merge
+    // Ground truth and failover
     // ------------------------------------------------------------------
-
-    /// Answers a query by scatter-gather over the overlapping shards.
-    /// `Ok(None)` for AVG/MIN/MAX over an (estimated) empty selection,
-    /// matching the single-engine contract.
-    ///
-    /// Equivalent to [`ClusterEngine::query_with`] under
-    /// [`QueryOptions::default`]: bulk lane, no deadline, cache consulted
-    /// when the cluster has one.
-    ///
-    /// The target-shard set is pruned against the router's range bounds,
-    /// which a concurrent [`ClusterEngine::maybe_rebalance`] can redraw
-    /// between pruning and gathering; the scatter therefore re-validates
-    /// the rebalance generation afterwards and retries on a mismatch, so
-    /// an answer never merges stale pruning with migrated shards.
-    pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
-        self.query_with(query, QueryOptions::default())
-    }
-
-    /// [`ClusterEngine::query`] with per-call serving options.
-    ///
-    /// * **Priority** picks the pool lane the scatter's sub-queries ride
-    ///   (see [`Priority`]); it affects scheduling only, never answers.
-    /// * **Deadline** bounds the *gather*: the first sub-answer is always
-    ///   awaited (a partial answer needs at least one shard's rate to
-    ///   extrapolate from), then the remaining shards get whatever is
-    ///   left of the budget. Sub-answers from shards that miss it are
-    ///   dropped, and the arrived ones are merged k-of-n style
-    ///   (see [`merge::gather`]): the merged value is scaled
-    ///   by the missing shards' share of the pre-scatter population
-    ///   snapshot, the CI widened by the between-shard rate dispersion,
-    ///   and the estimate flagged [`Estimate::partial`]. With no deadline
-    ///   — or when every shard answers in time — the gather, the merges,
-    ///   and the answer are bit-identical to [`ClusterEngine::query`].
-    ///   The deadline bounds waiting, not correctness: the rare
-    ///   mid-scatter rebalance still retries even past the deadline, so
-    ///   an answer never merges stale pruning with migrated shards.
-    /// * **`use_cache`** consults (and on a complete miss populates) the
-    ///   cluster's answer cache, when [`ClusterConfig::with_answer_cache`]
-    ///   enabled one. A hit returns bit-identically the memoized
-    ///   estimate; entries self-invalidate as soon as a write is pumped
-    ///   into any covered shard or a rebalance lands. Partial answers are
-    ///   never cached.
-    pub fn query_with(&self, query: &Query, opts: QueryOptions) -> Result<Option<Estimate>> {
-        self.set.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let deadline = opts.deadline.map(|budget| Instant::now() + budget);
-        let cache = self
-            .cache
-            .as_ref()
-            .filter(|_| opts.use_cache)
-            .map(|cache| (cache, QueryKey::of(query)));
-        loop {
-            let generation = self.rebalance_generation.load(Ordering::Acquire);
-            let targets = self.router.read().overlapping(query);
-            // Cache lookup, and the offsets a complete answer would be
-            // memoized under. Snapshotting them *before* the scatter (and
-            // re-checking after) guarantees a memoized answer corresponds
-            // to exactly these shard states — a write pumped mid-scatter
-            // vetoes the insert rather than caching an ambiguous answer.
-            let pre_offsets: Vec<u64> = match &cache {
-                Some((cache, key)) => {
-                    let offsets: Vec<u64> =
-                        targets.iter().map(|&s| self.applied_offset(s)).collect();
-                    if let Some(hit) = cache.lookup(key, generation, |s| self.applied_offset(s)) {
-                        self.set.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(hit);
-                    }
-                    self.set
-                        .counters
-                        .cache_misses
-                        .fetch_add(1, Ordering::Relaxed);
-                    offsets
-                }
-                None => Vec::new(),
-            };
-            // Population snapshot for k-of-n extrapolation weights; only
-            // a deadline-bounded gather can need it.
-            let populations: Vec<u64> = if deadline.is_some() {
-                targets
-                    .iter()
-                    .map(|&s| self.set.shards[s].read().population() as u64)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let slots = self.scatter_bounded(&targets, query, opts.priority, deadline)?;
-            let answer = merge::gather(query.agg, &slots, &populations);
-            if self.rebalance_generation.load(Ordering::Acquire) == generation {
-                // Count only the attempt whose answer is returned, so
-                // subqueries-per-query stats don't drift on retries.
-                self.set
-                    .counters
-                    .subqueries
-                    .fetch_add(targets.len() as u64, Ordering::Relaxed);
-                if let Ok(estimate) = &answer {
-                    if estimate.is_some_and(|e| e.partial) {
-                        self.set
-                            .counters
-                            .partial_answers
-                            .fetch_add(1, Ordering::Relaxed);
-                    } else if let Some((cache, key)) = &cache {
-                        let post_offsets: Vec<u64> =
-                            targets.iter().map(|&s| self.applied_offset(s)).collect();
-                        if post_offsets == pre_offsets {
-                            cache.insert(
-                                key.clone(),
-                                generation,
-                                targets.clone(),
-                                post_offsets,
-                                *estimate,
-                            );
-                        }
-                    }
-                }
-                return answer;
-            }
-            // A migration landed mid-scatter; the pruning may have missed
-            // shards that now hold matching rows. Rebalances are rare, so
-            // the retry loop terminates in practice after one extra pass.
-        }
-    }
-
-    /// One shard's applied topic offset — the cache-invalidation clock.
-    fn applied_offset(&self, shard: usize) -> u64 {
-        self.set.shards[shard].applied()
-    }
-
-    /// Makes `shard`'s pool worker sleep `delay` before serving each
-    /// sub-query (zero clears it) — a deterministic straggler for tests,
-    /// demos, and the SLO benchmark. Scheduling-only: answers are
-    /// unaffected, so it exercises deadline paths without touching data.
-    #[doc(hidden)]
-    pub fn inject_scatter_delay(&self, shard: usize, delay: Duration) {
-        self.set.stall_ms[shard].store(delay.as_millis() as u64, Ordering::Relaxed);
-    }
 
     /// Exact evaluation across all shard archives (ground-truth oracle;
     /// ignores unpumped records, exactly like per-shard synopses do).
@@ -1208,39 +1399,6 @@ impl ClusterEngine {
             }
         }
         acc.finish()
-    }
-
-    /// Scatters `query` to `targets` — one inline on the calling thread,
-    /// several through [`ScatterPool::fan_out`] on their shards' workers.
-    /// Slot `i` is `None` iff shard `targets[i]` missed the deadline; the
-    /// first failed sub-query (in target order) fails the scatter.
-    fn scatter_bounded(
-        &self,
-        targets: &[usize],
-        query: &Query,
-        priority: Priority,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<Option<SubAnswer>>> {
-        if let [shard] = *targets {
-            return Ok(vec![Some(self.set.serve(shard, query)?)]);
-        }
-        let query = Arc::new(query.clone());
-        let jobs = targets.iter().map(|&shard| {
-            let (set, query) = (Arc::clone(&self.set), Arc::clone(&query));
-            let job = move || {
-                let stall = set.stall_ms[shard].load(Ordering::Relaxed);
-                if stall > 0 {
-                    std::thread::sleep(Duration::from_millis(stall));
-                }
-                set.serve(shard, &query)
-            };
-            (shard, job)
-        });
-        self.pool
-            .fan_out(priority, deadline, jobs)
-            .into_iter()
-            .map(Option::transpose)
-            .collect()
     }
 
     /// Fails a shard's primary and promotes its freshest follower (ties
@@ -1284,7 +1442,7 @@ impl ClusterEngine {
         self.set.backlog[shard].store(end.saturating_sub(applied), Ordering::Relaxed);
         drop(set);
         drop(primary);
-        self.set.counters.promotions.fetch_add(1, Ordering::Relaxed);
+        self.counters.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1530,15 +1688,10 @@ impl ClusterEngine {
             router.restore_cursor(router_snapshot.cursor + (tail_inserts as usize % config.shards));
         }
 
-        let cluster = Self::assemble(
-            config,
-            router,
-            StripedDirectory::from_map(directory),
-            shards,
-            replica_sets,
-            log,
-            rebalance_generation,
-        );
+        let directory = StripedDirectory::from_map(config.shards, directory);
+        let set = ShardSet::new(&config, shards, replica_sets, log);
+        let pool = ScatterPool::start("janus-scatter", config.shards);
+        let cluster = Self::assemble(config, router, directory, set, rebalance_generation, pool);
         // A restore over the surviving topics pins them at the offsets it
         // resumes from, as the checkpoint it restores did.
         if !detached {
@@ -1574,7 +1727,7 @@ impl ClusterEngine {
         };
         // Cooldown gate, before any work: cheap relaxed loads.
         if self.config.rebalance_cooldown > 0
-            && self.set.counters.rebalances.load(Ordering::Relaxed) > 0
+            && self.counters.rebalances.load(Ordering::Relaxed) > 0
         {
             let since = self
                 .pumped_records()
@@ -1608,7 +1761,7 @@ impl ClusterEngine {
         // Minimum-gain gate: the skew must have grown meaningfully past
         // what the previous migration left behind.
         if self.config.rebalance_min_gain > 0.0
-            && self.set.counters.rebalances.load(Ordering::Relaxed) > 0
+            && self.counters.rebalances.load(Ordering::Relaxed) > 0
         {
             let baseline = f64::from_bits(self.post_rebalance_skew.load(Ordering::Relaxed));
             if rebalance::skew_ratio(&populations) < baseline + self.config.rebalance_min_gain {
@@ -1635,9 +1788,8 @@ impl ClusterEngine {
         self.rebalance_generation.fetch_add(1, Ordering::Release);
         let report = report?;
         if let Some(r) = &report {
-            self.set.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-            self.set
-                .counters
+            self.counters.rebalances.fetch_add(1, Ordering::Relaxed);
+            self.counters
                 .rows_migrated
                 .fetch_add(r.rows_moved as u64, Ordering::Relaxed);
             // Record the hysteresis baselines: the pump clock and the
@@ -1742,5 +1894,81 @@ mod tests {
         cluster.pump_all().unwrap();
         assert_eq!(cluster.backlog_gauges(), cluster.shard_backlogs());
         assert_eq!(cluster.shard_backlogs(), vec![0]);
+    }
+
+    /// The directory's per-shard row counts, in shard order.
+    fn directory_counts(cluster: &ClusterEngine) -> Vec<usize> {
+        (0..cluster.shards())
+            .map(|shard| cluster.directory.count(shard) as usize)
+            .collect()
+    }
+
+    fn assert_counts_settled(cluster: &ClusterEngine, when: &str) {
+        assert_eq!(
+            directory_counts(cluster),
+            cluster.shard_populations(),
+            "{when}"
+        );
+    }
+
+    /// The row counts a deadline-partial gather weighs shards by equal
+    /// the shard populations whenever the topics are drained: after
+    /// bootstrap, after inserts and deletes, after a migration and after
+    /// a restore. A routed publish counts exactly what a classic one does.
+    #[test]
+    fn directory_counts_equal_shard_populations() {
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let mut base = SynopsisConfig::paper_default(template, 7);
+        base.leaf_count = 4;
+        let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+        let config = ClusterConfig::new(base, 4, policy);
+        let rows = || (0..800).map(|i| Row::new(i, vec![(i % 100) as f64, 1.0]));
+        let classic = ClusterEngine::bootstrap(config.clone(), rows().collect()).unwrap();
+        let routed = ClusterEngine::bootstrap(config.clone(), rows().collect()).unwrap();
+        assert_counts_settled(&classic, "after bootstrap");
+
+        // Two thousand inserts into the lowest slab skew shard 0.
+        let inserts: Vec<Row> = (10_000..12_000)
+            .map(|i| Row::new(i, vec![(i % 20) as f64, 2.0]))
+            .collect();
+        classic.publish_batch(inserts.iter().cloned().map(ShardOp::Insert));
+        let snapshot = routed.routing_snapshot();
+        let router = ShardRouter::new(snapshot.policy.clone(), snapshot.shards).unwrap();
+        let mut groups: Vec<(usize, Vec<Row>)> = (0..4).map(|shard| (shard, Vec::new())).collect();
+        for row in inserts {
+            groups[router.route_stateless(&row).unwrap()].1.push(row);
+        }
+        let report = routed
+            .publish_batch_routed(snapshot.generation, groups)
+            .unwrap();
+        assert_eq!(report.published, 2_000);
+        assert_eq!(
+            directory_counts(&routed),
+            directory_counts(&classic),
+            "routed and classic publishes, before any pump"
+        );
+
+        let deletes = || (0..300).step_by(3).map(ShardOp::Delete);
+        for cluster in [&classic, &routed] {
+            assert_eq!(cluster.publish_batch(deletes()).rejected, 0);
+            cluster.pump_all().unwrap();
+            assert_counts_settled(cluster, "after inserts and deletes");
+        }
+
+        let report = classic.maybe_rebalance().unwrap().expect("skew triggers");
+        assert!(report.rows_moved > 0);
+        assert_counts_settled(&classic, "after a migration");
+
+        let checkpoint = classic.checkpoint();
+        classic.publish_batch(
+            (20_000..20_500)
+                .map(|i| ShardOp::Insert(Row::new(i, vec![(i % 100) as f64, 3.0])))
+                .chain((300..600).step_by(5).map(ShardOp::Delete)),
+        );
+        let restored = ClusterEngine::restore(config, checkpoint, classic.topics()).unwrap();
+        restored.pump_all().unwrap();
+        classic.pump_all().unwrap();
+        assert_counts_settled(&restored, "after a restore and its tail");
+        assert_eq!(directory_counts(&restored), directory_counts(&classic));
     }
 }

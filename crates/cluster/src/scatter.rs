@@ -2,10 +2,10 @@
 //!
 //! A [`ScatterPool`] is N long-lived named threads, each fed by its own
 //! channel of boxed closures. The pool knows nothing about shards,
-//! queries or sockets: [`crate::ClusterEngine`] owns one (a worker per
-//! shard: sub-queries and `pump` drains) and so does the networked
-//! coordinator (a worker per shard: one TCP exchange per sub-query), and
-//! both reach it only through [`ScatterPool::fan_out`] — the single
+//! queries or sockets: [`crate::ClusterEngine`] owns one, a worker per
+//! shard, for sub-queries over either transport, `pump` drains and the
+//! networked bootstrap's Host jobs, and reaches it only through
+//! [`ScatterPool::fan_out`] — the single
 //! function in the tree that opens a reply channel, tags gather slots and
 //! waits on a deadline. No thread is created per call.
 //!

@@ -3,31 +3,32 @@
 //! [`RemoteCluster`] presents the same publish / query / drain /
 //! backpressure surface as the in-process cluster (`ClusterEngine` +
 //! `LiveCluster`), but every shard engine lives in a remote
-//! [`crate::node::NodeServer`] process. The coordinator owns the
-//! durable state:
+//! [`crate::node::NodeServer`] process. It *is* the in-process
+//! coordinator — a [`ClusterEngine`] over `NodeLinks`, this module's
+//! [`ShardTransport`] — plus the threads that only a network needs. So
+//! the router, the row → shard directory, the publish body, the scatter,
+//! the k-of-n gather and its weights are `ClusterEngine`'s, and publishes
+//! route identically to the in-process cluster (identical per-shard topic
+//! contents, hence bit-identical shard engines). What this module adds:
 //!
-//! * the **router** and the authoritative row → shard directory, so
-//!   publishes route identically to the in-process cluster (identical
-//!   per-shard topic contents, hence bit-identical shard engines);
-//! * the **per-shard topics** ([`ShardedLog`]) — the source of truth a
-//!   node death can never lose: an acknowledged publish is durable at
-//!   the coordinator before any node sees it, and stays there until
-//!   every alive copy of its shard has acked applying it. The shippers
-//!   then drop it with its block: each topic is truncated below the
-//!   lowest applied offset over the shard's alive copies, computed under
-//!   the directory read lock, so it holds the tails copies still need,
-//!   not the whole stream;
-//! * the **placement directory** ([`Directory`]), replicated by value
-//!   through an optional [`CheckpointStore`].
+//! * the **per-shard topics** are the source of truth a node death can
+//!   never lose: an acknowledged publish is held at the coordinator before
+//!   any node sees it, and stays there until every alive copy of its
+//!   shard has acked applying it. The shippers then drop it with its
+//!   block: each topic is truncated below the lowest applied offset over
+//!   the shard's alive copies, computed under the placement directory's
+//!   read lock, so it holds the tails copies still need, not the whole
+//!   stream;
+//! * the **placement directory** ([`Directory`]): which nodes host which
+//!   shard copies, and which nodes are alive.
 //!
-//! There is one publish path: [`RemoteCluster::publish_batch`] resolves a
-//! whole batch against the row directory under one lock acquisition,
-//! appends once per touched shard, wakes the shippers once, and then
-//! stalls once per touched shard while that shard is over the
-//! publish-ahead bound (`publish_insert` / `publish_delete` are
-//! one-element batches). Because the stall follows the append, the
-//! slowest alive copy of a shard trails its topic end by at most
-//! [`RemoteConfig::max_backlog`] records plus one batch.
+//! [`RemoteCluster::publish_batch`] is the shared publish (one router and
+//! directory acquisition per batch, one append per touched shard), then
+//! one wake of the shippers, then one stall per touched shard while that
+//! shard is over the publish-ahead bound (`publish_insert` /
+//! `publish_delete` are one-element batches). Because the stall follows
+//! the append, the slowest alive copy of a shard trails its topic end by
+//! at most [`RemoteConfig::max_backlog`] records plus one batch.
 //!
 //! Per-node *shipper* threads push each shard topic's tail to every
 //! node hosting a copy ([`Frame::PublishBatch`]), so followers tail
@@ -44,25 +45,23 @@
 //! copy catches up from the coordinator topic, so recovery is bit-exact
 //! for every acknowledged record.
 //!
-//! The bootstrap partitions the rows first, so a duplicate id fails
-//! before any node hosts anything; then it encodes each shard's
-//! [`Frame::Host`] once, on the caller, dropping the shard's rows as it
-//! goes, and ships every node's frames at once through the in-process
-//! coordinator's own [`ScatterPool::fan_out`], one job per node. A node
-//! job that fails makes the bootstrap release every shard it hosted.
+//! The bootstrap partitions the rows first (the coordinator's own
+//! partition), so a duplicate id fails before any node hosts anything;
+//! then it encodes each shard's [`Frame::Host`] once, on the caller,
+//! dropping the shard's rows as it goes, and ships every node's frames at
+//! once through the coordinator's scatter pool, one
+//! [`ScatterPool::fan_out`] job per node. A node job that fails makes the
+//! bootstrap release every shard it hosted.
 //!
-//! Reads scatter per overlapping shard through the same pool (one worker
-//! per shard, started at bootstrap; one TCP exchange per job; no thread
-//! per query), with the same freshness gate as in-process replicas: a
+//! Reads scatter per overlapping shard through the coordinator's pool (one
+//! worker per shard; one TCP exchange per job; no thread per query). A
+//! sub-query rides the same freshness gate as in-process replicas: a
 //! follower may serve only while it trails the topic end by at most
 //! `replica_lag` records (round-robin across primary + fresh followers);
 //! the node re-checks the gate under its engine lock and answers `Stale`
 //! if it fell behind, in which case the coordinator falls back to the
 //! primary. The networked coordinator keeps no answer cache: every query
-//! scatters. Every scatter rides [`Priority::Bulk`], because this pool
-//! carries only the bootstrap's Host jobs, before any query, and query
-//! jobs, so there is no background work for an interactive lane to
-//! overtake.
+//! scatters, on [`janus_cluster::Priority::Bulk`].
 //!
 //! # Transient-failure hardening
 //!
@@ -82,18 +81,16 @@
 use crate::directory::{Directory, NodeDesc};
 use crate::node::NodeConfig;
 use crate::wire::{self, Frame, QueryOutcome};
-use janus_cluster::bootstrap::{partition_rows, shard_config};
+use janus_cluster::bootstrap::shard_config;
 use janus_cluster::notify::{Backoff, Progress};
 use janus_cluster::{
-    resolve_batch, Priority, PublishReport, ScatterPool, ShardCheckpoint, ShardOp, ShardPolicy,
-    ShardRouter,
+    ClusterConfig, ClusterEngine, Priority, PublishReport, QueryOptions, ScatterPool,
+    ShardCheckpoint, ShardOp, ShardPolicy, ShardTransport,
 };
-use janus_common::merge::{self, SubAnswer};
-use janus_common::{
-    faults, AggregateFunction, DetHashMap, Estimate, JanusError, Query, Result, Row, RowId,
-};
+use janus_common::merge::SubAnswer;
+use janus_common::{faults, AggregateFunction, Estimate, JanusError, Query, Result, Row, RowId};
 use janus_core::SynopsisConfig;
-use janus_storage::{CheckpointStore, ShardedLog};
+use janus_storage::ShardedLog;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
@@ -332,14 +329,13 @@ pub struct RemoteStats {
     pub degraded_reads: u64,
 }
 
+/// The transport's counters; publishes and partial answers are the
+/// coordinator's.
 #[derive(Default)]
 struct Counters {
-    published: AtomicU64,
-    rejected: AtomicU64,
     failovers: AtomicU64,
     replica_queries: AtomicU64,
     migrations: AtomicU64,
-    partial_answers: AtomicU64,
     link_retries: AtomicU64,
     degraded_reads: AtomicU64,
 }
@@ -528,16 +524,16 @@ impl NodeLink {
     }
 }
 
-struct RemoteShared {
+/// The networked [`ShardTransport`]: one link per node, the placement
+/// directory, and the shard topics the coordinator appends to and the
+/// shippers drain. Shared by the coordinator, its pool's jobs, the
+/// shippers and the heartbeat.
+struct NodeLinks {
     config: RemoteConfig,
-    router: RwLock<ShardRouter>,
-    /// Authoritative row → shard placement (same role as the in-process
-    /// cluster's directory): dedups inserts, routes deletes.
-    row_homes: Mutex<DetHashMap<RowId, usize>>,
-    /// The durable per-shard operation topics. Source of truth: every
+    /// The per-shard operation topics. Source of truth: every
     /// acknowledged publish lives here until every alive copy of its
     /// shard has applied it.
-    topics: ShardedLog<ShardOp>,
+    topics: Arc<ShardedLog<ShardOp>>,
     /// Per-shard retention pin ([`UNPINNED`] when none):
     /// [`RemoteCluster::move_shard`] holds the floor at or below its
     /// source's applied offset until the target's offsets are reset.
@@ -549,24 +545,13 @@ struct RemoteShared {
     progress: Progress,
     read_cursor: AtomicU64,
     query_seq: AtomicU64,
-    /// Directory replication target plus its version counter.
-    store: Option<Arc<dyn CheckpointStore>>,
-    store_version: AtomicU64,
     counters: Counters,
 }
 
-impl RemoteShared {
+impl NodeLinks {
     fn unpark_shippers(&self) {
         for link in &self.links {
             link.unpark();
-        }
-    }
-
-    fn persist_directory(&self, dir: &Directory) {
-        if let Some(store) = &self.store {
-            let version = self.store_version.fetch_add(1, Ordering::Relaxed) + 1;
-            let _ = store.put(version, &dir.snapshot().to_bytes());
-            let _ = store.prune(2);
         }
     }
 
@@ -642,15 +627,14 @@ fn alive_primary(dir: &Directory, shard: u32) -> Result<Option<usize>> {
 /// Marks a node dead and promotes followers for every shard it led.
 /// Idempotent: concurrent detectors (shipper error, heartbeat timeout,
 /// query error) race on the `alive` swap and only one runs promotions.
-fn fail_node(shared: &RemoteShared, idx: usize) {
+fn fail_node(shared: &NodeLinks, idx: usize) {
     if !shared.links[idx].alive.swap(false, Ordering::AcqRel) {
         return;
     }
-    let mut dir = shared.directory.write();
-    let promotions = dir.fail_node(idx, |node, shard| shared.links[node].applied.of(shard));
-    shared.persist_directory(&dir);
-    drop(dir);
-    drop(promotions);
+    shared
+        .directory
+        .write()
+        .fail_node(idx, |node, shard| shared.links[node].applied.of(shard));
     shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
     shared.unpark_shippers();
     shared.progress.bump();
@@ -660,7 +644,7 @@ fn fail_node(shared: &RemoteShared, idx: usize) {
 /// offsets into the link state. A miss re-dials and is only fatal after
 /// `retry.budget` *consecutive* misses — a dropped connection or one
 /// slow reply no longer kills a node that is otherwise healthy.
-fn probe_all(shared: &RemoteShared) {
+fn probe_all(shared: &NodeLinks) {
     let threshold = shared.config.retry.budget.max(1);
     for (idx, link) in shared.links.iter().enumerate() {
         if !link.alive.load(Ordering::Acquire) {
@@ -693,7 +677,7 @@ fn probe_all(shared: &RemoteShared) {
 /// its tail, the shipper parks and sends nothing. Every round first
 /// truncates each hosted shard's topic below what all its copies have
 /// applied.
-fn shipper_loop(shared: &RemoteShared, idx: usize) {
+fn shipper_loop(shared: &NodeLinks, idx: usize) {
     let link = &shared.links[idx];
     let mut idle = Backoff::new();
     while !shared.shutdown.load(Ordering::Acquire) && link.alive.load(Ordering::Acquire) {
@@ -752,13 +736,7 @@ fn shipper_loop(shared: &RemoteShared, idx: usize) {
 /// gone. A refusal for a shard the directory no longer places on the
 /// node is neither: [`RemoteCluster::move_shard`] released it after
 /// this round began.
-fn ship(
-    shared: &RemoteShared,
-    idx: usize,
-    shard: u32,
-    first_offset: u64,
-    ops: Vec<ShardOp>,
-) -> bool {
+fn ship(shared: &NodeLinks, idx: usize, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> bool {
     let link = &shared.links[idx];
     let frame = Frame::PublishBatch {
         shard,
@@ -788,7 +766,7 @@ fn ship(
     }
 }
 
-fn heartbeat_loop(shared: &RemoteShared) {
+fn heartbeat_loop(shared: &NodeLinks) {
     while !shared.shutdown.load(Ordering::Acquire) {
         std::thread::park_timeout(shared.config.heartbeat_every);
         if shared.shutdown.load(Ordering::Acquire) {
@@ -810,7 +788,7 @@ fn heartbeat_loop(shared: &RemoteShared) {
 /// released (best-effort), so the fleet can be bootstrapped again, and
 /// the first error in node order is returned.
 fn host_shards(
-    shared: &Arc<RemoteShared>,
+    shared: &Arc<NodeLinks>,
     pool: &ScatterPool,
     mut per_shard: Vec<Vec<Row>>,
 ) -> Result<()> {
@@ -883,322 +861,20 @@ fn host_on(link: &NodeLink, frames: Vec<(u32, Arc<Vec<u8>>)>) -> (Vec<u32>, Resu
     (hosted, Ok(()))
 }
 
-/// A networked cluster's coordinator handle.
-pub struct RemoteCluster {
-    shared: Arc<RemoteShared>,
-    workers: Vec<JoinHandle<()>>,
-    /// One worker per shard, under every multi-target scatter; joined
-    /// when the handle drops, after `stop_workers` raised the flag.
-    pool: ScatterPool,
-}
-
-impl RemoteCluster {
-    /// Connects to node daemons at `addrs`, partitions `rows` across
-    /// `config.shards` shards exactly like the in-process cluster
-    /// (same router, same per-shard seeds), places primaries and
-    /// distinct-failure-domain followers via [`Directory::place`], and
-    /// ships each shard's bootstrap partition to its hosts, every node at
-    /// once. A failed bootstrap releases the shards it hosted, so the
-    /// same fleet can be bootstrapped again.
-    pub fn bootstrap(config: RemoteConfig, rows: Vec<Row>, addrs: &[SocketAddr]) -> Result<Self> {
-        Self::bootstrap_with_store(config, rows, addrs, None)
+impl ShardTransport for NodeLinks {
+    fn topics(&self) -> &Arc<ShardedLog<ShardOp>> {
+        &self.topics
     }
 
-    /// [`RemoteCluster::bootstrap`] that also replicates the placement
-    /// directory into `store` after every mutation (bootstrap,
-    /// failover, migration) — give the directory its own store, not the
-    /// one shard checkpoints use.
-    pub fn bootstrap_with_store(
-        config: RemoteConfig,
-        rows: Vec<Row>,
-        addrs: &[SocketAddr],
-        store: Option<Arc<dyn CheckpointStore>>,
-    ) -> Result<Self> {
-        config.base.validate()?;
-        if config.shards == 0 {
-            return Err(JanusError::InvalidConfig("need at least one shard".into()));
-        }
-        let mut links = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            links.push(connect_node(*addr, config.read_timeout)?);
-        }
-        let descs: Vec<NodeDesc> = links.iter().map(|l| l.desc.clone()).collect();
-        let directory = Directory::place(descs, config.shards, config.replicas)?;
+    /// Nothing per group: [`RemoteCluster::publish_batch`] wakes the
+    /// shippers once the whole batch has landed.
+    fn appended(&self, _shard: usize, _n: usize) {}
 
-        let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
-        let mut row_homes = DetHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-        // A duplicate id fails here, before any node hosts anything.
-        let per_shard = partition_rows(&mut router, rows, &mut row_homes)?;
-
-        let shards = config.shards;
-        let shared = Arc::new(RemoteShared {
-            config,
-            router: RwLock::new(router),
-            row_homes: Mutex::new(row_homes),
-            topics: ShardedLog::new(shards),
-            pins: (0..shards).map(|_| AtomicU64::new(UNPINNED)).collect(),
-            directory: RwLock::new(directory),
-            links,
-            shutdown: AtomicBool::new(false),
-            progress: Progress::new(),
-            read_cursor: AtomicU64::new(0),
-            query_seq: AtomicU64::new(0),
-            store,
-            store_version: AtomicU64::new(0),
-            counters: Counters::default(),
-        });
-        let pool = ScatterPool::start("janus-gather", shards);
-        host_shards(&shared, &pool, per_shard)?;
-        shared.persist_directory(&shared.directory.read());
-
-        let mut workers = Vec::new();
-        for idx in 0..shared.links.len() {
-            let s = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("janus-ship-{idx}"))
-                .spawn(move || shipper_loop(&s, idx))
-                .map_err(|e| JanusError::Storage(format!("spawn shipper: {e}")))?;
-            *shared.links[idx].thread.lock() = Some(handle.thread().clone());
-            workers.push(handle);
-        }
-        let s = Arc::clone(&shared);
-        workers.push(
-            std::thread::Builder::new()
-                .name("janus-heartbeat".into())
-                .spawn(move || heartbeat_loop(&s))
-                .map_err(|e| JanusError::Storage(format!("spawn heartbeat: {e}")))?,
-        );
-        Ok(RemoteCluster {
-            shared,
-            workers,
-            pool,
-        })
-    }
-
-    /// Routes an insert to its shard topic — a one-element
-    /// [`RemoteCluster::publish_batch`].
-    pub fn publish_insert(&self, row: Row) -> Result<()> {
-        let id = row.id;
-        match self.publish_batch([ShardOp::Insert(row)]).rejected {
-            0 => Ok(()),
-            _ => Err(JanusError::InvalidConfig(format!("duplicate row id {id}"))),
-        }
-    }
-
-    /// Routes a delete to the shard holding the row — a one-element
-    /// [`RemoteCluster::publish_batch`].
-    pub fn publish_delete(&self, id: RowId) -> Result<()> {
-        match self.publish_batch([ShardOp::Delete(id)]).rejected {
-            0 => Ok(()),
-            _ => Err(JanusError::RowNotFound(id)),
-        }
-    }
-
-    /// Routes and publishes a batch under one row-directory and one
-    /// router-write acquisition, through the in-process coordinator's own
-    /// [`resolve_batch`] (arrival-order resolve, rejects skipped, one
-    /// group per shard), and each group lands in its topic with a single
-    /// batch append — so per-shard topic contents match
-    /// `ClusterEngine::publish_batch`'s, however the caller slices. Every
-    /// accepted record is durable at the coordinator on return; shippers
-    /// push it to the hosting nodes asynchronously. The call then stalls
-    /// once per shard it appended to while that shard is over the
-    /// publish-ahead bound.
-    pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
-        let shared = &self.shared;
-        let mut homes = shared.row_homes.lock();
-        let mut router = shared.router.write();
-        let (groups, _, _, rejected) = resolve_batch(ops, &mut *homes, &mut router);
-        drop(router);
-        // Appends stay under the row-directory lock, mirroring the
-        // in-process ordering guarantee: once the directory names a row,
-        // its insert is in the topic ahead of any delete a concurrent
-        // publisher could append.
-        let mut published = 0usize;
-        let mut touched = Vec::new();
-        for (shard, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            published += group.len();
-            shared.topics.publish_batch(shard, group);
-            touched.push(shard as u32);
-        }
-        drop(homes);
-        let counters = &shared.counters;
-        counters
-            .published
-            .fetch_add(published as u64, Ordering::Relaxed);
-        counters
-            .rejected
-            .fetch_add(rejected as u64, Ordering::Relaxed);
-        if published > 0 {
-            shared.unpark_shippers();
-        }
-        for shard in touched {
-            self.stall_for_backlog(shard);
-        }
-        PublishReport {
-            published,
-            rejected,
-        }
-    }
-
-    /// Blocks while the publish-ahead bound is exceeded for `shard`:
-    /// the slowest alive copy may trail the topic end by at most
-    /// `max_backlog` records plus the batch just appended (and in-flight
-    /// publishers), so an unbounded producer cannot run away from the
-    /// fleet. Applied offsets move on a publish ack — the shipper keeps
-    /// asking for one while a copy trails — or a heartbeat, and both
-    /// bump progress.
-    fn stall_for_backlog(&self, shard: u32) {
-        let shared = &self.shared;
-        let limit = shared.config.max_backlog;
-        if limit == 0 {
-            return;
-        }
-        shared.progress.wait_until(
-            Backoff::new(),
-            || shared.shutdown.load(Ordering::Acquire),
-            || {},
-            || shared.backlog_of(shard) <= limit,
-        );
-    }
-
-    /// Worst publish-ahead lag across shards — `true` if any shard's
-    /// slowest alive copy trails by more than `limit` records.
-    pub fn backlog_exceeds(&self, limit: u64) -> bool {
-        (0..self.shared.config.shards).any(|s| self.shared.backlog_of(s as u32) > limit)
-    }
-
-    /// Blocks until every alive copy of every shard has received and
-    /// applied the full topic — the networked drain barrier. The
-    /// shippers' apply acks wake it; each round also unparks them and
-    /// probes the nodes once, so a barrier over an idle fleet resolves
-    /// at once.
-    pub fn drain(&self) {
-        let shared = &self.shared;
-        shared.progress.wait_until(
-            Backoff::new(),
-            || shared.shutdown.load(Ordering::Acquire),
-            || {
-                shared.unpark_shippers();
-                probe_all(shared);
-            },
-            || self.drained(),
-        );
-    }
-
-    fn drained(&self) -> bool {
-        let dir = self.shared.directory.read();
-        (0..self.shared.config.shards as u32).all(|shard| {
-            if dir.lost_shards().contains(&shard) {
-                return true; // nothing left to converge
-            }
-            let end = self.shared.topics.topic(shard as usize).len() as u64;
-            dir.hosts_of(shard)
-                .all()
-                .filter(|&n| dir.is_alive(n))
-                .all(|n| {
-                    self.shared.links[n].shipped.of(shard) >= end
-                        && self.shared.links[n].applied.of(shard) >= end
-                })
-        })
-    }
-
-    /// Scatter-gather query with the in-process cluster's exact merge
-    /// semantics: COUNT/SUM merge additively, AVG re-derives from
-    /// merged SUM/COUNT moments, MIN/MAX take the extreme of per-shard
-    /// answers. Shard pruning uses the same router, and each sub-answer
-    /// comes from an engine applying the same records in the same
-    /// order — so a drained networked cluster answers bit-identically
-    /// to a drained in-process one.
-    pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
-        self.query_with(query, 0, None)
-    }
-
-    /// [`RemoteCluster::query`] with a tenant tag and an optional gather
-    /// deadline.
-    ///
-    /// The tenant rides every scattered [`Frame::Query`] (billing /
-    /// tracing on the node side). The deadline bounds the gather (the
-    /// first sub-answer is awaited, the rest only until expiry) and every
-    /// socket read on the per-node control channels: a node that is
-    /// healthy but too slow surfaces [`JanusError::Deadline`] for its
-    /// shard — **never** a failover — and the arrived sub-answers are
-    /// merged k-of-n style exactly like the in-process engine's
-    /// deadline path, weighted by the coordinator's applied-offset
-    /// gauges and flagged [`Estimate::partial`]. With no deadline the
-    /// call is [`RemoteCluster::query`] unchanged. Errs with
-    /// [`JanusError::Deadline`] only when *no* shard answered in time.
-    pub fn query_with(
-        &self,
-        query: &Query,
-        tenant: u32,
-        deadline: Option<Duration>,
-    ) -> Result<Option<Estimate>> {
-        let expiry = deadline.map(|budget| Instant::now() + budget);
-        let targets = self.shared.router.read().overlapping(query);
-        // Extrapolation weights for a partial merge: the coordinator's
-        // per-shard applied-record gauges (maintained by heartbeats and
-        // publish acks) — a zero-cost proxy for shard row counts that
-        // never blocks on a slow node.
-        let weights: Vec<u64> = if expiry.is_some() {
-            targets
-                .iter()
-                .map(|&t| self.shard_weight(t as u32))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let slots = self.scatter(&targets, query, tenant, expiry)?;
-        if !targets.is_empty() && slots.iter().all(Option::is_none) {
-            return Err(JanusError::Deadline);
-        }
-        let answer = merge::gather(query.agg, &slots, &weights)?;
-        if answer.is_some_and(|e| e.partial) {
-            self.shared
-                .counters
-                .partial_answers
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(answer)
-    }
-
-    /// The coordinator's applied-record gauge for `shard`'s primary — the
-    /// partial-merge weight proxy.
-    fn shard_weight(&self, shard: u32) -> u64 {
-        let dir = self.shared.directory.read();
-        let primary = dir.hosts_of(shard).primary;
-        self.shared.links[primary].applied.of(shard)
-    }
-
-    /// Scatters `query` at every target shard through
-    /// [`ScatterPool::fan_out`] (one target on the calling thread, several
-    /// on the pool's per-shard workers), in target order; slot `i` is
-    /// `None` iff shard `targets[i]` missed the deadline.
-    fn scatter(
-        &self,
-        targets: &[usize],
-        query: &Query,
-        tenant: u32,
-        expiry: Option<Instant>,
-    ) -> Result<Vec<Option<SubAnswer>>> {
-        let moments = query.agg == AggregateFunction::Avg;
-        let query = Arc::new(query.clone());
-        let jobs = targets.iter().map(|&t| {
-            let (shared, query) = (Arc::clone(&self.shared), Arc::clone(&query));
-            let job = move || Self::scatter_one(&shared, t as u32, &query, moments, tenant, expiry);
-            (t, job)
-        });
-        self.pool
-            .fan_out(Priority::Bulk, expiry, jobs)
-            .into_iter()
-            .map(|slot| match slot {
-                Some(Err(JanusError::Deadline)) | None => Ok(None),
-                Some(outcome) => outcome.map(Some),
-            })
-            .collect()
+    /// The applied offset the shard's primary last reported.
+    fn applied(&self, shard: usize) -> u64 {
+        let shard = shard as u32;
+        let primary = self.directory.read().hosts_of(shard).primary;
+        self.links[primary].applied.of(shard)
     }
 
     /// Serves one sub-query, load-balancing across the primary and
@@ -1207,14 +883,15 @@ impl RemoteCluster {
     /// every socket wait is bounded by the remaining budget;
     /// [`JanusError::Deadline`] means "shard too slow", and explicitly
     /// does not mark the node dead.
-    fn scatter_one(
-        shared: &RemoteShared,
-        shard: u32,
+    fn serve(
+        &self,
+        shard: usize,
         query: &Query,
-        moments: bool,
         tenant: u32,
         expiry: Option<Instant>,
     ) -> Result<SubAnswer> {
+        let (shared, shard) = (self, shard as u32);
+        let moments = query.agg == AggregateFunction::Avg;
         let id = shared.query_seq.fetch_add(1, Ordering::Relaxed);
         let mut primary_only = false;
         let mut attempts: HashMap<usize, u32> = HashMap::new();
@@ -1342,22 +1019,240 @@ impl RemoteCluster {
             }
         }
     }
+}
+
+/// A networked cluster's coordinator handle: the coordinator over node
+/// links, plus the shipper and heartbeat threads.
+pub struct RemoteCluster {
+    engine: ClusterEngine<NodeLinks>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl RemoteCluster {
+    /// Connects to node daemons at `addrs`, partitions `rows` across
+    /// `config.shards` shards exactly like the in-process cluster
+    /// (same router, same per-shard seeds), places primaries and
+    /// distinct-failure-domain followers via [`Directory::place`], and
+    /// ships each shard's bootstrap partition to its hosts, every node at
+    /// once. A failed bootstrap releases the shards it hosted, so the
+    /// same fleet can be bootstrapped again.
+    pub fn bootstrap(config: RemoteConfig, rows: Vec<Row>, addrs: &[SocketAddr]) -> Result<Self> {
+        config.base.validate()?;
+        if config.shards == 0 {
+            return Err(JanusError::InvalidConfig("need at least one shard".into()));
+        }
+        let mut links = Vec::with_capacity(addrs.len());
+        for addr in addrs {
+            links.push(connect_node(*addr, config.read_timeout)?);
+        }
+        let descs: Vec<NodeDesc> = links.iter().map(|l| l.desc.clone()).collect();
+        let directory = Directory::place(descs, config.shards, config.replicas)?;
+
+        let coordinator =
+            ClusterConfig::new(config.base.clone(), config.shards, config.policy.clone());
+        let shards = config.shards;
+        let engine = ClusterEngine::bootstrap_over(
+            coordinator,
+            rows,
+            "janus-gather",
+            |per_shard, topics, pool| {
+                let shared = Arc::new(NodeLinks {
+                    config,
+                    topics,
+                    pins: (0..shards).map(|_| AtomicU64::new(UNPINNED)).collect(),
+                    directory: RwLock::new(directory),
+                    links,
+                    shutdown: AtomicBool::new(false),
+                    progress: Progress::new(),
+                    read_cursor: AtomicU64::new(0),
+                    query_seq: AtomicU64::new(0),
+                    counters: Counters::default(),
+                });
+                host_shards(&shared, pool, per_shard)?;
+                Ok(shared)
+            },
+        )?;
+
+        let shared = engine.transport();
+        let mut workers = Vec::new();
+        for idx in 0..shared.links.len() {
+            let s = Arc::clone(shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("janus-ship-{idx}"))
+                .spawn(move || shipper_loop(&s, idx))
+                .map_err(|e| JanusError::Storage(format!("spawn shipper: {e}")))?;
+            *shared.links[idx].thread.lock() = Some(handle.thread().clone());
+            workers.push(handle);
+        }
+        let s = Arc::clone(shared);
+        workers.push(
+            std::thread::Builder::new()
+                .name("janus-heartbeat".into())
+                .spawn(move || heartbeat_loop(&s))
+                .map_err(|e| JanusError::Storage(format!("spawn heartbeat: {e}")))?,
+        );
+        Ok(RemoteCluster { engine, workers })
+    }
+
+    fn shared(&self) -> &NodeLinks {
+        self.engine.transport()
+    }
+
+    /// Routes an insert to its shard topic — a one-element
+    /// [`RemoteCluster::publish_batch`].
+    pub fn publish_insert(&self, row: Row) -> Result<()> {
+        let id = row.id;
+        match self.publish_batch([ShardOp::Insert(row)]).rejected {
+            0 => Ok(()),
+            _ => Err(JanusError::InvalidConfig(format!("duplicate row id {id}"))),
+        }
+    }
+
+    /// Routes a delete to the shard holding the row — a one-element
+    /// [`RemoteCluster::publish_batch`].
+    pub fn publish_delete(&self, id: RowId) -> Result<()> {
+        match self.publish_batch([ShardOp::Delete(id)]).rejected {
+            0 => Ok(()),
+            _ => Err(JanusError::RowNotFound(id)),
+        }
+    }
+
+    /// Publishes a batch through the coordinator's
+    /// [`ClusterEngine::publish_batch`] — so per-shard topic contents
+    /// match the in-process cluster's, however the caller slices — then
+    /// wakes the shippers, which push the records to the hosting nodes
+    /// asynchronously. Every accepted record is held at the coordinator
+    /// on return. The call then stalls once per shard it appended to
+    /// while that shard is over the publish-ahead bound.
+    pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
+        let mut touched = Vec::new();
+        let report = self
+            .engine
+            .publish_batch_with(ops, |shard| touched.push(shard));
+        if report.published > 0 {
+            self.shared().unpark_shippers();
+        }
+        for shard in touched {
+            self.stall_for_backlog(shard as u32);
+        }
+        report
+    }
+
+    /// Blocks while the publish-ahead bound is exceeded for `shard`:
+    /// the slowest alive copy may trail the topic end by at most
+    /// `max_backlog` records plus the batch just appended (and in-flight
+    /// publishers), so an unbounded producer cannot run away from the
+    /// fleet. Applied offsets move on a publish ack — the shipper keeps
+    /// asking for one while a copy trails — or a heartbeat, and both
+    /// bump progress.
+    fn stall_for_backlog(&self, shard: u32) {
+        let shared = self.shared();
+        let limit = shared.config.max_backlog;
+        if limit == 0 {
+            return;
+        }
+        shared.progress.wait_until(
+            Backoff::new(),
+            || shared.shutdown.load(Ordering::Acquire),
+            || {},
+            || shared.backlog_of(shard) <= limit,
+        );
+    }
+
+    /// Worst publish-ahead lag across shards — `true` if any shard's
+    /// slowest alive copy trails by more than `limit` records.
+    pub fn backlog_exceeds(&self, limit: u64) -> bool {
+        (0..self.shared().config.shards).any(|s| self.shared().backlog_of(s as u32) > limit)
+    }
+
+    /// Blocks until every alive copy of every shard has received and
+    /// applied the full topic — the networked drain barrier. The
+    /// shippers' apply acks wake it; each round also unparks them and
+    /// probes the nodes once, so a barrier over an idle fleet resolves
+    /// at once.
+    pub fn drain(&self) {
+        let shared = self.shared();
+        shared.progress.wait_until(
+            Backoff::new(),
+            || shared.shutdown.load(Ordering::Acquire),
+            || {
+                shared.unpark_shippers();
+                probe_all(shared);
+            },
+            || self.drained(),
+        );
+    }
+
+    fn drained(&self) -> bool {
+        let dir = self.shared().directory.read();
+        (0..self.shared().config.shards as u32).all(|shard| {
+            if dir.lost_shards().contains(&shard) {
+                return true; // nothing left to converge
+            }
+            let end = self.shared().topics.topic(shard as usize).len() as u64;
+            dir.hosts_of(shard)
+                .all()
+                .filter(|&n| dir.is_alive(n))
+                .all(|n| {
+                    self.shared().links[n].shipped.of(shard) >= end
+                        && self.shared().links[n].applied.of(shard) >= end
+                })
+        })
+    }
+
+    /// Scatter-gather query through the coordinator's
+    /// [`ClusterEngine::query`]: the same router prunes the shards, the
+    /// same merge composes them (COUNT/SUM additively, AVG from merged
+    /// SUM/COUNT moments, MIN/MAX by extreme), and each sub-answer comes
+    /// from an engine applying the same records in the same order — so a
+    /// drained networked cluster answers bit-identically to a drained
+    /// in-process one.
+    pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
+        self.query_with(query, 0, None)
+    }
+
+    /// [`RemoteCluster::query`] with a tenant tag and an optional gather
+    /// deadline, through the coordinator's [`ClusterEngine::query_as`].
+    ///
+    /// The tenant rides every scattered [`Frame::Query`] (billing /
+    /// tracing on the node side). The deadline bounds the gather (the
+    /// first sub-answer is awaited, the rest only until expiry) and every
+    /// socket read on the per-node control channels: a node that is
+    /// healthy but too slow surfaces [`JanusError::Deadline`] for its
+    /// shard — **never** a failover — and the arrived sub-answers are
+    /// merged k-of-n style exactly like the in-process engine's
+    /// deadline path, weighted by the rows the coordinator's directory
+    /// places on each shard, and flagged [`Estimate::partial`]. With no
+    /// deadline the call is [`RemoteCluster::query`] unchanged. Errs with
+    /// [`JanusError::Deadline`] only when *no* shard answered in time.
+    pub fn query_with(
+        &self,
+        query: &Query,
+        tenant: u32,
+        deadline: Option<Duration>,
+    ) -> Result<Option<Estimate>> {
+        let opts = QueryOptions {
+            deadline,
+            ..QueryOptions::default()
+        };
+        self.engine.query_as(query, tenant, opts)
+    }
 
     /// Exact total population across shards (primary copies).
     pub fn population(&self) -> Result<u64> {
         let mut total = 0;
-        for shard in 0..self.shared.config.shards as u32 {
+        for shard in 0..self.shared().config.shards as u32 {
             loop {
-                let Some(primary) = alive_primary(&self.shared.directory.read(), shard)? else {
+                let Some(primary) = alive_primary(&self.shared().directory.read(), shard)? else {
                     std::thread::park_timeout(PROMOTION_POLL);
                     continue;
                 };
-                let link = &self.shared.links[primary];
+                let link = &self.shared().links[primary];
                 let reply = link.request_retry(
                     &link.ctrl,
                     &Frame::Population { shard },
-                    &self.shared.config.retry,
-                    &self.shared.counters.link_retries,
+                    &self.shared().config.retry,
+                    &self.shared().counters.link_retries,
                 );
                 match reply {
                     Ok(Frame::PopulationAck { rows, .. }) => {
@@ -1365,7 +1260,7 @@ impl RemoteCluster {
                         break;
                     }
                     Ok(other) => return Err(reply_error(other, "population")),
-                    Err(_) => fail_node(&self.shared, primary),
+                    Err(_) => fail_node(self.shared(), primary),
                 }
             }
         }
@@ -1382,7 +1277,7 @@ impl RemoteCluster {
     /// largest movable shard is [`crate::wire::MAX_FRAME_LEN`] over its
     /// bytes per row: about 61 for 5 columns, ≈ 1.1M rows.
     pub fn move_shard(&self, shard: u32, to: usize) -> Result<()> {
-        let shared = &self.shared;
+        let shared = self.shared();
         if to >= shared.links.len() {
             return Err(JanusError::InvalidConfig(format!("no node {to}")));
         }
@@ -1414,7 +1309,7 @@ impl RemoteCluster {
     /// [`RemoteCluster::move_shard`] once its pin is held: fetch, install,
     /// reset the target's offsets and repoint the directory.
     fn move_pinned(&self, shard: u32, from: usize, to: usize) -> Result<()> {
-        let shared = &self.shared;
+        let shared = self.shared();
         let shipped = shared.links[from].request_retry(
             &shared.links[from].ship,
             &Frame::FetchCheckpoint { shard },
@@ -1439,11 +1334,7 @@ impl RemoteCluster {
         }
         shared.links[to].shipped.reset(shard, applied_offset);
         shared.links[to].applied.reset(shard, applied_offset);
-        {
-            let mut dir = shared.directory.write();
-            dir.repoint(shard, from, to);
-            shared.persist_directory(&dir);
-        }
+        shared.directory.write().repoint(shard, from, to);
         let _ = shared.links[from].request_ship(&Frame::Release { shard });
         shared.links[from].shipped.remove(shard);
         shared.links[from].applied.remove(shard);
@@ -1455,14 +1346,15 @@ impl RemoteCluster {
 
     /// Snapshot of the coordinator's counters.
     pub fn stats(&self) -> RemoteStats {
-        let c = &self.shared.counters;
+        let c = &self.shared().counters;
+        let coordinator = self.engine.coordinator_stats();
         RemoteStats {
-            published: c.published.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
+            published: coordinator.inserts + coordinator.deletes,
+            rejected: coordinator.rejected,
             failovers: c.failovers.load(Ordering::Relaxed),
             replica_queries: c.replica_queries.load(Ordering::Relaxed),
             migrations: c.migrations.load(Ordering::Relaxed),
-            partial_answers: c.partial_answers.load(Ordering::Relaxed),
+            partial_answers: coordinator.partial_answers,
             link_retries: c.link_retries.load(Ordering::Relaxed),
             degraded_reads: c.degraded_reads.load(Ordering::Relaxed),
         }
@@ -1474,9 +1366,7 @@ impl RemoteCluster {
     /// breaker holds; the first read after expiry is the half-open
     /// probe that readmits it.
     pub fn trip_breaker(&self, idx: usize, hold: Duration) -> Result<()> {
-        let link = self
-            .shared
-            .links
+        let link = (self.shared().links)
             .get(idx)
             .ok_or_else(|| JanusError::InvalidConfig(format!("no node {idx}")))?;
         link.breaker.force_open(hold);
@@ -1485,7 +1375,7 @@ impl RemoteCluster {
 
     /// Current placement snapshot (for inspection / tests).
     pub fn directory_snapshot(&self) -> crate::directory::DirectorySnapshot {
-        self.shared.directory.read().snapshot()
+        self.shared().directory.read().snapshot()
     }
 
     /// Every record of `shard`'s coordinator topic, in offset order (for
@@ -1495,24 +1385,24 @@ impl RemoteCluster {
     /// Panics once the shippers have truncated the topic: its records
     /// from offset 0 are no longer all held.
     pub fn topic_records(&self, shard: usize) -> Vec<ShardOp> {
-        self.shared.topics.poll(shard, 0, usize::MAX)
+        self.shared().topics.poll(shard, 0, usize::MAX)
     }
 
     /// Records of `shard`'s coordinator topic still held in memory — the
     /// tail some alive copy has not acked applying, plus at most the
     /// block it starts in (for inspection / tests).
     pub fn topic_resident_len(&self, shard: usize) -> usize {
-        self.shared.topics.topic(shard).resident_len()
+        self.shared().topics.topic(shard).resident_len()
     }
 
     /// Shards that lost every copy (answers for them fail loudly).
     pub fn lost_shards(&self) -> Vec<u32> {
-        self.shared.directory.read().lost_shards().to_vec()
+        self.shared().directory.read().lost_shards().to_vec()
     }
 
     /// Asks every alive node daemon to exit (best-effort).
     pub fn shutdown_nodes(&self) {
-        for link in &self.shared.links {
+        for link in &self.shared().links {
             if link.alive.load(Ordering::Acquire) {
                 let _ = link.request_ctrl(&Frame::Shutdown);
             }
@@ -1527,9 +1417,9 @@ impl RemoteCluster {
     }
 
     fn stop_workers(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.unpark_shippers();
-        self.shared.progress.bump();
+        self.shared().shutdown.store(true, Ordering::Release);
+        self.shared().unpark_shippers();
+        self.shared().progress.bump();
         for w in self.workers.drain(..) {
             // Unpark first, so a parked worker observes the flag.
             w.thread().unpark();

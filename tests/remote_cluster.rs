@@ -595,8 +595,8 @@ fn a_slow_node_yields_a_flagged_partial_not_a_failover() {
         rows(4_000, 31),
     )
     .expect("bootstrap twin");
-    // Every shard applies some records, so each carries a non-zero
-    // extrapolation weight (the coordinator's applied-offset gauge).
+    // Every shard applies some records. A partial merge weighs each shard
+    // by the rows the coordinator's directory places on it.
     Feed::new(37, 4_000).publish(&remote, &twin, 600);
     remote.drain();
     twin.pump_all().expect("pump twin");
@@ -790,6 +790,99 @@ fn move_shard_under_a_concurrent_publisher_keeps_the_tail_it_ships() {
     twin.pump_all().expect("pump");
     assert_eq!(remote.population().unwrap(), twin.population() as u64);
     assert_bit_identical(&remote, &twin, "after a move under load");
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
+
+/// A deadline-partial gather extrapolates the shards it missed by the same
+/// weights on both transports: the rows the coordinator's directory places
+/// on each shard. The fleet misses one node's shard to a stalled reply, as
+/// in `a_slow_node_yields_a_flagged_partial_not_a_failover`; the twin
+/// misses each shard in turn to an injected delay. The fleet's partial
+/// answer is, bit for bit, one of the twin's.
+#[test]
+fn a_partial_answer_weighs_missing_shards_alike_on_both_transports() {
+    use janus::cluster::QueryOptions;
+    use janus::common::faults::{self, FaultKind, FaultPlan, TriggerMode};
+    use janus::common::Estimate;
+    use std::time::Duration;
+    const SHARDS: usize = 4;
+    // The failpoint registry is process-global and this binary's other
+    // cases run beside this one: the faulted body runs in a child process.
+    if std::env::var_os("JANUS_ISOLATED").is_none() {
+        let name = "a_partial_answer_weighs_missing_shards_alike_on_both_transports";
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", name, "--nocapture"])
+            .env("JANUS_ISOLATED", "1")
+            .output()
+            .expect("re-run isolated");
+        let output = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "isolated run failed:\n{output}");
+        return;
+    }
+
+    let fleet = local_fleet(2).expect("start fleet");
+    // No heartbeat during the test: the fault below counts socket writes.
+    let remote = RemoteCluster::bootstrap(
+        RemoteConfig::new(config(47), SHARDS, ShardPolicy::HashById)
+            .with_heartbeat_every(Duration::from_secs(3600)),
+        rows(4_000, 47),
+        &addrs_of(&fleet),
+    )
+    .expect("bootstrap remote");
+    let twin = ClusterEngine::bootstrap(
+        ClusterConfig::new(config(47), SHARDS, ShardPolicy::HashById),
+        rows(4_000, 47),
+    )
+    .expect("bootstrap twin");
+    // Inserts and deletes since bootstrap: a shard's row count is neither
+    // its bootstrap size nor the number of records it applied.
+    Feed::new(53, 4_000).publish(&remote, &twin, 600);
+    remote.drain();
+    twin.pump_all().expect("pump twin");
+
+    let bits = |e: &Estimate| {
+        (
+            e.value.to_bits(),
+            e.catchup_variance.to_bits(),
+            e.sample_variance.to_bits(),
+            e.samples_used,
+            e.partial,
+        )
+    };
+    let sum = &probes()[1];
+    let budget = Duration::from_millis(200);
+    let twin_partials: Vec<Estimate> = (0..SHARDS)
+        .map(|straggler| {
+            twin.inject_scatter_delay(straggler, Duration::from_millis(800));
+            let partial = twin
+                .query_with(sum, QueryOptions::default().with_deadline(budget))
+                .expect("twin partial")
+                .expect("SUM always answers");
+            twin.inject_scatter_delay(straggler, Duration::ZERO);
+            // An undeadlined query queues behind the straggler's job.
+            twin.query(sum).expect("wait out the straggler");
+            assert!(partial.partial, "shard {straggler} missed the gather");
+            partial
+        })
+        .collect();
+
+    // A 4-target scatter is eight socket writes, and the eighth is a
+    // node's reply: that node sits on an answer for 800 ms.
+    let eighth = TriggerMode::Nth(2 * SHARDS as u64);
+    faults::install(FaultPlan::new(47).rule("net.write", eighth, FaultKind::Stall(800)));
+    let partial = remote
+        .query_with(sum, 0, Some(budget))
+        .expect("one slow node does not fail the gather")
+        .expect("SUM always answers");
+    assert_eq!(faults::fired("net.write"), 1, "the stall must have fired");
+    faults::reset();
+    assert!(partial.partial, "a missed shard flags the answer");
+    assert!(
+        twin_partials.iter().any(|t| bits(t) == bits(&partial)),
+        "the fleet's partial {partial:?} is none of the twin's single-shard misses \
+         {twin_partials:?}"
+    );
     remote.shutdown_nodes();
     remote.shutdown();
 }
