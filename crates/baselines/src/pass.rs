@@ -48,11 +48,9 @@ impl PassSynopsis {
             n as f64,
         )?;
         // Exact statistics from a full scan — the SPT construction, via
-        // the chunked columnar installer on dense backends.
-        match archive.columns() {
-            Some(c) => dpt.install_exact_base_columns(c.values, c.arity),
-            None => dpt.install_exact_base_with(|sink| archive.for_each_row(sink)),
-        }
+        // the chunked columnar installer.
+        let c = archive.columns();
+        dpt.install_exact_base_columns(c.values, c.arity);
         let mut samples = DetHashMap::default();
         for row in sample_rows {
             let point = row.project(&template.predicate_columns);

@@ -68,10 +68,7 @@ impl ReservoirBaseline {
 
     /// Deletes a tuple by id.
     pub fn delete(&mut self, id: RowId) -> Result<Row> {
-        let row = self
-            .archive
-            .delete(id)?
-            .ok_or(JanusError::RowNotFound(id))?;
+        let row = self.archive.delete(id).ok_or(JanusError::RowNotFound(id))?;
         if self.reservoir.delete(id) == DeleteOutcome::NeedsResample {
             let seed = self.next_seed();
             let fresh = self.archive.sample_distinct(self.reservoir.target(), seed);
@@ -85,8 +82,7 @@ impl ReservoirBaseline {
         uniform_estimate(query, self.reservoir.iter(), self.archive.len())
     }
 
-    /// Ground-truth oracle for experiments (chunked columnar scan on
-    /// dense backends).
+    /// Ground-truth oracle for experiments (chunked columnar scan).
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
         self.archive.evaluate_exact(query)
     }

@@ -113,10 +113,7 @@ impl StratifiedReservoirBaseline {
 
     /// Deletes a tuple by id.
     pub fn delete(&mut self, id: RowId) -> Result<Row> {
-        let row = self
-            .archive
-            .delete(id)?
-            .ok_or(JanusError::RowNotFound(id))?;
+        let row = self.archive.delete(id).ok_or(JanusError::RowNotFound(id))?;
         let s = self.stratum_of(&row);
         self.populations[s] -= 1.0;
         if self.strata[s].delete(id) == DeleteOutcome::NeedsResample {
@@ -220,8 +217,7 @@ impl StratifiedReservoirBaseline {
         }
     }
 
-    /// Ground-truth oracle for experiments (chunked columnar scan on
-    /// dense backends).
+    /// Ground-truth oracle for experiments (chunked columnar scan).
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
         self.archive.evaluate_exact(query)
     }

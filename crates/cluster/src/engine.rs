@@ -192,16 +192,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Selects the archive backend every shard engine runs its cold
-    /// store on (builder-style): in-memory columnar by default, or the
-    /// segmented file-backed spill store for tables larger than RAM.
-    /// The representation never changes answers — restored and forked
-    /// engines stay bit-identical either way.
-    pub fn with_archive_backend(mut self, kind: janus_storage::ArchiveBackendKind) -> Self {
-        self.base.archive_backend = kind;
-        self
-    }
-
     /// Enables rebalance hysteresis (builder-style): a migration runs at
     /// most every `cooldown` pumped records, and only when the skew ratio
     /// has grown by at least `min_gain` since the previous migration's
@@ -1384,19 +1374,14 @@ impl ClusterEngine<ShardSet> {
     /// Exact evaluation across all shard archives (ground-truth oracle;
     /// ignores unpumped records, exactly like per-shard synopses do).
     /// One accumulator continues the same serial accumulation chain
-    /// across shards in shard order; dense shard archives feed it through
-    /// the chunked columnar kernels, spill-backed ones stream zero-copy
-    /// row views — bit-identical either way, and unchanged from the
-    /// pre-kernel scan.
+    /// across shards in shard order, fed through the chunked columnar
+    /// kernels — bit-identical to the pre-kernel per-row scan.
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
         let guards: Vec<_> = self.set.shards.iter().map(ShardHost::read).collect();
         let mut acc = query.exact_accumulator();
         for g in &guards {
-            let archive = g.archive();
-            match archive.columns() {
-                Some(c) => acc.offer_columns(c.values, c.arity),
-                None => archive.for_each_row(|r| acc.offer(r.values)),
-            }
+            let c = g.archive().columns();
+            acc.offer_columns(c.values, c.arity);
         }
         acc.finish()
     }
@@ -1602,18 +1587,14 @@ impl ClusterEngine<ShardSet> {
                     )));
                 }
             }
-            // The checkpointed rows are materialized into an archive once
-            // (moved, on the configured backend); every follower *forks*
-            // that archive — a column-wise slot-order copy — instead of
-            // cloning the whole `Vec<Row>` once per replica. Restoration
-            // is deterministic and the fork preserves slot order, so the
-            // followers come back bit-identical to the primary, exactly
-            // as replicas are.
+            // The checkpointed rows are moved into an archive once; every
+            // follower *forks* that archive — a column-wise slot-order
+            // copy — instead of cloning the whole `Vec<Row>` once per
+            // replica. Restoration is deterministic and the fork preserves
+            // slot order, so the followers come back bit-identical to the
+            // primary, exactly as replicas are.
             let shard_cfg = shard_config(&config.base, sc.shard);
-            let archive = janus_storage::ArchiveStore::from_rows_in(
-                &shard_cfg.archive_backend,
-                sc.archive_rows,
-            )?;
+            let archive = janus_storage::ArchiveStore::try_from_rows(sc.archive_rows)?;
             let host = |archive| -> Result<ShardHost> {
                 let engine =
                     JanusEngine::restore_with_archive(shard_cfg.clone(), archive, &sc.synopsis)?;

@@ -1,7 +1,6 @@
 //! The one binary codec for state that leaves a process: wire frames
-//! (`janus-net::wire`), sealed spill segments (`janus-storage::spill`),
-//! and every stored or shipped blob — cluster and shard checkpoints,
-//! bulk-load journals, directory snapshots.
+//! (`janus-net::wire`) and every stored or shipped blob — cluster and
+//! shard checkpoints, bulk-load journals, directory snapshots.
 //!
 //! All integers are little-endian and `usize` travels as `u64`. Floats
 //! travel as their IEEE-754 bit patterns, so `±inf`, `-0.0` and NaN

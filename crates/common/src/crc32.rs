@@ -1,6 +1,6 @@
 //! CRC32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) — the
 //! end-to-end integrity checksum appended to every wire frame and every
-//! sealed spill segment / MANIFEST.
+//! sealed stored blob.
 //!
 //! Dependency-free and table-driven, computed *slicing-by-16*: sixteen
 //! 256-entry tables, built at compile time, fold one 16-byte block per

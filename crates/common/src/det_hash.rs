@@ -2,7 +2,7 @@
 //!
 //! Every `DetHashMap` / `DetHashSet` in the workspace is keyed by a
 //! [`crate::RowId`]: the cluster's placement directory and its stripes,
-//! each shard archive's slot index (both backends), the reservoir's sample
+//! each shard archive's slot index, the reservoir's sample
 //! index, the tree's sample → leaf map. They all hash through
 //! [`DetHasher`], a SplitMix64 finaliser ([`crate::faults::mix64`]) folded
 //! over the key's `u64` words: two multiplies and three xor-shifts per id

@@ -1,7 +1,8 @@
 //! Deterministic fault injection.
 //!
 //! A process-global, seeded failpoint registry in the style of `fail-rs`:
-//! production code names its failure boundaries (`faults::hit("spill.seal")`,
+//! production code names its failure boundaries
+//! (`faults::check_storage("checkpoint.write")`,
 //! `faults::maybe_corrupt("wire.encode", &mut buf)`), and tests install a
 //! [`FaultPlan`] describing *which* sites misbehave, *when* (on the Nth hit,
 //! with seeded probability per hit, or permanently from the Nth hit on) and

@@ -21,7 +21,7 @@
 //!   every durability and network boundary checks;
 //! * [`codec`] — the one binary encoding (LE integers, `f64` bits,
 //!   count-prefixed collections, CRC32-sealed blobs) of wire frames,
-//!   spill segments, checkpoints, journals and directory snapshots;
+//!   checkpoints, journals and directory snapshots;
 //! * [`mod@crc32`] — the end-to-end integrity checksum [`codec`] seals
 //!   with.
 //!

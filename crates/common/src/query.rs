@@ -165,8 +165,8 @@ impl Query {
     }
 
     /// A streaming exact evaluator for this query: `offer` every row's
-    /// value slice, then `finish`. This is how backend-agnostic archive
-    /// scans compute ground truth without materializing a `Row` per tuple.
+    /// value slice, then `finish`. This is how per-row scans compute
+    /// ground truth without materializing a `Row` per tuple.
     pub fn exact_accumulator(&self) -> ExactAccumulator<'_> {
         ExactAccumulator {
             query: self,
@@ -196,7 +196,7 @@ impl ExactAccumulator<'_> {
         }
     }
 
-    /// Offers a dense arity-strided block of rows (a columnar backend's
+    /// Offers a dense arity-strided block of rows (the columnar archive's
     /// value buffer) through the chunked kernels, continuing the same
     /// serial accumulation: bit-identical to calling [`offer`] on each
     /// row slice in order, including across multiple blocks.

@@ -214,7 +214,7 @@ pub fn apply_batch(
         let Some(row) = row else { continue };
         match u {
             Update::Insert(_) => engine.apply_insert_sampling(row.clone())?,
-            Update::Delete(_) => engine.apply_delete_sampling(row)?,
+            Update::Delete(_) => engine.apply_delete_sampling(row),
         }
     }
     let serial_phase = started.elapsed();

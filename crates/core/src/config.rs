@@ -2,7 +2,6 @@
 
 use janus_common::codec::{Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, QueryTemplate, Result};
-use janus_storage::ArchiveBackendKind;
 
 /// All knobs governing one DPT synopsis.
 ///
@@ -44,12 +43,6 @@ pub struct SynopsisConfig {
     /// engine. Set to 0 to control catch-up manually (the Fig. 7 harness
     /// does).
     pub catchup_per_update: usize,
-    /// Which storage backend the archival (cold) store runs on: in-memory
-    /// columnar by default, or a segmented file-backed spill store for
-    /// tables larger than RAM. The representation never changes answers —
-    /// slot order (and with it every seeded sampling stream) depends only
-    /// on the update sequence.
-    pub archive_backend: ArchiveBackendKind,
 }
 
 impl SynopsisConfig {
@@ -70,7 +63,6 @@ impl SynopsisConfig {
             trigger_check_interval: 256,
             catchup_chunk: 4096,
             catchup_per_update: 4,
-            archive_backend: ArchiveBackendKind::Memory,
         }
     }
 
@@ -157,7 +149,6 @@ impl Encode for SynopsisConfig {
         e.usize(self.trigger_check_interval);
         e.usize(self.catchup_chunk);
         e.usize(self.catchup_per_update);
-        self.archive_backend.encode(e);
     }
 }
 
@@ -177,7 +168,6 @@ impl Decode for SynopsisConfig {
             trigger_check_interval: d.usize()?,
             catchup_chunk: d.usize()?,
             catchup_per_update: d.usize()?,
-            archive_backend: d.get()?,
         })
     }
 }

@@ -83,7 +83,7 @@ impl JanusEngine {
     /// caller can study the catch-up phase itself (Fig. 7).
     pub fn bootstrap_without_catchup(config: SynopsisConfig, rows: Vec<Row>) -> Result<Self> {
         config.validate()?;
-        let archive = ArchiveStore::from_rows_in(&config.archive_backend, rows)?;
+        let archive = ArchiveStore::try_from_rows(rows)?;
         let pool = PooledSample::draw(archive, config.sample_rate, config.seed, [0x5e5e, 0xa11a]);
         // A catch-up goal of the whole table is an exact base instead.
         let catchup_seed = (config.catchup_ratio < 1.0).then_some(config.seed ^ 0xca7c);
@@ -94,8 +94,7 @@ impl JanusEngine {
     /// Builds an engine with one synopsis per config over one pooled
     /// sample (§5.5), sized by the largest configured sample rate and
     /// seeded by the first config. Every catch-up phase is left
-    /// unconsumed, seeded from the shared sequence. All configs must name
-    /// the same archive backend: the trees share one archive.
+    /// unconsumed, seeded from the shared sequence.
     pub fn bootstrap_templates(configs: Vec<SynopsisConfig>, rows: Vec<Row>) -> Result<Self> {
         let Some(first) = configs.first() else {
             return Err(JanusError::InvalidConfig(
@@ -104,9 +103,8 @@ impl JanusEngine {
         };
         for config in &configs {
             config.validate()?;
-            same_archive(first, config)?;
         }
-        let archive = ArchiveStore::from_rows_in(&first.archive_backend, rows)?;
+        let archive = ArchiveStore::try_from_rows(rows)?;
         let rate = configs.iter().map(|c| c.sample_rate).fold(0.0, f64::max);
         let mut pool = PooledSample::draw(archive, rate, first.seed, [0x3333, 0x4444]);
         let synopses = configs
@@ -125,7 +123,6 @@ impl JanusEngine {
     /// to the configured goal.
     pub fn add_template(&mut self, config: SynopsisConfig) -> Result<()> {
         config.validate()?;
-        same_archive(self.config(), &config)?;
         let seed = self.pool.next_seed();
         let mut synopsis = Synopsis::build(config, &self.pool, Some(seed))?;
         self.stats.catchup_applied += synopsis.run_catchup_to_goal() as u64;
@@ -227,7 +224,7 @@ impl JanusEngine {
         let row = self
             .pool
             .archive
-            .delete(id)?
+            .delete(id)
             .ok_or(JanusError::RowNotFound(id))?;
         for synopsis in &mut self.synopses {
             synopsis.last_leaf = synopsis.dpt.record_delete(&row);
@@ -279,11 +276,10 @@ impl JanusEngine {
 
     /// Archive + reservoir bookkeeping for a delete whose tree statistics
     /// were already applied by the batch updater.
-    pub(crate) fn apply_delete_sampling(&mut self, row: &Row) -> Result<()> {
-        if self.pool.archive.delete(row.id)?.is_some() {
+    pub(crate) fn apply_delete_sampling(&mut self, row: &Row) {
+        if self.pool.archive.delete(row.id).is_some() {
             self.delete_from_reservoir(row);
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -363,23 +359,20 @@ impl JanusEngine {
     /// [`JanusEngine::restore_with_archive`]) — the snapshot-shipping
     /// path a cluster uses to (re)build follower engines after a
     /// migration instead of replaying every operation. The archive is
-    /// copied in slot order onto the engine's configured backend (a
-    /// column-wise memcpy for in-memory, a streamed spill for
-    /// `FileSpill` — a fork of a larger-than-RAM engine keeps
-    /// spilling), so the fork's sampling streams — and therefore its
-    /// entire future evolution — are bit-identical to this engine's.
+    /// copied column-wise in slot order, so the fork's sampling streams —
+    /// and therefore its entire future evolution — are bit-identical to
+    /// this engine's.
     pub fn fork_via_snapshot(&self) -> Result<Self> {
         Self::restore_with_archive(
             self.config().clone(),
-            self.pool.archive.fork_in(&self.config().archive_backend)?,
+            self.pool.archive.fork(),
             &self.save_synopsis(),
         )
     }
 
     /// Exact evaluation over the archive — the ground-truth oracle used by
-    /// tests and the benchmark (never used to answer synopsis queries).
-    /// Dense backends go through the chunked columnar kernels; file-backed
-    /// ones stream zero-copy row views — bit-identical either way (see the
+    /// tests and the benchmark (never used to answer synopsis queries),
+    /// through the chunked columnar kernels (see the
     /// `janus_common::kernels` bit-identity contract).
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
         self.pool.archive.evaluate_exact(query)
@@ -567,13 +560,13 @@ impl JanusEngine {
         archive_rows: Vec<Row>,
         snapshot: &crate::snapshot::SynopsisSnapshot,
     ) -> Result<Self> {
-        let archive = ArchiveStore::from_rows_in(&config.archive_backend, archive_rows)?;
+        let archive = ArchiveStore::try_from_rows(archive_rows)?;
         Self::restore_with_archive(config, archive, snapshot)
     }
 
     /// [`JanusEngine::restore`] over an already-built archive — the
     /// zero-copy restore path: callers that hold a forked or freshly
-    /// spilled archive (replica construction, [`JanusEngine::fork_via_snapshot`])
+    /// built archive (replica construction, [`JanusEngine::fork_via_snapshot`])
     /// hand it over without materializing a `Vec<Row>` in between. The
     /// archive's slot order must be the saved engine's export order, which
     /// every [`ArchiveStore::fork`] guarantees.
@@ -697,18 +690,6 @@ impl JanusEngine {
         self.stats.partial_repartitions += 1;
         Ok(())
     }
-}
-
-/// The trees share one archive, so a template must name the backend the
-/// engine's first template put it on.
-fn same_archive(first: &SynopsisConfig, config: &SynopsisConfig) -> Result<()> {
-    if config.archive_backend == first.archive_backend {
-        return Ok(());
-    }
-    Err(JanusError::InvalidConfig(format!(
-        "template archive backend {:?} differs from the shared archive's {:?}",
-        config.archive_backend, first.archive_backend
-    )))
 }
 
 #[cfg(test)]
@@ -972,28 +953,6 @@ mod tests {
             engine.query(&q).unwrap().unwrap().value
         };
         assert_eq!(run(), run());
-    }
-
-    /// The trees share one archive: a template on another backend is
-    /// refused at bootstrap and at run-time registration alike.
-    #[test]
-    fn a_template_on_another_archive_backend_is_rejected() {
-        let spill = SynopsisConfig {
-            archive_backend: janus_storage::ArchiveBackendKind::FileSpill {
-                root: std::env::temp_dir(),
-                seg_rows: 64,
-            },
-            ..config(11)
-        };
-        let both = vec![config(11), spill.clone()];
-        let refused = JanusEngine::bootstrap_templates(both, rows(500, 11));
-        assert!(matches!(refused, Err(JanusError::InvalidConfig(_))));
-        let mut engine = JanusEngine::bootstrap_templates(vec![config(11)], rows(500, 11)).unwrap();
-        let refused = engine.add_template(spill);
-        assert!(matches!(refused, Err(JanusError::InvalidConfig(_))));
-        assert_eq!(engine.template_count(), 1);
-        engine.add_template(config(12)).unwrap();
-        assert_eq!(engine.template_count(), 2);
     }
 
     /// A batch is per-row `insert`/`delete` in arrival order, triggers

@@ -55,12 +55,8 @@ impl Synopsis {
         let catchup = match catchup_seed {
             Some(seed) => CatchupQueue::over_archive(archive, config.catchup_ratio, seed),
             None => {
-                // Dense backends feed the chunked columnar installer; spill
-                // backends stream row views — bit-identical either way.
-                match archive.columns() {
-                    Some(c) => dpt.install_exact_base_columns(c.values, c.arity),
-                    None => dpt.install_exact_base_with(|sink| archive.for_each_row(sink)),
-                }
+                let c = archive.columns();
+                dpt.install_exact_base_columns(c.values, c.arity);
                 CatchupQueue::completed()
             }
         };

@@ -331,41 +331,28 @@ impl Dpt {
     /// Installs exact base statistics by scanning `rows` (SPT-style
     /// construction, §2.3.1). Clears any catch-up state.
     pub fn install_exact_base<'a>(&mut self, rows: impl IntoIterator<Item = &'a Row>) {
-        self.install_exact_base_with(|sink| {
-            for row in rows {
-                sink(row.as_ref());
-            }
-        });
-    }
-
-    /// Scan-driven twin of [`Dpt::install_exact_base`]: `scan` is called
-    /// once with a row sink and drives it over every table row — the
-    /// shape a columnar archive's zero-copy `for_each_row` provides, so
-    /// exact-base construction allocates nothing per row.
-    pub fn install_exact_base_with(&mut self, scan: impl FnOnce(&mut dyn FnMut(RowRef<'_>))) {
         self.reset_exact_base();
         let nodes = &mut self.nodes[..];
         let root = self.root;
         let cols = &self.template.predicate_columns;
         let agg_col = self.template.agg_column;
         let mut point: Vec<f64> = Vec::new();
-        let mut sink = |row: RowRef<'_>| {
+        for row in rows {
+            let row = row.as_ref();
             row.project_into(cols, &mut point);
             Self::descend_add(nodes, root, &point, row.value(agg_col));
-        };
-        scan(&mut sink);
+        }
     }
 
-    /// Columnar twin of [`Dpt::install_exact_base_with`]: scans a dense
+    /// Columnar twin of [`Dpt::install_exact_base`]: scans a dense
     /// arity-strided value buffer in slot order, gathering the predicate
     /// projection and aggregate lane of [`janus_common::kernels::CHUNK`]
     /// rows at a time before the per-row tree descent.
     ///
-    /// Bit-identical to the sink-driven path: both visit slots in the
-    /// same order and feed every node accumulator the same `f64`
-    /// sequence, so a synopsis bootstrapped from a dense column view
-    /// answers (and checkpoints) bit-for-bit like one bootstrapped from
-    /// `for_each_row`.
+    /// Bit-identical to the row-driven path: both visit rows in the same
+    /// order and feed every node accumulator the same `f64` sequence, so
+    /// a synopsis bootstrapped from a dense column view answers (and
+    /// checkpoints) bit-for-bit like one bootstrapped from its rows.
     pub fn install_exact_base_columns(&mut self, values: &[f64], arity: usize) {
         use janus_common::kernels::CHUNK;
         self.reset_exact_base();

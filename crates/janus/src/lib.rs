@@ -84,8 +84,8 @@ pub mod prelude {
     pub use janus_load::{BulkLoader, LoadConfig, LoadReport};
     pub use janus_net::{NodeConfig, NodeServer, RemoteCluster, RemoteConfig, RemoteStats};
     pub use janus_storage::{
-        ArchiveBackend, ArchiveBackendKind, ArchiveStore, CheckpointStore, FileCheckpointStore,
-        MemoryCheckpointStore, Request, RequestLog, SegmentedFileArchive,
+        ArchiveStore, CheckpointStore, FileCheckpointStore, MemoryCheckpointStore, Request,
+        RequestLog,
     };
 }
 

@@ -41,8 +41,10 @@ use std::io::{Read, Write};
 /// tenant/deadline fields on [`Frame::Query`] and the partiality flag on
 /// every transported [`Estimate`]; version 3 added the end-to-end CRC32
 /// trailer on every frame; version 4 made the [`Frame::Checkpoint`]
-/// payload a sealed binary `ShardCheckpoint` blob.
-pub const WIRE_VERSION: u8 = 4;
+/// payload a sealed binary `ShardCheckpoint` blob; version 5 dropped the
+/// archive-backend field from the [`SynopsisConfig`] that
+/// [`Frame::Host`] and [`Frame::Checkpoint`] carry.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a frame's declared length. A prefix above this is a
 /// protocol error and is rejected before any allocation happens, so a
@@ -728,9 +730,31 @@ mod tests {
         }
     }
 
-    /// The trailer below was captured from the bytewise CRC32 this codec
-    /// shipped with: a checksum that only agrees with itself would still
-    /// pass every round trip and bit-flip test, but not this.
+    #[test]
+    fn a_frame_of_another_version_is_refused_typed() {
+        // A well-formed frame with a valid CRC, stamped by a peer speaking
+        // another protocol version: refused before its kind is read.
+        for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+            let mut payload = vec![version, KIND_OK];
+            let crc = crc32(&payload);
+            payload.extend_from_slice(&crc.to_le_bytes());
+            match decode_payload(&payload) {
+                Err(JanusError::Protocol(msg)) => {
+                    assert!(msg.contains("unsupported wire version"), "{msg}")
+                }
+                other => panic!("version {version} must be refused, got {other:?}"),
+            }
+        }
+        let mut current = vec![WIRE_VERSION, KIND_OK];
+        let crc = crc32(&current);
+        current.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode_payload(&current).unwrap(), Frame::Ok);
+    }
+
+    /// The trailer below is zlib's `crc32` of the frame's version, kind
+    /// and body bytes (at version 4 it matched the bytewise CRC32 this
+    /// codec shipped with): a checksum that only agrees with itself would
+    /// still pass every round trip and bit-flip test, but not this.
     #[test]
     fn a_1024_row_publish_batch_keeps_its_crc_trailer() {
         use janus_common::faults::mix64;
@@ -749,7 +773,7 @@ mod tests {
             ops,
         });
         assert_eq!(bytes.len(), 54_298);
-        assert_eq!(bytes[bytes.len() - 4..], 0xAB69_263Du32.to_le_bytes());
+        assert_eq!(bytes[bytes.len() - 4..], 0xF36E_316Cu32.to_le_bytes());
     }
 
     #[test]

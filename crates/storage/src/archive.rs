@@ -1,4 +1,4 @@
-//! The archival (cold) store of §2.1, columnar and backend-pluggable.
+//! The archival (cold) store of §2.1, columnar and in memory.
 //!
 //! JanusAQP assumes "sufficient cold/archival storage to store the current
 //! state of the table", accessible *offline* — for initialization,
@@ -9,35 +9,30 @@
 //!
 //! ## Representation
 //!
+//! A struct-of-arrays layout: one arity-strided `Vec<f64>` value buffer,
+//! one `Vec<RowId>` id column, and the id→slot map. Scans hand out
+//! zero-copy [`RowRef`] views over the value buffer instead of cloning a
+//! heap `Vec` per row.
+//!
 //! Rows live in *slots* `0..len`, managed with `swap_remove` semantics:
 //! an insert appends a slot, a delete moves the last slot into the hole.
-//! Slot order is therefore a function of the insert/delete sequence only —
-//! never of the storage representation — which is what keeps every seeded
-//! sampling stream ([`ArchiveStore::sample_distinct`],
+//! Slot order is therefore a function of the insert/delete sequence only,
+//! which is what keeps every seeded sampling stream
+//! ([`ArchiveStore::sample_distinct`],
 //! [`ArchiveStore::sample_with_replacement`], [`ArchiveStore::shuffled`],
-//! [`ArchiveStore::shuffled_prefix`]) bit-identical across backends.
-//!
-//! Two backends implement [`ArchiveBackend`]:
-//!
-//! * [`ColumnarArchive`] (the default) — a struct-of-arrays layout: one
-//!   arity-strided `Vec<f64>` value buffer, one `Vec<RowId>` id column,
-//!   and the id→slot map. Scans hand out zero-copy [`RowRef`] views over
-//!   the value buffer instead of cloning a heap `Vec` per row.
-//! * [`crate::spill::SegmentedFileArchive`] — a crash-safe segmented file
-//!   store (values on disk in sealed, tmp+rename-published segments; an
-//!   in-memory slot index) for tables larger than RAM.
+//! [`ArchiveStore::shuffled_prefix`]) bit-identical to the seed's
+//! `Vec<Row>` representation.
 //!
 //! **Bulk builds.** Every archive built from a whole table at once —
 //! engine bootstrap and restore, each cluster shard's, each `janus-node`
-//! shard's — goes through [`ArchiveStore::from_rows_in`], which on the
-//! in-memory backend builds in two passes ([`ColumnarArchive::from_rows`])
-//! instead of inserting row by row: pass 1 moves the rows into the id and
-//! value columns, pass 2 indexes the id column into a map sized once for
-//! it. The result is the per-row build's, slot for slot and error for
-//! error: a repeated id keeps its first slot (pass 2 closes the later
+//! shard's — goes through [`ArchiveStore::try_from_rows`], which builds in
+//! two passes instead of inserting row by row: pass 1 moves the rows into
+//! the id and value columns, pass 2 indexes the id column into a map sized
+//! once for it. The result is the per-row build's, slot for slot and error
+//! for error: a repeated id keeps its first slot (pass 2 closes the later
 //! one's gap in place), and a row of another arity ends the bulk pass, so
 //! it and every later row go through `insert`, which ignores it if its id
-//! is live and rejects it otherwise. The spill backend builds row by row.
+//! is live and rejects it otherwise.
 //!
 //! Only the index is pre-sized, never the columns: they grow by doubling
 //! exactly as under inserts. Sizing them to the row count lowers
@@ -50,18 +45,15 @@
 //! ([`ArchiveStore::for_each_row`], [`ArchiveStore::iter_refs`],
 //! [`ArchiveStore::for_each_shuffled`]) borrow.
 
-use crate::spill::{SegmentedFileArchive, SpillStats};
-use janus_common::codec::{Dec, Decode, Enc, Encode};
 use janus_common::{DetHashMap, JanusError, Query, Result, Row, RowId, RowRef, ScanPartial};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{seq::index::sample as index_sample, Rng, SeedableRng};
 use std::collections::hash_map::Entry;
-use std::path::PathBuf;
 
-/// A dense, zero-copy view of rows stored as columns — an in-memory
-/// backend's storage, or a span of a catch-up queue: the id column plus
-/// the arity-strided value buffer. Slot `i`'s values are
+/// A dense, zero-copy view of rows stored as columns — an archive's
+/// storage, or a span of a catch-up queue: the id column plus the
+/// arity-strided value buffer. Slot `i`'s values are
 /// `values[i*arity..(i+1)*arity]`.
 #[derive(Clone, Copy)]
 pub struct ArchiveColumns<'a> {
@@ -109,154 +101,23 @@ impl<'a> ArchiveColumns<'a> {
     }
 }
 
-/// Physical storage behind an [`ArchiveStore`].
-///
-/// A backend stores rows in slots `0..len` and must implement
-/// `swap_remove` deletion (move the last slot into the deleted one), so
-/// slot order — and with it every seeded sampling stream the facade
-/// derives from slot indices — depends only on the insert/delete
-/// sequence.
-///
-/// Mutations (`insert`, `delete`, `compact`) are fallible: I/O-backed
-/// implementations surface storage failures — including injected
-/// [`janus_common::faults`] — as typed [`JanusError`]s so callers can
-/// recover (re-fetch the shard, retry the publish) instead of crashing.
-/// Reads (`read_slot`) stay infallible: scan paths only touch segments
-/// whose integrity was CRC-verified at open, so a read failure there
-/// means the media died mid-process and panicking beats silently
-/// corrupting answers.
-///
-/// [`JanusError`]: janus_common::JanusError
-pub trait ArchiveBackend: Send + Sync {
-    /// Live row count.
-    fn len(&self) -> usize;
-
-    /// True when no rows are live.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Values per row (0 until the first insert fixes it).
-    fn arity(&self) -> usize;
-
-    /// The slot currently holding `id`, if live.
-    fn slot_of(&self, id: RowId) -> Option<usize>;
-
-    /// Appends a row at slot `len`. Returns `Ok(false)` (storing nothing)
-    /// if the id is already live; `Err` on a storage failure or when
-    /// `values` does not match the arity the first insert fixed (the row
-    /// was not stored either way).
-    fn insert(&mut self, id: RowId, values: &[f64]) -> Result<bool>;
-
-    /// Deletes a row by id with `swap_remove` slot semantics, returning
-    /// the materialized row if it was live; `Err` on a storage failure.
-    fn delete(&mut self, id: RowId) -> Result<Option<Row>>;
-
-    /// Copies slot `slot`'s values into `buf` (cleared first) and returns
-    /// its row id.
-    fn read_slot(&self, slot: usize, buf: &mut Vec<f64>) -> RowId;
-
-    /// Dense zero-copy access, for backends that keep values in memory.
-    fn columns(&self) -> Option<ArchiveColumns<'_>> {
-        None
-    }
-
-    /// Reserves room for at least `additional` more rows. A capacity
-    /// hint only; the default does nothing.
-    fn reserve(&mut self, _additional: usize) {}
-
-    /// Forces a maintenance compaction pass, returning `Ok(true)` if the
-    /// backend rewrote storage. In-memory backends have nothing to
-    /// compact (swap-remove deletion never leaves dead records).
-    fn compact(&mut self) -> Result<bool> {
-        Ok(false)
-    }
-
-    /// Segment/compaction counters, for backends that spill to disk.
-    fn spill_stats(&self) -> Option<SpillStats> {
-        None
-    }
-
-    /// Short human-readable backend name (diagnostics and benches).
-    fn name(&self) -> &'static str;
-}
-
-/// Which [`ArchiveBackend`] an engine's archive runs on — the knob wired
-/// through `SynopsisConfig`/`ClusterConfig` down to every shard engine.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum ArchiveBackendKind {
-    /// In-memory columnar storage (the default).
-    #[default]
-    Memory,
-    /// A [`SegmentedFileArchive`] spill store: each opened archive gets a
-    /// fresh unique directory under `root` (removed again when the
-    /// archive drops), values live on disk in sealed segments of
-    /// `seg_rows` records, and only the slot index stays in memory — so
-    /// the table may exceed RAM.
-    FileSpill {
-        /// Parent directory the per-archive spill directories live in.
-        root: PathBuf,
-        /// Records per sealed segment file.
-        seg_rows: usize,
-    },
-}
-
-impl ArchiveBackendKind {
-    /// Opens an empty backend of this kind.
-    pub fn open_backend(&self) -> Result<Box<dyn ArchiveBackend>> {
-        match self {
-            ArchiveBackendKind::Memory => Ok(Box::new(ColumnarArchive::new())),
-            ArchiveBackendKind::FileSpill { root, seg_rows } => Ok(Box::new(
-                SegmentedFileArchive::create_ephemeral(root, *seg_rows)?,
-            )),
-        }
-    }
-}
-
-impl Encode for ArchiveBackendKind {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            ArchiveBackendKind::Memory => e.u8(0),
-            ArchiveBackendKind::FileSpill { root, seg_rows } => {
-                e.u8(1);
-                e.str(&root.to_string_lossy());
-                e.usize(*seg_rows);
-            }
-        }
-    }
-}
-
-impl Decode for ArchiveBackendKind {
-    fn decode(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => ArchiveBackendKind::Memory,
-            1 => ArchiveBackendKind::FileSpill {
-                root: PathBuf::from(d.str()?),
-                seg_rows: d.usize()?,
-            },
-            other => return Err(d.error(format!("invalid archive-backend tag {other}"))),
-        })
-    }
-}
-
-/// The in-memory columnar backend: struct-of-arrays row storage.
+/// Full-table cold storage with O(1) insert/delete and uniform sampling.
 #[derive(Default)]
-pub struct ColumnarArchive {
+pub struct ArchiveStore {
     ids: Vec<RowId>,
     /// Arity-strided value buffer; slot `i` owns
     /// `values[i*arity..(i+1)*arity]`.
     values: Vec<f64>,
-    /// Fixed by the first insert for the store's lifetime (even across
-    /// emptiness), exactly like the file-backed backend — the two must
-    /// accept and reject the same update sequences.
+    /// Fixed by the first insert for the store's lifetime, even across
+    /// emptiness.
     arity: Option<usize>,
     index_of: DetHashMap<RowId, usize>,
 }
 
-/// Checks a row's arity against the one a backend's first insert fixed
+/// Checks a row's arity against the one the store's first insert fixed
 /// (fixing it on that first insert): a published row of the wrong width
 /// is a typed error for the caller, not a panic in the shard thread.
-pub(crate) fn check_arity(arity: &mut Option<usize>, id: RowId, values: &[f64]) -> Result<()> {
+fn check_arity(arity: &mut Option<usize>, id: RowId, values: &[f64]) -> Result<()> {
     match *arity {
         None => *arity = Some(values.len()),
         Some(a) if a != values.len() => {
@@ -270,41 +131,29 @@ pub(crate) fn check_arity(arity: &mut Option<usize>, id: RowId, values: &[f64]) 
     Ok(())
 }
 
-impl ColumnarArchive {
-    /// Creates an empty columnar archive.
+impl ArchiveStore {
+    /// Creates an empty archive.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Builds a columnar archive by copying a dense column view (the
-    /// fast-path fork: two buffer memcpys plus the index pass, no
-    /// per-row allocation). Slot order is preserved exactly.
-    pub fn from_columns(columns: ArchiveColumns<'_>) -> Self {
-        let mut out = ColumnarArchive {
-            // An empty view carries no arity information; leave it
-            // underived so the copy accepts the same first insert the
-            // source would have.
-            arity: (!columns.ids.is_empty()).then_some(columns.arity),
-            ids: columns.ids.to_vec(),
-            values: columns.values.to_vec(),
-            index_of: DetHashMap::default(),
-        };
-        out.index_columns();
-        out
+    /// Builds an archive from initial rows that share one arity.
+    pub fn from_rows(rows: impl IntoIterator<Item = Row>) -> Self {
+        Self::try_from_rows(rows).expect("initial rows must share one arity")
     }
 
-    /// Builds a columnar archive from owned rows in bulk, with exactly the
-    /// result — slots, index, arity, error — of inserting them one at a
-    /// time in order (see the module doc's "Representation").
+    /// Builds an archive from owned rows in bulk, with exactly the result
+    /// — slots, index, arity, error — of inserting them one at a time in
+    /// order (see the module doc's "Representation").
     ///
     /// Pass 1 moves rows into the columns while they keep the first row's
     /// arity; pass 2 indexes them into a map sized once. A row of another
     /// arity ends pass 1: it and every row after it go through
-    /// [`ArchiveBackend::insert`], which ignores it if its id is already
+    /// [`ArchiveStore::insert`], which ignores it if its id is already
     /// live and rejects it otherwise.
-    pub fn from_rows(rows: impl IntoIterator<Item = Row>) -> Result<Self> {
+    pub fn try_from_rows(rows: impl IntoIterator<Item = Row>) -> Result<Self> {
         let mut rows = rows.into_iter();
-        let mut out = ColumnarArchive::new();
+        let mut out = ArchiveStore::new();
         let mut odd = None;
         for row in rows.by_ref() {
             if *out.arity.get_or_insert(row.values.len()) != row.values.len() {
@@ -316,7 +165,7 @@ impl ColumnarArchive {
         }
         out.index_columns();
         for row in odd.into_iter().chain(rows) {
-            out.insert(row.id, &row.values)?;
+            out.insert(row)?;
         }
         Ok(out)
     }
@@ -326,7 +175,7 @@ impl ColumnarArchive {
     /// dropped, closing the gap in place — what per-row `insert` does
     /// when it returns `Ok(false)`.
     fn index_columns(&mut self) {
-        let arity = self.stride();
+        let arity = self.arity();
         let mut index_of = DetHashMap::with_capacity_and_hasher(self.ids.len(), Default::default());
         let mut kept = 0;
         for slot in 0..self.ids.len() {
@@ -347,36 +196,32 @@ impl ColumnarArchive {
         self.index_of = index_of;
     }
 
-    #[inline]
-    fn stride(&self) -> usize {
-        self.arity.unwrap_or(0)
-    }
-
-    #[inline]
-    fn slot_values(&self, slot: usize) -> &[f64] {
-        let arity = self.stride();
-        if arity == 0 {
-            &[]
-        } else {
-            &self.values[slot * arity..(slot + 1) * arity]
-        }
-    }
-}
-
-impl ArchiveBackend for ColumnarArchive {
-    fn len(&self) -> usize {
+    /// Current table size `|D|`.
+    pub fn len(&self) -> usize {
         self.ids.len()
     }
 
-    fn arity(&self) -> usize {
-        self.stride()
+    /// Values per row (0 until the first insert fixes it).
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity.unwrap_or(0)
     }
 
-    fn slot_of(&self, id: RowId) -> Option<usize> {
-        self.index_of.get(&id).copied()
+    /// True when the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
     }
 
-    fn insert(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
+    /// Inserts a row. Returns `Ok(false)` (and ignores the row) if the id
+    /// is already present; `Err` (storing nothing) when its values do not
+    /// match the arity the first insert fixed.
+    pub fn insert(&mut self, row: Row) -> Result<bool> {
+        self.insert_values(row.id, &row.values)
+    }
+
+    /// [`ArchiveStore::insert`] from borrowed parts, for a caller that
+    /// still needs its `Row` afterwards (the values are copied).
+    pub fn insert_values(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
         let Entry::Vacant(slot) = self.index_of.entry(id) else {
             return Ok(false);
         };
@@ -387,13 +232,22 @@ impl ArchiveBackend for ColumnarArchive {
         Ok(true)
     }
 
-    fn delete(&mut self, id: RowId) -> Result<Option<Row>> {
-        let Some(at) = self.index_of.remove(&id) else {
-            return Ok(None);
-        };
-        let row = Row::new(id, self.slot_values(at).to_vec());
+    /// Reserves room for at least `additional` more rows. Until the first
+    /// insert fixes the arity the value buffer's share is unknown, so only
+    /// the id column and the index grow.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ids.reserve(additional);
+        self.values.reserve(additional * self.arity());
+        self.index_of.reserve(additional);
+    }
+
+    /// Deletes a row by id with `swap_remove` slot semantics, returning
+    /// it if it was live.
+    pub fn delete(&mut self, id: RowId) -> Option<Row> {
+        let at = self.index_of.remove(&id)?;
+        let row = Row::new(id, self.columns().slot_values(at).to_vec());
         let last = self.ids.len() - 1;
-        let arity = self.stride();
+        let arity = self.arity();
         self.ids.swap_remove(at);
         if arity > 0 {
             // Move the last stride into the hole, then truncate — the
@@ -407,141 +261,7 @@ impl ArchiveBackend for ColumnarArchive {
         if at < self.ids.len() {
             self.index_of.insert(self.ids[at], at);
         }
-        Ok(Some(row))
-    }
-
-    fn read_slot(&self, slot: usize, buf: &mut Vec<f64>) -> RowId {
-        buf.clear();
-        buf.extend_from_slice(self.slot_values(slot));
-        self.ids[slot]
-    }
-
-    /// Until the first insert fixes the arity the value buffer's share
-    /// is unknown, so only the id column and the index grow.
-    fn reserve(&mut self, additional: usize) {
-        self.ids.reserve(additional);
-        self.values.reserve(additional * self.stride());
-        self.index_of.reserve(additional);
-    }
-
-    fn columns(&self) -> Option<ArchiveColumns<'_>> {
-        Some(ArchiveColumns {
-            ids: &self.ids,
-            values: &self.values,
-            arity: self.stride(),
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "memory-columnar"
-    }
-}
-
-/// Full-table cold storage with O(1) insert/delete and uniform sampling,
-/// over a pluggable [`ArchiveBackend`] (in-memory columnar by default).
-pub struct ArchiveStore {
-    backend: Box<dyn ArchiveBackend>,
-}
-
-impl Default for ArchiveStore {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
-impl ArchiveStore {
-    /// Creates an empty archive on the default in-memory columnar backend.
-    pub fn new() -> Self {
-        Self::in_memory()
-    }
-
-    /// Creates an empty in-memory columnar archive.
-    pub fn in_memory() -> Self {
-        ArchiveStore {
-            backend: Box::new(ColumnarArchive::new()),
-        }
-    }
-
-    /// Wraps an existing backend.
-    pub fn with_backend(backend: Box<dyn ArchiveBackend>) -> Self {
-        ArchiveStore { backend }
-    }
-
-    /// Opens an empty archive on the configured backend kind.
-    pub fn open(kind: &ArchiveBackendKind) -> Result<Self> {
-        Ok(ArchiveStore {
-            backend: kind.open_backend()?,
-        })
-    }
-
-    /// Builds an in-memory archive from initial rows.
-    pub fn from_rows(rows: impl IntoIterator<Item = Row>) -> Self {
-        Self::from_rows_in(&ArchiveBackendKind::Memory, rows)
-            .expect("initial rows must share one arity")
-    }
-
-    /// Builds an archive from initial rows on the configured backend, with
-    /// the result of inserting them one at a time in order: in bulk
-    /// ([`ColumnarArchive::from_rows`]) in memory, row by row on a spill
-    /// store.
-    pub fn from_rows_in(
-        kind: &ArchiveBackendKind,
-        rows: impl IntoIterator<Item = Row>,
-    ) -> Result<Self> {
-        if let ArchiveBackendKind::Memory = kind {
-            return Ok(Self::with_backend(Box::new(ColumnarArchive::from_rows(
-                rows,
-            )?)));
-        }
-        let mut a = Self::open(kind)?;
-        for r in rows {
-            a.insert(r)?;
-        }
-        Ok(a)
-    }
-
-    /// Short name of the active backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Current table size `|D|`.
-    pub fn len(&self) -> usize {
-        self.backend.len()
-    }
-
-    /// Values per row (0 until the first insert fixes it).
-    pub fn arity(&self) -> usize {
-        self.backend.arity()
-    }
-
-    /// True when the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
-    }
-
-    /// Inserts a row. Returns `Ok(false)` (and ignores the row) if the id
-    /// is already present; `Err` on a backend storage failure.
-    pub fn insert(&mut self, row: Row) -> Result<bool> {
-        self.insert_values(row.id, &row.values)
-    }
-
-    /// [`ArchiveStore::insert`] from borrowed parts, for a caller that
-    /// still needs its `Row` afterwards (every backend copies the values).
-    pub fn insert_values(&mut self, id: RowId, values: &[f64]) -> Result<bool> {
-        self.backend.insert(id, values)
-    }
-
-    /// Reserves room for at least `additional` more rows on backends that
-    /// keep them in memory (a no-op elsewhere).
-    pub fn reserve(&mut self, additional: usize) {
-        self.backend.reserve(additional);
-    }
-
-    /// Deletes a row by id, returning it if it existed; `Err` on a
-    /// backend storage failure.
-    pub fn delete(&mut self, id: RowId) -> Result<Option<Row>> {
-        self.backend.delete(id)
+        Some(row)
     }
 
     /// Materializes a row by id (one allocation; use
@@ -550,56 +270,45 @@ impl ArchiveStore {
         self.with_row(id, |r| r.to_row())
     }
 
-    /// Runs `f` over the borrowed view of the row with this id —
-    /// zero-copy on in-memory backends, one buffered read on file-backed
-    /// ones.
+    /// Runs `f` over the borrowed view of the row with this id.
     pub fn with_row<T>(&self, id: RowId, f: impl FnOnce(RowRef<'_>) -> T) -> Option<T> {
-        let slot = self.backend.slot_of(id)?;
-        Some(match self.backend.columns() {
-            Some(c) => f(c.row_ref(slot)),
-            None => {
-                let mut buf = Vec::with_capacity(self.backend.arity());
-                let id = self.backend.read_slot(slot, &mut buf);
-                f(RowRef::new(id, &buf))
-            }
-        })
+        let slot = self.slot_of(id)?;
+        Some(f(self.columns().row_ref(slot)))
     }
 
     /// True if the id is live.
     pub fn contains(&self, id: RowId) -> bool {
-        self.slot_of(id).is_some()
+        self.index_of.contains_key(&id)
     }
 
     /// The slot currently holding `id`, if live.
     pub fn slot_of(&self, id: RowId) -> Option<usize> {
-        self.backend.slot_of(id)
+        self.index_of.get(&id).copied()
     }
 
     /// Scans all live rows in slot order, handing each to `f` as a
     /// borrowed view — the allocation-free full-table scan every offline
     /// phase (exact evaluation, rebalance rebuilds, snapshot export)
-    /// drives. In-memory backends borrow straight from the value buffer;
-    /// file-backed ones reuse one scratch buffer for the whole scan.
+    /// drives.
     pub fn for_each_row(&self, f: impl FnMut(RowRef<'_>)) {
-        self.visit(0..self.len(), f);
+        self.columns().rows().for_each(f);
     }
 
-    /// The dense column view, when the backend keeps values in memory
-    /// (`None` on file-backed stores).
-    pub fn columns(&self) -> Option<ArchiveColumns<'_>> {
-        self.backend.columns()
+    /// The dense column view of every slot.
+    pub fn columns(&self) -> ArchiveColumns<'_> {
+        ArchiveColumns {
+            ids: &self.ids,
+            values: &self.values,
+            arity: self.arity(),
+        }
     }
 
     /// Exact scan of the whole table into a mergeable partial, via the
-    /// chunked [`janus_common::kernels`] on dense backends and the per-row
-    /// path on file-backed ones — bit-identical either way (see the
-    /// kernels bit-identity contract).
+    /// chunked [`janus_common::kernels`] — bit-identical to the per-row
+    /// path (see the kernels bit-identity contract).
     pub fn scan_partial(&self, query: &Query) -> ScanPartial {
         let mut acc = query.exact_accumulator();
-        match self.backend.columns() {
-            Some(c) => acc.offer_columns(c.values, c.arity),
-            None => self.for_each_row(|r| acc.offer(r.values)),
-        }
+        acc.offer_columns(&self.values, self.arity());
         *acc.partial()
     }
 
@@ -610,87 +319,35 @@ impl ArchiveStore {
         self.scan_partial(query).finish(query.agg)
     }
 
-    /// Forces a maintenance compaction on the backend (no-op and
-    /// `Ok(false)` on backends with nothing to compact).
-    pub fn compact(&mut self) -> Result<bool> {
-        self.backend.compact()
-    }
-
-    /// Segment/compaction counters of a spill backend (`None` in memory).
-    pub fn spill_stats(&self) -> Option<SpillStats> {
-        self.backend.spill_stats()
-    }
-
-    /// Borrow-based slot-order iteration, available when the backend
-    /// keeps values in memory (`None` on file-backed stores — use
-    /// [`ArchiveStore::for_each_row`] for backend-agnostic scans).
-    pub fn iter_refs(&self) -> Option<impl Iterator<Item = RowRef<'_>>> {
-        self.backend.columns().map(|c| c.rows())
+    /// Borrow-based slot-order iteration.
+    pub fn iter_refs(&self) -> impl Iterator<Item = RowRef<'_>> {
+        self.columns().rows()
     }
 
     /// Iterates all live rows in slot order as owned [`Row`]s (one
     /// allocation per row — ownership-boundary use only).
     pub fn iter_rows(&self) -> impl Iterator<Item = Row> + '_ {
-        let mut buf = Vec::new();
-        (0..self.backend.len()).map(move |slot| match self.backend.columns() {
-            Some(c) => c.row_ref(slot).to_row(),
-            None => {
-                let id = self.backend.read_slot(slot, &mut buf);
-                Row::new(id, buf.clone())
-            }
-        })
+        self.iter_refs().map(|r| r.to_row())
     }
 
     /// Materializes the whole table in slot order — the archive side of a
     /// checkpoint or shard hand-off.
     pub fn to_rows(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_row(|r| out.push(r.to_row()));
-        out
+        self.iter_rows().collect()
     }
 
-    /// A *transient* working copy of this archive on the in-memory
-    /// columnar backend, slot order preserved exactly (so the copy's
-    /// sampling streams are bit-identical to the source's). On in-memory
-    /// sources this is two buffer copies; file-backed sources stream
-    /// through one scratch buffer. Long-lived copies — replica engines,
-    /// forked engines — should use [`ArchiveStore::fork_in`] so a
-    /// configured spill backend is honored.
+    /// A working copy of this archive, slot order preserved exactly (so
+    /// the copy's sampling streams are bit-identical to the source's): two
+    /// buffer copies plus the index pass, no per-row allocation.
     pub fn fork(&self) -> ArchiveStore {
-        if let Some(c) = self.backend.columns() {
-            return ArchiveStore::with_backend(Box::new(ColumnarArchive::from_columns(c)));
-        }
-        let mut out = ColumnarArchive::new();
-        self.for_each_row(|r| {
-            out.insert(r.id, r.values)
-                .expect("in-memory archive insert cannot fail");
-        });
-        ArchiveStore::with_backend(Box::new(out))
-    }
-
-    /// [`ArchiveStore::fork`] onto the configured backend kind: the copy
-    /// preserves slot order exactly (rows stream in slot order into a
-    /// fresh store), so its sampling streams stay bit-identical to the
-    /// source's, but a `FileSpill` configuration keeps spilling — a
-    /// replica of a larger-than-RAM shard must not silently become an
-    /// in-memory table.
-    pub fn fork_in(&self, kind: &ArchiveBackendKind) -> Result<ArchiveStore> {
-        if matches!(kind, ArchiveBackendKind::Memory) {
-            return Ok(self.fork());
-        }
-        let mut backend = kind.open_backend()?;
-        let mut failed = None;
-        self.for_each_row(|r| {
-            if failed.is_none() {
-                if let Err(e) = backend.insert(r.id, r.values) {
-                    failed = Some(e);
-                }
-            }
-        });
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(ArchiveStore { backend }),
-        }
+        let mut out = ArchiveStore {
+            ids: self.ids.clone(),
+            values: self.values.clone(),
+            arity: self.arity,
+            index_of: DetHashMap::default(),
+        };
+        out.index_columns();
+        out
     }
 
     /// Uniform sample of `n` *distinct* rows (fewer if the table is
@@ -760,20 +417,11 @@ impl ArchiveStore {
         out
     }
 
-    /// Hands the given slots to `f`, in the given order, as borrowed views:
-    /// straight from the value buffer in memory, through one scratch
-    /// buffer on file-backed stores.
+    /// Hands the given slots to `f`, in the given order, as borrowed views
+    /// straight from the value buffer.
     fn visit(&self, slots: impl Iterator<Item = usize>, mut f: impl FnMut(RowRef<'_>)) {
-        match self.backend.columns() {
-            Some(c) => slots.for_each(|slot| f(c.row_ref(slot))),
-            None => {
-                let mut buf = Vec::with_capacity(self.backend.arity());
-                for slot in slots {
-                    let id = self.backend.read_slot(slot, &mut buf);
-                    f(RowRef::new(id, &buf));
-                }
-            }
-        }
+        let columns = self.columns();
+        slots.for_each(|slot| f(columns.row_ref(slot)));
     }
 }
 
@@ -793,10 +441,10 @@ mod tests {
         assert!(!a.insert(row(1)).unwrap(), "duplicate id rejected");
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(1).unwrap().values[1], 2.0);
-        let deleted = a.delete(1).unwrap().unwrap();
+        let deleted = a.delete(1).unwrap();
         assert_eq!(deleted.id, 1);
         assert_eq!(deleted.values, vec![1.0, 2.0]);
-        assert!(a.delete(1).unwrap().is_none());
+        assert!(a.delete(1).is_none());
         assert!(!a.contains(1));
         assert!(a.contains(2));
         assert_eq!(a.len(), 1);
@@ -831,9 +479,9 @@ mod tests {
                 a.insert(row(id)).unwrap();
             } else if let Some(at) = model.iter().position(|r| r.id == id) {
                 model.swap_remove(at);
-                assert_eq!(a.delete(id).unwrap().unwrap().id, id);
+                assert_eq!(a.delete(id).unwrap().id, id);
             } else {
-                assert!(a.delete(id).unwrap().is_none());
+                assert!(a.delete(id).is_none());
             }
         }
         let stored: Vec<Row> = a.to_rows();
@@ -899,8 +547,7 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, 20);
-        let refs = a.iter_refs().expect("in-memory backend is dense");
-        assert_eq!(refs.count(), 20);
+        assert_eq!(a.iter_refs().count(), 20);
         assert_eq!(a.iter_rows().count(), 20);
         assert_eq!(a.with_row(5, |r| r.value(1)), Some(10.0));
         assert_eq!(a.with_row(999, |r| r.value(1)), None);
@@ -915,6 +562,36 @@ mod tests {
         assert_eq!(a.to_rows(), b.to_rows());
         assert_eq!(a.sample_distinct(8, 5), b.sample_distinct(8, 5));
         assert_eq!(a.shuffled(5), b.shuffled(5));
-        assert_eq!(b.backend_name(), "memory-columnar");
+    }
+
+    #[test]
+    fn shuffled_prefix_is_the_head_of_the_full_shuffle() {
+        let mut a = ArchiveStore::from_rows((0..120).map(row));
+        for id in [5u64, 77, 119, 0] {
+            a.delete(id).unwrap();
+        }
+        let len = a.len();
+        let full = a.shuffled(41);
+        for n in [0, 1, len / 10, len, len + 5] {
+            assert_eq!(a.shuffled_prefix(41, n), full[..n.min(len)], "prefix {n}");
+        }
+        assert!(ArchiveStore::new().shuffled_prefix(41, 3).is_empty());
+    }
+
+    #[test]
+    fn arity_stays_locked_after_emptying() {
+        let mut a = ArchiveStore::new();
+        assert!(a.insert(Row::new(1, vec![1.0, 2.0])).unwrap());
+        assert!(a.delete(1).is_some());
+        let refit = a.insert(Row::new(2, vec![1.0, 2.0, 3.0]));
+        assert!(
+            matches!(refit, Err(JanusError::InvalidConfig(_))),
+            "arity must stay locked after emptying"
+        );
+        assert!(!a.contains(2), "a rejected row is not stored");
+        assert!(
+            a.insert(Row::new(3, vec![4.0, 5.0])).unwrap(),
+            "same arity ok"
+        );
     }
 }

@@ -15,11 +15,7 @@
 //!   their owners truncate below what every consumer has applied.
 //! * [`archive`] — the cold/archival store of §2.1: holds the full current
 //!   table state, accessible offline for initialization, re-sampling, and
-//!   catch-up, but never consulted at query time. Columnar in memory by
-//!   default, with a pluggable [`archive::ArchiveBackend`] trait.
-//! * [`spill`] — the segmented file-backed archive backend: sealed
-//!   tmp+rename segments on disk plus an in-memory slot index, for tables
-//!   larger than RAM.
+//!   catch-up, but never consulted at query time. Columnar, in memory.
 //! * [`samplers`] — the singleton and sequential stream samplers of
 //!   Appendix A, with a configurable poll cost model so Table 4's
 //!   poll-size trade-off reproduces in simulation.
@@ -35,14 +31,10 @@ pub mod archive;
 pub mod checkpoint;
 pub mod loadlog;
 pub mod samplers;
-pub mod spill;
 pub mod streamlog;
 
-pub use archive::{
-    ArchiveBackend, ArchiveBackendKind, ArchiveColumns, ArchiveStore, ColumnarArchive,
-};
+pub use archive::{ArchiveColumns, ArchiveStore};
 pub use checkpoint::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 pub use loadlog::{FileLoadProgress, LoadProgress};
 pub use samplers::{PollCostModel, SampleRun, SequentialSampler, SingletonSampler};
-pub use spill::{SegmentedFileArchive, SpillStats};
 pub use streamlog::{QueryResponse, Request, RequestLog, ShardedLog, TopicLog, BLOCK_RECORDS};

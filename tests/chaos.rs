@@ -12,9 +12,9 @@
 //!   runs with one seed agree with each other *and* with the twin.
 //! * **Every fault class converges or surfaces a typed error.** Stalls
 //!   and transient drops are retried into convergence; corruption is
-//!   CRC-rejected (connection drop + resend on the wire, quarantine on
-//!   disk); exhausted retries and lost shards fail loudly as
-//!   `JanusError`, never as a silent wrong answer.
+//!   CRC-rejected (connection drop + resend on the wire, a typed
+//!   storage error at rest); exhausted retries and lost shards fail
+//!   loudly as `JanusError`, never as a silent wrong answer.
 //!
 //! The fault registry is process-global, so every test here serializes
 //! behind one mutex and resets the registry on scope exit (drop guard —
@@ -22,6 +22,7 @@
 
 use janus::common::faults::{self, FaultKind, FaultPlan, TriggerMode};
 use janus::common::JanusError;
+use janus::data::partitioned::write_chunk;
 use janus::net::wire::{decode_payload, encode_frame, Frame, FrameDecoder, QueryOutcome};
 use janus::net::{local_fleet, RetryPolicy};
 use janus::prelude::*;
@@ -416,7 +417,7 @@ fn fault_free_runs_pay_nothing_and_retry_nothing() {
     let _g = lock();
     let _plan = PlanGuard::none();
     assert!(!faults::active());
-    assert!(faults::hit("spill.seal").is_none());
+    assert!(faults::hit("checkpoint.write").is_none());
     assert_eq!(faults::fired_total(), 0);
 
     let fleet = local_fleet(2).expect("start fleet");
@@ -730,78 +731,6 @@ fn checkpoint_write_and_rename_faults_are_typed_and_torn_writes_invisible() {
 }
 
 #[test]
-fn seal_faults_are_typed_and_the_tail_survives_for_retry() {
-    let _g = lock();
-    let dir = tdir("seal");
-    let mut archive = SegmentedFileArchive::open(&dir, 8).expect("open");
-    for id in 0..5u64 {
-        archive.insert(id, &[id as f64, 1.0]).expect("insert");
-    }
-    {
-        let _plan = PlanGuard::install(FaultPlan::new(2).rule(
-            "spill.seal",
-            TriggerMode::Nth(1),
-            FaultKind::Error,
-        ));
-        match archive.flush() {
-            Err(JanusError::Storage(msg)) => {
-                assert!(msg.contains("injected"), "unexpected message: {msg}")
-            }
-            other => panic!("seal fault must be a typed storage error, got {other:?}"),
-        }
-    }
-    // The fault fired before any bytes moved: the tail is intact and a
-    // retry seals it cleanly.
-    assert_eq!(archive.tail_len(), 5);
-    archive.flush().expect("retry seal");
-    assert_eq!(archive.tail_len(), 0);
-    drop(archive);
-    let reopened = SegmentedFileArchive::open(&dir, 8).expect("reopen");
-    assert_eq!(
-        reopened.len(),
-        5,
-        "all rows survive the failed-then-retried seal"
-    );
-    drop(reopened);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn injected_segment_corruption_is_quarantined_at_open() {
-    let _g = lock();
-    let dir = tdir("corrupt-seg");
-    {
-        let _plan = PlanGuard::install(FaultPlan::new(3).rule(
-            "spill.segment.bytes",
-            TriggerMode::Nth(1),
-            FaultKind::CorruptBit,
-        ));
-        let mut archive = SegmentedFileArchive::open(&dir, 8).expect("open");
-        for id in 0..8u64 {
-            archive.insert(id, &[id as f64, 2.0]).expect("insert");
-        }
-        // Seals the (corrupted-after-CRC) first segment.
-        archive.flush().expect("seal");
-        assert_eq!(faults::fired("spill.segment.bytes"), 1);
-    }
-    match SegmentedFileArchive::open(&dir, 8) {
-        Err(JanusError::Storage(msg)) => {
-            assert!(
-                msg.contains("quarantined") && msg.contains("re-fetch"),
-                "quarantine error must direct the operator to a replica: {msg}"
-            );
-        }
-        Ok(_) => panic!("corrupt segment must fail the open"),
-        Err(other) => panic!("expected a storage error, got {other:?}"),
-    }
-    assert!(
-        dir.join("seg-000000.bin.quarantine").exists(),
-        "corrupt segment must be renamed aside for forensics"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn bulk_load_journal_faults_fail_the_load_typed() {
     let _g = lock();
     let data_dir = tdir("load-data");
@@ -849,40 +778,32 @@ fn bulk_load_journal_faults_fail_the_load_typed() {
         .expect("healthy load");
     assert_eq!(report.rows_published, 400);
 
-    // A shard whose archive cannot seal a segment fails its apply
-    // mid-load: the drain beside the loader threads surfaces it as the
-    // load's typed error, and every thread the load started is gone.
-    let spill_dir = tdir("load-spill");
-    let mut spilling = config(31);
-    spilling.archive_backend = ArchiveBackendKind::FileSpill {
-        root: spill_dir.clone(),
-        seg_rows: 32,
-    };
+    // A chunk of another arity reaches the shards unchecked (publish does
+    // not look at row widths), and the archive of the first shard to
+    // apply one of its rows rejects it typed: the drain beside the loader
+    // threads surfaces that as the load's error, and every thread the
+    // load started is gone.
+    let wide: Vec<Row> = (400..432u64)
+        .map(|id| Row::new(id, vec![id as f64, 1.0, 2.0]))
+        .collect();
+    write_chunk(&data_dir.join("chunk-99999.jrc"), &wide).expect("write wide chunk");
     let cluster = ClusterEngine::bootstrap(
-        ClusterConfig::new(spilling, 2, ShardPolicy::HashById),
+        ClusterConfig::new(config(31), 2, ShardPolicy::HashById),
         seed_rows(500),
     )
     .expect("bootstrap");
     let threads_before = process_threads();
-    {
-        let _plan = PlanGuard::install(FaultPlan::new(5).rule(
-            "spill.seal",
-            TriggerMode::Permanent { after: 1 },
-            FaultKind::Error,
-        ));
-        let result = BulkLoader::new(&cluster, &data_dir)
-            .with_config(LoadConfig {
-                threads: 2,
-                batch_rows: 16,
-                ..LoadConfig::default()
-            })
-            .load();
-        assert!(
-            matches!(result, Err(JanusError::Storage(_))),
-            "a failing shard apply must fail the load with a typed error, got {result:?}"
-        );
-        assert!(faults::fired("spill.seal") > 0);
-    }
+    let result = BulkLoader::new(&cluster, &data_dir)
+        .with_config(LoadConfig {
+            threads: 2,
+            batch_rows: 16,
+            ..LoadConfig::default()
+        })
+        .load();
+    assert!(
+        matches!(result, Err(JanusError::InvalidConfig(_))),
+        "a failing shard apply must fail the load with a typed error, got {result:?}"
+    );
     // Joined threads leave the kernel's task list a moment after the join.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while process_threads() > threads_before && std::time::Instant::now() < deadline {
@@ -893,7 +814,6 @@ fn bulk_load_journal_faults_fail_the_load_typed() {
         "the failed load left a thread running"
     );
     drop(cluster);
-    let _ = std::fs::remove_dir_all(&spill_dir);
     let _ = std::fs::remove_dir_all(&data_dir);
     let _ = std::fs::remove_dir_all(&journal_dir);
 }
@@ -1026,66 +946,6 @@ fn length_prefix_bit_flips_never_misparse() {
             }
         }
     }
-}
-
-#[test]
-fn sealed_segment_and_manifest_bit_flips_always_fail_the_open() {
-    let _g = lock();
-    let _plan = PlanGuard::none();
-    // Build one pristine sealed directory to clone per trial.
-    let master = tdir("fuzz-master");
-    {
-        let mut archive = SegmentedFileArchive::open(&master, 8).expect("open");
-        for id in 0..16u64 {
-            archive
-                .insert(id, &[id as f64, (id % 3) as f64])
-                .expect("insert");
-        }
-        archive.flush().expect("seal");
-    }
-    let files: Vec<String> = std::fs::read_dir(&master)
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    assert!(files.iter().any(|f| f.starts_with("seg-")));
-    assert!(files.iter().any(|f| f == "MANIFEST"));
-
-    let trial_dir = tdir("fuzz-trial");
-    let mut rejected = 0u64;
-    for target in &files {
-        let pristine = std::fs::read(master.join(target)).expect("read pristine");
-        let bits = pristine.len() * 8;
-        let step = (bits / 256).max(1);
-        let mut entropy = 0x5EED_F1A6u64;
-        for trial in 0..bits.div_ceil(step) {
-            entropy = faults::mix64(entropy ^ trial as u64);
-            let bit = (entropy as usize) % bits;
-            // Fresh copy of the whole directory, one bit flipped.
-            let _ = std::fs::remove_dir_all(&trial_dir);
-            std::fs::create_dir_all(&trial_dir).unwrap();
-            for f in &files {
-                std::fs::copy(master.join(f), trial_dir.join(f)).expect("copy");
-            }
-            let mut bytes = pristine.clone();
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            std::fs::write(trial_dir.join(target), &bytes).expect("write corrupted");
-            match SegmentedFileArchive::open(&trial_dir, 8) {
-                Err(JanusError::Storage(msg)) => {
-                    rejected += 1;
-                    assert!(
-                        msg.contains("quarantined"),
-                        "{target} bit {bit}: corruption must quarantine, got: {msg}"
-                    );
-                }
-                Err(other) => panic!("{target} bit {bit}: expected a storage error, got {other:?}"),
-                Ok(_) => panic!("{target} bit {bit}: corruption mis-parsed as a clean open"),
-            }
-        }
-    }
-    assert!(rejected > 0, "the fuzz loop must actually run trials");
-    let _ = std::fs::remove_dir_all(&master);
-    let _ = std::fs::remove_dir_all(&trial_dir);
 }
 
 /// Flips every bit of stored file `id` in `store` one at a time and

@@ -6,13 +6,12 @@
 //! per-row `if matched { accumulate }` loop over NaN-free columns (see
 //! the module docs for the select-identity proof). Everything downstream
 //! — the `evaluate_exact` oracles, the segmented and pooled-parallel
-//! scans, the spill-store file path — leans on that contract, so it is
+//! scans — leans on that contract, so it is
 //! pinned here across random arities, predicates, aggregates, and row
 //! counts that land on every interesting `len % CHUNK` residue.
 
 use janus::common::kernels::{self, ScanPartial};
-use janus::common::{AggregateFunction, Query, RangePredicate, Row};
-use janus::storage::{ArchiveStore, SegmentedFileArchive};
+use janus::common::{AggregateFunction, Query, RangePredicate};
 use proptest::prelude::*;
 
 const CHUNK: usize = kernels::CHUNK;
@@ -121,53 +120,4 @@ proptest! {
             );
         }
     }
-}
-
-/// The spill store's per-row scan lands on the same bits as the dense
-/// kernel scan — the cross-backend half of the contract, checked through
-/// real files (and across a compaction).
-#[test]
-fn file_backend_scan_matches_kernel_scan() {
-    let dir = std::env::temp_dir().join("janus-kernel-equivalence");
-    let query = build_query(2, 1, 2, &[(100.0, 700.0), (-50.0, 40.0)]);
-
-    let mut mem = ArchiveStore::new();
-    let mut spill = SegmentedFileArchive::create_ephemeral(&dir, 32).expect("open spill store");
-    spill.set_auto_compaction(None, 0);
-    let mut file = ArchiveStore::with_backend(Box::new(spill));
-    for i in 0..777u64 {
-        let x = (i as f64 * 37.0) % 997.0;
-        let row = Row::new(i, vec![x, x * 0.5 - 100.0]);
-        mem.insert(row.clone()).expect("mem insert");
-        file.insert(row).expect("file insert");
-    }
-    for i in (0..777u64).step_by(3) {
-        mem.delete(i).unwrap();
-        file.delete(i).unwrap();
-    }
-
-    for agg in AGGS {
-        let q = Query::new(
-            agg,
-            query.agg_column,
-            query.predicate_columns.clone(),
-            query.range.clone(),
-        )
-        .unwrap();
-        assert_eq!(
-            mem.evaluate_exact(&q).map(f64::to_bits),
-            file.evaluate_exact(&q).map(f64::to_bits),
-            "{agg}"
-        );
-    }
-    assert_partial_bits_eq(
-        &mem.scan_partial(&query),
-        &file.scan_partial(&query),
-        "dense kernels vs spill per-row",
-    );
-
-    // Compaction rewrites the files but must not move a single bit.
-    let before = file.scan_partial(&query);
-    assert!(file.compact().unwrap(), "deletions left records to drop");
-    assert_partial_bits_eq(&before, &file.scan_partial(&query), "across compaction");
 }

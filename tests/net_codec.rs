@@ -13,7 +13,6 @@ use janus::net::wire::{
     decode_payload, encode_frame, read_frame, Frame, FrameDecoder, QueryOutcome, MAX_FRAME_LEN,
 };
 use janus::prelude::ShardOp;
-use janus::storage::ArchiveBackendKind;
 use proptest::prelude::*;
 
 const AGGS: [AggregateFunction; 5] = [
@@ -85,9 +84,8 @@ fn arb_config() -> impl Strategy<Value = SynopsisConfig> {
         0u64..1_000_000,
         2usize..512,
         (0.001f64..0.5, 0.0f64..1.0),
-        any::<bool>(),
     )
-        .prop_map(|(agg, seed, leaves, (rate, ratio), spill)| {
+        .prop_map(|(agg, seed, leaves, (rate, ratio))| {
             let template = QueryTemplate::new(AGGS[agg], 1, vec![0]);
             let mut c = SynopsisConfig::paper_default(template, seed);
             c.leaf_count = leaves;
@@ -95,12 +93,6 @@ fn arb_config() -> impl Strategy<Value = SynopsisConfig> {
             c.catchup_ratio = ratio;
             c.auto_repartition = seed % 2 == 0;
             c.minmax_k = (seed % 64) as usize + 1;
-            if spill {
-                c.archive_backend = ArchiveBackendKind::FileSpill {
-                    root: std::path::PathBuf::from(format!("/tmp/janus-spill-{seed}")),
-                    seg_rows: leaves * 8,
-                };
-            }
             c
         })
 }
