@@ -49,8 +49,7 @@ impl PassSynopsis {
         )?;
         // Exact statistics from a full scan — the SPT construction, via
         // the chunked columnar installer.
-        let c = archive.columns();
-        dpt.install_exact_base_columns(c.values, c.arity);
+        dpt.install_exact_base_columns(archive.blocks());
         let mut samples = DetHashMap::default();
         for row in sample_rows {
             let point = row.project(&template.predicate_columns);

@@ -1270,23 +1270,6 @@ impl ClusterEngine<ShardSet> {
     // Ingest: pump
     // ------------------------------------------------------------------
 
-    /// Reserves room for about `rows` more inserts, split evenly over the
-    /// shards: `rows.div_ceil(shards)` rows in every shard archive,
-    /// primaries and followers alike. A bulk producer that knows its
-    /// volume calls this once, so the archives (grown by the pump) are
-    /// not doubled step by step. Topics need no reserve: they grow by
-    /// fixed-size blocks and never copy. Capacity only: no state a query
-    /// or a checkpoint sees changes.
-    pub fn reserve(&self, rows: usize) {
-        let per_shard = rows.div_ceil(self.shards());
-        for (shard, host) in self.set.shards.iter().enumerate() {
-            host.write().reserve(per_shard);
-            for follower in self.set.replicas[shard].read().iter() {
-                follower.write().reserve(per_shard);
-            }
-        }
-    }
-
     /// Drains up to `max` records of `shard`'s topic into its engine, in
     /// offset order; returns the number applied. This is the granularity a
     /// background pump worker owns: it write-locks only its shard once per
@@ -1379,8 +1362,7 @@ impl ClusterEngine<ShardSet> {
     pub fn evaluate_exact(&self, query: &Query) -> Option<f64> {
         let guards: Vec<_> = self.set.shards.iter().map(ShardHost::read).collect();
         let mut acc = query.exact_accumulator();
-        for g in &guards {
-            let c = g.archive().columns();
+        for c in guards.iter().flat_map(|g| g.archive().blocks()) {
             acc.offer_columns(c.values, c.arity);
         }
         acc.finish()

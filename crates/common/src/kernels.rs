@@ -1,9 +1,10 @@
 //! Chunked, branch-light scan kernels over the arity-strided columnar
 //! value buffer.
 //!
-//! The columnar archive stores every row's values contiguously in one
-//! dense `f64` buffer (`values[slot * arity + column]`). The kernels in
-//! this module process that buffer [`CHUNK`] rows at a time: predicate
+//! The columnar archive stores its rows' values contiguously in dense
+//! `f64` buffers, one per fixed-size block (`values[slot * arity +
+//! column]` within a block). The kernels in this module process such a
+//! buffer [`CHUNK`] rows at a time: predicate
 //! masks are computed for the whole chunk with non-short-circuiting `&`
 //! conjunctions, and the aggregate lanes are folded into a
 //! [`ScanPartial`] with branch-free *selects* instead of `if matched`

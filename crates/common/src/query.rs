@@ -196,8 +196,8 @@ impl ExactAccumulator<'_> {
         }
     }
 
-    /// Offers a dense arity-strided block of rows (the columnar archive's
-    /// value buffer) through the chunked kernels, continuing the same
+    /// Offers a dense arity-strided block of rows (one columnar archive
+    /// block's values) through the chunked kernels, continuing the same
     /// serial accumulation: bit-identical to calling [`offer`] on each
     /// row slice in order, including across multiple blocks.
     ///

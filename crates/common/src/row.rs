@@ -69,7 +69,7 @@ impl Row {
 /// A borrowed, zero-copy view of a tuple: the id plus a value slice.
 ///
 /// This is the currency of columnar storage ([`janus-storage`]'s archive
-/// hands out `RowRef`s over its value buffer) and of every scan
+/// hands out `RowRef`s over its value buffers) and of every scan
 /// API that must not allocate one `Vec` per row. Materialize with
 /// [`RowRef::to_row`] only at ownership boundaries (queues, checkpoints).
 ///

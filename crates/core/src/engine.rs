@@ -164,12 +164,6 @@ impl JanusEngine {
         &self.pool.archive
     }
 
-    /// Reserves archive room for at least `additional` more rows — the
-    /// capacity hint of a caller that knows an insert volume is coming.
-    pub fn reserve(&mut self, additional: usize) {
-        self.pool.archive.reserve(additional);
-    }
-
     /// The pooled reservoir sample.
     pub fn reservoir(&self) -> &DynamicReservoir {
         &self.pool.reservoir

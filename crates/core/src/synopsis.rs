@@ -55,8 +55,7 @@ impl Synopsis {
         let catchup = match catchup_seed {
             Some(seed) => CatchupQueue::over_archive(archive, config.catchup_ratio, seed),
             None => {
-                let c = archive.columns();
-                dpt.install_exact_base_columns(c.values, c.arity);
+                dpt.install_exact_base_columns(archive.blocks());
                 CatchupQueue::completed()
             }
         };

@@ -21,6 +21,7 @@ use janus_common::{
     Estimate, JanusError, Moments, Query, QueryTemplate, Rect, Result, Row, RowId, RowRef,
 };
 use janus_index::topk::MinMaxTracker;
+use janus_storage::ArchiveColumns;
 use std::collections::{BTreeSet, HashMap};
 
 /// Read-only access to the pooled sample rows, keyed by row id.
@@ -344,50 +345,60 @@ impl Dpt {
         }
     }
 
-    /// Columnar twin of [`Dpt::install_exact_base`]: scans a dense
-    /// arity-strided value buffer in slot order, gathering the predicate
-    /// projection and aggregate lane of [`janus_common::kernels::CHUNK`]
-    /// rows at a time before the per-row tree descent.
+    /// Columnar twin of [`Dpt::install_exact_base`]: scans dense
+    /// arity-strided column views (an archive's [`ArchiveStore::blocks`])
+    /// in order, gathering the predicate projection and aggregate lane of
+    /// [`janus_common::kernels::CHUNK`] rows at a time before the per-row
+    /// tree descent.
     ///
     /// Bit-identical to the row-driven path: both visit rows in the same
     /// order and feed every node accumulator the same `f64` sequence, so
-    /// a synopsis bootstrapped from a dense column view answers (and
-    /// checkpoints) bit-for-bit like one bootstrapped from its rows.
-    pub fn install_exact_base_columns(&mut self, values: &[f64], arity: usize) {
+    /// a synopsis bootstrapped from column views answers (and
+    /// checkpoints) bit-for-bit like one bootstrapped from its rows,
+    /// however the rows are split into views.
+    ///
+    /// [`ArchiveStore::blocks`]: janus_storage::ArchiveStore::blocks
+    pub fn install_exact_base_columns<'a>(
+        &mut self,
+        views: impl IntoIterator<Item = ArchiveColumns<'a>>,
+    ) {
         use janus_common::kernels::CHUNK;
         self.reset_exact_base();
         let dims = self.template.predicate_columns.len();
-        if arity > 0 {
+        let nodes = &mut self.nodes[..];
+        let root = self.root;
+        let cols = &self.template.predicate_columns;
+        let agg_col = self.template.agg_column;
+        let mut points = vec![0.0f64; CHUNK * dims];
+        let mut aggs = [0.0f64; CHUNK];
+        for ArchiveColumns { values, arity, .. } in views {
+            if arity == 0 {
+                continue;
+            }
             debug_assert_eq!(values.len() % arity, 0);
-            let nodes = &mut self.nodes[..];
-            let root = self.root;
-            let cols = &self.template.predicate_columns;
-            let agg_col = self.template.agg_column;
-            let mut points = vec![0.0f64; CHUNK * dims];
-            let mut aggs = [0.0f64; CHUNK];
-            let mut blocks = values.chunks_exact(CHUNK * arity);
-            for block in blocks.by_ref() {
+            let mut chunks = values.chunks_exact(CHUNK * arity);
+            for chunk in chunks.by_ref() {
                 // Gather column-by-column so each predicate column strides
-                // uniformly through the block (the autovectorizable shape).
+                // uniformly through the chunk (the autovectorizable shape).
                 for (d, &c) in cols.iter().enumerate() {
                     for lane in 0..CHUNK {
-                        points[lane * dims + d] = block[lane * arity + c];
+                        points[lane * dims + d] = chunk[lane * arity + c];
                     }
                 }
                 for (lane, a) in aggs.iter_mut().enumerate() {
-                    *a = block[lane * arity + agg_col];
+                    *a = chunk[lane * arity + agg_col];
                 }
                 for lane in 0..CHUNK {
                     let point = &points[lane * dims..(lane + 1) * dims];
                     Self::descend_add(nodes, root, point, aggs[lane]);
                 }
             }
-            let mut point = vec![0.0f64; dims];
-            for row in blocks.remainder().chunks_exact(arity) {
+            let point = &mut points[..dims];
+            for row in chunks.remainder().chunks_exact(arity) {
                 for (d, &c) in cols.iter().enumerate() {
                     point[d] = row[c];
                 }
-                Self::descend_add(nodes, root, &point, row[agg_col]);
+                Self::descend_add(nodes, root, point, row[agg_col]);
             }
         }
     }

@@ -37,19 +37,11 @@
 //! order: the drained state is the same bits. A failing apply fails the
 //! load with its typed error once the loader threads have finished.
 //!
-//! **Capacity reserved from the headers.** Before any thread starts, the
-//! loader reads every chunk header once (the threads are handed them,
-//! so a thread opens each file it reads once), sums their row counts and
-//! calls [`ClusterEngine::reserve`]: every shard archive grows once, to
-//! its even share. (Topics need no reserve: they grow by fixed-size
-//! blocks, and the drain truncates the blocks it has applied.) Without
-//! it the drain grows the archives by doubling while the publisher
-//! allocates topic blocks, each thread in its own malloc arena, and the
-//! arenas keep the freed halves: on a 2-vCPU x86-64 VM, `peak_rss_mb` on
-//! the benchmark's `cluster_scatter` rose 302 → 322–333 MB with the
-//! overlap alone (304 with the reserve), while a fixed mmap threshold
-//! (`MALLOC_MMAP_THRESHOLD_=131072`) read 275–283 MB with or without
-//! it — allocator retention, not live data.
+//! **One header pass.** Before any thread starts, the loader reads every
+//! chunk header once and hands the headers to the threads, so a thread
+//! opens only the files its claims need, and each of those once. Nothing
+//! is sized ahead from the row counts: shard archives and topics both
+//! grow by fixed-size blocks that an append never copies.
 //!
 //! ## Exactly-once resume
 //!
@@ -255,8 +247,8 @@ impl<'a> BulkLoader<'a> {
                 "bulk load needs batch_rows and threads both > 0".into(),
             ));
         }
-        // The one header pass: it sizes the reserve, and the threads
-        // take their file-skip decisions from it.
+        // The one header pass: the threads take their file-skip
+        // decisions from it.
         let chunks = list_chunks(&self.dir)?
             .into_iter()
             .map(|path| Ok((read_chunk_header(&path)?, path)))
@@ -305,8 +297,6 @@ impl<'a> BulkLoader<'a> {
             }),
         };
 
-        self.cluster
-            .reserve(chunks.iter().map(|(header, _)| header.rows).sum());
         let (outcomes, drained) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..plan.threads)
                 .map(|tid| {

@@ -9,10 +9,15 @@
 //!
 //! ## Representation
 //!
-//! A struct-of-arrays layout: one arity-strided `Vec<f64>` value buffer,
-//! one `Vec<RowId>` id column, and the id→slot map. Scans hand out
-//! zero-copy [`RowRef`] views over the value buffer instead of cloning a
-//! heap `Vec` per row.
+//! A struct-of-arrays layout in fixed-size blocks: each block holds
+//! [`ARCHIVE_BLOCK_ROWS`] slots, as one id column and one arity-strided
+//! value buffer, both allocated once at full capacity; plus the id→slot
+//! map. Slot `s` lives in block `s / ARCHIVE_BLOCK_ROWS` at offset
+//! `s % ARCHIVE_BLOCK_ROWS`. An insert allocates at most one block and
+//! never copies a row already stored. Scans hand out zero-copy
+//! [`RowRef`] views, and the chunked kernels run once per block
+//! ([`ArchiveStore::blocks`]): they fold rows serially in slot order, so
+//! a per-block scan is the bits of one scan over a single buffer.
 //!
 //! Rows live in *slots* `0..len`, managed with `swap_remove` semantics:
 //! an insert appends a slot, a delete moves the last slot into the hole.
@@ -21,24 +26,20 @@
 //! ([`ArchiveStore::sample_distinct`],
 //! [`ArchiveStore::sample_with_replacement`], [`ArchiveStore::shuffled`],
 //! [`ArchiveStore::shuffled_prefix`]) bit-identical to the seed's
-//! `Vec<Row>` representation.
+//! `Vec<Row>` representation. A block a delete empties stays as the one
+//! spare, so an insert/delete pair at a block boundary neither allocates
+//! nor frees; a second empty block is freed at once.
 //!
 //! **Bulk builds.** Every archive built from a whole table at once —
 //! engine bootstrap and restore, each cluster shard's, each `janus-node`
 //! shard's — goes through [`ArchiveStore::try_from_rows`], which builds in
-//! two passes instead of inserting row by row: pass 1 moves the rows into
-//! the id and value columns, pass 2 indexes the id column into a map sized
-//! once for it. The result is the per-row build's, slot for slot and error
-//! for error: a repeated id keeps its first slot (pass 2 closes the later
-//! one's gap in place), and a row of another arity ends the bulk pass, so
-//! it and every later row go through `insert`, which ignores it if its id
-//! is live and rejects it otherwise.
-//!
-//! Only the index is pre-sized, never the columns: they grow by doubling
-//! exactly as under inserts. Sizing them to the row count lowers
-//! `peak_rss_mb` where the archive is all there is, but where a bulk load
-//! follows (`ClusterEngine::reserve`) the exact-size columns are grown
-//! again at once, and the process peaks higher than with doubled ones.
+//! two passes instead of inserting row by row: pass 1 fills the blocks'
+//! columns a block at a time, pass 2 indexes each block's id column into
+//! a map sized once for all of them. The result is the per-row build's,
+//! slot for slot and error for error: a repeated id keeps its first slot
+//! (pass 2 closes the later one's gap in place), and a row of another
+//! arity ends the bulk pass, so it and every later row go through
+//! `insert`, which ignores it if its id is live and rejects it otherwise.
 //!
 //! [`Row`] stays the API boundary type: anything that crosses an ownership
 //! boundary (checkpoints, sampling results) materializes, while scans
@@ -51,8 +52,8 @@ use rand::seq::SliceRandom;
 use rand::{seq::index::sample as index_sample, Rng, SeedableRng};
 use std::collections::hash_map::Entry;
 
-/// A dense, zero-copy view of rows stored as columns — an archive's
-/// storage, or a span of a catch-up queue: the id column plus the
+/// A dense, zero-copy view of rows stored as columns — one archive
+/// block, or a span of a catch-up queue: the id column plus the
 /// arity-strided value buffer. Slot `i`'s values are
 /// `values[i*arity..(i+1)*arity]`.
 #[derive(Clone, Copy)]
@@ -101,13 +102,50 @@ impl<'a> ArchiveColumns<'a> {
     }
 }
 
+/// Slots per archive block: the unit an archive allocates and frees. A
+/// block's id column and value buffer are each allocated once at this
+/// capacity, so an insert never copies a stored row.
+pub const ARCHIVE_BLOCK_ROWS: usize = 1 << BLOCK_SHIFT;
+const BLOCK_SHIFT: u32 = 14;
+const BLOCK_MASK: usize = ARCHIVE_BLOCK_ROWS - 1;
+
+/// The block holding a slot, and the slot's offset within it.
+#[inline]
+fn locate(slot: usize) -> (usize, usize) {
+    (slot >> BLOCK_SHIFT, slot & BLOCK_MASK)
+}
+
+/// [`ARCHIVE_BLOCK_ROWS`] slots' columns; every block before the one
+/// holding the last slot is full.
+struct Block {
+    ids: Vec<RowId>,
+    /// Arity-strided; offset `i` owns `values[i*arity..(i+1)*arity]`.
+    values: Vec<f64>,
+}
+
+impl Block {
+    fn new(arity: usize) -> Self {
+        Block {
+            ids: Vec::with_capacity(ARCHIVE_BLOCK_ROWS),
+            values: Vec::with_capacity(ARCHIVE_BLOCK_ROWS * arity),
+        }
+    }
+
+    fn columns(&self, arity: usize) -> ArchiveColumns<'_> {
+        ArchiveColumns {
+            ids: &self.ids,
+            values: &self.values,
+            arity,
+        }
+    }
+}
+
 /// Full-table cold storage with O(1) insert/delete and uniform sampling.
 #[derive(Default)]
 pub struct ArchiveStore {
-    ids: Vec<RowId>,
-    /// Arity-strided value buffer; slot `i` owns
-    /// `values[i*arity..(i+1)*arity]`.
-    values: Vec<f64>,
+    /// The blocks holding slots `0..len`, then at most one empty spare.
+    blocks: Vec<Block>,
+    len: usize,
     /// Fixed by the first insert for the store's lifetime, even across
     /// emptiness.
     arity: Option<usize>,
@@ -146,7 +184,7 @@ impl ArchiveStore {
     /// — slots, index, arity, error — of inserting them one at a time in
     /// order (see the module doc's "Representation").
     ///
-    /// Pass 1 moves rows into the columns while they keep the first row's
+    /// Pass 1 fills the blocks' columns while rows keep the first row's
     /// arity; pass 2 indexes them into a map sized once. A row of another
     /// arity ends pass 1: it and every row after it go through
     /// [`ArchiveStore::insert`], which ignores it if its id is already
@@ -160,8 +198,7 @@ impl ArchiveStore {
                 odd = Some(row);
                 break;
             }
-            out.ids.push(row.id);
-            out.values.extend_from_slice(&row.values);
+            out.push(row.id, &row.values);
         }
         out.index_columns();
         for row in odd.into_iter().chain(rows) {
@@ -170,35 +207,75 @@ impl ArchiveStore {
         Ok(out)
     }
 
-    /// Pass 2 of a bulk build: indexes the id column into a map sized once
-    /// for it. A repeated id keeps its first slot and its later one is
-    /// dropped, closing the gap in place — what per-row `insert` does
-    /// when it returns `Ok(false)`.
+    /// Pass 2 of a bulk build: indexes every block's ids into a map sized
+    /// once for all of them. A repeated id keeps its first slot and its
+    /// later one is dropped, closing the gap in place — what per-row
+    /// `insert` does when it returns `Ok(false)`.
     fn index_columns(&mut self) {
-        let arity = self.arity();
-        let mut index_of = DetHashMap::with_capacity_and_hasher(self.ids.len(), Default::default());
+        let mut index_of = DetHashMap::with_capacity_and_hasher(self.len, Default::default());
         let mut kept = 0;
-        for slot in 0..self.ids.len() {
-            let id = self.ids[slot];
+        for slot in 0..self.len {
+            let (block, at) = locate(slot);
+            let id = self.blocks[block].ids[at];
             let Entry::Vacant(entry) = index_of.entry(id) else {
                 continue;
             };
             entry.insert(kept);
             if kept < slot {
-                self.ids[kept] = id;
-                self.values
-                    .copy_within(slot * arity..(slot + 1) * arity, kept * arity);
+                self.copy_slot(slot, kept);
             }
             kept += 1;
         }
-        self.ids.truncate(kept);
-        self.values.truncate(kept * arity);
+        self.truncate(kept);
         self.index_of = index_of;
+    }
+
+    /// Drops the slots from `len` on. Of the blocks that leaves empty, the
+    /// first stays as the spare and the rest are freed.
+    fn truncate(&mut self, len: usize) {
+        let arity = self.arity();
+        self.blocks.truncate(len.div_ceil(ARCHIVE_BLOCK_ROWS) + 1);
+        for (b, block) in self.blocks.iter_mut().enumerate().skip(len >> BLOCK_SHIFT) {
+            let keep = len.saturating_sub(b << BLOCK_SHIFT);
+            block.ids.truncate(keep);
+            block.values.truncate(keep * arity);
+        }
+        self.len = len;
+    }
+
+    /// Appends a slot, allocating its block if it starts one (or taking
+    /// the spare).
+    fn push(&mut self, id: RowId, values: &[f64]) {
+        let (block, _) = locate(self.len);
+        if block == self.blocks.len() {
+            self.blocks.push(Block::new(self.arity()));
+        }
+        let block = &mut self.blocks[block];
+        block.ids.push(id);
+        block.values.extend_from_slice(values);
+        self.len += 1;
+    }
+
+    /// Overwrites slot `to` with slot `from`'s id and values (`to < from`),
+    /// returning the id.
+    fn copy_slot(&mut self, from: usize, to: usize) -> RowId {
+        let arity = self.arity();
+        let ((fb, fi), (tb, ti)) = (locate(from), locate(to));
+        let id = self.blocks[fb].ids[fi];
+        self.blocks[tb].ids[ti] = id;
+        let (src, dst) = (fi * arity..(fi + 1) * arity, ti * arity);
+        if fb == tb {
+            self.blocks[fb].values.copy_within(src, dst);
+        } else {
+            let (head, tail) = self.blocks.split_at_mut(fb);
+            head[tb].values[dst..dst + arity].copy_from_slice(&tail[0].values[src]);
+        }
+        id
     }
 
     /// Current table size `|D|`.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// Values per row (0 until the first insert fixes it).
@@ -209,7 +286,7 @@ impl ArchiveStore {
 
     /// True when the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// Inserts a row. Returns `Ok(false)` (and ignores the row) if the id
@@ -226,42 +303,37 @@ impl ArchiveStore {
             return Ok(false);
         };
         check_arity(&mut self.arity, id, values)?;
-        slot.insert(self.ids.len());
-        self.ids.push(id);
-        self.values.extend_from_slice(values);
+        slot.insert(self.len);
+        self.push(id, values);
         Ok(true)
     }
 
-    /// Reserves room for at least `additional` more rows. Until the first
-    /// insert fixes the arity the value buffer's share is unknown, so only
-    /// the id column and the index grow.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ids.reserve(additional);
-        self.values.reserve(additional * self.arity());
-        self.index_of.reserve(additional);
-    }
-
     /// Deletes a row by id with `swap_remove` slot semantics, returning
-    /// it if it was live.
+    /// it if it was live. A block the delete empties becomes the spare;
+    /// an older spare is freed.
     pub fn delete(&mut self, id: RowId) -> Option<Row> {
         let at = self.index_of.remove(&id)?;
-        let row = Row::new(id, self.columns().slot_values(at).to_vec());
-        let last = self.ids.len() - 1;
-        let arity = self.arity();
-        self.ids.swap_remove(at);
-        if arity > 0 {
-            // Move the last stride into the hole, then truncate — the
-            // value-buffer mirror of `Vec::swap_remove`.
-            let (head, tail) = self.values.split_at_mut(last * arity);
-            if at < last {
-                head[at * arity..(at + 1) * arity].copy_from_slice(&tail[..arity]);
-            }
-            self.values.truncate(last * arity);
+        let row = Row::new(id, self.row_ref(at).values.to_vec());
+        let last = self.len - 1;
+        if at < last {
+            let moved = self.copy_slot(last, at);
+            self.index_of.insert(moved, at);
         }
-        if at < self.ids.len() {
-            self.index_of.insert(self.ids[at], at);
-        }
+        self.truncate(last);
         Some(row)
+    }
+
+    /// Heap bytes the archive holds, from capacities: every block's id
+    /// and value columns (the spare included) plus the index's entry
+    /// capacity. Hash-table control bytes and allocator overhead are not
+    /// counted.
+    pub fn resident_bytes(&self) -> usize {
+        let blocks: usize = self
+            .blocks
+            .iter()
+            .map(|b| b.ids.capacity() * size_of::<RowId>() + b.values.capacity() * size_of::<f64>())
+            .sum();
+        blocks + self.index_of.capacity() * size_of::<(RowId, usize)>()
     }
 
     /// Materializes a row by id (one allocation; use
@@ -273,7 +345,7 @@ impl ArchiveStore {
     /// Runs `f` over the borrowed view of the row with this id.
     pub fn with_row<T>(&self, id: RowId, f: impl FnOnce(RowRef<'_>) -> T) -> Option<T> {
         let slot = self.slot_of(id)?;
-        Some(f(self.columns().row_ref(slot)))
+        Some(f(self.row_ref(slot)))
     }
 
     /// True if the id is live.
@@ -286,29 +358,36 @@ impl ArchiveStore {
         self.index_of.get(&id).copied()
     }
 
+    /// The borrowed view of one live slot.
+    fn row_ref(&self, slot: usize) -> RowRef<'_> {
+        let (block, at) = locate(slot);
+        self.blocks[block].columns(self.arity()).row_ref(at)
+    }
+
     /// Scans all live rows in slot order, handing each to `f` as a
     /// borrowed view — the allocation-free full-table scan every offline
     /// phase (exact evaluation, rebalance rebuilds, snapshot export)
     /// drives.
     pub fn for_each_row(&self, f: impl FnMut(RowRef<'_>)) {
-        self.columns().rows().for_each(f);
+        self.iter_refs().for_each(f);
     }
 
-    /// The dense column view of every slot.
-    pub fn columns(&self) -> ArchiveColumns<'_> {
-        ArchiveColumns {
-            ids: &self.ids,
-            values: &self.values,
-            arity: self.arity(),
-        }
+    /// The dense column view of every block holding rows, in slot order:
+    /// what the chunked kernels scan, once per block.
+    pub fn blocks(&self) -> impl Iterator<Item = ArchiveColumns<'_>> {
+        let arity = self.arity();
+        let used = self.len.div_ceil(ARCHIVE_BLOCK_ROWS);
+        self.blocks[..used].iter().map(move |b| b.columns(arity))
     }
 
     /// Exact scan of the whole table into a mergeable partial, via the
-    /// chunked [`janus_common::kernels`] — bit-identical to the per-row
-    /// path (see the kernels bit-identity contract).
+    /// chunked [`janus_common::kernels`] once per block — bit-identical to
+    /// the per-row path (see the kernels bit-identity contract).
     pub fn scan_partial(&self, query: &Query) -> ScanPartial {
         let mut acc = query.exact_accumulator();
-        acc.offer_columns(&self.values, self.arity());
+        for c in self.blocks() {
+            acc.offer_columns(c.values, c.arity);
+        }
         *acc.partial()
     }
 
@@ -321,7 +400,7 @@ impl ArchiveStore {
 
     /// Borrow-based slot-order iteration.
     pub fn iter_refs(&self) -> impl Iterator<Item = RowRef<'_>> {
-        self.columns().rows()
+        self.blocks().flat_map(|c| c.rows())
     }
 
     /// Iterates all live rows in slot order as owned [`Row`]s (one
@@ -337,12 +416,20 @@ impl ArchiveStore {
     }
 
     /// A working copy of this archive, slot order preserved exactly (so
-    /// the copy's sampling streams are bit-identical to the source's): two
-    /// buffer copies plus the index pass, no per-row allocation.
+    /// the copy's sampling streams are bit-identical to the source's): one
+    /// copy of each block holding rows plus the index pass, no per-row
+    /// allocation.
     pub fn fork(&self) -> ArchiveStore {
+        let arity = self.arity();
+        let blocks = self.blocks().map(|c| {
+            let mut block = Block::new(arity);
+            block.ids.extend_from_slice(c.ids);
+            block.values.extend_from_slice(c.values);
+            block
+        });
         let mut out = ArchiveStore {
-            ids: self.ids.clone(),
-            values: self.values.clone(),
+            blocks: blocks.collect(),
+            len: self.len,
             arity: self.arity,
             index_of: DetHashMap::default(),
         };
@@ -418,10 +505,9 @@ impl ArchiveStore {
     }
 
     /// Hands the given slots to `f`, in the given order, as borrowed views
-    /// straight from the value buffer.
+    /// straight from the blocks.
     fn visit(&self, slots: impl Iterator<Item = usize>, mut f: impl FnMut(RowRef<'_>)) {
-        let columns = self.columns();
-        slots.for_each(|slot| f(columns.row_ref(slot)));
+        slots.for_each(|slot| f(self.row_ref(slot)));
     }
 }
 
@@ -593,5 +679,55 @@ mod tests {
             a.insert(Row::new(3, vec![4.0, 5.0])).unwrap(),
             "same arity ok"
         );
+    }
+
+    /// Resident bytes follow the blocks: growing past three blocks holds
+    /// four, deleting back below one frees all but the partly filled
+    /// first block and one spare, and at every step the columns hold at
+    /// most the live rows rounded up to a whole block, plus one spare.
+    #[test]
+    fn resident_bytes_free_trailing_blocks_and_keep_one_spare() {
+        const ROW_BYTES: usize = 3 * size_of::<f64>(); // id + two values
+        let block_bytes = ARCHIVE_BLOCK_ROWS * ROW_BYTES;
+        let within_bounds = |a: &ArchiveStore| {
+            let index = a.index_of.capacity() * size_of::<(RowId, usize)>();
+            let columns = a.resident_bytes() - index;
+            assert!(columns >= a.len() * ROW_BYTES, "{columns} at {}", a.len());
+            let rounded = a.len().div_ceil(ARCHIVE_BLOCK_ROWS) * block_bytes;
+            assert!(
+                columns <= rounded + block_bytes,
+                "{columns} bytes of columns hold {} rows",
+                a.len()
+            );
+            columns
+        };
+        let mut a = ArchiveStore::new();
+        assert_eq!(a.resident_bytes(), 0);
+        let top = 3 * ARCHIVE_BLOCK_ROWS as u64 + 100;
+        for id in 0..top {
+            a.insert(row(id)).unwrap();
+        }
+        let (grown, grown_total) = (within_bounds(&a), a.resident_bytes());
+        assert_eq!(a.blocks.len(), 4);
+        for id in (ARCHIVE_BLOCK_ROWS as u64 - 10..top).rev() {
+            a.delete(id).unwrap();
+            within_bounds(&a);
+        }
+        let shrunk = within_bounds(&a);
+        assert_eq!(grown - shrunk, 2 * block_bytes);
+        assert!(a.resident_bytes() < grown_total);
+        assert_eq!(a.blocks.len(), 2, "one partly filled block and one spare");
+        assert_eq!(
+            a.to_rows(),
+            (0..ARCHIVE_BLOCK_ROWS as u64 - 10)
+                .map(row)
+                .collect::<Vec<_>>()
+        );
+        // Back across the boundary: the spare is taken, no block allocated.
+        for id in ARCHIVE_BLOCK_ROWS as u64 - 10..ARCHIVE_BLOCK_ROWS as u64 + 10 {
+            a.insert(row(id)).unwrap();
+        }
+        assert_eq!(a.blocks.len(), 2);
+        assert_eq!(within_bounds(&a), shrunk);
     }
 }

@@ -15,7 +15,9 @@
 //!   their owners truncate below what every consumer has applied.
 //! * [`archive`] — the cold/archival store of §2.1: holds the full current
 //!   table state, accessible offline for initialization, re-sampling, and
-//!   catch-up, but never consulted at query time. Columnar, in memory.
+//!   catch-up, but never consulted at query time. Columnar, in memory, in
+//!   fixed-size blocks ([`ARCHIVE_BLOCK_ROWS`] slots) that an insert
+//!   never copies.
 //! * [`samplers`] — the singleton and sequential stream samplers of
 //!   Appendix A, with a configurable poll cost model so Table 4's
 //!   poll-size trade-off reproduces in simulation.
@@ -33,7 +35,7 @@ pub mod loadlog;
 pub mod samplers;
 pub mod streamlog;
 
-pub use archive::{ArchiveColumns, ArchiveStore};
+pub use archive::{ArchiveColumns, ArchiveStore, ARCHIVE_BLOCK_ROWS};
 pub use checkpoint::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 pub use loadlog::{FileLoadProgress, LoadProgress};
 pub use samplers::{PollCostModel, SampleRun, SequentialSampler, SingletonSampler};

@@ -400,3 +400,166 @@ fn bulk_builds_reject_a_new_id_of_another_arity_like_per_row_builds() {
         assert_eq!(bulk.map(|e| e.to_string()), Some(expected));
     }
 }
+
+/// The seed model and the archive under one random op stream, with the
+/// model's slot of each id kept beside it so its deletes need no scan.
+struct BoundaryRun {
+    model: SeedModel,
+    slot: std::collections::HashMap<u64, usize>,
+    mem: ArchiveStore,
+    rng: SmallRng,
+    live: Vec<u64>,
+    next: u64,
+    /// Deletes that left the model a whole number of blocks long.
+    emptied: usize,
+}
+
+impl BoundaryRun {
+    fn len(&self) -> usize {
+        self.model.rows.len()
+    }
+
+    /// One insert (with probability `p`, or when nothing is live) or one
+    /// delete of a random live row, into both sides.
+    fn step(&mut self, p: f64) {
+        if self.rng.gen_bool(p) || self.live.is_empty() {
+            let r = row(self.next);
+            self.slot.insert(self.next, self.len());
+            self.model.rows.push(r.clone());
+            assert!(self.mem.insert(r).unwrap());
+            self.live.push(self.next);
+            self.next += 1;
+        } else {
+            let id = self
+                .live
+                .swap_remove(self.rng.gen_range(0..self.live.len()));
+            let at = self.slot.remove(&id).unwrap();
+            let expected = self.model.rows.swap_remove(at);
+            if let Some(moved) = self.model.rows.get(at) {
+                self.slot.insert(moved.id, at);
+            }
+            if self
+                .len()
+                .is_multiple_of(janus::storage::ARCHIVE_BLOCK_ROWS)
+            {
+                self.emptied += 1;
+            }
+            assert_eq!(self.mem.delete(id), Some(expected));
+        }
+    }
+
+    fn check(&self, seed: u64) {
+        let (model, mem) = (&self.model, &self.mem);
+        assert_eq!(mem.to_rows(), model.rows, "slot order at {}", self.len());
+        for (slot, r) in model.rows.iter().enumerate() {
+            assert_eq!(mem.slot_of(r.id), Some(slot));
+        }
+        assert_eq!(mem.slot_of(self.next), None);
+        assert_eq!(
+            mem.sample_distinct(100, seed),
+            model.sample_distinct(100, seed)
+        );
+        assert_eq!(
+            mem.sample_with_replacement(64, seed),
+            model.sample_with_replacement(64, seed)
+        );
+        assert_eq!(
+            mem.shuffled_prefix(seed, 200),
+            model.shuffled(seed)[..200.min(self.len())]
+        );
+    }
+}
+
+/// The seed model's op stream driven past three block boundaries and
+/// back: around each boundary the deletes empty the last block and the
+/// inserts refill it, over and over. Slot order, slots, and every seeded
+/// stream stay the model's, to the bit.
+#[test]
+fn block_boundaries_keep_the_seed_representation() {
+    let block = janus::storage::ARCHIVE_BLOCK_ROWS;
+    let mut run = BoundaryRun {
+        model: SeedModel::default(),
+        slot: Default::default(),
+        mem: ArchiveStore::new(),
+        rng: SmallRng::seed_from_u64(0xb0b),
+        live: Vec::new(),
+        next: 0,
+        emptied: 0,
+    };
+    // Up past three boundaries, 80/20 inserts to deletes.
+    while run.len() < 3 * block + 300 {
+        run.step(0.8);
+    }
+    run.check(1);
+    // Back down, swinging across each boundary four times on the way.
+    for (i, boundary) in (1..=3).rev().map(|k| k * block).enumerate() {
+        for _ in 0..4 {
+            while run.len() > boundary - 40 {
+                run.step(0.2);
+            }
+            while run.len() < boundary + 40 {
+                run.step(0.8);
+            }
+        }
+        while run.len() > boundary - 300 {
+            run.step(0.2);
+        }
+        run.check(2 + i as u64);
+    }
+    assert!(
+        run.emptied >= 12,
+        "the last block emptied {} times",
+        run.emptied
+    );
+}
+
+/// A bulk build whose repeated id has its first occurrence in block 0 and
+/// a later one in block 2 closes that gap across blocks: it equals the
+/// per-row build, before and after an update stream whose deletes move
+/// rows from the last block into the first.
+#[test]
+fn bulk_builds_close_a_gap_across_blocks_like_per_row_builds() {
+    let block = janus::storage::ARCHIVE_BLOCK_ROWS;
+    let mut rows: Vec<Row> = (0..(2 * block + 500) as u64).map(row).collect();
+    rows.insert(2 * block + 100, Row::new(7, vec![-1.0, -2.0]));
+    rows.insert(block + 3, Row::new(block as u64 - 1, vec![-3.0, -4.0]));
+    let ids: Vec<u64> = (0..(2 * block + 600) as u64).step_by(13).collect();
+    let mut reference = per_row_build(&rows).unwrap();
+    let mut stores = vec![
+        ArchiveStore::try_from_rows(rows.clone()).unwrap(),
+        ArchiveStore::from_rows(rows),
+    ];
+    for (i, store) in stores.iter().enumerate() {
+        assert_eq!(
+            observe(store, &ids, 5),
+            observe(&reference, &ids, 5),
+            "build {i}"
+        );
+    }
+    let mut rng = SmallRng::seed_from_u64(0x9a9);
+    for _ in 0..600 {
+        let id = if rng.gen_bool(0.3) {
+            rng.gen_range(2 * block as u64..2 * block as u64 + 600)
+        } else {
+            rng.gen_range(0..block as u64)
+        };
+        let expected = reference.delete(id).or_else(|| {
+            reference.insert(row(id)).unwrap();
+            None
+        });
+        for store in &mut stores {
+            let got = store.delete(id).or_else(|| {
+                store.insert(row(id)).unwrap();
+                None
+            });
+            assert_eq!(got, expected, "op on {id}");
+        }
+    }
+    for (i, store) in stores.iter().enumerate() {
+        assert_eq!(
+            observe(store, &ids, 6),
+            observe(&reference, &ids, 6),
+            "build {i} after updates"
+        );
+    }
+}

@@ -121,3 +121,75 @@ proptest! {
         }
     }
 }
+
+/// A deterministic archive spanning three blocks, shaped by deletes so
+/// its slot order is not its id order, whose length is a multiple of
+/// neither `CHUNK` nor the block size.
+fn multi_block_archive() -> janus::storage::ArchiveStore {
+    use rand::{Rng, SeedableRng};
+    let block = janus::storage::ARCHIVE_BLOCK_ROWS;
+    let target = 2 * block + 8 * 123 + 5;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0xb10c);
+    let rows = (0..(target + 700) as u64).map(|id| {
+        let x = rng.gen::<f64>() * 200.0 - 100.0;
+        janus::common::Row::new(
+            id,
+            vec![x, rng.gen::<f64>() * 50.0, x * 0.5 + rng.gen::<f64>()],
+        )
+    });
+    let mut archive = janus::storage::ArchiveStore::from_rows(rows);
+    while archive.len() > target {
+        archive.delete(rng.gen_range(0..(target + 700) as u64));
+    }
+    assert!(archive.len() > 2 * block);
+    assert_ne!(archive.len() % CHUNK, 0);
+    assert_ne!(archive.len() % block, 0);
+    archive
+}
+
+/// The archive's per-block scans and exact-base install continue one
+/// serial fold across block boundaries: `scan_partial` and
+/// `Dpt::install_exact_base_columns(archive.blocks())` equal the scalar
+/// reference and the row-driven install over `to_rows()`, to the bit.
+#[test]
+fn block_wise_archive_scans_match_the_scalar_reference() {
+    use janus::core::{Dpt, PartitionSpec};
+    let archive = multi_block_archive();
+    let rows = archive.to_rows();
+    let flat: Vec<f64> = rows.iter().flat_map(|r| r.values.iter().copied()).collect();
+    let arity = archive.arity();
+
+    let corners = [(-60.0, 75.0), (5.0, 40.0), (-100.0, 100.0)];
+    for npred in 1..=3 {
+        for agg_col in 0..arity {
+            let query = build_query(arity, agg_col, npred, &corners);
+            let scalar = scalar_reference(&query, &flat, arity);
+            let blocked = archive.scan_partial(&query);
+            let ctx = format!("column {agg_col}, {npred} predicates");
+            assert_partial_bits_eq(&blocked, &scalar, &ctx);
+        }
+    }
+
+    let template = janus::common::QueryTemplate::new(AggregateFunction::Sum, 2, vec![0]);
+    let spec = PartitionSpec::from_boundaries(&[-50.0, -10.0, 0.0, 30.0, 80.0]).unwrap();
+    let build = || Dpt::build(template.clone(), 8, &spec, &[0.0; 6], rows.len() as f64).unwrap();
+    let (mut by_rows, mut by_blocks) = (build(), build());
+    by_rows.install_exact_base(rows.iter());
+    by_blocks.install_exact_base_columns(archive.blocks());
+    let bits = |dpt: &Dpt| -> Vec<Vec<u64>> {
+        dpt.to_snapshot()
+            .nodes
+            .iter()
+            .map(|n| {
+                let base = n.exact_base.expect("installed base");
+                [base.count, base.sum, base.sumsq]
+                    .into_iter()
+                    .chain(n.min_values.iter().copied())
+                    .chain(n.max_values.iter().copied())
+                    .map(f64::to_bits)
+                    .collect()
+            })
+            .collect()
+    };
+    assert_eq!(bits(&by_blocks), bits(&by_rows));
+}
