@@ -62,7 +62,7 @@
 //! | each [`ShardHost`] engine (its applied offset is an atomic stored under it) | own `RwLock` | pump, rebalance, promotion (scatter sub-queries only read) |
 //! | [`ShardRouter`] | `RwLock` | publish (rotation cursor), rebalance (bounds) |
 //! | row→shard directory | 16 striped `RwLock`s (`crate::directory`) | publish, rebalance |
-//! | ingest gate | `RwLock<()>` | checkpoint, fail_shard (exclusive); routed publish (shared) |
+//! | ingest gate | `RwLock<()>` | checkpoint (exclusive); routed publish (shared) |
 //! | operation counters | atomics | everyone |
 //!
 //! Lock order is router → ingest gate → directory stripes (ascending
@@ -92,9 +92,9 @@
 //! live bounds; any miss re-routes the whole call through the classic
 //! [`ClusterEngine::publish_batch`] path. Either way the per-shard topic
 //! contents — and therefore every drained state — are bit-identical to
-//! publishing the same rows one at a time in group order. Checkpoint and
-//! fail-shard exclude routed publishers with the ingest gate instead of
-//! the router write lock, keeping queries live while the cut is taken.
+//! publishing the same rows one at a time in group order. Checkpoint
+//! excludes routed publishers with the ingest gate instead of the router
+//! write lock, keeping queries live while the cut is taken.
 
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
@@ -116,6 +116,11 @@ use std::time::{Duration, Instant};
 /// [`ShardSet::checkpointed`] before a shard's first checkpoint.
 const NO_CHECKPOINT: u64 = u64::MAX;
 
+/// Records drained per shard per [`ClusterEngine::pump`] step of
+/// [`ClusterEngine::pump_all`], and per shard per sweep of the bulk
+/// loader's drain.
+pub const PUMP_CHUNK: usize = 4096;
+
 /// One record of a shard's ingest topic: the engine's own update type,
 /// so a drained batch feeds [`JanusEngine::apply_update_batch`] as is.
 pub use janus_core::concurrent::Update as ShardOp;
@@ -130,8 +135,6 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Routing policy.
     pub policy: ShardPolicy,
-    /// Records drained per shard per [`ClusterEngine::pump`] call.
-    pub pump_chunk: usize,
     /// Cluster rebalance trigger: a shard holding at least this factor
     /// times the median shard population triggers a range-split migration
     /// on the next [`ClusterEngine::maybe_rebalance`]. `None` disables.
@@ -168,15 +171,13 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A cluster of `shards` engines with the given per-shard synopsis
-    /// config and policy, paper-ish pump chunk, and the 2x skew trigger
-    /// enabled (without hysteresis — see
-    /// [`ClusterConfig::with_rebalance_hysteresis`]).
+    /// config and policy, and the 2x skew trigger enabled (without
+    /// hysteresis — see [`ClusterConfig::with_rebalance_hysteresis`]).
     pub fn new(base: SynopsisConfig, shards: usize, policy: ShardPolicy) -> Self {
         ClusterConfig {
             base,
             shards,
             policy,
-            pump_chunk: 4096,
             skew_factor: Some(2.0),
             rebalance_cooldown: 0,
             rebalance_min_gain: 0.0,
@@ -352,9 +353,9 @@ struct Counters {
 }
 
 /// What the coordinator needs of the shards behind it: the topics it
-/// appends to, a hook per appended group, each shard's applied offset,
-/// and one sub-query answer. [`ClusterEngine`]'s publish and query bodies
-/// call nothing else, so they run unchanged over [`ShardSet`] (in
+/// appends to, each shard's applied offset and backlog, and one
+/// sub-query answer. [`ClusterEngine`]'s publish, query and backpressure
+/// bodies call nothing else, so they run unchanged over [`ShardSet`] (in
 /// process) and over `janus-net`'s node links. Pumping, shipping and
 /// checkpoints stay with each transport.
 ///
@@ -364,31 +365,26 @@ pub trait ShardTransport: Send + Sync + 'static {
     /// The per-shard topics published records are appended to.
     fn topics(&self) -> &Arc<ShardedLog<ShardOp>>;
 
-    /// `n` records just landed in `shard`'s topic; called once per
-    /// group, while the publisher still holds the directory stripes.
-    fn appended(&self, shard: usize, n: usize);
-
     /// `shard`'s primary applied topic offset — the answer cache's clock.
     fn applied(&self, shard: usize) -> u64;
 
+    /// `shard`'s publish-ahead lag, derived as a Kafka consumer's lag is:
+    /// the topic's end offset, read first, minus an applied offset read
+    /// after it (over TCP, the slowest alive copy's), so applies racing
+    /// the read can only make it understate.
+    fn backlog(&self, shard: usize) -> u64;
+
     /// Answers one sub-query of `shard` in the shape the gather needs.
-    /// `tenant` tags it for the shard's side; `expiry` bounds the wait,
-    /// and [`JanusError::Deadline`] means the shard missed this gather
-    /// and nothing else.
-    fn serve(
-        &self,
-        shard: usize,
-        query: &Query,
-        tenant: u32,
-        expiry: Option<Instant>,
-    ) -> Result<SubAnswer>;
+    /// `expiry` bounds the wait, and [`JanusError::Deadline`] means the
+    /// shard missed this gather and nothing else.
+    fn serve(&self, shard: usize, query: &Query, expiry: Option<Instant>) -> Result<SubAnswer>;
 }
 
-/// The in-process transport: topics, primary and follower engines, the
-/// backlog gauges, and the counters the pool's jobs maintain. Everything
-/// a scatter or pump job touches lives here — the router, directory, and
-/// rebalance state stay exclusive to [`ClusterEngine`], so pool workers
-/// can never participate in a router→directory lock ordering.
+/// The in-process transport: topics, primary and follower engines, and
+/// the counters the pool's jobs maintain. Everything a scatter or pump
+/// job touches lives here — the router, directory, and rebalance state
+/// stay exclusive to [`ClusterEngine`], so pool workers can never
+/// participate in a router→directory lock ordering.
 pub struct ShardSet {
     /// Shard topics are `Arc`-shared: like Kafka partitions they are
     /// durable *infrastructure*, not engine state, and surviving the
@@ -403,10 +399,6 @@ pub struct ShardSet {
     /// Round-robin cursor spreading sub-queries across a shard's primary
     /// and its fresh replicas.
     read_cursor: AtomicU64,
-    /// Per-shard published-minus-applied record counts, maintained at
-    /// publish/pump time so the backpressure probe is a handful of
-    /// relaxed loads instead of lock acquisitions.
-    pub(crate) backlog: Vec<AtomicU64>,
     /// Records drained into primaries.
     pumped: AtomicU64,
     /// Sub-queries served by followers.
@@ -423,26 +415,19 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// The transport over freshly built hosts: each backlog gauge starts
-    /// at its shard's published-minus-applied lag, and no shard is
-    /// checkpointed yet.
+    /// The transport over freshly built hosts; no shard is checkpointed
+    /// yet.
     fn new(
         config: &ClusterConfig,
         shards: Vec<ShardHost>,
         replica_sets: Vec<Vec<ShardHost>>,
         log: Arc<ShardedLog<ShardOp>>,
     ) -> Arc<Self> {
-        let backlog = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| AtomicU64::new((log.topic(i).len() as u64).saturating_sub(s.applied())))
-            .collect();
         Arc::new(ShardSet {
             log,
             shards,
             replicas: replica_sets.into_iter().map(RwLock::new).collect(),
             read_cursor: AtomicU64::new(0),
-            backlog,
             pumped: AtomicU64::new(0),
             replica_queries: AtomicU64::new(0),
             replica_count: config.replicas,
@@ -464,9 +449,7 @@ impl ShardSet {
     /// record it skipped fails, and is skipped, identically on each.
     /// Returns `(applied, skipped, followers, first_error)`: the
     /// primary's counts and error, and the records consumed across all
-    /// followers, whose progress touches neither the backlog gauge nor
-    /// the `pumped` counter. Both move under the primary's write guard,
-    /// the guard [`ClusterEngine::fail_shard`] rebuilds the gauge under.
+    /// followers, which the `pumped` counter leaves out.
     ///
     /// A step that drains the primary also computes the shard's floor
     /// under that guard and, after every lock is released, truncates
@@ -485,7 +468,6 @@ impl ShardSet {
             let (applied, skipped, first_error) =
                 host.drain_locked(&mut engine, topic, max_primary, skip_failed);
             self.pumped.fetch_add(applied as u64, Ordering::Relaxed);
-            self.backlog[shard].fetch_sub((applied + skipped) as u64, Ordering::Relaxed);
             (
                 applied,
                 skipped,
@@ -547,14 +529,14 @@ impl ShardTransport for ShardSet {
         &self.log
     }
 
-    /// Advances the backlog gauge. Under the directory stripes, so
-    /// anyone holding all of them sees topic length and gauge in step.
-    fn appended(&self, shard: usize, n: usize) {
-        self.backlog[shard].fetch_add(n as u64, Ordering::Relaxed);
-    }
-
     fn applied(&self, shard: usize) -> u64 {
         self.shards[shard].applied()
+    }
+
+    /// The topic end minus the primary's applied offset; takes no
+    /// engine lock.
+    fn backlog(&self, shard: usize) -> u64 {
+        (self.log.topic(shard).len() as u64).saturating_sub(self.shards[shard].applied())
     }
 
     /// Load-balances across the primary and its *fresh* followers
@@ -565,14 +547,8 @@ impl ShardTransport for ShardSet {
     /// followers are skipped, and the primary always remains a candidate,
     /// so a lagging replica set degrades to primary-only reads rather
     /// than stale answers. Answers in process never miss a deadline:
-    /// `tenant` and `expiry` are ignored.
-    fn serve(
-        &self,
-        shard: usize,
-        query: &Query,
-        _tenant: u32,
-        _expiry: Option<Instant>,
-    ) -> Result<SubAnswer> {
+    /// `expiry` is ignored.
+    fn serve(&self, shard: usize, query: &Query, _expiry: Option<Instant>) -> Result<SubAnswer> {
         if self.replica_count > 0 {
             let set = self.replicas[shard].read();
             if !set.is_empty() {
@@ -614,10 +590,10 @@ pub struct ClusterEngine<T: ShardTransport = ShardSet> {
     directory: StripedDirectory,
     /// The ingest gate: routed publishers hold it shared for the span of
     /// a [`ClusterEngine::publish_batch_routed`] call (they never take
-    /// the router *write* lock); checkpoint and fail-shard take it
-    /// exclusively to fence all topic appends without blocking queries
-    /// behind a router write. Sits between the router and the directory
-    /// stripes in the lock order.
+    /// the router *write* lock); checkpoint takes it exclusively to fence
+    /// all topic appends without blocking queries behind a router write.
+    /// Sits between the router and the directory stripes in the lock
+    /// order.
     ingest_gate: RwLock<()>,
     /// Bumped (under all locks) by every completed migration; queries
     /// re-validate their pruning against it so a scatter never merges a
@@ -760,6 +736,14 @@ impl<T: ShardTransport> ClusterEngine<T> {
         self.directory.len()
     }
 
+    /// True when any shard's backlog ([`ShardTransport::backlog`]) is
+    /// over `limit`: the one backpressure probe, under the live front
+    /// end's stall and the networked publisher's. Takes no engine lock
+    /// and allocates nothing.
+    pub fn backlog_exceeds(&self, limit: u64) -> bool {
+        (0..self.shards()).any(|shard| self.set.backlog(shard) > limit)
+    }
+
     // ------------------------------------------------------------------
     // Ingest: publish
     // ------------------------------------------------------------------
@@ -791,8 +775,7 @@ impl<T: ShardTransport> ClusterEngine<T> {
     /// each group lands in its topic with a single batch append — so
     /// per-shard topic contents (and therefore every drained state) are
     /// identical to publishing the same operations one at a time, however
-    /// the caller slices them. The transport hears of each group once
-    /// ([`ShardTransport::appended`]; in process, the backlog gauge).
+    /// the caller slices them.
     ///
     /// A duplicate insert or a delete of an unknown row is counted in
     /// [`PublishReport::rejected`] and skipped; the rest of the batch
@@ -820,12 +803,9 @@ impl<T: ShardTransport> ClusterEngine<T> {
         drop(router);
         // Appends stay under the directory stripes: once the directory
         // names a row, its insert is in the shard topic ahead of any
-        // delete a later publisher could append, and topic length and
-        // backlog gauge can never be observed out of step by anyone
-        // holding all stripes — which is what lets fail_shard rebuild the
-        // gauge absolutely. Per-shard relative order inside each group is
-        // arrival order, and cross-shard order carries no meaning
-        // (offsets are per topic).
+        // delete a later publisher could append. Per-shard relative order
+        // inside each group is arrival order, and cross-shard order
+        // carries no meaning (offsets are per topic).
         let topics = self.set.topics();
         let mut published = 0usize;
         for (shard, group) in groups.into_iter().enumerate() {
@@ -834,7 +814,6 @@ impl<T: ShardTransport> ClusterEngine<T> {
             }
             let len = group.len();
             topics.publish_batch(shard, group);
-            self.set.appended(shard, len);
             landed(shard);
             published += len;
         }
@@ -916,10 +895,10 @@ impl<T: ShardTransport> ClusterEngine<T> {
                     .flat_map(|(_, rows)| rows.into_iter().map(ShardOp::Insert)),
             ));
         }
-        // Fast path. The gate (shared) is what checkpoint/fail_shard
-        // fence appends with; the router read lock is held for the whole
-        // body so no rebalance — and no classic batch, the only path that
-        // deletes — can interleave with a reserve → append window: a
+        // Fast path. The gate (shared) is what checkpoint fences appends
+        // with; the router read lock is held for the whole body so no
+        // rebalance — and no classic batch, the only path that deletes —
+        // can interleave with a reserve → append window: a
         // reserved row whose insert is not in its topic yet is only ever
         // seen by another routed publisher's duplicate check.
         let _gate = self.ingest_gate.read();
@@ -940,7 +919,6 @@ impl<T: ShardTransport> ClusterEngine<T> {
                 .zip(accepted)
                 .filter_map(|(row, acc)| acc.then_some(ShardOp::Insert(row)));
             self.set.topics().publish_batch(shard, ops);
-            self.set.appended(shard, ok);
             published += ok;
         }
         self.counters
@@ -1001,22 +979,11 @@ impl<T: ShardTransport> ClusterEngine<T> {
     ///   estimate; entries self-invalidate as soon as a write is pumped
     ///   into any covered shard or a rebalance lands. Partial answers are
     ///   never cached.
+    ///
+    /// This is the one query body of both transports, and it has one
+    /// error of its own: [`JanusError::Deadline`] when *no* shard
+    /// answered within the deadline.
     pub fn query_with(&self, query: &Query, opts: QueryOptions) -> Result<Option<Estimate>> {
-        self.query_as(query, 0, opts)
-    }
-
-    /// [`ClusterEngine::query_with`] on behalf of `tenant`, which tags
-    /// every sub-query the transport sends (the networked one carries it
-    /// to the nodes; in process it is ignored). The one query body: the
-    /// generation retry, the cache, the deadline-partial gather weighted
-    /// by the directory's per-shard row counts, and the one error of a
-    /// deadline — [`JanusError::Deadline`] when *no* shard answered.
-    pub fn query_as(
-        &self,
-        query: &Query,
-        tenant: u32,
-        opts: QueryOptions,
-    ) -> Result<Option<Estimate>> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         let deadline = opts.deadline.map(|budget| Instant::now() + budget);
         let cache = self
@@ -1051,7 +1018,7 @@ impl<T: ShardTransport> ClusterEngine<T> {
             } else {
                 Vec::new()
             };
-            let slots = self.scatter(&targets, query, tenant, opts.priority, deadline)?;
+            let slots = self.scatter(&targets, query, opts.priority, deadline)?;
             if !targets.is_empty() && slots.iter().all(Option::is_none) {
                 return Err(JanusError::Deadline);
             }
@@ -1107,7 +1074,6 @@ impl<T: ShardTransport> ClusterEngine<T> {
         &self,
         targets: &[usize],
         query: &Query,
-        tenant: u32,
         priority: Priority,
         expiry: Option<Instant>,
     ) -> Result<Vec<Option<SubAnswer>>> {
@@ -1116,9 +1082,7 @@ impl<T: ShardTransport> ClusterEngine<T> {
             Some(outcome) => outcome.map(Some),
         };
         if let [shard] = *targets {
-            return Ok(vec![settle(Some(
-                self.set.serve(shard, query, tenant, expiry),
-            ))?]);
+            return Ok(vec![settle(Some(self.set.serve(shard, query, expiry)))?]);
         }
         let query = Arc::new(query.clone());
         let jobs = targets.iter().map(|&shard| {
@@ -1128,7 +1092,7 @@ impl<T: ShardTransport> ClusterEngine<T> {
                 if stall > 0 {
                     std::thread::sleep(Duration::from_millis(stall));
                 }
-                set.serve(shard, &query, tenant, expiry)
+                set.serve(shard, &query, expiry)
             };
             (shard, job)
         });
@@ -1201,44 +1165,23 @@ impl ClusterEngine<ShardSet> {
             .collect()
     }
 
-    /// Records published but not yet pumped, per shard in shard order.
-    /// Read without any lock, so under concurrent pumping the values can
-    /// only *under*-state the true lag — never overstate it.
+    /// Records published but not yet pumped, per shard in shard order
+    /// ([`ShardTransport::backlog`]). Read without any engine lock, so
+    /// under concurrent pumping the values can only *under*-state the
+    /// true lag — never overstate it.
     pub fn shard_backlogs(&self) -> Vec<u64> {
-        (0..self.set.shards.len())
-            .map(|i| self.backlog(i))
-            .collect()
-    }
-
-    /// Shard `i`'s `published - applied`, the topic end read first so the
-    /// value can only understate the lag. Allocation-free: the drain,
-    /// stall and checkpoint loops probe it on every progress bump.
-    fn backlog(&self, i: usize) -> u64 {
-        self.topic_end(i)
-            .saturating_sub(self.set.shards[i].applied())
+        (0..self.shards()).map(|i| self.set.backlog(i)).collect()
     }
 
     fn topic_end(&self, i: usize) -> u64 {
         self.set.log.topic(i).len() as u64
     }
 
-    /// The per-shard backlog *gauges* (the atomics the backpressure probe
-    /// reads), in shard order. In any quiesced state they equal
-    /// [`ClusterEngine::shard_backlogs`] — `published - applied` per
-    /// shard — which the batching tests pin down; under concurrent
-    /// pumping a gauge may transiently overstate the lag between a
-    /// pump's application and its decrement.
-    pub fn backlog_gauges(&self) -> Vec<u64> {
-        self.set
-            .backlog
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Records published but not yet pumped into shard engines.
+    /// Allocation-free: the drain, stall and checkpoint loops probe it
+    /// on every progress bump.
     pub fn pending(&self) -> u64 {
-        (0..self.set.shards.len()).map(|i| self.backlog(i)).sum()
+        (0..self.shards()).map(|i| self.set.backlog(i)).sum()
     }
 
     /// Records drained into primary shard engines so far — the cheap
@@ -1246,19 +1189,6 @@ impl ClusterEngine<ShardSet> {
     /// checkpointer paces itself by.
     pub fn pumped_records(&self) -> u64 {
         self.set.pumped.load(Ordering::Relaxed)
-    }
-
-    /// True when any shard's publish-ahead backlog has reached `limit` —
-    /// the backpressure probe the live front end calls per batch. Reads
-    /// only the per-shard atomic counters (no locks, no allocation); the
-    /// counters can transiently *over*state the lag between a pump's
-    /// application and its decrement, which errs on the safe side for
-    /// backpressure (a spurious stall, never a missed one).
-    pub fn backlog_exceeds(&self, limit: u64) -> bool {
-        self.set
-            .backlog
-            .iter()
-            .any(|b| b.load(Ordering::Relaxed) >= limit)
     }
 
     /// Runs `f` against one shard's engine (experiments and tests).
@@ -1345,8 +1275,7 @@ impl ClusterEngine<ShardSet> {
     /// concurrent publishing this is a moving target; the barrier only
     /// means "drained at some instant".
     pub fn pump_all(&self) -> Result<()> {
-        let chunk = self.config.pump_chunk.max(1);
-        while self.pump(chunk)? > 0 {}
+        while self.pump(PUMP_CHUNK)? > 0 {}
         Ok(())
     }
 
@@ -1382,12 +1311,9 @@ impl ClusterEngine<ShardSet> {
                 "shard {shard} out of range"
             )));
         }
-        // The exclusive ingest gate fences routed publishers and the
-        // all-stripes write blocks the classic paths, so no topic append
-        // is in flight and the backlog gauge can be rebuilt consistently;
-        // then primary → replica set, the engine-wide lock order.
-        let _gate = self.ingest_gate.write();
-        let _directory = self.directory.write_all();
+        // Primary → replica set, the engine-wide lock order. Publishers
+        // need neither: a promotion moves no topic record, and the
+        // shard's backlog is derived from the promoted host's offset.
         let host = &self.set.shards[shard];
         let mut primary = host.write();
         let mut set = self.set.replicas[shard].write();
@@ -1402,11 +1328,7 @@ impl ClusterEngine<ShardSet> {
             .max_by_key(|(i, r)| (r.applied(), usize::MAX - *i))
             .expect("non-empty replica set")
             .0;
-        let applied = host.take_over(&mut primary, set.remove(best));
-        let end = self.set.log.topic(shard).len() as u64;
-        // A pump settles the gauge before it releases the primary's guard,
-        // so no decrement for the old engine can land after this store.
-        self.set.backlog[shard].store(end.saturating_sub(applied), Ordering::Relaxed);
+        host.take_over(&mut primary, set.remove(best));
         drop(set);
         drop(primary);
         self.counters.promotions.fetch_add(1, Ordering::Relaxed);
@@ -1771,7 +1693,6 @@ impl ClusterEngine<ShardSet> {
 mod tests {
     use super::*;
     use janus_common::{AggregateFunction, QueryTemplate};
-    use std::sync::atomic::AtomicBool;
 
     /// `shards` hash shards with one follower each over 400 bootstrap
     /// rows, and `published` inserts published but not pumped.
@@ -1820,43 +1741,20 @@ mod tests {
         });
     }
 
-    /// A pump settles the backlog gauge before it releases the primary's
-    /// write guard, so whoever takes that guard next — here this thread,
-    /// and once a promotion that rebuilds the gauge — finds it equal to
-    /// `published - applied`. A decrement landing after the guard drops
-    /// would undercut the promotion's rebuild, and the gauge would wrap
-    /// once the promoted follower drained.
+    /// `backlog_exceeds(limit)` means "over the limit": at a settled
+    /// backlog `b` it is false at `b` and true at `b - 1`, before and
+    /// after a partial pump, and a drained shard exceeds no limit.
     #[test]
-    fn a_promotion_racing_a_pump_leaves_the_backlog_gauge_exact() {
-        let published = 2_000;
-        let cluster = replicated_cluster(1, published);
-        let host = &cluster.set.shards[0];
-        let done = AtomicBool::new(false);
-        let mut promoted = false;
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while !done.load(Ordering::Relaxed) {
-                    cluster.set.pump(0, 1, 0, false);
-                }
-            });
-            loop {
-                let engine = host.write();
-                let (gauges, backlogs) = (cluster.backlog_gauges(), cluster.shard_backlogs());
-                drop(engine);
-                if gauges != backlogs || (promoted && backlogs[0] == 0) {
-                    done.store(true, Ordering::Relaxed);
-                    assert_eq!(gauges, backlogs);
-                    break;
-                }
-                if !promoted && backlogs[0] < published / 2 {
-                    cluster.fail_shard(0).unwrap();
-                    promoted = true;
-                }
-            }
-        });
+    fn backlog_exceeds_means_over_the_limit() {
+        let cluster = replicated_cluster(1, 10);
+        for b in [10, 6] {
+            assert_eq!(cluster.shard_backlogs(), vec![b]);
+            assert!(!cluster.backlog_exceeds(b), "at b = {b}");
+            assert!(cluster.backlog_exceeds(b - 1), "at b - 1 = {}", b - 1);
+            cluster.pump_shard(0, 4).unwrap();
+        }
         cluster.pump_all().unwrap();
-        assert_eq!(cluster.backlog_gauges(), cluster.shard_backlogs());
-        assert_eq!(cluster.shard_backlogs(), vec![0]);
+        assert!(!cluster.backlog_exceeds(0));
     }
 
     /// The directory's per-shard row counts, in shard order.

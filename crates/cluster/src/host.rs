@@ -157,12 +157,10 @@ impl ShardHost {
     }
 
     /// Promotion: moves `follower`'s engine and offset into this host
-    /// under `engine`, this host's write guard. Returns the new applied
-    /// offset.
-    pub(crate) fn take_over(&self, engine: &mut JanusEngine, follower: ShardHost) -> u64 {
-        let applied = follower.applied.into_inner();
+    /// under `engine`, this host's write guard.
+    pub(crate) fn take_over(&self, engine: &mut JanusEngine, follower: ShardHost) {
         *engine = follower.engine.into_inner();
-        self.applied.store(applied, Ordering::Release);
-        applied
+        self.applied
+            .store(follower.applied.into_inner(), Ordering::Release);
     }
 }

@@ -79,7 +79,7 @@ pub(crate) mod scatter;
 pub use checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
 pub use engine::{
     ClusterConfig, ClusterEngine, ClusterStats, PublishReport, QueryOptions, ShardOp, ShardSet,
-    ShardTransport,
+    ShardTransport, PUMP_CHUNK,
 };
 pub use live::{LiveCluster, LiveConfig, LiveStats, TenantStats};
 pub use notify::Progress;

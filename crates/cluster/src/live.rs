@@ -45,7 +45,7 @@
 //! ## Multi-tenant serving
 //!
 //! Clients tag work with a [`TenantId`] via [`LiveCluster::submit_query`]:
-//! the request lands on the log as [`Request::ExecuteFor`] carrying the
+//! the request lands on the log as [`Request::Execute`] carrying the
 //! tenant, an optional gather deadline, and an interactive flag.
 //! Admission control happens *at submit time*: when
 //! [`LiveConfig::tenant_quota`] is set, a tenant already holding that
@@ -102,8 +102,8 @@ pub struct LiveConfig {
     pub pump_chunk: usize,
     /// Requests the front end consumes per poll.
     pub frontend_chunk: usize,
-    /// Per-shard backpressure limit: the front end stalls while any
-    /// shard's publish-ahead backlog is at or over this.
+    /// Per-shard backpressure limit: no shard's publish-ahead backlog
+    /// grows past this; the front end stalls until its next slice fits.
     pub max_backlog: u64,
     /// Automatic checkpoint cadence, in pumped records: after at least
     /// this many records have been drained into shard engines since the
@@ -457,7 +457,8 @@ impl LiveCluster {
     /// stragglers — expired shards are merged out into a *partial*
     /// answer — and `interactive` routes the scatter through the pool's
     /// priority lane. Tenant `0` with no deadline and `interactive =
-    /// false` is exactly the legacy `publish_query` path.
+    /// false` lands the very request [`RequestLog::publish_query`] does;
+    /// only this call's admission accounting sets it apart.
     pub fn submit_query(
         &self,
         tenant: TenantId,
@@ -666,16 +667,10 @@ fn frontend_loop(
             match request {
                 Request::Insert(row) => pending.push(ShardOp::Insert(row)),
                 Request::Delete(id) => pending.push(ShardOp::Delete(id)),
-                // Every consumed Execute/ExecuteFor publishes exactly one
-                // response record, so clients can always distinguish "not
-                // yet processed" (no record) from "empty/failed" (None).
-                Request::Execute(query) => {
-                    if !flush_ops(shared, pump_workers, &mut pending, &mut offset, max_backlog) {
-                        return; // shutdown while stalled
-                    }
-                    answer_query(shared, &mut offset, &query, QueryOptions::default(), None);
-                }
-                Request::ExecuteFor {
+                // Every consumed Execute publishes exactly one response
+                // record, so clients can always distinguish "not yet
+                // processed" (no record) from "empty/failed" (None).
+                Request::Execute {
                     tenant,
                     deadline_ms,
                     interactive,
@@ -693,7 +688,7 @@ fn frontend_loop(
                         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
                         use_cache: true,
                     };
-                    answer_query(shared, &mut offset, &query, opts, Some(tenant));
+                    answer_query(shared, &mut offset, &query, opts, tenant);
                 }
             }
         }
@@ -713,16 +708,18 @@ fn frontend_loop(
     }
 }
 
-/// Answers one `Execute`/`ExecuteFor` request through
-/// [`ClusterEngine::query_with`] and publishes its response record,
-/// maintaining the per-request counters and — when the request was
-/// tenanted — the tenant's in-flight/answered/partial accounting.
+/// Answers one `Execute` request through [`ClusterEngine::query_with`]
+/// and publishes its response record, maintaining the per-request
+/// counters and — for a tenant [`LiveCluster::submit_query`] admitted —
+/// the tenant's in-flight/answered/partial accounting. A tenant this
+/// service never admitted, such as [`RequestLog::publish_query`]'s
+/// tenant 0, gets no entry.
 fn answer_query(
     shared: &Shared,
     offset: &mut u64,
     query: &Query,
     opts: QueryOptions,
-    tenant: Option<TenantId>,
+    tenant: TenantId,
 ) {
     let counters = &shared.counters;
     let answer = match shared.cluster.query_with(query, opts) {
@@ -740,9 +737,7 @@ fn answer_query(
     if partial {
         counters.partial_responses.fetch_add(1, Ordering::Relaxed);
     }
-    if let Some(tenant) = tenant {
-        let mut tenants = shared.tenants.lock();
-        let state = tenants.entry(tenant).or_default();
+    if let Some(state) = shared.tenants.lock().get_mut(&tenant) {
         state.inflight = state.inflight.saturating_sub(1);
         state.answered += 1;
         if partial {
@@ -761,8 +756,8 @@ fn answer_query(
 
 /// Republishes a run of pending data requests through
 /// [`ClusterEngine::publish_batch`], in backpressure-bounded slices: a
-/// slice of `k` records is published only once every shard's backlog is
-/// at most `max_backlog - k`, so no shard's publish-ahead gap ever
+/// slice of `k` records is published only once no shard's backlog
+/// exceeds `max_backlog - k`, so no shard's publish-ahead gap ever
 /// exceeds `max_backlog` — the same bound the per-record path enforced,
 /// reached in one stall check per slice instead of one per record. The
 /// front-end offset advances per slice (each slice maps 1:1 to a run of
@@ -786,7 +781,7 @@ fn flush_ops(
     let mut queue = std::mem::take(ops);
     while !queue.is_empty() {
         let take = queue.len().min(cap);
-        let limit = (max_backlog + 1).saturating_sub(take as u64);
+        let limit = max_backlog.saturating_sub(take as u64);
         if !stall_for_backlog(shared, pump_workers, limit) {
             return false;
         }
@@ -867,18 +862,14 @@ fn wait_for_pumps(
     )
 }
 
-/// Blocks while any shard's backlog is at/over `max_backlog`. Returns
-/// `false` when shutdown was requested mid-stall. Runs on every data
-/// request, so the fast path is the allocation-free early-exit probe
+/// Blocks while any shard's backlog is over `limit`. Returns `false`
+/// when shutdown was requested mid-stall. Runs on every slice, so the
+/// fast path is the allocation-free early-exit probe
 /// [`ClusterEngine::backlog_exceeds`].
-fn stall_for_backlog(
-    shared: &Shared,
-    pump_workers: &[std::thread::Thread],
-    max_backlog: u64,
-) -> bool {
+fn stall_for_backlog(shared: &Shared, pump_workers: &[std::thread::Thread], limit: u64) -> bool {
     // The backlog only shrinks when a pump applies records, and every
     // such batch bumps progress.
     wait_for_pumps(shared, pump_workers, || {
-        !shared.cluster.backlog_exceeds(max_backlog)
+        !shared.cluster.backlog_exceeds(limit)
     })
 }

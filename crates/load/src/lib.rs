@@ -67,7 +67,9 @@
 //! pre-routed at all; they force a single loader thread.
 
 use janus_cluster::notify::Backoff;
-use janus_cluster::{ClusterEngine, PublishReport, RouterSnapshot, RoutingSnapshot, ShardOp};
+use janus_cluster::{
+    ClusterEngine, PublishReport, RouterSnapshot, RoutingSnapshot, ShardOp, PUMP_CHUNK,
+};
 use janus_common::{JanusError, Result, Row};
 use janus_data::partitioned::{list_chunks, read_chunk, read_chunk_header, ChunkHeader};
 use janus_storage::{CheckpointStore, LoadProgress};
@@ -342,12 +344,11 @@ impl<'a> BulkLoader<'a> {
     /// topics are empty. Returns at the first failing apply; what it
     /// leaves behind, the final pump applies.
     fn drain_while(&self, loading: impl Fn() -> bool) -> Result<()> {
-        let chunk = self.cluster.config().pump_chunk.max(1);
         let mut backoff = Backoff::capped(DRAIN_IDLE_MAX);
         while loading() {
             let mut applied = 0;
             for shard in 0..self.cluster.shards() {
-                applied += self.cluster.pump_shard(shard, chunk)?;
+                applied += self.cluster.pump_shard(shard, PUMP_CHUNK)?;
             }
             if applied == 0 {
                 backoff.park();

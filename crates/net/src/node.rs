@@ -14,7 +14,7 @@
 //! Each hosted shard is a streaming consumer of its topic tail: the
 //! coordinator's topic is the durable copy, so the node keeps no second
 //! one. A publish appends to the shard's FIFO of unapplied records, and a
-//! dedicated pump thread pops up to `pump_chunk` of them and moves them
+//! dedicated pump thread pops up to `PUMP_CHUNK` of them and moves them
 //! into the engine in offset order through [`ShardHost::apply`] — the
 //! same host the in-process [`janus_cluster::LiveCluster`] pumps —
 //! parking with bounded exponential backoff when idle and unparked by
@@ -56,7 +56,10 @@ use std::time::{Duration, Instant};
 /// shipper a short round, never a transport error.
 const ACK_WAIT: Duration = Duration::from_millis(5);
 
-/// Identity and tuning for one node daemon.
+/// Records a hosted shard's pump moves into its engine per drain.
+const PUMP_CHUNK: usize = 1024;
+
+/// Identity of one node daemon.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
     /// Stable node id reported in `HelloAck`.
@@ -64,17 +67,14 @@ pub struct NodeConfig {
     /// Failure-domain label (rack / zone); the directory pins a shard's
     /// replicas to distinct domains.
     pub domain: String,
-    /// Records per pump drain.
-    pub pump_chunk: usize,
 }
 
 impl NodeConfig {
-    /// A node identity with default tuning.
+    /// A node identity.
     pub fn new(node_id: u64, domain: impl Into<String>) -> Self {
         NodeConfig {
             node_id,
             domain: domain.into(),
-            pump_chunk: 1024,
         }
     }
 }
@@ -195,7 +195,7 @@ fn pump_loop(state: &NodeState, slot: &ShardSlot) {
         }
         let batch: Vec<ShardOp> = {
             let mut tail = slot.tail.lock();
-            let take = tail.ops.len().min(state.config.pump_chunk.max(1));
+            let take = tail.ops.len().min(PUMP_CHUNK);
             tail.ops.drain(..take).collect()
         };
         // An idle shard parks without taking its engine's write guard.

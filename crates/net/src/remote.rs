@@ -61,7 +61,8 @@
 //! the node re-checks the gate under its engine lock and answers `Stale`
 //! if it fell behind, in which case the coordinator falls back to the
 //! primary. The networked coordinator keeps no answer cache: every query
-//! scatters, on [`janus_cluster::Priority::Bulk`].
+//! scatters, on the pool lane its [`QueryOptions`] name
+//! ([`janus_cluster::Priority::Bulk`] by default).
 //!
 //! # Transient-failure hardening
 //!
@@ -574,22 +575,6 @@ impl NodeLinks {
             self.topics.topic(shard as usize).truncate_below(floor);
         }
     }
-
-    /// Worst observed lag for `shard`: topic end minus the smallest
-    /// applied offset over its alive copies.
-    fn backlog_of(&self, shard: u32) -> u64 {
-        let dir = self.directory.read();
-        if dir.lost_shards().contains(&shard) {
-            return 0;
-        }
-        let end = self.topics.topic(shard as usize).len() as u64;
-        dir.hosts_of(shard)
-            .all()
-            .filter(|&n| dir.is_alive(n))
-            .map(|n| end.saturating_sub(self.links[n].applied.of(shard)))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The error for a reply of the wrong kind: a node-side
@@ -866,15 +851,27 @@ impl ShardTransport for NodeLinks {
         &self.topics
     }
 
-    /// Nothing per group: [`RemoteCluster::publish_batch`] wakes the
-    /// shippers once the whole batch has landed.
-    fn appended(&self, _shard: usize, _n: usize) {}
-
     /// The applied offset the shard's primary last reported.
     fn applied(&self, shard: usize) -> u64 {
         let shard = shard as u32;
         let primary = self.directory.read().hosts_of(shard).primary;
         self.links[primary].applied.of(shard)
+    }
+
+    /// Worst observed lag for `shard`: topic end minus the smallest
+    /// applied offset over its alive copies (0 once it lost them all).
+    fn backlog(&self, shard: usize) -> u64 {
+        let (dir, shard) = (self.directory.read(), shard as u32);
+        if dir.lost_shards().contains(&shard) {
+            return 0;
+        }
+        let end = self.topics.topic(shard as usize).len() as u64;
+        dir.hosts_of(shard)
+            .all()
+            .filter(|&n| dir.is_alive(n))
+            .map(|n| end.saturating_sub(self.links[n].applied.of(shard)))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Serves one sub-query, load-balancing across the primary and
@@ -883,13 +880,7 @@ impl ShardTransport for NodeLinks {
     /// every socket wait is bounded by the remaining budget;
     /// [`JanusError::Deadline`] means "shard too slow", and explicitly
     /// does not mark the node dead.
-    fn serve(
-        &self,
-        shard: usize,
-        query: &Query,
-        tenant: u32,
-        expiry: Option<Instant>,
-    ) -> Result<SubAnswer> {
+    fn serve(&self, shard: usize, query: &Query, expiry: Option<Instant>) -> Result<SubAnswer> {
         let (shared, shard) = (self, shard as u32);
         let moments = query.agg == AggregateFunction::Avg;
         let id = shared.query_seq.fetch_add(1, Ordering::Relaxed);
@@ -966,7 +957,7 @@ impl ShardTransport for NodeLinks {
                 shard,
                 moments,
                 min_applied,
-                tenant,
+                tenant: 0,
                 deadline_ms: budget.map_or(0, |b| b.as_millis().max(1) as u64),
                 query: query.clone(),
             };
@@ -1133,7 +1124,7 @@ impl RemoteCluster {
             self.shared().unpark_shippers();
         }
         for shard in touched {
-            self.stall_for_backlog(shard as u32);
+            self.stall_for_backlog(shard);
         }
         report
     }
@@ -1145,7 +1136,7 @@ impl RemoteCluster {
     /// fleet. Applied offsets move on a publish ack — the shipper keeps
     /// asking for one while a copy trails — or a heartbeat, and both
     /// bump progress.
-    fn stall_for_backlog(&self, shard: u32) {
+    fn stall_for_backlog(&self, shard: usize) {
         let shared = self.shared();
         let limit = shared.config.max_backlog;
         if limit == 0 {
@@ -1155,14 +1146,15 @@ impl RemoteCluster {
             Backoff::new(),
             || shared.shutdown.load(Ordering::Acquire),
             || {},
-            || shared.backlog_of(shard) <= limit,
+            || shared.backlog(shard) <= limit,
         );
     }
 
     /// Worst publish-ahead lag across shards — `true` if any shard's
-    /// slowest alive copy trails by more than `limit` records.
+    /// slowest alive copy trails by more than `limit` records, through
+    /// the coordinator's [`ClusterEngine::backlog_exceeds`].
     pub fn backlog_exceeds(&self, limit: u64) -> bool {
-        (0..self.shared().config.shards).any(|s| self.shared().backlog_of(s as u32) > limit)
+        self.engine.backlog_exceeds(limit)
     }
 
     /// Blocks until every alive copy of every shard has received and
@@ -1208,34 +1200,25 @@ impl RemoteCluster {
     /// drained networked cluster answers bit-identically to a drained
     /// in-process one.
     pub fn query(&self, query: &Query) -> Result<Option<Estimate>> {
-        self.query_with(query, 0, None)
+        self.query_with(query, QueryOptions::default())
     }
 
-    /// [`RemoteCluster::query`] with a tenant tag and an optional gather
-    /// deadline, through the coordinator's [`ClusterEngine::query_as`].
+    /// [`RemoteCluster::query`] with per-call serving options, through
+    /// the coordinator's [`ClusterEngine::query_with`]. There is no
+    /// answer cache to consult, so `use_cache` changes nothing.
     ///
-    /// The tenant rides every scattered [`Frame::Query`] (billing /
-    /// tracing on the node side). The deadline bounds the gather (the
-    /// first sub-answer is awaited, the rest only until expiry) and every
-    /// socket read on the per-node control channels: a node that is
-    /// healthy but too slow surfaces [`JanusError::Deadline`] for its
-    /// shard — **never** a failover — and the arrived sub-answers are
-    /// merged k-of-n style exactly like the in-process engine's
-    /// deadline path, weighted by the rows the coordinator's directory
-    /// places on each shard, and flagged [`Estimate::partial`]. With no
-    /// deadline the call is [`RemoteCluster::query`] unchanged. Errs with
+    /// A deadline bounds the gather (the first sub-answer is awaited, the
+    /// rest only until expiry) and every socket read on the per-node
+    /// control channels: a node that is healthy but too slow surfaces
+    /// [`JanusError::Deadline`] for its shard — **never** a failover —
+    /// and the arrived sub-answers are merged k-of-n style exactly like
+    /// the in-process engine's deadline path, weighted by the rows the
+    /// coordinator's directory places on each shard, and flagged
+    /// [`Estimate::partial`]. With no deadline the call is
+    /// [`RemoteCluster::query`] unchanged. Errs with
     /// [`JanusError::Deadline`] only when *no* shard answered in time.
-    pub fn query_with(
-        &self,
-        query: &Query,
-        tenant: u32,
-        deadline: Option<Duration>,
-    ) -> Result<Option<Estimate>> {
-        let opts = QueryOptions {
-            deadline,
-            ..QueryOptions::default()
-        };
-        self.engine.query_as(query, tenant, opts)
+    pub fn query_with(&self, query: &Query, opts: QueryOptions) -> Result<Option<Estimate>> {
+        self.engine.query_with(query, opts)
     }
 
     /// Exact total population across shards (primary copies).

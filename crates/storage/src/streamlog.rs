@@ -197,13 +197,11 @@ pub enum Request {
     Insert(Row),
     /// `delete(tuple)` topic (identified by row id).
     Delete(RowId),
-    /// `execute(query)` topic.
-    Execute(Query),
-    /// `execute(query)` on behalf of a tenant, with the serving options
-    /// the consumer should honor. [`Request::Execute`] is exactly
-    /// `ExecuteFor { tenant: 0, deadline_ms: 0, interactive: false, .. }`
-    /// and remains the untenanted fast path.
-    ExecuteFor {
+    /// `execute(query)` topic: a query on behalf of a tenant, with the
+    /// serving options the consumer should honor.
+    /// [`RequestLog::publish_query`] publishes it for tenant 0 with no
+    /// deadline on the bulk lane.
+    Execute {
         /// Tenant the query is billed to.
         tenant: TenantId,
         /// Gather budget in milliseconds (0 = wait for every shard).
@@ -265,7 +263,7 @@ impl RequestLog {
     /// Publishes a query; returns its unified-stream offset — the key its
     /// answer will carry on the response topic.
     pub fn publish_query(&self, query: Query) -> u64 {
-        self.requests.append(Request::Execute(query))
+        self.publish_query_for(0, query, 0, false)
     }
 
     /// Publishes a tenant-tagged query with serving options; returns its
@@ -277,7 +275,7 @@ impl RequestLog {
         deadline_ms: u64,
         interactive: bool,
     ) -> u64 {
-        self.requests.append(Request::ExecuteFor {
+        self.requests.append(Request::Execute {
             tenant,
             deadline_ms,
             interactive,
@@ -434,7 +432,7 @@ mod tests {
         assert_eq!(reqs.len(), 3);
         assert!(matches!(reqs[0], Request::Insert(_)));
         assert!(matches!(reqs[1], Request::Delete(1)));
-        assert!(matches!(&reqs[2], Request::Execute(got) if *got == q));
+        assert!(matches!(&reqs[2], Request::Execute { tenant: 0, query, .. } if *query == q));
     }
 
     #[test]

@@ -289,6 +289,92 @@ fn live_recover_matches_uninterrupted_run() {
     }
 }
 
+/// The automatic cadence: with a small `checkpoint_every`, a
+/// checkpointed `LiveCluster` cuts checkpoints while it streams, without
+/// a `checkpoint_now`, and `recover` from the newest one — wherever in
+/// the stream the cadence put it — matches the uninterrupted twin.
+#[test]
+fn live_checkpoint_cadence_cuts_recoverable_checkpoints_unasked() {
+    let data = rows(10_000, 85);
+    let cadence = LiveConfig {
+        checkpoint_every: 1_000,
+        ..LiveConfig::default()
+    };
+    for policy in policies() {
+        let config = || ClusterConfig::new(exact_config(85), 4, policy.clone());
+        let store: Arc<MemoryCheckpointStore> = Arc::new(MemoryCheckpointStore::new());
+        let uninterrupted_log = RequestLog::shared();
+        let crashing_log = RequestLog::shared();
+        let uninterrupted =
+            LiveCluster::start(config(), data.clone(), Arc::clone(&uninterrupted_log)).unwrap();
+        let crashing = LiveCluster::start_checkpointed(
+            config(),
+            data.clone(),
+            Arc::clone(&crashing_log),
+            cadence.clone(),
+            Arc::clone(&store) as Arc<dyn CheckpointStore>,
+        )
+        .unwrap();
+
+        let mut rng = SmallRng::seed_from_u64(86);
+        let mut live_ids: Vec<u64> = (0..10_000).collect();
+        let mut next = 6_000_000u64;
+        let mut publish_phase = |n: u64| {
+            for _ in 0..n {
+                if rng.gen_bool(0.8) || live_ids.len() < 64 {
+                    let x = rng.gen::<f64>() * 100.0;
+                    uninterrupted_log.publish_insert(Row::new(next, vec![x, x * 3.0]));
+                    crashing_log.publish_insert(Row::new(next, vec![x, x * 3.0]));
+                    live_ids.push(next);
+                    next += 1;
+                } else {
+                    let at = rng.gen_range(0..live_ids.len());
+                    let id = live_ids.swap_remove(at);
+                    uninterrupted_log.publish_delete(id);
+                    crashing_log.publish_delete(id);
+                }
+            }
+        };
+
+        // 3,000 pumped records pass the 1,000-record cadence: the front
+        // end cuts a checkpoint between batches, no call asks for one.
+        publish_phase(3_000);
+        let started = std::time::Instant::now();
+        while crashing.live_stats().checkpoints == 0 {
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(60),
+                "{policy:?}: the cadence never cut a checkpoint"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let (_, cut) = ClusterCheckpoint::load_latest(store.as_ref()).unwrap();
+        assert!(
+            cut.request_offset > 0,
+            "{policy:?}: the cut follows consumed requests"
+        );
+
+        // Crash mid-stream, without a drain; the cadence may cut again
+        // while this phase streams.
+        publish_phase(2_000);
+        drop(crashing);
+
+        let recovered = LiveCluster::recover(
+            config(),
+            Arc::clone(&store) as Arc<dyn CheckpointStore>,
+            Arc::clone(&crashing_log),
+            cadence.clone(),
+        )
+        .unwrap();
+        recovered.drain();
+        uninterrupted.drain();
+        assert_same_answers(
+            uninterrupted.engine(),
+            recovered.engine(),
+            &format!("{policy:?} cadence"),
+        );
+    }
+}
+
 /// Acceptance (b): every write acknowledged by the cluster (published to
 /// a shard topic) survives a primary failure, because the promoted
 /// follower tails the same durable topic — even when it lagged the

@@ -608,7 +608,10 @@ fn a_slow_node_yields_a_flagged_partial_not_a_failover() {
     let eighth = TriggerMode::Nth(2 * SHARDS as u64);
     faults::install(FaultPlan::new(31).rule("net.write", eighth, FaultKind::Stall(800)));
     let answer = remote
-        .query_with(everything, 0, Some(Duration::from_millis(200)))
+        .query_with(
+            everything,
+            QueryOptions::default().with_deadline(Duration::from_millis(200)),
+        )
         .expect("one slow node does not fail the gather")
         .expect("COUNT always answers");
     assert_eq!(faults::fired("net.write"), 1, "the stall must have fired");
@@ -872,7 +875,7 @@ fn a_partial_answer_weighs_missing_shards_alike_on_both_transports() {
     let eighth = TriggerMode::Nth(2 * SHARDS as u64);
     faults::install(FaultPlan::new(47).rule("net.write", eighth, FaultKind::Stall(800)));
     let partial = remote
-        .query_with(sum, 0, Some(budget))
+        .query_with(sum, QueryOptions::default().with_deadline(budget))
         .expect("one slow node does not fail the gather")
         .expect("SUM always answers");
     assert_eq!(faults::fired("net.write"), 1, "the stall must have fired");

@@ -77,7 +77,7 @@ fn request_stream_is_processed_in_arrival_order() {
                 Request::Delete(id) => {
                     engine.delete(id).unwrap();
                 }
-                Request::Execute(q) | Request::ExecuteFor { query: q, .. } => {
+                Request::Execute { query: q, .. } => {
                     // Ground truth "as of arrival": by replay construction
                     // the engine state *is* the arrival-time state.
                     let truth = engine.evaluate_exact(&q).unwrap();
