@@ -28,11 +28,10 @@
 //!   follower, is a [`ShardHost`], whose drain applies one batch under
 //!   one shard-lock acquisition.
 //! * **Retention.** Every pump step that drains a primary truncates its
-//!   shard topic below the shard's *floor*: the lowest applied offset
-//!   over the primary, its followers and the newest
-//!   [`ClusterEngine::checkpoint`] (or restore). A topic
-//!   therefore holds what some copy or a restore from the newest
-//!   checkpoint still needs, not the whole stream.
+//!   shard topic below the shard's [`retention_floor`] over the primary,
+//!   its followers and the newest [`ClusterEngine::checkpoint`] (or
+//!   restore), so a topic holds what some copy or a restore from the
+//!   newest checkpoint still needs, not the whole stream.
 //! * **Queries** scatter to every shard whose slab the predicate can touch
 //!   (all shards under discrete policies) through
 //!   [`ScatterPool::fan_out`] — one target on the calling thread, several
@@ -100,7 +99,7 @@ use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
 use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
 use crate::directory::{resolve_batch, StripedDirectory};
-use crate::host::ShardHost;
+use crate::host::{pick_read, promote, retention_floor, ShardHost, UNPINNED};
 use crate::rebalance::{self, RebalanceReport};
 use crate::router::{RoutingSnapshot, ShardPolicy, ShardRouter};
 use crate::scatter::{Priority, ScatterPool};
@@ -112,9 +111,6 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// [`ShardSet::checkpointed`] before a shard's first checkpoint.
-const NO_CHECKPOINT: u64 = u64::MAX;
 
 /// Records drained per shard per [`ClusterEngine::pump`] step of
 /// [`ClusterEngine::pump_all`], and per shard per sweep of the bulk
@@ -396,8 +392,7 @@ pub struct ShardSet {
     /// primary's topic at its own offset. Lock order extends the
     /// engine-wide order: primary host → its replica set → one replica.
     pub(crate) replicas: Vec<RwLock<Vec<ShardHost>>>,
-    /// Round-robin cursor spreading sub-queries across a shard's primary
-    /// and its fresh replicas.
+    /// The [`pick_read`] cursor.
     read_cursor: AtomicU64,
     /// Records drained into primaries.
     pumped: AtomicU64,
@@ -407,11 +402,10 @@ pub struct ShardSet {
     replica_count: usize,
     /// Configured freshness gate (`ClusterConfig::replica_lag`).
     replica_lag: u64,
-    /// Per-shard applied offset of the newest checkpoint taken or
-    /// restored ([`NO_CHECKPOINT`] before the first), which pins the
-    /// shard's retention floor. Stored under the primary's read guard,
-    /// read under its write guard.
-    checkpointed: Vec<AtomicU64>,
+    /// Per-shard retention pin: the newest checkpoint's (or restore's)
+    /// applied offset, [`UNPINNED`] before the first. Stored under the
+    /// primary's read guard, read under its write guard.
+    pins: Vec<AtomicU64>,
 }
 
 impl ShardSet {
@@ -432,8 +426,8 @@ impl ShardSet {
             replica_queries: AtomicU64::new(0),
             replica_count: config.replicas,
             replica_lag: config.replica_lag,
-            checkpointed: (0..config.shards)
-                .map(|_| AtomicU64::new(NO_CHECKPOINT))
+            pins: (0..config.shards)
+                .map(|_| AtomicU64::new(UNPINNED))
                 .collect(),
         })
     }
@@ -451,9 +445,12 @@ impl ShardSet {
     /// primary's counts and error, and the records consumed across all
     /// followers, which the `pumped` counter leaves out.
     ///
-    /// A step that drains the primary also computes the shard's floor
-    /// under that guard and, after every lock is released, truncates
-    /// the topic below it.
+    /// A step that drains the primary also computes the shard's
+    /// [`retention_floor`] over the primary, the followers (replica set
+    /// read lock, the engine-wide order) and the checkpoint pin. Under
+    /// both guards no promotion can swap a lower-offset follower in and
+    /// no checkpoint can be cut; offsets only rise afterwards, so the
+    /// topic is truncated below it once every lock is released.
     pub(crate) fn pump(
         &self,
         shard: usize,
@@ -468,12 +465,12 @@ impl ShardSet {
             let (applied, skipped, first_error) =
                 host.drain_locked(&mut engine, topic, max_primary, skip_failed);
             self.pumped.fetch_add(applied as u64, Ordering::Relaxed);
-            (
-                applied,
-                skipped,
-                first_error,
-                Some(self.floor_locked(shard)),
-            )
+            let floor = retention_floor(
+                std::iter::once(host.applied())
+                    .chain(self.replicas[shard].read().iter().map(ShardHost::applied)),
+                self.pins[shard].load(Ordering::Acquire),
+            );
+            (applied, skipped, first_error, floor)
         } else {
             (0, 0, None, None)
         };
@@ -491,26 +488,6 @@ impl ShardSet {
         (applied, skipped, followers, first_error)
     }
 
-    /// `shard`'s retention floor: the lowest offset its primary, any
-    /// follower, or a restore from its newest checkpoint still needs.
-    /// Called under the primary's write guard; takes the replica set's
-    /// read lock, the engine-wide order. Under both, no promotion can
-    /// swap a lower-offset follower in and no checkpoint can be cut, so
-    /// the floor never passes a cursor. Offsets only rise afterwards, so
-    /// the floor stays safe once the guards are released.
-    fn floor_locked(&self, shard: usize) -> u64 {
-        let followers = self.replicas[shard]
-            .read()
-            .iter()
-            .map(ShardHost::applied)
-            .min()
-            .unwrap_or(u64::MAX);
-        self.shards[shard]
-            .applied()
-            .min(followers)
-            .min(self.checkpointed[shard].load(Ordering::Acquire))
-    }
-
     /// Captures shard `shard` for a checkpoint and makes its applied
     /// offset the shard's checkpoint floor, under one read guard of the
     /// primary — so no pump step computes a floor between the two.
@@ -519,7 +496,7 @@ impl ShardSet {
         let engine = host.read();
         let published = self.log.topic(shard).len() as u64;
         let captured = host.capture_locked(&engine, shard, published);
-        self.checkpointed[shard].store(captured.applied_offset, Ordering::Release);
+        self.pins[shard].store(captured.applied_offset, Ordering::Release);
         captured
     }
 }
@@ -539,39 +516,32 @@ impl ShardTransport for ShardSet {
         (self.log.topic(shard).len() as u64).saturating_sub(self.shards[shard].applied())
     }
 
-    /// Load-balances across the primary and its *fresh* followers
-    /// (round-robin). A follower is fresh while it trails the topic end
-    /// by at most `replica_lag` records; at the default of 0 only fully
-    /// caught-up followers — whose engines are bit-identical to a fully
-    /// caught-up primary — serve, so replica answers are exact. Stale
-    /// followers are skipped, and the primary always remains a candidate,
-    /// so a lagging replica set degrades to primary-only reads rather
-    /// than stale answers. Answers in process never miss a deadline:
-    /// `expiry` is ignored.
+    /// Answers from the copy [`pick_read`] picks, with no breaker. At
+    /// the default `replica_lag` of 0 only fully caught-up followers —
+    /// bit-identical to a caught-up primary — serve, so replica answers
+    /// are exact. Answers in process never miss a deadline: `expiry` is
+    /// ignored.
     fn serve(&self, shard: usize, query: &Query, _expiry: Option<Instant>) -> Result<SubAnswer> {
         if self.replica_count > 0 {
             let set = self.replicas[shard].read();
             if !set.is_empty() {
-                let min_applied =
-                    (self.log.topic(shard).len() as u64).saturating_sub(self.replica_lag);
-                let fresh: Vec<&ShardHost> =
-                    set.iter().filter(|r| r.applied() >= min_applied).collect();
-                let pick =
-                    self.read_cursor.fetch_add(1, Ordering::Relaxed) as usize % (fresh.len() + 1);
+                let end = self.log.topic(shard).len() as u64;
+                let followers = set.iter().map(ShardHost::applied).enumerate();
+                let lag = self.replica_lag;
                 // Offsets only grow, so the pick passes the re-check its
                 // answer runs under.
-                if pick > 0 {
-                    if let Ok(answer) = fresh[pick - 1].answer(min_applied, query) {
+                if let Some(read) =
+                    pick_read(followers, end, lag, &self.read_cursor, false, || false)
+                {
+                    if let Ok(answer) = set[read.index].answer(read.min_applied, query) {
                         self.replica_queries.fetch_add(1, Ordering::Relaxed);
                         return answer;
                     }
                 }
             }
         }
-        match self.shards[shard].answer(0, query) {
-            Ok(answer) => answer,
-            Err(_) => unreachable!("every applied offset is at least 0"),
-        }
+        let primary = self.shards[shard].answer(0, query);
+        primary.unwrap_or_else(|_| unreachable!("every applied offset is at least 0"))
     }
 }
 
@@ -1297,8 +1267,8 @@ impl ClusterEngine<ShardSet> {
         acc.finish()
     }
 
-    /// Fails a shard's primary and promotes its freshest follower (ties
-    /// break toward the lowest replica index). The promoted engine
+    /// Fails a shard's primary and promotes the follower [`promote`]
+    /// picks by replica index. The promoted engine
     /// resumes pumping the shard topic from its own offset, so every
     /// *acknowledged* write — every record published to the topic —
     /// is eventually applied even if the follower lagged the primary at
@@ -1317,20 +1287,12 @@ impl ClusterEngine<ShardSet> {
         let host = &self.set.shards[shard];
         let mut primary = host.write();
         let mut set = self.set.replicas[shard].write();
-        if set.is_empty() {
+        let Some(best) = promote(set.iter().map(ShardHost::applied).enumerate()) else {
             return Err(JanusError::InvalidConfig(format!(
                 "shard {shard} has no replica to promote"
             )));
-        }
-        let best = set
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, r)| (r.applied(), usize::MAX - *i))
-            .expect("non-empty replica set")
-            .0;
+        };
         host.take_over(&mut primary, set.remove(best));
-        drop(set);
-        drop(primary);
         self.counters.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -1580,7 +1542,7 @@ impl ClusterEngine<ShardSet> {
         // A restore over the surviving topics pins them at the offsets it
         // resumes from, as the checkpoint it restores did.
         if !detached {
-            for (pin, (applied, _)) in cluster.set.checkpointed.iter().zip(offsets) {
+            for (pin, (applied, _)) in cluster.set.pins.iter().zip(offsets) {
                 pin.store(applied, Ordering::Release);
             }
         }

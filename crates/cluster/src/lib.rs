@@ -9,7 +9,7 @@
 //! | [`router`] | [`ShardPolicy`] (hash-by-id, round-robin, range on a predicate attribute) and the [`ShardRouter`] that applies it: row placement, per-shard slabs as [`janus_common::Rect`]s, query overlap pruning |
 //! | [`bootstrap`] | the shared shard-placement helpers: seed derivation, value→slab placement, partition-then-build |
 //! | `directory` (internal) | the striped row→shard placement map: 16 independently locked stripes keyed by a SplitMix64 hash of the row id, with the one-pass reserve the pre-routed publish path lands batches under, the per-shard row counts a deadline-partial gather weighs shards by, and `resolve_batch`, the publish path's resolve step |
-//! | [`host`] | [`host::ShardHost`], the one shard host: an engine under a `RwLock` plus its atomically published applied offset, with the topic drain, the freshness-gated read and sub-query answer, and the checkpoint capture that `ClusterEngine`, `LiveCluster` and the `janus-net` node daemon all run on |
+//! | [`host`] | [`host::ShardHost`], the one shard host: an engine under a `RwLock` plus its atomically published applied offset, with the topic drain, the freshness-gated read and sub-query answer, and the checkpoint capture that `ClusterEngine`, `LiveCluster` and the `janus-net` node daemon all run on; and the one copy policy both transports call: [`host::promote`], [`host::pick_read`], [`host::retention_floor`] |
 //! | [`engine`] | [`ClusterEngine`], the one coordinator over a [`ShardTransport`] — [`ShardSet`] in process, `janus-net`'s node links over TCP: lock-sharded state (`&self` everywhere — one `RwLock` per shard, router lock, striped directory, atomic counters), batch-first publish/pump ingest over [`janus_storage::ShardedLog`] (one Kafka-like topic + offset per shard, deterministic replay; [`ClusterEngine::publish_batch`] routes a whole batch under one lock acquisition, [`ClusterEngine::publish_batch_routed`] lands pre-grouped batches under a router *read* lock against a [`RoutingSnapshot`] generation check), parallel scatter-gather queries merged via [`janus_common::merge`] |
 //! | `scatter` (internal) | [`ScatterPool`]: N long-lived named workers running boxed closures off two-lane ([`Priority`]) queues, and [`ScatterPool::fan_out`], the one gather (submission-order slots, single job inline, deadline-bounded) under the coordinator's scatter, `pump` and the networked bootstrap's Host jobs |
 //! | `cache` (internal) | the answer cache behind [`ClusterConfig::with_answer_cache`]: exact-shape query keys, entries pinned to (rebalance generation, per-shard applied offsets), lazily self-invalidating |

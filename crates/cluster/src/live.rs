@@ -84,6 +84,7 @@
 
 use crate::checkpoint::ClusterCheckpoint;
 use crate::engine::{ClusterConfig, ClusterEngine, QueryOptions, ShardOp};
+use crate::host::UNPINNED;
 use crate::notify::{Backoff, Progress};
 use crate::scatter::Priority;
 use janus_common::{JanusError, Query, Result, Row, TenantId};
@@ -94,6 +95,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Checkpoints retained in the store after each save; older ones are
+/// pruned.
+const CHECKPOINT_KEEP: usize = 4;
 
 /// Tuning knobs of the live service loop.
 #[derive(Clone, Debug)]
@@ -112,9 +117,6 @@ pub struct LiveConfig {
     /// works). Only takes effect when the service was started with a
     /// checkpoint store.
     pub checkpoint_every: u64,
-    /// Checkpoints retained in the store after each save (older ones are
-    /// pruned).
-    pub checkpoint_keep: usize,
     /// Per-tenant admission quota: a tenant may hold at most this many
     /// in-flight queries (submitted via [`LiveCluster::submit_query`],
     /// not yet answered); further submissions are refused with
@@ -129,7 +131,6 @@ impl Default for LiveConfig {
             frontend_chunk: 256,
             max_backlog: 65_536,
             checkpoint_every: 100_000,
-            checkpoint_keep: 4,
             tenant_quota: 0,
         }
     }
@@ -219,8 +220,6 @@ struct Shared {
     /// is what makes the cut consistent), so external callers request
     /// and wait.
     checkpoint_requested: AtomicBool,
-    /// Checkpoints retained after each save.
-    checkpoint_keep: usize,
     /// Wakeup channel: workers bump it whenever they make observable
     /// progress (records pumped, requests consumed, checkpoint cut), and
     /// the barriers ([`LiveCluster::drain`], backlog stalls,
@@ -341,7 +340,6 @@ impl LiveCluster {
             front_offset: AtomicU64::new(start_offset),
             store,
             checkpoint_requested: AtomicBool::new(false),
-            checkpoint_keep: live.checkpoint_keep.max(1),
             progress: Progress::new(),
             counters: LiveCounters::default(),
             tenant_quota: live.tenant_quota,
@@ -630,7 +628,7 @@ fn frontend_loop(
     let mut saved_request_offset = if shared.store.is_some() {
         offset
     } else {
-        u64::MAX
+        UNPINNED
     };
     let mut pumped_at_checkpoint = shared.cluster.pumped_records();
     let mut idle = Backoff::new();
@@ -833,7 +831,7 @@ fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> Opt
         let id = store.latest_id().map_or(0, |latest| latest + 1);
         let saved = checkpoint
             .save(store.as_ref(), id)
-            .and_then(|()| store.prune(shared.checkpoint_keep));
+            .and_then(|()| store.prune(CHECKPOINT_KEEP));
         let counter = match saved {
             Ok(()) => &shared.counters.checkpoints,
             Err(_) => &shared.counters.checkpoint_failures,

@@ -6,19 +6,16 @@
 //! from the primary's (and from each other where the fleet allows), so
 //! losing one rack/zone never loses every copy of a shard.
 //!
-//! Failure handling mirrors the in-process
-//! `ClusterEngine::fail_shard` promotion rule: when a node dies, each
-//! shard it led promotes the *freshest* surviving follower (the one
-//! with the highest applied topic offset; ties break toward the lowest
-//! node index), and since every acknowledged write lives in the
-//! coordinator's durable topic, the promoted copy catches up from its
-//! own offset without losing acknowledged records.
+//! When a node dies, each shard it led promotes the surviving follower
+//! [`janus_cluster::host::promote`] picks, as `ClusterEngine::fail_shard`
+//! does. Every acknowledged write lives in the coordinator's durable
+//! topic, so the promoted copy catches up from its own offset.
 //!
-//! The directory is replicated by value: every mutation produces a
-//! [`DirectorySnapshot`] that the coordinator persists through its
-//! [`janus_storage::CheckpointStore`] alongside shard checkpoints, so a
-//! restarted coordinator recovers the same placement map.
+//! [`Directory::snapshot`] copies the state by value, and it encodes to
+//! a CRC-sealed blob, but nothing persists it yet: a restarted
+//! coordinator does not recover the placement map.
 
+use janus_cluster::host::promote;
 use janus_common::codec::{self, Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Result};
 use std::net::SocketAddr;
@@ -166,9 +163,9 @@ impl Directory {
         &self.lost
     }
 
-    /// Repoints `shard`'s primary to `to` (which must already hold a
-    /// copy or be freshly installed) and drops `from` from its host
-    /// set — the directory half of a snapshot-shipped migration.
+    /// Repoints `shard`'s primary to `to`, a freshly installed copy, and
+    /// drops `from` from its host set — the directory half of a
+    /// snapshot-shipped migration.
     pub fn repoint(&mut self, shard: u32, from: usize, to: usize) {
         let h = &mut self.hosts[shard as usize];
         h.followers.retain(|&f| f != to && f != from);
@@ -180,9 +177,8 @@ impl Directory {
     }
 
     /// Marks node `idx` dead and promotes a follower for every shard it
-    /// led, using the `fail_shard` rule: the follower with the highest
-    /// applied offset wins, ties break toward the lowest node index
-    /// (`freshness` reports a node's applied offset for a shard).
+    /// led, the one [`promote`] picks among the alive followers by node
+    /// index (`freshness` reports a node's applied offset for a shard).
     ///
     /// Returns `(shard, promoted_node)` for each promotion. Shards left
     /// with no copy move to [`Directory::lost_shards`].
@@ -203,15 +199,8 @@ impl Directory {
                 continue;
             }
             let alive = &self.alive;
-            // max_by_key with (offset, usize::MAX - index) mirrors the
-            // in-process promotion tie-break toward the lowest index.
-            match h
-                .followers
-                .iter()
-                .copied()
-                .filter(|&f| alive[f])
-                .max_by_key(|&f| (freshness(f, shard), usize::MAX - f))
-            {
+            let candidates = h.followers.iter().copied().filter(|&f| alive[f]);
+            match promote(candidates.map(|f| (f, freshness(f, shard)))) {
                 Some(promoted) => {
                     h.followers.retain(|&f| f != promoted);
                     h.primary = promoted;
@@ -291,9 +280,7 @@ pub struct NodeSnapshot {
     pub addr: String,
 }
 
-/// Directory state, persisted through the checkpoint store after every
-/// placement mutation so a coordinator restart recovers the map (the
-/// "replicated directory").
+/// Directory state by value, with its sealed-blob encoding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DirectorySnapshot {
     /// Node identities, in index order.

@@ -15,10 +15,8 @@
 //!   never lose: an acknowledged publish is held at the coordinator before
 //!   any node sees it, and stays there until every alive copy of its
 //!   shard has acked applying it. The shippers then drop it with its
-//!   block: each topic is truncated below the lowest applied offset over
-//!   the shard's alive copies, computed under the placement directory's
-//!   read lock, so it holds the tails copies still need, not the whole
-//!   stream;
+//!   block, below the [`retention_floor`] over the shard's alive copies,
+//!   so a topic holds the tails copies still need, not the whole stream;
 //! * the **placement directory** ([`Directory`]): which nodes host which
 //!   shard copies, and which nodes are alive.
 //!
@@ -40,10 +38,10 @@
 //! A heartbeat thread is the failure detector; its replies refresh
 //! applied offsets too. Each copy's offsets only rise at the
 //! coordinator, whichever reply lands last. When a node dies (heartbeat
-//! or ship error), the directory promotes the freshest surviving
-//! follower per lost primary — the `fail_shard` rule — and the promoted
-//! copy catches up from the coordinator topic, so recovery is bit-exact
-//! for every acknowledged record.
+//! or ship error), the directory promotes the surviving follower
+//! [`janus_cluster::host::promote`] picks per lost primary, and the
+//! promoted copy catches up from the coordinator topic, so recovery is
+//! bit-exact for every acknowledged record.
 //!
 //! The bootstrap partitions the rows first (the coordinator's own
 //! partition), so a duplicate id fails before any node hosts anything;
@@ -55,11 +53,11 @@
 //!
 //! Reads scatter per overlapping shard through the coordinator's pool (one
 //! worker per shard; one TCP exchange per job; no thread per query). A
-//! sub-query rides the same freshness gate as in-process replicas: a
-//! follower may serve only while it trails the topic end by at most
-//! `replica_lag` records (round-robin across primary + fresh followers);
-//! the node re-checks the gate under its engine lock and answers `Stale`
-//! if it fell behind, in which case the coordinator falls back to the
+//! sub-query goes to the copy [`janus_cluster::host::pick_read`] picks,
+//! as in process: round-robin across the primary and the followers
+//! that trail the topic end by at most `replica_lag` records. The node
+//! re-checks that gate under its engine lock and answers `Stale` if it
+//! fell behind, in which case the coordinator falls back to the
 //! primary. The networked coordinator keeps no answer cache: every query
 //! scatters, on the pool lane its [`QueryOptions`] name
 //! ([`janus_cluster::Priority::Bulk`] by default).
@@ -83,6 +81,7 @@ use crate::directory::{Directory, NodeDesc};
 use crate::node::NodeConfig;
 use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::bootstrap::shard_config;
+use janus_cluster::host::{pick_read, retention_floor, UNPINNED};
 use janus_cluster::notify::{Backoff, Progress};
 use janus_cluster::{
     ClusterConfig, ClusterEngine, Priority, PublishReport, QueryOptions, ScatterPool,
@@ -106,8 +105,6 @@ const PROMOTION_POLL: Duration = Duration::from_millis(1);
 /// Bound on a re-dial attempt during retry; the bootstrap dial keeps its
 /// own, more generous timeout.
 const REDIAL_TIMEOUT: Duration = Duration::from_secs(1);
-/// A shard's retention pin while no [`RemoteCluster::move_shard`] holds it.
-const UNPINNED: u64 = u64::MAX;
 
 /// Exponential-backoff budget for transport exchanges with one node.
 ///
@@ -556,20 +553,19 @@ impl NodeLinks {
         }
     }
 
-    /// Truncates `shard`'s topic below its floor: the lowest applied
-    /// offset any alive copy has acked, or the shard's pin if lower.
+    /// Truncates `shard`'s topic below its [`retention_floor`] over the
+    /// applied offsets its alive copies have acked and the shard's pin.
     /// The floor is computed under the directory read lock, so it sees
     /// either no pin and no move in flight, or the pin. A shard with no
     /// alive copy keeps its topic.
     fn retain(&self, shard: u32) {
         let floor = {
             let dir = self.directory.read();
-            dir.hosts_of(shard)
-                .all()
-                .filter(|&n| dir.is_alive(n))
-                .map(|n| self.links[n].applied.of(shard))
-                .min()
-                .map(|floor| floor.min(self.pins[shard as usize].load(Ordering::Acquire)))
+            let alive = dir.hosts_of(shard).all().filter(|&n| dir.is_alive(n));
+            retention_floor(
+                alive.map(|n| self.links[n].applied.of(shard)),
+                self.pins[shard as usize].load(Ordering::Acquire),
+            )
         };
         if let Some(floor) = floor {
             self.topics.topic(shard as usize).truncate_below(floor);
@@ -858,25 +854,23 @@ impl ShardTransport for NodeLinks {
         self.links[primary].applied.of(shard)
     }
 
-    /// Worst observed lag for `shard`: topic end minus the smallest
-    /// applied offset over its alive copies (0 once it lost them all).
+    /// Worst observed lag for `shard`: topic end minus its unpinned
+    /// [`retention_floor`], the slowest alive copy's applied offset (0
+    /// once it lost them all).
     fn backlog(&self, shard: usize) -> u64 {
         let (dir, shard) = (self.directory.read(), shard as u32);
         if dir.lost_shards().contains(&shard) {
             return 0;
         }
         let end = self.topics.topic(shard as usize).len() as u64;
-        dir.hosts_of(shard)
-            .all()
-            .filter(|&n| dir.is_alive(n))
-            .map(|n| end.saturating_sub(self.links[n].applied.of(shard)))
-            .max()
-            .unwrap_or(0)
+        let alive = dir.hosts_of(shard).all().filter(|&n| dir.is_alive(n));
+        let floor = retention_floor(alive.map(|n| self.links[n].applied.of(shard)), UNPINNED);
+        floor.map_or(0, |floor| end.saturating_sub(floor))
     }
 
-    /// Serves one sub-query, load-balancing across the primary and
-    /// fresh followers, falling back to the primary on a `Stale`
-    /// refusal and failing over on transport errors. Under an `expiry`
+    /// Serves one sub-query from the copy [`pick_read`] picks over the
+    /// alive followers, with the primary's breaker and the `Stale`
+    /// fallback, and fails over on transport errors. Under an `expiry`
     /// every socket wait is bounded by the remaining budget;
     /// [`JanusError::Deadline`] means "shard too slow", and explicitly
     /// does not mark the node dead.
@@ -902,50 +896,28 @@ impl ShardTransport for NodeLinks {
             };
             let picked = {
                 let dir = shared.directory.read();
-                let primary = alive_primary(&dir, shard)?;
-                let hosts = dir.hosts_of(shard);
-                let end = shared.topics.topic(shard as usize).len() as u64;
-                let lag = shared.config.replica_lag;
-                let fresh: Vec<usize> = hosts
-                    .followers
-                    .iter()
-                    .copied()
-                    .filter(|&f| {
-                        dir.is_alive(f)
-                            && end.saturating_sub(shared.links[f].applied.of(shard)) <= lag
-                    })
-                    .collect();
-                primary.map(|primary| {
-                    // Degraded replica reads: while the primary's
-                    // breaker is open, steer round-robin across fresh
-                    // followers only — unless the freshness fallback
-                    // already pinned this gather to the primary (the
-                    // pinned read doubles as the half-open probe).
-                    let degraded = !primary_only
-                        && !fresh.is_empty()
-                        && shared.links[primary].breaker.is_open();
-                    let pick = if primary_only {
-                        0
-                    } else if degraded {
-                        shared
-                            .counters
-                            .degraded_reads
-                            .fetch_add(1, Ordering::Relaxed);
-                        1 + shared.read_cursor.fetch_add(1, Ordering::Relaxed) as usize
-                            % fresh.len()
-                    } else {
-                        shared.read_cursor.fetch_add(1, Ordering::Relaxed) as usize
-                            % (fresh.len() + 1)
+                alive_primary(&dir, shard)?.map(|primary| {
+                    let end = shared.topics.topic(shard as usize).len() as u64;
+                    let followers = dir.hosts_of(shard).followers.iter().copied();
+                    let followers = followers
+                        .filter(|&f| dir.is_alive(f))
+                        .map(|f| (f, shared.links[f].applied.of(shard)));
+                    // A read pinned to the primary by a `Stale` refusal
+                    // doubles as the half-open probe of its breaker.
+                    let breaker = &shared.links[primary].breaker;
+                    let lag = shared.config.replica_lag;
+                    let cursor = &shared.read_cursor;
+                    let Some(read) = pick_read(followers, end, lag, cursor, primary_only, || {
+                        breaker.is_open()
+                    }) else {
+                        return (primary, 0);
                     };
-                    if pick == 0 {
-                        (primary, 0)
-                    } else {
-                        shared
-                            .counters
-                            .replica_queries
-                            .fetch_add(1, Ordering::Relaxed);
-                        (fresh[pick - 1], end.saturating_sub(lag))
+                    let counters = &shared.counters;
+                    if read.degraded {
+                        counters.degraded_reads.fetch_add(1, Ordering::Relaxed);
                     }
+                    counters.replica_queries.fetch_add(1, Ordering::Relaxed);
+                    (read.index, read.min_applied)
                 })
             };
             let Some((node, min_applied)) = picked else {
@@ -1258,7 +1230,9 @@ impl RemoteCluster {
     /// topic tail from the checkpoint's applied offset. Publishes may
     /// continue throughout. The checkpoint travels as one frame, so the
     /// largest movable shard is [`crate::wire::MAX_FRAME_LEN`] over its
-    /// bytes per row: about 61 for 5 columns, ≈ 1.1M rows.
+    /// bytes per row: about 61 for 5 columns, ≈ 1.1M rows. Errs with
+    /// [`JanusError::InvalidConfig`], moving nothing, when `to` is dead
+    /// or already holds a follower copy of the shard.
     pub fn move_shard(&self, shard: u32, to: usize) -> Result<()> {
         let shared = self.shared();
         if to >= shared.links.len() {
@@ -1269,21 +1243,24 @@ impl RemoteCluster {
             if !dir.is_alive(to) {
                 return Err(JanusError::InvalidConfig(format!("node {to} is dead")));
             }
-            let from = dir.hosts_of(shard).primary;
-            if from != to {
-                // Pin the floor at the source's recorded offset, which
-                // the checkpoint's cannot be below: a heartbeat may raise
-                // the recorded offset past the checkpoint before the
-                // target is in place, and the target catches up from the
-                // checkpoint's offset.
-                let pin = shared.links[from].applied.of(shard);
-                shared.pins[shard as usize].store(pin, Ordering::Release);
+            let hosts = dir.hosts_of(shard);
+            if hosts.primary == to {
+                return Ok(());
             }
-            from
+            if hosts.includes(to) {
+                return Err(JanusError::InvalidConfig(format!(
+                    "node {to} already holds a copy of shard {shard}"
+                )));
+            }
+            // Pin the floor at the source's recorded offset, which the
+            // checkpoint's cannot be below: a heartbeat may raise the
+            // recorded offset past the checkpoint before the target is
+            // in place, and the target catches up from the checkpoint's
+            // offset.
+            let pin = shared.links[hosts.primary].applied.of(shard);
+            shared.pins[shard as usize].store(pin, Ordering::Release);
+            hosts.primary
         };
-        if from == to {
-            return Ok(());
-        }
         let moved = self.move_pinned(shard, from, to);
         shared.pins[shard as usize].store(UNPINNED, Ordering::Release);
         moved
@@ -1310,8 +1287,9 @@ impl RemoteCluster {
             &shared.counters.link_retries,
         )?;
         match install {
-            // An install whose ack was lost to a retried transport
-            // error already landed; "already hosted" is success here.
+            // `to` held no copy when the move began, so "already hosted"
+            // means an install whose ack was lost to a retried transport
+            // error already landed: success.
             Frame::Error { message } if message.contains("already hosted") => {}
             other => expect_ok(other, "install")?,
         }

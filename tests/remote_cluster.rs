@@ -889,3 +889,43 @@ fn a_partial_answer_weighs_missing_shards_alike_on_both_transports() {
     remote.shutdown_nodes();
     remote.shutdown();
 }
+
+/// A node that already holds a follower copy of a shard is no target for
+/// that shard's move: installing a second copy there is refused, so the
+/// move must fail before it pins, repoints or counts anything, and the
+/// fleet keeps converging to its twin.
+#[test]
+fn move_shard_refuses_a_node_that_already_holds_a_copy() {
+    let fleet = local_fleet(3).expect("start fleet");
+    let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+    let remote = RemoteCluster::bootstrap(
+        RemoteConfig::new(config(59), 4, policy.clone()).with_replicas(1, 0),
+        rows(4_000, 59),
+        &addrs_of(&fleet),
+    )
+    .expect("bootstrap");
+    let twin = ClusterEngine::bootstrap(ClusterConfig::new(config(59), 4, policy), rows(4_000, 59))
+        .expect("twin");
+
+    let mut feed = Feed::new(61, 4_000);
+    feed.publish(&remote, &twin, 600);
+    remote.drain();
+
+    let before = remote.directory_snapshot();
+    let follower = before.followers[0][0];
+    assert!(
+        remote.move_shard(0, follower).is_err(),
+        "node {follower} already holds a copy of shard 0"
+    );
+    assert_eq!(remote.directory_snapshot(), before);
+    let stats = remote.stats();
+    assert_eq!((stats.failovers, stats.migrations), (0, 0));
+
+    feed.publish(&remote, &twin, 600);
+    remote.drain();
+    twin.pump_all().expect("pump");
+    assert_eq!(remote.population().unwrap(), twin.population() as u64);
+    assert_bit_identical(&remote, &twin, "after a refused move");
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
