@@ -133,16 +133,28 @@ impl ShardHost {
         self.engine.get_mut()
     }
 
-    /// Applies `batch`, the records from the applied offset on, under the
-    /// engine's write guard. Returns `(applied, skipped, first_error)`;
-    /// strict (`skip_failed` unset), a failing record is neither, and
-    /// the batch stops there.
-    pub fn apply(
+    /// Applies `batch`, the topic records from `first_offset` on, under
+    /// the engine's write guard, and returns the applied offset after it.
+    /// Records below the applied offset are replays and are skipped, so
+    /// re-shipping a batch never applies a record twice. A batch that
+    /// starts past the applied offset would leave a gap: it is refused
+    /// with the applied offset, and nothing changes. Strict
+    /// (`skip_failed` unset), a failing record stops the batch there.
+    pub fn apply_from(
         &self,
-        batch: Vec<ShardOp>,
+        first_offset: u64,
+        mut batch: Vec<ShardOp>,
         skip_failed: bool,
-    ) -> (usize, usize, Option<JanusError>) {
-        self.apply_locked(&mut self.engine.write(), batch, skip_failed)
+    ) -> std::result::Result<u64, u64> {
+        let mut engine = self.engine.write();
+        let applied = self.applied();
+        if first_offset > applied {
+            return Err(applied);
+        }
+        let replayed = ((applied - first_offset) as usize).min(batch.len());
+        batch.drain(..replayed);
+        self.apply_locked(&mut engine, batch, skip_failed);
+        Ok(self.applied())
     }
 
     /// Applies up to `max` records of `topic` from the applied offset
@@ -161,7 +173,7 @@ impl ShardHost {
         self.apply_locked(engine, batch, skip_failed)
     }
 
-    /// The one apply body under [`ShardHost::apply`] and
+    /// The one apply body under [`ShardHost::apply_from`] and
     /// [`ShardHost::drain_locked`].
     fn apply_locked(
         &self,
@@ -207,9 +219,11 @@ impl ShardHost {
 
     /// Captures the host as shard `shard`'s checkpoint: the engine's
     /// synopsis and archive and its applied offset, read under one read
-    /// guard, with `published` as the published offset.
-    pub fn capture(&self, shard: usize, published: u64) -> ShardCheckpoint {
-        self.capture_locked(&self.engine.read(), shard, published)
+    /// guard. A host that applies what it receives has published exactly
+    /// what it applied, so both offsets are the applied one.
+    pub fn capture(&self, shard: usize) -> ShardCheckpoint {
+        let engine = self.engine.read();
+        self.capture_locked(&engine, shard, self.applied())
     }
 
     /// [`ShardHost::capture`] under `engine`, this host's read guard,
@@ -292,6 +306,58 @@ mod tests {
         let pick = pick_read(FOLLOWERS, 100, 2, &cursor, true, || unreachable!());
         assert_eq!(pick, None);
         assert_eq!(cursor.load(Ordering::Relaxed), 5);
+    }
+
+    /// A host over 100 bootstrap rows (ids 0..100) at offset 0.
+    fn host() -> ShardHost {
+        let template = janus_common::QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let mut config = janus_core::SynopsisConfig::paper_default(template, 3);
+        config.leaf_count = 8;
+        config.sample_rate = 0.1;
+        config.auto_repartition = false;
+        let rows = (0..100u64)
+            .map(|i| janus_common::Row::new(i, vec![i as f64, 2.0 * i as f64]))
+            .collect();
+        ShardHost::new(JanusEngine::bootstrap(config, rows).unwrap(), 0)
+    }
+
+    /// Inserts of fresh ids `ids`, one topic record each.
+    fn inserts(ids: std::ops::Range<u64>) -> Vec<ShardOp> {
+        ids.map(|i| ShardOp::Insert(janus_common::Row::new(1_000 + i, vec![i as f64, 1.0])))
+            .collect()
+    }
+
+    #[test]
+    fn a_replay_applies_only_the_suffix_past_the_applied_offset() {
+        let host = host();
+        assert_eq!(host.apply_from(0, inserts(0..2), false), Ok(2));
+        // Records 1 and 2, strict: re-applying record 1 would fail and
+        // stop the batch, so the offset and population show it skipped.
+        assert_eq!(host.apply_from(1, inserts(1..3), false), Ok(3));
+        assert_eq!(host.applied(), 3);
+        assert_eq!(host.read().population(), 103);
+    }
+
+    #[test]
+    fn a_batch_past_the_applied_offset_is_refused_untouched() {
+        let host = host();
+        assert_eq!(host.apply_from(0, inserts(0..3), false), Ok(3));
+        assert_eq!(host.apply_from(4, inserts(4..6), true), Err(3));
+        assert_eq!(host.applied(), 3);
+        assert_eq!(host.read().population(), 103);
+        assert_eq!(host.read().stats().inserts, 3);
+    }
+
+    #[test]
+    fn an_empty_or_fully_applied_batch_changes_nothing() {
+        let host = host();
+        assert_eq!(host.apply_from(0, inserts(0..3), false), Ok(3));
+        assert_eq!(host.apply_from(3, Vec::new(), false), Ok(3));
+        assert_eq!(host.apply_from(0, inserts(0..3), false), Ok(3));
+        assert_eq!(host.apply_from(1, inserts(1..2), true), Ok(3));
+        assert_eq!(host.applied(), 3);
+        assert_eq!(host.read().population(), 103);
+        assert_eq!(host.read().stats().inserts, 3);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   the pump step behind [`ClusterEngine::pump_shard`], draining shard
 //!   `i`'s topic into its primary and follower
 //!   [`ShardHost`](crate::host::ShardHost)s in offset order — the same
-//!   host and drain a `janus-node` pump thread runs. Each worker
+//!   host whose `apply_from` a `janus-node` applies each shipped batch
+//!   through. Each worker
 //!   write-locks only its own shard's engines, one at a time, in the
 //!   engine-wide lock order: primary host → replica set → one replica.
 //!   The shards absorb their streams in parallel and a busy shard never

@@ -11,8 +11,8 @@
 //! placement:
 //!
 //! * **Range policy** — new equal-count boundaries are estimated from the
-//!   shards' *synopsis snapshots* ([`janus_core::JanusEngine::save_synopsis`], the
-//!   `janus-core` persistence path): the pooled snapshot samples are a
+//!   shards' pooled samples ([`janus_core::JanusEngine::reservoir`]),
+//!   read in place: weighted by population, they are a
 //!   population-proportional sketch of every shard, so their quantiles
 //!   approximate global quantiles without scanning any archive. Rows on
 //!   the wrong side of the new bounds then migrate.
@@ -116,8 +116,8 @@ pub(crate) fn rebalance(
     }
 }
 
-/// Range policy: re-estimate equal-count bounds from snapshot samples and
-/// migrate misplaced rows.
+/// Range policy: re-estimate equal-count bounds from the shards' pooled
+/// samples and migrate misplaced rows.
 fn range_redraw(
     router: &mut ShardRouter,
     shards: &mut [&mut JanusEngine],
@@ -126,24 +126,19 @@ fn range_redraw(
     base: &SynopsisConfig,
     column: usize,
 ) -> Result<RebalanceReport> {
-    // Global quantiles from the snapshot samples. Reservoirs are capped
+    // Global quantiles from the pooled samples. Reservoirs are capped
     // at their bootstrap size while shard populations drift, so each
     // sampled value represents `population / sample_count` live rows of
     // its shard — the weights make the pooled sketch
     // population-proportional again.
     let mut weighted: Vec<(f64, f64)> = Vec::new();
     for shard in shards.iter() {
-        let snapshot = shard.save_synopsis();
-        if snapshot.sample_rows.is_empty() {
+        let sample = shard.reservoir();
+        if sample.is_empty() {
             continue;
         }
-        let weight = snapshot.population as f64 / snapshot.sample_rows.len() as f64;
-        weighted.extend(
-            snapshot
-                .sample_rows
-                .iter()
-                .map(|r| (r.value(column), weight)),
-        );
+        let weight = shard.population() as f64 / sample.len() as f64;
+        weighted.extend(sample.iter().map(|r| (r.value(column), weight)));
     }
     weighted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     let n_shards = shards.len();

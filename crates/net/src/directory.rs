@@ -410,6 +410,22 @@ mod tests {
     }
 
     #[test]
+    fn every_primary_is_alive_unless_its_shard_is_lost() {
+        let mut dir = Directory::place(fleet(&["a", "b", "c"]), 6, 1).unwrap();
+        for dead in [1, 0, 2] {
+            dir.fail_node(dead, |node, shard| (node as u64 + 1) * u64::from(shard));
+            for shard in 0..6 {
+                let primary = dir.hosts_of(shard).primary;
+                assert!(
+                    dir.is_alive(primary) || dir.lost_shards().contains(&shard),
+                    "after failing node {dead}, shard {shard} leads from dead node {primary}"
+                );
+            }
+        }
+        assert_eq!(dir.lost_shards().len(), 6);
+    }
+
+    #[test]
     fn losing_every_copy_is_loud() {
         let mut dir = Directory::place(fleet(&["a", "b"]), 2, 0).unwrap();
         dir.fail_node(0, |_, _| 0);

@@ -1,63 +1,47 @@
 //! The shard-hosting node daemon.
 //!
 //! A [`NodeServer`] is one member of a networked cluster: it hosts a
-//! subset of shards, each as a [`JanusEngine`] plus the records of that
-//! shard's topic it has received and not yet applied, and speaks the
-//! [`crate::wire`] protocol over plain TCP. The coordinator
-//! ([`crate::remote::RemoteCluster`]) pushes topic tails to it and waits
-//! on its applies ([`Frame::PublishBatch`]), scatters sub-queries at it
-//! ([`Frame::Query`]), probes liveness and applied offsets
-//! ([`Frame::Heartbeat`]), and moves shards on or off it via checkpoint
-//! shipping ([`Frame::FetchCheckpoint`] / [`Frame::Checkpoint`] /
-//! [`Frame::Release`]).
+//! subset of shards, each as a [`ShardHost`] — a [`JanusEngine`] and the
+//! topic offset it has applied — and speaks the [`crate::wire`] protocol
+//! over plain TCP. The coordinator ([`crate::remote::RemoteCluster`])
+//! ships topic records to it ([`Frame::PublishBatch`]), scatters
+//! sub-queries at it ([`Frame::Query`]), probes liveness and applied
+//! offsets ([`Frame::Heartbeat`]), and moves shards on or off it via
+//! checkpoint shipping ([`Frame::FetchCheckpoint`] / [`Frame::Checkpoint`]
+//! / [`Frame::Release`]).
 //!
-//! Each hosted shard is a streaming consumer of its topic tail: the
-//! coordinator's topic is the durable copy, so the node keeps no second
-//! one. A publish appends to the shard's FIFO of unapplied records, and a
-//! dedicated pump thread pops up to `PUMP_CHUNK` of them and moves them
-//! into the engine in offset order through [`ShardHost::apply`] — the
-//! same host the in-process [`janus_cluster::LiveCluster`] pumps —
-//! parking with bounded exponential backoff when idle and unparked by
-//! the publish handler, so an idle node burns no cores. A node's memory
-//! beyond its engines is therefore bounded by the coordinator's
-//! publish-ahead window. After each applied chunk the pump bumps a
-//! node-wide [`Progress`], on which an empty publish batch waits, so the
-//! coordinator learns of an apply on the ship link as it happens rather
-//! than at the next heartbeat. Queries answer through
-//! [`ShardHost::answer`]'s freshness gate and checkpoints ship through
-//! [`ShardHost::capture`]. Because records are applied in exactly the
-//! topic order the coordinator assigned, a node's engine is
-//! bit-identical to an in-process shard engine at the same offset.
+//! The coordinator's topic is the durable copy of every record, so a node
+//! keeps none: the connection thread that decodes a publish batch applies
+//! it through [`ShardHost::apply_from`] — the host the in-process
+//! [`janus_cluster::LiveCluster`] pumps — and acks with the applied
+//! offset, so a node's memory beyond its engines is the one batch in
+//! hand. As every other node frame, a publish is done when it is acked.
+//! Replays deduplicate by offset and a batch past the applied offset is
+//! refused as a gap. Queries answer through [`ShardHost::answer`]'s
+//! freshness gate and checkpoints ship through [`ShardHost::capture`].
+//! Because records are applied in exactly the topic order the
+//! coordinator assigned, a node's engine is bit-identical to an
+//! in-process shard engine at the same offset.
 //!
 //! The lock order is the in-process one — primary host → replica set →
 //! one replica — of which a node, hosting each shard once, uses only the
 //! first rung: a host takes no other lock under its engine's, and the
-//! `shards` map is never held while an engine is locked. A shard's tail
-//! lock comes before its engine's (a checkpoint capture holds both);
-//! the pump releases the tail before it applies.
+//! `shards` map is never held while an engine is locked.
 
 use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::host::ShardHost;
-use janus_cluster::notify::{Backoff, Progress, IDLE_MAX};
+use janus_cluster::notify::IDLE_MAX;
 use janus_cluster::{ShardCheckpoint, ShardOp};
 use janus_common::merge::SubAnswer;
 use janus_common::{JanusError, Result};
 use janus_core::{JanusEngine, SynopsisConfig};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Bound on an empty [`Frame::PublishBatch`]'s wait for the pump to move:
-/// well under any sensible link read timeout, so a wedged pump costs the
-/// shipper a short round, never a transport error.
-const ACK_WAIT: Duration = Duration::from_millis(5);
-
-/// Records a hosted shard's pump moves into its engine per drain.
-const PUMP_CHUNK: usize = 1024;
+use std::time::Duration;
 
 /// Identity of one node daemon.
 #[derive(Clone, Debug)]
@@ -79,54 +63,14 @@ impl NodeConfig {
     }
 }
 
-/// The records of a shard topic a node has received and not yet applied.
-struct Tail {
-    /// Unapplied records in topic order; the last sits at `received - 1`.
-    ops: VecDeque<ShardOp>,
-    /// Global topic offset up to which records have been received.
-    received: u64,
-}
-
-/// One hosted shard: its unapplied tail and the host applying it.
-struct ShardSlot {
-    /// Global topic offset the slot started at — zero for
-    /// bootstrap-hosted shards, the checkpoint's applied offset for
-    /// shards installed from a shipped snapshot.
-    base: u64,
-    /// Fed by publish frames, emptied by the pump.
-    tail: Mutex<Tail>,
-    host: ShardHost,
-    /// Set by `Release`; the pump thread exits on sight.
-    retired: AtomicBool,
-    /// Pump thread handle, for publish-side unparks.
-    pump_thread: Mutex<Option<std::thread::Thread>>,
-}
-
-impl ShardSlot {
-    /// Global topic offset up to which records have been received.
-    fn received(&self) -> u64 {
-        self.tail.lock().received
-    }
-
-    fn unpark_pump(&self) {
-        if let Some(t) = self.pump_thread.lock().as_ref() {
-            t.unpark();
-        }
-    }
-}
-
 struct NodeState {
     config: NodeConfig,
-    shards: RwLock<HashMap<u32, Arc<ShardSlot>>>,
-    pumps: Mutex<Vec<JoinHandle<()>>>,
+    shards: RwLock<HashMap<u32, Arc<ShardHost>>>,
     shutdown: AtomicBool,
-    /// Bumped by every pump after each applied chunk, and by `Release`
-    /// and shutdown — what an empty publish batch waits on.
-    progress: Progress,
 }
 
 impl NodeState {
-    fn slot(&self, shard: u32) -> Option<Arc<ShardSlot>> {
+    fn host(&self, shard: u32) -> Option<Arc<ShardHost>> {
         self.shards.read().get(&shard).cloned()
     }
 
@@ -136,79 +80,25 @@ impl NodeState {
             .shards
             .read()
             .iter()
-            .map(|(s, slot)| (*s, slot.host.applied()))
+            .map(|(s, host)| (*s, host.applied()))
             .collect();
         out.sort_unstable_by_key(|(s, _)| *s);
         out
     }
 
-    /// Registers a freshly built slot and spawns its pump thread; errors,
-    /// spawning nothing, when the shard is already hosted. The occupancy
+    /// Hosts `engine`, which has applied its topic up to `applied`, as
+    /// `shard`; errors when the shard is already hosted. The occupancy
     /// check and the insert share one `shards` write guard, so of two
     /// concurrent installs of one shard exactly one succeeds.
-    fn install_slot(self: &Arc<Self>, shard: u32, engine: JanusEngine, base: u64) -> Result<()> {
-        // The tail starts where the engine stands: its first record sits
-        // at global offset `base`, the offset the engine has applied.
-        let slot = Arc::new(ShardSlot {
-            base,
-            tail: Mutex::new(Tail {
-                ops: VecDeque::new(),
-                received: base,
-            }),
-            host: ShardHost::new(engine, base),
-            retired: AtomicBool::new(false),
-            pump_thread: Mutex::new(None),
-        });
-        {
-            let mut shards = self.shards.write();
-            if shards.contains_key(&shard) {
-                return Err(JanusError::InvalidConfig(format!(
-                    "shard {shard} already hosted"
-                )));
-            }
-            shards.insert(shard, Arc::clone(&slot));
+    fn install(&self, shard: u32, engine: JanusEngine, applied: u64) -> Result<()> {
+        let mut shards = self.shards.write();
+        if shards.contains_key(&shard) {
+            return Err(JanusError::InvalidConfig(format!(
+                "shard {shard} already hosted"
+            )));
         }
-        let state = Arc::clone(self);
-        let pump_slot = Arc::clone(&slot);
-        let handle = std::thread::Builder::new()
-            .name(format!("janus-node-pump-{shard}"))
-            .spawn(move || pump_loop(&state, &pump_slot))
-            .expect("spawn pump thread");
-        *slot.pump_thread.lock() = Some(handle.thread().clone());
-        self.pumps.lock().push(handle);
+        shards.insert(shard, Arc::new(ShardHost::new(engine, applied)));
         Ok(())
-    }
-}
-
-/// Moves a slot's tail into its engine until shutdown/release.
-fn pump_loop(state: &NodeState, slot: &ShardSlot) {
-    let mut idle = Backoff::new();
-    while !state.shutdown.load(Ordering::Acquire) && !slot.retired.load(Ordering::Acquire) {
-        // Chaos hook: an injected fault here models a wedged applier —
-        // a transient stall, never a wrong apply. `Stall` sleeps inside
-        // `hit`; error kinds park one idle period and re-poll, so the
-        // shard falls behind (stale reads, backpressure) but always
-        // converges once the plan stops firing.
-        if janus_common::faults::hit("node.pump").is_some() {
-            std::thread::park_timeout(IDLE_MAX);
-            continue;
-        }
-        let batch: Vec<ShardOp> = {
-            let mut tail = slot.tail.lock();
-            let take = tail.ops.len().min(PUMP_CHUNK);
-            tail.ops.drain(..take).collect()
-        };
-        // An idle shard parks without taking its engine's write guard.
-        if batch.is_empty() {
-            idle.park();
-            continue;
-        }
-        idle.reset();
-        // Lossy (`skip_failed`), as the coordinator's row directory
-        // already rejected what cannot apply: every popped record is
-        // consumed.
-        slot.host.apply(batch, true);
-        state.progress.bump();
     }
 }
 
@@ -220,7 +110,7 @@ fn err_frame(message: impl Into<String>) -> Frame {
 
 /// Handles one decoded request frame, producing the reply frame.
 /// Returns `(reply, initiate_shutdown)`.
-fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
+fn handle(state: &NodeState, frame: Frame) -> (Frame, bool) {
     let reply = match frame {
         Frame::Hello { .. } => {
             let mut shards: Vec<u32> = state.shards.read().keys().copied().collect();
@@ -278,17 +168,12 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
             Err(e) => err_frame(format!("install shard {shard}: {e}")),
         },
         Frame::Release { shard } => match state.shards.write().remove(&shard) {
-            Some(slot) => {
-                slot.retired.store(true, Ordering::Release);
-                slot.unpark_pump();
-                state.progress.bump();
-                Frame::Ok
-            }
+            Some(_) => Frame::Ok,
             None => err_frame(format!("release: shard {shard} not hosted")),
         },
-        Frame::Population { shard } => match state.slot(shard) {
-            Some(slot) => {
-                let rows = slot.host.read().population() as u64;
+        Frame::Population { shard } => match state.host(shard) {
+            Some(host) => {
+                let rows = host.read().population() as u64;
                 Frame::PopulationAck { shard, rows }
             }
             None => err_frame(format!("population: shard {shard} not hosted")),
@@ -300,78 +185,42 @@ fn handle(state: &Arc<NodeState>, frame: Frame) -> (Frame, bool) {
 }
 
 fn host_shard(
-    state: &Arc<NodeState>,
+    state: &NodeState,
     shard: u32,
     config: SynopsisConfig,
     rows: Vec<janus_common::Row>,
 ) -> Result<()> {
-    state.install_slot(shard, JanusEngine::bootstrap(config, rows)?, 0)
+    state.install(shard, JanusEngine::bootstrap(config, rows)?, 0)
 }
 
-/// Accepts a run of topic records into the slot's tail. Replays are
-/// idempotent: a batch whose prefix is already received is deduplicated
+/// Applies a run of topic records to the shard's engine on the calling
+/// connection thread and acks the applied offset. Replays are
+/// idempotent: a batch whose prefix is already applied is deduplicated
 /// by offset, so the coordinator may re-ship after a reconnect without
-/// double-applying. An empty batch asks for the apply instead: its ack
-/// waits until the pump moves ([`await_apply`]).
-fn publish(state: &Arc<NodeState>, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> Frame {
-    let Some(slot) = state.slot(shard) else {
+/// double-applying. A batch past the applied offset is refused as a gap.
+fn publish(state: &NodeState, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> Frame {
+    let Some(host) = state.host(shard) else {
         return err_frame(format!("publish: shard {shard} not hosted"));
     };
-    let ack_apply = ops.is_empty();
-    let appended = {
-        let mut tail = slot.tail.lock();
-        let received = tail.received;
-        if first_offset > received {
-            return err_frame(format!(
-                "publish gap on shard {shard}: batch starts at {first_offset}, node is at {received}"
-            ));
-        }
-        if first_offset < slot.base {
-            return err_frame(format!(
-                "publish below shard {shard} base {}: batch starts at {first_offset}",
-                slot.base
-            ));
-        }
-        let skip = (received - first_offset) as usize;
-        let appended = skip < ops.len();
-        if appended {
-            tail.received = first_offset + ops.len() as u64;
-            tail.ops.extend(ops.into_iter().skip(skip));
-        }
-        appended
-    };
-    if appended {
-        slot.unpark_pump();
-    } else if ack_apply {
-        await_apply(state, &slot);
+    // Chaos hook: any fault injected here models a wedged applier — the
+    // apply stalls for one idle period, never goes wrong — so the shard
+    // falls behind (stale reads, backpressure) but always converges once
+    // the plan stops firing.
+    if janus_common::faults::hit("node.pump").is_some() {
+        std::thread::sleep(IDLE_MAX);
     }
-    Frame::PublishAck {
-        shard,
-        received: slot.received(),
-        applied: slot.host.applied(),
+    // Lossy (`skip_failed`), as the coordinator's row directory already
+    // rejected what cannot apply: every shipped record is consumed.
+    match host.apply_from(first_offset, ops, true) {
+        Ok(applied) => Frame::PublishAck {
+            shard,
+            received: applied,
+            applied,
+        },
+        Err(applied) => err_frame(format!(
+            "publish gap on shard {shard}: batch starts at {first_offset}, node is at {applied}"
+        )),
     }
-}
-
-/// Waits until `slot`'s applied offset passes its value on arrival or
-/// reaches the received offset, for at most [`ACK_WAIT`] (give or take
-/// one backoff round), or until the node stops or the shard is released.
-/// Holds no shard or engine lock while it waits.
-fn await_apply(state: &NodeState, slot: &ShardSlot) {
-    let arrived = slot.host.applied();
-    let give_up = Instant::now() + ACK_WAIT;
-    state.progress.wait_until(
-        Backoff::capped(ACK_WAIT),
-        || {
-            state.shutdown.load(Ordering::Acquire)
-                || slot.retired.load(Ordering::Acquire)
-                || Instant::now() >= give_up
-        },
-        || {},
-        || {
-            let applied = slot.host.applied();
-            applied > arrived || applied >= slot.received()
-        },
-    );
 }
 
 /// Answers one scattered sub-query behind the coordinator's freshness
@@ -379,15 +228,15 @@ fn await_apply(state: &NodeState, slot: &ShardSlot) {
 /// `min_applied` refuses with [`QueryOutcome::Stale`] instead of serving
 /// a stale answer — the same contract in-process fresh followers obey.
 fn answer_query(
-    state: &Arc<NodeState>,
+    state: &NodeState,
     shard: u32,
     min_applied: u64,
     query: &janus_common::Query,
 ) -> QueryOutcome {
-    let Some(slot) = state.slot(shard) else {
+    let Some(host) = state.host(shard) else {
         return QueryOutcome::Failed(format!("shard {shard} not hosted"));
     };
-    match slot.host.answer(min_applied, query) {
+    match host.answer(min_applied, query) {
         Err(applied) => QueryOutcome::Stale { applied },
         Ok(Ok(SubAnswer::Empty)) => QueryOutcome::Empty,
         Ok(Ok(SubAnswer::Estimate(e))) => QueryOutcome::Estimate(e),
@@ -400,16 +249,12 @@ fn answer_query(
 /// synopsis-plus-archive pair [`JanusEngine::fork_via_snapshot`] ships
 /// locally, encoded for transit — cross-node migration is the same
 /// operation as the local rebuild.
-fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
-    let slot = state
-        .slot(shard)
+fn fetch_checkpoint(state: &NodeState, shard: u32) -> Result<Frame> {
+    let host = state
+        .host(shard)
         .ok_or_else(|| JanusError::Storage(format!("shard {shard} not hosted")))?;
-    // The tail lock pins the received offset, so the checkpoint's
-    // published offset is never behind its applied one.
-    let tail = slot.tail.lock();
-    let checkpoint = slot.host.capture(shard as usize, tail.received);
-    drop(tail);
-    let config = slot.host.read().config().clone();
+    let checkpoint = host.capture(shard as usize);
+    let config = host.read().config().clone();
     Ok(Frame::Checkpoint {
         shard,
         config,
@@ -421,17 +266,18 @@ fn fetch_checkpoint(state: &Arc<NodeState>, shard: u32) -> Result<Frame> {
 /// machinery and starts hosting at the checkpoint's applied offset; the
 /// coordinator re-ships the topic tail from there.
 fn install_checkpoint(
-    state: &Arc<NodeState>,
+    state: &NodeState,
     shard: u32,
     config: SynopsisConfig,
     payload: &[u8],
 ) -> Result<()> {
     let checkpoint = ShardCheckpoint::from_bytes(payload)?;
     let engine = JanusEngine::restore(config, checkpoint.archive_rows, &checkpoint.synopsis)?;
-    state.install_slot(shard, engine, checkpoint.applied_offset)
+    state.install(shard, engine, checkpoint.applied_offset)
 }
 
-/// A running node daemon: a TCP accept loop plus per-shard pump threads.
+/// A running node daemon: a TCP accept loop plus one thread per
+/// connection.
 pub struct NodeServer {
     state: Arc<NodeState>,
     addr: SocketAddr,
@@ -448,9 +294,7 @@ impl NodeServer {
         let state = Arc::new(NodeState {
             config,
             shards: RwLock::new(HashMap::new()),
-            pumps: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
-            progress: Progress::new(),
         });
         let accept_state = Arc::clone(&state);
         let accept = std::thread::Builder::new()
@@ -469,28 +313,20 @@ impl NodeServer {
     }
 
     /// Blocks until a peer sends [`Frame::Shutdown`] — the daemon main
-    /// loop. Joins all worker threads before returning.
+    /// loop. Joins the accept thread before returning.
     pub fn wait(mut self) {
-        self.join_all();
+        self.join_accept();
     }
 
-    /// Initiates shutdown and joins all worker threads.
+    /// Initiates shutdown and joins the accept thread.
     pub fn stop(mut self) {
         begin_shutdown(&self.state, self.addr);
-        self.join_all();
+        self.join_accept();
     }
 
-    fn join_all(&mut self) {
+    fn join_accept(&mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        // Accept loop is down; release the pumps.
-        for slot in self.state.shards.read().values() {
-            slot.unpark_pump();
-        }
-        let pumps: Vec<_> = self.state.pumps.lock().drain(..).collect();
-        for p in pumps {
-            let _ = p.join();
         }
     }
 }
@@ -499,7 +335,7 @@ impl Drop for NodeServer {
     fn drop(&mut self) {
         if self.accept.is_some() {
             begin_shutdown(&self.state, self.addr);
-            self.join_all();
+            self.join_accept();
         }
     }
 }
@@ -508,7 +344,6 @@ impl Drop for NodeServer {
 /// connection so the accept thread observes the flag.
 fn begin_shutdown(state: &NodeState, addr: SocketAddr) {
     state.shutdown.store(true, Ordering::Release);
-    state.progress.bump();
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
 }
 
@@ -528,7 +363,7 @@ fn accept_loop(state: &Arc<NodeState>, listener: &TcpListener, addr: SocketAddr)
     }
 }
 
-fn serve_connection(state: &Arc<NodeState>, mut stream: TcpStream, addr: SocketAddr) {
+fn serve_connection(state: &NodeState, mut stream: TcpStream, addr: SocketAddr) {
     // Clean disconnect, torn frame, or malformed input all end the
     // connection; the peer re-establishes and re-ships.
     while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
@@ -594,8 +429,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reply, Frame::Ok);
-        // A second Host of the hosted shard is refused before it spawns a
-        // pump; the first engine keeps serving (the counts below).
+        // A second Host of the hosted shard is refused; the first engine
+        // keeps serving (the counts below).
         let again = Frame::Host {
             shard: 2,
             config: test_config(2),
@@ -603,9 +438,10 @@ mod tests {
         };
         let reply = wire::roundtrip(&mut conn, &again).unwrap();
         assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
-        assert_eq!(server.state.pumps.lock().len(), 1);
+        assert_eq!(server.state.shards.read().len(), 1);
 
-        // Ship two records; the replayed prefix must deduplicate.
+        // Ship two records; the ack reports them applied, and the replayed
+        // prefix must deduplicate.
         let ops = vec![
             ShardOp::Insert(Row::new(1000, vec![5.0, 10.0])),
             ShardOp::Insert(Row::new(1001, vec![6.0, 12.0])),
@@ -620,82 +456,54 @@ mod tests {
                 },
             )
             .unwrap();
-            match ack {
-                Frame::PublishAck {
-                    shard, received, ..
-                } => {
-                    assert_eq!(shard, 2);
-                    assert_eq!(received, 2, "replay must not double-append");
-                }
-                other => panic!("unexpected ack {other:?}"),
-            }
-        }
-
-        // An empty batch at the received offset acks the apply: it comes
-        // back once the pump has moved, and is repeated until the node
-        // reports both records applied (an idle host's first ack does).
-        let ask_apply = Frame::PublishBatch {
-            shard: 2,
-            first_offset: 2,
-            ops: vec![],
-        };
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match wire::roundtrip(&mut conn, &ask_apply).unwrap() {
+            assert_eq!(
+                ack,
                 Frame::PublishAck {
                     shard: 2,
                     received: 2,
                     applied: 2,
-                } => break,
-                Frame::PublishAck {
-                    shard: 2,
-                    received: 2,
-                    ..
-                } if std::time::Instant::now() < deadline => {}
-                other => panic!("unexpected apply ack {other:?}"),
-            }
-        }
-        // Applied records are freed, not kept beside the engine.
-        assert!(server.state.slot(2).unwrap().tail.lock().ops.is_empty());
-
-        // Count rows through the fresh gate.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let outcome = loop {
-            let q = janus_common::Query::new(
-                AggregateFunction::Count,
-                1,
-                vec![0],
-                janus_common::RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY])
-                    .unwrap(),
-            )
-            .unwrap();
-            let reply = wire::roundtrip(
-                &mut conn,
-                &Frame::Query {
-                    id: 9,
-                    shard: 2,
-                    moments: false,
-                    min_applied: 2,
-                    tenant: 0,
-                    deadline_ms: 0,
-                    query: q,
                 },
-            )
-            .unwrap();
-            match reply {
-                Frame::Estimate {
-                    id: 9,
-                    outcome: QueryOutcome::Stale { .. },
-                } if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Frame::Estimate { id: 9, outcome } => break outcome,
-                other => panic!("unexpected reply {other:?}"),
-            }
+                "replay must not double-apply"
+            );
+        }
+
+        // A batch past the applied offset would leave a gap: refused.
+        let gap = Frame::PublishBatch {
+            shard: 2,
+            first_offset: 3,
+            ops: vec![ShardOp::Insert(Row::new(1003, vec![7.0, 14.0]))],
         };
-        match outcome {
-            QueryOutcome::Estimate(e) => assert_eq!(e.value, 102.0),
-            other => panic!("unexpected outcome {other:?}"),
+        let reply = wire::roundtrip(&mut conn, &gap).unwrap();
+        assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
+
+        // Count rows through the fresh gate, which the ack already passed.
+        let q = janus_common::Query::new(
+            AggregateFunction::Count,
+            1,
+            vec![0],
+            janus_common::RangePredicate::new(vec![f64::NEG_INFINITY], vec![f64::INFINITY])
+                .unwrap(),
+        )
+        .unwrap();
+        let reply = wire::roundtrip(
+            &mut conn,
+            &Frame::Query {
+                id: 9,
+                shard: 2,
+                moments: false,
+                min_applied: 2,
+                tenant: 0,
+                deadline_ms: 0,
+                query: q,
+            },
+        )
+        .unwrap();
+        match reply {
+            Frame::Estimate {
+                id: 9,
+                outcome: QueryOutcome::Estimate(e),
+            } => assert_eq!(e.value, 102.0),
+            other => panic!("unexpected reply {other:?}"),
         }
 
         let pop = wire::roundtrip(&mut conn, &Frame::Population { shard: 2 }).unwrap();
@@ -736,10 +544,10 @@ mod tests {
         let shipped = wire::roundtrip(&mut src, &Frame::FetchCheckpoint { shard: 0 }).unwrap();
         assert!(matches!(shipped, Frame::Checkpoint { shard: 0, .. }));
         assert_eq!(wire::roundtrip(&mut dst, &shipped).unwrap(), Frame::Ok);
-        // Installing it again is refused, spawning no second pump.
+        // Installing it again is refused, hosting no second copy.
         let again = wire::roundtrip(&mut dst, &shipped).unwrap();
         assert!(matches!(again, Frame::Error { .. }), "{again:?}");
-        assert_eq!(twin.state.pumps.lock().len(), 1);
+        assert_eq!(twin.state.shards.read().len(), 1);
 
         let q = janus_common::Query::new(
             AggregateFunction::Sum,
@@ -808,9 +616,9 @@ mod tests {
             query: query.clone(),
         };
 
-        let slot = server.state.slot(0).unwrap();
+        let host = server.state.host(0).unwrap();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let inside = slot.host.read();
+        let inside = host.read();
         let local = inside.query(&query).unwrap().unwrap();
         let remote = std::thread::spawn(move || {
             done_tx
@@ -829,7 +637,7 @@ mod tests {
             } => assert_eq!(e.value.to_bits(), local.value.to_bits()),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(slot.host.read().stats().queries, 2);
+        assert_eq!(host.read().stats().queries, 2);
         server.stop();
     }
 }

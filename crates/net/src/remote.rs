@@ -30,18 +30,18 @@
 //!
 //! Per-node *shipper* threads push each shard topic's tail to every
 //! node hosting a copy ([`Frame::PublishBatch`]), so followers tail
-//! remote topics exactly like in-process replicas tail local ones. Apply
-//! progress rides the same link: after a round with nothing to ship, the
-//! shipper sends an empty batch for every copy that has not applied what
-//! it was shipped, and the node acks it when its pump moves, so
-//! [`RemoteCluster::drain`] and a stalled publisher wake on the apply.
-//! A heartbeat thread is the failure detector; its replies refresh
-//! applied offsets too. Each copy's offsets only rise at the
-//! coordinator, whichever reply lands last. When a node dies (heartbeat
-//! or ship error), the directory promotes the surviving follower
-//! [`janus_cluster::host::promote`] picks per lost primary, and the
-//! promoted copy catches up from the coordinator topic, so recovery is
-//! bit-exact for every acknowledged record.
+//! remote topics exactly like in-process replicas tail local ones. A
+//! node applies a batch before it acks it, and the ack carries the
+//! applied offset, which is also where the copy's next batch starts: so
+//! [`RemoteCluster::drain`] and a stalled publisher wake on the apply,
+//! with no second exchange to ask for it. A heartbeat thread is the
+//! failure detector; its replies refresh applied offsets too. Each
+//! copy's offsets only rise at the coordinator, whichever reply lands
+//! last. When a node dies (heartbeat or ship error), the directory
+//! promotes the surviving follower [`janus_cluster::host::promote`]
+//! picks per lost primary, and the promoted copy catches up from the
+//! coordinator topic, so recovery is bit-exact for every acknowledged
+//! record.
 //!
 //! The bootstrap partitions the rows first (the coordinator's own
 //! partition), so a duplicate id fails before any node hosts anything;
@@ -99,9 +99,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Pause before re-reading the directory when a shard's primary was seen
-/// dead mid-promotion.
-const PROMOTION_POLL: Duration = Duration::from_millis(1);
 /// Bound on a re-dial attempt during retry; the bootstrap dial keeps its
 /// own, more generous timeout.
 const REDIAL_TIMEOUT: Duration = Duration::from_secs(1);
@@ -238,14 +235,18 @@ pub struct RemoteConfig {
     /// many applied records, so a copy trails by at most `max_backlog`
     /// plus one batch (0 disables backpressure).
     pub max_backlog: u64,
-    /// Records per shipped batch.
+    /// Records per shipped batch. A node applies a batch before it acks
+    /// it, so one ship exchange includes the apply of at most this many
+    /// records.
     pub ship_chunk: usize,
     /// Failure-detection / offset-poll period.
     pub heartbeat_every: Duration,
     /// Socket read timeout on both channels of every node link. `None`
     /// (the default, matching the pre-retry behavior) blocks reads
     /// indefinitely; setting it makes a stalled node surface as a
-    /// transport error that the retry/breaker machinery handles.
+    /// transport error that the retry/breaker machinery handles. A ship
+    /// exchange waits for the node's apply of up to `ship_chunk` records,
+    /// so the timeout must cover that too.
     pub read_timeout: Option<Duration>,
     /// Backoff budget for every transport exchange; also sets the
     /// heartbeat miss threshold (`budget` consecutive misses) and the
@@ -377,9 +378,8 @@ struct NodeLink {
     /// separate so a large in-flight batch never delays a read.
     ctrl: Mutex<TcpStream>,
     alive: AtomicBool,
-    /// Per-shard topic offset acknowledged as received by the node.
-    shipped: Offsets,
-    /// Per-shard topic offset the node reported as applied.
+    /// Per-shard topic offset the node reported as applied — where the
+    /// shipper's next batch for the shard starts.
     applied: Offsets,
     /// Shipper thread handle, for publish-side unparks.
     thread: Mutex<Option<std::thread::Thread>>,
@@ -591,18 +591,17 @@ fn expect_ok(reply: Frame, exchange: &str) -> Result<()> {
     }
 }
 
-/// `shard`'s primary if it is alive; `None` while its death has been
-/// observed but the promotion has not landed (callers pause
-/// [`PROMOTION_POLL`] and look again). Errs once the shard lost every
-/// copy.
-fn alive_primary(dir: &Directory, shard: u32) -> Result<Option<usize>> {
+/// `shard`'s primary. [`Directory::fail_node`] marks a node dead and
+/// promotes a follower or records the shard lost under one write guard,
+/// and a move repoints only to an alive node, so a primary is alive
+/// unless its shard is lost, which errs.
+fn alive_primary(dir: &Directory, shard: u32) -> Result<usize> {
     if dir.lost_shards().contains(&shard) {
         return Err(JanusError::Storage(format!(
             "shard {shard} lost every copy"
         )));
     }
-    let primary = dir.hosts_of(shard).primary;
-    Ok(dir.is_alive(primary).then_some(primary))
+    Ok(dir.hosts_of(shard).primary)
 }
 
 /// Marks a node dead and promotes followers for every shard it led.
@@ -652,9 +651,8 @@ fn probe_all(shared: &NodeLinks) {
     }
 }
 
-/// Pushes topic tails to one node until shutdown or node death. A round
-/// that ships nothing waits on the node's pump instead, one empty batch
-/// per copy that trails what it was shipped; once every copy has applied
+/// Pushes topic tails to one node until shutdown or node death, each
+/// copy's from the offset it has applied; once every copy has applied
 /// its tail, the shipper parks and sends nothing. Every round first
 /// truncates each hosted shard's topic below what all its copies have
 /// applied.
@@ -668,7 +666,7 @@ fn shipper_loop(shared: &NodeLinks, idx: usize) {
         }
         let mut moved = false;
         for &shard in &hosted {
-            let cursor = link.shipped.of(shard);
+            let cursor = link.applied.of(shard);
             // Polled under the directory read lock while this node still
             // hosts the shard, so every floor computed meanwhile counts
             // this copy's cursor; a shard a move has just taken off the
@@ -689,18 +687,6 @@ fn shipper_loop(shared: &NodeLinks, idx: usize) {
             }
             moved = true;
         }
-        if !moved {
-            for &shard in &hosted {
-                let cursor = link.shipped.of(shard);
-                if link.applied.of(shard) >= cursor {
-                    continue;
-                }
-                if !ship(shared, idx, shard, cursor, Vec::new()) {
-                    return;
-                }
-                moved = true;
-            }
-        }
         if moved {
             idle.reset();
         } else {
@@ -709,14 +695,13 @@ fn shipper_loop(shared: &NodeLinks, idx: usize) {
     }
 }
 
-/// Ships `ops` — topic records from `first_offset` on, or none to wait
-/// for the node's apply — to node `idx`'s copy of `shard` and folds the
-/// ack into the link. Returns `false` once the copy is done for: a
-/// node-side error (gap, unhosted shard) means it cannot converge, and a
-/// transport failure surviving the full retry budget means the node is
-/// gone. A refusal for a shard the directory no longer places on the
-/// node is neither: [`RemoteCluster::move_shard`] released it after
-/// this round began.
+/// Ships `ops` — topic records from `first_offset` on — to node `idx`'s
+/// copy of `shard` and records the applied offset the node acks. Returns
+/// `false` once the copy is done for: a node-side error (gap, unhosted
+/// shard) means it cannot converge, and a transport failure surviving
+/// the full retry budget means the node is gone. A refusal for a shard
+/// the directory no longer places on the node is neither:
+/// [`RemoteCluster::move_shard`] released it after this round began.
 fn ship(shared: &NodeLinks, idx: usize, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> bool {
     let link = &shared.links[idx];
     let frame = Frame::PublishBatch {
@@ -731,10 +716,7 @@ fn ship(shared: &NodeLinks, idx: usize, shard: u32, first_offset: u64, ops: Vec<
         &shared.counters.link_retries,
     );
     match reply {
-        Ok(Frame::PublishAck {
-            received, applied, ..
-        }) => {
-            link.shipped.record(shard, received);
+        Ok(Frame::PublishAck { applied, .. }) => {
             link.applied.record(shard, applied);
             shared.progress.bump();
             true
@@ -894,35 +876,32 @@ impl ShardTransport for NodeLinks {
                 }
                 None => None,
             };
-            let picked = {
+            let (node, min_applied) = {
                 let dir = shared.directory.read();
-                alive_primary(&dir, shard)?.map(|primary| {
-                    let end = shared.topics.topic(shard as usize).len() as u64;
-                    let followers = dir.hosts_of(shard).followers.iter().copied();
-                    let followers = followers
-                        .filter(|&f| dir.is_alive(f))
-                        .map(|f| (f, shared.links[f].applied.of(shard)));
-                    // A read pinned to the primary by a `Stale` refusal
-                    // doubles as the half-open probe of its breaker.
-                    let breaker = &shared.links[primary].breaker;
-                    let lag = shared.config.replica_lag;
-                    let cursor = &shared.read_cursor;
-                    let Some(read) = pick_read(followers, end, lag, cursor, primary_only, || {
-                        breaker.is_open()
-                    }) else {
-                        return (primary, 0);
-                    };
-                    let counters = &shared.counters;
-                    if read.degraded {
-                        counters.degraded_reads.fetch_add(1, Ordering::Relaxed);
+                let primary = alive_primary(&dir, shard)?;
+                let end = shared.topics.topic(shard as usize).len() as u64;
+                let followers = dir.hosts_of(shard).followers.iter().copied();
+                let followers = followers
+                    .filter(|&f| dir.is_alive(f))
+                    .map(|f| (f, shared.links[f].applied.of(shard)));
+                // A read pinned to the primary by a `Stale` refusal
+                // doubles as the half-open probe of its breaker.
+                let breaker = &shared.links[primary].breaker;
+                let lag = shared.config.replica_lag;
+                let cursor = &shared.read_cursor;
+                match pick_read(followers, end, lag, cursor, primary_only, || {
+                    breaker.is_open()
+                }) {
+                    None => (primary, 0),
+                    Some(read) => {
+                        let counters = &shared.counters;
+                        if read.degraded {
+                            counters.degraded_reads.fetch_add(1, Ordering::Relaxed);
+                        }
+                        counters.replica_queries.fetch_add(1, Ordering::Relaxed);
+                        (read.index, read.min_applied)
                     }
-                    counters.replica_queries.fetch_add(1, Ordering::Relaxed);
-                    (read.index, read.min_applied)
-                })
-            };
-            let Some((node, min_applied)) = picked else {
-                std::thread::park_timeout(PROMOTION_POLL);
-                continue;
+                }
             };
             let frame = Frame::Query {
                 id,
@@ -1105,9 +1084,9 @@ impl RemoteCluster {
     /// the slowest alive copy may trail the topic end by at most
     /// `max_backlog` records plus the batch just appended (and in-flight
     /// publishers), so an unbounded producer cannot run away from the
-    /// fleet. Applied offsets move on a publish ack — the shipper keeps
-    /// asking for one while a copy trails — or a heartbeat, and both
-    /// bump progress.
+    /// fleet. Applied offsets move on a publish ack, which a node sends
+    /// once it has applied the batch, or a heartbeat, and both bump
+    /// progress.
     fn stall_for_backlog(&self, shard: usize) {
         let shared = self.shared();
         let limit = shared.config.max_backlog;
@@ -1129,9 +1108,9 @@ impl RemoteCluster {
         self.engine.backlog_exceeds(limit)
     }
 
-    /// Blocks until every alive copy of every shard has received and
-    /// applied the full topic — the networked drain barrier. The
-    /// shippers' apply acks wake it; each round also unparks them and
+    /// Blocks until every alive copy of every shard has applied the full
+    /// topic — the networked drain barrier. The shippers' publish acks
+    /// wake it; each round also unparks them and
     /// probes the nodes once, so a barrier over an idle fleet resolves
     /// at once.
     pub fn drain(&self) {
@@ -1157,10 +1136,7 @@ impl RemoteCluster {
             dir.hosts_of(shard)
                 .all()
                 .filter(|&n| dir.is_alive(n))
-                .all(|n| {
-                    self.shared().links[n].shipped.of(shard) >= end
-                        && self.shared().links[n].applied.of(shard) >= end
-                })
+                .all(|n| self.shared().links[n].applied.of(shard) >= end)
         })
     }
 
@@ -1198,10 +1174,7 @@ impl RemoteCluster {
         let mut total = 0;
         for shard in 0..self.shared().config.shards as u32 {
             loop {
-                let Some(primary) = alive_primary(&self.shared().directory.read(), shard)? else {
-                    std::thread::park_timeout(PROMOTION_POLL);
-                    continue;
-                };
+                let primary = alive_primary(&self.shared().directory.read(), shard)?;
                 let link = &self.shared().links[primary];
                 let reply = link.request_retry(
                     &link.ctrl,
@@ -1293,11 +1266,19 @@ impl RemoteCluster {
             Frame::Error { message } if message.contains("already hosted") => {}
             other => expect_ok(other, "install")?,
         }
-        shared.links[to].shipped.reset(shard, applied_offset);
         shared.links[to].applied.reset(shard, applied_offset);
-        shared.directory.write().repoint(shard, from, to);
+        {
+            let mut dir = shared.directory.write();
+            // A primary is alive unless its shard is lost: `to` may have
+            // died since the move began, and then the move fails.
+            if !dir.is_alive(to) {
+                return Err(JanusError::Storage(format!(
+                    "node {to} died during the move of shard {shard}"
+                )));
+            }
+            dir.repoint(shard, from, to);
+        }
         let _ = shared.links[from].request_ship(&Frame::Release { shard });
-        shared.links[from].shipped.remove(shard);
         shared.links[from].applied.remove(shard);
         shared.counters.migrations.fetch_add(1, Ordering::Relaxed);
         shared.unpark_shippers();
@@ -1425,7 +1406,6 @@ fn connect_node(addr: SocketAddr, read_timeout: Option<Duration>) -> Result<Node
         ship: Mutex::new(ship),
         ctrl: Mutex::new(ctrl),
         alive: AtomicBool::new(true),
-        shipped: Offsets::default(),
         applied: Offsets::default(),
         thread: Mutex::new(None),
         hb_seq: AtomicU64::new(0),

@@ -115,10 +115,9 @@ pub enum Frame {
         rows: Vec<Row>,
     },
     /// Ship a contiguous run of topic records starting at
-    /// `first_offset` — the tail-replication path. An empty run at the
-    /// node's received offset asks for apply progress instead: the node
-    /// acks once its applied offset moves past its value on arrival or
-    /// reaches the received offset, or after a few milliseconds.
+    /// `first_offset` — the tail-replication path. The node applies the
+    /// records past its applied offset before it acks; a run that starts
+    /// past that offset is refused as a gap.
     PublishBatch {
         /// Shard id.
         shard: u32,
@@ -127,12 +126,13 @@ pub enum Frame {
         /// The records, in topic order.
         ops: Vec<ShardOp>,
     },
-    /// Publish acknowledgement: the node's durable and applied horizons.
+    /// Publish acknowledgement: the node's applied horizon.
     PublishAck {
         /// Shard id.
         shard: u32,
-        /// Topic offset up to which the node has received records —
-        /// applied, or queued for its pump.
+        /// Topic offset up to which the node has received records. A
+        /// node applies what it receives before it acks, so this always
+        /// equals `applied`.
         received: u64,
         /// Topic records applied into the shard engine.
         applied: u64,
@@ -578,24 +578,7 @@ pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<()> {
 /// error. The body buffer is only allocated after the length prefix
 /// passes validation.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
-    faults::check_protocol("net.read")?;
-    let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(perr("connection closed mid frame header")),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(io_err("read frame header", e)),
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    check_len(len)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| io_err("read frame body", e))?;
-    decode_payload(&payload).map(Some)
+    read_frame_with(r, false)
 }
 
 /// Writes `frame` and reads the reply — the client-side request/response
@@ -603,13 +586,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
 pub fn roundtrip(stream: &mut (impl Read + Write), frame: &Frame) -> Result<Frame> {
     write_frame(stream, frame)?;
     read_frame(stream)?.ok_or_else(|| perr("connection closed before reply"))
-}
-
-fn is_read_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
 }
 
 /// [`read_frame`] for a stream carrying a socket read timeout. A timeout
@@ -621,34 +597,55 @@ fn is_read_timeout(e: &std::io::Error) -> bool {
 /// the caller may overshoot its deadline by one small frame, but the
 /// stream can never desynchronize mid-frame.
 pub fn read_frame_deadline(r: &mut impl Read) -> Result<Option<Frame>> {
+    read_frame_with(r, true)
+}
+
+/// The one frame reader under [`read_frame`] and
+/// [`read_frame_deadline`] (`bounded`).
+fn read_frame_with(r: &mut impl Read, bounded: bool) -> Result<Option<Frame>> {
     faults::check_protocol("net.read")?;
     let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(perr("connection closed mid frame header")),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_read_timeout(&e) && got == 0 => return Err(JanusError::Deadline),
-            Err(e) if is_read_timeout(&e) => continue,
-            Err(e) => return Err(io_err("read frame header", e)),
-        }
+    match fill(r, &mut header, bounded, true)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(perr("connection closed mid frame header")),
     }
     let len = u32::from_le_bytes(header) as usize;
     check_len(len)?;
     let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => return Err(perr("connection closed mid frame body")),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_read_timeout(&e) => continue,
-            Err(e) => return Err(io_err("read frame body", e)),
-        }
+    if fill(r, &mut payload, bounded, false)? < len {
+        return Err(perr("connection closed mid frame body"));
     }
     decode_payload(&payload).map(Some)
+}
+
+/// Reads `buf` full and returns the bytes read, fewer only at
+/// end-of-stream. Interrupted reads retry. Unbounded, a read timeout is
+/// an I/O error; `bounded`, it is [`JanusError::Deadline`] while nothing
+/// of the frame has arrived (`at_start` and no byte yet) and is retried
+/// after that.
+fn fill(r: &mut impl Read, buf: &mut [u8], bounded: bool, at_start: bool) -> Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if bounded && is_read_timeout(&e) && at_start && got == 0 => {
+                return Err(JanusError::Deadline)
+            }
+            Err(e) if bounded && is_read_timeout(&e) => continue,
+            Err(e) => return Err(io_err("read frame", e)),
+        }
+    }
+    Ok(got)
+}
+
+fn is_read_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+    )
 }
 
 #[cfg(test)]
