@@ -1,13 +1,12 @@
 //! The striped row → shard directory.
 //!
-//! The cluster's authoritative placement map used to be one
-//! `RwLock<DetHashMap<RowId, usize>>`, which made the directory write
-//! lock the serialization point of every publish — ingest throughput
-//! flattened from 4 to 8 shards. This module shards the map
-//! into [`STRIPES`] independently locked stripes keyed by a SplitMix64
-//! hash of the row id, so concurrent pre-routed publishers
-//! ([`crate::ClusterEngine::publish_batch_routed`]) only contend when
-//! their rows actually collide on a stripe.
+//! The cluster's authoritative placement map is sharded into [`STRIPES`]
+//! independently locked maps keyed by a SplitMix64 hash of the row id.
+//! Every publish holds all of them at once, so the stripes do not let
+//! publishers run side by side; they stay because each stripe grows on
+//! its own. One map resizes as a whole, holding its old and its new
+//! table at once, ~17 MB at a 500k-row load; a stripe that doubles
+//! holds one sixteenth of that.
 //!
 //! ## Per-shard counts
 //!
@@ -17,36 +16,15 @@
 //! missed by these counts, on either transport, without taking a lock.
 //! They change once per call and shard, never per row: an
 //! [`AllStripesWrite`] nets what its placements moved and settles the
-//! counts when it is released, still under every stripe, and
-//! [`StripedDirectory::reserve`] adds what it accepted.
+//! counts when it is released, still under every stripe.
 //!
 //! ## Lock order
 //!
-//! The engine-wide order is **router → ingest gate → directory stripes
-//! (ascending stripe index) → shards (ascending) → replica sets**. Every
-//! multi-stripe acquisition in this module ([`StripedDirectory::write_all`],
-//! [`StripedDirectory::read_all`], [`StripedDirectory::reserve`]) locks
-//! stripes in ascending index order. No code in this crate takes a router
-//! or gate lock while holding a stripe.
-//!
-//! ## Reserved entries
-//!
-//! The routed fast path publishes *without* the classic path's "hold the
-//! directory lock across the topic append" rule — holding 16 stripe locks
-//! across an append would re-serialize everything. It reserves its rows'
-//! entries stripe by stripe, releases the stripes, then appends to the
-//! shard topic, so for a moment the directory names rows whose inserts
-//! are not in their topic yet. That is safe because **every publisher
-//! holds the router lock — read for routed, write for classic**:
-//!
-//! * a routed call holds the router read lock (plus the ingest gate,
-//!   shared) from before its reserve until after its append, and every
-//!   path that deletes, re-places, or snapshots entries is a classic
-//!   publish or a rebalance (router write lock) or checkpoint/fail-shard
-//!   (gate exclusive) — none of them can run inside that window;
-//! * so a reserved entry is only ever seen by another routed publisher's
-//!   duplicate check, which rejects the row exactly as it would once the
-//!   insert has landed.
+//! The engine-wide order is **router → directory stripes (ascending
+//! stripe index) → shards (ascending) → replica sets**. Both multi-stripe
+//! acquisitions in this module ([`StripedDirectory::write_all`],
+//! [`StripedDirectory::read_all`]) lock stripes in ascending index order.
+//! No code in this crate takes the router lock while holding a stripe.
 
 use crate::engine::ShardOp;
 use crate::router::ShardRouter;
@@ -65,8 +43,12 @@ pub(crate) const STRIPES: usize = 16;
 /// directory under all its stripe locks (which bootstrap fills
 /// directly), or a plain map (a unit test's).
 pub(crate) trait PlacementSink {
-    /// Whether `id` is placed anywhere.
-    fn contains(&self, id: RowId) -> bool;
+    /// Places an absent `id` on the shard `route` picks and returns that
+    /// shard; a present `id` is left where it is, `route` is not called,
+    /// and the answer is `None`. One probe either way.
+    fn place_vacant(&mut self, id: RowId, route: impl FnOnce() -> usize) -> Option<usize>
+    where
+        Self: Sized;
     /// Records that `id` now lives on `shard` (insert or overwrite),
     /// returning the shard it lived on before — one probe either way.
     fn place(&mut self, id: RowId, shard: usize) -> Option<usize>;
@@ -88,13 +70,13 @@ pub(crate) fn resolve_batch(
     let (mut inserts, mut deletes, mut rejected) = (0, 0, 0);
     for op in ops {
         match op {
-            ShardOp::Insert(row) if !directory.contains(row.id) => {
-                let shard = router.route(&row);
-                directory.place(row.id, shard);
-                groups[shard].push(ShardOp::Insert(row));
-                inserts += 1;
-            }
-            ShardOp::Insert(_) => rejected += 1,
+            ShardOp::Insert(row) => match directory.place_vacant(row.id, || router.route(&row)) {
+                Some(shard) => {
+                    groups[shard].push(ShardOp::Insert(row));
+                    inserts += 1;
+                }
+                None => rejected += 1,
+            },
             ShardOp::Delete(id) => match directory.remove(id) {
                 Some(shard) => {
                     groups[shard].push(ShardOp::Delete(id));
@@ -167,9 +149,8 @@ impl StripedDirectory {
         self.stripes[stripe_of(id)].read().get(&id).copied()
     }
 
-    /// Write-locks every stripe in ascending index order. Callers must
-    /// hold the router write lock or the ingest gate exclusively first
-    /// (see the module docs) so no routed publish can be mid-flight.
+    /// Write-locks every stripe in ascending index order; a caller that
+    /// takes the router lock takes it first (see the module docs).
     pub(crate) fn write_all(&self) -> AllStripesWrite<'_> {
         AllStripesWrite {
             guards: self.stripes.iter().map(|s| s.write()).collect(),
@@ -192,47 +173,11 @@ impl StripedDirectory {
     pub(crate) fn count(&self, shard: usize) -> u64 {
         self.counts[shard].load(Ordering::Relaxed)
     }
-
-    /// The routed publish's directory pass: places `rows`' ids on
-    /// `shard`, bucketed by stripe and locked in ascending stripe order,
-    /// one acquisition per touched stripe. `accepted[i]` is set for each
-    /// row that was absent; rows already present are left untouched
-    /// (duplicate inserts, rejected exactly like the classic path rejects
-    /// them). Returns the number accepted.
-    pub(crate) fn reserve(
-        &self,
-        shard: usize,
-        rows: &[janus_common::Row],
-        accepted: &mut [bool],
-    ) -> usize {
-        debug_assert_eq!(rows.len(), accepted.len());
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); STRIPES];
-        for (i, row) in rows.iter().enumerate() {
-            buckets[stripe_of(row.id)].push(i);
-        }
-        let mut ok = 0usize;
-        for (stripe, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = self.stripes[stripe].write();
-            for &i in bucket {
-                // One hash per id: the lookup that finds it absent places it.
-                if let Entry::Vacant(slot) = guard.entry(rows[i].id) {
-                    slot.insert(shard);
-                    accepted[i] = true;
-                    ok += 1;
-                }
-            }
-        }
-        self.counts[shard].fetch_add(ok as u64, Ordering::Relaxed);
-        ok
-    }
 }
 
 /// Exclusive guard over every stripe (acquired in ascending order by
-/// [`StripedDirectory::write_all`]); the flat map bootstrap, the classic
-/// batch path and rebalance see.
+/// [`StripedDirectory::write_all`]); the flat map bootstrap, the publish
+/// body and rebalance see.
 pub(crate) struct AllStripesWrite<'a> {
     guards: Vec<RwLockWriteGuard<'a, DetHashMap<RowId, usize>>>,
     counts: &'a [AtomicU64],
@@ -242,8 +187,13 @@ pub(crate) struct AllStripesWrite<'a> {
 }
 
 impl PlacementSink for AllStripesWrite<'_> {
-    fn contains(&self, id: RowId) -> bool {
-        self.guards[stripe_of(id)].contains_key(&id)
+    fn place_vacant(&mut self, id: RowId, route: impl FnOnce() -> usize) -> Option<usize> {
+        let Entry::Vacant(slot) = self.guards[stripe_of(id)].entry(id) else {
+            return None;
+        };
+        let shard = *slot.insert(route());
+        self.moved[shard] += 1;
+        Some(shard)
     }
     fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
         let before = self.guards[stripe_of(id)].insert(id, shard);
@@ -278,11 +228,13 @@ impl Drop for AllStripesWrite<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_common::Row;
 
     impl PlacementSink for DetHashMap<RowId, usize> {
-        fn contains(&self, id: RowId) -> bool {
-            self.contains_key(&id)
+        fn place_vacant(&mut self, id: RowId, route: impl FnOnce() -> usize) -> Option<usize> {
+            let Entry::Vacant(slot) = self.entry(id) else {
+                return None;
+            };
+            Some(*slot.insert(route()))
         }
         fn place(&mut self, id: RowId, shard: usize) -> Option<usize> {
             self.insert(id, shard)
@@ -292,23 +244,24 @@ mod tests {
         }
     }
 
-    fn rows(ids: std::ops::Range<u64>) -> Vec<Row> {
-        ids.map(|id| Row::new(id, vec![id as f64])).collect()
+    /// Places `ids` on `shard` through the one-probe insert of a guard
+    /// over every stripe; returns, per id, whether it was absent.
+    fn place_all(dir: &StripedDirectory, shard: usize, ids: std::ops::Range<u64>) -> Vec<bool> {
+        let mut all = dir.write_all();
+        ids.map(|id| all.place_vacant(id, || shard).is_some())
+            .collect()
     }
 
     #[test]
-    fn reserve_places_absent_ids_and_rejects_present_ones() {
+    fn place_vacant_places_absent_ids_and_rejects_present_ones() {
         let dir = StripedDirectory::with_capacity(8, 0);
-        let batch = rows(0..100);
-        let mut accepted = vec![false; batch.len()];
-        assert_eq!(dir.reserve(3, &batch, &mut accepted), 100);
+        let accepted = place_all(&dir, 3, 0..100);
         assert!(accepted.iter().all(|&a| a));
         assert_eq!(dir.probe(7), Some(3));
-        // A second reserve overlapping the same ids accepts only the new
+        // A second pass overlapping the same ids accepts only the new
         // ones and leaves the placed ones where they are.
-        let overlap = rows(50..150);
-        let mut again = vec![false; overlap.len()];
-        assert_eq!(dir.reserve(5, &overlap, &mut again), 50);
+        let again = place_all(&dir, 5, 50..150);
+        assert_eq!(again.iter().filter(|&&a| a).count(), 50);
         assert_eq!(again.iter().position(|&a| a), Some(50));
         assert_eq!(dir.probe(99), Some(3));
         assert_eq!(dir.probe(100), Some(5));
@@ -352,9 +305,7 @@ mod tests {
     #[test]
     fn stripes_spread_ids() {
         let dir = StripedDirectory::with_capacity(1, 0);
-        let batch = rows(0..16_000);
-        let mut accepted = vec![false; batch.len()];
-        dir.reserve(0, &batch, &mut accepted);
+        place_all(&dir, 0, 0..16_000);
         for stripe in &dir.stripes {
             let n = stripe.read().len();
             assert!((500..1500).contains(&n), "skewed stripe population: {n}");

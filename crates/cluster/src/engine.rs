@@ -2,9 +2,9 @@
 //! ingest/query API, over either of two transports.
 //!
 //! [`ClusterEngine`] is the one coordinator. It owns the router, the
-//! row → shard directory, the ingest gate, the rebalance generation, the
-//! answer cache and the scatter pool, and it holds the one publish body
-//! and the one scatter/gather/merge body. What lies behind the shards is a
+//! row → shard directory, the rebalance generation, the answer cache and
+//! the scatter pool, and it holds the one publish body and the one
+//! scatter/gather/merge body. What lies behind the shards is a
 //! [`ShardTransport`]. [`ShardSet`], the default, holds in-process
 //! [`ShardHost`]s, which this module pumps, checkpoints, restores,
 //! promotes and rebalances. The node links of `janus-net`'s
@@ -18,7 +18,9 @@
 //!   directory-write acquisition, grouped per shard, and each group lands
 //!   in its topic with a single batch append —
 //!   [`ClusterEngine::publish_insert`]/[`ClusterEngine::publish_delete`]
-//!   are one-element batches for row-at-a-time producers. Nothing
+//!   are one-element batches for row-at-a-time producers, and
+//!   [`ClusterEngine::publish_batch_routed`] flattens pre-grouped insert
+//!   batches into one. Nothing
 //!   reaches a synopsis until the topics are drained in offset order — by
 //!   [`ClusterEngine::pump`] (all shards, on the persistent worker pool)
 //!   or [`ClusterEngine::pump_shard`] (one shard, the granularity the
@@ -61,39 +63,21 @@
 //! | each [`ShardHost`] engine (its applied offset is an atomic stored under it) | own `RwLock` | pump, rebalance, promotion (scatter sub-queries only read) |
 //! | [`ShardRouter`] | `RwLock` | publish (rotation cursor), rebalance (bounds) |
 //! | row→shard directory | 16 striped `RwLock`s (`crate::directory`) | publish, rebalance |
-//! | ingest gate | `RwLock<()>` | checkpoint (exclusive); routed publish (shared) |
 //! | operation counters | atomics | everyone |
 //!
-//! Lock order is router → ingest gate → directory stripes (ascending
-//! stripe index) → shards (ascending) → replica sets; no path acquires
-//! them in any other order — the pool workers touch only shard and
-//! replica locks — so the engine is deadlock-free by construction. Both
-//! transports publish through the same body, so they share this order;
-//! the networked transport takes its own locks (placement directory,
-//! links) only outside the router and the stripes.
-//! Classic publishes hold every directory stripe across their topic
-//! appends, and take the router write lock first — which a routed publish
-//! holds shared for its whole call — so a delete can never outrun its
-//! row's insert into the same shard topic.
+//! Lock order is router → directory stripes (ascending stripe index) →
+//! shards (ascending) → replica sets; no path acquires them in any other
+//! order — the pool workers touch only shard and replica locks — so the
+//! engine is deadlock-free by construction. Both transports publish
+//! through the same body, so they share this order; the networked
+//! transport takes its own locks (placement directory, links) only
+//! outside the router and the stripes.
 //!
-//! ## The pre-routed fast path
-//!
-//! [`ClusterEngine::publish_batch_routed`] is the bulk-ingest contract:
-//! the caller groups insert batches by shard against a
-//! [`RoutingSnapshot`] taken via [`ClusterEngine::routing_snapshot`], and
-//! the engine lands them under a router **read** lock — concurrent
-//! loaders do not serialize on the router, and the striped directory
-//! confines their placement writes to the stripes their rows hash to.
-//! Safety comes from three checks inside the call: the snapshot's
-//! rebalance generation must still be current, the policy must be
-//! stateless (`RoundRobin` placement is cursor-dependent and cannot be
-//! pre-routed), and every row's claimed shard is re-verified against the
-//! live bounds; any miss re-routes the whole call through the classic
-//! [`ClusterEngine::publish_batch`] path. Either way the per-shard topic
-//! contents — and therefore every drained state — are bit-identical to
-//! publishing the same rows one at a time in group order. Checkpoint
-//! excludes routed publishers with the ingest gate instead of the router
-//! write lock, keeping queries live while the cut is taken.
+//! The publish body holds the router write lock while it resolves and
+//! every directory stripe across its topic appends, so a delete can
+//! never outrun its row's insert into the same shard topic, and a
+//! checkpoint, which takes the router read lock and every stripe's read
+//! lock, sees no append in flight.
 
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
@@ -554,17 +538,9 @@ pub struct ClusterEngine<T: ShardTransport = ShardSet> {
     /// Authoritative row → shard placement, updated at publish time and by
     /// migrations; deletes and rebalancing route through it, so placement
     /// stays correct even after the router's bounds move. Striped over 16
-    /// locks so concurrent pre-routed publishers don't serialize on one
-    /// write lock — see [`crate::directory`] for the stripe discipline.
+    /// locks so each stripe grows on its own — see [`crate::directory`].
     /// Its per-shard row counts weigh deadline-partial gathers.
     directory: StripedDirectory,
-    /// The ingest gate: routed publishers hold it shared for the span of
-    /// a [`ClusterEngine::publish_batch_routed`] call (they never take
-    /// the router *write* lock); checkpoint takes it exclusively to fence
-    /// all topic appends without blocking queries behind a router write.
-    /// Sits between the router and the directory stripes in the lock
-    /// order.
-    ingest_gate: RwLock<()>,
     /// Bumped (under all locks) by every completed migration; queries
     /// re-validate their pruning against it so a scatter never merges a
     /// pre-migration target set with post-migration shard contents.
@@ -630,7 +606,6 @@ impl<T: ShardTransport> ClusterEngine<T> {
             config,
             router: RwLock::new(router),
             directory,
-            ingest_gate: RwLock::new(()),
             rebalance_generation: AtomicU64::new(rebalance_generation),
             rebalance_mark: AtomicU64::new(0),
             post_rebalance_skew: AtomicU64::new(0f64.to_bits()),
@@ -764,9 +739,6 @@ impl<T: ShardTransport> ClusterEngine<T> {
         ops: impl IntoIterator<Item = ShardOp>,
         mut landed: impl FnMut(usize),
     ) -> PublishReport {
-        // The router write lock excludes every routed publisher for its
-        // whole reserve → append window, so each entry the directory
-        // shows here already has its insert in the shard topic.
         let mut router = self.router.write();
         let mut directory = self.directory.write_all();
         let (groups, inserts, deletes, rejected) = resolve_batch(ops, &mut directory, &mut router);
@@ -800,11 +772,8 @@ impl<T: ShardTransport> ClusterEngine<T> {
         }
     }
 
-    /// The routing state a bulk producer pre-routes against: policy,
+    /// The routing state a bulk producer groups its rows by: policy,
     /// shard count, and the rebalance generation they were read under.
-    /// [`ClusterEngine::publish_batch_routed`] validates batches grouped
-    /// by this snapshot and falls back to classic routing when a
-    /// rebalance has moved the bounds since.
     pub fn routing_snapshot(&self) -> RoutingSnapshot {
         let router = self.router.read();
         // Generation bumps happen under the router write lock, so a read
@@ -817,27 +786,17 @@ impl<T: ShardTransport> ClusterEngine<T> {
         }
     }
 
-    /// The shard-affine bulk-insert fast path: lands insert batches the
-    /// caller already grouped by shard (against a [`RoutingSnapshot`] of
-    /// `generation`) under a router **read** lock, so concurrent loaders
-    /// feeding different shards do not serialize on the router — each
-    /// group costs one directory-stripe pass and one batched topic append.
-    ///
-    /// The call re-verifies its inputs before trusting them: if the
-    /// generation is stale (a rebalance landed since the snapshot), the
-    /// policy is stateful (`RoundRobin`), or any row's claimed shard
-    /// disagrees with the live bounds, the whole call falls back to the
-    /// classic [`ClusterEngine::publish_batch`] path, which re-routes
-    /// every row — correctness never depends on the caller's grouping.
-    ///
-    /// Per-shard topic contents — and therefore every drained state —
-    /// are **bit-identical** to publishing the same rows per-row in group
-    /// order (groups iterated in the given order, rows in order within
-    /// each group): duplicates are rejected identically and counted in
-    /// [`PublishReport::rejected`], accepted rows append in order.
+    /// Publishes insert batches a caller grouped by shard (against a
+    /// [`RoutingSnapshot`] of `generation`) as one
+    /// [`ClusterEngine::publish_batch`] over their rows in group order.
+    /// That body re-routes every row, so neither a stale `generation` nor
+    /// a wrong grouping can misplace one: per-shard topic contents — and
+    /// therefore every drained state — are **bit-identical** to
+    /// publishing the same rows per-row in group order. Fails only when a
+    /// group names a shard the cluster does not have.
     pub fn publish_batch_routed(
         &self,
-        generation: u64,
+        _generation: u64,
         groups: Vec<(usize, Vec<Row>)>,
     ) -> Result<PublishReport> {
         let shards = self.shards();
@@ -846,61 +805,11 @@ impl<T: ShardTransport> ClusterEngine<T> {
                 "routed batch names shard {bad} of a {shards}-shard cluster"
             )));
         }
-        let router = self.router.read();
-        // Claim verification is one stateless route per row (branchless
-        // under range policies) — negligible next to the hashing the
-        // directory pass does, and it makes misuse impossible: a stale or
-        // wrongly grouped batch re-routes instead of landing misplaced.
-        let fresh = self.rebalance_generation.load(Ordering::Acquire) == generation;
-        let claims_hold = fresh
-            && groups.iter().all(|(shard, rows)| {
-                rows.iter()
-                    .all(|row| router.route_stateless(row) == Some(*shard))
-            });
-        if !claims_hold {
-            drop(router);
-            return Ok(self.publish_batch(
-                groups
-                    .into_iter()
-                    .flat_map(|(_, rows)| rows.into_iter().map(ShardOp::Insert)),
-            ));
-        }
-        // Fast path. The gate (shared) is what checkpoint fences appends
-        // with; the router read lock is held for the whole body so no
-        // rebalance — and no classic batch, the only path that deletes —
-        // can interleave with a reserve → append window: a
-        // reserved row whose insert is not in its topic yet is only ever
-        // seen by another routed publisher's duplicate check.
-        let _gate = self.ingest_gate.read();
-        let mut published = 0usize;
-        let mut rejected = 0usize;
-        for (shard, rows) in groups {
-            if rows.is_empty() {
-                continue;
-            }
-            let mut accepted = vec![false; rows.len()];
-            let ok = self.directory.reserve(shard, &rows, &mut accepted);
-            rejected += rows.len() - ok;
-            if ok == 0 {
-                continue;
-            }
-            let ops = rows
+        Ok(self.publish_batch(
+            groups
                 .into_iter()
-                .zip(accepted)
-                .filter_map(|(row, acc)| acc.then_some(ShardOp::Insert(row)));
-            self.set.topics().publish_batch(shard, ops);
-            published += ok;
-        }
-        self.counters
-            .inserts
-            .fetch_add(published as u64, Ordering::Relaxed);
-        self.counters
-            .rejected
-            .fetch_add(rejected as u64, Ordering::Relaxed);
-        Ok(PublishReport {
-            published,
-            rejected,
-        })
+                .flat_map(|(_, rows)| rows.into_iter().map(ShardOp::Insert)),
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -1305,11 +1214,9 @@ impl ClusterEngine<ShardSet> {
     /// rebalance generation, and per shard the engine's bit-faithful
     /// synopsis snapshot, its archival rows, and its topic offsets.
     ///
-    /// Holding the router read lock, the ingest gate (exclusive), and
-    /// every directory stripe (read) for the duration blocks all publish
-    /// paths — classic batches need the router write lock (and hold the
-    /// stripes until their appends land), routed publishes the shared
-    /// gate — so no
+    /// Holding the router read lock and every directory stripe (read)
+    /// for the duration blocks the publish body, which needs the router
+    /// write lock and holds the stripes until its appends land, so no
     /// record lands in any topic while the cut is taken; queries keep
     /// flowing (they take none of these), and pump workers may keep
     /// applying already-published records, but each shard's `(snapshot,
@@ -1328,7 +1235,6 @@ impl ClusterEngine<ShardSet> {
     /// stored `rebalance_generation` makes the staleness detectable.
     pub fn checkpoint(&self) -> ClusterCheckpoint {
         let router = self.router.read();
-        let _gate = self.ingest_gate.write();
         let _directory = self.directory.read_all();
         let shards = (0..self.shards())
             .map(|i| self.set.checkpoint_shard(i))
@@ -1587,8 +1493,8 @@ impl ClusterEngine<ShardSet> {
         // window short.
         self.pump_all()?;
         let mut router = self.router.write();
-        // Router write excludes routed publishers entirely, so no append
-        // can land anywhere for the duration of the migration.
+        // Router write excludes every publisher, so no append can land
+        // anywhere for the duration of the migration.
         let mut directory = self.directory.write_all();
         // Drain the stragglers published between the pre-drain and lock
         // acquisition: we hold the router write lock and every directory
@@ -1737,7 +1643,7 @@ mod tests {
     /// The row counts a deadline-partial gather weighs shards by equal
     /// the shard populations whenever the topics are drained: after
     /// bootstrap, after inserts and deletes, after a migration and after
-    /// a restore. A routed publish counts exactly what a classic one does.
+    /// a restore. A routed publish counts exactly what a per-batch one does.
     #[test]
     fn directory_counts_equal_shard_populations() {
         let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
@@ -1756,10 +1662,9 @@ mod tests {
             .collect();
         classic.publish_batch(inserts.iter().cloned().map(ShardOp::Insert));
         let snapshot = routed.routing_snapshot();
-        let router = ShardRouter::new(snapshot.policy.clone(), snapshot.shards).unwrap();
         let mut groups: Vec<(usize, Vec<Row>)> = (0..4).map(|shard| (shard, Vec::new())).collect();
         for row in inserts {
-            groups[router.route_stateless(&row).unwrap()].1.push(row);
+            groups[snapshot.route(&row).unwrap()].1.push(row);
         }
         let report = routed
             .publish_batch_routed(snapshot.generation, groups)
@@ -1768,7 +1673,7 @@ mod tests {
         assert_eq!(
             directory_counts(&routed),
             directory_counts(&classic),
-            "routed and classic publishes, before any pump"
+            "routed and plain publishes, before any pump"
         );
 
         let deletes = || (0..300).step_by(3).map(ShardOp::Delete);

@@ -150,15 +150,6 @@ impl ShardRouter {
         }
     }
 
-    /// Stateless placement under the current policy: the shard `row`
-    /// would route to, or `None` under `RoundRobin` (whose placement
-    /// depends on the rotation cursor and cannot be predicted without
-    /// advancing it). The basis of the pre-routed publish fast path —
-    /// see [`RoutingSnapshot`].
-    pub fn route_stateless(&self, row: &Row) -> Option<usize> {
-        route_stateless(&self.policy, self.shards, row)
-    }
-
     /// The slab of predicate space shard `shard` can contain, as a
     /// `dims`-dimensional [`Rect`] (unbounded in every non-routing
     /// dimension; fully unbounded under discrete policies). `column_dim`
@@ -228,25 +219,16 @@ impl ShardRouter {
     }
 }
 
-/// Shared stateless routing math: `HashById` and `Range` place a row from
-/// the row alone; `RoundRobin` cannot (cursor-dependent) and yields `None`.
-fn route_stateless(policy: &ShardPolicy, shards: usize, row: &Row) -> Option<usize> {
-    match policy {
-        ShardPolicy::HashById => Some((mix64(row.id) % shards as u64) as usize),
-        ShardPolicy::RoundRobin => None,
-        ShardPolicy::Range { column, bounds } => Some(shard_of_value(bounds, row.value(*column))),
-    }
-}
-
 /// An immutable copy of the cluster's routing state, pinned to the
-/// rebalance generation it was taken at — what a bulk loader routes
-/// against *outside* the cluster's locks.
+/// rebalance generation it was taken at — what a bulk loader computes
+/// its claims (which thread reads which rows) and journals them against,
+/// *outside* the cluster's locks.
 ///
 /// [`RoutingSnapshot::route`] places rows exactly as the live router
 /// would while the generation holds; a rebalance bumps the cluster's
-/// generation, at which point batches grouped by this snapshot are stale
-/// and [`crate::ClusterEngine::publish_batch_routed`] falls back to
-/// re-routing them through the classic path. Obtained from
+/// generation, after which the snapshot's claims no longer match the
+/// live placement. Publishing never trusts it: the publish body
+/// re-routes every row. Obtained from
 /// [`crate::ClusterEngine::routing_snapshot`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingSnapshot {
@@ -260,14 +242,21 @@ pub struct RoutingSnapshot {
 
 impl RoutingSnapshot {
     /// The shard `row` routes to under the snapshot, or `None` when the
-    /// policy is stateful (`RoundRobin`) and pre-routing is impossible.
+    /// policy is stateful (`RoundRobin`, whose placement depends on the
+    /// rotation cursor) and pre-routing is impossible.
     pub fn route(&self, row: &Row) -> Option<usize> {
-        route_stateless(&self.policy, self.shards, row)
+        match &self.policy {
+            ShardPolicy::HashById => Some((mix64(row.id) % self.shards as u64) as usize),
+            ShardPolicy::RoundRobin => None,
+            ShardPolicy::Range { column, bounds } => {
+                Some(shard_of_value(bounds, row.value(*column)))
+            }
+        }
     }
 
     /// Whether the policy places rows from row content alone — `false`
-    /// only for `RoundRobin`, where callers must fall back to the
-    /// classic (router-locking) publish path.
+    /// only for `RoundRobin`, which a loader cannot split into per-shard
+    /// claims.
     pub fn is_stateless(&self) -> bool {
         !matches!(self.policy, ShardPolicy::RoundRobin)
     }
@@ -408,12 +397,16 @@ mod tests {
             for id in 0..1_000 {
                 let rw = row(id, (id % 131) as f64);
                 let s = r.route(&rw);
-                assert_eq!(r.route_stateless(&rw), Some(s));
                 assert_eq!(snap.route(&rw), Some(s));
             }
         }
-        let rr = ShardRouter::new(ShardPolicy::RoundRobin, 4).unwrap();
-        assert_eq!(rr.route_stateless(&row(1, 0.0)), None, "cursor-dependent");
+        let rr = RoutingSnapshot {
+            generation: 0,
+            shards: 4,
+            policy: ShardPolicy::RoundRobin,
+        };
+        assert!(!rr.is_stateless());
+        assert_eq!(rr.route(&row(1, 0.0)), None, "cursor-dependent");
     }
 
     #[test]

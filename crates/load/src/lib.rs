@@ -2,8 +2,8 @@
 //!
 //! The shard-affine parallel bulk loader: streams a directory of
 //! [`janus_data::partitioned`] chunk files into a [`ClusterEngine`]
-//! through the pre-routed publish fast path, with a per-file resume
-//! journal that makes a killed load restart exactly-once.
+//! through its one publish body, [`ClusterEngine::publish_batch`], with a
+//! per-file resume journal that makes a killed load restart exactly-once.
 //!
 //! ## The loading model
 //!
@@ -14,10 +14,9 @@
 //! its shards. Under a range policy the per-chunk `[min, max]` header
 //! lets a thread skip whole files that cannot contain its rows — on a
 //! range-sorted dataset each thread reads a disjoint stripe of the file
-//! set and the threads share almost nothing: batches land through
-//! [`ClusterEngine::publish_batch_routed`], which takes the router lock
-//! *shared*, touches only the claimed shard's topic, and crosses only
-//! the directory stripes its row ids hash to.
+//! set. Threads parallelize chunk reads and decoding only: each flushed
+//! buffer is one [`ClusterEngine::publish_batch`], which re-routes its
+//! rows under the router write lock, so publishes serialize.
 //!
 //! Every thread walks the chunk files in canonical (sorted-name) order
 //! and flushes its per-shard buffers in row order at every buffer fill
@@ -59,17 +58,15 @@
 //! A resumed load *always* interprets claims with the journal's
 //! snapshot (that is what the counts mean). If the live cluster has
 //! rebalanced past it — different generation or bounds — the claims
-//! still partition the work correctly, but batches go through the
-//! classic re-routing [`ClusterEngine::publish_batch`] path instead;
-//! every row still lands exactly once, though cross-thread interleaving
-//! then makes topic *order* (not content) scheduling-dependent. The
-//! same classic path carries `RoundRobin` policies, which cannot be
-//! pre-routed at all; they force a single loader thread.
+//! still partition the work correctly and the publish body still places
+//! every row by the live router, exactly once, but two threads' claims
+//! can then feed one shard, so cross-thread interleaving makes topic
+//! *order* (not content) scheduling-dependent; [`LoadReport::routed`]
+//! says which case a load was. `RoundRobin` policies cannot be split
+//! into claims at all; they force a single loader thread.
 
 use janus_cluster::notify::Backoff;
-use janus_cluster::{
-    ClusterEngine, PublishReport, RouterSnapshot, RoutingSnapshot, ShardOp, PUMP_CHUNK,
-};
+use janus_cluster::{ClusterEngine, RouterSnapshot, RoutingSnapshot, ShardOp, PUMP_CHUNK};
 use janus_common::{JanusError, Result, Row};
 use janus_data::partitioned::{list_chunks, read_chunk, read_chunk_header, ChunkHeader};
 use janus_storage::{CheckpointStore, LoadProgress};
@@ -86,11 +83,12 @@ const DRAIN_IDLE_MAX: Duration = Duration::from_millis(1);
 #[derive(Clone, Debug)]
 pub struct LoadConfig {
     /// Loader threads requested; 0 is rejected. Capped at the shard
-    /// count, and forced to 1 when the routing policy cannot be
-    /// pre-routed (`RoundRobin`).
+    /// count, and forced to 1 when the routing policy cannot be split
+    /// into claims (`RoundRobin`). Threads parallelize chunk reads and
+    /// decoding; their publishes serialize on the router write lock.
     pub threads: usize,
     /// Rows a per-shard buffer accumulates before it is flushed as one
-    /// routed batch (buffers also flush at every file boundary).
+    /// publish batch (buffers also flush at every file boundary).
     pub batch_rows: usize,
     /// Journal flush cadence: persist the journal every this many
     /// recorded publishes (0 = only the final flush). Smaller means
@@ -128,9 +126,10 @@ pub struct LoadReport {
     pub files: usize,
     /// Loader threads actually used after clamping.
     pub threads: usize,
-    /// Whether batches went through the pre-routed fast path (`false`:
-    /// classic re-routing path — `RoundRobin`, or a journal whose
-    /// routing snapshot no longer matches the live cluster).
+    /// Whether the claims are the live routing, so the drained state does
+    /// not depend on thread scheduling (`false`: `RoundRobin`, or a
+    /// journal whose routing snapshot no longer matches the live
+    /// cluster).
     pub routed: bool,
     /// Whether a stop flag interrupted the load before completion.
     pub interrupted: bool,
@@ -149,9 +148,6 @@ struct LoadPlan {
     /// The snapshot claims are computed with — the journal's on resume,
     /// the live cluster's otherwise.
     claim: RoutingSnapshot,
-    /// Fast path: claims match the live router and the policy is
-    /// stateless.
-    routed: bool,
     /// Threads after clamping.
     threads: usize,
 }
@@ -284,11 +280,7 @@ impl<'a> BulkLoader<'a> {
         } else {
             1 // round-robin: no row-content claims, single sequential producer
         };
-        let plan = LoadPlan {
-            claim,
-            routed,
-            threads,
-        };
+        let plan = LoadPlan { claim, threads };
         let journal = Journal {
             store: self.journal_store,
             every: self.config.checkpoint_batches,
@@ -321,7 +313,7 @@ impl<'a> BulkLoader<'a> {
         let mut report = LoadReport {
             files: chunks.len(),
             threads: plan.threads,
-            routed: plan.routed,
+            routed,
             ..LoadReport::default()
         };
         for outcome in outcomes {
@@ -472,8 +464,7 @@ impl<'a> BulkLoader<'a> {
         Ok((lo..=hi).any(|s| s % plan.threads == tid))
     }
 
-    /// Publishes one per-shard buffer (routed fast path or classic
-    /// re-routing fallback), then journals the attempt.
+    /// Publishes one per-shard buffer, then journals the attempt.
     fn flush(
         &self,
         shard: usize,
@@ -488,13 +479,9 @@ impl<'a> BulkLoader<'a> {
         }
         let rows = std::mem::take(buffer);
         let attempted = rows.len() as u64;
-        let report: PublishReport = if plan.routed {
-            self.cluster
-                .publish_batch_routed(plan.claim.generation, vec![(shard, rows)])?
-        } else {
-            self.cluster
-                .publish_batch(rows.into_iter().map(ShardOp::Insert))
-        };
+        let report = self
+            .cluster
+            .publish_batch(rows.into_iter().map(ShardOp::Insert));
         outcome.published += report.published;
         outcome.rejected += report.rejected;
         journal.record(file, shard, plan.claim.shards, attempted)

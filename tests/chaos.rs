@@ -29,7 +29,7 @@ use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -475,7 +475,7 @@ fn chaos_schedules_converge_bit_identically_and_deterministically() {
 
 /// Extended randomized sweep, off by default: set `JANUS_CHAOS_EXTENDED=1`
 /// (and optionally `JANUS_CHAOS_SEED=<u64>`) to run it. Every attempted
-/// seed is printed and its schedule is written to
+/// seed is printed and its schedule is written to the workspace's
 /// `target/chaos/schedule-<seed>.txt` *before* the run, so a failing
 /// schedule survives the panic for CI to upload as an artifact.
 #[test]
@@ -499,7 +499,8 @@ fn extended_randomized_chaos_sweep() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    let artifacts = PathBuf::from("target/chaos");
+    // The workspace's target/, not this package's: CI uploads from there.
+    let artifacts = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos");
     std::fs::create_dir_all(&artifacts).expect("create artifact dir");
     for i in 0..iters {
         let seed = faults::mix64(base ^ i);

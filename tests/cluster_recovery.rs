@@ -13,6 +13,7 @@
 use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn rows(n: usize, seed: u64) -> Vec<Row> {
@@ -682,4 +683,103 @@ fn promoting_a_follower_more_than_a_block_behind_loses_nothing() {
     replicated.pump_all().unwrap();
     plain.pump_all().unwrap();
     assert_same_answers(&plain, &replicated, "promoted a lagging follower");
+}
+
+/// Checkpoints cut while routed publishers run restore to the state of
+/// the uninterrupted cluster. Three threads publish disjoint ids through
+/// `publish_batch_routed` while the main thread cuts twenty checkpoints;
+/// nothing pumps meanwhile, so every topic keeps its whole history. Each
+/// cut must fall between two whole publish calls, so the records it
+/// counts across the shards are a whole number of calls. The first, a
+/// middle and the last checkpoint, restored over the same topics and
+/// drained, answer bit for bit like the original and place the same rows.
+#[test]
+fn checkpoints_cut_during_routed_publishes_restore_bit_identically() {
+    const SHARDS: usize = 4;
+    const THREADS: u64 = 3;
+    const PER_THREAD: u64 = 1_500;
+    const CUTS: usize = 20;
+    const CALL: usize = 50;
+    const CALLS: usize = PER_THREAD as usize / CALL;
+    let config = ClusterConfig::new(exact_config(61), SHARDS, ShardPolicy::HashById);
+    let cluster = ClusterEngine::bootstrap(config.clone(), rows(2_000, 61)).unwrap();
+    let inserted = THREADS * PER_THREAD;
+    // The two sides pace each other, so that cuts and calls interleave
+    // however the threads are scheduled: a thread's call `k` waits for
+    // cut `k * CUTS / CALLS`, and cut `i` for `4 * i` calls in all.
+    let cut = AtomicUsize::new(0);
+    let checkpoints = std::thread::scope(|scope| {
+        let publishers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (cluster, cut) = (&cluster, &cut);
+                scope.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(62 + t);
+                    let base = 1_000_000 + t * PER_THREAD;
+                    let rows: Vec<Row> = (base..base + PER_THREAD)
+                        .map(|id| {
+                            let x = rng.gen::<f64>() * 100.0;
+                            Row::new(id, vec![x, x * 3.0])
+                        })
+                        .collect();
+                    for (k, chunk) in rows.chunks(CALL).enumerate() {
+                        while cut.load(Ordering::Acquire) < k * CUTS / CALLS {
+                            std::thread::yield_now();
+                        }
+                        let snapshot = cluster.routing_snapshot();
+                        let mut groups: Vec<(usize, Vec<Row>)> =
+                            (0..snapshot.shards).map(|s| (s, Vec::new())).collect();
+                        for row in chunk {
+                            groups[snapshot.route(row).unwrap()].1.push(row.clone());
+                        }
+                        let report = cluster
+                            .publish_batch_routed(snapshot.generation, groups)
+                            .unwrap();
+                        assert_eq!(report.rejected, 0, "ids are disjoint per thread");
+                    }
+                })
+            })
+            .collect();
+        (0..CUTS)
+            .map(|i| {
+                let due = ((4 * i * CALL) as u64).min(inserted);
+                while cluster.pending() < due && !publishers.iter().any(|p| p.is_finished()) {
+                    std::thread::yield_now();
+                }
+                let checkpoint = cluster.checkpoint();
+                cut.fetch_add(1, Ordering::Release);
+                checkpoint
+            })
+            .collect::<Vec<_>>()
+    });
+    let published =
+        |c: &ClusterCheckpoint| -> u64 { c.shards.iter().map(|s| s.published_offset).sum() };
+    for (i, checkpoint) in checkpoints.iter().enumerate() {
+        assert_eq!(
+            published(checkpoint) % CALL as u64,
+            0,
+            "cut {i} tore a call"
+        );
+    }
+    assert!(checkpoints
+        .windows(2)
+        .all(|w| published(&w[0]) <= published(&w[1])));
+    cluster.pump_all().unwrap();
+    assert_eq!(cluster.population(), 2_000 + inserted as usize);
+    let mut checkpoints = checkpoints;
+    let last = checkpoints.pop().unwrap();
+    let middle = checkpoints.swap_remove(CUTS / 2);
+    let first = checkpoints.swap_remove(0);
+    for (name, checkpoint) in [("first", first), ("middle", middle), ("last", last)] {
+        let restored =
+            ClusterEngine::restore(config.clone(), checkpoint, cluster.topics()).unwrap();
+        restored.pump_all().unwrap();
+        let context = format!("restored from the {name} checkpoint");
+        assert_same_answers(&cluster, &restored, &context);
+        assert_eq!(cluster.population(), restored.population(), "{context}");
+        assert_eq!(
+            cluster.directory_len(),
+            restored.directory_len(),
+            "{context}"
+        );
+    }
 }
