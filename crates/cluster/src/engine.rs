@@ -102,8 +102,11 @@ use std::time::{Duration, Instant};
 pub const PUMP_CHUNK: usize = 4096;
 
 /// One record of a shard's ingest topic: the engine's own update type,
-/// so a drained batch feeds [`JanusEngine::apply_update_batch`] as is.
+/// so a drained batch feeds [`JanusEngine::apply_update_refs`] as is.
 pub use janus_core::concurrent::Update as ShardOp;
+
+/// A borrowed [`ShardOp`] — what [`crate::host::ShardHost`] applies.
+pub use janus_core::concurrent::UpdateRef as ShardOpRef;
 
 /// Configuration of a [`ClusterEngine`].
 #[derive(Clone, Debug)]

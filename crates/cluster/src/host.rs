@@ -17,7 +17,7 @@
 //! no other lock while it holds its engine's.
 
 use crate::checkpoint::ShardCheckpoint;
-use crate::engine::ShardOp;
+use crate::engine::{ShardOp, ShardOpRef};
 use janus_common::merge::SubAnswer;
 use janus_common::{AggregateFunction, JanusError, Query, Result};
 use janus_core::JanusEngine;
@@ -135,25 +135,32 @@ impl ShardHost {
 
     /// Applies `batch`, the topic records from `first_offset` on, under
     /// the engine's write guard, and returns the applied offset after it.
+    /// The records are borrowed (`&ShardOp`s, or a batch decoded flat),
+    /// and only the rows the reservoir admits are copied out of them.
     /// Records below the applied offset are replays and are skipped, so
     /// re-shipping a batch never applies a record twice. A batch that
     /// starts past the applied offset would leave a gap: it is refused
     /// with the applied offset, and nothing changes. Strict
     /// (`skip_failed` unset), a failing record stops the batch there.
-    pub fn apply_from(
+    pub fn apply_from<'a, B>(
         &self,
         first_offset: u64,
-        mut batch: Vec<ShardOp>,
+        batch: B,
         skip_failed: bool,
-    ) -> std::result::Result<u64, u64> {
+    ) -> std::result::Result<u64, u64>
+    where
+        B: IntoIterator,
+        B::IntoIter: ExactSizeIterator,
+        B::Item: Into<ShardOpRef<'a>>,
+    {
         let mut engine = self.engine.write();
         let applied = self.applied();
         if first_offset > applied {
             return Err(applied);
         }
+        let batch = batch.into_iter();
         let replayed = ((applied - first_offset) as usize).min(batch.len());
-        batch.drain(..replayed);
-        self.apply_locked(&mut engine, batch, skip_failed);
+        self.apply_locked(&mut engine, batch.skip(replayed), skip_failed);
         Ok(self.applied())
     }
 
@@ -170,22 +177,28 @@ impl ShardHost {
         skip_failed: bool,
     ) -> (usize, usize, Option<JanusError>) {
         let batch = topic.poll(self.applied(), max);
-        self.apply_locked(engine, batch, skip_failed)
+        self.apply_locked(engine, &batch, skip_failed)
     }
 
     /// The one apply body under [`ShardHost::apply_from`] and
     /// [`ShardHost::drain_locked`].
-    fn apply_locked(
+    fn apply_locked<'a, B>(
         &self,
         engine: &mut JanusEngine,
-        batch: Vec<ShardOp>,
+        batch: B,
         skip_failed: bool,
-    ) -> (usize, usize, Option<JanusError>) {
-        if batch.is_empty() {
+    ) -> (usize, usize, Option<JanusError>)
+    where
+        B: IntoIterator,
+        B::IntoIter: ExactSizeIterator,
+        B::Item: Into<ShardOpRef<'a>>,
+    {
+        let batch = batch.into_iter();
+        if batch.len() == 0 {
             return (0, 0, None);
         }
         let applied = self.applied();
-        let (done, skipped, first_error) = engine.apply_update_batch(batch, skip_failed);
+        let (done, skipped, first_error) = engine.apply_update_refs(batch, skip_failed);
         self.applied
             .store(applied + (done + skipped) as u64, Ordering::Release);
         (done, skipped, first_error)
@@ -330,10 +343,10 @@ mod tests {
     #[test]
     fn a_replay_applies_only_the_suffix_past_the_applied_offset() {
         let host = host();
-        assert_eq!(host.apply_from(0, inserts(0..2), false), Ok(2));
+        assert_eq!(host.apply_from(0, &inserts(0..2), false), Ok(2));
         // Records 1 and 2, strict: re-applying record 1 would fail and
         // stop the batch, so the offset and population show it skipped.
-        assert_eq!(host.apply_from(1, inserts(1..3), false), Ok(3));
+        assert_eq!(host.apply_from(1, &inserts(1..3), false), Ok(3));
         assert_eq!(host.applied(), 3);
         assert_eq!(host.read().population(), 103);
     }
@@ -341,8 +354,8 @@ mod tests {
     #[test]
     fn a_batch_past_the_applied_offset_is_refused_untouched() {
         let host = host();
-        assert_eq!(host.apply_from(0, inserts(0..3), false), Ok(3));
-        assert_eq!(host.apply_from(4, inserts(4..6), true), Err(3));
+        assert_eq!(host.apply_from(0, &inserts(0..3), false), Ok(3));
+        assert_eq!(host.apply_from(4, &inserts(4..6), true), Err(3));
         assert_eq!(host.applied(), 3);
         assert_eq!(host.read().population(), 103);
         assert_eq!(host.read().stats().inserts, 3);
@@ -351,10 +364,10 @@ mod tests {
     #[test]
     fn an_empty_or_fully_applied_batch_changes_nothing() {
         let host = host();
-        assert_eq!(host.apply_from(0, inserts(0..3), false), Ok(3));
-        assert_eq!(host.apply_from(3, Vec::new(), false), Ok(3));
-        assert_eq!(host.apply_from(0, inserts(0..3), false), Ok(3));
-        assert_eq!(host.apply_from(1, inserts(1..2), true), Ok(3));
+        assert_eq!(host.apply_from(0, &inserts(0..3), false), Ok(3));
+        assert_eq!(host.apply_from(3, &inserts(0..0), false), Ok(3));
+        assert_eq!(host.apply_from(0, &inserts(0..3), false), Ok(3));
+        assert_eq!(host.apply_from(1, &inserts(1..2), true), Ok(3));
         assert_eq!(host.applied(), 3);
         assert_eq!(host.read().population(), 103);
         assert_eq!(host.read().stats().inserts, 3);

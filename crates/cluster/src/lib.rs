@@ -78,8 +78,8 @@ pub(crate) mod scatter;
 
 pub use checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
 pub use engine::{
-    ClusterConfig, ClusterEngine, ClusterStats, PublishReport, QueryOptions, ShardOp, ShardSet,
-    ShardTransport, PUMP_CHUNK,
+    ClusterConfig, ClusterEngine, ClusterStats, PublishReport, QueryOptions, ShardOp, ShardOpRef,
+    ShardSet, ShardTransport, PUMP_CHUNK,
 };
 pub use live::{LiveCluster, LiveConfig, LiveStats, TenantStats};
 pub use notify::Progress;

@@ -74,6 +74,21 @@ impl ShardPolicy {
             .collect();
         Ok(ShardPolicy::Range { column, bounds })
     }
+
+    /// The shard `row` lands on among `shards` when its content alone
+    /// decides — `None` under `RoundRobin`, whose placement is the
+    /// rotation cursor's. The one placement rule [`ShardRouter::route`]
+    /// and [`RoutingSnapshot::route`] apply.
+    #[inline]
+    pub fn place(&self, row: &Row, shards: usize) -> Option<usize> {
+        match self {
+            ShardPolicy::HashById => Some((mix64(row.id) % shards as u64) as usize),
+            ShardPolicy::RoundRobin => None,
+            ShardPolicy::Range { column, bounds } => {
+                Some(shard_of_value(bounds, row.value(*column)))
+            }
+        }
+    }
 }
 
 /// Deterministic stateful router applying a [`ShardPolicy`] over a fixed
@@ -139,15 +154,11 @@ impl ShardRouter {
     /// Assigns a row to a shard. Advances the rotation cursor under
     /// `RoundRobin` (hence `&mut`).
     pub fn route(&mut self, row: &Row) -> usize {
-        match &self.policy {
-            ShardPolicy::HashById => (mix64(row.id) % self.shards as u64) as usize,
-            ShardPolicy::RoundRobin => {
-                let s = self.next;
-                self.next = (self.next + 1) % self.shards;
-                s
-            }
-            ShardPolicy::Range { column, bounds } => shard_of_value(bounds, row.value(*column)),
-        }
+        self.policy.place(row, self.shards).unwrap_or_else(|| {
+            let s = self.next;
+            self.next = (self.next + 1) % self.shards;
+            s
+        })
     }
 
     /// The slab of predicate space shard `shard` can contain, as a
@@ -245,13 +256,7 @@ impl RoutingSnapshot {
     /// policy is stateful (`RoundRobin`, whose placement depends on the
     /// rotation cursor) and pre-routing is impossible.
     pub fn route(&self, row: &Row) -> Option<usize> {
-        match &self.policy {
-            ShardPolicy::HashById => Some((mix64(row.id) % self.shards as u64) as usize),
-            ShardPolicy::RoundRobin => None,
-            ShardPolicy::Range { column, bounds } => {
-                Some(shard_of_value(bounds, row.value(*column)))
-            }
-        }
+        self.policy.place(row, self.shards)
     }
 
     /// Whether the policy places rows from row content alone — `false`

@@ -18,8 +18,7 @@
 //! triggers disabled, which the tests verify.
 
 use crate::engine::JanusEngine;
-use janus_common::codec::{Dec, Decode, Enc, Encode};
-use janus_common::{DetHashMap, JanusError, Moments, Result, Row, RowId};
+use janus_common::{DetHashMap, JanusError, Moments, Result, Row, RowId, RowRef};
 use std::time::{Duration, Instant};
 
 /// One update of a mixed workload — also the record type of a cluster
@@ -32,31 +31,32 @@ pub enum Update {
     Delete(RowId),
 }
 
-impl Encode for Update {
+impl Update {
+    /// A borrowed view of this update.
     #[inline]
-    fn encode(&self, e: &mut Enc) {
+    pub fn as_ref(&self) -> UpdateRef<'_> {
         match self {
-            Update::Insert(row) => {
-                e.u8(0);
-                row.encode(e);
-            }
-            Update::Delete(id) => {
-                e.u8(1);
-                e.u64(*id);
-            }
+            Update::Insert(row) => UpdateRef::Insert(row.as_ref()),
+            Update::Delete(id) => UpdateRef::Delete(*id),
         }
     }
 }
 
-impl Decode for Update {
-    const MIN_LEN: usize = 9;
+/// A borrowed [`Update`]: what [`JanusEngine::apply_update_refs`] applies,
+/// so a batch decoded flat (ids plus one value buffer) reaches the engine
+/// without one owned row per record.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum UpdateRef<'a> {
+    /// Insert this tuple.
+    Insert(RowRef<'a>),
+    /// Delete the tuple with this id.
+    Delete(RowId),
+}
+
+impl<'a> From<&'a Update> for UpdateRef<'a> {
     #[inline]
-    fn decode(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => Update::Insert(d.get()?),
-            1 => Update::Delete(d.u64()?),
-            other => return Err(d.error(format!("invalid shard-op tag {other}"))),
-        })
+    fn from(update: &'a Update) -> Self {
+        update.as_ref()
     }
 }
 
@@ -337,7 +337,7 @@ mod tests {
         ];
         let data = rows(2_000, 11);
         let mut seq = crate::engine::JanusEngine::bootstrap(config(13), data.clone()).unwrap();
-        let (applied, skipped, _) = seq.apply_update_batch(updates.clone(), true);
+        let (applied, skipped, _) = seq.apply_update_refs(&updates, true);
         assert_eq!((applied, skipped), (6, 4));
 
         let mut par = crate::engine::JanusEngine::bootstrap(config(13), data).unwrap();

@@ -18,6 +18,7 @@
 //! the throughput experiments lives in [`crate::concurrent`].
 
 use crate::catchup::CatchupQueue;
+use crate::concurrent::UpdateRef;
 use crate::config::SynopsisConfig;
 use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
@@ -25,7 +26,7 @@ use crate::partition::{PartitionOutcome, Partitioner};
 use crate::synopsis::{PooledSample, Synopsis};
 use crate::tree::Dpt;
 use crate::trigger::{self, TriggerConfig};
-use janus_common::{Estimate, JanusError, Query, Result, Row, RowId};
+use janus_common::{Estimate, JanusError, Query, Result, Row, RowId, RowRef};
 use janus_index::IndexPoint;
 use janus_sampling::DynamicReservoir;
 use janus_storage::ArchiveStore;
@@ -199,14 +200,21 @@ impl JanusEngine {
 
     /// Inserts a tuple: archive, every tree's path statistics, reservoir,
     /// and (if sampled) the max-variance indexes; may trigger
-    /// re-partitioning.
+    /// re-partitioning. A thin wrapper over [`JanusEngine::insert_ref`].
     pub fn insert(&mut self, row: Row) -> Result<()> {
+        self.insert_ref(row.as_ref())
+    }
+
+    /// [`JanusEngine::insert`] of a borrowed tuple: the archive copies
+    /// its values, and the reservoir materialises a row only if it admits
+    /// it, so an insert it skips allocates nothing outside the archive.
+    pub fn insert_ref(&mut self, row: RowRef<'_>) -> Result<()> {
         let id = row.id;
-        if !self.pool.archive.insert_values(id, &row.values)? {
+        if !self.pool.archive.insert_values(id, row.values)? {
             return Err(JanusError::InvalidConfig(format!("duplicate row id {id}")));
         }
         for synopsis in &mut self.synopses {
-            synopsis.last_leaf = synopsis.dpt.record_insert(&row);
+            synopsis.last_leaf = synopsis.dpt.record_insert(row);
         }
         self.offer_to_reservoir(row);
         self.after_update();
@@ -221,7 +229,7 @@ impl JanusEngine {
             .delete(id)
             .ok_or(JanusError::RowNotFound(id))?;
         for synopsis in &mut self.synopses {
-            synopsis.last_leaf = synopsis.dpt.record_delete(&row);
+            synopsis.last_leaf = synopsis.dpt.record_delete(row.as_ref());
         }
         self.delete_from_reservoir(&row);
         self.after_update();
@@ -230,7 +238,7 @@ impl JanusEngine {
 
     /// The sample half of an insert the archive accepted, whichever path
     /// applied the tree statistics.
-    fn offer_to_reservoir(&mut self, row: Row) {
+    fn offer_to_reservoir(&mut self, row: RowRef<'_>) {
         self.pool.offer(row, &mut self.synopses);
         self.stats.inserts += 1;
     }
@@ -263,7 +271,7 @@ impl JanusEngine {
     /// were already applied by the batch updater.
     pub(crate) fn apply_insert_sampling(&mut self, row: Row) -> Result<()> {
         if self.pool.archive.insert_values(row.id, &row.values)? {
-            self.offer_to_reservoir(row);
+            self.offer_to_reservoir(row.as_ref());
         }
         Ok(())
     }
@@ -306,30 +314,32 @@ impl JanusEngine {
         Gathered::route(query, trees, &pool.reservoir, pool.archive.len())
     }
 
-    /// Applies a batch of updates in arrival order under a single call —
-    /// the batch-apply entry point topic consumers (e.g. a cluster shard
-    /// draining its ingest log) use so per-record dispatch overhead is
+    /// Applies a batch of borrowed updates in arrival order under a
+    /// single call — the batch-apply entry point topic consumers (e.g. a
+    /// cluster shard draining its ingest log, or a node applying a
+    /// shipped batch decoded flat) use so per-record dispatch overhead is
     /// paid once per batch. Application is strictly sequential, so the
     /// resulting engine state is *bit-identical* to calling
     /// [`JanusEngine::insert`]/[`JanusEngine::delete`] per record, for any
-    /// number of templates.
+    /// number of templates. `&Update`s convert, so a `&Vec<Update>` is a
+    /// batch as is.
     ///
     /// Returns `(applied, skipped, first_error)`. With `skip_failed`
     /// unset, application stops at the first failing update (it is
     /// neither applied nor skipped); with it set, failing updates are
     /// counted in `skipped` and the batch continues.
-    pub fn apply_update_batch(
+    pub fn apply_update_refs<'a>(
         &mut self,
-        updates: impl IntoIterator<Item = crate::concurrent::Update>,
+        updates: impl IntoIterator<Item = impl Into<UpdateRef<'a>>>,
         skip_failed: bool,
     ) -> (usize, usize, Option<JanusError>) {
         let mut applied = 0;
         let mut skipped = 0;
         let mut first_error = None;
         for update in updates {
-            let outcome = match update {
-                crate::concurrent::Update::Insert(row) => self.insert(row),
-                crate::concurrent::Update::Delete(id) => self.delete(id).map(|_| ()),
+            let outcome = match update.into() {
+                UpdateRef::Insert(row) => self.insert_ref(row),
+                UpdateRef::Delete(id) => self.delete(id).map(|_| ()),
             };
             match outcome {
                 Ok(()) => applied += 1,
@@ -990,7 +1000,7 @@ mod tests {
                     Update::Delete(id) => drop(per_row.delete(id).unwrap()),
                 }
             }
-            let (applied, skipped, error) = batched.apply_update_batch(updates.clone(), false);
+            let (applied, skipped, error) = batched.apply_update_refs(&updates, false);
             assert_eq!((applied, skipped), (updates.len(), 0));
             assert!(error.is_none());
             let templates = configs.len();

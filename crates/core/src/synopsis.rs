@@ -190,12 +190,12 @@ impl PooledSample {
         self.seed ^ self.seed_counter
     }
 
-    /// Offers a row the archive just took in to the reservoir — its last
-    /// consumer, so it moves in — and mirrors an admission, and the
+    /// Offers a row the archive just took in to the reservoir, which
+    /// copies it only if it admits it, and mirrors an admission, and the
     /// eviction a replacement implies, into every synopsis.
-    pub(crate) fn offer(&mut self, row: Row, synopses: &mut [Synopsis]) {
+    pub(crate) fn offer(&mut self, row: RowRef<'_>, synopses: &mut [Synopsis]) {
         let id = row.id;
-        match self.reservoir.offer(row, self.archive.len()) {
+        match self.reservoir.offer_ref(row, self.archive.len()) {
             InsertOutcome::Skipped => return,
             InsertOutcome::Added => {}
             InsertOutcome::Replaced { evicted } => {

@@ -284,8 +284,7 @@ impl Dpt {
     }
 
     /// Records an insertion along the root-to-leaf path; returns the leaf.
-    pub fn record_insert(&mut self, row: &Row) -> usize {
-        let row = row.as_ref();
+    pub fn record_insert(&mut self, row: RowRef<'_>) -> usize {
         let point = self.project_scratch(row);
         let a = self.agg_value(row);
         let leaf = Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
@@ -296,8 +295,7 @@ impl Dpt {
     }
 
     /// Records a deletion along the root-to-leaf path; returns the leaf.
-    pub fn record_delete(&mut self, row: &Row) -> usize {
-        let row = row.as_ref();
+    pub fn record_delete(&mut self, row: RowRef<'_>) -> usize {
         let point = self.project_scratch(row);
         let a = self.agg_value(row);
         let leaf = Self::walk_path(&mut self.nodes[..], self.root, &point, |nodes, idx| {
@@ -816,10 +814,10 @@ mod tests {
         let q = query(AggregateFunction::Sum, 2.0, 4.0);
         let before = dpt.answer(&q, &samples).unwrap().unwrap().value;
         let extra = Row::new(1000, vec![3.0, 500.0]);
-        dpt.record_insert(&extra);
+        dpt.record_insert(extra.as_ref());
         let after = dpt.answer(&q, &samples).unwrap().unwrap().value;
         assert!((after - before - 500.0).abs() < 1e-9);
-        dpt.record_delete(&extra);
+        dpt.record_delete(extra.as_ref());
         let back = dpt.answer(&q, &samples).unwrap().unwrap().value;
         assert!((back - before).abs() < 1e-9);
     }

@@ -7,9 +7,9 @@
 //! | module | contents |
 //! |---|---|
 //! | [`wire`] | the versioned wire protocol: [`wire::Frame`] (publish / scatter-query / checkpoint / heartbeat / host frames), the byte-level codec (LE integers, `f64::to_bits` so estimates cross the wire bit-exactly), [`wire::FrameDecoder`] for split reads, and blocking [`wire::read_frame`] / [`wire::write_frame`] / [`wire::write_encoded`] helpers with an allocation-guarded length check |
-//! | [`node`] | [`node::NodeServer`]: the shard-hosting daemon — one `ShardHost` per shard; the connection thread that decodes a publish batch applies it (`ShardHost::apply_from`, idempotent by offset, a gap refused) and acks the applied offset; queries behind the replica freshness gate, and checkpoint export/install |
+//! | [`node`] | [`node::NodeServer`]: the shard-hosting daemon — one `ShardHost` per shard; the connection thread that decodes a publish batch (flat, into a reused [`wire::FlatBatch`]) applies it by reference (`ShardHost::apply_from`, idempotent by offset, a gap refused) and acks the applied offset; queries behind the replica freshness gate, and checkpoint export/install |
 //! | [`directory`] | [`directory::Directory`]: shard → node placement with followers pinned to distinct failure domains, freshest-follower promotion on node failure (`janus_cluster::host::promote`, the rule `fail_shard` calls too), loud lost-shard tracking, and a CRC-sealed snapshot blob (not persisted yet) |
-//! | [`remote`] | [`remote::RemoteCluster`]: the coordinator front end presenting the in-process cluster's API (publish / query / drain / backpressure / move_shard) over per-node shipper threads and a heartbeat failure detector |
+//! | [`remote`] | [`remote::RemoteCluster`]: the coordinator front end presenting the in-process cluster's API (publish / query / drain / backpressure / move_shard) over per-node shipper threads, which encode each batch straight from the topic's in-place read, and a heartbeat failure detector |
 //!
 //! ## Deployment shape
 //!

@@ -16,6 +16,15 @@
 //! [`janus_cluster::LiveCluster`] pumps — and acks with the applied
 //! offset, so a node's memory beyond its engines is the one batch in
 //! hand. As every other node frame, a publish is done when it is acked.
+//!
+//! Per publish batch a node allocates one buffer, the frame's payload
+//! ([`wire::read_payload`]), sized by the frame and freed after it, so a
+//! large frame such as a bootstrap [`Frame::Host`] stays resident no
+//! longer than it is handled. The records are decoded flat
+//! ([`wire::decode_publish_batch`]) into a [`wire::FlatBatch`] that each
+//! connection reuses, and applied by reference: the engine copies an
+//! insert's values into its archive and materialises a row only when
+//! its reservoir admits it, so no allocation is made per record.
 //! Replays deduplicate by offset and a batch past the applied offset is
 //! refused as a gap. Queries answer through [`ShardHost::answer`]'s
 //! freshness gate and checkpoints ship through [`ShardHost::capture`].
@@ -28,10 +37,10 @@
 //! first rung: a host takes no other lock under its engine's, and the
 //! `shards` map is never held while an engine is locked.
 
-use crate::wire::{self, Frame, QueryOutcome};
+use crate::wire::{self, FlatBatch, Frame, QueryOutcome};
 use janus_cluster::host::ShardHost;
 use janus_cluster::notify::IDLE_MAX;
-use janus_cluster::{ShardCheckpoint, ShardOp};
+use janus_cluster::ShardCheckpoint;
 use janus_common::merge::SubAnswer;
 use janus_common::{JanusError, Result};
 use janus_core::{JanusEngine, SynopsisConfig};
@@ -133,11 +142,6 @@ fn handle(state: &NodeState, frame: Frame) -> (Frame, bool) {
             Ok(()) => Frame::Ok,
             Err(e) => err_frame(format!("host shard {shard}: {e}")),
         },
-        Frame::PublishBatch {
-            shard,
-            first_offset,
-            ops,
-        } => publish(state, shard, first_offset, ops),
         // `tenant` and `deadline_ms` are advisory on the node side: the
         // coordinator bills the query and enforces the deadline with a
         // socket read timeout, so the node just answers as fast as it can.
@@ -193,12 +197,14 @@ fn host_shard(
     state.install(shard, JanusEngine::bootstrap(config, rows)?, 0)
 }
 
-/// Applies a run of topic records to the shard's engine on the calling
-/// connection thread and acks the applied offset. Replays are
-/// idempotent: a batch whose prefix is already applied is deduplicated
-/// by offset, so the coordinator may re-ship after a reconnect without
-/// double-applying. A batch past the applied offset is refused as a gap.
-fn publish(state: &NodeState, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> Frame {
+/// Applies a run of topic records, decoded flat, to the shard's engine
+/// on the calling connection thread and acks the applied offset.
+/// Replays are idempotent: a batch whose prefix is already applied is
+/// deduplicated by offset, so the coordinator may re-ship after a
+/// reconnect without double-applying. A batch past the applied offset is
+/// refused as a gap.
+fn publish(state: &NodeState, batch: &FlatBatch) -> Frame {
+    let (shard, first_offset) = (batch.shard(), batch.first_offset());
     let Some(host) = state.host(shard) else {
         return err_frame(format!("publish: shard {shard} not hosted"));
     };
@@ -211,7 +217,7 @@ fn publish(state: &NodeState, shard: u32, first_offset: u64, ops: Vec<ShardOp>) 
     }
     // Lossy (`skip_failed`), as the coordinator's row directory already
     // rejected what cannot apply: every shipped record is consumed.
-    match host.apply_from(first_offset, ops, true) {
+    match host.apply_from(first_offset, batch.ops(), true) {
         Ok(applied) => Frame::PublishAck {
             shard,
             received: applied,
@@ -364,15 +370,30 @@ fn accept_loop(state: &Arc<NodeState>, listener: &TcpListener, addr: SocketAddr)
 }
 
 fn serve_connection(state: &NodeState, mut stream: TcpStream, addr: SocketAddr) {
+    // Publish batches decode into this one batch, reused from frame to
+    // frame; every other frame decodes owned and goes through `handle`.
+    let mut batch = FlatBatch::default();
     // Clean disconnect, torn frame, or malformed input all end the
     // connection; the peer re-establishes and re-ships.
-    while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
+    while let Ok(Some(payload)) = wire::read_payload(&mut stream) {
         // A stopping daemon answers nothing — the peer sees the
         // connection drop, exactly like a crashed process.
         if state.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let (reply, shutdown) = handle(state, frame);
+        let (reply, shutdown) = if wire::is_publish_batch(&payload) {
+            if wire::decode_publish_batch(&payload, &mut batch).is_err() {
+                break;
+            }
+            drop(payload);
+            (publish(state, &batch), false)
+        } else {
+            let Ok(frame) = wire::decode_payload(&payload) else {
+                break;
+            };
+            drop(payload);
+            handle(state, frame)
+        };
         if wire::write_frame(&mut stream, &reply).is_err() {
             break;
         }
@@ -386,6 +407,7 @@ fn serve_connection(state: &NodeState, mut stream: TcpStream, addr: SocketAddr) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use janus_cluster::ShardOp;
     use janus_common::{AggregateFunction, QueryTemplate, Row};
 
     fn test_config(seed: u64) -> SynopsisConfig {

@@ -495,10 +495,24 @@ impl NodeLink {
         policy: &RetryPolicy,
         retries: &AtomicU64,
     ) -> Result<Frame> {
+        self.retry(stream, policy, retries, |s| Self::exchange(s, frame, false))
+    }
+
+    /// The retry loop under [`NodeLink::request_retry`]: runs `exchange`
+    /// on the locked stream, and on an error backs off, re-dials and runs
+    /// it again, within the budget. Each attempt encodes its own frame,
+    /// so one that a failpoint damaged is never sent twice.
+    fn retry<R>(
+        &self,
+        stream: &Mutex<TcpStream>,
+        policy: &RetryPolicy,
+        retries: &AtomicU64,
+        mut exchange: impl FnMut(&mut TcpStream) -> Result<R>,
+    ) -> Result<R> {
         let mut s = stream.lock();
         let mut attempt = 0u32;
         loop {
-            match Self::exchange(&mut s, frame, false) {
+            match exchange(&mut s) {
                 Ok(reply) => return Ok(reply),
                 Err(e) => {
                     attempt += 1;
@@ -655,10 +669,11 @@ fn probe_all(shared: &NodeLinks) {
 /// copy's from the offset it has applied; once every copy has applied
 /// its tail, the shipper parks and sends nothing. Every round first
 /// truncates each hosted shard's topic below what all its copies have
-/// applied.
+/// applied. One frame buffer serves every batch the shipper sends.
 fn shipper_loop(shared: &NodeLinks, idx: usize) {
     let link = &shared.links[idx];
     let mut idle = Backoff::new();
+    let mut frame = Vec::new();
     while !shared.shutdown.load(Ordering::Acquire) && link.alive.load(Ordering::Acquire) {
         let hosted = shared.directory.read().hosted_shards(idx);
         for &shard in &hosted {
@@ -666,26 +681,11 @@ fn shipper_loop(shared: &NodeLinks, idx: usize) {
         }
         let mut moved = false;
         for &shard in &hosted {
-            let cursor = link.applied.of(shard);
-            // Polled under the directory read lock while this node still
-            // hosts the shard, so every floor computed meanwhile counts
-            // this copy's cursor; a shard a move has just taken off the
-            // node is skipped instead of read below its truncated topic.
-            let batch = {
-                let dir = shared.directory.read();
-                if !dir.hosts_of(shard).includes(idx) {
-                    continue;
-                }
-                let chunk = shared.config.ship_chunk.max(1);
-                shared.topics.poll(shard as usize, cursor, chunk)
-            };
-            if batch.is_empty() {
-                continue;
+            match ship(shared, idx, shard, &mut frame) {
+                Shipped::Nothing => {}
+                Shipped::Acked => moved = true,
+                Shipped::Failed => return,
             }
-            if !ship(shared, idx, shard, cursor, batch) {
-                return;
-            }
-            moved = true;
         }
         if moved {
             idle.reset();
@@ -695,36 +695,80 @@ fn shipper_loop(shared: &NodeLinks, idx: usize) {
     }
 }
 
-/// Ships `ops` — topic records from `first_offset` on — to node `idx`'s
-/// copy of `shard` and records the applied offset the node acks. Returns
-/// `false` once the copy is done for: a node-side error (gap, unhosted
-/// shard) means it cannot converge, and a transport failure surviving
-/// the full retry budget means the node is gone. A refusal for a shard
-/// the directory no longer places on the node is neither:
-/// [`RemoteCluster::move_shard`] released it after this round began.
-fn ship(shared: &NodeLinks, idx: usize, shard: u32, first_offset: u64, ops: Vec<ShardOp>) -> bool {
+/// What one [`ship`] did.
+enum Shipped {
+    /// The copy had nothing to apply, or the shard moved off the node.
+    Nothing,
+    /// The node acked a batch.
+    Acked,
+    /// The copy is done for, and its node was failed.
+    Failed,
+}
+
+/// Why an attempt of [`ship`] sent nothing.
+enum Unsent {
+    /// The copy has applied its whole topic, or the node no longer hosts
+    /// the shard.
+    Empty,
+    /// The copy's cursor is below the topic's retained floor.
+    BelowFloor,
+}
+
+/// Ships node `idx`'s copy of `shard` the topic records from its applied
+/// offset on, encoded into `frame` straight from the topic, and records
+/// the applied offset the node acks. Each attempt (a retry too) reads
+/// the copy's cursor and encodes afresh under the directory read lock
+/// while the node still hosts the shard, so every floor computed
+/// meanwhile counts this copy's cursor; a shard a move has just taken
+/// off the node is skipped. A copy whose
+/// cursor is below its topic's retained floor, a node-side error (gap,
+/// unhosted shard) and a transport failure surviving the full retry
+/// budget all mean the copy cannot converge: its node is failed. A
+/// refusal for a shard the directory no longer places on the node is
+/// none of those: [`RemoteCluster::move_shard`] released it after this
+/// round began.
+fn ship(shared: &NodeLinks, idx: usize, shard: u32, frame: &mut Vec<u8>) -> Shipped {
     let link = &shared.links[idx];
-    let frame = Frame::PublishBatch {
-        shard,
-        first_offset,
-        ops,
-    };
-    let reply = link.request_retry(
+    let chunk = shared.config.ship_chunk.max(1);
+    let reply = link.retry(
         &link.ship,
-        &frame,
         &shared.config.retry,
         &shared.counters.link_retries,
+        |stream| {
+            let encoded = {
+                let dir = shared.directory.read();
+                if !dir.hosts_of(shard).includes(idx) {
+                    return Ok(Err(Unsent::Empty));
+                }
+                let first_offset = link.applied.of(shard);
+                let topic = shared.topics.topic(shard as usize);
+                topic.read(first_offset, chunk, |count, runs| {
+                    if count > 0 {
+                        wire::encode_publish_batch(frame, shard, first_offset, count, runs);
+                    }
+                    count > 0
+                })
+            };
+            match encoded {
+                Ok(true) => NodeLink::exchange_encoded(stream, frame, None, false).map(Ok),
+                Ok(false) => Ok(Err(Unsent::Empty)),
+                Err(_) => Ok(Err(Unsent::BelowFloor)),
+            }
+        },
     );
     match reply {
-        Ok(Frame::PublishAck { applied, .. }) => {
+        Ok(Err(Unsent::Empty)) => Shipped::Nothing,
+        Ok(Ok(Frame::PublishAck { applied, .. })) => {
             link.applied.record(shard, applied);
             shared.progress.bump();
-            true
+            Shipped::Acked
         }
-        Ok(Frame::Error { .. }) if !shared.directory.read().hosts_of(shard).includes(idx) => true,
+        Ok(Ok(Frame::Error { .. })) if !shared.directory.read().hosts_of(shard).includes(idx) => {
+            Shipped::Nothing
+        }
         Ok(_) | Err(_) => {
             fail_node(shared, idx);
-            false
+            Shipped::Failed
         }
     }
 }
@@ -1451,6 +1495,55 @@ mod tests {
         offsets.remove(3);
         offsets.record(3, 5);
         assert_eq!(offsets.of(3), 5, "a re-hosted shard starts afresh");
+    }
+
+    /// A copy whose cursor falls below its topic's retained floor can
+    /// never converge: its shipper fails the node instead of dying in a
+    /// panic, so `drain` returns with the copy's shard lost.
+    #[test]
+    fn a_copy_read_below_the_floor_fails_its_node_and_drain_returns() {
+        use janus_storage::BLOCK_RECORDS;
+        let fleet = local_fleet(1).expect("start fleet");
+        let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+        let mut base = SynopsisConfig::paper_default(template, 6);
+        base.leaf_count = 8;
+        base.sample_rate = 0.1;
+        let rows = (0..500u64).map(|i| Row::new(i, vec![i as f64, 1.0]));
+        let config = RemoteConfig::new(base, 1, ShardPolicy::HashById);
+        let cluster = RemoteCluster::bootstrap(config, rows.collect(), &[fleet[0].addr()])
+            .expect("bootstrap");
+        cluster.drain();
+        let shared = cluster.shared();
+        let cursor = shared.links[0].applied.of(0);
+        {
+            // The directory write guard keeps the shipper from reading the
+            // topic while two blocks land past the cursor and the first is
+            // dropped under it.
+            let _dir = shared.directory.write();
+            let topic = shared.topics.topic(0);
+            let ops = (0..2 * BLOCK_RECORDS as u64)
+                .map(|i| ShardOp::Insert(Row::new(10_000 + i, vec![i as f64, 2.0])));
+            topic.append_batch(ops);
+            assert!(topic.truncate_below(topic.len() as u64) > 0);
+            assert!(
+                topic.first_offset() > cursor,
+                "the copy's cursor is below the floor"
+            );
+        }
+        cluster
+            .publish_insert(Row::new(1_000_000, vec![1.0, 1.0]))
+            .expect("publish");
+        cluster.drain();
+        assert!(
+            !shared.links[0].alive.load(Ordering::Acquire),
+            "node failed"
+        );
+        assert_eq!(cluster.lost_shards(), vec![0]);
+        assert_eq!(cluster.stats().failovers, 1);
+        cluster.shutdown();
+        for server in fleet {
+            server.stop();
+        }
     }
 
     #[test]

@@ -30,10 +30,25 @@
 //! case); [`read_frame`] / [`write_frame`] are the blocking-socket
 //! convenience pair built on the same codec, and [`write_encoded`] sends
 //! bytes [`encode_frame`] produced once for several peers.
+//!
+//! **Publish batches.** A [`Frame::PublishBatch`] record is a `u8` tag
+//! (0 insert, 1 delete), the row id and, for an insert, the row's
+//! count-prefixed values. That layout is written once ([`encode_frame`]
+//! and [`encode_publish_batch`] call one writer) and parsed once (the
+//! owned [`decode_payload`] and the flat [`decode_publish_batch`] call
+//! one parser). The two batch-only paths are the ship path's:
+//! [`encode_publish_batch`] encodes records straight from a topic's
+//! in-place read into a buffer the shipper reuses, and
+//! [`decode_publish_batch`] decodes into a [`FlatBatch`] — ids plus one
+//! `f64` buffer — that a node's connection reuses from batch to batch.
+//! So per batch a node allocates the frame's payload buffer
+//! ([`read_payload`]) and nothing per record: the engine copies an
+//! insert's values into its archive and materialises a row only for the
+//! reservoir's admissions.
 
-use janus_cluster::ShardOp;
+use janus_cluster::{ShardOp, ShardOpRef};
 use janus_common::codec::{self, Dec, Decode, Enc, Encode};
-use janus_common::{faults, Estimate, JanusError, Query, Result, Row};
+use janus_common::{faults, Estimate, JanusError, Query, Result, Row, RowId, RowRef};
 use janus_core::SynopsisConfig;
 use std::io::{Read, Write};
 
@@ -228,8 +243,99 @@ const KIND_OK: u8 = 16;
 const KIND_ERROR: u8 = 17;
 const KIND_SHUTDOWN: u8 = 18;
 
+/// [`Frame::PublishBatch`] record tags.
+const RECORD_INSERT: u8 = 0;
+const RECORD_DELETE: u8 = 1;
+/// Fewest bytes one record occupies — a tag and an id — which the
+/// record count is checked against before anything is reserved.
+const RECORD_MIN_LEN: usize = 9;
+
 fn perr(msg: impl Into<String>) -> JanusError {
     JanusError::Protocol(msg.into())
+}
+
+/// Appends one [`Frame::PublishBatch`] record — the one writer of the
+/// record layout.
+#[inline]
+fn put_record(e: &mut Enc, op: &ShardOp) {
+    match op {
+        ShardOp::Insert(row) => {
+            e.u8(RECORD_INSERT);
+            e.u64(row.id);
+            e.count(row.values.len());
+            for &v in &row.values {
+                e.f64(v);
+            }
+        }
+        ShardOp::Delete(id) => {
+            e.u8(RECORD_DELETE);
+            e.u64(*id);
+        }
+    }
+}
+
+/// Appends a [`Frame::PublishBatch`] body: shard, first offset and the
+/// `count` records `runs` hands out, count-prefixed.
+#[inline]
+fn put_publish_batch<'a>(
+    e: &mut Enc,
+    shard: u32,
+    first_offset: u64,
+    count: usize,
+    runs: impl IntoIterator<Item = &'a [ShardOp]>,
+) {
+    e.u32(shard);
+    e.u64(first_offset);
+    e.count(count);
+    let mut written = 0;
+    for run in runs {
+        for op in run {
+            put_record(e, op);
+        }
+        written += run.len();
+    }
+    debug_assert_eq!(written, count, "publish batch count and records disagree");
+}
+
+/// One [`Frame::PublishBatch`] record as it lies in a payload: an
+/// insert's values are still their little-endian bytes.
+enum RecordView<'a> {
+    Insert { id: RowId, values: &'a [u8] },
+    Delete(RowId),
+}
+
+/// An insert's values from their little-endian bytes.
+#[inline]
+fn le_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+}
+
+/// Reads one [`Frame::PublishBatch`] record — the one parser under
+/// [`decode_payload`] and [`decode_publish_batch`].
+#[inline]
+fn parse_record<'a>(d: &mut Dec<'a>) -> Result<RecordView<'a>> {
+    Ok(match d.u8()? {
+        RECORD_INSERT => {
+            let id = d.u64()?;
+            let n = d.count(8)?;
+            RecordView::Insert {
+                id,
+                values: d.take(8 * n)?,
+            }
+        }
+        RECORD_DELETE => RecordView::Delete(d.u64()?),
+        other => return Err(d.error(format!("invalid shard-op tag {other}"))),
+    })
+}
+
+/// Reads a [`Frame::PublishBatch`] body's shard, first offset and record
+/// count; the count is checked against the bytes left before the caller
+/// reserves anything for it.
+#[inline]
+fn parse_batch_head(d: &mut Dec<'_>) -> Result<(u32, u64, usize)> {
+    Ok((d.u32()?, d.u64()?, d.count(RECORD_MIN_LEN)?))
 }
 
 impl Encode for QueryOutcome {
@@ -278,8 +384,12 @@ impl Decode for QueryOutcome {
 /// Encodes `frame` into its full on-wire byte sequence (length prefix
 /// included).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    // A fresh buffer starts at the header's exact capacity: it doubles
+    // from there, and the capacity a multi-megabyte `Host` frame ends at
+    // moves glibc's mmap and trim thresholds once it is freed, which
+    // moved `peak_rss_mb` on a networked bootstrap by 5%.
     let mut e = Enc {
-        buf: vec![0, 0, 0, 0, WIRE_VERSION, 0],
+        buf: FRAME_HEADER.to_vec(),
     };
     let kind = match frame {
         Frame::Hello { node_id } => {
@@ -320,9 +430,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             first_offset,
             ops,
         } => {
-            e.u32(*shard);
-            e.u64(*first_offset);
-            e.put(ops);
+            put_publish_batch(&mut e, *shard, *first_offset, ops.len(), [ops.as_slice()]);
             KIND_PUBLISH_BATCH
         }
         Frame::PublishAck {
@@ -392,18 +500,56 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Shutdown => KIND_SHUTDOWN,
     };
-    e.buf[5] = kind;
-    codec::seal(&mut e.buf, 4);
-    let len = (e.buf.len() - 4) as u32;
-    e.buf[..4].copy_from_slice(&len.to_le_bytes());
+    seal_frame(&mut e.buf, kind);
+    e.buf
+}
+
+/// Encodes a [`Frame::PublishBatch`] of the `count` records `runs` hands
+/// out into `buf`, which is cleared first and keeps its capacity — the
+/// shipper's encode straight from a topic's in-place read
+/// ([`janus_storage::TopicLog::read`]), so each record is copied once,
+/// into the frame. The bytes are [`encode_frame`]'s for the same frame,
+/// through the same `wire.encode` failpoint.
+pub fn encode_publish_batch<'a>(
+    buf: &mut Vec<u8>,
+    shard: u32,
+    first_offset: u64,
+    count: usize,
+    runs: impl IntoIterator<Item = &'a [ShardOp]>,
+) {
+    let mut e = Enc {
+        buf: std::mem::take(buf),
+    };
+    begin_frame(&mut e.buf);
+    put_publish_batch(&mut e, shard, first_offset, count, runs);
+    seal_frame(&mut e.buf, KIND_PUBLISH_BATCH);
+    *buf = e.buf;
+}
+
+/// A frame's first bytes: the length prefix and the kind byte are
+/// placeholders [`seal_frame`] fills in.
+const FRAME_HEADER: [u8; 6] = [0, 0, 0, 0, WIRE_VERSION, 0];
+
+/// Resets `buf` to a [`FRAME_HEADER`].
+fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&FRAME_HEADER);
+}
+
+/// Stamps `kind`, the CRC trailer and the length prefix on a frame
+/// begun with a [`FRAME_HEADER`].
+fn seal_frame(buf: &mut Vec<u8>, kind: u8) {
+    buf[5] = kind;
+    codec::seal(buf, 4);
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
     // Chaos hook: flips one bit *after* the checksum was stamped, so an
     // injected corruption models in-flight damage the CRC must catch.
     // Only the payload (version/kind/body/crc) is fair game: the length
     // prefix is framing, whose integrity the transport owns (a flipped
     // length would stall the peer waiting for bytes that never come,
     // not corrupt data) — end-to-end CRC guards everything after it.
-    faults::maybe_corrupt("wire.encode", &mut e.buf[4..]);
-    e.buf
+    faults::maybe_corrupt("wire.encode", &mut buf[4..]);
 }
 
 /// Validates a length prefix before any body is read or allocated.
@@ -425,25 +571,7 @@ fn check_len(len: usize) -> Result<()> {
 /// version, kind, body, CRC trailer). The checksum is verified before
 /// any field is parsed; trailing bytes are a protocol error.
 pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
-    if payload.len() < 6 {
-        return Err(perr(format!(
-            "frame payload of {} bytes is below the 6-byte envelope",
-            payload.len()
-        )));
-    }
-    let covered = codec::unseal(payload, |why| {
-        perr(format!(
-            "frame {why} — corrupt frame, dropping the connection"
-        ))
-    })?;
-    let mut d = Dec::new(covered, JanusError::Protocol);
-    let version = d.u8()?;
-    if version != WIRE_VERSION {
-        return Err(perr(format!(
-            "unsupported wire version {version} (expected {WIRE_VERSION})"
-        )));
-    }
-    let kind = d.u8()?;
+    let (kind, mut d) = open_payload(payload)?;
     let frame = match kind {
         KIND_HELLO => Frame::Hello { node_id: d.u64()? },
         KIND_HELLO_ACK => Frame::HelloAck {
@@ -461,11 +589,23 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
             config: d.get()?,
             rows: d.get()?,
         },
-        KIND_PUBLISH_BATCH => Frame::PublishBatch {
-            shard: d.u32()?,
-            first_offset: d.u64()?,
-            ops: d.get()?,
-        },
+        KIND_PUBLISH_BATCH => {
+            let (shard, first_offset, count) = parse_batch_head(&mut d)?;
+            let mut ops = Vec::with_capacity(count);
+            for _ in 0..count {
+                ops.push(match parse_record(&mut d)? {
+                    RecordView::Insert { id, values } => {
+                        ShardOp::Insert(Row::new(id, le_f64s(values).collect()))
+                    }
+                    RecordView::Delete(id) => ShardOp::Delete(id),
+                });
+            }
+            Frame::PublishBatch {
+                shard,
+                first_offset,
+                ops,
+            }
+        }
         KIND_PUBLISH_ACK => Frame::PublishAck {
             shard: d.u32()?,
             received: d.u64()?,
@@ -503,6 +643,120 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
     };
     d.finish()?;
     Ok(frame)
+}
+
+/// Checks a payload's envelope — its size, then its CRC trailer, then
+/// its version — and returns its kind and a decoder over its body.
+fn open_payload(payload: &[u8]) -> Result<(u8, Dec<'_>)> {
+    if payload.len() < 6 {
+        return Err(perr(format!(
+            "frame payload of {} bytes is below the 6-byte envelope",
+            payload.len()
+        )));
+    }
+    let covered = codec::unseal(payload, |why| {
+        perr(format!(
+            "frame {why} — corrupt frame, dropping the connection"
+        ))
+    })?;
+    let mut d = Dec::new(covered, JanusError::Protocol);
+    let version = d.u8()?;
+    if version != WIRE_VERSION {
+        return Err(perr(format!(
+            "unsupported wire version {version} (expected {WIRE_VERSION})"
+        )));
+    }
+    let kind = d.u8()?;
+    Ok((kind, d))
+}
+
+/// Whether `payload` (as [`read_payload`] returns it) says it is a
+/// [`Frame::PublishBatch`]. Its CRC is not checked here: a damaged kind
+/// byte sends the payload to a decoder that refuses it either way.
+pub fn is_publish_batch(payload: &[u8]) -> bool {
+    payload.get(1) == Some(&KIND_PUBLISH_BATCH)
+}
+
+/// A [`Frame::PublishBatch`] decoded flat: per record its id and value
+/// count (none for a delete), and one `f64` buffer holding every
+/// insert's values in record order. [`decode_publish_batch`] refills it
+/// in place, so a batch reused from frame to frame allocates nothing
+/// once it has held one as large.
+#[derive(Debug, Default)]
+pub struct FlatBatch {
+    shard: u32,
+    first_offset: u64,
+    records: Vec<(RowId, Option<u32>)>,
+    values: Vec<f64>,
+}
+
+impl FlatBatch {
+    /// The shard the batch is for.
+    pub fn shard(&self) -> u32 {
+        self.shard
+    }
+
+    /// Topic offset of the first record.
+    pub fn first_offset(&self) -> u64 {
+        self.first_offset
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the batch holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The records, in topic order, borrowed from the batch.
+    pub fn ops(&self) -> impl ExactSizeIterator<Item = ShardOpRef<'_>> + '_ {
+        let mut at = 0;
+        self.records.iter().map(move |&(id, arity)| match arity {
+            None => ShardOpRef::Delete(id),
+            Some(n) => {
+                let values = &self.values[at..at + n as usize];
+                at += n as usize;
+                ShardOpRef::Insert(RowRef::new(id, values))
+            }
+        })
+    }
+}
+
+/// Decodes a [`Frame::PublishBatch`] payload into `batch`, replacing
+/// what it held. It makes every check [`decode_payload`] makes, in the
+/// same order — size, CRC, version, kind, each record count against the
+/// bytes left before anything is reserved, record tags, trailing bytes —
+/// through the same record parser, and accepts exactly the
+/// `PublishBatch` payloads that [`decode_payload`] accepts. A payload of
+/// another kind is a [`JanusError::Protocol`] error. After an error the
+/// batch's contents are unspecified.
+pub fn decode_publish_batch(payload: &[u8], batch: &mut FlatBatch) -> Result<()> {
+    let (kind, mut d) = open_payload(payload)?;
+    if kind != KIND_PUBLISH_BATCH {
+        return Err(perr(format!(
+            "frame kind {kind} where a publish batch was expected"
+        )));
+    }
+    let (shard, first_offset, count) = parse_batch_head(&mut d)?;
+    batch.records.clear();
+    batch.values.clear();
+    batch.records.reserve(count);
+    for _ in 0..count {
+        batch.records.push(match parse_record(&mut d)? {
+            RecordView::Insert { id, values } => {
+                batch.values.extend(le_f64s(values));
+                (id, Some((values.len() / 8) as u32))
+            }
+            RecordView::Delete(id) => (id, None),
+        });
+    }
+    d.finish()?;
+    batch.shard = shard;
+    batch.first_offset = first_offset;
+    Ok(())
 }
 
 /// Incremental frame decoder for non-blocking or chunked transports.
@@ -603,6 +857,23 @@ pub fn read_frame_deadline(r: &mut impl Read) -> Result<Option<Frame>> {
 /// The one frame reader under [`read_frame`] and
 /// [`read_frame_deadline`] (`bounded`).
 fn read_frame_with(r: &mut impl Read, bounded: bool) -> Result<Option<Frame>> {
+    match read_payload_with(r, bounded)? {
+        Some(payload) => decode_payload(&payload).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Reads one frame's payload — version, kind, body and CRC trailer, the
+/// bytes [`decode_payload`] and [`decode_publish_batch`] take — off a
+/// blocking stream without decoding it, into a buffer allocated for this
+/// frame once its length prefix passes validation. `Ok(None)` on a clean
+/// end-of-stream at a frame boundary; EOF mid-frame is a protocol error.
+pub fn read_payload(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
+    read_payload_with(r, false)
+}
+
+/// [`read_payload`], bounded as [`read_frame_deadline`] when `bounded`.
+fn read_payload_with(r: &mut impl Read, bounded: bool) -> Result<Option<Vec<u8>>> {
     faults::check_protocol("net.read")?;
     let mut header = [0u8; 4];
     match fill(r, &mut header, bounded, true)? {
@@ -616,7 +887,7 @@ fn read_frame_with(r: &mut impl Read, bounded: bool) -> Result<Option<Frame>> {
     if fill(r, &mut payload, bounded, false)? < len {
         return Err(perr("connection closed mid frame body"));
     }
-    decode_payload(&payload).map(Some)
+    Ok(Some(payload))
 }
 
 /// Reads `buf` full and returns the bytes read, fewer only at

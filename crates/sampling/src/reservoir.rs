@@ -12,7 +12,7 @@
 //!   which case the caller must re-sample `2m` fresh tuples from the
 //!   archive ([`DeleteOutcome::NeedsResample`]).
 
-use janus_common::{DetHashMap, Row, RowId};
+use janus_common::{DetHashMap, Row, RowId, RowRef};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,8 +111,17 @@ impl DynamicReservoir {
     }
 
     /// Offers an inserted tuple. `population` must be the size of the full
-    /// dataset `|D|` *after* the insertion.
+    /// dataset `|D|` *after* the insertion. A thin wrapper over
+    /// [`DynamicReservoir::offer_ref`].
     pub fn offer(&mut self, row: Row, population: usize) -> InsertOutcome {
+        self.offer_ref(row.as_ref(), population)
+    }
+
+    /// [`DynamicReservoir::offer`] of a borrowed tuple: a row is
+    /// materialised only when it is admitted, and a replacement reuses
+    /// the evicted resident's value buffer, so an insert the reservoir
+    /// skips or admits at target allocates nothing.
+    pub fn offer_ref(&mut self, row: RowRef<'_>, population: usize) -> InsertOutcome {
         debug_assert!(
             !self.index_of.contains_key(&row.id),
             "row {} already sampled",
@@ -120,17 +129,20 @@ impl DynamicReservoir {
         );
         if self.rows.len() < self.target {
             self.index_of.insert(row.id, self.rows.len());
-            self.rows.push(row);
+            self.rows.push(row.to_row());
             return InsertOutcome::Added;
         }
         // Admit with probability |S| / |D|.
         let p = self.rows.len() as f64 / population.max(1) as f64;
         if self.rng.gen::<f64>() < p {
             let at = self.rng.gen_range(0..self.rows.len());
-            let evicted = self.rows[at].id;
+            let resident = &mut self.rows[at];
+            let evicted = resident.id;
+            resident.id = row.id;
+            resident.values.clear();
+            resident.values.extend_from_slice(row.values);
             self.index_of.remove(&evicted);
             self.index_of.insert(row.id, at);
-            self.rows[at] = row;
             InsertOutcome::Replaced { evicted }
         } else {
             InsertOutcome::Skipped

@@ -39,4 +39,6 @@ pub use archive::{ArchiveColumns, ArchiveStore, ARCHIVE_BLOCK_ROWS};
 pub use checkpoint::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 pub use loadlog::{FileLoadProgress, LoadProgress};
 pub use samplers::{PollCostModel, SampleRun, SequentialSampler, SingletonSampler};
-pub use streamlog::{QueryResponse, Request, RequestLog, ShardedLog, TopicLog, BLOCK_RECORDS};
+pub use streamlog::{
+    BelowFloor, QueryResponse, Request, RequestLog, Runs, ShardedLog, TopicLog, BLOCK_RECORDS,
+};

@@ -16,6 +16,9 @@
 //! Offsets never move: [`TopicLog::len`] stays the end offset, and
 //! [`TopicLog::first_offset`] is the lowest offset still held. Polling
 //! below it is a retention bug and panics; it never returns a suffix.
+//! [`TopicLog::read`], the in-place read under `poll`, returns
+//! [`BelowFloor`] there instead, for a consumer that can outlive its
+//! records (a networked shipper whose copy fell behind a truncation).
 
 use janus_common::{Estimate, Query, Row, RowId, TenantId};
 use parking_lot::RwLock;
@@ -40,6 +43,53 @@ struct Blocks<T> {
     /// the frees stay in that thread's malloc arena instead of contending
     /// with it from the truncating thread.
     retired: Option<Vec<T>>,
+}
+
+/// A read at an offset the topic no longer holds: [`TopicLog::truncate_below`]
+/// dropped it while a consumer still needed it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BelowFloor {
+    /// The offset asked for.
+    pub offset: u64,
+    /// The topic's lowest retained offset at the time.
+    pub first: u64,
+}
+
+impl std::fmt::Display for BelowFloor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "at offset {} below the topic's first retained offset {}",
+            self.offset, self.first
+        )
+    }
+}
+
+/// The records one [`TopicLog::read`] hands out: contiguous runs, one
+/// per block touched, in offset order.
+pub struct Runs<'a, T> {
+    blocks: &'a VecDeque<Vec<T>>,
+    block: usize,
+    slot: usize,
+    left: usize,
+}
+
+impl<'a, T> Iterator for Runs<'a, T> {
+    type Item = &'a [T];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [T]> {
+        if self.left == 0 {
+            return None;
+        }
+        let records = &self.blocks[self.block];
+        let take = self.left.min(records.len() - self.slot);
+        let run = &records[self.slot..self.slot + take];
+        self.left -= take;
+        self.block += 1;
+        self.slot = 0;
+        Some(run)
+    }
 }
 
 /// A thread-safe append-only log of records of type `T`.
@@ -156,36 +206,62 @@ impl<T: Clone> TopicLog<T> {
         n * BLOCK_RECORDS
     }
 
-    /// Polls up to `max_records` starting at `offset`. Returns an empty
-    /// vector when `offset` is at or past the end — there is no blocking in
-    /// this in-process model; consumers re-poll.
+    /// Reads up to `max_records` starting at `offset` in place: under the
+    /// topic's read guard, `read` is given the record count first and
+    /// then the records as contiguous runs, and its result is returned.
+    /// The count is 0 when `offset` is at or past the end, or
+    /// `max_records` is 0. Appends wait
+    /// while `read` runs, so it should only copy.
+    ///
+    /// # Errors
+    /// [`BelowFloor`] when `offset` is below [`TopicLog::first_offset`],
+    /// and then `read` is not called.
+    #[inline]
+    pub fn read<R>(
+        &self,
+        offset: u64,
+        max_records: usize,
+        read: impl FnOnce(usize, Runs<'_, T>) -> R,
+    ) -> Result<R, BelowFloor> {
+        let entries = self.entries.read();
+        let count = if offset >= entries.end || max_records == 0 {
+            0
+        } else if offset < entries.base {
+            return Err(BelowFloor {
+                offset,
+                first: entries.base,
+            });
+        } else {
+            (entries.end - offset).min(max_records as u64) as usize
+        };
+        let from = offset.saturating_sub(entries.base) as usize;
+        let runs = Runs {
+            blocks: &entries.blocks,
+            block: from / BLOCK_RECORDS,
+            slot: from % BLOCK_RECORDS,
+            left: count,
+        };
+        Ok(read(count, runs))
+    }
+
+    /// Polls up to `max_records` starting at `offset`: a
+    /// [`TopicLog::read`] that copies its runs into one vector. Returns
+    /// an empty vector when `offset` is at or past the end — there is no
+    /// blocking in this in-process model; consumers re-poll.
     ///
     /// # Panics
     /// Panics when `offset` is below [`TopicLog::first_offset`]: the
     /// records were dropped while a consumer still needed them (a
     /// retention bug).
     pub fn poll(&self, offset: u64, max_records: usize) -> Vec<T> {
-        let entries = self.entries.read();
-        if offset >= entries.end || max_records == 0 {
-            return Vec::new();
-        }
-        assert!(
-            offset >= entries.base,
-            "poll at offset {offset} below the topic's first retained offset {}",
-            entries.base
-        );
-        let count = (entries.end - offset).min(max_records as u64) as usize;
-        let mut out = Vec::with_capacity(count);
-        let from = (offset - entries.base) as usize;
-        let (mut block, mut slot) = (from / BLOCK_RECORDS, from % BLOCK_RECORDS);
-        while out.len() < count {
-            let records = &entries.blocks[block];
-            let take = (count - out.len()).min(records.len() - slot);
-            out.extend_from_slice(&records[slot..slot + take]);
-            block += 1;
-            slot = 0;
-        }
-        out
+        let polled = self.read(offset, max_records, |count, runs| {
+            let mut out = Vec::with_capacity(count);
+            for run in runs {
+                out.extend_from_slice(run);
+            }
+            out
+        });
+        polled.unwrap_or_else(|below| panic!("poll {below}"))
     }
 }
 
@@ -659,6 +735,36 @@ mod tests {
         assert!(t.poll(block, 4).is_empty());
         assert_eq!(t.append(1), block);
         assert_eq!((t.resident_len(), t.poll(block, 4)), (1, vec![1]));
+    }
+
+    #[test]
+    fn an_in_place_read_hands_out_block_runs_after_the_count() {
+        let t = TopicLog::new();
+        let block = BLOCK_RECORDS as u64;
+        t.append_batch(0..2 * block + 5);
+        let at = block - 3;
+        let runs = t
+            .read(at, BLOCK_RECORDS + 6, |count, runs| {
+                (count, runs.map(<[u64]>::to_vec).collect::<Vec<_>>())
+            })
+            .unwrap();
+        let (count, runs) = runs;
+        assert_eq!(count, BLOCK_RECORDS + 6);
+        assert_eq!(runs.len(), 3, "one run per block touched");
+        assert_eq!(runs.concat(), (at..at + count as u64).collect::<Vec<_>>());
+        let at_end = t.read(2 * block + 5, 9, |count, mut runs| {
+            (count, runs.next().is_none())
+        });
+        assert_eq!(at_end, Ok((0, true)));
+        t.truncate_below(block);
+        assert_eq!(
+            t.read(3, 1, |count, _| count),
+            Err(BelowFloor {
+                offset: 3,
+                first: block
+            }),
+            "a read below the floor is a typed error, not a panic"
+        );
     }
 
     #[test]

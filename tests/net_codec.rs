@@ -411,3 +411,139 @@ fn interleaved_frames_decode_in_order_across_arbitrary_splits() {
         assert_eq!(got.as_slice(), frames.as_slice(), "chunk size {chunk}");
     }
 }
+
+// ---------------------------------------------------------------------
+// The ship path's two batch codecs agree with the owned one
+// ---------------------------------------------------------------------
+
+/// A record as comparable bits: the id, and an insert's value bits.
+fn record_bits(op: janus::cluster::ShardOpRef<'_>) -> (u64, Option<Vec<u64>>) {
+    match op {
+        janus::cluster::ShardOpRef::Insert(row) => (
+            row.id,
+            Some(row.values.iter().map(|v| v.to_bits()).collect()),
+        ),
+        janus::cluster::ShardOpRef::Delete(id) => (id, None),
+    }
+}
+
+/// `body` (version, kind, fields) sealed with its CRC trailer, so a
+/// damaged field reaches the parser instead of failing the checksum.
+fn resealed(body: &[u8]) -> Vec<u8> {
+    let mut payload = body.to_vec();
+    payload.extend_from_slice(&janus::common::crc32(body).to_le_bytes());
+    payload
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The shipper encodes a batch straight from a topic's in-place read,
+    /// whose runs split at a block boundary anywhere in the batch; the
+    /// bytes must be `encode_frame`'s for the same frame.
+    #[test]
+    fn an_in_place_publish_batch_encodes_the_bytes_encode_frame_does(
+        shard in 0u32..64,
+        ops in prop::collection::vec(arb_op(), 0..32),
+        split in 0usize..33,
+        stale in prop::collection::vec(0u32..256, 0..64),
+    ) {
+        use janus::storage::{TopicLog, BLOCK_RECORDS};
+        let split = split.min(ops.len());
+        let topic: TopicLog<ShardOp> = TopicLog::new();
+        topic.append_batch((0..(BLOCK_RECORDS - split) as u64).map(ShardOp::Delete));
+        let first_offset = topic.append_batch(ops.iter().cloned());
+        // The shipper's buffer holds its previous frame.
+        let mut buf: Vec<u8> = stale.into_iter().map(|b| b as u8).collect();
+        let runs = topic
+            .read(first_offset, usize::MAX, |count, runs| {
+                janus::net::wire::encode_publish_batch(&mut buf, shard, first_offset, count, runs);
+                count
+            })
+            .expect("read above the floor");
+        prop_assert_eq!(runs, ops.len());
+        let owned = encode_frame(&Frame::PublishBatch { shard, first_offset, ops });
+        prop_assert_eq!(buf, owned);
+    }
+
+    /// The node's flat decode accepts exactly the `PublishBatch` payloads
+    /// `decode_payload` accepts and yields the same records, whatever the
+    /// damage: a truncation, a bit flip (CRC left stale), a byte, record
+    /// count, kind or record tag rewritten under a fresh CRC, or trailing
+    /// bytes.
+    #[test]
+    fn the_flat_decode_accepts_exactly_what_decode_payload_accepts(
+        shard in 0u32..64,
+        first_offset in 0u64..1_000_000,
+        ops in prop::collection::vec(arb_op(), 0..16),
+        warm in prop::collection::vec(arb_op(), 0..16),
+        damage in 0usize..8,
+        at in 0usize..100_000,
+        value in any::<u32>(),
+    ) {
+        use janus::net::wire::{decode_publish_batch, FlatBatch};
+        let bytes = encode_frame(&Frame::PublishBatch { shard, first_offset, ops });
+        let payload = &bytes[4..];
+        let body = &payload[..payload.len() - 4];
+        let damaged = match damage {
+            0 => payload.to_vec(),
+            1 => payload[..at % payload.len()].to_vec(),
+            2 => {
+                let mut p = payload.to_vec();
+                p[at % payload.len()] ^= 1 << (value % 8);
+                p
+            }
+            3 => {
+                let mut b = body.to_vec();
+                b[at % body.len()] = value as u8;
+                resealed(&b)
+            }
+            4 => {
+                // The record count sits after version, kind, shard, offset.
+                let mut b = body.to_vec();
+                b[14..18].copy_from_slice(&value.to_le_bytes());
+                resealed(&b)
+            }
+            5 => {
+                let mut b = body.to_vec();
+                b[1] = value as u8;
+                resealed(&b)
+            }
+            6 => {
+                // The first record's tag, when the batch has a record.
+                let mut b = body.to_vec();
+                if b.len() > 18 {
+                    b[18] = 2 + (value % 254) as u8;
+                }
+                resealed(&b)
+            }
+            _ => {
+                let mut b = body.to_vec();
+                b.extend(value.to_le_bytes().iter().take(1 + at % 4));
+                resealed(&b)
+            }
+        };
+
+        let mut flat = FlatBatch::default();
+        let warm_bytes = encode_frame(&Frame::PublishBatch { shard: 9, first_offset: 3, ops: warm });
+        decode_publish_batch(&warm_bytes[4..], &mut flat).expect("a valid batch decodes");
+        let owned = decode_payload(&damaged);
+        let got = decode_publish_batch(&damaged, &mut flat);
+        match (owned, got) {
+            (Ok(Frame::PublishBatch { shard, first_offset, ops }), Ok(())) => {
+                prop_assert_eq!((flat.shard(), flat.first_offset()), (shard, first_offset));
+                prop_assert_eq!(flat.len(), ops.len());
+                let flat_records: Vec<_> = flat.ops().map(record_bits).collect();
+                let owned_records: Vec<_> = ops.iter().map(|op| record_bits(op.as_ref())).collect();
+                prop_assert_eq!(flat_records, owned_records);
+            }
+            (Ok(Frame::PublishBatch { .. }), Err(e)) => {
+                prop_assert!(false, "flat decode refused a batch decode_payload took: {e}");
+            }
+            (owned, Ok(())) => {
+                prop_assert!(false, "flat decode took a payload decode_payload gave {owned:?}");
+            }
+            (_, Err(e)) => prop_assert!(matches!(e, JanusError::Protocol(_)), "{e:?}"),
+        }
+    }
+}

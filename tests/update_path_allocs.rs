@@ -185,3 +185,91 @@ fn multi_template_inserts_allocate_less_than_once_each() {
     );
     assert_eq!(engine.population() as u64, next + INSERTS);
 }
+
+/// A node's apply of a shipped batch: the `PublishBatch` payload decodes
+/// into a flat batch the connection reuses (ids plus one value buffer)
+/// and `ShardHost` applies its records by reference. Once the batch is
+/// warm, the decode allocates nothing, and the apply allocates only in
+/// the archive and for the rows the reservoir admits — never once per
+/// record, as decoding one owned `Row` per insert did.
+#[test]
+fn a_shipped_batch_decodes_flat_and_applies_without_a_per_record_allocation() {
+    use janus::cluster::host::ShardHost;
+    use janus::net::wire::{decode_payload, decode_publish_batch, encode_frame, FlatBatch, Frame};
+    const BASE: u64 = 20_000;
+    const RECORDS: u64 = 1_024;
+    // Archive growth (see the first test) plus the stratum-set and
+    // max-variance-index updates of each admitted row.
+    const ARCHIVE_BOUND: u64 = 32;
+    const PER_ADMISSION_BOUND: u64 = 8;
+
+    let mut rng = SmallRng::seed_from_u64(18);
+    let template = QueryTemplate::new(AggregateFunction::Sum, 1, vec![0]);
+    let mut config = SynopsisConfig::paper_default(template, 18);
+    config.leaf_count = 32;
+    config.sample_rate = 0.03;
+    config.auto_repartition = false;
+    let initial: Vec<Row> = (0..BASE).map(|i| row(i, &mut rng)).collect();
+    let host = ShardHost::new(JanusEngine::bootstrap(config, initial).unwrap(), 0);
+
+    let mut next = BASE;
+    let mut frame = |first_offset: u64| {
+        let ops = (next..next + RECORDS)
+            .map(|id| ShardOp::Insert(row(id, &mut rng)))
+            .collect();
+        next += RECORDS;
+        encode_frame(&Frame::PublishBatch {
+            shard: 0,
+            first_offset,
+            ops,
+        })
+    };
+    // Warm-up: the flat batch reaches a batch's size, and the first
+    // archive growth steps happen outside the measured window.
+    let mut batch = FlatBatch::default();
+    for round in 0..2 {
+        let bytes = frame(round * RECORDS);
+        decode_publish_batch(&bytes[4..], &mut batch).unwrap();
+        assert_eq!(
+            host.apply_from(batch.first_offset(), batch.ops(), true),
+            Ok((round + 1) * RECORDS)
+        );
+    }
+
+    let bytes = frame(2 * RECORDS);
+    let first_id = next - RECORDS;
+    let before = allocs();
+    decode_publish_batch(&bytes[4..], &mut batch).unwrap();
+    let decode_allocs = allocs() - before;
+    let applied = host.apply_from(batch.first_offset(), batch.ops(), true);
+    let spent = allocs() - before;
+    assert_eq!(applied, Ok(3 * RECORDS));
+    assert_eq!(
+        decode_allocs, 0,
+        "a warm flat batch decodes without allocating"
+    );
+
+    let engine = host.read();
+    let admitted = (first_id..next)
+        .filter(|&id| engine.reservoir().get(id).is_some())
+        .count() as u64;
+    assert!(admitted < RECORDS / 8, "{admitted} admissions");
+    let bound = ARCHIVE_BOUND + PER_ADMISSION_BOUND * admitted;
+    assert!(
+        spent <= bound,
+        "{spent} allocations decoding and applying {RECORDS} inserts, {admitted} admitted (bound {bound})"
+    );
+    assert!(
+        spent < RECORDS / 4,
+        "{spent} allocations over {RECORDS} records"
+    );
+    assert_eq!(engine.population() as u64, next);
+
+    // The owned decode, for contrast, builds one row per insert.
+    let before = allocs();
+    drop(decode_payload(&bytes[4..]).unwrap());
+    assert!(
+        allocs() - before > RECORDS,
+        "the owned decode allocates per record"
+    );
+}
