@@ -20,8 +20,8 @@ pub fn shard_seed(base: u64, shard: usize) -> u64 {
 }
 
 /// Index of the half-open slab `[bounds[i-1], bounds[i])` containing `x`
-/// (outer slabs unbounded) — the one value→shard rule range routing,
-/// overlap pruning, and rebalance bounds redraw all share.
+/// (outer slabs unbounded) — the one value→shard rule range placement
+/// ([`crate::ShardPolicy::place`]) and overlap pruning share.
 ///
 /// For the small boundary arrays real clusters run with, a branchless
 /// popcount over `bounds[i] <= x` beats the binary search: no
@@ -51,7 +51,7 @@ pub fn shard_config(base: &SynopsisConfig, shard: usize) -> SynopsisConfig {
 /// duplicate row ids. Buckets are pre-sized for the batch; the caller
 /// sizes the directory.
 pub(crate) fn partition_rows(
-    router: &mut ShardRouter,
+    router: &ShardRouter,
     rows: Vec<Row>,
     directory: &mut impl PlacementSink,
 ) -> Result<Vec<Vec<Row>>> {
@@ -131,10 +131,14 @@ mod tests {
 
     #[test]
     fn partition_rows_rejects_duplicates_and_fills_directory() {
-        let mut router = ShardRouter::new(ShardPolicy::RoundRobin, 3).unwrap();
+        let policy = ShardPolicy::Range {
+            column: 0,
+            bounds: vec![3.0, 6.0],
+        };
+        let router = ShardRouter::new(policy, 3).unwrap();
         let rows: Vec<Row> = (0..9).map(|i| Row::new(i, vec![i as f64])).collect();
         let mut directory = DetHashMap::default();
-        let per_shard = partition_rows(&mut router, rows, &mut directory).unwrap();
+        let per_shard = partition_rows(&router, rows, &mut directory).unwrap();
         assert_eq!(
             per_shard.iter().map(Vec::len).collect::<Vec<_>>(),
             [3, 3, 3]
@@ -143,9 +147,9 @@ mod tests {
         assert_eq!(directory[&0], 0);
         assert_eq!(directory[&4], 1);
 
-        let mut router = ShardRouter::new(ShardPolicy::HashById, 2).unwrap();
+        let router = ShardRouter::new(ShardPolicy::HashById, 2).unwrap();
         let dup = vec![Row::new(7, vec![1.0]), Row::new(7, vec![2.0])];
-        assert!(partition_rows(&mut router, dup, &mut DetHashMap::default()).is_err());
+        assert!(partition_rows(&router, dup, &mut DetHashMap::default()).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The persisted form of a whole-cluster checkpoint.
 //!
 //! A [`ClusterCheckpoint`] is everything a dead cluster needs to come
-//! back *exactly* as it was: the router (policy, range bounds, rotation
-//! cursor), the rebalance generation, the front-end request offset a
+//! back *exactly* as it was: the routing policy (range bounds as the
+//! last rebalance drew them), the rebalance generation, the front-end request offset a
 //! [`crate::live::LiveCluster`] had fully processed, and one
 //! [`ShardCheckpoint`] per shard pairing the engine's bit-faithful
 //! [`SynopsisSnapshot`] with its archival rows (in archive order — order
@@ -27,58 +27,29 @@
 //! whatever the trait grows next) can carry them and a flipped bit is a
 //! typed [`JanusError::Storage`], never a different synopsis.
 
-use crate::router::{ShardPolicy, ShardRouter};
+use crate::router::ShardPolicy;
 use janus_common::codec::{self, Dec, Decode, Enc, Encode};
 use janus_common::{JanusError, Result, Row};
 use janus_core::snapshot::SynopsisSnapshot;
 use janus_storage::CheckpointStore;
 
-/// Blob tags: a blob of the wrong kind fails to decode.
-const ROUTER_TAG: &[u8; 4] = b"JRTR";
+/// Blob tags: a blob of the wrong kind fails to decode. A tag changes
+/// with its body's layout, so a blob of an older layout is refused
+/// rather than misread.
+const POLICY_TAG: &[u8; 4] = b"JPOL";
 const SHARD_TAG: &[u8; 4] = b"JSHD";
-const CLUSTER_TAG: &[u8; 4] = b"JCKP";
+const CLUSTER_TAG: &[u8; 4] = b"JCK2";
 
-/// Persisted router state: the policy (current range bounds after
-/// rebalances included) plus the round-robin rotation cursor.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RouterSnapshot {
-    /// The routing policy.
-    pub policy: ShardPolicy,
-    /// Round-robin rotation cursor (0 under other policies).
-    pub cursor: usize,
-}
-
-impl RouterSnapshot {
-    /// Captures a router's full routing state.
-    pub fn capture(router: &ShardRouter) -> Self {
-        Self::from_policy(router.policy(), router.rotation_cursor())
-    }
-
-    /// A bare policy (plus rotation cursor) without a live router — what
-    /// the bulk loader pins into its resume journal from a
-    /// [`crate::RoutingSnapshot`].
-    pub fn from_policy(policy: &ShardPolicy, cursor: usize) -> Self {
-        RouterSnapshot {
-            policy: policy.clone(),
-            cursor,
-        }
-    }
-
-    /// Rebuilds a router mid-rotation for `shards` shards.
-    pub fn rebuild(&self, shards: usize) -> Result<ShardRouter> {
-        let mut router = ShardRouter::new(self.policy.clone(), shards)?;
-        router.restore_cursor(self.cursor);
-        Ok(router)
-    }
-
-    /// Encodes to a CRC-sealed blob.
+impl ShardPolicy {
+    /// Encodes to a CRC-sealed blob — what the bulk loader pins into its
+    /// resume journal.
     pub fn to_bytes(&self) -> Vec<u8> {
-        codec::to_blob(ROUTER_TAG, self)
+        codec::to_blob(POLICY_TAG, self)
     }
 
-    /// Decodes a blob written by [`RouterSnapshot::to_bytes`].
+    /// Decodes a blob written by [`ShardPolicy::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        codec::from_blob(ROUTER_TAG, bytes, "router snapshot")
+        codec::from_blob(POLICY_TAG, bytes, "shard policy")
     }
 }
 
@@ -115,8 +86,8 @@ impl ShardCheckpoint {
 /// A consistent whole-cluster checkpoint.
 #[derive(Clone, Debug)]
 pub struct ClusterCheckpoint {
-    /// Router state at checkpoint time.
-    pub router: RouterSnapshot,
+    /// Routing policy at checkpoint time.
+    pub policy: ShardPolicy,
     /// Rebalance generation at checkpoint time. A checkpoint is only
     /// valid for topic replay while no later rebalance has redrawn the
     /// bounds (migrations move rows engine-to-engine without topic
@@ -175,7 +146,6 @@ impl Encode for ShardPolicy {
     fn encode(&self, e: &mut Enc) {
         match self {
             ShardPolicy::HashById => e.u8(0),
-            ShardPolicy::RoundRobin => e.u8(1),
             ShardPolicy::Range { column, bounds } => {
                 e.u8(2);
                 e.usize(*column);
@@ -189,28 +159,11 @@ impl Decode for ShardPolicy {
     fn decode(d: &mut Dec<'_>) -> Result<Self> {
         Ok(match d.u8()? {
             0 => ShardPolicy::HashById,
-            1 => ShardPolicy::RoundRobin,
             2 => ShardPolicy::Range {
                 column: d.usize()?,
                 bounds: d.get()?,
             },
             other => return Err(d.error(format!("invalid shard-policy tag {other}"))),
-        })
-    }
-}
-
-impl Encode for RouterSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        self.policy.encode(e);
-        e.usize(self.cursor);
-    }
-}
-
-impl Decode for RouterSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(RouterSnapshot {
-            policy: d.get()?,
-            cursor: d.usize()?,
         })
     }
 }
@@ -239,7 +192,7 @@ impl Decode for ShardCheckpoint {
 
 impl Encode for ClusterCheckpoint {
     fn encode(&self, e: &mut Enc) {
-        self.router.encode(e);
+        self.policy.encode(e);
         e.u64(self.rebalance_generation);
         e.u64(self.request_offset);
         self.shards.encode(e);
@@ -249,7 +202,7 @@ impl Encode for ClusterCheckpoint {
 impl Decode for ClusterCheckpoint {
     fn decode(d: &mut Dec<'_>) -> Result<Self> {
         Ok(ClusterCheckpoint {
-            router: d.get()?,
+            policy: d.get()?,
             rebalance_generation: d.u64()?,
             request_offset: d.u64()?,
             shards: d.get()?,
@@ -262,29 +215,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn router_snapshot_round_trips_every_policy() {
-        for (policy, shards) in [
-            (ShardPolicy::HashById, 4),
-            (ShardPolicy::RoundRobin, 3),
-            (
-                ShardPolicy::Range {
-                    column: 1,
-                    bounds: vec![10.5, 20.25, 30.125],
-                },
-                4,
-            ),
+    fn shard_policy_round_trips_every_variant() {
+        for policy in [
+            ShardPolicy::HashById,
+            ShardPolicy::Range {
+                column: 1,
+                bounds: vec![10.5, 20.25, 30.125],
+            },
         ] {
-            let mut router = ShardRouter::new(policy.clone(), shards).unwrap();
-            // Advance the rotation so the cursor is non-trivial.
-            for i in 0..5u64 {
-                router.route(&Row::new(i, vec![15.0, 15.0]));
-            }
-            let snap = RouterSnapshot::capture(&router);
-            let rebuilt = snap.rebuild(shards).unwrap();
-            assert_eq!(rebuilt.policy(), &policy);
-            assert_eq!(rebuilt.rotation_cursor(), router.rotation_cursor());
-            // And the snapshot itself survives its encoding.
-            assert_eq!(RouterSnapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
+            assert_eq!(ShardPolicy::from_bytes(&policy.to_bytes()).unwrap(), policy);
         }
     }
 
@@ -293,10 +232,49 @@ mod tests {
         for payload in [
             &b""[..],
             b"not a checkpoint",
-            &RouterSnapshot::from_policy(&ShardPolicy::HashById, 0).to_bytes(),
+            &ShardPolicy::HashById.to_bytes(),
         ] {
             assert!(matches!(
                 ClusterCheckpoint::from_bytes(payload),
+                Err(JanusError::Storage(_))
+            ));
+        }
+    }
+
+    /// `tag ‖ body` sealed by hand, for layouts no type encodes any more.
+    fn blob(tag: &[u8; 4], body: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.buf.extend_from_slice(tag);
+        body(&mut e);
+        codec::seal(&mut e.buf, 0);
+        e.buf
+    }
+
+    #[test]
+    fn blobs_of_the_cursor_layout_fail_typed() {
+        // The old cluster checkpoint: policy, rotation cursor, then the
+        // fields that remain.
+        let old_checkpoint = blob(b"JCKP", |e| {
+            ShardPolicy::HashById.encode(e);
+            e.usize(3);
+            e.u64(0);
+            e.u64(0);
+            Vec::<ShardCheckpoint>::new().encode(e);
+        });
+        // The old journal policy blob: policy plus rotation cursor.
+        let old_policy = blob(b"JRTR", |e| {
+            ShardPolicy::HashById.encode(e);
+            e.usize(3);
+        });
+        // A policy body naming round-robin's retired tag 1.
+        let retired_tag = blob(POLICY_TAG, |e| e.u8(1));
+        assert!(matches!(
+            ClusterCheckpoint::from_bytes(&old_checkpoint),
+            Err(JanusError::Storage(_))
+        ));
+        for bytes in [old_policy, retired_tag] {
+            assert!(matches!(
+                ShardPolicy::from_bytes(&bytes),
                 Err(JanusError::Storage(_))
             ));
         }

@@ -64,7 +64,7 @@ pub(crate) trait PlacementSink {
 pub(crate) fn resolve_batch(
     ops: impl IntoIterator<Item = ShardOp>,
     directory: &mut impl PlacementSink,
-    router: &mut ShardRouter,
+    router: &ShardRouter,
 ) -> (Vec<Vec<ShardOp>>, u64, u64, usize) {
     let mut groups: Vec<Vec<ShardOp>> = (0..router.shards()).map(|_| Vec::new()).collect();
     let (mut inserts, mut deletes, mut rejected) = (0, 0, 0);

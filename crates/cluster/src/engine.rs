@@ -14,7 +14,7 @@
 //! * **Ingest** is published to one Kafka-like topic per shard
 //!   ([`janus_storage::ShardedLog`]); a [`ShardRouter`] picks the topic.
 //!   The publish path is [`ClusterEngine::publish_batch`]: a whole
-//!   batch of operations is routed under **one** router-write +
+//!   batch of operations is routed under **one** router-read +
 //!   directory-write acquisition, grouped per shard, and each group lands
 //!   in its topic with a single batch append —
 //!   [`ClusterEngine::publish_insert`]/[`ClusterEngine::publish_delete`]
@@ -61,7 +61,7 @@
 //! | state | lock | writers |
 //! |---|---|---|
 //! | each [`ShardHost`] engine (its applied offset is an atomic stored under it) | own `RwLock` | pump, rebalance, promotion (scatter sub-queries only read) |
-//! | [`ShardRouter`] | `RwLock` | publish (rotation cursor), rebalance (bounds) |
+//! | [`ShardRouter`] | `RwLock` | rebalance only (swaps in the router its redrawn bounds make) |
 //! | row→shard directory | 16 striped `RwLock`s (`crate::directory`) | publish, rebalance |
 //! | operation counters | atomics | everyone |
 //!
@@ -73,15 +73,17 @@
 //! transport takes its own locks (placement directory, links) only
 //! outside the router and the stripes.
 //!
-//! The publish body holds the router write lock while it resolves and
-//! every directory stripe across its topic appends, so a delete can
-//! never outrun its row's insert into the same shard topic, and a
-//! checkpoint, which takes the router read lock and every stripe's read
-//! lock, sees no append in flight.
+//! The publish body holds the router read lock while it resolves and
+//! every directory stripe (write) across its topic appends, so a delete
+//! can never outrun its row's insert into the same shard topic. A
+//! checkpoint excludes appends through the stripes: it takes the router
+//! read lock and every stripe's read lock, so it sees no append in
+//! flight. A rebalance takes the router write lock, which excludes
+//! every publisher for the whole migration.
 
 use crate::bootstrap::{build_shards, partition_rows, shard_config};
 use crate::cache::{AnswerCache, QueryKey};
-use crate::checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
+use crate::checkpoint::{ClusterCheckpoint, ShardCheckpoint};
 use crate::directory::{resolve_batch, StripedDirectory};
 use crate::host::{pick_read, promote, retention_floor, ShardHost, UNPINNED};
 use crate::rebalance::{self, RebalanceReport};
@@ -585,9 +587,9 @@ impl<T: ShardTransport> ClusterEngine<T> {
         if config.shards == 0 {
             return Err(JanusError::InvalidConfig("need at least one shard".into()));
         }
-        let mut router = ShardRouter::new(config.policy.clone(), config.shards)?;
+        let router = ShardRouter::new(config.policy.clone(), config.shards)?;
         let directory = StripedDirectory::with_capacity(config.shards, rows.len());
-        let per_shard = partition_rows(&mut router, rows, &mut directory.write_all())?;
+        let per_shard = partition_rows(&router, rows, &mut directory.write_all())?;
         let pool = ScatterPool::start(pool, config.shards);
         let set = host(per_shard, Arc::new(ShardedLog::new(config.shards)), &pool)?;
         Ok(Self::assemble(config, router, directory, set, 0, pool))
@@ -708,8 +710,8 @@ impl<T: ShardTransport> ClusterEngine<T> {
     }
 
     /// Routes a delete to the shard actually holding the row (directory
-    /// lookup, so placement survives round-robin/hash routing and past
-    /// migrations) — a one-element [`ClusterEngine::publish_batch`].
+    /// lookup, so placement survives migrations) — a one-element
+    /// [`ClusterEngine::publish_batch`].
     pub fn publish_delete(&self, id: RowId) -> Result<()> {
         match self.publish_batch([ShardOp::Delete(id)]).rejected {
             0 => Ok(()),
@@ -718,7 +720,7 @@ impl<T: ShardTransport> ClusterEngine<T> {
     }
 
     /// Routes and publishes a whole batch of operations under **one**
-    /// router-write + directory-write acquisition: `resolve_batch`
+    /// router-read + directory-write acquisition: `resolve_batch`
     /// resolves them in arrival order and groups them per shard, and
     /// each group lands in its topic with a single batch append — so
     /// per-shard topic contents (and therefore every drained state) are
@@ -742,9 +744,9 @@ impl<T: ShardTransport> ClusterEngine<T> {
         ops: impl IntoIterator<Item = ShardOp>,
         mut landed: impl FnMut(usize),
     ) -> PublishReport {
-        let mut router = self.router.write();
+        let router = self.router.read();
         let mut directory = self.directory.write_all();
-        let (groups, inserts, deletes, rejected) = resolve_batch(ops, &mut directory, &mut router);
+        let (groups, inserts, deletes, rejected) = resolve_batch(ops, &mut directory, &router);
         drop(router);
         // Appends stay under the directory stripes: once the directory
         // names a row, its insert is in the shard topic ahead of any
@@ -1213,15 +1215,15 @@ impl ClusterEngine<ShardSet> {
     // Checkpoint / restore
     // ------------------------------------------------------------------
 
-    /// Captures a consistent whole-cluster checkpoint: router state,
+    /// Captures a consistent whole-cluster checkpoint: routing policy,
     /// rebalance generation, and per shard the engine's bit-faithful
     /// synopsis snapshot, its archival rows, and its topic offsets.
     ///
-    /// Holding the router read lock and every directory stripe (read)
-    /// for the duration blocks the publish body, which needs the router
-    /// write lock and holds the stripes until its appends land, so no
-    /// record lands in any topic while the cut is taken; queries keep
-    /// flowing (they take none of these), and pump workers may keep
+    /// Holding every directory stripe (read) for the duration blocks the
+    /// publish body, which write-locks the stripes until its appends
+    /// land, so no record lands in any topic while the cut is taken; the
+    /// router read lock keeps a rebalance out. Queries keep flowing
+    /// (they take none of these), and pump workers may keep
     /// applying already-published records, but each shard's `(snapshot,
     /// offset)` pair is read under that shard's lock and is internally
     /// consistent. Replicas are not captured — they are reconstructed
@@ -1243,7 +1245,7 @@ impl ClusterEngine<ShardSet> {
             .map(|i| self.set.checkpoint_shard(i))
             .collect();
         ClusterCheckpoint {
-            router: RouterSnapshot::capture(&router),
+            policy: router.policy().clone(),
             rebalance_generation: self.rebalance_generation.load(Ordering::Acquire),
             request_offset: 0,
             shards,
@@ -1324,22 +1326,20 @@ impl ClusterEngine<ShardSet> {
                 }
             }
         }
-        // The checkpoint's router state supersedes the configured policy:
-        // bounds move with rebalances and the rotation cursor with
-        // traffic, and both are part of what "exactly as it was" means.
-        let mut router = checkpoint.router.rebuild(config.shards)?;
-        config.policy = checkpoint.router.policy.clone();
+        // The checkpoint's policy supersedes the configured one: bounds
+        // move with rebalances.
+        let router = ShardRouter::new(checkpoint.policy.clone(), config.shards)?;
+        config.policy = checkpoint.policy;
         let rebalance_generation = checkpoint.rebalance_generation;
-        let router_snapshot = checkpoint.router.clone();
         let detached = log.is_none();
         let log = log.unwrap_or_else(|| Arc::new(ShardedLog::new(config.shards)));
 
-        // Per-shard topic offsets survive the move-out of the archive
+        // Per-shard applied offsets survive the move-out of the archive
         // rows below; the tail-replay pass needs them afterwards.
-        let offsets: Vec<(u64, u64)> = checkpoint
+        let applied_offsets: Vec<u64> = checkpoint
             .shards
             .iter()
-            .map(|sc| (sc.applied_offset, sc.published_offset))
+            .map(|sc| sc.applied_offset)
             .collect();
 
         let mut shards = Vec::with_capacity(config.shards);
@@ -1395,39 +1395,26 @@ impl ClusterEngine<ShardSet> {
         // live there. Dropping every id the tails mention (tail activity
         // supersedes its archive placement) and re-adding the survivors
         // resolves cross-shard ordering without timestamps.
-        //
-        // Each insert published beyond the checkpoint cut also advanced
-        // the (lost) rotation cursor; advance the restored one past them
-        // too, so future publishes continue the rotation exactly where
-        // the crashed cluster left it — replayed records were already
-        // routed, only *new* traffic consults the cursor.
         if !detached {
-            let mut tail_inserts = 0u64;
             // (id, shard, live-on-that-shard) — one entry per row id per
             // topic, holding the topic's final op for that id.
             let mut final_ops: Vec<(RowId, usize, bool)> = Vec::new();
-            for (i, (applied_offset, published_offset)) in offsets.iter().enumerate() {
+            for (i, &applied) in applied_offsets.iter().enumerate() {
                 let mut last_op: DetHashMap<RowId, bool> = DetHashMap::default();
-                let mut cursor = *applied_offset;
+                let mut cursor = applied;
                 loop {
                     let batch = log.poll(i, cursor, 4096);
                     if batch.is_empty() {
                         break;
                     }
                     for op in batch.iter() {
-                        match op {
-                            ShardOp::Insert(row) => {
-                                last_op.insert(row.id, true);
-                                if cursor >= *published_offset {
-                                    tail_inserts += 1;
-                                }
-                            }
-                            ShardOp::Delete(id) => {
-                                last_op.insert(*id, false);
-                            }
-                        }
-                        cursor += 1;
+                        let (id, live) = match op {
+                            ShardOp::Insert(row) => (row.id, true),
+                            ShardOp::Delete(id) => (*id, false),
+                        };
+                        last_op.insert(id, live);
                     }
+                    cursor += batch.len() as u64;
                 }
                 final_ops.extend(last_op.into_iter().map(|(id, live)| (id, i, live)));
             }
@@ -1441,7 +1428,6 @@ impl ClusterEngine<ShardSet> {
                     )));
                 }
             }
-            router.restore_cursor(router_snapshot.cursor + (tail_inserts as usize % config.shards));
         }
 
         let directory = StripedDirectory::from_map(config.shards, directory);
@@ -1451,7 +1437,7 @@ impl ClusterEngine<ShardSet> {
         // A restore over the surviving topics pins them at the offsets it
         // resumes from, as the checkpoint it restores did.
         if !detached {
-            for (pin, (applied, _)) in cluster.set.pins.iter().zip(offsets) {
+            for (pin, applied) in cluster.set.pins.iter().zip(applied_offsets) {
                 pin.store(applied, Ordering::Release);
             }
         }

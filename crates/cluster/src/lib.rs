@@ -6,7 +6,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`router`] | [`ShardPolicy`] (hash-by-id, round-robin, range on a predicate attribute) and the [`ShardRouter`] that applies it: row placement, per-shard slabs as [`janus_common::Rect`]s, query overlap pruning |
+//! | [`router`] | [`ShardPolicy`] (hash-by-id, or range on a predicate attribute) with [`ShardPolicy::place`], the one placement rule (a pure function of the row), and the immutable [`ShardRouter`] that applies it over a fixed shard count: row placement, per-shard slabs as [`janus_common::Rect`]s, query overlap pruning |
 //! | [`bootstrap`] | the shared shard-placement helpers: seed derivation, value→slab placement, partition-then-build |
 //! | `directory` (internal) | the striped row→shard placement map: 16 stripes keyed by a SplitMix64 hash of the row id, each growing on its own, the per-shard row counts a deadline-partial gather weighs shards by, and `resolve_batch`, the publish body's resolve step (one directory probe per insert) |
 //! | [`host`] | [`host::ShardHost`], the one shard host: an engine under a `RwLock` plus its atomically published applied offset, with the topic drain, the freshness-gated read and sub-query answer, and the checkpoint capture that `ClusterEngine`, `LiveCluster` and the `janus-net` node daemon all run on; and the one copy policy both transports call: [`host::promote`], [`host::pick_read`], [`host::retention_floor`] |
@@ -76,7 +76,7 @@ pub mod rebalance;
 pub mod router;
 pub(crate) mod scatter;
 
-pub use checkpoint::{ClusterCheckpoint, RouterSnapshot, ShardCheckpoint};
+pub use checkpoint::{ClusterCheckpoint, ShardCheckpoint};
 pub use engine::{
     ClusterConfig, ClusterEngine, ClusterStats, PublishReport, QueryOptions, ShardOp, ShardOpRef,
     ShardSet, ShardTransport, PUMP_CHUNK,

@@ -312,7 +312,7 @@ impl LiveCluster {
     ///
     /// The recovered run is *bit-identical* to an uninterrupted run of
     /// the same request sequence — engine restoration is bit-faithful
-    /// and routing state (bounds, rotation cursor) is part of the
+    /// and the routing policy (range bounds included) is part of the
     /// checkpoint — which `tests/cluster_recovery.rs` pins down.
     pub fn recover(
         config: ClusterConfig,

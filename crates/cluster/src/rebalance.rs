@@ -16,11 +16,11 @@
 //!   population-proportional sketch of every shard, so their quantiles
 //!   approximate global quantiles without scanning any archive. Rows on
 //!   the wrong side of the new bounds then migrate.
-//! * **Discrete policies** (hash, round-robin) — placement is contentless,
-//!   so the donor (largest) shard ships the top of its routing-value
-//!   range — exactly enough rows by rank to equalize donor and receiver —
-//!   to the receiver (smallest) shard. Queries touch every shard under
-//!   these policies, so correctness is unaffected; only balance improves.
+//! * **Hash policy** — placement ignores row values, so the donor
+//!   (largest) shard ships the top of its routing-value range — exactly
+//!   enough rows by rank to equalize donor and receiver — to the
+//!   receiver (smallest) shard. Queries touch every shard under
+//!   this policy, so correctness is unaffected; only balance improves.
 //!
 //! ## Snapshot shipping
 //!
@@ -40,7 +40,7 @@
 //! affected shard plus one restore per follower, independent of how many
 //! individual rows moved.
 
-use crate::bootstrap::{shard_config, shard_of_value};
+use crate::bootstrap::shard_config;
 use crate::directory::PlacementSink;
 use crate::router::{ShardPolicy, ShardRouter};
 use janus_common::{DetHashSet, Result, Row, RowId};
@@ -110,14 +110,13 @@ pub(crate) fn rebalance(
         ShardPolicy::Range { column, .. } => {
             range_redraw(router, shards, replicas, directory, base, column).map(Some)
         }
-        ShardPolicy::HashById | ShardPolicy::RoundRobin => {
-            discrete_split(shards, replicas, directory, base).map(Some)
-        }
+        ShardPolicy::HashById => discrete_split(shards, replicas, directory, base).map(Some),
     }
 }
 
 /// Range policy: re-estimate equal-count bounds from the shards' pooled
-/// samples and migrate misplaced rows.
+/// samples, swap in the router they draw, and migrate the rows it places
+/// elsewhere.
 fn range_redraw(
     router: &mut ShardRouter,
     shards: &mut [&mut JanusEngine],
@@ -163,14 +162,18 @@ fn range_redraw(
         }
         bounds
     };
-    router.set_range_bounds(bounds.clone());
+    let policy = ShardPolicy::Range {
+        column,
+        bounds: bounds.clone(),
+    };
+    *router = ShardRouter::new(policy, n_shards)?;
 
     // Collect misplaced rows per (from, to) and ship them. The scan is
     // zero-copy: only rows that actually move materialize.
     let mut moves: Vec<(usize, usize, Row)> = Vec::new();
     for (from, shard) in shards.iter().enumerate() {
         shard.archive().for_each_row(|row| {
-            let to = shard_of_value(&bounds, row.value(column));
+            let to = router.policy().place(row, n_shards);
             if to != from {
                 moves.push((from, to, row.to_row()));
             }
@@ -186,7 +189,7 @@ fn range_redraw(
     })
 }
 
-/// Discrete policies: ship the top of the largest shard's routing-value
+/// Hash policy: ship the top of the largest shard's routing-value
 /// range to the smallest shard — exactly enough rows, *by rank*, to
 /// equalize the two. Splitting by rank rather than at a value threshold
 /// keeps duplicate-heavy (even constant) columns from shipping the whole
@@ -374,7 +377,7 @@ mod tests {
             shard_of(constant_rows(10_000..10_500), 2),
         ];
         let mut shard_refs: Vec<&mut JanusEngine> = shards.iter_mut().collect();
-        let mut router = ShardRouter::new(ShardPolicy::RoundRobin, 2).unwrap();
+        let mut router = ShardRouter::new(ShardPolicy::HashById, 2).unwrap();
         let mut directory: janus_common::DetHashMap<RowId, usize> = Default::default();
         let base = test_config(3);
 

@@ -2,14 +2,20 @@
 //!
 //! Mirrors the discrete/range partitioning split of high-volume record
 //! streams in datamap-rs (see PAPERS.md): a *discrete* policy spreads rows
-//! without regard to content (hash by row id, round-robin), while a
-//! *range* policy keys placement on a predicate attribute so each shard
-//! owns a contiguous slab of predicate space — which is what lets the
-//! scatter phase prune shards whose slab a query cannot touch.
+//! without regard to their values (hash by row id), while a *range*
+//! policy keys placement on a predicate attribute so each shard owns a
+//! contiguous slab of predicate space — which is what lets the scatter
+//! phase prune shards whose slab a query cannot touch.
+//!
+//! Either way a row's shard is one pure function of the row:
+//! [`ShardPolicy::place`]. Nothing depends on arrival order, so a
+//! [`ShardRouter`] is an immutable, validated `{ policy, shards }` value
+//! that rebalancing replaces whole, a checkpoint persists as its policy
+//! alone, and a bulk loader can split any load into per-shard claims.
 
 use crate::bootstrap::shard_of_value;
 use janus_common::faults::mix64;
-use janus_common::{JanusError, Query, Rect, Result, Row};
+use janus_common::{JanusError, Query, Rect, Result, Row, RowRef};
 
 /// How rows are assigned to shards.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,9 +24,6 @@ pub enum ShardPolicy {
     /// SplitMix64 via `janus_common::faults::mix64`). Uniform under any
     /// workload; every query touches every shard.
     HashById,
-    /// Discrete: strict rotation in arrival order. Uniform counts by
-    /// construction; every query touches every shard.
-    RoundRobin,
     /// Range partitioning on one predicate attribute: shard `i` owns the
     /// half-open interval `[bounds[i-1], bounds[i])` of `column`'s value
     /// (outer shards unbounded). Queries are routed only to shards whose
@@ -75,34 +78,28 @@ impl ShardPolicy {
         Ok(ShardPolicy::Range { column, bounds })
     }
 
-    /// The shard `row` lands on among `shards` when its content alone
-    /// decides — `None` under `RoundRobin`, whose placement is the
-    /// rotation cursor's. The one placement rule [`ShardRouter::route`]
-    /// and [`RoutingSnapshot::route`] apply.
+    /// The shard `row` lands on among `shards` — the one placement rule
+    /// routing, bulk-load claims and the rebalance migration all apply.
     #[inline]
-    pub fn place(&self, row: &Row, shards: usize) -> Option<usize> {
+    pub fn place(&self, row: RowRef<'_>, shards: usize) -> usize {
         match self {
-            ShardPolicy::HashById => Some((mix64(row.id) % shards as u64) as usize),
-            ShardPolicy::RoundRobin => None,
-            ShardPolicy::Range { column, bounds } => {
-                Some(shard_of_value(bounds, row.value(*column)))
-            }
+            ShardPolicy::HashById => (mix64(row.id) % shards as u64) as usize,
+            ShardPolicy::Range { column, bounds } => shard_of_value(bounds, row.value(*column)),
         }
     }
 }
 
-/// Deterministic stateful router applying a [`ShardPolicy`] over a fixed
-/// shard count.
+/// A [`ShardPolicy`] validated against a fixed shard count. Immutable:
+/// a rebalance that redraws range bounds builds a new router.
 #[derive(Clone, Debug)]
 pub struct ShardRouter {
     policy: ShardPolicy,
     shards: usize,
-    /// Round-robin rotation cursor (deterministic in arrival order).
-    next: usize,
 }
 
 impl ShardRouter {
-    /// Builds a router; a `Range` policy must carry `shards - 1` bounds.
+    /// Builds a router; a `Range` policy must carry `shards - 1`
+    /// ascending bounds.
     pub fn new(policy: ShardPolicy, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(JanusError::InvalidConfig("need at least one shard".into()));
@@ -121,11 +118,7 @@ impl ShardRouter {
                 ));
             }
         }
-        Ok(ShardRouter {
-            policy,
-            shards,
-            next: 0,
-        })
+        Ok(ShardRouter { policy, shards })
     }
 
     /// Number of shards routed over.
@@ -133,32 +126,15 @@ impl ShardRouter {
         self.shards
     }
 
-    /// The active policy.
+    /// The policy.
     pub fn policy(&self) -> &ShardPolicy {
         &self.policy
     }
 
-    /// The round-robin rotation cursor (always 0 under other policies).
-    /// Checkpoints persist it: restored routing must continue the
-    /// rotation exactly where the saved cluster stopped, or replayed
-    /// traffic would land on different shards than the original run.
-    pub fn rotation_cursor(&self) -> usize {
-        self.next
-    }
-
-    /// Restores the rotation cursor from a checkpoint.
-    pub fn restore_cursor(&mut self, cursor: usize) {
-        self.next = cursor % self.shards.max(1);
-    }
-
-    /// Assigns a row to a shard. Advances the rotation cursor under
-    /// `RoundRobin` (hence `&mut`).
-    pub fn route(&mut self, row: &Row) -> usize {
-        self.policy.place(row, self.shards).unwrap_or_else(|| {
-            let s = self.next;
-            self.next = (self.next + 1) % self.shards;
-            s
-        })
+    /// The shard `row` belongs on.
+    #[inline]
+    pub fn route(&self, row: &Row) -> usize {
+        self.policy.place(row.as_ref(), self.shards)
     }
 
     /// The slab of predicate space shard `shard` can contain, as a
@@ -205,41 +181,14 @@ impl ShardRouter {
         }
         (0..self.shards).collect()
     }
-
-    /// Replaces the range boundaries (after a rebalance migration).
-    ///
-    /// # Panics
-    /// Panics when called on a discrete policy or with a wrong bound count
-    /// — rebalancing is only defined for range routing.
-    pub fn set_range_bounds(&mut self, new_bounds: Vec<f64>) {
-        match &mut self.policy {
-            ShardPolicy::Range { bounds, .. } => {
-                assert_eq!(
-                    new_bounds.len() + 1,
-                    self.shards,
-                    "bound count must match shards"
-                );
-                assert!(
-                    new_bounds.windows(2).all(|w| w[0] <= w[1]),
-                    "range bounds must be ascending"
-                );
-                *bounds = new_bounds;
-            }
-            other => panic!("set_range_bounds on non-range policy {other:?}"),
-        }
-    }
 }
 
-/// An immutable copy of the cluster's routing state, pinned to the
-/// rebalance generation it was taken at — what a bulk loader computes
-/// its claims (which thread reads which rows) and journals them against,
-/// *outside* the cluster's locks.
-///
-/// [`RoutingSnapshot::route`] places rows exactly as the live router
-/// would while the generation holds; a rebalance bumps the cluster's
-/// generation, after which the snapshot's claims no longer match the
-/// live placement. Publishing never trusts it: the publish body
-/// re-routes every row. Obtained from
+/// An immutable copy of the cluster's routing policy, pinned to the
+/// rebalance generation it was taken at — what a bulk producer groups
+/// its rows by *outside* the cluster's locks. A rebalance bumps the
+/// cluster's generation, after which the grouping may no longer match
+/// the live placement; publishing never trusts it, since the publish
+/// body re-routes every row. Obtained from
 /// [`crate::ClusterEngine::routing_snapshot`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingSnapshot {
@@ -252,28 +201,12 @@ pub struct RoutingSnapshot {
 }
 
 impl RoutingSnapshot {
-    /// The shard `row` routes to under the snapshot, or `None` when the
-    /// policy is stateful (`RoundRobin`, whose placement depends on the
-    /// rotation cursor) and pre-routing is impossible.
+    /// The shard `row` routes to under the snapshot — always `Some`,
+    /// since every policy places a row by its content alone. The
+    /// `Option` stays for existing callers; the snapshot folds into
+    /// [`ShardRouter`] with ROADMAP item 22.
     pub fn route(&self, row: &Row) -> Option<usize> {
-        self.policy.place(row, self.shards)
-    }
-
-    /// Whether the policy places rows from row content alone — `false`
-    /// only for `RoundRobin`, which a loader cannot split into per-shard
-    /// claims.
-    pub fn is_stateless(&self) -> bool {
-        !matches!(self.policy, ShardPolicy::RoundRobin)
-    }
-
-    /// The range-partition boundaries, when range-routed: shard `i` owns
-    /// `[bounds[i-1], bounds[i])` of the routing column. Loaders use
-    /// these to align file partitions with shard ownership.
-    pub fn range_bounds(&self) -> Option<(usize, &[f64])> {
-        match &self.policy {
-            ShardPolicy::Range { column, bounds } => Some((*column, bounds)),
-            _ => None,
-        }
+        Some(self.policy.place(row.as_ref(), self.shards))
     }
 }
 
@@ -298,7 +231,7 @@ mod tests {
 
     #[test]
     fn hash_routing_is_deterministic_and_spread() {
-        let mut r = ShardRouter::new(ShardPolicy::HashById, 4).unwrap();
+        let r = ShardRouter::new(ShardPolicy::HashById, 4).unwrap();
         let mut counts = [0usize; 4];
         for id in 0..4_000 {
             let s = r.route(&row(id, 0.0));
@@ -311,16 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates_exactly() {
-        let mut r = ShardRouter::new(ShardPolicy::RoundRobin, 3).unwrap();
-        let seq: Vec<usize> = (0..7).map(|i| r.route(&row(i, 0.0))).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
     fn range_routing_respects_bounds() {
         let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
-        let mut r = ShardRouter::new(policy, 4).unwrap();
+        let r = ShardRouter::new(policy, 4).unwrap();
         assert_eq!(
             r.route(&row(1, -5.0)),
             0,
@@ -341,7 +267,7 @@ mod tests {
     fn range_from_rows_balances_counts() {
         let rows: Vec<Row> = (0..1000).map(|i| row(i, (i * i % 997) as f64)).collect();
         let policy = ShardPolicy::range_from_rows(0, &rows, 4).unwrap();
-        let mut r = ShardRouter::new(policy, 4).unwrap();
+        let r = ShardRouter::new(policy, 4).unwrap();
         let mut counts = [0usize; 4];
         for rw in &rows {
             counts[r.route(rw)] += 1;
@@ -387,31 +313,24 @@ mod tests {
     }
 
     #[test]
-    fn stateless_routing_matches_the_stateful_router() {
+    fn snapshot_routing_matches_the_router() {
         for policy in [
             ShardPolicy::HashById,
             ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
         ] {
-            let mut r = ShardRouter::new(policy.clone(), 4).unwrap();
+            let r = ShardRouter::new(policy.clone(), 4).unwrap();
             let snap = RoutingSnapshot {
                 generation: 0,
                 shards: 4,
                 policy,
             };
-            assert!(snap.is_stateless());
             for id in 0..1_000 {
                 let rw = row(id, (id % 131) as f64);
                 let s = r.route(&rw);
                 assert_eq!(snap.route(&rw), Some(s));
+                assert_eq!(r.policy().place(rw.as_ref(), 4), s);
             }
         }
-        let rr = RoutingSnapshot {
-            generation: 0,
-            shards: 4,
-            policy: ShardPolicy::RoundRobin,
-        };
-        assert!(!rr.is_stateless());
-        assert_eq!(rr.route(&row(1, 0.0)), None, "cursor-dependent");
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //!
 //! ## The loading model
 //!
-//! The loader pins one [`RoutingSnapshot`] for the whole load and
-//! partitions the *claim space*, not the files: with `T` threads on an
-//! `S`-shard cluster, thread `t` owns every shard `s` with
-//! `s % T == t`, and publishes exactly the rows the snapshot routes to
-//! its shards. Under a range policy the per-chunk `[min, max]` header
-//! lets a thread skip whole files that cannot contain its rows — on a
-//! range-sorted dataset each thread reads a disjoint stripe of the file
-//! set. Threads parallelize chunk reads and decoding only: each flushed
+//! The loader pins one routing policy for the whole load and partitions
+//! the *claim space*, not the files: with `T` threads on an `S`-shard
+//! cluster, thread `t` owns every shard `s` with `s % T == t`, and
+//! publishes exactly the rows the policy places on its shards. Under a
+//! range policy the per-chunk `[min, max]` header lets a thread skip
+//! whole files that cannot contain its rows — on a range-sorted dataset
+//! each thread reads a disjoint stripe of the file set. Threads parallelize chunk reads and decoding only: each flushed
 //! buffer is one [`ClusterEngine::publish_batch`], which re-routes its
-//! rows under the router write lock, so publishes serialize.
+//! rows under every directory stripe, so publishes serialize.
 //!
 //! Every thread walks the chunk files in canonical (sorted-name) order
 //! and flushes its per-shard buffers in row order at every buffer fill
@@ -47,26 +46,27 @@
 //! With a journal store attached ([`BulkLoader::with_journal`]), the
 //! loader persists a [`LoadProgress`] journal — per file, per claimed
 //! shard, how many rows it has *attempted* to publish — together with
-//! the routing snapshot the claims were computed under. Counts are
-//! recorded only after the publish call returns, so a kill can only
-//! under-count; the resumed load skips the recorded prefix of each
+//! the routing policy and rebalance generation the claims were computed
+//! under. Counts are recorded only after the publish call returns, so a
+//! kill can only under-count; the resumed load skips the recorded prefix of each
 //! (file, shard) claim and re-attempts the unrecorded tail, whose
 //! already-published rows the cluster's directory rejects as duplicates
 //! without appending anything. Topics — and therefore all drained state
 //! — end up bit-identical to an uninterrupted load.
 //!
-//! A resumed load *always* interprets claims with the journal's
-//! snapshot (that is what the counts mean). If the live cluster has
-//! rebalanced past it — different generation or bounds — the claims
-//! still partition the work correctly and the publish body still places
-//! every row by the live router, exactly once, but two threads' claims
-//! can then feed one shard, so cross-thread interleaving makes topic
-//! *order* (not content) scheduling-dependent; [`LoadReport::routed`]
-//! says which case a load was. `RoundRobin` policies cannot be split
-//! into claims at all; they force a single loader thread.
+//! A resumed load *always* interprets claims with the journal's policy
+//! (that is what the counts mean); a journal policy that does not fit
+//! the cluster's shard count fails the load with
+//! [`JanusError::InvalidConfig`]. If the live cluster has rebalanced
+//! past it — different generation or bounds — the claims still
+//! partition the work correctly and the publish body still places every
+//! row by the live router, exactly once, but two threads' claims can
+//! then feed one shard, so cross-thread interleaving makes topic *order*
+//! (not content) scheduling-dependent; [`LoadReport::routed`] says which
+//! case a load was.
 
 use janus_cluster::notify::Backoff;
-use janus_cluster::{ClusterEngine, RouterSnapshot, RoutingSnapshot, ShardOp, PUMP_CHUNK};
+use janus_cluster::{ClusterEngine, ShardOp, ShardPolicy, ShardRouter, PUMP_CHUNK};
 use janus_common::{JanusError, Result, Row};
 use janus_data::partitioned::{list_chunks, read_chunk, read_chunk_header, ChunkHeader};
 use janus_storage::{CheckpointStore, LoadProgress};
@@ -83,9 +83,8 @@ const DRAIN_IDLE_MAX: Duration = Duration::from_millis(1);
 #[derive(Clone, Debug)]
 pub struct LoadConfig {
     /// Loader threads requested; 0 is rejected. Capped at the shard
-    /// count, and forced to 1 when the routing policy cannot be split
-    /// into claims (`RoundRobin`). Threads parallelize chunk reads and
-    /// decoding; their publishes serialize on the router write lock.
+    /// count. Threads parallelize chunk reads and decoding; their
+    /// publishes serialize on the directory stripes.
     pub threads: usize,
     /// Rows a per-shard buffer accumulates before it is flushed as one
     /// publish batch (buffers also flush at every file boundary).
@@ -126,10 +125,10 @@ pub struct LoadReport {
     pub files: usize,
     /// Loader threads actually used after clamping.
     pub threads: usize,
-    /// Whether the claims are the live routing, so the drained state does
-    /// not depend on thread scheduling (`false`: `RoundRobin`, or a
-    /// journal whose routing snapshot no longer matches the live
-    /// cluster).
+    /// Whether the journal's claims are the live routing, so the drained
+    /// state does not depend on thread scheduling (`false` only for a
+    /// resumed journal whose policy or generation the live cluster has
+    /// moved past).
     pub routed: bool,
     /// Whether a stop flag interrupted the load before completion.
     pub interrupted: bool,
@@ -145,9 +144,9 @@ pub struct BulkLoader<'a> {
 
 /// How this load publishes and how its claims are interpreted.
 struct LoadPlan {
-    /// The snapshot claims are computed with — the journal's on resume,
-    /// the live cluster's otherwise.
-    claim: RoutingSnapshot,
+    /// The router claims are computed with — the journal's policy on
+    /// resume, the live cluster's otherwise.
+    claim: ShardRouter,
     /// Threads after clamping.
     threads: usize,
 }
@@ -253,33 +252,24 @@ impl<'a> BulkLoader<'a> {
             .collect::<Result<Vec<(ChunkHeader, PathBuf)>>>()?;
         let live = self.cluster.routing_snapshot();
 
-        // Resume or start a journal, and decide the claim snapshot.
+        // Resume or start a journal, and decide the claim policy.
         let resumed = match self.journal_store {
             Some(store) => LoadProgress::load_latest(store)?,
             None => None,
         };
-        let (progress, next_id, claim) = match resumed {
+        let (progress, next_id, policy) = match resumed {
             Some((id, progress)) => {
-                let claim = RoutingSnapshot {
-                    generation: progress.generation,
-                    shards: self.cluster.shards(),
-                    policy: RouterSnapshot::from_bytes(&progress.router)?.policy,
-                };
-                (progress, id + 1, claim)
+                let policy = ShardPolicy::from_bytes(&progress.policy)?;
+                (progress, id + 1, policy)
             }
             None => {
-                let router = RouterSnapshot::from_policy(&live.policy, 0);
-                let progress = LoadProgress::new(live.generation, router.to_bytes());
-                (progress, 1, live.clone())
+                let progress = LoadProgress::new(live.generation, live.policy.to_bytes());
+                (progress, 1, live.policy.clone())
             }
         };
-        let claims_live = claim.generation == live.generation && claim.policy == live.policy;
-        let routed = claims_live && claim.is_stateless();
-        let threads = if claim.is_stateless() {
-            self.config.threads.min(claim.shards).max(1)
-        } else {
-            1 // round-robin: no row-content claims, single sequential producer
-        };
+        let routed = progress.generation == live.generation && policy == live.policy;
+        let claim = ShardRouter::new(policy, self.cluster.shards())?;
+        let threads = self.config.threads.min(claim.shards());
         let plan = LoadPlan { claim, threads };
         let journal = Journal {
             store: self.journal_store,
@@ -352,7 +342,7 @@ impl<'a> BulkLoader<'a> {
     }
 
     /// One loader thread: walk the files in canonical order, keep the
-    /// rows the claim snapshot routes to shards `s % threads == tid`,
+    /// rows the claim router places on shards `s % threads == tid`,
     /// and publish them in order.
     fn run_thread(
         &self,
@@ -362,7 +352,7 @@ impl<'a> BulkLoader<'a> {
         journal: &Journal<'_>,
         stop: &AtomicBool,
     ) -> Result<ThreadOutcome> {
-        let shards = plan.claim.shards;
+        let shards = plan.claim.shards();
         let mut outcome = ThreadOutcome::default();
         // Per-owned-shard row buffers; index by shard for O(1) routing.
         let mut buffers: Vec<Vec<Row>> = vec![Vec::new(); shards];
@@ -384,10 +374,7 @@ impl<'a> BulkLoader<'a> {
             };
             let mut seen = vec![0u64; shards];
             for row in rows {
-                // Round-robin routes to `None` (no per-row claim); the
-                // single thread takes every row, journaled under
-                // pseudo-shard 0.
-                let shard = plan.claim.route(&row).unwrap_or_default();
+                let shard = plan.claim.route(&row);
                 if shard % plan.threads != tid {
                     continue;
                 }
@@ -442,7 +429,7 @@ impl<'a> BulkLoader<'a> {
         plan: &LoadPlan,
         tid: usize,
     ) -> Result<bool> {
-        let Some((column, _)) = plan.claim.range_bounds() else {
+        let &ShardPolicy::Range { column, .. } = plan.claim.policy() else {
             return Ok(true);
         };
         if column >= header.arity {
@@ -456,9 +443,7 @@ impl<'a> BulkLoader<'a> {
         let probe = |v: f64| {
             let mut values = vec![0.0; header.arity];
             values[column] = v;
-            plan.claim
-                .route(&Row::new(u64::MAX, values))
-                .expect("range routing is stateless")
+            plan.claim.route(&Row::new(u64::MAX, values))
         };
         let (lo, hi) = (probe(header.min[column]), probe(header.max[column]));
         Ok((lo..=hi).any(|s| s % plan.threads == tid))
@@ -484,7 +469,7 @@ impl<'a> BulkLoader<'a> {
             .publish_batch(rows.into_iter().map(ShardOp::Insert));
         outcome.published += report.published;
         outcome.rejected += report.rejected;
-        journal.record(file, shard, plan.claim.shards, attempted)
+        journal.record(file, shard, plan.claim.shards(), attempted)
     }
 }
 
@@ -497,7 +482,7 @@ fn file_name(path: &Path) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_cluster::{ClusterConfig, ClusterEngine, ShardPolicy};
+    use janus_cluster::{ClusterConfig, ClusterEngine};
     use janus_common::{AggregateFunction, QueryTemplate};
     use janus_core::SynopsisConfig;
     use janus_data::partitioned::{generate_partitioned, PartitionedSpec};
@@ -583,19 +568,18 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_forces_one_classic_thread() {
-        let cluster = small_cluster(2, ShardPolicy::RoundRobin);
-        let dir = dataset("rr", 300);
-        let report = BulkLoader::new(&cluster, &dir)
-            .with_config(LoadConfig {
-                threads: 4,
-                ..LoadConfig::default()
-            })
-            .load()
+    fn a_journal_policy_that_does_not_fit_the_cluster_fails_typed() {
+        let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 2).unwrap();
+        let cluster = small_cluster(2, policy);
+        let dir = dataset("misfit", 300);
+        let store = MemoryCheckpointStore::new();
+        let four = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+        LoadProgress::new(0, four.to_bytes())
+            .save(&store, 1)
             .unwrap();
-        assert!(!report.routed);
-        assert_eq!(report.threads, 1);
-        assert_eq!(report.rows_published, 300);
+        let err = BulkLoader::new(&cluster, &dir).with_journal(&store).load();
+        assert!(matches!(err, Err(JanusError::InvalidConfig(_))), "{err:?}");
+        assert_eq!(cluster.pending(), 0, "a rejected load publishes nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -44,19 +44,19 @@ pub struct LoadProgress {
     /// Rebalance generation of the routing snapshot the file claims were
     /// computed under.
     pub generation: u64,
-    /// Opaque encoded routing policy (the cluster layer's router
-    /// snapshot bytes). Storage carries it without interpreting it.
-    pub router: Vec<u8>,
+    /// Opaque encoded routing policy (the cluster layer's `ShardPolicy`
+    /// blob). Storage carries it without interpreting it.
+    pub policy: Vec<u8>,
     /// Per-file progress, in first-touch order.
     pub files: Vec<FileLoadProgress>,
 }
 
 impl LoadProgress {
     /// An empty journal pinned to a routing snapshot.
-    pub fn new(generation: u64, router: Vec<u8>) -> Self {
+    pub fn new(generation: u64, policy: Vec<u8>) -> Self {
         LoadProgress {
             generation,
-            router,
+            policy,
             files: Vec::new(),
         }
     }
@@ -141,7 +141,7 @@ impl Decode for FileLoadProgress {
 impl Encode for LoadProgress {
     fn encode(&self, e: &mut Enc) {
         e.u64(self.generation);
-        e.bytes(&self.router);
+        e.bytes(&self.policy);
         self.files.encode(e);
     }
 }
@@ -150,7 +150,7 @@ impl Decode for LoadProgress {
     fn decode(d: &mut Dec<'_>) -> Result<Self> {
         Ok(LoadProgress {
             generation: d.u64()?,
-            router: d.bytes()?,
+            policy: d.bytes()?,
             files: d.get()?,
         })
     }

@@ -166,7 +166,6 @@ fn estimate_bits(e: &Estimate) -> (u64, u64, u64, usize) {
 fn policies() -> Vec<ShardPolicy> {
     vec![
         ShardPolicy::HashById,
-        ShardPolicy::RoundRobin,
         ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
     ]
 }

@@ -114,7 +114,6 @@ fn assert_same_answers(a: &ClusterEngine, b: &ClusterEngine, context: &str) {
 fn policies() -> Vec<ShardPolicy> {
     vec![
         ShardPolicy::HashById,
-        ShardPolicy::RoundRobin,
         ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
     ]
 }
@@ -140,13 +139,8 @@ fn bulk_load_matches_per_row_publish_bit_for_bit() {
                 .unwrap();
             assert_eq!(report.rows_published, 4_000, "{policy:?} x{threads}");
             assert_eq!(report.rows_rejected, 0, "{policy:?} x{threads}");
-            let expect_routed = !matches!(policy, ShardPolicy::RoundRobin);
-            assert_eq!(report.routed, expect_routed, "{policy:?}");
-            assert_eq!(
-                report.threads,
-                if expect_routed { threads } else { 1 },
-                "{policy:?}"
-            );
+            assert!(report.routed, "{policy:?}");
+            assert_eq!(report.threads, threads, "{policy:?}");
             assert_same_answers(&reference, &loaded, &format!("{policy:?} x{threads}"));
             // Ingest counters agree with the per-row path too.
             assert_eq!(
@@ -278,10 +272,10 @@ fn killed_load_resumes_exactly_once_bit_identically() {
     let _ = std::fs::remove_dir_all(&journal_dir);
 }
 
-/// A journal whose routing snapshot no longer matches the live cluster
-/// (a rebalance moved the bounds in between) resumes through the classic
-/// re-routing path: no fast-path claims are trusted, yet every row still
-/// lands exactly once.
+/// A journal whose routing policy no longer matches the live cluster
+/// (a rebalance moved the bounds in between) resumes with the journal's
+/// claims, which the publish body re-routes by the live router: the load
+/// reports itself not `routed`, yet every row still lands exactly once.
 #[test]
 fn stale_journal_falls_back_to_classic_rerouting() {
     let dir = dataset("stale", 3_000, 128);

@@ -1001,8 +1001,7 @@ fn stored_checkpoint_journal_and_directory_bit_flips_are_typed_storage_errors() 
 
     let journal_dir = tdir("state-fuzz-journal");
     let store = FileCheckpointStore::open(&journal_dir).expect("open store");
-    let router = janus::cluster::RouterSnapshot::from_policy(&ShardPolicy::HashById, 0);
-    let mut journal = janus::storage::LoadProgress::new(4, router.to_bytes());
+    let mut journal = janus::storage::LoadProgress::new(4, ShardPolicy::HashById.to_bytes());
     journal.record("chunk-00000.jrc", 1, 2, 300);
     journal.record("chunk-00001.jrc", 0, 2, 12);
     journal.save(&store, 1).expect("save journal");

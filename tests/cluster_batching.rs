@@ -47,7 +47,6 @@ fn query(agg: AggregateFunction, lo: f64, hi: f64) -> Query {
 fn policies() -> Vec<ShardPolicy> {
     vec![
         ShardPolicy::HashById,
-        ShardPolicy::RoundRobin,
         ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
     ]
 }
@@ -208,7 +207,7 @@ fn publish_batch_rejects_bad_ops_without_poisoning_the_batch() {
 fn backlog_gauge_tracks_published_minus_applied() {
     let data = rows(4_000, 41);
     let cluster = ClusterEngine::bootstrap(
-        ClusterConfig::new(exact_config(41), 4, ShardPolicy::RoundRobin),
+        ClusterConfig::new(exact_config(41), 4, ShardPolicy::HashById),
         data,
     )
     .unwrap();

@@ -51,7 +51,6 @@ fn whole_domain(agg: AggregateFunction) -> Query {
 fn policies() -> Vec<ShardPolicy> {
     vec![
         ShardPolicy::HashById,
-        ShardPolicy::RoundRobin,
         ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
     ]
 }

@@ -49,7 +49,6 @@ fn query(agg: AggregateFunction, lo: f64, hi: f64) -> Query {
 fn policies() -> Vec<ShardPolicy> {
     vec![
         ShardPolicy::HashById,
-        ShardPolicy::RoundRobin,
         ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
     ]
 }
@@ -434,12 +433,12 @@ fn replica_promotion_loses_no_acknowledged_writes() {
 fn fresh_replicas_serve_exact_reads() {
     let data = rows(8_000, 61);
     let plain = ClusterEngine::bootstrap(
-        ClusterConfig::new(exact_config(61), 2, ShardPolicy::RoundRobin),
+        ClusterConfig::new(exact_config(61), 2, ShardPolicy::HashById),
         data.clone(),
     )
     .unwrap();
     let replicated = ClusterEngine::bootstrap(
-        ClusterConfig::new(exact_config(61), 2, ShardPolicy::RoundRobin).with_replicas(2),
+        ClusterConfig::new(exact_config(61), 2, ShardPolicy::HashById).with_replicas(2),
         data,
     )
     .unwrap();
@@ -468,35 +467,33 @@ fn fresh_replicas_serve_exact_reads() {
 /// with RowNotFound and re-inserting its id poisons the shard topic.
 #[test]
 fn restore_resolves_cross_shard_delete_then_reinsert_in_the_tail() {
-    // Round-robin over 2 shards makes the routing exact: inserts
-    // alternate 0, 1, 0, 1, ...
+    // One range bound at 2.5 makes the routing exact: a row at 2.0 goes
+    // to shard 0, a row at 3.0 to shard 1.
+    let config = || {
+        let policy = ShardPolicy::Range {
+            column: 0,
+            bounds: vec![2.5],
+        };
+        ClusterConfig::new(exact_config(41), 2, policy)
+    };
     let data = rows(1_000, 41);
-    let cluster = ClusterEngine::bootstrap(
-        ClusterConfig::new(exact_config(41), 2, ShardPolicy::RoundRobin),
-        data,
-    )
-    .unwrap();
+    let cluster = ClusterEngine::bootstrap(config(), data).unwrap();
     cluster.pump_all().unwrap();
     let checkpoint = cluster.checkpoint(); // tail starts empty here
 
-    // Tail (cursor position in parentheses): filler -> shard 0, X ->
-    // shard 1, delete X (routed to shard 1), X again -> shard 0.
+    // Tail: filler -> shard 0, X -> shard 1, delete X (routed to shard
+    // 1), X again -> shard 0, the lower-indexed shard.
     let x = 9_500_000u64;
     cluster
         .publish_insert(Row::new(9_400_000, vec![1.0, 1.0]))
-        .unwrap(); // cursor 0 -> shard 0
-    cluster.publish_insert(Row::new(x, vec![2.0, 2.0])).unwrap(); // cursor 1 -> shard 1
-    cluster.publish_delete(x).unwrap(); // -> shard 1's topic
-    cluster.publish_insert(Row::new(x, vec![3.0, 3.0])).unwrap(); // cursor 0 -> shard 0
+        .unwrap();
+    cluster.publish_insert(Row::new(x, vec![3.0, 3.0])).unwrap();
+    cluster.publish_delete(x).unwrap();
+    cluster.publish_insert(Row::new(x, vec![2.0, 2.0])).unwrap();
 
     let topics = cluster.topics();
     drop(cluster);
-    let restored = ClusterEngine::restore(
-        ClusterConfig::new(exact_config(41), 2, ShardPolicy::RoundRobin),
-        checkpoint,
-        topics,
-    )
-    .unwrap();
+    let restored = ClusterEngine::restore(config(), checkpoint, topics).unwrap();
     restored.pump_all().unwrap();
     assert_eq!(restored.population(), 1_002);
 
@@ -598,7 +595,7 @@ fn restore_after_pumping_past_the_checkpoint_is_bit_identical() {
 fn restoring_a_checkpoint_older_than_the_floor_fails_typed() {
     const SHARDS: usize = 2;
     let data = rows(2_000, 95);
-    let config = || ClusterConfig::new(exact_config(95), SHARDS, ShardPolicy::RoundRobin);
+    let config = || ClusterConfig::new(exact_config(95), SHARDS, ShardPolicy::HashById);
     let uninterrupted = ClusterEngine::bootstrap(config(), data.clone()).unwrap();
     let crashing = ClusterEngine::bootstrap(config(), data).unwrap();
     let mut stream = Stream::new(96, 2_000, 3_000_000);

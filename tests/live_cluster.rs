@@ -48,7 +48,6 @@ fn query(agg: AggregateFunction, lo: f64, hi: f64) -> Query {
 fn policies() -> Vec<ShardPolicy> {
     vec![
         ShardPolicy::HashById,
-        ShardPolicy::RoundRobin,
         ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap(),
     ]
 }
@@ -215,9 +214,15 @@ fn queries_are_served_during_concurrent_ingest() {
         })
     };
 
-    // Query the live read path while the producer floods the log. The
-    // population is a moving target, so mid-stream answers are checked
-    // for liveness and sanity; accuracy is asserted after the barrier.
+    // Query the live read path while the producer floods the log, once
+    // its first record is in (on a busy machine the producer thread may
+    // not have run before fifty queries are done). The population is a
+    // moving target, so mid-stream answers are checked for liveness and
+    // sanity; accuracy is asserted after the barrier.
+    let start = requests.end_offset();
+    while requests.end_offset() == start {
+        std::thread::yield_now();
+    }
     let q = query(AggregateFunction::Sum, 10.0, 90.0);
     for _ in 0..50 {
         let est = live.engine().query(&q).unwrap().expect("SUM answers");
@@ -259,7 +264,7 @@ fn backpressure_bounds_per_shard_backlog() {
         ..LiveConfig::default()
     };
     let live = LiveCluster::start_with(
-        ClusterConfig::new(exact_config(41), 2, ShardPolicy::RoundRobin),
+        ClusterConfig::new(exact_config(41), 2, ShardPolicy::HashById),
         data,
         Arc::clone(&requests),
         live_config,
