@@ -22,9 +22,10 @@
 //!   [`ClusterEngine::publish_batch_routed`] flattens pre-grouped insert
 //!   batches into one. Nothing
 //!   reaches a synopsis until the topics are drained in offset order — by
-//!   [`ClusterEngine::pump`] (all shards, on the persistent worker pool)
-//!   or [`ClusterEngine::pump_shard`] (one shard, the granularity the
-//!   [`crate::live::LiveCluster`] background workers use) — so per-shard
+//!   [`ClusterEngine::pump`] (all shards, on the persistent worker pool),
+//!   [`ClusterEngine::pump_shard`] (one shard) or, under
+//!   [`crate::live::LiveCluster`], the background workers'
+//!   [`ShardTransport::deliver`] (one shard's lossy step) — so per-shard
 //!   catch-up is independent, back-pressure is explicit, and replay from
 //!   any retained offset is deterministic. Each shard, primary or
 //!   follower, is a [`ShardHost`], whose drain applies one batch under
@@ -86,6 +87,7 @@ use crate::cache::{AnswerCache, QueryKey};
 use crate::checkpoint::{ClusterCheckpoint, ShardCheckpoint};
 use crate::directory::{resolve_batch, StripedDirectory};
 use crate::host::{pick_read, promote, retention_floor, ShardHost, UNPINNED};
+use crate::notify::{Delivered, Progress};
 use crate::rebalance::{self, RebalanceReport};
 use crate::router::{RoutingSnapshot, ShardPolicy, ShardRouter};
 use crate::scatter::{Priority, ScatterPool};
@@ -338,11 +340,12 @@ struct Counters {
 }
 
 /// What the coordinator needs of the shards behind it: the topics it
-/// appends to, each shard's applied offset and backlog, and one
-/// sub-query answer. [`ClusterEngine`]'s publish, query and backpressure
-/// bodies call nothing else, so they run unchanged over [`ShardSet`] (in
-/// process) and over `janus-net`'s node links. Pumping, shipping and
-/// checkpoints stay with each transport.
+/// appends to, each shard's applied offset and backlog, one sub-query
+/// answer, and one delivery step. [`ClusterEngine`]'s publish, query and
+/// backpressure bodies call nothing else, so they run unchanged over
+/// [`ShardSet`] (in process) and over `janus-net`'s node links, and the
+/// one delivery loop, [`crate::notify::Workers::deliver`], calls only
+/// [`ShardTransport::deliver`]. Checkpoints stay with each transport.
 ///
 /// Pool workers call [`ShardTransport::serve`] with no coordinator lock
 /// held, so a transport must not take the router or the directory.
@@ -363,6 +366,13 @@ pub trait ShardTransport: Send + Sync + 'static {
     /// `expiry` bounds the wait, and [`JanusError::Deadline`] means the
     /// shard missed this gather and nothing else.
     fn serve(&self, shard: usize, query: &Query, expiry: Option<Instant>) -> Result<SubAnswer>;
+
+    /// One step of background delivery worker `worker`, moving at most
+    /// `max` records per copy from the topics into the copies it serves:
+    /// a shard's lossy pump step in process, one node's shipper round
+    /// over TCP. Bumps `progress` once per applied step or acked batch,
+    /// which is what the drain and backlog barriers wait on.
+    fn deliver(&self, worker: usize, max: usize, progress: &Progress) -> Delivered;
 }
 
 /// The in-process transport: topics, primary and follower engines, and
@@ -385,6 +395,8 @@ pub struct ShardSet {
     read_cursor: AtomicU64,
     /// Records drained into primaries.
     pumped: AtomicU64,
+    /// Records the lossy [`ShardTransport::deliver`] step skipped.
+    pub(crate) skipped: AtomicU64,
     /// Sub-queries served by followers.
     replica_queries: AtomicU64,
     /// Configured follower count (`ClusterConfig::replicas`).
@@ -412,6 +424,7 @@ impl ShardSet {
             replicas: replica_sets.into_iter().map(RwLock::new).collect(),
             read_cursor: AtomicU64::new(0),
             pumped: AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
             replica_queries: AtomicU64::new(0),
             replica_count: config.replicas,
             replica_lag: config.replica_lag,
@@ -531,6 +544,21 @@ impl ShardTransport for ShardSet {
         }
         let primary = self.shards[shard].answer(0, query);
         primary.unwrap_or_else(|_| unreachable!("every applied offset is at least 0"))
+    }
+
+    /// One pump step of shard `worker`, lossy on both sides: a poisoned
+    /// record must not stall a live shard forever, and followers tail
+    /// the same topic right behind the primary.
+    fn deliver(&self, worker: usize, max: usize, progress: &Progress) -> Delivered {
+        let (applied, skipped, followers, _) = self.pump(worker, max, max, true);
+        if skipped > 0 {
+            self.skipped.fetch_add(skipped as u64, Ordering::Relaxed);
+        }
+        if applied + skipped + followers == 0 {
+            return Delivered::Idle;
+        }
+        progress.bump();
+        Delivered::Progressed
     }
 }
 

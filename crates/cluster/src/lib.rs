@@ -13,6 +13,7 @@
 //! | [`engine`] | [`ClusterEngine`], the one coordinator over a [`ShardTransport`] — [`ShardSet`] in process, `janus-net`'s node links over TCP: lock-sharded state (`&self` everywhere — one `RwLock` per shard, router lock, striped directory, atomic counters), batch-first publish/pump ingest over [`janus_storage::ShardedLog`] (one Kafka-like topic + offset per shard, deterministic replay; [`ClusterEngine::publish_batch`], the one publish body, routes a whole batch under one lock acquisition; [`ClusterEngine::publish_batch_routed`] is a wrapper that re-routes pre-grouped batches through it), parallel scatter-gather queries merged via [`janus_common::merge`] |
 //! | `scatter` (internal) | [`ScatterPool`]: N long-lived named workers running boxed closures off two-lane ([`Priority`]) queues, and [`ScatterPool::fan_out`], the one gather (submission-order slots, single job inline, deadline-bounded) under the coordinator's scatter, `pump` and the networked bootstrap's Host jobs |
 //! | `cache` (internal) | the answer cache behind [`ClusterConfig::with_answer_cache`]: exact-shape query keys, entries pinned to (rebalance generation, per-shard applied offsets), lazily self-invalidating |
+//! | [`notify`] | [`Progress`] (the condvar generation every barrier waits on), [`notify::Backoff`], and [`notify::Workers`]: the threads of one service start with their stop flag, the one delivery loop over [`ShardTransport::deliver`] (pumps in process, shippers over TCP), the one barrier [`notify::Workers::wait_until`] and one `stop` |
 //! | [`live`] | [`LiveCluster`]: the engine as a long-running service — one background pump worker per shard plus a request/response front end over [`janus_storage::RequestLog`] (data runs republished through the batched path), with per-shard backpressure, a `drain()` barrier, graceful shutdown, and a multi-tenant submit path ([`LiveCluster::submit_query`]: admission quotas, deadlines, priority lanes) |
 //! | [`rebalance`] | the cluster-level skew trigger (largest shard ≥ `skew_factor` × median, with cooldown + minimum-gain hysteresis) and the snapshot-shipping migration built on the `janus-core` snapshot path |
 //!

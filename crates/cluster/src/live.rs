@@ -5,15 +5,19 @@
 //! ## Worker / offset model
 //!
 //! [`LiveCluster::start`] bootstraps a lock-sharded [`ClusterEngine`] and
-//! spawns `shards + 1` threads:
+//! starts `shards + 1` threads through one [`Workers`], the owner that
+//! also starts, stops and joins `RemoteCluster`'s shippers:
 //!
-//! * **One pump worker per shard.** Worker `i` loops on the lossy form of
-//!   the pump step behind [`ClusterEngine::pump_shard`], draining shard
-//!   `i`'s topic into its primary and follower
+//! * **One pump worker per shard** (`janus-pump-{i}`), running the one
+//!   delivery loop, [`Workers::deliver`]. Its step is
+//!   [`ShardSet`](crate::ShardSet)'s
+//!   [`ShardTransport::deliver`](crate::ShardTransport::deliver): the
+//!   lossy form of the pump step behind [`ClusterEngine::pump_shard`],
+//!   draining shard `i`'s topic into its primary and follower
 //!   [`ShardHost`](crate::host::ShardHost)s in offset order — the same
 //!   host whose `apply_from` a `janus-node` applies each shipped batch
-//!   through. Each worker
-//!   write-locks only its own shard's engines, one at a time, in the
+//!   through. Each worker write-locks only its own shard's engines, one
+//!   at a time, in the
 //!   engine-wide lock order: primary host → replica set → one replica.
 //!   The shards absorb their streams in parallel and a busy shard never
 //!   blocks the others; progress probes ([`ClusterEngine::pending`],
@@ -69,7 +73,9 @@
 //! `tests/live_cluster.rs` pins this down.
 //!
 //! [`LiveCluster::shutdown`] stops all workers and returns the inner
-//! [`ClusterEngine`], mirroring `LiveEngine::shutdown`.
+//! [`ClusterEngine`], mirroring `LiveEngine::shutdown`. The stop flag
+//! belongs to that one start, so [`LiveCluster::wrap`] can serve the
+//! returned engine again.
 //!
 //! **Crash recovery.** Started via [`LiveCluster::start_checkpointed`],
 //! the front end periodically cuts a *tail-free* whole-cluster checkpoint
@@ -86,7 +92,7 @@
 use crate::checkpoint::ClusterCheckpoint;
 use crate::engine::{ClusterConfig, ClusterEngine, QueryOptions, ShardOp};
 use crate::host::UNPINNED;
-use crate::notify::{Backoff, Progress};
+use crate::notify::{Backoff, Workers};
 use crate::scatter::Priority;
 use janus_common::{JanusError, Query, Result, Row, TenantId};
 use janus_storage::{CheckpointStore, Request, RequestLog};
@@ -94,7 +100,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Checkpoints retained in the store after each save; older ones are
@@ -181,7 +187,6 @@ struct LiveCounters {
     responses_published: AtomicU64,
     empty_answers: AtomicU64,
     rejected_requests: AtomicU64,
-    records_skipped: AtomicU64,
     checkpoints: AtomicU64,
     checkpoint_failures: AtomicU64,
     admission_rejections: AtomicU64,
@@ -209,7 +214,6 @@ pub struct TenantStats {
 struct Shared {
     cluster: ClusterEngine,
     requests: Arc<RequestLog>,
-    shutdown: AtomicBool,
     /// Unified-log offset the front end has fully processed (stored with
     /// release ordering after the request's republish/response landed).
     front_offset: AtomicU64,
@@ -221,12 +225,6 @@ struct Shared {
     /// is what makes the cut consistent), so external callers request
     /// and wait.
     checkpoint_requested: AtomicBool,
-    /// Wakeup channel: workers bump it whenever they make observable
-    /// progress (records pumped, requests consumed, checkpoint cut), and
-    /// the barriers ([`LiveCluster::drain`], backlog stalls,
-    /// [`LiveCluster::checkpoint_now`]) block on it instead of
-    /// sleep-polling.
-    progress: Progress,
     counters: LiveCounters,
     /// Per-tenant admission quota (`0` = admission control off).
     tenant_quota: u64,
@@ -238,8 +236,14 @@ struct Shared {
 /// request/response front end over a shared [`RequestLog`].
 pub struct LiveCluster {
     shared: Arc<Shared>,
-    pump_threads: Vec<JoinHandle<()>>,
-    frontend_thread: Option<JoinHandle<()>>,
+    /// The pumps and the front end of this start. Every worker bumps its
+    /// progress when it makes observable progress (records pumped,
+    /// requests consumed, checkpoint cut), and the barriers
+    /// ([`LiveCluster::drain`], backlog stalls,
+    /// [`LiveCluster::checkpoint_now`]) wait on it.
+    workers: Arc<Workers>,
+    /// The front end, unparked by [`LiveCluster::submit_query`].
+    frontend: Thread,
 }
 
 impl LiveCluster {
@@ -337,77 +341,25 @@ impl LiveCluster {
         let shared = Arc::new(Shared {
             cluster,
             requests,
-            shutdown: AtomicBool::new(false),
             front_offset: AtomicU64::new(start_offset),
             store,
             checkpoint_requested: AtomicBool::new(false),
-            progress: Progress::new(),
             counters: LiveCounters::default(),
             tenant_quota: live.tenant_quota,
             tenants: Mutex::new(BTreeMap::new()),
         });
 
+        let workers = Workers::new();
         let pump_chunk = live.pump_chunk.max(1);
-        let mut pump_threads = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let worker = Arc::clone(&shared);
-            pump_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("janus-pump-{shard}"))
-                    .spawn(move || {
-                        let mut idle = Backoff::new();
-                        while !worker.shutdown.load(Ordering::Relaxed) {
-                            // Lossy on both sides: a poisoned record must
-                            // not stall a live shard forever, and followers
-                            // tail the same topic right behind the primary.
-                            let (applied, skipped, replica_applied, _) =
-                                worker.cluster.set.pump(shard, pump_chunk, pump_chunk, true);
-                            if skipped > 0 {
-                                worker
-                                    .counters
-                                    .records_skipped
-                                    .fetch_add(skipped as u64, Ordering::Relaxed);
-                            }
-                            if applied == 0 && skipped == 0 && replica_applied == 0 {
-                                // Topic drained: park with bounded backoff
-                                // instead of spinning on the shard lock; a
-                                // publish unparks us immediately.
-                                idle.park();
-                            } else {
-                                // Applied records are progress the drain /
-                                // stall / checkpoint barriers wait on.
-                                worker.progress.bump();
-                                idle.reset();
-                            }
-                        }
-                    })
-                    .expect("spawn pump worker"),
-            );
-        }
-
-        let pump_handles: Vec<std::thread::Thread> =
-            pump_threads.iter().map(|t| t.thread().clone()).collect();
+        workers.deliver(shared.cluster.transport(), shards, "pump", pump_chunk)?;
         let worker = Arc::clone(&shared);
-        let frontend_chunk = live.frontend_chunk.max(1);
-        let max_backlog = live.max_backlog.max(1);
-        let checkpoint_every = live.checkpoint_every;
-        let frontend_thread = std::thread::Builder::new()
-            .name("janus-frontend".into())
-            .spawn(move || {
-                frontend_loop(
-                    &worker,
-                    &pump_handles,
-                    frontend_chunk,
-                    max_backlog,
-                    checkpoint_every,
-                )
-            })
-            .expect("spawn front-end worker");
-
+        let frontend = workers.spawn("janus-frontend".into(), true, move |workers| {
+            frontend_loop(&worker, workers, &live)
+        })?;
         Ok(LiveCluster {
             shared,
-            pump_threads,
-            frontend_thread: Some(frontend_thread),
+            workers,
+            frontend,
         })
     }
 
@@ -439,7 +391,7 @@ impl LiveCluster {
             responses_published: c.responses_published.load(Ordering::Relaxed),
             empty_answers: c.empty_answers.load(Ordering::Relaxed),
             rejected_requests: c.rejected_requests.load(Ordering::Relaxed),
-            records_skipped: c.records_skipped.load(Ordering::Relaxed),
+            records_skipped: self.shared.cluster.set.skipped.load(Ordering::Relaxed),
             checkpoints: c.checkpoints.load(Ordering::Relaxed),
             checkpoint_failures: c.checkpoint_failures.load(Ordering::Relaxed),
             admission_rejections: c.admission_rejections.load(Ordering::Relaxed),
@@ -491,9 +443,7 @@ impl LiveCluster {
             self.shared
                 .requests
                 .publish_query_for(tenant, query, deadline_ms, interactive);
-        if let Some(t) = &self.frontend_thread {
-            t.thread().unpark();
-        }
+        self.frontend.unpark();
         Ok(offset)
     }
 
@@ -534,29 +484,11 @@ impl LiveCluster {
             .checkpoint_requested
             .store(true, Ordering::Release);
         // The front end bumps after every checkpoint attempt.
-        let attempted = self.wait_until(|| {
+        let attempted = self.workers.wait_until(|| {
             c.checkpoints.load(Ordering::Relaxed) + c.checkpoint_failures.load(Ordering::Relaxed)
                 > attempts_before
         });
         attempted && c.checkpoints.load(Ordering::Relaxed) > ok_before
-    }
-
-    /// Blocks until `done` holds, waking every worker each round; `false`
-    /// when the service shut down first.
-    fn wait_until(&self, done: impl FnMut() -> bool) -> bool {
-        self.shared.progress.wait_until(
-            Backoff::new(),
-            || self.shared.shutdown.load(Ordering::Relaxed),
-            || {
-                if let Some(t) = &self.frontend_thread {
-                    t.thread().unpark();
-                }
-                for t in &self.pump_threads {
-                    t.thread().unpark();
-                }
-            },
-            done,
-        )
     }
 
     /// Barrier: blocks until every request published *so far* has been
@@ -567,7 +499,7 @@ impl LiveCluster {
     /// drain.
     pub fn drain(&self) {
         // Workers bump after every pumped batch / consumed request.
-        self.wait_until(|| {
+        self.workers.wait_until(|| {
             let end = self.shared.requests.end_offset();
             self.shared.front_offset.load(Ordering::Acquire) >= end
                 && self.shared.cluster.pending() == 0
@@ -578,8 +510,8 @@ impl LiveCluster {
     /// Stops all workers and returns the inner engine. Does *not* drain
     /// first — call [`LiveCluster::drain`] before shutting down when the
     /// remaining traffic matters.
-    pub fn shutdown(mut self) -> ClusterEngine {
-        self.stop_workers();
+    pub fn shutdown(self) -> ClusterEngine {
+        self.workers.stop();
         let shared = Arc::clone(&self.shared);
         drop(self);
         match Arc::try_unwrap(shared) {
@@ -587,25 +519,11 @@ impl LiveCluster {
             Err(_) => panic!("outstanding references to the live cluster"),
         }
     }
-
-    fn stop_workers(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Lift any barrier blocked on progress so it re-checks shutdown.
-        self.shared.progress.bump();
-        if let Some(t) = self.frontend_thread.take() {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-        for t in self.pump_threads.drain(..) {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-    }
 }
 
 impl Drop for LiveCluster {
     fn drop(&mut self) {
-        self.stop_workers();
+        self.workers.stop();
     }
 }
 
@@ -616,13 +534,9 @@ impl Drop for LiveCluster {
 /// After each batch it truncates the request topic below its *request
 /// floor*: the consumed offset, or the newest saved checkpoint's
 /// `request_offset` when that is lower (recovery replays from there).
-fn frontend_loop(
-    shared: &Shared,
-    pump_workers: &[std::thread::Thread],
-    chunk: usize,
-    max_backlog: u64,
-    checkpoint_every: u64,
-) {
+fn frontend_loop(shared: &Shared, workers: &Workers, live: &LiveConfig) {
+    let (chunk, checkpoint_every) = (live.frontend_chunk.max(1), live.checkpoint_every);
+    let max_backlog = live.max_backlog.max(1);
     let mut offset = shared.front_offset.load(Ordering::Acquire);
     // The request offset recovery would resume from: the start offset
     // until a checkpoint is saved, and no pin at all without a store.
@@ -639,7 +553,7 @@ fn frontend_loop(
             let due = checkpoint_every > 0
                 && shared.cluster.pumped_records() - pumped_at_checkpoint >= checkpoint_every;
             if requested || due {
-                match take_checkpoint(shared, pump_workers) {
+                match take_checkpoint(shared, workers) {
                     None => return, // shutdown while waiting for the drain
                     Some(true) => saved_request_offset = offset,
                     Some(false) => {} // a failed save moves nothing
@@ -649,7 +563,7 @@ fn frontend_loop(
         }
         let batch = shared.requests.poll_requests(offset, chunk);
         if batch.is_empty() {
-            if shared.shutdown.load(Ordering::Relaxed) {
+            if workers.stopping() {
                 return;
             }
             idle.park();
@@ -675,7 +589,7 @@ fn frontend_loop(
                     interactive,
                     query,
                 } => {
-                    if !flush_ops(shared, pump_workers, &mut pending, &mut offset, max_backlog) {
+                    if !flush_ops(shared, workers, &mut pending, &mut offset, max_backlog) {
                         return; // shutdown while stalled
                     }
                     let opts = QueryOptions {
@@ -687,21 +601,19 @@ fn frontend_loop(
                         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
                         use_cache: true,
                     };
-                    answer_query(shared, &mut offset, &query, opts, tenant);
+                    answer_query(shared, workers, &mut offset, &query, opts, tenant);
                 }
             }
         }
-        if !flush_ops(shared, pump_workers, &mut pending, &mut offset, max_backlog) {
+        if !flush_ops(shared, workers, &mut pending, &mut offset, max_backlog) {
             return;
         }
         shared
             .requests
             .requests
             .truncate_below(offset.min(saved_request_offset));
-        for worker in pump_workers {
-            worker.unpark();
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
+        workers.unpark_all();
+        if workers.stopping() {
             return;
         }
     }
@@ -715,6 +627,7 @@ fn frontend_loop(
 /// tenant 0, gets no entry.
 fn answer_query(
     shared: &Shared,
+    workers: &Workers,
     offset: &mut u64,
     query: &Query,
     opts: QueryOptions,
@@ -750,7 +663,7 @@ fn answer_query(
     // Release-publish progress only after the request's effect (topic
     // record or response) is visible — the drain contract.
     shared.front_offset.store(*offset, Ordering::Release);
-    shared.progress.bump();
+    workers.bump();
 }
 
 /// Republishes a run of pending data requests through
@@ -759,13 +672,16 @@ fn answer_query(
 /// exceeds `max_backlog - k`, so no shard's publish-ahead gap ever
 /// exceeds `max_backlog` — the same bound the per-record path enforced,
 /// reached in one stall check per slice instead of one per record. The
+/// stall's fast path is the allocation-free early-exit probe
+/// [`ClusterEngine::backlog_exceeds`]; the backlog only shrinks when a
+/// pump applies records, and every such step bumps progress. The
 /// front-end offset advances per slice (each slice maps 1:1 to a run of
 /// consumed requests), keeping the drain contract exact even across a
 /// shutdown mid-run. Returns `false` when shutdown was requested while
 /// stalled.
 fn flush_ops(
     shared: &Shared,
-    pump_workers: &[std::thread::Thread],
+    workers: &Workers,
     ops: &mut Vec<ShardOp>,
     offset: &mut u64,
     max_backlog: u64,
@@ -781,7 +697,7 @@ fn flush_ops(
     while !queue.is_empty() {
         let take = queue.len().min(cap);
         let limit = max_backlog.saturating_sub(take as u64);
-        if !stall_for_backlog(shared, pump_workers, limit) {
+        if !workers.wait_until(|| !shared.cluster.backlog_exceeds(limit)) {
             return false;
         }
         let slice: Vec<ShardOp> = queue.drain(..take).collect();
@@ -796,10 +712,8 @@ fn flush_ops(
             .requests_consumed
             .fetch_add(take as u64, Ordering::Relaxed);
         shared.front_offset.store(*offset, Ordering::Release);
-        shared.progress.bump();
-        for worker in pump_workers {
-            worker.unpark();
-        }
+        workers.bump();
+        workers.unpark_all();
     }
     true
 }
@@ -815,13 +729,13 @@ fn flush_ops(
 /// Returns whether the save succeeded — its `request_offset` is the
 /// front end's consumed offset — or `None` when shutdown was requested
 /// mid-wait.
-fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> Option<bool> {
+fn take_checkpoint(shared: &Shared, workers: &Workers) -> Option<bool> {
     let store = shared
         .store
         .as_ref()
         .expect("take_checkpoint requires a store");
     // The pumps bump progress per applied batch.
-    while wait_for_pumps(shared, pump_workers, || shared.cluster.pending() == 0) {
+    while workers.wait_until(|| shared.cluster.pending() == 0) {
         let mut checkpoint = shared.cluster.checkpoint();
         if !checkpoint.is_tail_free() {
             // A record slipped in between the pending probe and the cut;
@@ -840,35 +754,8 @@ fn take_checkpoint(shared: &Shared, pump_workers: &[std::thread::Thread]) -> Opt
         counter.fetch_add(1, Ordering::Relaxed);
         // Wake any checkpoint_now() caller blocked on the attempt
         // counters.
-        shared.progress.bump();
+        workers.bump();
         return Some(saved.is_ok());
     }
     None
-}
-
-/// Front-end side wait: blocks until `done` holds, unparking the pump
-/// workers each round. Returns `false` when shutdown was requested first.
-fn wait_for_pumps(
-    shared: &Shared,
-    pump_workers: &[std::thread::Thread],
-    done: impl FnMut() -> bool,
-) -> bool {
-    shared.progress.wait_until(
-        Backoff::new(),
-        || shared.shutdown.load(Ordering::Relaxed),
-        || pump_workers.iter().for_each(std::thread::Thread::unpark),
-        done,
-    )
-}
-
-/// Blocks while any shard's backlog is over `limit`. Returns `false`
-/// when shutdown was requested mid-stall. Runs on every slice, so the
-/// fast path is the allocation-free early-exit probe
-/// [`ClusterEngine::backlog_exceeds`].
-fn stall_for_backlog(shared: &Shared, pump_workers: &[std::thread::Thread], limit: u64) -> bool {
-    // The backlog only shrinks when a pump applies records, and every
-    // such batch bumps progress.
-    wait_for_pumps(shared, pump_workers, || {
-        !shared.cluster.backlog_exceeds(limit)
-    })
 }

@@ -1,17 +1,26 @@
-//! Condvar-backed progress notification.
+//! Condvar-backed progress notification, and the one delivery loop.
 //!
 //! [`Progress`] is the cluster's wakeup primitive: producers (pump
 //! workers, the live front end, network shippers) `bump()` a generation
 //! counter whenever they make observable progress, and waiters
 //! (`drain()`, backlog stalls, checkpoint barriers) block in
-//! [`Progress::wait_until`] until their condition holds — parked on the
+//! [`Workers::wait_until`] until their condition holds — parked on the
 //! condvar, so a waiter costs nothing until the next bump.
 //!
 //! [`Backoff`] is the bounded doubling delay under every idle wait: the
-//! timeout of a [`Progress::wait_until`] round, and the park of a worker
-//! loop that found nothing to do.
+//! timeout of a wait round, and the park of a worker loop that found
+//! nothing to do.
+//!
+//! [`Workers`] owns the threads of one service start — `LiveCluster`'s
+//! pumps and front end, `RemoteCluster`'s shippers and heartbeat — with
+//! their stop flag and their [`Progress`], and runs the one delivery
+//! loop ([`Workers::deliver`]) over [`ShardTransport::deliver`].
 
-use std::sync::{Condvar, Mutex};
+use crate::engine::ShardTransport;
+use janus_common::{JanusError, Result};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 /// First idle wait: short, so wakeups stay snappy while traffic flows.
@@ -118,7 +127,8 @@ impl Progress {
     }
 
     /// Blocks until `done()` holds (returns `true`) or `abort()` does
-    /// (returns `false`) — the one race-free wait under every barrier.
+    /// (returns `false`) — the one race-free wait under every barrier,
+    /// called through [`Workers::wait_until`].
     ///
     /// Each round checks `done`, calls `nudge` (unpark the workers the
     /// condition depends on, probe a peer), snapshots the generation,
@@ -130,7 +140,7 @@ impl Progress {
     /// of sleeping through the wakeup. The wait is also bounded by
     /// `backoff`, which doubles from round to round up to its cap, so a
     /// producer that never bumps costs at most one cap of latency.
-    pub fn wait_until(
+    fn wait_until(
         &self,
         mut backoff: Backoff,
         abort: impl Fn() -> bool,
@@ -150,6 +160,137 @@ impl Progress {
                 return false;
             }
             self.wait_past(seen, backoff.next_delay());
+        }
+    }
+}
+
+/// What one [`ShardTransport::deliver`] step did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Delivered {
+    /// Nothing to deliver: the worker parks on its [`Backoff`].
+    Idle,
+    /// Records moved: the worker goes again at once.
+    Progressed,
+    /// The worker has nothing left to deliver, ever: its node is dead.
+    Done,
+}
+
+/// The threads of one service start, with their stop flag and the
+/// [`Progress`] their barriers wait on. A stopped `Workers` stays
+/// stopped: a service that starts again builds a new one, so the flag
+/// belongs to the start and not to the engine under it.
+pub struct Workers {
+    stopping: AtomicBool,
+    progress: Progress,
+    /// Every thread started, and whether [`Workers::unpark_all`] wakes it.
+    threads: parking_lot::Mutex<Vec<(JoinHandle<()>, bool)>>,
+}
+
+impl Workers {
+    /// An owner with no thread yet.
+    pub fn new() -> Arc<Self> {
+        Arc::new(Workers {
+            stopping: AtomicBool::new(false),
+            progress: Progress::new(),
+            threads: parking_lot::Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Starts `count` delivery workers over `transport`, worker `i` named
+    /// `janus-{role}-{i}`, each asking for at most `max` records a step.
+    pub fn deliver<T: ShardTransport>(
+        self: &Arc<Self>,
+        transport: &Arc<T>,
+        count: usize,
+        role: &str,
+        max: usize,
+    ) -> Result<()> {
+        for worker in 0..count {
+            let transport = Arc::clone(transport);
+            let name = format!("janus-{role}-{worker}");
+            self.spawn(name, true, move |w| w.run(&*transport, worker, max))?;
+        }
+        Ok(())
+    }
+
+    /// The one delivery loop. A worker that ends bumps the progress, since
+    /// a barrier may have waited on the copies it served.
+    fn run<T: ShardTransport>(&self, transport: &T, worker: usize, max: usize) {
+        let mut idle = Backoff::new();
+        while !self.stopping() {
+            match transport.deliver(worker, max, &self.progress) {
+                Delivered::Idle => idle.park(),
+                Delivered::Progressed => idle.reset(),
+                Delivered::Done => break,
+            }
+        }
+        self.progress.bump();
+    }
+
+    /// Starts one thread named `name` running `body`. `nudged` says
+    /// whether [`Workers::unpark_all`] wakes it; [`Workers::stop`] wakes
+    /// every thread. If the thread cannot start, every thread started so
+    /// far is stopped and the error returned.
+    pub fn spawn(
+        self: &Arc<Self>,
+        name: String,
+        nudged: bool,
+        body: impl FnOnce(&Workers) + Send + 'static,
+    ) -> Result<Thread> {
+        let workers = Arc::clone(self);
+        let handle = std::thread::Builder::new()
+            .name(name.clone())
+            .spawn(move || body(&workers))
+            .map_err(|e| {
+                self.stop();
+                JanusError::Storage(format!("spawn {name}: {e}"))
+            })?;
+        let thread = handle.thread().clone();
+        self.threads.lock().push((handle, nudged));
+        Ok(thread)
+    }
+
+    /// Whether [`Workers::stop`] has been called.
+    pub fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::Acquire)
+    }
+
+    /// Records progress a barrier may be waiting on.
+    pub fn bump(&self) {
+        self.progress.bump();
+    }
+
+    /// Unparks every thread started as nudged.
+    pub fn unpark_all(&self) {
+        for (thread, nudged) in self.threads.lock().iter() {
+            if *nudged {
+                thread.thread().unpark();
+            }
+        }
+    }
+
+    /// Blocks until `done` holds (`true`) or the service stops (`false`),
+    /// unparking the nudged threads each round.
+    pub fn wait_until(&self, done: impl FnMut() -> bool) -> bool {
+        self.progress.wait_until(
+            Backoff::new(),
+            || self.stopping(),
+            || self.unpark_all(),
+            done,
+        )
+    }
+
+    /// Sets the stop flag, lifts every barrier so it re-checks it, wakes
+    /// every thread and joins them all. Idempotent.
+    pub fn stop(&self) {
+        self.stopping.store(true, Ordering::Release);
+        self.progress.bump();
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for (thread, _) in &threads {
+            thread.thread().unpark();
+        }
+        for (thread, _) in threads {
+            let _ = thread.join();
         }
     }
 }

@@ -28,14 +28,18 @@
 //! the append, the slowest alive copy of a shard trails its topic end by
 //! at most [`RemoteConfig::max_backlog`] records plus one batch.
 //!
-//! Per-node *shipper* threads push each shard topic's tail to every
-//! node hosting a copy ([`Frame::PublishBatch`]), so followers tail
-//! remote topics exactly like in-process replicas tail local ones. A
-//! node applies a batch before it acks it, and the ack carries the
-//! applied offset, which is also where the copy's next batch starts: so
-//! [`RemoteCluster::drain`] and a stalled publisher wake on the apply,
-//! with no second exchange to ask for it. A heartbeat thread is the
-//! failure detector; its replies refresh applied offsets too. Each
+//! One *shipper* per node (`janus-ship-{i}`) pushes each shard topic's
+//! tail to the node's copies ([`Frame::PublishBatch`]), so followers
+//! tail remote topics exactly like in-process replicas tail local ones.
+//! The shippers run the in-process pumps' loop, [`Workers::deliver`],
+//! and this module writes only its step, `NodeLinks`'
+//! [`ShardTransport::deliver`]: one round of retention and one ship per
+//! hosted shard. A node applies a batch before it acks it, and the ack
+//! carries the applied offset, which is also where the copy's next batch
+//! starts: so [`RemoteCluster::drain`] and a stalled publisher wake on
+//! the apply, with no second exchange to ask for it. The same
+//! [`Workers`] starts and joins the heartbeat thread, the failure
+//! detector; its replies refresh applied offsets too. Each
 //! copy's offsets only rise at the coordinator, whichever reply lands
 //! last. When a node dies (heartbeat or ship error), the directory
 //! promotes the surviving follower [`janus_cluster::host::promote`]
@@ -82,7 +86,7 @@ use crate::node::NodeConfig;
 use crate::wire::{self, Frame, QueryOutcome};
 use janus_cluster::bootstrap::shard_config;
 use janus_cluster::host::{pick_read, retention_floor, UNPINNED};
-use janus_cluster::notify::{Backoff, Progress};
+use janus_cluster::notify::{Delivered, Progress, Workers};
 use janus_cluster::{
     ClusterConfig, ClusterEngine, Priority, PublishReport, QueryOptions, ScatterPool,
     ShardCheckpoint, ShardOp, ShardPolicy, ShardTransport,
@@ -96,7 +100,6 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Bound on a re-dial attempt during retry; the bootstrap dial keeps its
@@ -381,8 +384,8 @@ struct NodeLink {
     /// Per-shard topic offset the node reported as applied — where the
     /// shipper's next batch for the shard starts.
     applied: Offsets,
-    /// Shipper thread handle, for publish-side unparks.
-    thread: Mutex<Option<std::thread::Thread>>,
+    /// The shipper's frame buffer, reused by every batch it encodes.
+    frame: Mutex<Vec<u8>>,
     hb_seq: AtomicU64,
     /// Consecutive heartbeat misses; `retry.budget` of them fail the node.
     hb_misses: AtomicU32,
@@ -528,18 +531,13 @@ impl NodeLink {
             }
         }
     }
-
-    fn unpark(&self) {
-        if let Some(t) = self.thread.lock().as_ref() {
-            t.unpark();
-        }
-    }
 }
 
 /// The networked [`ShardTransport`]: one link per node, the placement
 /// directory, and the shard topics the coordinator appends to and the
 /// shippers drain. Shared by the coordinator, its pool's jobs, the
-/// shippers and the heartbeat.
+/// shippers and the heartbeat; the threads' stop flag and progress are
+/// the [`RemoteCluster`]'s [`Workers`].
 struct NodeLinks {
     config: RemoteConfig,
     /// The per-shard operation topics. Source of truth: every
@@ -553,20 +551,12 @@ struct NodeLinks {
     pins: Vec<AtomicU64>,
     directory: RwLock<Directory>,
     links: Vec<NodeLink>,
-    shutdown: AtomicBool,
-    progress: Progress,
     read_cursor: AtomicU64,
     query_seq: AtomicU64,
     counters: Counters,
 }
 
 impl NodeLinks {
-    fn unpark_shippers(&self) {
-        for link in &self.links {
-            link.unpark();
-        }
-    }
-
     /// Truncates `shard`'s topic below its [`retention_floor`] over the
     /// applied offsets its alive copies have acked and the shard's pin.
     /// The floor is computed under the directory read lock, so it sees
@@ -621,6 +611,7 @@ fn alive_primary(dir: &Directory, shard: u32) -> Result<usize> {
 /// Marks a node dead and promotes followers for every shard it led.
 /// Idempotent: concurrent detectors (shipper error, heartbeat timeout,
 /// query error) race on the `alive` swap and only one runs promotions.
+/// The barriers wake when the node's shipper sees it dead and ends.
 fn fail_node(shared: &NodeLinks, idx: usize) {
     if !shared.links[idx].alive.swap(false, Ordering::AcqRel) {
         return;
@@ -630,15 +621,14 @@ fn fail_node(shared: &NodeLinks, idx: usize) {
         .write()
         .fail_node(idx, |node, shard| shared.links[node].applied.of(shard));
     shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
-    shared.unpark_shippers();
-    shared.progress.bump();
 }
 
 /// One heartbeat sweep: probe every alive node, fold its applied
 /// offsets into the link state. A miss re-dials and is only fatal after
 /// `retry.budget` *consecutive* misses — a dropped connection or one
-/// slow reply no longer kills a node that is otherwise healthy.
-fn probe_all(shared: &NodeLinks) {
+/// slow reply no longer kills a node that is otherwise healthy. A
+/// failed node's shipper is unparked, so it ends at once.
+fn probe_all(shared: &NodeLinks, workers: &Workers) {
     let threshold = shared.config.retry.budget.max(1);
     for (idx, link) in shared.links.iter().enumerate() {
         if !link.alive.load(Ordering::Acquire) {
@@ -651,58 +641,19 @@ fn probe_all(shared: &NodeLinks) {
                 for (shard, off) in applied {
                     link.applied.record(shard, off);
                 }
-                shared.progress.bump();
+                workers.bump();
             }
             _ => {
                 let misses = link.hb_misses.fetch_add(1, Ordering::Relaxed) + 1;
                 if misses >= threshold {
                     fail_node(shared, idx);
+                    workers.unpark_all();
                 } else {
                     link.redial_ctrl();
                 }
             }
         }
     }
-}
-
-/// Pushes topic tails to one node until shutdown or node death, each
-/// copy's from the offset it has applied; once every copy has applied
-/// its tail, the shipper parks and sends nothing. Every round first
-/// truncates each hosted shard's topic below what all its copies have
-/// applied. One frame buffer serves every batch the shipper sends.
-fn shipper_loop(shared: &NodeLinks, idx: usize) {
-    let link = &shared.links[idx];
-    let mut idle = Backoff::new();
-    let mut frame = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) && link.alive.load(Ordering::Acquire) {
-        let hosted = shared.directory.read().hosted_shards(idx);
-        for &shard in &hosted {
-            shared.retain(shard);
-        }
-        let mut moved = false;
-        for &shard in &hosted {
-            match ship(shared, idx, shard, &mut frame) {
-                Shipped::Nothing => {}
-                Shipped::Acked => moved = true,
-                Shipped::Failed => return,
-            }
-        }
-        if moved {
-            idle.reset();
-        } else {
-            idle.park();
-        }
-    }
-}
-
-/// What one [`ship`] did.
-enum Shipped {
-    /// The copy had nothing to apply, or the shard moved off the node.
-    Nothing,
-    /// The node acked a batch.
-    Acked,
-    /// The copy is done for, and its node was failed.
-    Failed,
 }
 
 /// Why an attempt of [`ship`] sent nothing.
@@ -714,22 +665,29 @@ enum Unsent {
     BelowFloor,
 }
 
-/// Ships node `idx`'s copy of `shard` the topic records from its applied
-/// offset on, encoded into `frame` straight from the topic, and records
-/// the applied offset the node acks. Each attempt (a retry too) reads
-/// the copy's cursor and encodes afresh under the directory read lock
-/// while the node still hosts the shard, so every floor computed
-/// meanwhile counts this copy's cursor; a shard a move has just taken
-/// off the node is skipped. A copy whose
-/// cursor is below its topic's retained floor, a node-side error (gap,
-/// unhosted shard) and a transport failure surviving the full retry
-/// budget all mean the copy cannot converge: its node is failed. A
-/// refusal for a shard the directory no longer places on the node is
-/// none of those: [`RemoteCluster::move_shard`] released it after this
-/// round began.
-fn ship(shared: &NodeLinks, idx: usize, shard: u32, frame: &mut Vec<u8>) -> Shipped {
+/// Ships node `idx`'s copy of `shard` at most `chunk` topic records from
+/// its applied offset on, encoded into the link's frame buffer straight
+/// from the topic, and records the applied offset the node acks, bumping
+/// `progress`. `Idle` when the copy had nothing to apply or the shard
+/// moved off the node; `Done` when the node was failed. Each attempt (a
+/// retry too) reads the copy's cursor and encodes afresh under the
+/// directory read lock while the node still hosts the shard, so every
+/// floor computed meanwhile counts this copy's cursor; a shard a move
+/// has just taken off the node is skipped. A copy whose cursor is below
+/// its topic's retained floor, a node-side error (gap, unhosted shard)
+/// and a transport failure surviving the full retry budget all mean the
+/// copy cannot converge: its node is failed. A refusal for a shard the
+/// directory no longer places on the node is none of those:
+/// [`RemoteCluster::move_shard`] released it after this round began.
+fn ship(
+    shared: &NodeLinks,
+    idx: usize,
+    shard: u32,
+    chunk: usize,
+    progress: &Progress,
+) -> Delivered {
     let link = &shared.links[idx];
-    let chunk = shared.config.ship_chunk.max(1);
+    let mut frame = link.frame.lock();
     let reply = link.retry(
         &link.ship,
         &shared.config.retry,
@@ -744,42 +702,44 @@ fn ship(shared: &NodeLinks, idx: usize, shard: u32, frame: &mut Vec<u8>) -> Ship
                 let topic = shared.topics.topic(shard as usize);
                 topic.read(first_offset, chunk, |count, runs| {
                     if count > 0 {
-                        wire::encode_publish_batch(frame, shard, first_offset, count, runs);
+                        wire::encode_publish_batch(&mut frame, shard, first_offset, count, runs);
                     }
                     count > 0
                 })
             };
             match encoded {
-                Ok(true) => NodeLink::exchange_encoded(stream, frame, None, false).map(Ok),
+                Ok(true) => NodeLink::exchange_encoded(stream, &frame, None, false).map(Ok),
                 Ok(false) => Ok(Err(Unsent::Empty)),
                 Err(_) => Ok(Err(Unsent::BelowFloor)),
             }
         },
     );
     match reply {
-        Ok(Err(Unsent::Empty)) => Shipped::Nothing,
+        Ok(Err(Unsent::Empty)) => Delivered::Idle,
         Ok(Ok(Frame::PublishAck { applied, .. })) => {
             link.applied.record(shard, applied);
-            shared.progress.bump();
-            Shipped::Acked
+            progress.bump();
+            Delivered::Progressed
         }
         Ok(Ok(Frame::Error { .. })) if !shared.directory.read().hosts_of(shard).includes(idx) => {
-            Shipped::Nothing
+            Delivered::Idle
         }
         Ok(_) | Err(_) => {
             fail_node(shared, idx);
-            Shipped::Failed
+            Delivered::Done
         }
     }
 }
 
-fn heartbeat_loop(shared: &NodeLinks) {
-    while !shared.shutdown.load(Ordering::Acquire) {
+/// The heartbeat body: one [`probe_all`] per `heartbeat_every`. No
+/// barrier's nudge unparks it, so it probes on its period alone.
+fn heartbeat_loop(shared: &NodeLinks, workers: &Workers) {
+    while !workers.stopping() {
         std::thread::park_timeout(shared.config.heartbeat_every);
-        if shared.shutdown.load(Ordering::Acquire) {
+        if workers.stopping() {
             return;
         }
-        probe_all(shared);
+        probe_all(shared, workers);
     }
 }
 
@@ -907,9 +867,6 @@ impl ShardTransport for NodeLinks {
         let mut primary_only = false;
         let mut attempts: HashMap<usize, u32> = HashMap::new();
         loop {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return Err(JanusError::Storage("cluster shut down".into()));
-            }
             let budget = match expiry {
                 Some(expiry) => {
                     let left = expiry.saturating_duration_since(Instant::now());
@@ -1005,13 +962,36 @@ impl ShardTransport for NodeLinks {
             }
         }
     }
+
+    /// One shipper round of node `worker`: truncate each hosted shard's
+    /// topic below what all its copies have applied, then [`ship`] each
+    /// hosted copy its tail. A round whose copies have applied their
+    /// whole topics sends nothing. `Done` once the node is dead.
+    fn deliver(&self, worker: usize, max: usize, progress: &Progress) -> Delivered {
+        if !self.links[worker].alive.load(Ordering::Acquire) {
+            return Delivered::Done;
+        }
+        let hosted = self.directory.read().hosted_shards(worker);
+        for &shard in &hosted {
+            self.retain(shard);
+        }
+        let mut step = Delivered::Idle;
+        for &shard in &hosted {
+            match ship(self, worker, shard, max, progress) {
+                Delivered::Idle => {}
+                Delivered::Progressed => step = Delivered::Progressed,
+                Delivered::Done => return Delivered::Done,
+            }
+        }
+        step
+    }
 }
 
 /// A networked cluster's coordinator handle: the coordinator over node
 /// links, plus the shipper and heartbeat threads.
 pub struct RemoteCluster {
     engine: ClusterEngine<NodeLinks>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Arc<Workers>,
 }
 
 impl RemoteCluster {
@@ -1048,8 +1028,6 @@ impl RemoteCluster {
                     pins: (0..shards).map(|_| AtomicU64::new(UNPINNED)).collect(),
                     directory: RwLock::new(directory),
                     links,
-                    shutdown: AtomicBool::new(false),
-                    progress: Progress::new(),
                     read_cursor: AtomicU64::new(0),
                     query_seq: AtomicU64::new(0),
                     counters: Counters::default(),
@@ -1060,23 +1038,13 @@ impl RemoteCluster {
         )?;
 
         let shared = engine.transport();
-        let mut workers = Vec::new();
-        for idx in 0..shared.links.len() {
-            let s = Arc::clone(shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("janus-ship-{idx}"))
-                .spawn(move || shipper_loop(&s, idx))
-                .map_err(|e| JanusError::Storage(format!("spawn shipper: {e}")))?;
-            *shared.links[idx].thread.lock() = Some(handle.thread().clone());
-            workers.push(handle);
-        }
+        let workers = Workers::new();
+        let chunk = shared.config.ship_chunk.max(1);
+        workers.deliver(shared, shared.links.len(), "ship", chunk)?;
         let s = Arc::clone(shared);
-        workers.push(
-            std::thread::Builder::new()
-                .name("janus-heartbeat".into())
-                .spawn(move || heartbeat_loop(&s))
-                .map_err(|e| JanusError::Storage(format!("spawn heartbeat: {e}")))?,
-        );
+        workers.spawn("janus-heartbeat".into(), false, move |w| {
+            heartbeat_loop(&s, w)
+        })?;
         Ok(RemoteCluster { engine, workers })
     }
 
@@ -1109,40 +1077,25 @@ impl RemoteCluster {
     /// wakes the shippers, which push the records to the hosting nodes
     /// asynchronously. Every accepted record is held at the coordinator
     /// on return. The call then stalls once per shard it appended to
-    /// while that shard is over the publish-ahead bound.
+    /// while that shard's slowest alive copy trails the topic end by more
+    /// than `max_backlog` records, so it trails by at most that plus the
+    /// batch just appended (and in-flight publishers), and an unbounded
+    /// producer cannot run away from the fleet. A stall wakes on each
+    /// publish ack, which a node sends once it has applied the batch.
     pub fn publish_batch(&self, ops: impl IntoIterator<Item = ShardOp>) -> PublishReport {
         let mut touched = Vec::new();
         let report = self
             .engine
             .publish_batch_with(ops, |shard| touched.push(shard));
         if report.published > 0 {
-            self.shared().unpark_shippers();
+            self.workers.unpark_all();
         }
-        for shard in touched {
-            self.stall_for_backlog(shard);
+        let limit = self.shared().config.max_backlog;
+        for shard in touched.into_iter().filter(|_| limit > 0) {
+            self.workers
+                .wait_until(|| self.shared().backlog(shard) <= limit);
         }
         report
-    }
-
-    /// Blocks while the publish-ahead bound is exceeded for `shard`:
-    /// the slowest alive copy may trail the topic end by at most
-    /// `max_backlog` records plus the batch just appended (and in-flight
-    /// publishers), so an unbounded producer cannot run away from the
-    /// fleet. Applied offsets move on a publish ack, which a node sends
-    /// once it has applied the batch, or a heartbeat, and both bump
-    /// progress.
-    fn stall_for_backlog(&self, shard: usize) {
-        let shared = self.shared();
-        let limit = shared.config.max_backlog;
-        if limit == 0 {
-            return;
-        }
-        shared.progress.wait_until(
-            Backoff::new(),
-            || shared.shutdown.load(Ordering::Acquire),
-            || {},
-            || shared.backlog(shard) <= limit,
-        );
     }
 
     /// Worst publish-ahead lag across shards — `true` if any shard's
@@ -1153,21 +1106,10 @@ impl RemoteCluster {
     }
 
     /// Blocks until every alive copy of every shard has applied the full
-    /// topic — the networked drain barrier. The shippers' publish acks
-    /// wake it; each round also unparks them and
-    /// probes the nodes once, so a barrier over an idle fleet resolves
-    /// at once.
+    /// topic — the networked drain barrier. Each publish ack carries the
+    /// applied offset and wakes it; each round also unparks the shippers.
     pub fn drain(&self) {
-        let shared = self.shared();
-        shared.progress.wait_until(
-            Backoff::new(),
-            || shared.shutdown.load(Ordering::Acquire),
-            || {
-                shared.unpark_shippers();
-                probe_all(shared);
-            },
-            || self.drained(),
-        );
+        self.workers.wait_until(|| self.drained());
     }
 
     fn drained(&self) -> bool {
@@ -1325,8 +1267,8 @@ impl RemoteCluster {
         let _ = shared.links[from].request_ship(&Frame::Release { shard });
         shared.links[from].applied.remove(shard);
         shared.counters.migrations.fetch_add(1, Ordering::Relaxed);
-        shared.unpark_shippers();
-        shared.progress.bump();
+        self.workers.unpark_all();
+        self.workers.bump();
         Ok(())
     }
 
@@ -1398,27 +1340,14 @@ impl RemoteCluster {
     /// Stops coordinator threads (shippers, heartbeat). Node daemons
     /// keep running; use [`RemoteCluster::shutdown_nodes`] first to
     /// stop them too.
-    pub fn shutdown(mut self) {
-        self.stop_workers();
-    }
-
-    fn stop_workers(&mut self) {
-        self.shared().shutdown.store(true, Ordering::Release);
-        self.shared().unpark_shippers();
-        self.shared().progress.bump();
-        for w in self.workers.drain(..) {
-            // Unpark first, so a parked worker observes the flag.
-            w.thread().unpark();
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        self.workers.stop();
     }
 }
 
 impl Drop for RemoteCluster {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.stop_workers();
-        }
+        self.workers.stop();
     }
 }
 
@@ -1451,7 +1380,7 @@ fn connect_node(addr: SocketAddr, read_timeout: Option<Duration>) -> Result<Node
         ctrl: Mutex::new(ctrl),
         alive: AtomicBool::new(true),
         applied: Offsets::default(),
-        thread: Mutex::new(None),
+        frame: Mutex::new(Vec::new()),
         hb_seq: AtomicU64::new(0),
         hb_misses: AtomicU32::new(0),
         read_timeout,

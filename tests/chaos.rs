@@ -1104,3 +1104,112 @@ fn a_failed_bootstrap_write_releases_the_fleet_for_a_clean_retry() {
         s.wait();
     }
 }
+
+// ---------------------------------------------------------------------
+// Service threads: one start, one stop
+// ---------------------------------------------------------------------
+
+/// Every service thread belongs to one start and ends with it: after
+/// `LiveCluster::shutdown` and `RemoteCluster::shutdown` no pump, front
+/// end, shipper or heartbeat is left. A node stopped the way the chaos
+/// schedules kill one ends exactly its own shipper, and the survivors
+/// still drain to the in-process twin.
+#[test]
+fn service_threads_end_with_their_service_and_a_stopped_node_ends_its_shipper() {
+    let _g = lock();
+    let _plan = PlanGuard::none();
+    let service = [
+        "janus-pump",
+        "janus-frontend",
+        "janus-ship",
+        "janus-heartbeat",
+    ];
+    // A new thread names itself once it runs, and a failed node's shipper
+    // ends on its next round, so a count is read again until it is the
+    // one wanted or 30 s pass.
+    let left = |want: [usize; 4]| -> [usize; 4] {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            let counts = service.map(threads_named);
+            if counts == want || std::time::Instant::now() > deadline {
+                return counts;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    assert_eq!(left([0; 4]), [0; 4], "an earlier case left service threads");
+
+    let requests = RequestLog::shared();
+    let live = LiveCluster::start(
+        ClusterConfig::new(config(61), 4, ShardPolicy::HashById),
+        rows(2_000, 61),
+        std::sync::Arc::clone(&requests),
+    )
+    .expect("live start");
+    assert_eq!(
+        left([4, 1, 0, 0]),
+        [4, 1, 0, 0],
+        "four pumps and one front end"
+    );
+    requests.publish_insert(Row::new(9_000_000, vec![1.0, 2.0]));
+    live.drain();
+    assert_eq!(live.shutdown().population(), 2_001);
+    assert_eq!(left([0; 4]), [0; 4], "LiveCluster::shutdown left a thread");
+
+    let mut fleet: Vec<Option<NodeServer>> = local_fleet(3)
+        .expect("start fleet")
+        .into_iter()
+        .map(Some)
+        .collect();
+    let addrs: Vec<SocketAddr> = fleet.iter().map(|s| s.as_ref().unwrap().addr()).collect();
+    let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+    let retry = RetryPolicy {
+        budget: 3,
+        base: Duration::from_millis(5),
+        cap: Duration::from_millis(40),
+        seed: 62,
+    };
+    let remote = RemoteCluster::bootstrap(
+        RemoteConfig::new(config(62), 4, policy.clone())
+            .with_replicas(1, 0)
+            .with_retry(retry),
+        rows(3_000, 62),
+        &addrs,
+    )
+    .expect("bootstrap remote");
+    let twin = ClusterEngine::bootstrap(ClusterConfig::new(config(62), 4, policy), rows(3_000, 62))
+        .expect("bootstrap twin");
+    assert_eq!(
+        left([0, 0, 3, 1]),
+        [0, 0, 3, 1],
+        "one shipper per node and a heartbeat"
+    );
+
+    let mut feed = Feed::new(63, 3_000);
+    feed.publish(&remote, &twin, 300);
+    fleet[1].take().expect("node 1").stop();
+    feed.publish(&remote, &twin, 300);
+    remote.drain();
+    // The stopped node fails on a ship or a heartbeat, whichever comes
+    // first.
+    assert_eq!(left([0, 0, 2, 1]), [0, 0, 2, 1], "only its shipper ended");
+    assert_eq!(remote.stats().failovers, 1);
+    assert!(remote.lost_shards().is_empty());
+    twin.pump_all().expect("twin pump");
+    assert_eq!(
+        remote.population().expect("population"),
+        twin.population() as u64
+    );
+    assert_bit_identical(&remote, &twin, "after one node stopped");
+
+    remote.shutdown_nodes();
+    remote.shutdown();
+    assert_eq!(
+        left([0; 4]),
+        [0; 4],
+        "RemoteCluster::shutdown left a thread"
+    );
+    for server in fleet.into_iter().flatten() {
+        server.wait();
+    }
+}

@@ -410,3 +410,65 @@ fn query_counter_is_exact_under_contention() {
     assert_eq!(cluster.stats().subqueries, 4 * THREADS * QUERIES);
     assert_eq!(cluster.stats().queries, THREADS * QUERIES);
 }
+
+/// A service's stop flag belongs to that one start: the engine
+/// `shutdown` hands back wraps again, and the new start's workers pump
+/// it. Two starts fed one mixed stream end bit-identical to a
+/// synchronous twin fed the same operations.
+#[test]
+fn a_shut_down_engine_wraps_again_and_matches_its_twin() {
+    let data = rows(6_000, 81);
+    let config = || ClusterConfig::new(exact_config(81), 4, ShardPolicy::HashById);
+    let sync = ClusterEngine::bootstrap(config(), data.clone()).unwrap();
+    let mut engine = ClusterEngine::bootstrap(config(), data).unwrap();
+    let mut rng = SmallRng::seed_from_u64(82);
+    let mut live_ids: Vec<u64> = (0..6_000).collect();
+    let mut next_id = 7_000_000u64;
+    for start in 0..2 {
+        // The front end consumes its log from offset 0, so every start
+        // gets a fresh one.
+        let requests = RequestLog::shared();
+        let live = LiveCluster::wrap(engine, Arc::clone(&requests), LiveConfig::default())
+            .unwrap_or_else(|e| panic!("start {start}: {e}"));
+        for _ in 0..3_000 {
+            if rng.gen_bool(0.8) {
+                let x = rng.gen::<f64>() * 100.0;
+                let row = Row::new(next_id, vec![x, x * 3.0]);
+                sync.publish_insert(row.clone()).unwrap();
+                requests.publish_insert(row);
+                live_ids.push(next_id);
+                next_id += 1;
+            } else {
+                let id = live_ids.swap_remove(rng.gen_range(0..live_ids.len()));
+                sync.publish_delete(id).unwrap();
+                requests.publish_delete(id);
+            }
+        }
+        live.drain();
+        assert_eq!(live.engine().pending(), 0, "start {start}: drained");
+        assert_eq!(live.live_stats().rejected_requests, 0, "start {start}");
+        engine = live.shutdown();
+    }
+    sync.pump_all().unwrap();
+    assert_eq!(engine.population(), live_ids.len());
+    assert_eq!(engine.population(), sync.population());
+    for (agg, lo, hi) in [
+        (AggregateFunction::Count, f64::NEG_INFINITY, f64::INFINITY),
+        (AggregateFunction::Sum, f64::NEG_INFINITY, f64::INFINITY),
+        (AggregateFunction::Avg, 20.0, 60.0),
+        (AggregateFunction::Sum, 12.5, 77.5),
+        (AggregateFunction::Min, 0.0, 100.0),
+        (AggregateFunction::Max, 0.0, 100.0),
+    ] {
+        let q = query(agg, lo, hi);
+        let rewrapped = engine.query(&q).unwrap().expect("answer");
+        let twin = sync.query(&q).unwrap().expect("answer");
+        assert_eq!(
+            estimate_bits(&rewrapped),
+            estimate_bits(&twin),
+            "{agg} [{lo},{hi}]: re-wrapped {} vs sync {}",
+            rewrapped.value,
+            twin.value
+        );
+    }
+}
