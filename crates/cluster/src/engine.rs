@@ -82,7 +82,7 @@
 //! flight. A rebalance takes the router write lock, which excludes
 //! every publisher for the whole migration.
 
-use crate::bootstrap::{build_shards, partition_rows, shard_config};
+use crate::bootstrap::{build_shards, route_rows, shard_config, PlacedBuckets};
 use crate::cache::{AnswerCache, QueryKey};
 use crate::checkpoint::{ClusterCheckpoint, ShardCheckpoint};
 use crate::directory::{resolve_batch, StripedDirectory};
@@ -447,6 +447,14 @@ impl ShardSet {
     /// primary's counts and error, and the records consumed across all
     /// followers, which the `pumped` counter leaves out.
     ///
+    /// An idle step locks no engine, so an idle pump never shuts out a
+    /// reader: when the primary and every follower have applied the topic
+    /// end (atomic loads, plus the replica set's read lock for
+    /// membership), the step drains nothing. Offsets only rise, so the
+    /// copies' floor is then the topic end, lowered by the checkpoint pin
+    /// (a pin read before a newer checkpoint stores its own is lower,
+    /// which keeps more), and the step truncates below it.
+    ///
     /// A step that drains the primary also computes the shard's
     /// [`retention_floor`] over the primary, the followers (replica set
     /// read lock, the engine-wide order) and the checkpoint pin. Under
@@ -461,7 +469,14 @@ impl ShardSet {
         skip_failed: bool,
     ) -> (usize, usize, usize, Option<JanusError>) {
         let topic = self.log.topic(shard);
-        let (applied, skipped, first_error, floor) = if max_primary > 0 {
+        let end = topic.len() as u64;
+        let pin = || self.pins[shard].load(Ordering::Acquire);
+        let caught_up = |host: &ShardHost| host.applied() >= end;
+        let idle =
+            caught_up(&self.shards[shard]) && self.replicas[shard].read().iter().all(caught_up);
+        let (applied, skipped, first_error, floor) = if idle {
+            (0, 0, None, retention_floor([end], pin()))
+        } else if max_primary > 0 {
             let host = &self.shards[shard];
             let mut engine = host.write();
             let (applied, skipped, first_error) =
@@ -470,14 +485,14 @@ impl ShardSet {
             let floor = retention_floor(
                 std::iter::once(host.applied())
                     .chain(self.replicas[shard].read().iter().map(ShardHost::applied)),
-                self.pins[shard].load(Ordering::Acquire),
+                pin(),
             );
             (applied, skipped, first_error, floor)
         } else {
             (0, 0, None, None)
         };
         let mut followers = 0;
-        if max_follower > 0 {
+        if max_follower > 0 && !idle {
             for replica in self.replicas[shard].read().iter() {
                 let (a, s, _) =
                     replica.drain_locked(&mut replica.write(), topic, max_follower, skip_failed);
@@ -600,26 +615,39 @@ pub struct ClusterEngine<T: ShardTransport = ShardSet> {
 }
 
 impl<T: ShardTransport> ClusterEngine<T> {
-    /// Partitions `rows` by the configured policy — a duplicate id fails
-    /// here, before any shard is hosted — and builds the coordinator over
-    /// the transport `host` returns for the per-shard partitions, the
-    /// fresh topics, and the coordinator's scatter pool (one worker per
-    /// shard, named `{pool}-{index}`), which `host` may run its own jobs
-    /// on. [`ClusterEngine::bootstrap`] is this over in-process hosts.
+    /// Routes `rows` by the configured policy into per-shard buckets and
+    /// builds the coordinator over the transport `host` returns for them,
+    /// the fresh topics, and the coordinator's scatter pool (one worker
+    /// per shard, named `{pool}-{index}`), which `host` may run its own
+    /// jobs on. [`ClusterEngine::bootstrap`] is this over in-process
+    /// hosts.
+    ///
+    /// `host` receives the buckets in shard order, each once the row
+    /// directory holds its ids: a pool job places bucket `s + 1` while
+    /// `host` works on bucket `s` (see [`crate::bootstrap`]). A duplicate
+    /// id fails here, before any shard is hosted: the bucket holding its
+    /// second copy comes to `host` as `InvalidConfig`, so a `host` that
+    /// hosts nothing until every bucket has arrived hosts nothing at all.
     pub fn bootstrap_over(
         config: ClusterConfig,
         rows: Vec<Row>,
         pool: &str,
-        host: impl FnOnce(Vec<Vec<Row>>, Arc<ShardedLog<ShardOp>>, &ScatterPool) -> Result<Arc<T>>,
+        host: impl FnOnce(
+            &mut PlacedBuckets<'_>,
+            Arc<ShardedLog<ShardOp>>,
+            &ScatterPool,
+        ) -> Result<Arc<T>>,
     ) -> Result<Self> {
         if config.shards == 0 {
             return Err(JanusError::InvalidConfig("need at least one shard".into()));
         }
         let router = ShardRouter::new(config.policy.clone(), config.shards)?;
         let directory = StripedDirectory::with_capacity(config.shards, rows.len());
-        let per_shard = partition_rows(&router, rows, &mut directory.write_all())?;
+        let buckets = route_rows(&router, rows);
         let pool = ScatterPool::start(pool, config.shards);
-        let set = host(per_shard, Arc::new(ShardedLog::new(config.shards)), &pool)?;
+        let mut placed = PlacedBuckets::start(&pool, directory, buckets);
+        let set = host(&mut placed, Arc::new(ShardedLog::new(config.shards)), &pool)?;
+        let directory = placed.finish()?;
         Ok(Self::assemble(config, router, directory, set, 0, pool))
     }
 
@@ -712,6 +740,15 @@ impl<T: ShardTransport> ClusterEngine<T> {
     /// inserts minus published deletes, whether or not pumped yet.
     pub fn directory_len(&self) -> usize {
         self.directory.len()
+    }
+
+    /// Rows the directory places on each shard, in shard order — the
+    /// weights a deadline-partial gather gives the shards it missed.
+    /// Read without a lock.
+    pub fn directory_counts(&self) -> Vec<usize> {
+        (0..self.shards())
+            .map(|shard| self.directory.count(shard) as usize)
+            .collect()
     }
 
     /// True when any shard's backlog ([`ShardTransport::backlog`]) is
@@ -1021,15 +1058,17 @@ impl ClusterEngine<ShardSet> {
     /// Partitions `rows` by the configured policy and bootstraps one
     /// engine per shard (empty shards bootstrap lazily on first insert is
     /// *not* supported by the underlying engine, so every shard gets at
-    /// least its slab's rows; tiny shards are fine).
+    /// least its slab's rows; tiny shards are fine). Each shard's engines
+    /// are built on the calling thread while the pool places the next
+    /// shard's rows in the directory.
     pub fn bootstrap(config: ClusterConfig, rows: Vec<Row>) -> Result<Self> {
         let hosts = config.clone();
-        Self::bootstrap_over(config, rows, "janus-scatter", |per_shard, log, _| {
+        Self::bootstrap_over(config, rows, "janus-scatter", |placed, log, _| {
             // Followers bootstrap from the same rows with the same
             // per-shard seed as their primary: identical construction +
             // identical topic replay keeps them bit-identical at equal
             // offsets.
-            let (shards, replica_sets) = build_shards(&hosts.base, per_shard, hosts.replicas)?;
+            let (shards, replica_sets) = build_shards(&hosts.base, placed, hosts.replicas)?;
             Ok(ShardSet::new(&hosts, shards, replica_sets, log))
         })
     }
@@ -1626,6 +1665,35 @@ mod tests {
         });
     }
 
+    /// An idle pump step locks no engine: while this thread holds read
+    /// guards on shard 0's caught-up primary and follower, one `deliver`
+    /// step of its pump still returns `Idle` — a step that took a write
+    /// lock first would wait, which the `recv_timeout` reports as a
+    /// failure instead of a hang.
+    #[test]
+    fn an_idle_pump_step_takes_no_write_lock() {
+        let cluster = replicated_cluster(2, 10);
+        cluster.pump_all().unwrap();
+        assert_eq!(cluster.replica_pending(), 0);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let primary = cluster.set.shards[0].read();
+        let followers = cluster.set.replicas[0].read();
+        let follower = followers[0].read();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                done_tx
+                    .send(cluster.set.deliver(0, 64, &Progress::new()))
+                    .unwrap()
+            });
+            let step = done_rx.recv_timeout(Duration::from_secs(10));
+            drop((follower, primary));
+            assert_eq!(
+                step.expect("an idle pump step waited for a write lock"),
+                Delivered::Idle
+            );
+        });
+    }
+
     /// `backlog_exceeds(limit)` means "over the limit": at a settled
     /// backlog `b` it is false at `b` and true at `b - 1`, before and
     /// after a partial pump, and a drained shard exceeds no limit.
@@ -1642,16 +1710,9 @@ mod tests {
         assert!(!cluster.backlog_exceeds(0));
     }
 
-    /// The directory's per-shard row counts, in shard order.
-    fn directory_counts(cluster: &ClusterEngine) -> Vec<usize> {
-        (0..cluster.shards())
-            .map(|shard| cluster.directory.count(shard) as usize)
-            .collect()
-    }
-
     fn assert_counts_settled(cluster: &ClusterEngine, when: &str) {
         assert_eq!(
-            directory_counts(cluster),
+            cluster.directory_counts(),
             cluster.shard_populations(),
             "{when}"
         );
@@ -1688,8 +1749,8 @@ mod tests {
             .unwrap();
         assert_eq!(report.published, 2_000);
         assert_eq!(
-            directory_counts(&routed),
-            directory_counts(&classic),
+            routed.directory_counts(),
+            classic.directory_counts(),
             "routed and plain publishes, before any pump"
         );
 
@@ -1714,6 +1775,6 @@ mod tests {
         restored.pump_all().unwrap();
         classic.pump_all().unwrap();
         assert_counts_settled(&restored, "after a restore and its tail");
-        assert_eq!(directory_counts(&restored), directory_counts(&classic));
+        assert_eq!(restored.directory_counts(), classic.directory_counts());
     }
 }

@@ -7,13 +7,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`router`] | [`ShardPolicy`] (hash-by-id, or range on a predicate attribute) with [`ShardPolicy::place`], the one placement rule (a pure function of the row), and the immutable [`ShardRouter`] that applies it over a fixed shard count: row placement, per-shard slabs as [`janus_common::Rect`]s, query overlap pruning |
-//! | [`bootstrap`] | the shared shard-placement helpers: seed derivation, value→slab placement, partition-then-build |
+//! | [`bootstrap`] | the shared shard-placement helpers: seed derivation, value→slab placement, route-fill-build: [`bootstrap::PlacedBuckets`], the one bootstrap fill of the row directory, one pool job a bucket beside the caller's shard builds |
 //! | `directory` (internal) | the striped row→shard placement map: 16 stripes keyed by a SplitMix64 hash of the row id, each growing on its own, the per-shard row counts a deadline-partial gather weighs shards by, and `resolve_batch`, the publish body's resolve step (one directory probe per insert) |
 //! | [`host`] | [`host::ShardHost`], the one shard host: an engine under a `RwLock` plus its atomically published applied offset, with the topic drain, the freshness-gated read and sub-query answer, and the checkpoint capture that `ClusterEngine`, `LiveCluster` and the `janus-net` node daemon all run on; and the one copy policy both transports call: [`host::promote`], [`host::pick_read`], [`host::retention_floor`] |
 //! | [`engine`] | [`ClusterEngine`], the one coordinator over a [`ShardTransport`] — [`ShardSet`] in process, `janus-net`'s node links over TCP: lock-sharded state (`&self` everywhere — one `RwLock` per shard, router lock, striped directory, atomic counters), batch-first publish/pump ingest over [`janus_storage::ShardedLog`] (one Kafka-like topic + offset per shard, deterministic replay; [`ClusterEngine::publish_batch`], the one publish body, routes a whole batch under one lock acquisition; [`ClusterEngine::publish_batch_routed`] is a wrapper that re-routes pre-grouped batches through it), parallel scatter-gather queries merged via [`janus_common::merge`] |
-//! | `scatter` (internal) | [`ScatterPool`]: N long-lived named workers running boxed closures off two-lane ([`Priority`]) queues, and [`ScatterPool::fan_out`], the one gather (submission-order slots, single job inline, deadline-bounded) under the coordinator's scatter, `pump` and the networked bootstrap's Host jobs |
+//! | `scatter` (internal) | [`ScatterPool`]: N long-lived named workers running boxed closures off two-lane ([`Priority`]) queues, [`ScatterPool::fan_out`], the one gather (submission-order slots, single job inline, deadline-bounded) under the coordinator's scatter, `pump` and the networked bootstrap's Host jobs, and `ScatterPool::beside`, one job beside its caller (the bootstrap fill) |
 //! | `cache` (internal) | the answer cache behind [`ClusterConfig::with_answer_cache`]: exact-shape query keys, entries pinned to (rebalance generation, per-shard applied offsets), lazily self-invalidating |
-//! | [`notify`] | [`Progress`] (the condvar generation every barrier waits on), [`notify::Backoff`], and [`notify::Workers`]: the threads of one service start with their stop flag, the one delivery loop over [`ShardTransport::deliver`] (pumps in process, shippers over TCP), the one barrier [`notify::Workers::wait_until`] and one `stop` |
+//! | [`notify`] | [`Progress`] (the condvar generation every barrier waits on), [`notify::Backoff`], and [`notify::Workers`]: the threads of one service start with their stop flag, the one delivery loop over [`ShardTransport::deliver`] (pumps in process, shippers over TCP), the one barrier [`notify::Workers::wait_until`] (which gives up once a thread of the start has died by panic) and one `stop` |
 //! | [`live`] | [`LiveCluster`]: the engine as a long-running service — one background pump worker per shard plus a request/response front end over [`janus_storage::RequestLog`] (data runs republished through the batched path), with per-shard backpressure, a `drain()` barrier, graceful shutdown, and a multi-tenant submit path ([`LiveCluster::submit_query`]: admission quotas, deadlines, priority lanes) |
 //! | [`rebalance`] | the cluster-level skew trigger (largest shard ≥ `skew_factor` × median, with cooldown + minimum-gain hysteresis) and the snapshot-shipping migration built on the `janus-core` snapshot path |
 //!

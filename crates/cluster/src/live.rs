@@ -497,14 +497,22 @@ impl LiveCluster {
     /// all query responses are on the response topic. Producers that keep
     /// publishing move the goalposts; quiesce them first for a final
     /// drain.
+    ///
+    /// # Panics
+    ///
+    /// If a pump or the front end has died by panic: what it would have
+    /// applied never will be.
     pub fn drain(&self) {
         // Workers bump after every pumped batch / consumed request.
-        self.workers.wait_until(|| {
+        let drained = self.workers.wait_until(|| {
             let end = self.shared.requests.end_offset();
             self.shared.front_offset.load(Ordering::Acquire) >= end
                 && self.shared.cluster.pending() == 0
                 && self.shared.cluster.replica_pending() == 0
         });
+        if !drained {
+            self.workers.assert_alive("LiveCluster::drain");
+        }
     }
 
     /// Stops all workers and returns the inner engine. Does *not* drain

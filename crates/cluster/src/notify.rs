@@ -14,7 +14,10 @@
 //! [`Workers`] owns the threads of one service start — `LiveCluster`'s
 //! pumps and front end, `RemoteCluster`'s shippers and heartbeat — with
 //! their stop flag and their [`Progress`], and runs the one delivery
-//! loop ([`Workers::deliver`]) over [`ShardTransport::deliver`].
+//! loop ([`Workers::deliver`]) over [`ShardTransport::deliver`]. A thread
+//! that ends by panic is recorded ([`Workers::dead`]) and ends every
+//! barrier, so a dead pump or shipper fails its service's `drain` loudly
+//! instead of leaving it waiting for records nobody will deliver.
 
 use crate::engine::ShardTransport;
 use janus_common::{JanusError, Result};
@@ -184,6 +187,26 @@ pub struct Workers {
     progress: Progress,
     /// Every thread started, and whether [`Workers::unpark_all`] wakes it.
     threads: parking_lot::Mutex<Vec<(JoinHandle<()>, bool)>>,
+    /// The name of the first thread that ended by panic.
+    dead: parking_lot::Mutex<Option<String>>,
+}
+
+/// Held by every thread [`Workers::spawn`] starts: if the thread unwinds,
+/// its drop records the thread's name, unless another died first, and
+/// lifts every barrier.
+struct PanicWatch<'a>(&'a Workers);
+
+impl Drop for PanicWatch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let name = std::thread::current()
+                .name()
+                .unwrap_or("unnamed")
+                .to_owned();
+            self.0.dead.lock().get_or_insert(name);
+            self.0.progress.bump();
+        }
+    }
 }
 
 impl Workers {
@@ -193,6 +216,7 @@ impl Workers {
             stopping: AtomicBool::new(false),
             progress: Progress::new(),
             threads: parking_lot::Mutex::new(Vec::new()),
+            dead: parking_lot::Mutex::new(None),
         })
     }
 
@@ -240,7 +264,10 @@ impl Workers {
         let workers = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(name.clone())
-            .spawn(move || body(&workers))
+            .spawn(move || {
+                let _watch = PanicWatch(&workers);
+                body(&workers)
+            })
             .map_err(|e| {
                 self.stop();
                 JanusError::Storage(format!("spawn {name}: {e}"))
@@ -253,6 +280,19 @@ impl Workers {
     /// Whether [`Workers::stop`] has been called.
     pub fn stopping(&self) -> bool {
         self.stopping.load(Ordering::Acquire)
+    }
+
+    /// The first thread of this start that ended by panic, if any.
+    pub fn dead(&self) -> Option<String> {
+        self.dead.lock().clone()
+    }
+
+    /// Panics naming the thread that died, if one did — for a barrier
+    /// that gave up, so it fails loudly instead of returning as if done.
+    pub fn assert_alive(&self, barrier: &str) {
+        if let Some(name) = self.dead() {
+            panic!("{barrier}: worker thread {name} panicked");
+        }
     }
 
     /// Records progress a barrier may be waiting on.
@@ -269,19 +309,21 @@ impl Workers {
         }
     }
 
-    /// Blocks until `done` holds (`true`) or the service stops (`false`),
-    /// unparking the nudged threads each round.
+    /// Blocks until `done` holds (`true`), or until the service stops or
+    /// one of its threads has died by panic (`false`), unparking the
+    /// nudged threads each round.
     pub fn wait_until(&self, done: impl FnMut() -> bool) -> bool {
         self.progress.wait_until(
             Backoff::new(),
-            || self.stopping(),
+            || self.stopping() || self.dead.lock().is_some(),
             || self.unpark_all(),
             done,
         )
     }
 
     /// Sets the stop flag, lifts every barrier so it re-checks it, wakes
-    /// every thread and joins them all. Idempotent.
+    /// every thread and joins them all, a panicked one included (its
+    /// death stays recorded). Idempotent.
     pub fn stop(&self) {
         self.stopping.store(true, Ordering::Release);
         self.progress.bump();
@@ -392,6 +434,74 @@ mod tests {
         let start = std::time::Instant::now();
         assert!(!waiter.join().unwrap(), "aborted, condition never held");
         assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A transport of `shards` empty shards whose worker 0 panics on its
+    /// first step; the others idle and count their steps.
+    struct PanicsOnWorkerZero {
+        topics: Arc<janus_storage::ShardedLog<crate::ShardOp>>,
+        steps: std::sync::atomic::AtomicU64,
+    }
+
+    impl ShardTransport for PanicsOnWorkerZero {
+        fn topics(&self) -> &Arc<janus_storage::ShardedLog<crate::ShardOp>> {
+            &self.topics
+        }
+        fn applied(&self, _shard: usize) -> u64 {
+            0
+        }
+        fn backlog(&self, _shard: usize) -> u64 {
+            0
+        }
+        fn serve(
+            &self,
+            _shard: usize,
+            _query: &janus_common::Query,
+            _expiry: Option<std::time::Instant>,
+        ) -> Result<janus_common::merge::SubAnswer> {
+            unreachable!("no query is asked")
+        }
+        fn deliver(&self, worker: usize, _max: usize, _progress: &Progress) -> Delivered {
+            assert_ne!(worker, 0, "worker 0 fails");
+            self.steps.fetch_add(1, Ordering::Relaxed);
+            Delivered::Idle
+        }
+    }
+
+    #[test]
+    fn a_panicked_worker_ends_every_barrier_and_stop_joins_the_rest() {
+        let transport = Arc::new(PanicsOnWorkerZero {
+            topics: Arc::new(janus_storage::ShardedLog::new(3)),
+            steps: Default::default(),
+        });
+        let workers = Workers::new();
+        workers.deliver(&transport, 3, "test", 1).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let workers = Arc::clone(&workers);
+            std::thread::spawn(move || done_tx.send(workers.wait_until(|| false)).unwrap())
+        };
+        let held = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(held, Ok(false), "the barrier gives up on a dead worker");
+        waiter.join().unwrap();
+        assert_eq!(workers.dead().as_deref(), Some("janus-test-0"));
+        let dies = std::panic::catch_unwind(|| workers.assert_alive("drain"));
+        assert!(dies.is_err(), "a barrier that gave up on it fails loudly");
+
+        // The surviving workers keep stepping until `stop` joins them.
+        while transport.steps.load(Ordering::Relaxed) < 2 {
+            std::thread::yield_now();
+        }
+        workers.stop();
+        assert!(workers.threads.lock().is_empty());
+        let steps = transport.steps.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            transport.steps.load(Ordering::Relaxed),
+            steps,
+            "nothing steps after stop"
+        );
+        assert_eq!(workers.dead().as_deref(), Some("janus-test-0"));
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! A [`ScatterPool`] is N long-lived named threads, each fed by its own
 //! channel of boxed closures. The pool knows nothing about shards,
 //! queries or sockets: [`crate::ClusterEngine`] owns one, a worker per
-//! shard, for sub-queries over either transport, `pump` drains and the
-//! networked bootstrap's Host jobs, and reaches it only through
-//! [`ScatterPool::fan_out`] — the single
-//! function in the tree that opens a reply channel, tags gather slots and
-//! waits on a deadline. No thread is created per call.
+//! shard, for sub-queries over either transport, `pump` drains, the
+//! bootstrap's directory fill and the networked bootstrap's Host jobs.
+//! It reaches the pool through two calls, and this file is the only one
+//! in the coordinator crates that opens a reply channel:
+//!
+//! * [`ScatterPool::fan_out`] — the one gather: it tags gather slots and
+//!   waits for every job or until a deadline;
+//! * [`ScatterPool::beside`] — one job on one worker while the caller
+//!   works, awaited later with [`Pending::wait`].
+//!
+//! No thread is created per call.
 //!
 //! Workers take no lock of their own and never wait on each other, so the
 //! pool adds no lock-order edge; whatever a job locks, it locks as if its
@@ -73,6 +79,21 @@ impl ScatterPool {
             .expect("pool workers outlive the pool's owner");
     }
 
+    /// Runs `job` on `worker` in the bulk lane and returns at once, so
+    /// the caller works beside it; [`Pending::wait`] collects its value.
+    /// Unlike a lone [`ScatterPool::fan_out`] job, it never runs inline.
+    pub(crate) fn beside<T, F>(&self, worker: usize, job: F) -> Pending<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A caller that dropped its `Pending` wants no value.
+        let task = move || drop(tx.send(job()));
+        self.submit(worker, Priority::Bulk, Box::new(task));
+        Pending { reply: rx }
+    }
+
     /// Runs every `(worker, job)` pair on its worker in the `priority`
     /// lane and gathers the results **in submission order**: slot `i`
     /// holds job `i`'s return value, or `None` if it had not replied when
@@ -135,6 +156,20 @@ impl ScatterPool {
             slots[slot] = Some(value);
         }
         slots
+    }
+}
+
+/// A job [`ScatterPool::beside`] runs on a worker while its submitter
+/// works.
+#[must_use = "a job run beside the caller is collected with `wait`"]
+pub(crate) struct Pending<T> {
+    reply: Receiver<T>,
+}
+
+impl<T> Pending<T> {
+    /// Blocks until the job has returned, and hands back its value.
+    pub(crate) fn wait(self) -> T {
+        self.reply.recv().expect("pool worker died")
     }
 }
 
@@ -271,6 +306,18 @@ mod tests {
         let pair = pool.fan_out(Priority::Bulk, None, [(1, whoami), (0, whoami)]);
         let names = ["t-1", "t-0"].map(|name| Some(Some(name.to_owned())));
         assert_eq!(pair, names);
+    }
+
+    #[test]
+    fn a_job_beside_the_caller_runs_on_its_worker_while_the_caller_works() {
+        let pool = ScatterPool::start("t", 2);
+        let (release, gate) = gated(7);
+        let whoami = || std::thread::current().name().map(str::to_owned);
+        // The job blocks until the caller opens its gate, so `beside`
+        // returned before the job could finish.
+        let pending = pool.beside(1, move || (gate(), whoami()));
+        drop(release);
+        assert_eq!(pending.wait(), (7, Some("t-1".to_owned())));
     }
 
     #[test]

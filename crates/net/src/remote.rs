@@ -47,11 +47,15 @@
 //! coordinator topic, so recovery is bit-exact for every acknowledged
 //! record.
 //!
-//! The bootstrap partitions the rows first (the coordinator's own
-//! partition), so a duplicate id fails before any node hosts anything;
-//! then it encodes each shard's [`Frame::Host`] once, on the caller,
-//! dropping the shard's rows as it goes, and ships every node's frames at
-//! once through the coordinator's scatter pool, one
+//! The bootstrap is the coordinator's own
+//! ([`ClusterEngine::bootstrap_over`]): it routes the rows into per-shard
+//! buckets and hands them over in shard order, each once a pool job has
+//! placed its ids in the row directory, the next bucket's job running
+//! meanwhile. This module encodes each shard's [`Frame::Host`] once, on
+//! the caller, as its bucket arrives, dropping the bucket's rows as it
+//! goes, and ships nothing until the last bucket is placed, so a
+//! duplicate id fails before any node hosts anything. Then it ships every
+//! node's frames at once through the coordinator's scatter pool, one
 //! [`ScatterPool::fan_out`] job per node. A node job that fails makes the
 //! bootstrap release every shard it hosted.
 //!
@@ -84,7 +88,7 @@
 use crate::directory::{Directory, NodeDesc};
 use crate::node::NodeConfig;
 use crate::wire::{self, Frame, QueryOutcome};
-use janus_cluster::bootstrap::shard_config;
+use janus_cluster::bootstrap::{shard_config, PlacedBuckets};
 use janus_cluster::host::{pick_read, retention_floor, UNPINNED};
 use janus_cluster::notify::{Delivered, Progress, Workers};
 use janus_cluster::{
@@ -743,13 +747,15 @@ fn heartbeat_loop(shared: &NodeLinks, workers: &Workers) {
     }
 }
 
-/// Ships every shard's bootstrap partition to its hosts, all nodes at
-/// once. Each shard's [`Frame::Host`] is encoded once, on the calling
-/// thread, and its rows are dropped right after; every copy of the shard
-/// is sent the same bytes. One [`ScatterPool::fan_out`] job per node
-/// writes that node's frames in shard order, so every node decodes and
-/// builds its engines while the others build theirs, and node `k` is
-/// already shipping while the caller encodes node `k + 1`'s frames.
+/// Ships every shard's bootstrap bucket to its hosts, all nodes at once.
+/// Each shard's [`Frame::Host`] is encoded once, on the calling thread,
+/// as its bucket arrives placed (the pool places the next bucket
+/// meanwhile), and the bucket's rows are dropped right after; every copy
+/// of the shard is sent the same bytes. Nothing is sent until the last
+/// bucket is placed, so a duplicate id fails before any node hosts a
+/// shard. Then one [`ScatterPool::fan_out`] job per node writes that
+/// node's frames in shard order, so every node decodes and builds its
+/// engines while the others build theirs.
 ///
 /// If any node fails, every shard this bootstrap may have hosted is
 /// released (best-effort), so the fleet can be bootstrapped again, and
@@ -757,28 +763,28 @@ fn heartbeat_loop(shared: &NodeLinks, workers: &Workers) {
 fn host_shards(
     shared: &Arc<NodeLinks>,
     pool: &ScatterPool,
-    mut per_shard: Vec<Vec<Row>>,
+    placed: &mut PlacedBuckets<'_>,
 ) -> Result<()> {
+    let encoded = (0u32..)
+        .zip(placed)
+        .map(|(shard, rows)| {
+            Ok(Arc::new(wire::encode_frame(&Frame::Host {
+                shard,
+                config: shard_config(&shared.config.base, shard as usize),
+                rows: rows?,
+            })))
+        })
+        .collect::<Result<Vec<Arc<Vec<u8>>>>>()?;
     let plan: Vec<Vec<u32>> = {
         let dir = shared.directory.read();
         (0..shared.links.len())
             .map(|node| dir.hosted_shards(node))
             .collect()
     };
-    let mut encoded: Vec<Option<Arc<Vec<u8>>>> = vec![None; per_shard.len()];
     let jobs = plan.into_iter().enumerate().map(|(node, hosted)| {
         let frames: Vec<(u32, Arc<Vec<u8>>)> = hosted
             .into_iter()
-            .map(|shard| {
-                let bytes = encoded[shard as usize].get_or_insert_with(|| {
-                    Arc::new(wire::encode_frame(&Frame::Host {
-                        shard,
-                        config: shard_config(&shared.config.base, shard as usize),
-                        rows: std::mem::take(&mut per_shard[shard as usize]),
-                    }))
-                });
-                (shard, Arc::clone(bytes))
-            })
+            .map(|shard| (shard, Arc::clone(&encoded[shard as usize])))
             .collect();
         let worker = node % shared.config.shards;
         let shared = Arc::clone(shared);
@@ -999,9 +1005,11 @@ impl RemoteCluster {
     /// `config.shards` shards exactly like the in-process cluster
     /// (same router, same per-shard seeds), places primaries and
     /// distinct-failure-domain followers via [`Directory::place`], and
-    /// ships each shard's bootstrap partition to its hosts, every node at
-    /// once. A failed bootstrap releases the shards it hosted, so the
-    /// same fleet can be bootstrapped again.
+    /// ships each shard's bootstrap bucket to its hosts, every node at
+    /// once, after the coordinator's directory holds every row. A
+    /// duplicate id fails before any node hosts a shard, and a failed
+    /// bootstrap releases the shards it hosted, so the same fleet can be
+    /// bootstrapped again.
     pub fn bootstrap(config: RemoteConfig, rows: Vec<Row>, addrs: &[SocketAddr]) -> Result<Self> {
         config.base.validate()?;
         if config.shards == 0 {
@@ -1021,7 +1029,7 @@ impl RemoteCluster {
             coordinator,
             rows,
             "janus-gather",
-            |per_shard, topics, pool| {
+            |placed, topics, pool| {
                 let shared = Arc::new(NodeLinks {
                     config,
                     topics,
@@ -1032,7 +1040,7 @@ impl RemoteCluster {
                     query_seq: AtomicU64::new(0),
                     counters: Counters::default(),
                 });
-                host_shards(&shared, pool, per_shard)?;
+                host_shards(&shared, pool, placed)?;
                 Ok(shared)
             },
         )?;
@@ -1108,8 +1116,15 @@ impl RemoteCluster {
     /// Blocks until every alive copy of every shard has applied the full
     /// topic — the networked drain barrier. Each publish ack carries the
     /// applied offset and wakes it; each round also unparks the shippers.
+    ///
+    /// # Panics
+    ///
+    /// If a shipper or the heartbeat has died by panic: the copies it
+    /// served would never converge.
     pub fn drain(&self) {
-        self.workers.wait_until(|| self.drained());
+        if !self.workers.wait_until(|| self.drained()) {
+            self.workers.assert_alive("RemoteCluster::drain");
+        }
     }
 
     fn drained(&self) -> bool {

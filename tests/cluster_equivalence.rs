@@ -8,6 +8,7 @@
 //! queries are sampling-based, so they are compared through confidence
 //! intervals and relative error instead.
 
+use janus::common::JanusError;
 use janus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -300,4 +301,34 @@ fn duplicate_inserts_and_missing_deletes_error_at_publish() {
     cluster.publish_delete(50_000).unwrap();
     cluster.pump_all().unwrap();
     assert_eq!(cluster.population(), 2_000);
+}
+
+/// A bootstrap places its rows in the directory bucket by bucket while it
+/// builds the shards. An id in shard 0's slab and again in shard 3's is
+/// met only in the last bucket, after three shards are built, and still
+/// fails the bootstrap. A clean bootstrap places every row, and the
+/// per-shard counts a deadline-partial gather weighs shards by equal the
+/// shard populations.
+#[test]
+fn a_duplicate_in_a_later_bucket_fails_the_bootstrap_and_a_clean_one_fills_the_directory() {
+    let config = || {
+        let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+        ClusterConfig::new(exact_config(19), 4, policy)
+    };
+    let clean = rows(2_000, 19);
+    let first = clean.iter().find(|row| row.values[0] < 25.0).unwrap().id;
+    let mut duplicated = clean.clone();
+    duplicated.push(Row::new(first, vec![90.0, 270.0]));
+    match ClusterEngine::bootstrap(config(), duplicated) {
+        Err(JanusError::InvalidConfig(message)) => {
+            assert!(message.contains("duplicate row id"), "{message}")
+        }
+        Err(e) => panic!("a duplicate id must be InvalidConfig, got {e}"),
+        Ok(_) => panic!("a duplicate id must fail the bootstrap"),
+    }
+    let cluster = ClusterEngine::bootstrap(config(), clean).unwrap();
+    assert_eq!(cluster.directory_len(), 2_000);
+    let populations = cluster.shard_populations();
+    assert!(populations.iter().all(|&n| n > 0), "{populations:?}");
+    assert_eq!(cluster.directory_counts(), populations);
 }

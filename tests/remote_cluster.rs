@@ -930,3 +930,34 @@ fn move_shard_refuses_a_node_that_already_holds_a_copy() {
     remote.shutdown_nodes();
     remote.shutdown();
 }
+
+/// The coordinator places the bootstrap rows bucket by bucket while it
+/// encodes the Host frames, and ships none until the last bucket is
+/// placed: an id in shard 0's slab and again in shard 3's, met only in
+/// the last bucket, still fails the bootstrap before any node hosts a
+/// shard, so the fleet then bootstraps the clean rows in full.
+#[test]
+fn a_duplicate_in_a_later_bucket_fails_before_any_node_hosts_a_shard() {
+    let fleet = local_fleet(2).expect("start fleet");
+    let addrs = addrs_of(&fleet);
+    let config_of = || {
+        let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
+        RemoteConfig::new(config(53), 4, policy)
+    };
+    let clean = rows(2_000, 53);
+    let first = clean.iter().find(|row| row.values[0] < 25.0).unwrap().id;
+    let mut duplicated = clean.clone();
+    duplicated.push(Row::new(first, vec![90.0, 181.0]));
+    match RemoteCluster::bootstrap(config_of(), duplicated, &addrs) {
+        Err(JanusError::InvalidConfig(message)) => {
+            assert!(message.contains("duplicate row id"), "{message}")
+        }
+        Err(e) => panic!("a duplicate id must be InvalidConfig, got {e}"),
+        Ok(_) => panic!("a duplicate id must fail the bootstrap"),
+    }
+    let remote = RemoteCluster::bootstrap(config_of(), clean, &addrs)
+        .expect("nothing was hosted, so a clean bootstrap succeeds");
+    assert_eq!(remote.population().unwrap(), 2_000);
+    remote.shutdown_nodes();
+    remote.shutdown();
+}
