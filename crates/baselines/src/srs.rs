@@ -79,11 +79,6 @@ impl StratifiedReservoirBaseline {
         self.seed ^ self.seed_counter
     }
 
-    /// Number of strata.
-    pub fn stratum_count(&self) -> usize {
-        self.strata.len()
-    }
-
     /// Current table size.
     pub fn population(&self) -> usize {
         self.archive.len()
@@ -253,7 +248,7 @@ mod tests {
     #[test]
     fn bootstrap_builds_proportional_strata() {
         let b = StratifiedReservoirBaseline::bootstrap(rows(10_000, 1), 0, 16, 0.05, 1).unwrap();
-        assert_eq!(b.stratum_count(), 16);
+        assert_eq!(b.strata.len(), 16);
         let total_pop: f64 = b.populations.iter().sum();
         assert_eq!(total_pop as usize, 10_000);
         // Equal-depth: populations roughly equal.

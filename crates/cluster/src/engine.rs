@@ -1189,6 +1189,15 @@ impl ClusterEngine<ShardSet> {
             .sum()
     }
 
+    /// Whether `shard`'s primary or one of its followers has yet to apply
+    /// the whole topic: whether its pump has anything to deliver.
+    /// Allocation-free, like [`ClusterEngine::pending`].
+    pub(crate) fn shard_behind(&self, shard: usize) -> bool {
+        let end = self.topic_end(shard);
+        let followers = self.set.replicas[shard].read();
+        self.set.backlog(shard) > 0 || followers.iter().any(|r| r.applied() < end)
+    }
+
     /// Drains up to `max_per_shard` topic records into every shard engine,
     /// in offset order per shard; returns the number applied. Shards are
     /// independent, so they drain in parallel on the persistent worker

@@ -23,7 +23,9 @@
 //!   blocks the others; progress probes ([`ClusterEngine::pending`],
 //!   [`LiveCluster::drain`]) read each host's applied offset atomically
 //!   and never wait on a shard lock. An idle worker parks briefly and is
-//!   unparked when the front end publishes new records.
+//!   unparked when the front end publishes records to its shard, or by a
+//!   [`LiveCluster::drain`] round while its shard or a follower trails
+//!   the topic.
 //! * **One front-end worker** consuming a [`janus_storage::RequestLog`]
 //!   from offset zero, in arrival order: runs of consecutive
 //!   `Insert`/`Delete` requests are republished through the *batched*
@@ -503,12 +505,21 @@ impl LiveCluster {
     /// If a pump or the front end has died by panic: what it would have
     /// applied never will be.
     pub fn drain(&self) {
-        // Workers bump after every pumped batch / consumed request.
-        let drained = self.workers.wait_until(|| {
-            let end = self.shared.requests.end_offset();
-            self.shared.front_offset.load(Ordering::Acquire) >= end
-                && self.shared.cluster.pending() == 0
-                && self.shared.cluster.replica_pending() == 0
+        let (shared, frontend) = (&self.shared, &self.frontend);
+        let unconsumed =
+            || shared.front_offset.load(Ordering::Acquire) < shared.requests.end_offset();
+        // Each round wakes only the workers with something left to do: the
+        // front end while requests are unconsumed, and the pump of each
+        // shard whose primary or a follower trails its topic. Workers bump
+        // after every pumped batch / consumed request.
+        let nudge = |workers: &Workers| {
+            if unconsumed() {
+                frontend.unpark();
+            }
+            workers.unpark_workers(|shard| shared.cluster.shard_behind(shard));
+        };
+        let drained = self.workers.wait_until_nudging(nudge, || {
+            !unconsumed() && shared.cluster.pending() == 0 && shared.cluster.replica_pending() == 0
         });
         if !drained {
             self.workers.assert_alive("LiveCluster::drain");
@@ -620,7 +631,6 @@ fn frontend_loop(shared: &Shared, workers: &Workers, live: &LiveConfig) {
             .requests
             .requests
             .truncate_below(offset.min(saved_request_offset));
-        workers.unpark_all();
         if workers.stopping() {
             return;
         }
@@ -709,7 +719,10 @@ fn flush_ops(
             return false;
         }
         let slice: Vec<ShardOp> = queue.drain(..take).collect();
-        let report = shared.cluster.publish_batch(slice);
+        let mut landed = 0u64;
+        let report = shared
+            .cluster
+            .publish_batch_with(slice, |shard| landed |= 1 << (shard % 64));
         if report.rejected > 0 {
             counters
                 .rejected_requests
@@ -721,7 +734,9 @@ fn flush_ops(
             .fetch_add(take as u64, Ordering::Relaxed);
         shared.front_offset.store(*offset, Ordering::Release);
         workers.bump();
-        workers.unpark_all();
+        // Wake the pumps of the shards the slice landed on (a shard past
+        // 63 shares its bit with `shard % 64`, which wakes a spare pump).
+        workers.unpark_workers(|shard| landed & (1 << (shard % 64)) != 0);
     }
     true
 }

@@ -17,7 +17,11 @@
 //! loop ([`Workers::deliver`]) over [`ShardTransport::deliver`]. A thread
 //! that ends by panic is recorded ([`Workers::dead`]) and ends every
 //! barrier, so a dead pump or shipper fails its service's `drain` loudly
-//! instead of leaving it waiting for records nobody will deliver.
+//! instead of leaving it waiting for records nobody will deliver. A
+//! barrier's round unparks every nudged thread ([`Workers::wait_until`]),
+//! or only the ones a barrier that knows what it waits on picks
+//! (`Workers::wait_until_nudging`, `Workers::unpark_workers`): an idle
+//! delivery worker unparked each round steps for nothing.
 
 use crate::engine::ShardTransport;
 use janus_common::{JanusError, Result};
@@ -187,6 +191,8 @@ pub struct Workers {
     progress: Progress,
     /// Every thread started, and whether [`Workers::unpark_all`] wakes it.
     threads: parking_lot::Mutex<Vec<(JoinHandle<()>, bool)>>,
+    /// The delivery workers [`Workers::deliver`] started, by worker index.
+    delivery: parking_lot::Mutex<Vec<Thread>>,
     /// The name of the first thread that ended by panic.
     dead: parking_lot::Mutex<Option<String>>,
 }
@@ -216,6 +222,7 @@ impl Workers {
             stopping: AtomicBool::new(false),
             progress: Progress::new(),
             threads: parking_lot::Mutex::new(Vec::new()),
+            delivery: parking_lot::Mutex::new(Vec::new()),
             dead: parking_lot::Mutex::new(None),
         })
     }
@@ -232,7 +239,8 @@ impl Workers {
         for worker in 0..count {
             let transport = Arc::clone(transport);
             let name = format!("janus-{role}-{worker}");
-            self.spawn(name, true, move |w| w.run(&*transport, worker, max))?;
+            let thread = self.spawn(name, true, move |w| w.run(&*transport, worker, max))?;
+            self.delivery.lock().push(thread);
         }
         Ok(())
     }
@@ -309,14 +317,35 @@ impl Workers {
         }
     }
 
+    /// Unparks the delivery workers `wake` picks, by worker index: the
+    /// ones with something to deliver.
+    pub(crate) fn unpark_workers(&self, mut wake: impl FnMut(usize) -> bool) {
+        for (worker, thread) in self.delivery.lock().iter().enumerate() {
+            if wake(worker) {
+                thread.unpark();
+            }
+        }
+    }
+
     /// Blocks until `done` holds (`true`), or until the service stops or
     /// one of its threads has died by panic (`false`), unparking the
     /// nudged threads each round.
     pub fn wait_until(&self, done: impl FnMut() -> bool) -> bool {
+        self.wait_until_nudging(Self::unpark_all, done)
+    }
+
+    /// [`Workers::wait_until`] whose rounds wake only the threads `nudge`
+    /// unparks — for a barrier that knows which workers its condition
+    /// waits on, so an idle one is not stepped each round.
+    pub(crate) fn wait_until_nudging(
+        &self,
+        mut nudge: impl FnMut(&Self),
+        done: impl FnMut() -> bool,
+    ) -> bool {
         self.progress.wait_until(
             Backoff::new(),
             || self.stopping() || self.dead.lock().is_some(),
-            || self.unpark_all(),
+            || nudge(self),
             done,
         )
     }
@@ -327,6 +356,7 @@ impl Workers {
     pub fn stop(&self) {
         self.stopping.store(true, Ordering::Release);
         self.progress.bump();
+        self.delivery.lock().clear();
         let threads = std::mem::take(&mut *self.threads.lock());
         for (thread, _) in &threads {
             thread.thread().unpark();
@@ -502,6 +532,75 @@ mod tests {
             "nothing steps after stop"
         );
         assert_eq!(workers.dead().as_deref(), Some("janus-test-0"));
+    }
+
+    /// A transport of two empty shards whose workers count their steps:
+    /// worker 1 records progress on every step, as a pump applying a
+    /// record does, and worker 0 never has anything to deliver.
+    struct CountsSteps {
+        topics: Arc<janus_storage::ShardedLog<crate::ShardOp>>,
+        steps: [std::sync::atomic::AtomicU64; 2],
+    }
+
+    impl ShardTransport for CountsSteps {
+        fn topics(&self) -> &Arc<janus_storage::ShardedLog<crate::ShardOp>> {
+            &self.topics
+        }
+        fn applied(&self, _shard: usize) -> u64 {
+            0
+        }
+        fn backlog(&self, _shard: usize) -> u64 {
+            0
+        }
+        fn serve(
+            &self,
+            _shard: usize,
+            _query: &janus_common::Query,
+            _expiry: Option<std::time::Instant>,
+        ) -> Result<janus_common::merge::SubAnswer> {
+            unreachable!("no query is asked")
+        }
+        fn deliver(&self, worker: usize, _max: usize, progress: &Progress) -> Delivered {
+            self.steps[worker].fetch_add(1, Ordering::Relaxed);
+            if worker == 1 {
+                progress.bump();
+            }
+            Delivered::Idle
+        }
+    }
+
+    /// A barrier waiting on worker 1 alone steps idle worker 0 on its own
+    /// backoff only when its nudge names worker 1, but about once a round
+    /// when it unparks every worker. Each round ends on a step of worker
+    /// 1, so both barriers run about `ROUNDS` rounds.
+    #[test]
+    fn a_barrier_that_names_its_worker_leaves_the_idle_one_parked() {
+        const ROUNDS: u64 = 1_000;
+        let idle_steps = |targeted: bool| {
+            let transport = Arc::new(CountsSteps {
+                topics: Arc::new(janus_storage::ShardedLog::new(2)),
+                steps: Default::default(),
+            });
+            let workers = Workers::new();
+            workers.deliver(&transport, 2, "test", 1).unwrap();
+            let steps = |worker: usize| transport.steps[worker].load(Ordering::Relaxed);
+            let (before, target) = (steps(0), steps(1) + ROUNDS);
+            let done = || steps(1) >= target;
+            let held = if targeted {
+                workers.wait_until_nudging(|w| w.unpark_workers(|worker| worker == 1), done)
+            } else {
+                workers.wait_until(done)
+            };
+            assert!(held);
+            let idle = steps(0) - before;
+            workers.stop();
+            idle
+        };
+        let (named, all) = (idle_steps(true), idle_steps(false));
+        assert!(
+            named * 4 < all && named < ROUNDS / 4,
+            "idle worker stepped {named} times under a named nudge, {all} under unpark_all"
+        );
     }
 
     #[test]

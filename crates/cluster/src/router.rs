@@ -15,7 +15,7 @@
 
 use crate::bootstrap::shard_of_value;
 use janus_common::faults::mix64;
-use janus_common::{JanusError, Query, Rect, Result, Row, RowRef};
+use janus_common::{JanusError, Query, Result, Row, RowRef};
 
 /// How rows are assigned to shards.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,34 +135,6 @@ impl ShardRouter {
     #[inline]
     pub fn route(&self, row: &Row) -> usize {
         self.policy.place(row.as_ref(), self.shards)
-    }
-
-    /// The slab of predicate space shard `shard` can contain, as a
-    /// `dims`-dimensional [`Rect`] (unbounded in every non-routing
-    /// dimension; fully unbounded under discrete policies). `column_dim`
-    /// maps the routing column to its position among the predicate
-    /// dimensions, `None` when the routing attribute is not a predicate
-    /// attribute.
-    pub fn shard_slab(&self, shard: usize, dims: usize, column_dim: Option<usize>) -> Rect {
-        let mut rect = Rect::unbounded(dims);
-        if let (ShardPolicy::Range { bounds, .. }, Some(d)) = (&self.policy, column_dim) {
-            let lo = if shard == 0 {
-                f64::NEG_INFINITY
-            } else {
-                bounds[shard - 1]
-            };
-            let hi = if shard + 1 == self.shards {
-                f64::INFINITY
-            } else {
-                bounds[shard]
-            };
-            let mut lo_corner = rect.lo().to_vec();
-            let mut hi_corner = rect.hi().to_vec();
-            lo_corner[d] = lo;
-            hi_corner[d] = hi;
-            rect = Rect::new(lo_corner, hi_corner).expect("ascending bounds form a box");
-        }
-        rect
     }
 
     /// The shards a query can touch: under `Range` (with the routing
@@ -295,21 +267,6 @@ mod tests {
         // Hash policy cannot prune.
         let all = ShardRouter::new(ShardPolicy::HashById, 4).unwrap();
         assert_eq!(all.overlapping(&range_query(5.0, 6.0)).len(), 4);
-    }
-
-    #[test]
-    fn slabs_tile_predicate_space() {
-        let policy = ShardPolicy::range_equal_width(0, 0.0, 100.0, 4).unwrap();
-        let r = ShardRouter::new(policy, 4).unwrap();
-        for x in [-10.0, 0.0, 24.9999, 25.0, 77.0, 1e9] {
-            let hits = (0..4)
-                .filter(|&s| r.shard_slab(s, 1, Some(0)).contains(&[x]))
-                .count();
-            assert_eq!(hits, 1, "x = {x}");
-        }
-        // Discrete policies: every slab is all of space.
-        let hash = ShardRouter::new(ShardPolicy::HashById, 2).unwrap();
-        assert!(hash.shard_slab(0, 1, Some(0)).contains(&[1e300]));
     }
 
     #[test]

@@ -301,24 +301,6 @@ pub fn check_protocol(site: &str) -> Result<()> {
     }
 }
 
-/// Raw-I/O failpoint (`io::ErrorKind::Other`) for sites inside
-/// `std::io`-typed call chains (socket reads/writes, file writes).
-#[inline]
-pub fn check_io(site: &str) -> std::io::Result<()> {
-    match hit(site) {
-        None => Ok(()),
-        Some(f) => match f.kind {
-            FaultKind::Stall(ms) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(())
-            }
-            FaultKind::Error | FaultKind::CorruptBit => {
-                Err(std::io::Error::other(format!("injected fault at {site}")))
-            }
-        },
-    }
-}
-
 /// Corruption failpoint for sites that own a byte buffer: on
 /// [`FaultKind::CorruptBit`] / [`FaultKind::Error`], flips one bit chosen
 /// by the hit's entropy word (same seed ⇒ same bit) and returns `true`;
@@ -429,14 +411,9 @@ mod tests {
     #[test]
     fn typed_helpers_map_kinds_to_errors() {
         let _g = lock();
-        install(
-            FaultPlan::new(1)
-                .rule("s", TriggerMode::Permanent { after: 1 }, FaultKind::Error)
-                .rule("io", TriggerMode::Permanent { after: 1 }, FaultKind::Error),
-        );
+        install(FaultPlan::new(1).rule("s", TriggerMode::Permanent { after: 1 }, FaultKind::Error));
         assert!(matches!(check_storage("s"), Err(JanusError::Storage(_))));
         assert!(matches!(check_protocol("s"), Err(JanusError::Protocol(_))));
-        assert!(check_io("io").is_err());
         reset();
     }
 

@@ -103,12 +103,6 @@ impl Moments {
         (self.count > 0.0).then(|| self.sum / self.count)
     }
 
-    /// Population variance `E[a²] - E[a]²`, clamped at zero; `None` if empty.
-    pub fn population_variance(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        Some((self.sumsq / self.count - mean * mean).max(0.0))
-    }
-
     /// The paper's un-normalized variance kernel
     /// `n·Σa² − (Σa)²` (appears in every ν_s / ν_c formula of §C/§D),
     /// clamped at zero against floating-point cancellation.
@@ -145,13 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_variance() {
+    fn mean() {
         let m = Moments::from_values([2.0, 4.0, 6.0]);
         assert_eq!(m.mean(), Some(4.0));
-        let v = m.population_variance().unwrap();
-        assert!((v - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(Moments::ZERO.mean(), None);
-        assert_eq!(Moments::ZERO.population_variance(), None);
     }
 
     #[test]

@@ -10,15 +10,23 @@
 //!
 //! The queue is flat, in the archive's own layout: one id column and one
 //! arity-strided value buffer, copied straight from the shuffled archive
-//! slots ([`ArchiveStore::for_each_shuffled`]) and handed out as
+//! slots ([`ArchiveStore::for_each_in`]) and handed out as
 //! [`ArchiveColumns`] chunks of borrowed [`RowRef`]s. A `0.1·|D|` goal
 //! is thus held in two allocations, not one heap `Row` per sample. Rows
 //! materialize only where they cross an ownership boundary: a synopsis
 //! snapshot saves the unconsumed remainder as `Vec<Row>`, and a restore
 //! reads it back with [`CatchupQueue::from_rows`].
+//!
+//! The order is a [`SlotOrder`], the archive's seeded slot shuffle
+//! (drawn over `u32` slot indices), of which the queue copies the first
+//! `⌈catchup_ratio·|D|⌉` rows. A bootstrap draws it on the calling thread
+//! while a helper thread builds the archive's id index (see
+//! `JanusEngine`'s "Bootstrap"); a re-initialization
+//! ([`CatchupQueue::over_archive`] from §5.4's `restart_catchup`) still
+//! draws the whole shuffle, serially, for that prefix.
 
 use janus_common::{JanusError, Result, Row, RowId, RowRef};
-use janus_storage::{ArchiveColumns, ArchiveStore};
+use janus_storage::{ArchiveColumns, ArchiveStore, SlotOrder};
 
 /// A snapshot queue of shuffled historical rows: exactly the rows the
 /// catch-up phase will apply to reach its sample goal, in order.
@@ -72,9 +80,14 @@ impl CatchupQueue {
     /// goal, so the rest of the shuffle would be dead weight for the
     /// engine's lifetime.
     pub fn over_archive(archive: &ArchiveStore, catchup_ratio: f64, seed: u64) -> Self {
+        Self::in_order(archive, catchup_ratio, &archive.slot_order(seed))
+    }
+
+    /// [`CatchupQueue::over_archive`] in an order already drawn.
+    pub fn in_order(archive: &ArchiveStore, catchup_ratio: f64, order: &SlotOrder) -> Self {
         let goal = ((catchup_ratio * archive.len() as f64).ceil() as usize).min(archive.len());
         let mut queue = Self::with_capacity(goal, archive.arity());
-        archive.for_each_shuffled(seed, goal, |row| queue.push(row));
+        archive.for_each_in(order, goal, |row| queue.push(row));
         queue
     }
 

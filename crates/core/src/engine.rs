@@ -16,6 +16,46 @@
 //! caller pumps it ([`JanusEngine::advance_catchup`]) — which is exactly
 //! what reproducible experiments need. The multi-threaded façade used for
 //! the throughput experiments lives in [`crate::concurrent`].
+//!
+//! ## Bootstrap
+//!
+//! Every engine built from a table — [`JanusEngine::bootstrap`],
+//! [`JanusEngine::bootstrap_without_catchup`],
+//! [`JanusEngine::bootstrap_templates`], each in-process cluster shard and
+//! each shard a `janus-node` hosts — comes out of one two-core build
+//! (`JanusEngine::build`):
+//!
+//! 1. the archive's column pass ([`ArchiveStore::fill_columns`]) on the
+//!    calling thread;
+//! 2. one scoped helper thread runs the archive's read-only id-index pass
+//!    ([`ArchiveStore::index_slots`]), which nothing in the synopsis build
+//!    reads, while the calling thread draws the catch-up shuffle, draws
+//!    the pooled reservoir, loads **M**, partitions, builds the tree and
+//!    strata, copies the catch-up queue, and (for `bootstrap`) runs
+//!    catch-up to its goal — all reads of the archive by slot;
+//! 3. the caller joins the helper and installs the index. If the index
+//!    pass met a repeated id, the speculative synopses are dropped, the
+//!    archive is compacted in place ([`ArchiveStore::index_columns`]) and
+//!    step 2's synopsis build runs again, alone: a repeated id keeps its
+//!    first copy, exactly as in a per-row build. A row of another arity
+//!    ends the column pass, and the rest of the table goes through the
+//!    index before step 2, as in [`ArchiveStore::try_from_rows`].
+//!
+//! **Allocation order.** Everything is allocated on the calling thread:
+//! the columns (each input row freed once copied), the id map sized for
+//! every row, the input vector's buffer freed, then the synopsis side,
+//! whose first allocation is the catch-up shuffle buffer (then the
+//! reservoir, **M**, the tree and the queue). The helper allocates
+//! nothing. Where a large buffer is allocated moves `peak_rss_mb`
+//! (ROADMAP item 10) on `engine_stream`: a shuffle buffer allocated before
+//! the id map read +2.4%, one drawn after the tree (the serial build's
+//! place) +0.2%, and one drawn first, as here, −0.2%.
+//!
+//! The shuffle stays on the calling thread. Drawn over `u32` slots it is
+//! ~5 ms of a 500k-row bootstrap, while the index pass takes ~14–35 ms
+//! and is the longer half: drawing the shuffle on the helper ahead of the
+//! index put the helper on the critical path, and `setup_s` read lower
+//! than the serial build's in fewer pairs.
 
 use crate::catchup::CatchupQueue;
 use crate::concurrent::UpdateRef;
@@ -23,10 +63,10 @@ use crate::config::SynopsisConfig;
 use crate::estimator::Gathered;
 use crate::maxvar::MaxVarianceIndex;
 use crate::partition::{PartitionOutcome, Partitioner};
-use crate::synopsis::{PooledSample, Synopsis};
+use crate::synopsis::{PooledSample, Seeds, Synopsis};
 use crate::tree::Dpt;
 use crate::trigger::{self, TriggerConfig};
-use janus_common::{Estimate, JanusError, Query, Result, Row, RowId, RowRef};
+use janus_common::{DetHashMap, Estimate, JanusError, Query, Result, Row, RowId, RowRef};
 use janus_index::IndexPoint;
 use janus_sampling::DynamicReservoir;
 use janus_storage::ArchiveStore;
@@ -70,26 +110,59 @@ pub struct JanusEngine {
     updates_since_check: usize,
 }
 
+/// Which bootstrap a bulk build serves. They differ only in how they
+/// seed their draws and whether catch-up runs to its goal.
+#[derive(Clone, Copy)]
+enum Bootstrap {
+    /// [`JanusEngine::bootstrap`] (`run_catchup`) and
+    /// [`JanusEngine::bootstrap_without_catchup`]: one template, whose
+    /// catch-up is seeded apart from the derived sequence.
+    One { run_catchup: bool },
+    /// [`JanusEngine::bootstrap_templates`]: each template's catch-up
+    /// seeded from the derived sequence, left unconsumed.
+    Templates,
+}
+
+/// A bootstrap's synopsis side: the pooled reservoir, one synopsis per
+/// template, and the catch-up rows applied.
+type Built = (DynamicReservoir, Vec<Synopsis>, usize);
+
+/// Runs `build` on this thread while one scoped helper runs `archive`'s
+/// read-only index pass into `index` ([`ArchiveStore::index_slots`]);
+/// returns what `build` returned and whether the pass completed (`false`
+/// at a repeated id). With no `index` to fill, `build` runs alone. The
+/// helper allocates nothing: the map was sized by the caller.
+fn beside_index<T>(
+    archive: &ArchiveStore,
+    index: Option<&mut DetHashMap<RowId, usize>>,
+    build: impl FnOnce() -> T,
+) -> Result<(T, bool)> {
+    let Some(index) = index else {
+        return Ok((build(), true));
+    };
+    std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new()
+            .name("janus-bootstrap".into())
+            .spawn_scoped(scope, || archive.index_slots(index))
+            .map_err(|e| JanusError::Storage(format!("spawn janus-bootstrap: {e}")))?;
+        let built = build();
+        let indexed = helper.join().expect("the index pass does not panic");
+        Ok((built, indexed))
+    })
+}
+
 impl JanusEngine {
     /// Builds an engine over the initial table `rows`, runs the partition
     /// optimizer on a fresh pooled sample, and completes the catch-up phase
     /// to the configured goal.
     pub fn bootstrap(config: SynopsisConfig, rows: Vec<Row>) -> Result<Self> {
-        let mut engine = Self::bootstrap_without_catchup(config, rows)?;
-        engine.run_catchup_to_goal();
-        Ok(engine)
+        Self::build(vec![config], rows, Bootstrap::One { run_catchup: true })
     }
 
     /// Builds an engine but leaves the catch-up queue unconsumed, so the
     /// caller can study the catch-up phase itself (Fig. 7).
     pub fn bootstrap_without_catchup(config: SynopsisConfig, rows: Vec<Row>) -> Result<Self> {
-        config.validate()?;
-        let archive = ArchiveStore::try_from_rows(rows)?;
-        let pool = PooledSample::draw(archive, config.sample_rate, config.seed, [0x5e5e, 0xa11a]);
-        // A catch-up goal of the whole table is an exact base instead.
-        let catchup_seed = (config.catchup_ratio < 1.0).then_some(config.seed ^ 0xca7c);
-        let synopsis = Synopsis::build(config, &pool, catchup_seed)?;
-        Ok(Self::assemble(pool, vec![synopsis], 0))
+        Self::build(vec![config], rows, Bootstrap::One { run_catchup: false })
     }
 
     /// Builds an engine with one synopsis per config over one pooled
@@ -97,6 +170,15 @@ impl JanusEngine {
     /// seeded by the first config. Every catch-up phase is left
     /// unconsumed, seeded from the shared sequence.
     pub fn bootstrap_templates(configs: Vec<SynopsisConfig>, rows: Vec<Row>) -> Result<Self> {
+        Self::build(configs, rows, Bootstrap::Templates)
+    }
+
+    /// The one bulk build behind every bootstrap (see the module doc's
+    /// "Bootstrap"): the archive's column pass, then the synopsis build
+    /// beside the index pass ([`beside_index`]), then the index installed
+    /// — or, if the index pass met a repeated id, the archive compacted in
+    /// place and the same synopsis build run again over it.
+    fn build(configs: Vec<SynopsisConfig>, rows: Vec<Row>, kind: Bootstrap) -> Result<Self> {
         let Some(first) = configs.first() else {
             return Err(JanusError::InvalidConfig(
                 "need at least one template".into(),
@@ -105,17 +187,80 @@ impl JanusEngine {
         for config in &configs {
             config.validate()?;
         }
-        let archive = ArchiveStore::try_from_rows(rows)?;
+        let mut seeds = Seeds::new(first.seed);
+        let (salts, catchup_seeds, run_catchup) = match kind {
+            // A catch-up goal of the whole table is an exact base instead.
+            Bootstrap::One { run_catchup } => {
+                let seed = (first.catchup_ratio < 1.0).then_some(first.seed ^ 0xca7c);
+                ([0x5e5e, 0xa11a], vec![seed], run_catchup)
+            }
+            Bootstrap::Templates => {
+                let seeds = configs.iter().map(|_| Some(seeds.next())).collect();
+                ([0x3333, 0x4444], seeds, false)
+            }
+        };
         let rate = configs.iter().map(|c| c.sample_rate).fold(0.0, f64::max);
-        let mut pool = PooledSample::draw(archive, rate, first.seed, [0x3333, 0x4444]);
-        let synopses = configs
-            .into_iter()
-            .map(|config| {
-                let seed = pool.next_seed();
-                Synopsis::build(config, &pool, Some(seed))
-            })
-            .collect::<Result<_>>()?;
-        Ok(Self::assemble(pool, synopses, 0))
+        let synopses = |archive: &ArchiveStore| -> Result<Option<Built>> {
+            // The shuffles first: their buffers are the first allocation
+            // after the id map and the freed input.
+            let orders: Vec<_> = (catchup_seeds.iter())
+                .map(|seed| seed.map(|seed| archive.slot_order(seed)))
+                .collect();
+            // Two sampled rows share an id: the index pass reports the
+            // repeat, and the build runs again over the compacted archive.
+            let Some(reservoir) = PooledSample::draw(archive, rate, first.seed, salts) else {
+                return Ok(None);
+            };
+            let (mut built, mut applied) = (Vec::with_capacity(configs.len()), 0);
+            for (config, order) in configs.iter().zip(orders) {
+                let order = order.as_ref();
+                let mut synopsis = Synopsis::build(config.clone(), archive, &reservoir, order)?;
+                if run_catchup {
+                    applied += synopsis.run_catchup_to_goal();
+                }
+                built.push(synopsis);
+            }
+            Ok(Some((reservoir, built, applied)))
+        };
+        // The serial build's allocation order, all on this thread: the
+        // columns (freeing each input row), the id map, the input vector's
+        // buffer freed, then the synopsis side.
+        let mut rows = rows.into_iter();
+        let (mut archive, odd) = ArchiveStore::fill_columns(&mut rows);
+        let mut index = match odd {
+            None => Some(DetHashMap::with_capacity_and_hasher(
+                archive.len(),
+                Default::default(),
+            )),
+            // A row of another arity: the rest go through the index, as in
+            // `ArchiveStore::try_from_rows`, before the synopsis build.
+            Some(odd) => {
+                archive.index_columns();
+                archive.insert_rows(std::iter::once(odd).chain(rows.by_ref()))?;
+                None
+            }
+        };
+        drop(rows);
+        let (mut built, indexed) = beside_index(&archive, index.as_mut(), || synopses(&archive))?;
+        match index {
+            Some(index) if indexed => archive.install_index(index),
+            Some(index) => {
+                drop((built, index));
+                archive.index_columns();
+                built = synopses(&archive);
+            }
+            None => {}
+        }
+        let (reservoir, synopses, catchup_applied) =
+            built?.expect("a compacted archive holds each id once");
+        let pool = PooledSample {
+            archive,
+            reservoir,
+            seeds,
+        };
+        let mut engine = Self::assemble(pool, synopses, 0);
+        engine.stats.catchup_applied = catchup_applied as u64;
+        Ok(engine)
     }
 
     /// Registers a new template at run time (§5.5: "when we see a query
@@ -124,8 +269,10 @@ impl JanusEngine {
     /// to the configured goal.
     pub fn add_template(&mut self, config: SynopsisConfig) -> Result<()> {
         config.validate()?;
-        let seed = self.pool.next_seed();
-        let mut synopsis = Synopsis::build(config, &self.pool, Some(seed))?;
+        let seed = self.pool.seeds.next();
+        let (archive, reservoir) = (&self.pool.archive, &self.pool.reservoir);
+        let order = archive.slot_order(seed);
+        let mut synopsis = Synopsis::build(config, archive, reservoir, Some(&order))?;
         self.stats.catchup_applied += synopsis.run_catchup_to_goal() as u64;
         self.synopses.push(synopsis);
         Ok(())
@@ -526,7 +673,7 @@ impl JanusEngine {
             reservoir_target: reservoir.target(),
             population: self.pool.archive.len(),
             reservoir_rng: reservoir.rng_state(),
-            seed_counter: self.pool.seed_counter,
+            seed_counter: self.pool.seeds.counter,
             updates_since_check: self.updates_since_check as u64,
             catchup_rows: synopsis
                 .catchup
@@ -598,11 +745,13 @@ impl JanusEngine {
         let pool = PooledSample {
             archive,
             reservoir,
-            seed: config.seed,
-            seed_counter: snapshot.seed_counter,
+            seeds: Seeds {
+                seed: config.seed,
+                counter: snapshot.seed_counter,
+            },
         };
         let synopsis = Synopsis {
-            maxvar: Synopsis::index_over(&config, &pool),
+            maxvar: Synopsis::index_over(&config, &pool.reservoir, pool.archive.len()),
             config,
             dpt,
             catchup: CatchupQueue::from_rows(&snapshot.catchup_rows)?,
@@ -750,6 +899,26 @@ mod tests {
             );
         }
         assert_eq!(engine.stats().queries, 3);
+    }
+
+    /// When every row is sampled, a repeated id lands in the draw twice:
+    /// the speculative build stops at the draw, and the engine is the one
+    /// bootstrapped from the rows without the later copy.
+    #[test]
+    fn a_repeated_id_in_the_draw_rebuilds_over_the_compacted_archive() {
+        let mut cfg = config(3);
+        cfg.sample_rate = 0.5; // 2m = |D|: every row is drawn
+        for n in [400, 20_000] {
+            let clean = rows(n, 3);
+            let mut with_repeat = clean.clone();
+            with_repeat.insert(n / 2, Row::new(7, vec![-1.0, -2.0]));
+            let want = JanusEngine::bootstrap(cfg.clone(), clean).unwrap();
+            let got = JanusEngine::bootstrap(cfg.clone(), with_repeat).unwrap();
+            assert_eq!(got.export_rows(), want.export_rows(), "{n} rows");
+            let (a, b) = (got.save_synopsis(), want.save_synopsis());
+            assert_eq!(a.to_bytes(), b.to_bytes(), "{n} rows");
+            assert_eq!(got.stats(), want.stats(), "{n} rows");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::partition::{PartitionOutcome, Partitioner};
 use crate::tree::Dpt;
 use janus_common::{Result, Row, RowRef};
 use janus_sampling::{DeleteOutcome, DynamicReservoir, InsertOutcome};
-use janus_storage::ArchiveStore;
+use janus_storage::{ArchiveStore, SlotOrder};
 
 /// One template's partition tree with the sample structures that follow
 /// the pooled reservoir: the leaf strata (inside `dpt`) and **M**.
@@ -36,24 +36,26 @@ pub(crate) struct Synopsis {
 }
 
 impl Synopsis {
-    /// Initialization (§4.3): **M** over the pooled sample, the optimized
-    /// partitioning, an empty tree over it with the sample assigned to
-    /// its leaf strata, and the catch-up phase. With a `catchup_seed` the
-    /// phase is the seeded archive shuffle up to the configured goal;
-    /// without one the base statistics are installed exactly by a full
-    /// scan and there is nothing to catch up on.
+    /// Initialization (§4.3): **M** over the pooled sample `reservoir` of
+    /// `archive`, the optimized partitioning, an empty tree over it with
+    /// the sample assigned to its leaf strata, and the catch-up phase.
+    /// With a `catchup_order` the phase is the archive in that order up to
+    /// the configured goal; without one the base statistics are installed
+    /// exactly by a full scan and there is nothing to catch up on. Reads
+    /// the archive by slot only, so its id index may still be in the
+    /// making on another thread.
     pub(crate) fn build(
         config: SynopsisConfig,
-        pool: &PooledSample,
-        catchup_seed: Option<u64>,
+        archive: &ArchiveStore,
+        reservoir: &DynamicReservoir,
+        catchup_order: Option<&SlotOrder>,
     ) -> Result<Self> {
-        let archive = &pool.archive;
-        let maxvar = Self::index_over(&config, pool);
+        let maxvar = Self::index_over(&config, reservoir, archive.len());
         let outcome = Partitioner::auto(config.rho).compute(&maxvar, config.leaf_count)?;
         let mut dpt = Self::tree_over(&config, &outcome, archive.len())?;
-        assign_strata(&mut dpt, &pool.reservoir);
-        let catchup = match catchup_seed {
-            Some(seed) => CatchupQueue::over_archive(archive, config.catchup_ratio, seed),
+        assign_strata(&mut dpt, reservoir);
+        let catchup = match catchup_order {
+            Some(order) => CatchupQueue::in_order(archive, config.catchup_ratio, order),
             None => {
                 dpt.install_exact_base_columns(archive.blocks());
                 CatchupQueue::completed()
@@ -69,9 +71,14 @@ impl Synopsis {
         })
     }
 
-    /// **M** for `config`'s template over the pooled sample as it stands.
-    pub(crate) fn index_over(config: &SynopsisConfig, pool: &PooledSample) -> MaxVarianceIndex {
-        let (rows, population) = (pool.reservoir.iter(), pool.archive.len());
+    /// **M** for `config`'s template over a pooled sample of `population`
+    /// rows as it stands.
+    pub(crate) fn index_over(
+        config: &SynopsisConfig,
+        reservoir: &DynamicReservoir,
+        population: usize,
+    ) -> MaxVarianceIndex {
+        let rows = reservoir.iter();
         MaxVarianceIndex::over_sample(&config.template, config.delta, rows, population)
     }
 
@@ -109,13 +116,13 @@ impl Synopsis {
     pub(crate) fn reset_samples(&mut self, pool: &PooledSample) {
         self.dpt.clear_samples();
         assign_strata(&mut self.dpt, &pool.reservoir);
-        self.maxvar = Self::index_over(&self.config, pool);
+        self.maxvar = Self::index_over(&self.config, &pool.reservoir, pool.archive.len());
     }
 
     /// Restarts the catch-up phase over the archive as it stands, under
     /// the next derived seed (§4.3 step 5).
     pub(crate) fn restart_catchup(&mut self, pool: &mut PooledSample) {
-        let seed = pool.next_seed();
+        let seed = pool.seeds.next();
         self.catchup = CatchupQueue::over_archive(&pool.archive, self.config.catchup_ratio, seed);
     }
 
@@ -143,32 +150,52 @@ impl Synopsis {
     }
 }
 
+/// The sequence of seeds every random draw after a bootstrap derives
+/// from, starting at `counter = 1`.
+#[derive(Clone, Copy)]
+pub(crate) struct Seeds {
+    pub(crate) seed: u64,
+    pub(crate) counter: u64,
+}
+
+impl Seeds {
+    pub(crate) fn new(seed: u64) -> Self {
+        Seeds { seed, counter: 1 }
+    }
+
+    /// The next seed of the sequence.
+    pub(crate) fn next(&mut self) -> u64 {
+        self.counter = self
+            .counter
+            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add(1);
+        self.seed ^ self.counter
+    }
+}
+
 /// The archive, the pooled reservoir sample drawn from it, and the
 /// sequence of seeds every later random draw derives from.
 pub(crate) struct PooledSample {
     pub(crate) archive: ArchiveStore,
     pub(crate) reservoir: DynamicReservoir,
-    pub(crate) seed: u64,
-    pub(crate) seed_counter: u64,
+    pub(crate) seeds: Seeds,
 }
 
 impl PooledSample {
-    /// Draws the initial pooled sample of `archive` at `sample_rate`.
-    /// `salts` tell the reservoir's admission stream and the draw apart
-    /// from each other and from the other bootstrap's.
+    /// Draws the initial pooled sample of `archive` at `sample_rate`: the
+    /// reservoir alone, which a bootstrap puts together with the archive
+    /// once the archive's id index is in. `salts` tell the reservoir's
+    /// admission stream and the draw apart from each other and from the
+    /// other bootstrap's. Reads the archive by slot only, so it returns
+    /// `None` if two sampled rows share an id, which only an archive whose
+    /// index pass has yet to drop a repeated id can hold.
     pub(crate) fn draw(
-        archive: ArchiveStore,
+        archive: &ArchiveStore,
         sample_rate: f64,
         seed: u64,
         salts: [u64; 2],
-    ) -> Self {
-        let reservoir = fresh_reservoir(&archive, sample_rate, seed ^ salts[0], seed ^ salts[1]);
-        PooledSample {
-            archive,
-            reservoir,
-            seed,
-            seed_counter: 1,
-        }
+    ) -> Option<DynamicReservoir> {
+        fresh_reservoir(archive, sample_rate, seed ^ salts[0], seed ^ salts[1])
     }
 
     /// Replaces the reservoir by a fresh one sized for the *current*
@@ -176,18 +203,10 @@ impl PooledSample {
     /// orders of magnitude since bootstrap). The synopses' strata and
     /// **M** are stale until [`Synopsis::reset_samples`].
     pub(crate) fn redraw(&mut self, sample_rate: f64) {
-        let reservoir_seed = self.next_seed();
-        let draw_seed = self.next_seed();
-        self.reservoir = fresh_reservoir(&self.archive, sample_rate, reservoir_seed, draw_seed);
-    }
-
-    /// The next seed of the derived sequence.
-    pub(crate) fn next_seed(&mut self) -> u64 {
-        self.seed_counter = self
-            .seed_counter
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(1);
-        self.seed ^ self.seed_counter
+        let reservoir_seed = self.seeds.next();
+        let draw_seed = self.seeds.next();
+        self.reservoir = fresh_reservoir(&self.archive, sample_rate, reservoir_seed, draw_seed)
+            .expect("an indexed archive holds each id once");
     }
 
     /// Offers a row the archive just took in to the reservoir, which
@@ -230,7 +249,7 @@ impl PooledSample {
                 false
             }
             DeleteOutcome::NeedsResample => {
-                let seed = self.next_seed();
+                let seed = self.seeds.next();
                 let rows = self.archive.sample_distinct(self.reservoir.target(), seed);
                 self.reservoir.reset(rows);
                 for synopsis in synopses {
@@ -252,15 +271,17 @@ fn assign_strata(dpt: &mut Dpt, reservoir: &DynamicReservoir) {
 }
 
 /// A reservoir with floor `m = ⌈rate·|D|⌉` (at least 16) holding `2m`
-/// distinct rows of `archive`.
+/// distinct rows of `archive`; `None` if two of the rows drawn share an
+/// id.
 fn fresh_reservoir(
     archive: &ArchiveStore,
     sample_rate: f64,
     reservoir_seed: u64,
     draw_seed: u64,
-) -> DynamicReservoir {
+) -> Option<DynamicReservoir> {
     let m = ((sample_rate * archive.len() as f64).ceil() as usize).max(16);
     let mut reservoir = DynamicReservoir::with_m(m, reservoir_seed);
-    reservoir.reset(archive.sample_distinct(2 * m, draw_seed));
-    reservoir
+    let rows = archive.sample_distinct(2 * m, draw_seed);
+    reservoir.try_reset(rows).ok()?;
+    Some(reservoir)
 }

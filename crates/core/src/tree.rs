@@ -447,11 +447,6 @@ impl Dpt {
         }
     }
 
-    /// Leaf index currently holding the sampled row `id`.
-    pub fn sample_leaf_of(&self, id: RowId) -> Option<usize> {
-        self.sample_leaf.get(&id).copied()
-    }
-
     /// Number of sampled rows registered.
     pub fn sample_count(&self) -> usize {
         self.sample_leaf.len()
@@ -859,7 +854,6 @@ mod tests {
     fn sample_assignment_round_trip() {
         let (mut dpt, _, _) = tree_with_rows(16);
         let leaf = dpt.assign_sample(7, &[3.0]);
-        assert_eq!(dpt.sample_leaf_of(7), Some(leaf));
         assert_eq!(dpt.sample_count(), 1);
         assert_eq!(dpt.remove_sample(7), Some(leaf));
         assert_eq!(dpt.sample_count(), 0);

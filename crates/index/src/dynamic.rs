@@ -165,16 +165,6 @@ impl<I: SpatialAggIndex> DynamicIndex<I> {
         self.levels = build_levels(self.dims, points);
     }
 
-    /// Fraction of stored points that are tombstoned garbage.
-    pub fn garbage_ratio(&self) -> f64 {
-        let stored = self.stored();
-        if stored == 0 {
-            0.0
-        } else {
-            self.dead_ids.len() as f64 / stored as f64
-        }
-    }
-
     /// Moments of live points inside `rect` (exact: tombstones subtracted).
     pub fn moments_in(&self, rect: &Rect) -> Moments {
         let mut m = Moments::ZERO;
@@ -325,11 +315,8 @@ mod tests {
         for p in pts.iter().take(300) {
             idx.delete(p.clone());
         }
-        assert!(
-            idx.garbage_ratio() < 0.5,
-            "garbage {:.2}",
-            idx.garbage_ratio()
-        );
+        let (dead, stored) = (idx.dead_ids.len(), idx.stored());
+        assert!(2 * dead < stored, "{dead} of {stored} stored points dead");
         let live: Vec<IndexPoint> = pts.iter().skip(300).cloned().collect();
         let r = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         let got = idx.moments_in(&r);

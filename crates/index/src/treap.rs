@@ -81,15 +81,6 @@ impl Treap {
         Treap { root: None }
     }
 
-    /// Builds a treap from entries (not necessarily sorted).
-    pub fn from_entries(entries: impl IntoIterator<Item = Entry>) -> Self {
-        let mut t = Treap::new();
-        for e in entries {
-            t.insert(e);
-        }
-        t
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.root.as_ref().map_or(0, |n| n.size)
@@ -98,11 +89,6 @@ impl Treap {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.root.is_none()
-    }
-
-    /// Moments of all stored weights.
-    pub fn total_moments(&self) -> Moments {
-        self.root.as_ref().map_or(Moments::ZERO, |n| n.agg)
     }
 
     /// Inserts an entry. Duplicate `(key, id)` pairs are allowed but the
@@ -341,6 +327,15 @@ mod tests {
         Entry { key, id, weight: w }
     }
 
+    /// A treap of `entries`, inserted in order.
+    fn treap(entries: impl IntoIterator<Item = Entry>) -> Treap {
+        let mut t = Treap::new();
+        for e in entries {
+            t.insert(e);
+        }
+        t
+    }
+
     #[test]
     fn insert_and_kth_are_sorted() {
         let mut t = Treap::new();
@@ -354,19 +349,19 @@ mod tests {
 
     #[test]
     fn remove_keeps_order_and_aggregates() {
-        let mut t = Treap::from_entries((0..100).map(|i| entry(i as f64, i, i as f64)));
+        let mut t = treap((0..100).map(|i| entry(i as f64, i, i as f64)));
         assert_eq!(t.len(), 100);
         let removed = t.remove(50.0, 50).unwrap();
         assert_eq!(removed.weight, 50.0);
         assert!(t.remove(50.0, 50).is_none());
         assert_eq!(t.len(), 99);
-        let total = t.total_moments();
+        let total = t.moments_by_rank(0, t.len());
         assert!((total.sum - (4950.0 - 50.0)).abs() < 1e-9);
     }
 
     #[test]
     fn rank_of_key_counts_strictly_smaller() {
-        let t = Treap::from_entries(
+        let t = treap(
             [1.0, 2.0, 2.0, 3.0]
                 .into_iter()
                 .enumerate()
@@ -390,7 +385,7 @@ mod tests {
         let entries: Vec<Entry> = (0..200)
             .map(|i| entry(rng.gen::<f64>() * 100.0, i, rng.gen::<f64>() * 5.0))
             .collect();
-        let t = Treap::from_entries(entries.clone());
+        let t = treap(entries.clone());
         let mut sorted = entries.clone();
         sorted.sort_by(|a, b| cmp_key(a.key, a.id, b.key, b.id));
         for &(lo, hi) in &[(0usize, 200usize), (10, 50), (0, 0), (199, 200), (50, 49)] {
@@ -408,7 +403,7 @@ mod tests {
 
     #[test]
     fn moments_by_key_is_half_open() {
-        let t = Treap::from_entries(
+        let t = treap(
             [1.0, 2.0, 3.0]
                 .into_iter()
                 .enumerate()

@@ -180,12 +180,26 @@ impl DynamicReservoir {
 
     /// Replaces the sample set wholesale (the re-sample step of §4.2/§4.3).
     pub fn reset(&mut self, rows: Vec<Row>) {
+        let distinct = self.try_reset(rows);
+        debug_assert!(
+            distinct.is_ok(),
+            "duplicate row id {} in reset",
+            distinct.unwrap_err()
+        );
+    }
+
+    /// [`DynamicReservoir::reset`] from rows that may repeat an id:
+    /// returns the first repeated id, after which the sample is unusable
+    /// until the next reset.
+    pub fn try_reset(&mut self, rows: Vec<Row>) -> Result<(), RowId> {
         self.index_of.clear();
         self.rows = rows;
         for (i, r) in self.rows.iter().enumerate() {
-            let prev = self.index_of.insert(r.id, i);
-            debug_assert!(prev.is_none(), "duplicate row id {} in reset", r.id);
+            if self.index_of.insert(r.id, i).is_some() {
+                return Err(r.id);
+            }
         }
+        Ok(())
     }
 
     /// Current sampling rate `|S| / |D|` for the given population size.

@@ -25,26 +25,48 @@
 //! which is what keeps every seeded sampling stream
 //! ([`ArchiveStore::sample_distinct`],
 //! [`ArchiveStore::sample_with_replacement`], [`ArchiveStore::shuffled`],
-//! [`ArchiveStore::shuffled_prefix`]) bit-identical to the seed's
+//! [`ArchiveStore::shuffled_prefix`], [`ArchiveStore::slot_order`])
+//! bit-identical to the seed's
 //! `Vec<Row>` representation. A block a delete empties stays as the one
 //! spare, so an insert/delete pair at a block boundary neither allocates
 //! nor frees; a second empty block is freed at once.
 //!
 //! **Bulk builds.** Every archive built from a whole table at once —
 //! engine bootstrap and restore, each cluster shard's, each `janus-node`
-//! shard's — goes through [`ArchiveStore::try_from_rows`], which builds in
-//! two passes instead of inserting row by row: pass 1 fills the blocks'
-//! columns a block at a time, pass 2 indexes each block's id column into
-//! a map sized once for all of them. The result is the per-row build's,
-//! slot for slot and error for error: a repeated id keeps its first slot
-//! (pass 2 closes the later one's gap in place), and a row of another
-//! arity ends the bulk pass, so it and every later row go through
-//! `insert`, which ignores it if its id is live and rejects it otherwise.
+//! shard's — is built in two passes instead of inserting row by row:
+//!
+//! 1. the *column pass* ([`ArchiveStore::fill_columns`]) fills the blocks'
+//!    columns a block at a time on the calling thread, freeing each input
+//!    row as it goes;
+//! 2. the *index pass* indexes each block's id column into a map sized
+//!    once for all of them. [`ArchiveStore::index_columns`] is the pass
+//!    in place; [`ArchiveStore::index_slots`] is the same pass read-only,
+//!    into a map the caller pre-sized, and it is the one part of a bulk
+//!    build that may run off the calling thread: `JanusEngine`'s bootstrap
+//!    runs it beside the synopsis build and installs the map
+//!    ([`ArchiveStore::install_index`]) afterwards. Until then the archive
+//!    answers every read by slot (sampling, scans, the shuffle) but none
+//!    by id.
+//!
+//! The result is the per-row build's, slot for slot and error for error:
+//! a repeated id keeps its first slot (the in-place pass closes the later
+//! one's gap; the read-only pass reports it, and the caller falls back to
+//! the in-place one), and a row of another arity ends the column pass, so
+//! it and every later row go through `insert`, which ignores it if its id
+//! is live and rejects it otherwise. [`ArchiveStore::try_from_rows`] is
+//! the two passes back to back.
+//!
+//! **Shuffles.** Every seeded permutation of the slots — the catch-up
+//! order of §4.3, [`ArchiveStore::shuffled`] — is one [`SlotOrder`]: a
+//! Fisher–Yates draw over the slot indices, held as `u32` while every
+//! index fits. The draws (`gen_range(0..i + 1)`, from the back) do not
+//! depend on the element type, so the permutation is the one a `usize`
+//! buffer gives, at half the bytes written and swapped.
 //!
 //! [`Row`] stays the API boundary type: anything that crosses an ownership
 //! boundary (checkpoints, sampling results) materializes, while scans
 //! ([`ArchiveStore::for_each_row`], [`ArchiveStore::iter_refs`],
-//! [`ArchiveStore::for_each_shuffled`]) borrow.
+//! [`ArchiveStore::for_each_in`]) borrow.
 
 use janus_common::{DetHashMap, JanusError, Query, Result, Row, RowId, RowRef, ScanPartial};
 use rand::rngs::SmallRng;
@@ -115,6 +137,34 @@ fn locate(slot: usize) -> (usize, usize) {
     (slot >> BLOCK_SHIFT, slot & BLOCK_MASK)
 }
 
+/// A seeded permutation of an archive's slots ([`ArchiveStore::slot_order`]):
+/// the order a catch-up queue copies its rows in. One of the two columns
+/// holds it, `narrow` while every slot index fits in `u32`.
+pub struct SlotOrder {
+    narrow: Vec<u32>,
+    wide: Vec<usize>,
+}
+
+impl SlotOrder {
+    /// The permuted slots, in order.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let narrow = self.narrow.iter().map(|&s| s as usize);
+        narrow.chain(self.wide.iter().copied())
+    }
+
+    fn len(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+}
+
+/// `slots` in the seeded Fisher–Yates order (see the module doc's
+/// "Shuffles").
+fn permutation<T>(slots: impl Iterator<Item = T>, seed: u64) -> Vec<T> {
+    let mut order: Vec<T> = slots.collect();
+    order.shuffle(&mut SmallRng::seed_from_u64(seed));
+    order
+}
+
 /// [`ARCHIVE_BLOCK_ROWS`] slots' columns; every block before the one
 /// holding the last slot is full.
 struct Block {
@@ -182,36 +232,51 @@ impl ArchiveStore {
 
     /// Builds an archive from owned rows in bulk, with exactly the result
     /// — slots, index, arity, error — of inserting them one at a time in
-    /// order (see the module doc's "Representation").
-    ///
-    /// Pass 1 fills the blocks' columns while rows keep the first row's
-    /// arity; pass 2 indexes them into a map sized once. A row of another
-    /// arity ends pass 1: it and every row after it go through
-    /// [`ArchiveStore::insert`], which ignores it if its id is already
-    /// live and rejects it otherwise.
+    /// order (see the module doc's "Bulk builds"): the column pass, the
+    /// index pass in place, then any rows after one of another arity
+    /// through [`ArchiveStore::insert`].
     pub fn try_from_rows(rows: impl IntoIterator<Item = Row>) -> Result<Self> {
         let mut rows = rows.into_iter();
-        let mut out = ArchiveStore::new();
-        let mut odd = None;
-        for row in rows.by_ref() {
-            if *out.arity.get_or_insert(row.values.len()) != row.values.len() {
-                odd = Some(row);
-                break;
-            }
-            out.push(row.id, &row.values);
-        }
+        let (mut out, odd) = Self::fill_columns(&mut rows);
         out.index_columns();
-        for row in odd.into_iter().chain(rows) {
-            out.insert(row)?;
-        }
+        out.insert_rows(odd.into_iter().chain(rows))?;
         Ok(out)
     }
 
-    /// Pass 2 of a bulk build: indexes every block's ids into a map sized
-    /// once for all of them. A repeated id keeps its first slot and its
-    /// later one is dropped, closing the gap in place — what per-row
+    /// The column pass of a bulk build: fills the blocks' columns from
+    /// `rows` while they keep the first row's arity, dropping each row
+    /// once copied. A row of another arity ends the pass and is returned,
+    /// with the rest of `rows` left unread; the caller indexes what was
+    /// filled and hands both to [`ArchiveStore::insert_rows`].
+    ///
+    /// The archive returned has no id index yet: reads by slot work, and
+    /// reads or updates by id wait for [`ArchiveStore::index_columns`] or
+    /// [`ArchiveStore::install_index`].
+    pub fn fill_columns(rows: &mut impl Iterator<Item = Row>) -> (Self, Option<Row>) {
+        let mut out = ArchiveStore::new();
+        for row in rows {
+            if *out.arity.get_or_insert(row.values.len()) != row.values.len() {
+                return (out, Some(row));
+            }
+            out.push(row.id, &row.values);
+        }
+        (out, None)
+    }
+
+    /// Inserts rows one at a time, stopping at the first error — the
+    /// tail of a bulk build whose column pass met a row of another arity.
+    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
+        for row in rows {
+            self.insert(row)?;
+        }
+        Ok(())
+    }
+
+    /// The index pass in place: indexes every block's ids into a map
+    /// sized once for all of them. A repeated id keeps its first slot and
+    /// its later one is dropped, closing the gap in place — what per-row
     /// `insert` does when it returns `Ok(false)`.
-    fn index_columns(&mut self) {
+    pub fn index_columns(&mut self) {
         let mut index_of = DetHashMap::with_capacity_and_hasher(self.len, Default::default());
         let mut kept = 0;
         for slot in 0..self.len {
@@ -228,6 +293,29 @@ impl ArchiveStore {
         }
         self.truncate(kept);
         self.index_of = index_of;
+    }
+
+    /// The index pass read-only, into `index`: maps every slot's id to
+    /// its slot, and returns `false` at the first repeated id, leaving
+    /// `index` partial (the caller then runs
+    /// [`ArchiveStore::index_columns`] instead). Allocates nothing when
+    /// `index` was sized for [`ArchiveStore::len`] ids, so a thread other
+    /// than the one that allocated the map can run it.
+    pub fn index_slots(&self, index: &mut DetHashMap<RowId, usize>) -> bool {
+        let ids = self.blocks().flat_map(|c| c.ids.iter().copied());
+        for (slot, id) in ids.enumerate() {
+            if index.insert(id, slot).is_some() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Installs an index [`ArchiveStore::index_slots`] completed over
+    /// this archive's slots.
+    pub fn install_index(&mut self, index: DetHashMap<RowId, usize>) {
+        assert_eq!(index.len(), self.len, "an index of every slot");
+        self.index_of = index;
     }
 
     /// Drops the slots from `len` on. Of the blocks that leaves empty, the
@@ -478,23 +566,34 @@ impl ArchiveStore {
     /// still shuffled, so the prefix is row for row the full shuffle's,
     /// but only the rows returned are materialized.
     pub fn shuffled_prefix(&self, seed: u64, n: usize) -> Vec<Row> {
-        self.materialize(self.shuffled_slots(seed, n).into_iter())
+        let mut out = Vec::with_capacity(n.min(self.len()));
+        self.for_each_in(&self.slot_order(seed), n, |r| out.push(r.to_row()));
+        out
     }
 
-    /// Hands the rows of [`ArchiveStore::shuffled_prefix`] to `f` in the
-    /// same order as borrowed views, materializing none — what a flat
-    /// catch-up queue copies its columns from.
-    pub fn for_each_shuffled(&self, seed: u64, n: usize, f: impl FnMut(RowRef<'_>)) {
-        self.visit(self.shuffled_slots(seed, n).into_iter(), f);
+    /// The seeded permutation of every slot that
+    /// [`ArchiveStore::shuffled`] emits rows in. Reads no row.
+    pub fn slot_order(&self, seed: u64) -> SlotOrder {
+        match u32::try_from(self.len()) {
+            Ok(len) => SlotOrder {
+                narrow: permutation(0..len, seed),
+                wide: Vec::new(),
+            },
+            Err(_) => SlotOrder {
+                narrow: Vec::new(),
+                wide: permutation(0..self.len(), seed),
+            },
+        }
     }
 
-    /// The first `n` slot indices of the seeded Fisher–Yates permutation.
-    fn shuffled_slots(&self, seed: u64, n: usize) -> Vec<usize> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(&mut rng);
-        order.truncate(n);
-        order
+    /// Hands the rows at the first `n` positions of `order`, a
+    /// [`ArchiveStore::slot_order`] of this archive, to `f` as borrowed
+    /// views, materializing none — what a flat catch-up queue copies its
+    /// columns from. Under `slot_order(seed)` these are the rows of
+    /// [`ArchiveStore::shuffled_prefix`], in the same order.
+    pub fn for_each_in(&self, order: &SlotOrder, n: usize, f: impl FnMut(RowRef<'_>)) {
+        assert_eq!(order.len(), self.len(), "an order of this archive's slots");
+        self.visit(order.slots().take(n), f);
     }
 
     /// Materializes the given slots, in the given order.
@@ -662,6 +761,62 @@ mod tests {
             assert_eq!(a.shuffled_prefix(41, n), full[..n.min(len)], "prefix {n}");
         }
         assert!(ArchiveStore::new().shuffled_prefix(41, 3).is_empty());
+    }
+
+    /// A `u32` and a `usize` buffer draw the same permutation: the
+    /// draws do not depend on the element type.
+    #[test]
+    fn narrow_and_wide_shuffles_are_one_permutation() {
+        for len in [0usize, 1, 2, 97, 5_000] {
+            let narrow = permutation(0..len as u32, 31);
+            let wide = permutation(0..len, 31);
+            assert!(narrow.iter().map(|&s| s as usize).eq(wide), "{len} slots");
+        }
+    }
+
+    /// The read-only index pass builds the in-place pass's map when every
+    /// id is distinct, and reports the first repeated id otherwise.
+    #[test]
+    fn the_read_only_index_pass_matches_the_in_place_one() {
+        let rows = (0..3 * ARCHIVE_BLOCK_ROWS as u64 + 5).map(row);
+        let (mut speculative, odd) = ArchiveStore::fill_columns(&mut rows.clone());
+        assert!(odd.is_none());
+        assert!(!speculative.contains(7), "no index before a pass");
+        let mut index = DetHashMap::with_capacity_and_hasher(speculative.len(), Default::default());
+        let capacity = index.capacity();
+        assert!(speculative.index_slots(&mut index));
+        assert_eq!(index.capacity(), capacity, "the pass allocates nothing");
+        speculative.install_index(index);
+        let in_place = ArchiveStore::from_rows(rows);
+        assert_eq!(speculative.to_rows(), in_place.to_rows());
+        for id in [
+            0,
+            7,
+            ARCHIVE_BLOCK_ROWS as u64,
+            3 * ARCHIVE_BLOCK_ROWS as u64 + 4,
+        ] {
+            assert_eq!(speculative.slot_of(id), in_place.slot_of(id), "id {id}");
+        }
+        assert_eq!(speculative.resident_bytes(), in_place.resident_bytes());
+
+        let with_repeat = [row(1), row(2), row(1), row(3)];
+        let (mut archive, _) = ArchiveStore::fill_columns(&mut with_repeat.into_iter());
+        let mut index = DetHashMap::default();
+        assert!(!archive.index_slots(&mut index), "id 1 repeats");
+        archive.index_columns();
+        assert_eq!(archive.to_rows(), [row(1), row(2), row(3)]);
+    }
+
+    /// The column pass stops at the first row of another arity and
+    /// returns it, leaving the rest unread.
+    #[test]
+    fn the_column_pass_stops_at_a_row_of_another_arity() {
+        let rows = vec![row(1), row(2), Row::new(3, vec![0.5]), row(4)];
+        let mut rows = rows.into_iter();
+        let (archive, odd) = ArchiveStore::fill_columns(&mut rows);
+        assert_eq!(archive.len(), 2);
+        assert_eq!(odd, Some(Row::new(3, vec![0.5])));
+        assert_eq!(rows.next(), Some(row(4)));
     }
 
     #[test]

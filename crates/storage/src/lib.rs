@@ -35,7 +35,7 @@ pub mod loadlog;
 pub mod samplers;
 pub mod streamlog;
 
-pub use archive::{ArchiveColumns, ArchiveStore, ARCHIVE_BLOCK_ROWS};
+pub use archive::{ArchiveColumns, ArchiveStore, SlotOrder, ARCHIVE_BLOCK_ROWS};
 pub use checkpoint::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 pub use loadlog::{FileLoadProgress, LoadProgress};
 pub use samplers::{PollCostModel, SampleRun, SequentialSampler, SingletonSampler};

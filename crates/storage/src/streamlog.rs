@@ -448,16 +448,6 @@ impl<T: Clone> ShardedLog<T> {
     pub fn poll(&self, shard: usize, offset: u64, max_records: usize) -> Vec<T> {
         self.topics[shard].poll(offset, max_records)
     }
-
-    /// End offset of every shard topic, in shard order.
-    pub fn end_offsets(&self) -> Vec<u64> {
-        self.topics.iter().map(|t| t.len() as u64).collect()
-    }
-
-    /// Total records across all shard topics.
-    pub fn total_len(&self) -> usize {
-        self.topics.iter().map(TopicLog::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -518,8 +508,6 @@ mod tests {
         assert_eq!(log.publish(0, 10), 0);
         assert_eq!(log.publish(2, 20), 0, "offsets are per-topic");
         assert_eq!(log.publish(2, 21), 1);
-        assert_eq!(log.end_offsets(), vec![1, 0, 2]);
-        assert_eq!(log.total_len(), 3);
         assert_eq!(log.poll(2, 0, 10), vec![20, 21]);
         assert_eq!(log.poll(2, 1, 10), vec![21]);
         assert!(log.poll(1, 0, 10).is_empty());
@@ -539,7 +527,6 @@ mod tests {
             2,
             "empty batch is a no-op"
         );
-        assert_eq!(log.end_offsets(), vec![2, 4]);
     }
 
     #[test]

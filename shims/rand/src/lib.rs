@@ -96,10 +96,12 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     if bound.is_power_of_two() {
         return rng.next_u64() & (bound - 1);
     }
-    let zone = u64::MAX - (u64::MAX % bound) - 1;
     loop {
         let v = rng.next_u64();
-        if v <= zone {
+        // The acceptance zone ends below `u64::MAX - (u64::MAX % bound)`,
+        // never below `u64::MAX - bound`: a draw up to there is accepted
+        // without the division that finds the zone's exact end.
+        if v <= u64::MAX - bound || v < u64::MAX - (u64::MAX % bound) {
             return v % bound;
         }
     }
